@@ -14,9 +14,9 @@ import sys
 import numpy as np
 
 from . import errors, fileio, synth
-from .core_geom import Distortion, ObservationSet, project
+from .core_geom import Distortion, ObservationSet
 from .multi_solver import detect_degeneracy, solve_closed_form, solve_minimal
-from .refine import spherical_ba
+from .refine import spherical_ba, spherical_reprojection_rms
 from .single_calib import calibrate_single_image
 
 EXIT_OK = 0
@@ -44,21 +44,6 @@ def _nan_guarded(reduction, values) -> float:
     if np.all(np.isnan(values)):
         return float("nan")
     return float(reduction(values))
-
-
-def _reprojection_rms(observations: ObservationSet, intr, dist, ext):
-    per_image = []
-    total = []
-    for i in range(len(observations)):
-        xy, uv = observations.correspondences(i)
-        points = np.column_stack([xy, np.zeros(len(xy))])
-        rot = ext.rotations[i]
-        predicted = project(intr, dist, rot, -rot.matrix @ ext.t_cp, points)
-        res = (predicted - uv).ravel()
-        per_image.append(float(np.sqrt(np.mean(res ** 2))))
-        total.append(res)
-    all_res = np.concatenate(total)
-    return float(np.sqrt(np.mean(all_res ** 2))), per_image
 
 
 def _intrinsics_block(intr):
@@ -161,13 +146,15 @@ def cmd_calibrate(args) -> int:
             report["candidate_count"] = len(candidates)
             intr, ext = candidates[0]
         dist = Distortion(0.0, 0.0)
-        stage = "init"
-        if not args.no_refine:
+        if args.no_refine:
+            stage = "init"
+            rms, per_image = spherical_reprojection_rms(observations, (intr, dist, ext))
+        else:
             (intr, dist, ext), ba_report = spherical_ba(observations,
                                                         (intr, dist, ext))
             report["converged"] = ba_report.converged
             stage = "refined"
-        rms, per_image = _reprojection_rms(observations, intr, dist, ext)
+            rms, per_image = ba_report.rms_reprojection, ba_report.per_image_rms
         report.update({
             "stage": stage,
             "intrinsics": _intrinsics_block(intr),

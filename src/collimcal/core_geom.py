@@ -126,11 +126,7 @@ class Rotation:
     @classmethod
     def from_matrix_orthogonalized(cls, M: np.ndarray) -> "Rotation":
         """Nearest rotation to M in the Frobenius sense, via SVD."""
-        U, _, Vt = np.linalg.svd(np.asarray(M, dtype=float))
-        R = U @ Vt
-        if np.linalg.det(R) < 0:
-            R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-        return cls(R)
+        return cls(nearest_rotation(M))
 
     def axis_angle(self) -> np.ndarray:
         return axis_angle_from_rotation_matrix(self.matrix)
@@ -138,47 +134,66 @@ class Rotation:
     def compose(self, other: "Rotation") -> "Rotation":
         return Rotation(self.matrix @ other.matrix)
 
-    def inverse(self) -> "Rotation":
-        return Rotation(self.matrix.T.copy())
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.matrix.T
-
 
 def skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+    """Cross-product matrices [v]x of one vector (3,) or a stack (..., 3)."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    zero = np.zeros_like(x)
+    return np.stack([np.stack([zero, -z, y], axis=-1),
+                     np.stack([z, zero, -x], axis=-1),
+                     np.stack([-y, x, zero], axis=-1)], axis=-2)
+
+
+def nearest_rotation(M: np.ndarray) -> np.ndarray:
+    """Proper rotation(s) nearest to M (3, 3) or (..., 3, 3) in the Frobenius sense."""
+    U, _, Vt = np.linalg.svd(np.asarray(M, dtype=float))
+    R = U @ Vt
+    flip = np.linalg.det(R) < 0
+    return np.where(flip[..., None, None], (U * [1.0, 1.0, -1.0]) @ Vt, R)
 
 
 def rotation_matrix_from_axis_angle(v: np.ndarray) -> np.ndarray:
-    """Rodrigues formula; v is the unit axis scaled by the angle in radians."""
-    theta = float(np.linalg.norm(v))
-    if theta < 1e-12:
-        # Second-order expansion keeps the map smooth through zero.
-        S = skew(v)
-        return np.eye(3) + S + 0.5 * (S @ S)
-    S = skew(v / theta)
-    return np.eye(3) + np.sin(theta) * S + (1.0 - np.cos(theta)) * (S @ S)
+    """Rodrigues formula; v is the unit axis scaled by the angle in radians.
+
+    Takes one vector (3,) or a stack (..., 3) and returns (..., 3, 3).
+    """
+    v = np.asarray(v, dtype=float)
+    # |v| as a dot product, which rounds like np.linalg.norm of one vector.
+    theta = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    # Below 1e-12 rad the second-order expansion I + S + S^2/2 of S = [v]x
+    # keeps the map smooth through zero.
+    small = theta < 1e-12
+    S = skew(v / np.where(small, 1.0, theta))
+    a = np.where(small, 1.0, np.sin(theta))[..., None]
+    b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
+    return np.eye(3) + a * S + b * (S @ S)
 
 
 def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:
-    cos_theta = float(np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0))
-    theta = float(np.arccos(cos_theta))
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < 1e-7:
-        return 0.5 * w
-    if abs(np.pi - theta) < 1e-7:
+    """Axis-angle vector of one rotation (3, 3) or a stack (..., 3, 3)."""
+    R = np.asarray(R, dtype=float)
+    shape = R.shape[:-2] + (3,)
+    R = R.reshape(-1, 3, 3)
+    cos_theta = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) * 0.5, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    w = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                  R[:, 1, 0] - R[:, 0, 1]], axis=-1)
+    small = theta < 1e-7
+    scale = np.where(small, 0.5, theta / (2.0 * np.sin(np.where(small, 1.0, theta))))
+    out = w * scale[:, None]
+    near_pi = np.abs(np.pi - theta) < 1e-7
+    if np.any(near_pi):
         # Near pi the off-diagonal difference vanishes; use the symmetric part.
-        A = 0.5 * (R + np.eye(3))
-        axis = np.sqrt(np.clip(np.diag(A), 0.0, None))
-        k = int(np.argmax(axis))
-        axis = A[:, k] / axis[k]
-        axis /= np.linalg.norm(axis)
-        if np.dot(axis, w) < 0:
-            axis = -axis
-        return axis * theta
-    return w * (theta / (2.0 * np.sin(theta)))
+        A = 0.5 * (R[near_pi] + np.eye(3))
+        d = np.sqrt(np.clip(np.diagonal(A, axis1=1, axis2=2), 0.0, None))
+        rows = np.arange(len(A))
+        k = np.argmax(d, axis=1)
+        axis = A[rows, :, k] / d[rows, k, None]
+        axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+        flip = np.sum(axis * w[near_pi], axis=1) < 0
+        out[near_pi] = np.where(flip[:, None], -axis, axis) * theta[near_pi, None]
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)

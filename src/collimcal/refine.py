@@ -1,12 +1,23 @@
 """Robust nonlinear refinement built on a damped normal-equations LM engine.
 
-Three bundle adjustments share one projection chain and its analytic
-Jacobian: the spherical-motion refinement (shared optical center, 10 + 3N
-parameters), the single-image refinement over (K, d, R), and a free
-6-DOF-per-image refinement used by the baseline.  Rotations are updated
-right-multiplicatively, R <- R exp(delta^), and re-orthogonalized on
-every accepted step; the solver works on local increments, so Jacobian
-rotation blocks are evaluated at delta = 0.
+The three bundle adjustments are one reprojection problem over the points
+of all images stacked together.  Point P of image i is seen at
+
+    x_c = R_i (P - c) + t_i,    pixel = pi(K, d, x_c),
+
+with intrinsics K = (fx, fy, cx, cy, gamma) and radial distortion
+d = (d1, d2).  The three refinements differ only in which of c and t_i
+are free:
+
+    spherical motion:  one shared optical center c = t_cp, t_i = 0
+                       (10 + 3N parameters, 7 + 3N with c frozen);
+    free motion:       c = 0 and a translation t_i per image (7 + 6N),
+                       the refinement stage of the plane-based baseline;
+    single image:      one image, c = t = 0, and P the reference rays (10).
+
+Rotations are updated right-multiplicatively, R <- R exp(delta^), and
+re-orthogonalized on every accepted step; the solver works on local
+increments, so Jacobian rotation blocks are evaluated at delta = 0.
 
 Residuals are robustified with the Cauchy function rho(s) = c^2 log(1 + s/c^2)
 applied per residual block via iteratively reweighted least squares.
@@ -25,8 +36,8 @@ from .core_geom import (
     ObservationSet,
     Rotation,
     axis_angle_from_rotation_matrix,
+    nearest_rotation,
     rotation_matrix_from_axis_angle,
-    skew,
 )
 from .multi_solver import SphericalExtrinsics
 
@@ -155,27 +166,42 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
 
 
 # ---------------------------------------------------------------------------
-# shared projection chain with analytic derivatives
+# the stacked reprojection problem
 # ---------------------------------------------------------------------------
 
-def _chain(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray):
-    """Pixels and derivative blocks for camera points xc (M, 3).
-
-    Returns (uv, J_K, J_d, J_xc) with parameter order
-    (fx, fy, cx, cy, gamma) and (d1, d2).
-    """
-    fx, fy, cx, cy, gamma = intr_p
-    d1, d2 = dist_p
+def _normalized(dist_p: np.ndarray, xc: np.ndarray):
+    """Normalized coordinates, r^2 and radial factor of camera points xc (M, 3)."""
     z = xc[:, 2]
     if np.any(z <= 0):
         raise errors.PointBehindCamera("refinement stepped a point behind the camera")
     xn = xc[:, 0] / z
     yn = xc[:, 1] / z
     r2 = xn * xn + yn * yn
-    f = 1.0 + d1 * r2 + d2 * r2 * r2
+    d1, d2 = dist_p
+    return xn, yn, r2, 1.0 + d1 * r2 + d2 * r2 * r2
+
+
+def _project(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray) -> np.ndarray:
+    """Pixels (M, 2) of camera points xc (M, 3)."""
+    fx, fy, cx, cy, gamma = intr_p
+    xn, yn, _, f = _normalized(dist_p, xc)
     xd = xn * f
     yd = yn * f
-    uv = np.column_stack([fx * xd + gamma * yd + cx, fy * yd + cy])
+    return np.column_stack([fx * xd + gamma * yd + cx, fy * yd + cy])
+
+
+def _projection_jacobian(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray):
+    """Derivatives (J_K, J_d, J_xc) of the pixels of xc (M, 3).
+
+    Shapes (M, 2, 5), (M, 2, 2) and (M, 2, 3), with parameter order
+    (fx, fy, cx, cy, gamma) and (d1, d2).
+    """
+    fx, fy, cx, cy, gamma = intr_p
+    d1, d2 = dist_p
+    xn, yn, r2, f = _normalized(dist_p, xc)
+    z = xc[:, 2]
+    xd = xn * f
+    yd = yn * f
 
     m = len(xc)
     J_K = np.zeros((m, 2, 5))
@@ -188,7 +214,7 @@ def _chain(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray):
     A = np.array([[fx, gamma], [0.0, fy]])
     D_dist = np.stack([np.column_stack([xn * r2, xn * r2 * r2]),
                        np.column_stack([yn * r2, yn * r2 * r2])], axis=1)
-    J_d = np.einsum("ab,mbc->mac", A, D_dist)
+    J_d = A @ D_dist
 
     k = 2.0 * (d1 + 2.0 * d2 * r2)
     D_xy = np.empty((m, 2, 2))
@@ -203,39 +229,110 @@ def _chain(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray):
     D_n[:, 1, 1] = 1.0 / z
     D_n[:, 1, 2] = -yn / z
 
-    J_xc = np.einsum("ab,mbc,mcd->mad", A, D_xy, D_n)
-    return uv, J_K, J_d, J_xc
+    J_xc = A @ D_xy @ D_n
+    return J_K, J_d, J_xc
 
 
-def _skew_stack(v: np.ndarray) -> np.ndarray:
-    S = np.zeros((len(v), 3, 3))
-    S[:, 0, 1] = -v[:, 2]
-    S[:, 0, 2] = v[:, 1]
-    S[:, 1, 0] = v[:, 2]
-    S[:, 1, 2] = -v[:, 0]
-    S[:, 2, 0] = -v[:, 1]
-    S[:, 2, 1] = v[:, 0]
-    return S
+def _stacked(observations: ObservationSet):
+    """Target points (M, 3), pixels (M, 2) and image index (M,) of every observation."""
+    pairs = [observations.correspondences(i) for i in range(len(observations))]
+    points = np.vstack([np.column_stack([xy, np.zeros(len(xy))]) for xy, _ in pairs])
+    pixels = np.vstack([uv for _, uv in pairs])
+    image = np.repeat(np.arange(len(pairs)), [len(uv) for _, uv in pairs])
+    return points, pixels, image
 
 
-def _compose_axis_angle(aa: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    R = rotation_matrix_from_axis_angle(aa) @ rotation_matrix_from_axis_angle(delta)
-    U, _, Vt = np.linalg.svd(R)
-    R = U @ Vt
-    if np.linalg.det(R) < 0:
-        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    return axis_angle_from_rotation_matrix(R)
+def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
+                          center=None, refine_center=False, translations=None):
+    """Closures of the stacked problem x_c = R_i (P - c) + t_i.
+
+    `points` (M, 3), `pixels` (M, 2) and `image` (M,) list every
+    observation; `rotations` holds one Rotation per image.  The center c is
+    `center` (zero when None) and a parameter only with `refine_center`;
+    `translations` (N, 3), when given, are the initial per-image t_i, which
+    are otherwise zero.  The parameter vector is (fx, fy, cx, cy, gamma, d1,
+    d2, [c], then per image the rotation vector [and t_i]).
+
+    Returns (residual, jacobian, plus, x0, unpack); unpack(x) gives
+    (intrinsics (5,), distortion (2,), c (3,), rotation vectors (N, 3),
+    translations (N, 3) or None).
+    """
+    n = len(rotations)
+    m = len(points)
+    center0 = np.zeros(3) if center is None else np.asarray(center, dtype=float)
+    first = 10 if refine_center else 7
+    stride = 3 if translations is None else 6
+    rot_cols = first + stride * np.arange(n)[:, None] + np.arange(3)
+    point_rows = 2 * np.arange(m)[:, None, None] + np.arange(2)[:, None]
+    point_rot_cols = rot_cols[image][:, None, :]
+
+    def unpack(x):
+        c = x[7:10] if refine_center else center0
+        t = None if translations is None else x[rot_cols + 3]
+        return x[:5], x[5:7], c, x[rot_cols], t
+
+    def camera_points(x):
+        intr_p, dist_p, c, aas, t = unpack(x)
+        R = rotation_matrix_from_axis_angle(aas)[image]
+        centered = points - c
+        xc = (R @ centered[:, :, None])[:, :, 0]
+        if t is not None:
+            xc += t[image]
+        return intr_p, dist_p, R, centered, xc
+
+    def residual(x):
+        intr_p, dist_p, _, _, xc = camera_points(x)
+        return (_project(intr_p, dist_p, xc) - pixels).ravel()
+
+    def jacobian(x):
+        intr_p, dist_p, R, centered, xc = camera_points(x)
+        J_K, J_d, J_xc = _projection_jacobian(intr_p, dist_p, xc)
+        J_centered = J_xc @ R
+        J = np.zeros((2 * m, first + stride * n))
+        J[:, 0:5] = J_K.reshape(2 * m, 5)
+        J[:, 5:7] = J_d.reshape(2 * m, 2)
+        if refine_center:
+            J[:, 7:10] = -J_centered.reshape(2 * m, 3)
+        # d x_c / d delta = -R [P - c]x, and a^T [q]x = (a x q)^T row by row.
+        J[point_rows, point_rot_cols] = np.cross(centered[:, None, :], J_centered)
+        if translations is not None:
+            J[point_rows, point_rot_cols + 3] = J_xc
+        return J
+
+    def plus(x, delta):
+        x_new = x + delta
+        R = nearest_rotation(rotation_matrix_from_axis_angle(x[rot_cols])
+                             @ rotation_matrix_from_axis_angle(delta[rot_cols]))
+        x_new[rot_cols] = axis_angle_from_rotation_matrix(R)
+        return x_new
+
+    x0 = np.zeros(first + stride * n)
+    x0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
+    if refine_center:
+        x0[7:10] = center0
+    x0[rot_cols] = [rot.axis_angle() for rot in rotations]
+    if translations is not None:
+        x0[rot_cols + 3] = translations
+    return residual, jacobian, plus, x0, unpack
 
 
-def _per_image_rms(residuals_by_image):
-    per = tuple(float(np.sqrt(np.mean(r * r))) for r in residuals_by_image)
-    all_r = np.concatenate(residuals_by_image)
-    return float(np.sqrt(np.mean(all_r * all_r))), per
+def _per_image_rms(r: np.ndarray, image: np.ndarray):
+    """Overall and per-image RMS of the stacked residual r (2M,)."""
+    squares = np.sum(r.reshape(-1, 2) ** 2, axis=1)
+    per = np.sqrt(np.bincount(image, squares) / (2.0 * np.bincount(image)))
+    return float(np.sqrt(np.mean(r * r))), tuple(float(v) for v in per)
 
 
-def spherical_parameter_count(n_images: int, refine_center: bool = True) -> int:
-    """Length of the spherical BA parameter vector: 7 + 3 (center) + 3N."""
-    return 7 + (3 if refine_center else 0) + 3 * n_images
+def _refined(x, report: ResidualReport, residual, unpack, image):
+    """Unpacked LM end point: K, d, rotations, c, t and the report with RMS."""
+    intr_p, dist_p, c, aas, t = unpack(x)
+    rms, per = _per_image_rms(residual(x), image)
+    intr = CameraIntrinsics(*intr_p)
+    dist = Distortion(*dist_p)
+    rotations = tuple(Rotation.from_matrix_orthogonalized(R)
+                      for R in rotation_matrix_from_axis_angle(aas))
+    report = replace(report, rms_reprojection=rms, per_image_rms=per)
+    return intr, dist, rotations, c, t, report
 
 
 # ---------------------------------------------------------------------------
@@ -250,71 +347,21 @@ def spherical_problem(observations: ObservationSet, init, *, refine_center: bool
     Returns (residual, jacobian, plus, x0, unpack).
     """
     intr0, dist0, ext0 = init
-    n = len(observations)
-    if len(ext0.rotations) != n:
+    if len(ext0.rotations) != len(observations):
         raise ValueError("initial extrinsics must hold one rotation per image")
     if not np.all(np.isfinite(ext0.t_cp)):
         raise ValueError("initial optical center must be finite")
+    return _reprojection_problem(*_stacked(observations), intr0, dist0, ext0.rotations,
+                                 center=ext0.t_cp, refine_center=refine_center)
 
-    points = [np.column_stack([xy, np.zeros(len(xy))])
-              for xy, _ in (observations.correspondences(i) for i in range(n))]
-    pixels = [observations.correspondences(i)[1] for i in range(n)]
-    counts = [len(p) for p in points]
-    frozen_center = ext0.t_cp
 
-    center_dim = 3 if refine_center else 0
-    rot_offset = 7 + center_dim
+def spherical_reprojection_rms(observations: ObservationSet, init):
+    """Overall and per-image reprojection RMS (px) of a spherical-motion solution.
 
-    def unpack(x):
-        intr_p = x[:5]
-        dist_p = x[5:7]
-        t_cp = x[7:10] if refine_center else frozen_center
-        aas = x[rot_offset:].reshape(n, 3)
-        return intr_p, dist_p, t_cp, aas
-
-    def residual(x):
-        intr_p, dist_p, t_cp, aas = unpack(x)
-        out = []
-        for i in range(n):
-            R = rotation_matrix_from_axis_angle(aas[i])
-            xc = (points[i] - t_cp) @ R.T
-            uv, *_ = _chain(intr_p, dist_p, xc)
-            out.append((uv - pixels[i]).ravel())
-        return np.concatenate(out)
-
-    def jacobian(x):
-        intr_p, dist_p, t_cp, aas = unpack(x)
-        J = np.zeros((2 * sum(counts), len(x)))
-        row = 0
-        for i in range(n):
-            R = rotation_matrix_from_axis_angle(aas[i])
-            centered = points[i] - t_cp
-            xc = centered @ R.T
-            _, J_K, J_d, J_xc = _chain(intr_p, dist_p, xc)
-            m = counts[i]
-            rows = slice(row, row + 2 * m)
-            J[rows, 0:5] = J_K.reshape(2 * m, 5)
-            J[rows, 5:7] = J_d.reshape(2 * m, 2)
-            if refine_center:
-                J[rows, 7:10] = np.einsum("mab,bc->mac", J_xc, -R).reshape(2 * m, 3)
-            D_rot = np.einsum("mab,bc,mcd->mad", J_xc, -R, _skew_stack(centered))
-            J[rows, rot_offset + 3 * i: rot_offset + 3 * (i + 1)] = D_rot.reshape(2 * m, 3)
-            row += 2 * m
-        return J
-
-    def plus(x, delta):
-        x_new = x + delta
-        for i in range(n):
-            sl = slice(rot_offset + 3 * i, rot_offset + 3 * (i + 1))
-            x_new[sl] = _compose_axis_angle(x[sl], delta[sl])
-        return x_new
-
-    x0 = np.concatenate(
-        [np.array([intr0.fx, intr0.fy, intr0.cx, intr0.cy, intr0.gamma]),
-         np.array([dist0.d1, dist0.d2])]
-        + ([frozen_center] if refine_center else [])
-        + [rot.axis_angle() for rot in ext0.rotations])
-    return residual, jacobian, plus, x0, unpack
+    `init` is (CameraIntrinsics, Distortion, SphericalExtrinsics).
+    """
+    residual, _, _, x0, _ = spherical_problem(observations, init)
+    return _per_image_rms(residual(x0), _stacked(observations)[2])
 
 
 def spherical_ba(observations: ObservationSet, init, config: RefinementConfig | None = None,
@@ -326,26 +373,13 @@ def spherical_ba(observations: ObservationSet, init, config: RefinementConfig | 
     (7 + 3N with the center frozen).  Returns the refined triple and a report.
     """
     cfg = config or RefinementConfig()
-    n = len(observations)
     residual, jacobian, plus, x0, unpack = spherical_problem(
         observations, init, refine_center=refine_center)
-    counts = [len(observations.images[i]) for i in range(n)]
-
     x, report = lm_minimize(residual, jacobian, x0, cfg,
                             block_size=2, robust_scale=cfg.cauchy_scale, plus=plus)
-
-    intr_p, dist_p, t_cp, aas = unpack(x)
-    intr = CameraIntrinsics(fx=intr_p[0], fy=intr_p[1], cx=intr_p[2], cy=intr_p[3],
-                            gamma=intr_p[4])
-    dist = Distortion(d1=dist_p[0], d2=dist_p[1])
-    rotations = tuple(Rotation.from_matrix_orthogonalized(
-        rotation_matrix_from_axis_angle(aa)) for aa in aas)
+    intr, dist, rotations, t_cp, _, report = _refined(
+        x, report, residual, unpack, _stacked(observations)[2])
     ext = SphericalExtrinsics(x=t_cp[0], y=t_cp[1], r=-t_cp[2], rotations=rotations)
-
-    final = residual(x)
-    offsets = np.cumsum([0] + [2 * c for c in counts])
-    rms, per = _per_image_rms([final[offsets[i]:offsets[i + 1]] for i in range(n)])
-    report = replace(report, rms_reprojection=rms, per_image_rms=per)
     return (intr, dist, ext), report
 
 
@@ -353,42 +387,19 @@ def spherical_ba(observations: ObservationSet, init, config: RefinementConfig | 
 # single-image bundle adjustment
 # ---------------------------------------------------------------------------
 
-def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
-    """Residual/Jacobian/update closures for the single-image refinement."""
+def _single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if len(rays) != len(pixels):
         raise ValueError("rays and pixels differ in length")
     intr0, dist0, rot0 = init
+    return _reprojection_problem(rays, pixels, np.zeros(len(rays), dtype=int),
+                                 intr0, dist0, [rot0])
 
-    def residual(x):
-        R = rotation_matrix_from_axis_angle(x[7:10])
-        uv, *_ = _chain(x[:5], x[5:7], rays @ R.T)
-        return (uv - pixels).ravel()
 
-    def jacobian(x):
-        R = rotation_matrix_from_axis_angle(x[7:10])
-        xc = rays @ R.T
-        _, J_K, J_d, J_xc = _chain(x[:5], x[5:7], xc)
-        m = len(rays)
-        J = np.zeros((2 * m, 10))
-        J[:, 0:5] = J_K.reshape(2 * m, 5)
-        J[:, 5:7] = J_d.reshape(2 * m, 2)
-        J[:, 7:10] = np.einsum("mab,bc,mcd->mad", J_xc, -R,
-                               _skew_stack(rays)).reshape(2 * m, 3)
-        return J
-
-    def plus(x, delta):
-        x_new = x + delta
-        x_new[7:10] = _compose_axis_angle(x[7:10], delta[7:10])
-        return x_new
-
-    x0 = np.concatenate([
-        np.array([intr0.fx, intr0.fy, intr0.cx, intr0.cy, intr0.gamma]),
-        np.array([dist0.d1, dist0.d2]),
-        rot0.axis_angle(),
-    ])
-    return residual, jacobian, plus, x0
+def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
+    """Residual/Jacobian/update closures for the single-image refinement."""
+    return _single_image_problem(rays, pixels, init)[:4]
 
 
 def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init,
@@ -402,16 +413,11 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init,
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     if len(rays) < 8:
         raise ValueError(f"single-image refinement needs >= 8 correspondences, got {len(rays)}")
-    residual, jacobian, plus, x0 = single_image_problem(rays, pixels, init)
+    residual, jacobian, plus, x0, unpack = _single_image_problem(rays, pixels, init)
     x, report = lm_minimize(residual, jacobian, x0, cfg,
                             block_size=2, robust_scale=cfg.cauchy_scale, plus=plus)
-
-    intr = CameraIntrinsics(fx=x[0], fy=x[1], cx=x[2], cy=x[3], gamma=x[4])
-    dist = Distortion(d1=x[5], d2=x[6])
-    rot = Rotation.from_matrix_orthogonalized(rotation_matrix_from_axis_angle(x[7:10]))
-    final = residual(x)
-    rms, per = _per_image_rms([final])
-    report = replace(report, rms_reprojection=rms, per_image_rms=per)
+    intr, dist, (rot,), _, _, report = _refined(
+        x, report, residual, unpack, np.zeros(len(rays), dtype=int))
     return (intr, dist, rot), report
 
 
@@ -422,58 +428,11 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init,
 def general_problem(observations: ObservationSet, init):
     """Residual/Jacobian/update closures for the free-motion refinement."""
     intr0, dist0, poses0 = init
-    n = len(observations)
-    if len(poses0) != n:
+    if len(poses0) != len(observations):
         raise ValueError("initial poses must match the image count")
-
-    points = [np.column_stack([xy, np.zeros(len(xy))])
-              for xy, _ in (observations.correspondences(i) for i in range(n))]
-    pixels = [observations.correspondences(i)[1] for i in range(n)]
-    counts = [len(p) for p in points]
-
-    def unpack(x):
-        return x[:5], x[5:7], x[7:].reshape(n, 6)
-
-    def residual(x):
-        intr_p, dist_p, motion = unpack(x)
-        out = []
-        for i in range(n):
-            R = rotation_matrix_from_axis_angle(motion[i, :3])
-            uv, *_ = _chain(intr_p, dist_p, points[i] @ R.T + motion[i, 3:])
-            out.append((uv - pixels[i]).ravel())
-        return np.concatenate(out)
-
-    def jacobian(x):
-        intr_p, dist_p, motion = unpack(x)
-        J = np.zeros((2 * sum(counts), len(x)))
-        row = 0
-        for i in range(n):
-            R = rotation_matrix_from_axis_angle(motion[i, :3])
-            _, J_K, J_d, J_xc = _chain(intr_p, dist_p, points[i] @ R.T + motion[i, 3:])
-            m = counts[i]
-            rows = slice(row, row + 2 * m)
-            J[rows, 0:5] = J_K.reshape(2 * m, 5)
-            J[rows, 5:7] = J_d.reshape(2 * m, 2)
-            col = 7 + 6 * i
-            J[rows, col:col + 3] = np.einsum(
-                "mab,bc,mcd->mad", J_xc, -R, _skew_stack(points[i])).reshape(2 * m, 3)
-            J[rows, col + 3:col + 6] = J_xc.reshape(2 * m, 3)
-            row += 2 * m
-        return J
-
-    def plus(x, delta):
-        x_new = x + delta
-        for i in range(n):
-            sl = slice(7 + 6 * i, 7 + 6 * i + 3)
-            x_new[sl] = _compose_axis_angle(x[sl], delta[sl])
-        return x_new
-
-    x0 = np.concatenate(
-        [np.array([intr0.fx, intr0.fy, intr0.cx, intr0.cy, intr0.gamma]),
-         np.array([dist0.d1, dist0.d2])]
-        + [np.concatenate([rot.axis_angle(), np.asarray(t, dtype=float)])
-           for rot, t in poses0])
-    return residual, jacobian, plus, x0, unpack
+    return _reprojection_problem(*_stacked(observations), intr0, dist0,
+                                 [rot for rot, _ in poses0],
+                                 translations=[np.asarray(t, dtype=float) for _, t in poses0])
 
 
 def general_ba(observations: ObservationSet, init, config: RefinementConfig | None = None):
@@ -483,21 +442,9 @@ def general_ba(observations: ObservationSet, init, config: RefinementConfig | No
     refinement stage of the motion-unconstrained baseline.
     """
     cfg = config or RefinementConfig()
-    n = len(observations)
-    counts = [len(observations.images[i]) for i in range(n)]
     residual, jacobian, plus, x0, unpack = general_problem(observations, init)
     x, report = lm_minimize(residual, jacobian, x0, cfg,
                             block_size=2, robust_scale=cfg.cauchy_scale, plus=plus)
-
-    intr_p, dist_p, motion = unpack(x)
-    intr = CameraIntrinsics(fx=intr_p[0], fy=intr_p[1], cx=intr_p[2], cy=intr_p[3],
-                            gamma=intr_p[4])
-    dist = Distortion(d1=dist_p[0], d2=dist_p[1])
-    poses = [(Rotation.from_matrix_orthogonalized(
-        rotation_matrix_from_axis_angle(motion[i, :3])), motion[i, 3:].copy())
-        for i in range(n)]
-    final = residual(x)
-    offsets = np.cumsum([0] + [2 * c for c in counts])
-    rms, per = _per_image_rms([final[offsets[i]:offsets[i + 1]] for i in range(n)])
-    report = replace(report, rms_reprojection=rms, per_image_rms=per)
-    return (intr, dist, poses), report
+    intr, dist, rotations, _, translations, report = _refined(
+        x, report, residual, unpack, _stacked(observations)[2])
+    return (intr, dist, list(zip(rotations, translations))), report

@@ -35,9 +35,9 @@ from .core_geom import (
     project,
 )
 from .multi_solver import (
-    _normalized_problem,
     decompose_iac,
     iac_constraint_vector,
+    normalized_homographies,
     solve_closed_form,
 )
 from .refine import RefinementConfig, general_ba, spherical_ba
@@ -191,7 +191,7 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     """
     if len(observations) < 2:
         raise ValueError("baseline initialization needs at least 2 images")
-    homographies, frame = _normalized_problem(observations)
+    homographies, frame = normalized_homographies(observations)
     rows = []
     for H in homographies:
         rows.append(iac_constraint_vector(H.matrix, 1, 2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from collimcal import refine
+from collimcal import errors, refine
 from collimcal.core_geom import CameraIntrinsics, Distortion, Rotation, back_project, project
 from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form
 from conftest import scene
@@ -100,7 +100,7 @@ def test_spherical_parameter_count(noiseless_scene):
     config, poses, obs = noiseless_scene
     init = exact_init(poses, config)
     _, _, _, x0, _ = refine.spherical_problem(obs, init)
-    assert x0.size == refine.spherical_parameter_count(len(obs)) == 10 + 3 * len(obs)
+    assert x0.size == 10 + 3 * len(obs)
     _, _, _, x0f, _ = refine.spherical_problem(obs, init, refine_center=False)
     assert x0f.size == 7 + 3 * len(obs)
 
@@ -180,11 +180,13 @@ def test_spherical_ba_frozen_center(noiseless_scene):
 # Jacobian correctness (independent finite differences)
 # ---------------------------------------------------------------------------
 
-def test_spherical_jacobian_matches_finite_differences():
+@pytest.mark.parametrize("refine_center", [True, False])
+def test_spherical_jacobian_matches_finite_differences(refine_center):
     config, poses, obs = scene(seed=31, pixel_noise_sigma=0.5)
     intr, ext = solve_closed_form(obs)
     init = (intr, Distortion(0.0, 0.0), ext)
-    residual, jacobian, plus, x0, _ = refine.spherical_problem(obs, init)
+    residual, jacobian, plus, x0, _ = refine.spherical_problem(
+        obs, init, refine_center=refine_center)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = plus(x0, rng.normal(size=x0.size) * 1e-3)
@@ -221,6 +223,27 @@ def test_general_jacobian_matches_finite_differences():
     rng = np.random.default_rng(9)
     x = plus(x0, rng.normal(size=x0.size) * 1e-3)
     assert max_relative_deviation(jacobian(x), fd_jacobian(residual, plus, x)) < 1e-5
+
+
+def test_residuals_reject_points_behind_camera():
+    config, poses, obs = scene(seed=31, image_count=3)
+    intr, ext = solve_closed_form(obs)
+    dist = Distortion(0.0, 0.0)
+    flip = Rotation.from_axis_angle([np.pi, 0.0, 0.0])
+    # A half turn about x sends every target point behind a camera that
+    # sits in front of the target (and every forward ray backwards).
+    spherical = refine.spherical_problem(
+        obs, (intr, dist, SphericalExtrinsics(x=ext.x, y=ext.y, r=ext.r,
+                                              rotations=(flip,) * len(obs))))
+    general = refine.general_problem(
+        obs, (intr, dist, [(Rotation.identity(), np.array([0.0, 0.0, -1e4]))] * len(obs)))
+    rays = np.array([[0.1, 0.0, 1.0], [0.0, -0.1, 1.0], [0.05, 0.05, 1.0]])
+    single = refine.single_image_problem(rays, np.zeros((3, 2)), (intr, dist, flip))
+    for residual, jacobian, _, x0, *_ in (spherical, general, single):
+        with pytest.raises(errors.PointBehindCamera):
+            residual(x0)
+        with pytest.raises(errors.PointBehindCamera):
+            jacobian(x0)
 
 
 # ---------------------------------------------------------------------------
