@@ -133,6 +133,7 @@ def cmd_calibrate(args) -> int:
             "n_matched": result.n_matched,
             "n_dropped": result.n_dropped,
             "converged": result.report.converged,
+            "termination": result.report.termination,
         })
         if data.ground_truth is not None:
             report["error_vs_truth"] = _truth_errors(intr, dist, None,
@@ -153,6 +154,7 @@ def cmd_calibrate(args) -> int:
             (intr, dist, ext), ba_report = spherical_ba(observations,
                                                         (intr, dist, ext))
             report["converged"] = ba_report.converged
+            report["termination"] = ba_report.termination
             stage = "refined"
             rms, per_image = ba_report.rms_reprojection, ba_report.per_image_rms
         report.update({

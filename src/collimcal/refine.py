@@ -43,6 +43,10 @@ from .multi_solver import SphericalExtrinsics
 
 _MU_MIN = 1e-12
 _MU_MAX = 1e16
+# Relative decrease of the robust cost below which an accepted step ends the
+# run (the `function_tolerance` of Ceres Solver).
+_COST_TOLERANCE = 1e-10
+_CONVERGED = ("gradient", "cost", "step")
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,21 @@ class RefinementConfig:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Outcome of one refinement.
+
+    `termination` says why LM stopped: "gradient", "cost", "step",
+    "budget" or "damping" (see `lm_minimize`), or "not_run" when no
+    refinement ran.
+    """
     rms_reprojection: float
     per_image_rms: tuple
     iterations_used: int
-    converged: bool
+    termination: str
     cost_trajectory: tuple
+
+    @property
+    def converged(self) -> bool:
+        return self.termination in _CONVERGED
 
 
 def _block_squares(r: np.ndarray, block_size: int) -> np.ndarray:
@@ -96,8 +110,19 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
     `residual_fn(x)` and `jacobian_fn(x)` are evaluated at the current point;
     when `plus` is given, parameters live on a manifold and the Jacobian is
     taken with respect to the local increment at zero.  Damping is divided by
-    10 on accepted steps and multiplied by 10 on rejections; termination on
-    gradient infinity norm, step norm, or the iteration budget.
+    10 on accepted steps and multiplied by 10 on rejections.  The report's
+    `termination` gives the reason the run stopped:
+
+        "gradient"  the gradient infinity norm fell below the tolerance;
+        "cost"      an accepted step lowered the robust cost by no more than
+                    a relative 1e-10 (cost - cost_new <= 1e-10 * cost);
+        "step"      an accepted step was shorter than the parameter tolerance;
+        "budget"    `max_iterations` Jacobians were used up;
+        "damping"   every step was rejected up to the largest damping.
+
+    The first three count as converged.  A non-finite gradient, or damped
+    normal equations that no damping level can solve, raise
+    `errors.NormalEquationsFailed`.
 
     Returns (parameters, ResidualReport).  The cost trajectory holds the
     robust cost at the start and after every accepted step.
@@ -113,7 +138,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
     trajectory = [cost]
     mu = cfg.initial_damping
     accepted = 0
-    converged = False
+    termination = None
 
     for _ in range(cfg.max_iterations):
         J = np.asarray(jacobian_fn(x), dtype=float)
@@ -123,22 +148,24 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
         sw = np.sqrt(_block_weights(r, block_size, robust_scale))
         Jw = J * sw[:, None]
         g = Jw.T @ (r * sw)
+        if not np.all(np.isfinite(g)):
+            raise errors.NormalEquationsFailed("gradient is not finite")
         if np.max(np.abs(g)) < cfg.gradient_tolerance:
-            converged = True
+            termination = "gradient"
             break
         JtJ = Jw.T @ Jw
         diag = np.clip(np.diag(JtJ), _MU_MIN, None)
 
-        step_taken = False
+        solved = False
         while mu <= _MU_MAX:
+            damped = JtJ.copy()
+            damped.flat[::x.size + 1] += mu * diag
             try:
-                delta = np.linalg.solve(JtJ + mu * np.diag(diag), -g)
-            except np.linalg.LinAlgError as exc:
-                if mu >= _MU_MAX:
-                    raise errors.NormalEquationsFailed(
-                        f"normal equations singular at damping {mu:.1e}") from exc
+                delta = np.linalg.solve(damped, -g)
+            except np.linalg.LinAlgError:
                 mu *= 10.0
                 continue
+            solved = True
             x_new = plus(x, delta)
             try:
                 r_new = np.asarray(residual_fn(x_new), dtype=float)
@@ -146,21 +173,28 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
             except errors.CalibrationError:
                 cost_new = np.inf
             if np.isfinite(cost_new) and cost_new <= cost:
+                if cost - cost_new <= _COST_TOLERANCE * cost:
+                    termination = "cost"
+                elif np.linalg.norm(delta) < cfg.parameter_tolerance:
+                    termination = "step"
                 x, r, cost = x_new, r_new, cost_new
                 trajectory.append(cost)
                 accepted += 1
                 mu = max(mu / 10.0, _MU_MIN)
-                step_taken = True
-                if np.linalg.norm(delta) < cfg.parameter_tolerance:
-                    converged = True
                 break
             mu *= 10.0
-        if not step_taken or converged:
+        else:  # the damping ran past _MU_MAX without an accepted step
+            if not solved:
+                raise errors.NormalEquationsFailed(
+                    f"normal equations singular up to damping {_MU_MAX:.0e}")
+            termination = "damping"
+        if termination:
             break
 
     rms = float(np.sqrt(np.mean(r * r))) if r.size else 0.0
     report = ResidualReport(rms_reprojection=rms, per_image_rms=(),
-                            iterations_used=accepted, converged=converged,
+                            iterations_used=accepted,
+                            termination=termination or "budget",
                             cost_trajectory=tuple(trajectory))
     return x, report
 

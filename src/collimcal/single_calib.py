@@ -303,6 +303,7 @@ def calibrate_single_image(ids, pixels, database: RayDatabase,
     else:
         dist = Distortion(0.0, 0.0)
         report = ResidualReport(rms_reprojection=float("nan"), per_image_rms=(),
-                                iterations_used=0, converged=True, cost_trajectory=())
+                                iterations_used=0, termination="not_run",
+                                cost_trajectory=())
     return SingleImageResult(intrinsics=intr, distortion=dist, rotation=rot,
                              report=report, n_matched=n_matched, n_dropped=n_dropped)

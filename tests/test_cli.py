@@ -74,6 +74,8 @@ def test_calibrate_nimg_noiseless(sim_file, tmp_path):
     assert report["error_vs_truth"]["fx_err_rel"] < 1e-6
     assert report["error_vs_truth"]["tcp_err_mm"] < 1e-3
     assert report["stage"] == "refined"
+    assert report["converged"]
+    assert report["termination"] in ("gradient", "cost", "step")
     assert report["degeneracy"]["rank"] == 11
     assert report["tool_version"]
 

@@ -48,6 +48,7 @@ def test_lm_zero_residual_start():
 
     x, report = refine.lm_minimize(residual, lambda x: np.eye(2), np.array([2.0, -3.0]))
     assert report.converged
+    assert report.termination == "gradient"
     assert report.iterations_used == 0
     assert report.cost_trajectory == (0.0,)
 
@@ -76,6 +77,39 @@ def test_lm_respects_iteration_budget():
 
     _, report = refine.lm_minimize(residual, jacobian, np.array([4.0]), cfg)
     assert report.iterations_used <= 2
+    assert report.termination == "budget"
+
+
+def test_lm_non_finite_jacobian_raises():
+    with pytest.raises(errors.NormalEquationsFailed):
+        refine.lm_minimize(lambda x: x - 1.0, lambda x: np.full((2, 2), np.nan),
+                           np.zeros(2))
+
+
+def test_lm_unsolvable_normal_equations_raise(monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    # Counted up by tens from the damping floor, where a run of accepted
+    # steps leaves it, the damping never lands exactly on its ceiling.
+    cfg = refine.RefinementConfig(initial_damping=1e-12)
+    with pytest.raises(errors.NormalEquationsFailed):
+        refine.lm_minimize(lambda x: x - 1.0, lambda x: np.eye(2), np.zeros(2), cfg)
+
+
+def test_lm_rejecting_every_step_reports_damping():
+    x0 = np.zeros(2)
+
+    def residual(x):
+        if not np.array_equal(x, x0):
+            raise errors.PointBehindCamera("every step leaves the domain")
+        return x - 1.0
+
+    x, report = refine.lm_minimize(residual, lambda x: np.eye(2), x0)
+    assert report.termination == "damping"
+    assert not report.converged
+    assert np.array_equal(x, x0)
 
 
 def test_config_validation():
@@ -176,6 +210,34 @@ def test_spherical_ba_frozen_center(noiseless_scene):
     assert abs(intr.fx - intr0.fx) / intr0.fx < 1e-6
 
 
+def zhang_general_init(obs):
+    from collimcal.core_geom import estimate_homography, decompose_homography
+    from collimcal.synth import zhang_init
+    intr = zhang_init(obs)
+    poses = []
+    for i in range(len(obs)):
+        xy, uv = obs.correspondences(i)
+        rot, t, _ = decompose_homography(estimate_homography(xy, uv), intr)
+        poses.append((rot, t))
+    return intr, Distortion(0.0, 0.0), poses
+
+
+@pytest.mark.parametrize("adjustment", ["spherical", "general"])
+def test_ba_stops_converged_on_noisy_scenes(adjustment):
+    # At 1 px the robust cost stops falling after about ten accepted steps;
+    # LM must stop there and say it converged, not run the damping out.
+    for trial in range(20):
+        _, _, obs = scene(seed=0, trial=trial, pixel_noise_sigma=1.0)
+        if adjustment == "spherical":
+            intr, ext = solve_closed_form(obs)
+            _, report = refine.spherical_ba(obs, (intr, Distortion(0.0, 0.0), ext))
+        else:
+            _, report = refine.general_ba(obs, zhang_general_init(obs))
+        assert report.converged
+        assert report.termination in ("cost", "gradient")
+        assert report.iterations_used <= 15
+
+
 # ---------------------------------------------------------------------------
 # Jacobian correctness (independent finite differences)
 # ---------------------------------------------------------------------------
@@ -209,17 +271,8 @@ def test_single_image_jacobian_matches_finite_differences():
 
 
 def test_general_jacobian_matches_finite_differences():
-    from collimcal.core_geom import estimate_homography, decompose_homography
     config, poses, obs = scene(seed=33, image_count=4, pixel_noise_sigma=0.3)
-    from collimcal.synth import zhang_init
-    intr = zhang_init(obs)
-    pose_list = []
-    for i in range(len(obs)):
-        xy, uv = obs.correspondences(i)
-        rot, t, _ = decompose_homography(estimate_homography(xy, uv), intr)
-        pose_list.append((rot, t))
-    init = (intr, Distortion(0.0, 0.0), pose_list)
-    residual, jacobian, plus, x0, _ = refine.general_problem(obs, init)
+    residual, jacobian, plus, x0, _ = refine.general_problem(obs, zhang_general_init(obs))
     rng = np.random.default_rng(9)
     x = plus(x0, rng.normal(size=x0.size) * 1e-3)
     assert max_relative_deviation(jacobian(x), fd_jacobian(residual, plus, x)) < 1e-5
