@@ -37,7 +37,6 @@ from .multi_solver import (
     solve_minimal,
 )
 from .refine import (
-    RefinementConfig,
     ResidualReport,
     general_ba,
     lm_minimize,
@@ -72,7 +71,7 @@ __all__ = [
     "DegeneracyReport", "LinearSystem", "SphericalExtrinsics",
     "build_linear_system", "decompose_iac", "detect_degeneracy",
     "scale_ratio", "solve_closed_form", "solve_minimal",
-    "RefinementConfig", "ResidualReport", "general_ba", "lm_minimize",
+    "ResidualReport", "general_ba", "lm_minimize",
     "single_image_ba", "spherical_ba",
     "RayDatabase", "SingleImageResult", "build_ray_database",
     "calibrate_single_image", "estimate_rotation_kabsch",

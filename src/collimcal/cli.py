@@ -46,11 +46,6 @@ def _nan_guarded(reduction, values) -> float:
     return float(reduction(values))
 
 
-def _intrinsics_block(intr):
-    return {"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-            "gamma": intr.gamma}
-
-
 def _truth_errors(intr, dist, ext, truth: fileio.GroundTruth):
     block = {
         "fx_err_rel": abs(intr.fx - truth.intrinsics.fx) / truth.intrinsics.fx,
@@ -126,7 +121,7 @@ def cmd_calibrate(args) -> int:
             refine_distortion=not args.no_refine)
         intr, dist = result.intrinsics, result.distortion
         report.update({
-            "intrinsics": _intrinsics_block(intr),
+            "intrinsics": fileio.intrinsics_payload(intr),
             "distortion": [dist.d1, dist.d2],
             "rotation_axis_angle": fileio.rotation_payload(result.rotation),
             "rms_reprojection_px": result.report.rms_reprojection,
@@ -159,7 +154,7 @@ def cmd_calibrate(args) -> int:
             rms, per_image = ba_report.rms_reprojection, ba_report.per_image_rms
         report.update({
             "stage": stage,
-            "intrinsics": _intrinsics_block(intr),
+            "intrinsics": fileio.intrinsics_payload(intr),
             "distortion": [dist.d1, dist.d2],
             "t_cp_mm": [float(v) for v in ext.t_cp],
             "rotations_axis_angle": [fileio.rotation_payload(r) for r in ext.rotations],

@@ -86,9 +86,9 @@ class Distortion:
     def factor(self, r2):
         return 1.0 + self.d1 * r2 + self.d2 * r2 * r2
 
-    def is_monotone_within(self, max_radius: float, samples: int = 256) -> bool:
+    def is_monotone_within(self, max_radius: float) -> bool:
         # d/dr of r*(1 + d1 r^2 + d2 r^4) = 1 + 3 d1 r^2 + 5 d2 r^4
-        r2 = np.linspace(0.0, max_radius, samples) ** 2
+        r2 = np.linspace(0.0, max_radius, 256) ** 2
         return bool(np.all(1.0 + 3.0 * self.d1 * r2 + 5.0 * self.d2 * r2 * r2 > 0.0))
 
 
@@ -208,6 +208,8 @@ class PlanarTarget:
         xy = np.asarray(self.xy, dtype=float).reshape(-1, 2)
         if ids.shape[0] != xy.shape[0]:
             raise ValueError("ids and xy must have the same length")
+        if not np.all(np.isfinite(xy)):
+            raise ValueError("target coordinates must be finite")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("target point ids must be unique")
         if len(ids) < 4:
@@ -236,6 +238,8 @@ class ImagePoints:
         uv = np.asarray(self.uv, dtype=float).reshape(-1, 2)
         if ids.shape[0] != uv.shape[0]:
             raise ValueError("ids and uv must have the same length")
+        if not np.all(np.isfinite(uv)):
+            raise ValueError("pixel coordinates must be finite")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("observed point ids must be unique within an image")
         object.__setattr__(self, "ids", ids)
@@ -299,6 +303,28 @@ def _with_scale_convention(H: np.ndarray) -> np.ndarray:
     return H if anchor > 0 else -H
 
 
+def project_camera_points(intr_p, dist_p, xc: np.ndarray):
+    """Pinhole-plus-radial map of camera-frame points xc (M, 3) to pixels.
+
+    `intr_p` is (fx, fy, cx, cy, gamma) and `dist_p` is (d1, d2).  Returns
+    the pixels (M, 2) and, for derivatives, the normalized coordinates xn
+    and yn, r2 = xn^2 + yn^2 and the radial factor f = 1 + d1 r2 + d2 r2^2.
+    Raises PointBehindCamera if any point has non-positive depth.
+    """
+    z = xc[:, 2]
+    if np.any(z <= 0):
+        raise errors.PointBehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
+    fx, fy, cx, cy, gamma = intr_p
+    d1, d2 = dist_p
+    xn = xc[:, 0] / z
+    yn = xc[:, 1] / z
+    r2 = xn * xn + yn * yn
+    f = 1.0 + d1 * r2 + d2 * r2 * r2
+    xd = xn * f
+    yd = yn * f
+    return np.column_stack([fx * xd + gamma * yd + cx, fy * yd + cy]), xn, yn, r2, f
+
+
 def project(intr: CameraIntrinsics, dist: Distortion, rot: Rotation, t: np.ndarray,
             points: np.ndarray) -> np.ndarray:
     """Project target-frame points (N, 3) mm to pixels (N, 2).
@@ -307,17 +333,8 @@ def project(intr: CameraIntrinsics, dist: Distortion, rot: Rotation, t: np.ndarr
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
     xc = P @ rot.matrix.T + np.asarray(t, dtype=float)
-    if np.any(xc[:, 2] <= 0):
-        raise errors.PointBehindCamera(
-            f"{int(np.sum(xc[:, 2] <= 0))} point(s) at non-positive depth")
-    xn = xc[:, 0] / xc[:, 2]
-    yn = xc[:, 1] / xc[:, 2]
-    f = dist.factor(xn * xn + yn * yn)
-    xd = xn * f
-    yd = yn * f
-    u = intr.fx * xd + intr.gamma * yd + intr.cx
-    v = intr.fy * yd + intr.cy
-    out = np.column_stack([u, v])
+    out = project_camera_points((intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma),
+                                (dist.d1, dist.d2), xc)[0]
     return out[0] if np.asarray(points).ndim == 1 else out
 
 

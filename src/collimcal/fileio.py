@@ -9,6 +9,7 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -70,13 +71,36 @@ def _require(payload, key, path):
     return payload[key]
 
 
-def _check_schema(payload, path) -> None:
-    version = _require(payload, "schema_version", path)
-    if version != SCHEMA_VERSION:
-        raise FileFormatError(f"{path}: unsupported schema version {version!r}")
+def _reader(parse):
+    """Reader of the file at `path` from parse(payload, path, *args).
+
+    Checks the schema version first.  Invalid content, including entries
+    of the wrong type or shape, raises FileFormatError naming the path.
+    """
+    @functools.wraps(parse)
+    def read(path, *args):
+        payload = _load(path)
+        try:
+            version = _require(payload, "schema_version", path)
+            if version != SCHEMA_VERSION:
+                raise FileFormatError(f"{path}: unsupported schema version {version!r}")
+            return parse(payload, path, *args)
+        except FileFormatError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+    return read
 
 
-def _intrinsics_payload(intr: CameraIntrinsics) -> dict:
+def _pair(value, cast, name, path):
+    """The two entries of a two-element list, each passed through `cast`."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise FileFormatError(f"{path}: {name} must be a two-element list")
+    return cast(value[0]), cast(value[1])
+
+
+def intrinsics_payload(intr: CameraIntrinsics) -> dict:
+    """The JSON block of a camera's intrinsics."""
     return {"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
             "gamma": intr.gamma}
 
@@ -116,7 +140,7 @@ def write_observation_file(path, observations: ObservationSet, *,
         payload["image_size"] = [int(image_size[0]), int(image_size[1])]
     if ground_truth is not None:
         payload["ground_truth"] = {
-            "intrinsics": _intrinsics_payload(ground_truth.intrinsics),
+            "intrinsics": intrinsics_payload(ground_truth.intrinsics),
             "distortion": [ground_truth.distortion.d1, ground_truth.distortion.d2],
             "t_cp": [float(v) for v in ground_truth.t_cp],
             "rotations_axis_angle": [[float(v) for v in aa]
@@ -125,16 +149,12 @@ def write_observation_file(path, observations: ObservationSet, *,
     _dump(path, payload)
 
 
-def read_observation_file(path) -> ObservationFile:
-    payload = _load(path)
-    _check_schema(payload, path)
+@_reader
+def read_observation_file(payload, path) -> ObservationFile:
     target_block = _require(payload, "target", path)
     points = _require(target_block, "points", path)
-    try:
-        target = PlanarTarget(ids=[int(p[0]) for p in points],
-                              xy=[[float(p[1]), float(p[2])] for p in points])
-    except (ValueError, TypeError, IndexError) as exc:
-        raise FileFormatError(f"{path}: bad target block: {exc}") from exc
+    target = PlanarTarget(ids=[int(p[0]) for p in points],
+                          xy=[[float(p[1]), float(p[2])] for p in points])
 
     images, names = [], []
     for k, block in enumerate(_require(payload, "images", path)):
@@ -144,23 +164,21 @@ def read_observation_file(path) -> ObservationFile:
             images.append(ImagePoints(ids=[int(p[0]) for p in pts],
                                       uv=[[float(p[1]), float(p[2])] for p in pts]))
         except (ValueError, TypeError, IndexError) as exc:
-            raise FileFormatError(f"{path}: bad points in image {k}: {exc}") from exc
-    try:
-        observations = ObservationSet(target=target, images=tuple(images))
-    except (ValueError, TypeError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+            raise FileFormatError(
+                f"{path}: bad points in image {k} ({names[-1]}): {exc}") from exc
+    observations = ObservationSet(target=target, images=tuple(images))
 
     image_size = None
     if "image_size" in payload:
-        image_size = (int(payload["image_size"][0]), int(payload["image_size"][1]))
+        image_size = _pair(payload["image_size"], int, "image_size", path)
 
     ground_truth = None
     if "ground_truth" in payload:
         block = payload["ground_truth"]
-        d = block.get("distortion", [0.0, 0.0])
         ground_truth = GroundTruth(
             intrinsics=_intrinsics_from(_require(block, "intrinsics", path), path),
-            distortion=Distortion(float(d[0]), float(d[1])),
+            distortion=Distortion(*_pair(block.get("distortion", [0.0, 0.0]),
+                                         float, "distortion", path)),
             t_cp=np.array([float(v) for v in _require(block, "t_cp", path)]),
             rotations=tuple(np.array([float(v) for v in aa])
                             for aa in block.get("rotations_axis_angle", [])))
@@ -174,25 +192,22 @@ def read_observation_file(path) -> ObservationFile:
 
 def write_camera_file(path, intrinsics: CameraIntrinsics, distortion: Distortion) -> None:
     _dump(path, {"schema_version": SCHEMA_VERSION,
-                 "intrinsics": _intrinsics_payload(intrinsics),
+                 "intrinsics": intrinsics_payload(intrinsics),
                  "distortion": [distortion.d1, distortion.d2]})
 
 
-def read_camera_file(path):
-    payload = _load(path)
-    _check_schema(payload, path)
+@_reader
+def read_camera_file(payload, path):
     intr = _intrinsics_from(_require(payload, "intrinsics", path), path)
-    d = payload.get("distortion", [0.0, 0.0])
-    if not isinstance(d, list) or len(d) != 2:
-        raise FileFormatError(f"{path}: distortion must be a two-element list")
-    return intr, Distortion(float(d[0]), float(d[1]))
+    return intr, Distortion(*_pair(payload.get("distortion", [0.0, 0.0]),
+                                   float, "distortion", path))
 
 
 def write_ray_database(path, database: RayDatabase) -> None:
     _dump(path, {
         "schema_version": SCHEMA_VERSION,
         "provenance": {
-            "intrinsics": _intrinsics_payload(database.ref_intrinsics),
+            "intrinsics": intrinsics_payload(database.ref_intrinsics),
             "distortion": [database.ref_distortion.d1, database.ref_distortion.d2],
         },
         "rays": [[int(i), float(x), float(y), float(z)]
@@ -200,60 +215,51 @@ def write_ray_database(path, database: RayDatabase) -> None:
     })
 
 
-def read_ray_database(path) -> RayDatabase:
-    payload = _load(path)
-    _check_schema(payload, path)
+@_reader
+def read_ray_database(payload, path) -> RayDatabase:
     provenance = _require(payload, "provenance", path)
     intr = _intrinsics_from(_require(provenance, "intrinsics", path), path)
-    d = provenance.get("distortion", [0.0, 0.0])
+    dist = Distortion(*_pair(provenance.get("distortion", [0.0, 0.0]),
+                             float, "distortion", path))
     rays = _require(payload, "rays", path)
-    try:
-        return RayDatabase(ids=[int(r[0]) for r in rays],
-                           rays=[[float(r[1]), float(r[2]), float(r[3])] for r in rays],
-                           ref_intrinsics=intr,
-                           ref_distortion=Distortion(float(d[0]), float(d[1])))
-    except (ValueError, TypeError, IndexError) as exc:
-        raise FileFormatError(f"{path}: bad ray database: {exc}") from exc
+    return RayDatabase(ids=[int(r[0]) for r in rays],
+                       rays=[[float(r[1]), float(r[2]), float(r[3])] for r in rays],
+                       ref_intrinsics=intr, ref_distortion=dist)
 
 
 # ---------------------------------------------------------------------------
 # synthetic configuration files
 # ---------------------------------------------------------------------------
 
-def read_synthetic_config(path) -> SyntheticConfig:
-    payload = _load(path)
-    _check_schema(payload, path)
+@_reader
+def read_synthetic_config(payload, path) -> SyntheticConfig:
     kwargs = {}
     if "intrinsics" in payload:
         kwargs["intrinsics"] = _intrinsics_from(payload["intrinsics"], path)
     if "distortion" in payload:
-        d = payload["distortion"]
-        kwargs["distortion"] = Distortion(float(d[0]), float(d[1]))
+        kwargs["distortion"] = Distortion(*_pair(payload["distortion"], float,
+                                                 "distortion", path))
     if "image_size" in payload:
-        kwargs["image_size"] = (int(payload["image_size"][0]),
-                                int(payload["image_size"][1]))
+        kwargs["image_size"] = _pair(payload["image_size"], int, "image_size", path)
     if "target" in payload:
         t = payload["target"]
         kwargs["target"] = TargetGrid(rows=int(t.get("rows", 8)),
                                       cols=int(t.get("cols", 11)),
                                       spacing=float(t.get("spacing_mm", 30.0)))
     if "target_offset" in payload:
-        kwargs["target_offset"] = (float(payload["target_offset"][0]),
-                                   float(payload["target_offset"][1]))
+        kwargs["target_offset"] = _pair(payload["target_offset"], float,
+                                        "target_offset", path)
     for key in ("radius", "pixel_noise_sigma", "spherical_noise_sigma"):
         if key in payload:
             kwargs[key] = float(payload[key])
     for key in ("image_count", "trial_count", "rng_seed"):
         if key in payload:
             kwargs[key] = int(payload[key])
-    try:
-        return SyntheticConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise FileFormatError(f"{path}: invalid configuration: {exc}") from exc
+    return SyntheticConfig(**kwargs)
 
 
-def read_sweep_values(path, sweep: str):
-    payload = _load(path)
+@_reader
+def read_sweep_values(payload, path, sweep: str):
     custom = payload.get("sweep_values", {})
     if sweep in custom:
         return [float(v) for v in custom[sweep]]

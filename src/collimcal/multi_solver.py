@@ -39,6 +39,9 @@ RANK_RATIO_CUTOFF = 1e-8
 # largest are roots at infinity; over 1,500 two-image scenes at 0 to 5 px
 # of noise the spurious one stayed below 4.8e-6 of it.
 _ROOT_RATIO_CUTOFF = 1e-4
+# Distance from the identity or a plane rotation, entry by entry, within
+# which a relative homography flags a degenerate image pair.
+_STRUCTURE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -401,58 +404,46 @@ def solve_minimal(observations: ObservationSet):
 # degeneracy detection
 # ---------------------------------------------------------------------------
 
-def _common_pixels(im_a, im_b):
-    ids_a = {int(i): k for k, i in enumerate(im_a.ids)}
-    rows_a, rows_b = [], []
-    for k, pid in enumerate(im_b.ids):
-        j = ids_a.get(int(pid))
-        if j is not None:
-            rows_a.append(j)
-            rows_b.append(k)
-    return im_a.uv[rows_a], im_b.uv[rows_b]
+def _degenerate_pair_flags(G: np.ndarray):
+    """Pure-translation and z-rotation flags of relative homographies G (P, 3, 3).
+
+    Scaled to G[2,2] = 1, a pure translation leaves G the identity and a
+    rotation about a z-parallel axis leaves it a plane rotation block over
+    the last row (0, 0, 1).  G with |G[2,2]| < 1e-12 is neither.
+    """
+    scale = G[:, 2, 2]
+    usable = np.abs(scale) >= 1e-12
+    G = G / np.where(usable, scale, 1.0)[:, None, None]
+    translation = np.max(np.abs(G - np.eye(3)), axis=(1, 2)) < _STRUCTURE_TOLERANCE
+    z_rotation = np.max(np.abs([
+        G[:, 2, 0], G[:, 2, 1],
+        G[:, 0, 0] - G[:, 1, 1], G[:, 0, 1] + G[:, 1, 0],
+        G[:, 0, 0] ** 2 + G[:, 1, 0] ** 2 - 1.0,
+    ]), axis=0) < _STRUCTURE_TOLERANCE
+    return usable & translation, usable & z_rotation
 
 
-def _matches_z_rotation_structure(G: np.ndarray, tol: float) -> bool:
-    if abs(G[2, 2]) < 1e-12:
-        return False
-    G = G / G[2, 2]
-    checks = (
-        abs(G[2, 0]), abs(G[2, 1]),
-        abs(G[0, 0] - G[1, 1]), abs(G[0, 1] + G[1, 0]),
-        abs(G[0, 0] ** 2 + G[1, 0] ** 2 - 1.0),
-    )
-    return max(checks) < tol
-
-
-def detect_degeneracy(observations: ObservationSet, *,
-                      pixel_tolerance: float = 1e-6,
-                      structure_tolerance: float = 1e-6,
-                      rank_tolerance: float = RANK_RATIO_CUTOFF) -> DegeneracyReport:
+def detect_degeneracy(observations: ObservationSet) -> DegeneracyReport:
     """Flag degenerate image pairs and report the rank of the stacked system.
 
-    Pure translation shows up as pixel-identical observations; a rotation
-    about an axis parallel to z leaves the relative homography with a plane
-    rotation block over an unchanged last row.
+    A collimated pattern looks the same from a translated camera, so a pure
+    translation leaves the relative homography G = H_i^-1 H_j proportional
+    to the identity; a rotation about an axis parallel to z leaves G with a
+    plane rotation block over an unchanged last row.
     """
     if len(observations) < 2:
         raise ValueError("degeneracy detection needs at least 2 images")
     homographies, _ = normalized_homographies(observations)
-
-    translation_pairs = []
-    z_pairs = []
-    for i in range(len(observations)):
-        for j in range(i + 1, len(observations)):
-            uv_i, uv_j = _common_pixels(observations.images[i], observations.images[j])
-            if len(uv_i) >= 4 and np.max(np.abs(uv_i - uv_j)) < pixel_tolerance:
-                translation_pairs.append((i, j))
-            G = np.linalg.inv(homographies[i].matrix) @ homographies[j].matrix
-            if _matches_z_rotation_structure(G, structure_tolerance):
-                z_pairs.append((i, j))
+    H = np.array([h.matrix for h in homographies])
+    i, j = np.triu_indices(len(H), k=1)
+    translation, z_rotation = _degenerate_pair_flags(np.linalg.inv(H)[i] @ H[j])
+    pairs = list(zip(i.tolist(), j.tolist()))
 
     system = build_linear_system(homographies, _default_base_index(observations))
     sv = np.linalg.svd(system.d, compute_uv=False)
-    rank = int(np.sum(sv > rank_tolerance * sv[0]))
-    return DegeneracyReport(pure_translation_pairs=tuple(translation_pairs),
-                            z_rotation_pairs=tuple(z_pairs),
-                            rank=rank,
-                            singular_values=sv)
+    rank = int(np.sum(sv > RANK_RATIO_CUTOFF * sv[0]))
+    return DegeneracyReport(
+        pure_translation_pairs=tuple(p for p, flag in zip(pairs, translation) if flag),
+        z_rotation_pairs=tuple(p for p, flag in zip(pairs, z_rotation) if flag),
+        rank=rank,
+        singular_values=sv)

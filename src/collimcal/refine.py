@@ -10,7 +10,7 @@ d = (d1, d2).  The three refinements differ only in which of c and t_i
 are free:
 
     spherical motion:  one shared optical center c = t_cp, t_i = 0
-                       (10 + 3N parameters, 7 + 3N with c frozen);
+                       (10 + 3N parameters);
     free motion:       c = 0 and a translation t_i per image (7 + 6N),
                        the refinement stage of the plane-based baseline;
     single image:      one image, c = t = 0, and P the reference rays (10).
@@ -37,31 +37,23 @@ from .core_geom import (
     Rotation,
     axis_angle_from_rotation_matrix,
     nearest_rotation,
+    project_camera_points,
     rotation_matrix_from_axis_angle,
 )
 from .multi_solver import SphericalExtrinsics
 
 _MU_MIN = 1e-12
 _MU_MAX = 1e16
+_INITIAL_DAMPING = 1e-3
+_MAX_ITERATIONS = 100
+_GRADIENT_TOLERANCE = 1e-10
+_STEP_TOLERANCE = 1e-12
 # Relative decrease of the robust cost below which an accepted step ends the
 # run (the `function_tolerance` of Ceres Solver).
 _COST_TOLERANCE = 1e-10
+# Cauchy scale of the bundle adjustments' per-point pixel residuals.
+_CAUCHY_SCALE_PX = 2.0
 _CONVERGED = ("gradient", "cost", "step")
-
-
-@dataclass(frozen=True)
-class RefinementConfig:
-    max_iterations: int = 100
-    gradient_tolerance: float = 1e-10
-    parameter_tolerance: float = 1e-12
-    cauchy_scale: float = 2.0
-    initial_damping: float = 1e-3
-
-    def __post_init__(self):
-        for name in ("max_iterations", "gradient_tolerance", "parameter_tolerance",
-                     "cauchy_scale", "initial_damping"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ def _block_weights(r: np.ndarray, block_size: int, scale) -> np.ndarray:
     return np.repeat(w, block_size)
 
 
-def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = None, *,
+def lm_minimize(residual_fn, jacobian_fn, x0, *,
                 block_size: int = 1, robust_scale: float | None = None, plus=None):
     """Damped normal-equations Levenberg-Marquardt.
 
@@ -113,11 +105,11 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
     10 on accepted steps and multiplied by 10 on rejections.  The report's
     `termination` gives the reason the run stopped:
 
-        "gradient"  the gradient infinity norm fell below the tolerance;
+        "gradient"  the gradient infinity norm fell below 1e-10;
         "cost"      an accepted step lowered the robust cost by no more than
                     a relative 1e-10 (cost - cost_new <= 1e-10 * cost);
-        "step"      an accepted step was shorter than the parameter tolerance;
-        "budget"    `max_iterations` Jacobians were used up;
+        "step"      an accepted step was shorter than 1e-12;
+        "budget"    100 Jacobians were used up;
         "damping"   every step was rejected up to the largest damping.
 
     The first three count as converged.  A non-finite gradient, or damped
@@ -127,7 +119,6 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
     Returns (parameters, ResidualReport).  The cost trajectory holds the
     robust cost at the start and after every accepted step.
     """
-    cfg = config or RefinementConfig()
     if plus is None:
         plus = lambda x, d: x + d
     x = np.asarray(x0, dtype=float).copy()
@@ -136,11 +127,11 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
         raise ValueError("residual length is not a multiple of the block size")
     cost = _robust_cost(r, block_size, robust_scale)
     trajectory = [cost]
-    mu = cfg.initial_damping
+    mu = _INITIAL_DAMPING
     accepted = 0
     termination = None
 
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         J = np.asarray(jacobian_fn(x), dtype=float)
         if J.shape != (r.size, x.size):
             raise ValueError(f"jacobian shape {J.shape} does not match "
@@ -150,7 +141,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
         g = Jw.T @ (r * sw)
         if not np.all(np.isfinite(g)):
             raise errors.NormalEquationsFailed("gradient is not finite")
-        if np.max(np.abs(g)) < cfg.gradient_tolerance:
+        if np.max(np.abs(g)) < _GRADIENT_TOLERANCE:
             termination = "gradient"
             break
         JtJ = Jw.T @ Jw
@@ -175,7 +166,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
             if np.isfinite(cost_new) and cost_new <= cost:
                 if cost - cost_new <= _COST_TOLERANCE * cost:
                     termination = "cost"
-                elif np.linalg.norm(delta) < cfg.parameter_tolerance:
+                elif np.linalg.norm(delta) < _STEP_TOLERANCE:
                     termination = "step"
                 x, r, cost = x_new, r_new, cost_new
                 trajectory.append(cost)
@@ -203,27 +194,6 @@ def lm_minimize(residual_fn, jacobian_fn, x0, config: RefinementConfig | None = 
 # the stacked reprojection problem
 # ---------------------------------------------------------------------------
 
-def _normalized(dist_p: np.ndarray, xc: np.ndarray):
-    """Normalized coordinates, r^2 and radial factor of camera points xc (M, 3)."""
-    z = xc[:, 2]
-    if np.any(z <= 0):
-        raise errors.PointBehindCamera("refinement stepped a point behind the camera")
-    xn = xc[:, 0] / z
-    yn = xc[:, 1] / z
-    r2 = xn * xn + yn * yn
-    d1, d2 = dist_p
-    return xn, yn, r2, 1.0 + d1 * r2 + d2 * r2 * r2
-
-
-def _project(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray) -> np.ndarray:
-    """Pixels (M, 2) of camera points xc (M, 3)."""
-    fx, fy, cx, cy, gamma = intr_p
-    xn, yn, _, f = _normalized(dist_p, xc)
-    xd = xn * f
-    yd = yn * f
-    return np.column_stack([fx * xd + gamma * yd + cx, fy * yd + cy])
-
-
 def _projection_jacobian(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray):
     """Derivatives (J_K, J_d, J_xc) of the pixels of xc (M, 3).
 
@@ -232,7 +202,7 @@ def _projection_jacobian(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray)
     """
     fx, fy, cx, cy, gamma = intr_p
     d1, d2 = dist_p
-    xn, yn, r2, f = _normalized(dist_p, xc)
+    _, xn, yn, r2, f = project_camera_points(intr_p, dist_p, xc)
     z = xc[:, 2]
     xd = xn * f
     yd = yn * f
@@ -277,15 +247,15 @@ def _stacked(observations: ObservationSet):
 
 
 def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
-                          center=None, refine_center=False, translations=None):
+                          center=None, translations=None):
     """Closures of the stacked problem x_c = R_i (P - c) + t_i.
 
     `points` (M, 3), `pixels` (M, 2) and `image` (M,) list every
     observation; `rotations` holds one Rotation per image.  The center c is
-    `center` (zero when None) and a parameter only with `refine_center`;
-    `translations` (N, 3), when given, are the initial per-image t_i, which
-    are otherwise zero.  The parameter vector is (fx, fy, cx, cy, gamma, d1,
-    d2, [c], then per image the rotation vector [and t_i]).
+    a parameter starting at `center` when that is given, and zero
+    otherwise; `translations` (N, 3), when given, are the initial per-image
+    t_i, which are otherwise zero.  The parameter vector is (fx, fy, cx, cy,
+    gamma, d1, d2, [c], then per image the rotation vector [and t_i]).
 
     Returns (residual, jacobian, plus, x0, unpack); unpack(x) gives
     (intrinsics (5,), distortion (2,), c (3,), rotation vectors (N, 3),
@@ -293,15 +263,15 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
     """
     n = len(rotations)
     m = len(points)
-    center0 = np.zeros(3) if center is None else np.asarray(center, dtype=float)
-    first = 10 if refine_center else 7
+    has_center = center is not None
+    first = 10 if has_center else 7
     stride = 3 if translations is None else 6
     rot_cols = first + stride * np.arange(n)[:, None] + np.arange(3)
     point_rows = 2 * np.arange(m)[:, None, None] + np.arange(2)[:, None]
     point_rot_cols = rot_cols[image][:, None, :]
 
     def unpack(x):
-        c = x[7:10] if refine_center else center0
+        c = x[7:10] if has_center else np.zeros(3)
         t = None if translations is None else x[rot_cols + 3]
         return x[:5], x[5:7], c, x[rot_cols], t
 
@@ -316,7 +286,7 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
 
     def residual(x):
         intr_p, dist_p, _, _, xc = camera_points(x)
-        return (_project(intr_p, dist_p, xc) - pixels).ravel()
+        return (project_camera_points(intr_p, dist_p, xc)[0] - pixels).ravel()
 
     def jacobian(x):
         intr_p, dist_p, R, centered, xc = camera_points(x)
@@ -325,7 +295,7 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
         J = np.zeros((2 * m, first + stride * n))
         J[:, 0:5] = J_K.reshape(2 * m, 5)
         J[:, 5:7] = J_d.reshape(2 * m, 2)
-        if refine_center:
+        if has_center:
             J[:, 7:10] = -J_centered.reshape(2 * m, 3)
         # d x_c / d delta = -R [P - c]x, and a^T [q]x = (a x q)^T row by row.
         J[point_rows, point_rot_cols] = np.cross(centered[:, None, :], J_centered)
@@ -342,8 +312,8 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
 
     x0 = np.zeros(first + stride * n)
     x0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
-    if refine_center:
-        x0[7:10] = center0
+    if has_center:
+        x0[7:10] = center
     x0[rot_cols] = [rot.axis_angle() for rot in rotations]
     if translations is not None:
         x0[rot_cols + 3] = translations
@@ -373,7 +343,7 @@ def _refined(x, report: ResidualReport, residual, unpack, image):
 # spherical-motion bundle adjustment
 # ---------------------------------------------------------------------------
 
-def spherical_problem(observations: ObservationSet, init, *, refine_center: bool = True):
+def spherical_problem(observations: ObservationSet, init):
     """Residual, Jacobian and manifold-update closures for the spherical BA.
 
     Exposed separately so the analytic Jacobian can be checked against
@@ -386,7 +356,7 @@ def spherical_problem(observations: ObservationSet, init, *, refine_center: bool
     if not np.all(np.isfinite(ext0.t_cp)):
         raise ValueError("initial optical center must be finite")
     return _reprojection_problem(*_stacked(observations), intr0, dist0, ext0.rotations,
-                                 center=ext0.t_cp, refine_center=refine_center)
+                                 center=ext0.t_cp)
 
 
 def spherical_reprojection_rms(observations: ObservationSet, init):
@@ -398,19 +368,16 @@ def spherical_reprojection_rms(observations: ObservationSet, init):
     return _per_image_rms(residual(x0), _stacked(observations)[2])
 
 
-def spherical_ba(observations: ObservationSet, init, config: RefinementConfig | None = None,
-                 *, refine_center: bool = True):
+def spherical_ba(observations: ObservationSet, init):
     """Jointly refine K, distortion, per-image rotations and the shared center.
 
     `init` is (CameraIntrinsics, Distortion, SphericalExtrinsics); the pose of
-    image i is [R_i | -R_i t_cp], so the parameter vector has 10 + 3N entries
-    (7 + 3N with the center frozen).  Returns the refined triple and a report.
+    image i is [R_i | -R_i t_cp], so the parameter vector has 10 + 3N entries.
+    Returns the refined triple and a report.
     """
-    cfg = config or RefinementConfig()
-    residual, jacobian, plus, x0, unpack = spherical_problem(
-        observations, init, refine_center=refine_center)
-    x, report = lm_minimize(residual, jacobian, x0, cfg,
-                            block_size=2, robust_scale=cfg.cauchy_scale, plus=plus)
+    residual, jacobian, plus, x0, unpack = spherical_problem(observations, init)
+    x, report = lm_minimize(residual, jacobian, x0,
+                            block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
     intr, dist, rotations, t_cp, _, report = _refined(
         x, report, residual, unpack, _stacked(observations)[2])
     ext = SphericalExtrinsics(x=t_cp[0], y=t_cp[1], r=-t_cp[2], rotations=rotations)
@@ -436,20 +403,18 @@ def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
     return _single_image_problem(rays, pixels, init)[:4]
 
 
-def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init,
-                    config: RefinementConfig | None = None):
+def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
     """Refine (K, d, R) so that projected reference rays match observed pixels.
 
     `rays` are unit directions in the reference camera frame; the residual of
     point i is pi(K, d, R q'_i) - p_i.  Needs at least 8 correspondences.
     """
-    cfg = config or RefinementConfig()
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     if len(rays) < 8:
         raise ValueError(f"single-image refinement needs >= 8 correspondences, got {len(rays)}")
     residual, jacobian, plus, x0, unpack = _single_image_problem(rays, pixels, init)
-    x, report = lm_minimize(residual, jacobian, x0, cfg,
-                            block_size=2, robust_scale=cfg.cauchy_scale, plus=plus)
+    x, report = lm_minimize(residual, jacobian, x0,
+                            block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
     intr, dist, (rot,), _, _, report = _refined(
         x, report, residual, unpack, np.zeros(len(rays), dtype=int))
     return (intr, dist, rot), report
@@ -469,16 +434,15 @@ def general_problem(observations: ObservationSet, init):
                                  translations=[np.asarray(t, dtype=float) for _, t in poses0])
 
 
-def general_ba(observations: ObservationSet, init, config: RefinementConfig | None = None):
+def general_ba(observations: ObservationSet, init):
     """Refine K, distortion and unconstrained per-image poses (7 + 6N parameters).
 
     `init` is (CameraIntrinsics, Distortion, [(Rotation, t), ...]); used as the
     refinement stage of the motion-unconstrained baseline.
     """
-    cfg = config or RefinementConfig()
     residual, jacobian, plus, x0, unpack = general_problem(observations, init)
-    x, report = lm_minimize(residual, jacobian, x0, cfg,
-                            block_size=2, robust_scale=cfg.cauchy_scale, plus=plus)
+    x, report = lm_minimize(residual, jacobian, x0,
+                            block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
     intr, dist, rotations, _, translations, report = _refined(
         x, report, residual, unpack, _stacked(observations)[2])
     return (intr, dist, list(zip(rotations, translations))), report

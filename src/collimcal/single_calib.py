@@ -18,7 +18,7 @@ import numpy as np
 
 from . import errors
 from .core_geom import CameraIntrinsics, Distortion, Rotation, back_project
-from .refine import RefinementConfig, ResidualReport, lm_minimize, single_image_ba
+from .refine import ResidualReport, lm_minimize, single_image_ba
 
 MAX_EXHAUSTIVE_PAIR_POINTS = 120
 SUBSAMPLED_PARTNERS = 30
@@ -42,7 +42,7 @@ class RayDatabase:
         if len(np.unique(ids)) != len(ids):
             raise ValueError("database point ids must be unique")
         norms = np.linalg.norm(rays, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("database rays must be unit norm within 1e-12")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "rays", rays)
@@ -85,16 +85,16 @@ def build_ray_database(ids, pixels, ref_intrinsics: CameraIntrinsics,
                        ref_intrinsics=ref_intrinsics, ref_distortion=ref_distortion)
 
 
-def select_pairs(count: int, seed: int = 0):
+def select_pairs(count: int):
     """Point-pair index sets for the cosine constraints.
 
     All pairs up to 120 points; beyond that each point is paired with 30
-    seeded random partners, which keeps the constraint count linear.
+    random partners drawn with seed 0, which keeps the constraint count linear.
     """
     if count <= MAX_EXHAUSTIVE_PAIR_POINTS:
         i, j = np.triu_indices(count, k=1)
         return i, j
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     ii, jj = [], []
     for i in range(count):
         partners = rng.choice(count - 1, size=SUBSAMPLED_PARTNERS, replace=False)
@@ -197,9 +197,7 @@ def _cosine_residual_and_jacobian(pixels, g, pair_i, pair_j):
 
 
 def refine_intrinsics_angle(pixels: np.ndarray, rays: np.ndarray,
-                            initial: CameraIntrinsics,
-                            config: RefinementConfig | None = None, *,
-                            hold_skew: bool = False) -> CameraIntrinsics:
+                            initial: CameraIntrinsics) -> CameraIntrinsics:
     """Refine all five intrinsics on the pairwise-cosine constraints.
 
     Distortion is deliberately absent here; it enters only at the final
@@ -213,21 +211,8 @@ def refine_intrinsics_angle(pixels: np.ndarray, rays: np.ndarray,
         raise ValueError("intrinsic refinement needs at least 5 point pairs")
     g = np.sum(rays[pair_i] * rays[pair_j], axis=1)
     residual, jacobian = _cosine_residual_and_jacobian(pixels, g, pair_i, pair_j)
-
-    if hold_skew:
-        full_residual, full_jacobian = residual, jacobian
-        embed = lambda x: np.concatenate([x[:4], [initial.gamma]])
-        residual = lambda x: full_residual(embed(x))
-        jacobian = lambda x: full_jacobian(embed(x))[:, :4]
-        x0 = np.array([initial.fx, initial.fy, initial.cx, initial.cy])
-    else:
-        x0 = np.array([initial.fx, initial.fy, initial.cx, initial.cy, initial.gamma])
-
-    cfg = config or RefinementConfig()
-    x, report = lm_minimize(residual, jacobian, x0, cfg,
-                            robust_scale=ANGLE_CAUCHY_SCALE)
-    if hold_skew:
-        x = np.concatenate([x, [initial.gamma]])
+    x0 = np.array([initial.fx, initial.fy, initial.cx, initial.cy, initial.gamma])
+    x, _ = lm_minimize(residual, jacobian, x0, robust_scale=ANGLE_CAUCHY_SCALE)
     return CameraIntrinsics(fx=x[0], fy=x[1], cx=x[2], cy=x[3], gamma=x[4])
 
 
@@ -256,8 +241,7 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> Rot
     return Rotation.from_matrix_orthogonalized(R)
 
 
-def calibrate_single_image(ids, pixels, database: RayDatabase,
-                           config: RefinementConfig | None = None, *,
+def calibrate_single_image(ids, pixels, database: RayDatabase, *,
                            image_width: float, image_height: float,
                            refine_distortion: bool = True) -> SingleImageResult:
     """Full single-image pipeline: focal init, angle refinement, rotation, BA.
@@ -288,18 +272,15 @@ def calibrate_single_image(ids, pixels, database: RayDatabase,
     initial = CameraIntrinsics(fx=focal, fy=focal,
                                cx=image_width / 2.0, cy=image_height / 2.0, gamma=0.0)
     intr = stage("refine_intrinsics_angle",
-                 lambda: refine_intrinsics_angle(uv, rays, initial, config))
-
-    ph = np.column_stack([uv, np.ones(len(uv))])
-    calib_rays = ph @ intr.inverse.T
-    calib_rays /= np.linalg.norm(calib_rays, axis=1, keepdims=True)
+                 lambda: refine_intrinsics_angle(uv, rays, initial))
+    calib_rays = back_project(intr, Distortion(), uv)
     rot = stage("estimate_rotation_kabsch",
                 lambda: estimate_rotation_kabsch(calib_rays, rays))
 
     if refine_distortion:
         (intr, dist, rot), report = stage(
             "single_image_ba",
-            lambda: single_image_ba(rays, uv, (intr, Distortion(0.0, 0.0), rot), config))
+            lambda: single_image_ba(rays, uv, (intr, Distortion(0.0, 0.0), rot)))
     else:
         dist = Distortion(0.0, 0.0)
         report = ResidualReport(rms_reprojection=float("nan"), per_image_rms=(),

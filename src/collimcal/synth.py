@@ -40,7 +40,7 @@ from .multi_solver import (
     normalized_homographies,
     solve_closed_form,
 )
-from .refine import RefinementConfig, general_ba, spherical_ba
+from .refine import general_ba, spherical_ba
 
 MAX_TILT_DEG = 30.0
 POSE_ATTEMPTS = 100
@@ -308,7 +308,6 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
         raise errors.PoseSamplingFailed("could not render 20 visible points per image")
 
     results = {}
-    ba_config = RefinementConfig()
     closed_form = None
     zhang = None
 
@@ -323,7 +322,7 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
                 if closed_form is None:
                     closed_form = solve_closed_form(observations)
                 init = (closed_form[0], Distortion(0.0, 0.0), closed_form[1])
-                (intr, dist, ext), _ = spherical_ba(observations, init, ba_config)
+                (intr, dist, ext), _ = spherical_ba(observations, init)
                 results[arm] = (_error_row(intr, dist, ext, truth),
                                 time.perf_counter() - start)
             elif arm == "zhang":
@@ -334,7 +333,7 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
                 if zhang is None:
                     zhang = zhang_init(observations)
                 init = (zhang, Distortion(0.0, 0.0), _zhang_poses(observations, zhang))
-                (intr, dist, _), _ = general_ba(observations, init, ba_config)
+                (intr, dist, _), _ = general_ba(observations, init)
                 results[arm] = (_error_row(intr, dist, None, truth),
                                 time.perf_counter() - start)
             else:

@@ -122,6 +122,50 @@ def test_calibrate_degenerate_exit_4(tmp_path):
     assert code == 4 or not os.path.exists(tmp_path / "r.json")
 
 
+def edited_copy(path, out, keys, value):
+    """Copy of a JSON file with the entry at the nested `keys` set to `value`."""
+    payload = json.loads(path.read_text())
+    block = payload
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    out.write_text(json.dumps(payload))
+    return out
+
+
+@pytest.mark.parametrize("kind, keys, value", [
+    ("observations", ("ground_truth", "distortion"), [0.1]),
+    ("observations", ("ground_truth", "t_cp"), None),
+    ("observations", ("image_size",), [1]),
+    ("observations", ("images",), 5),
+    ("config", ("distortion",), [0.1]),
+    ("config", ("target",), 5),
+], ids=["truth-distortion", "truth-t_cp", "image_size", "images", "config-distortion",
+        "config-target"])
+def test_malformed_file_exit_2(sim_file, tmp_path, capsys, kind, keys, value):
+    bad = tmp_path / "bad.json"
+    if kind == "config":
+        edited_copy(tmp_path / "cfg.json", bad, keys, value)
+        argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]
+    else:
+        edited_copy(sim_file, bad, keys, value)
+        argv = ["calibrate", "--in", str(bad), "--mode", "nimg",
+                "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_calibrate_non_finite_pixel_exit_2(sim_file, tmp_path, capsys, value):
+    payload = json.loads(sim_file.read_text())
+    payload["images"][3]["points"][0][1] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["calibrate", "--in", str(bad), "--mode", "nimg",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "image_003" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # build-db + single-image flow
 # ---------------------------------------------------------------------------

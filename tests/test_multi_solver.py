@@ -285,6 +285,30 @@ def test_detect_z_rotation_pair():
     assert not report.pure_translation_pairs
 
 
+def test_degenerate_pairs_match_pairwise_reference():
+    # Reference: each pair's relative homography built on its own and
+    # checked entry by entry, as the batched flags must reproduce.
+    base = random_spherical_rotations(np.random.default_rng(19), 4)
+    twins = z_rotated_observation_set(base, extra_pairs=(0.6, -0.9))
+    obs = ObservationSet(target=twins.target, images=twins.images + (twins.images[2],))
+    homographies, _ = ms.normalized_homographies(obs)
+    translation, z_rotation = [], []
+    for i in range(len(obs)):
+        for j in range(i + 1, len(obs)):
+            G = np.linalg.inv(homographies[i].matrix) @ homographies[j].matrix
+            G = G / G[2, 2]
+            if np.max(np.abs(G - np.eye(3))) < 1e-6:
+                translation.append((i, j))
+            if max(abs(G[2, 0]), abs(G[2, 1]), abs(G[0, 0] - G[1, 1]),
+                   abs(G[0, 1] + G[1, 0]), abs(G[0, 0] ** 2 + G[1, 0] ** 2 - 1.0)) < 1e-6:
+                z_rotation.append((i, j))
+    report = ms.detect_degeneracy(obs)
+    assert translation == [(2, 6)]
+    assert {(0, 4), (0, 5), (4, 5), (2, 6)} <= set(z_rotation)
+    assert list(report.pure_translation_pairs) == translation
+    assert list(report.z_rotation_pairs) == z_rotation
+
+
 def test_generic_poses_unflagged_and_rank_grows():
     _, _, obs = scene(seed=11)
     two = ms.detect_degeneracy(first_images(obs, 2))

@@ -78,6 +78,11 @@ def test_database_rejects_duplicates_and_tampering():
     with pytest.raises(ValueError):
         sc.RayDatabase(ids=db.ids, rays=db.rays * 1.001,
                        ref_intrinsics=REF_K, ref_distortion=Distortion())
+    rays = db.rays.copy()
+    rays[0] = np.nan
+    with pytest.raises(ValueError):
+        sc.RayDatabase(ids=db.ids, rays=rays,
+                       ref_intrinsics=REF_K, ref_distortion=Distortion())
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +167,6 @@ def test_angle_refinement_from_quartic_prior():
     assert abs(out.fx - 1000.0) / 1000.0 < 1e-3
     assert abs(out.fy - 1000.0) / 1000.0 < 1e-3
     assert np.hypot(out.cx - 542.0, out.cy - 478.0) < 0.5
-
-
-def test_angle_refinement_hold_skew():
-    rays, uv, _ = full_intrinsics_setup(np.random.default_rng(7))
-    f0 = sc.init_focal_quartic(uv, rays, 1080, 960)
-    start = CameraIntrinsics(f0, f0, 540.0, 480.0, 0.0)
-    out = sc.refine_intrinsics_angle(uv, rays, start, hold_skew=True)
-    assert out.gamma == 0.0
 
 
 def test_angle_invariance_residual_after_refinement():
