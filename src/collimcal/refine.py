@@ -95,13 +95,81 @@ def _block_weights(r: np.ndarray, block_size: int, scale) -> np.ndarray:
     return np.repeat(w, block_size)
 
 
+@dataclass(frozen=True, eq=False)
+class BlockJacobian:
+    """A Jacobian whose rows fall into groups with parameters of their own.
+
+    Row k of `block` holds the derivatives by the `shared` leading
+    parameters, then by the `stride` parameters of the row's own group.
+    Group g owns rows `starts[g]:starts[g + 1]` and the parameters from
+    `shared + g * stride` on; every other entry of the row is zero.  The
+    bundle adjustments' groups are their images.  A dense Jacobian is the
+    form with one group and stride 0.
+    """
+    block: np.ndarray
+    shared: int
+    starts: np.ndarray
+
+    @property
+    def stride(self) -> int:
+        return self.block.shape[1] - self.shared
+
+    @property
+    def shape(self) -> tuple:
+        return len(self.block), self.shared + self.stride * (len(self.starts) - 1)
+
+    def _groups(self):
+        """(rows, own columns) of each group."""
+        for g, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
+            own = self.shared + g * self.stride
+            yield slice(lo, hi), slice(own, own + self.stride)
+
+    def toarray(self) -> np.ndarray:
+        J = np.zeros(self.shape)
+        J[:, :self.shared] = self.block[:, :self.shared]
+        for rows, own in self._groups():
+            J[rows, own] = self.block[rows, self.shared:]
+        return J
+
+    def normal_equations(self, weights: np.ndarray, r: np.ndarray):
+        """(JᵀWJ, JᵀWr) with W = diag(weights), one product per group."""
+        s = self.shared
+        sw = np.sqrt(weights)
+        Bw = self.block * sw[:, None]
+        rw = r * sw
+        JtJ = np.zeros((self.shape[1],) * 2)
+        g = np.zeros(self.shape[1])
+        for rows, own in self._groups():
+            G = Bw[rows].T @ Bw[rows]
+            v = Bw[rows].T @ rw[rows]
+            JtJ[:s, :s] += G[:s, :s]
+            JtJ[:s, own] = G[:s, s:]
+            JtJ[own, :s] = G[s:, :s]
+            JtJ[own, own] = G[s:, s:]
+            g[:s] += v[:s]
+            g[own] = v[s:]
+        return JtJ, g
+
+
+def _row_blocks(J) -> BlockJacobian:
+    """`J` as a BlockJacobian; a dense array becomes one group with stride 0."""
+    if isinstance(J, BlockJacobian):
+        return J
+    J = np.asarray(J, dtype=float)
+    if J.ndim != 2:
+        raise ValueError(f"jacobian must be 2-D, got shape {J.shape}")
+    return BlockJacobian(J, J.shape[1], np.array([0, len(J)]))
+
+
 def lm_minimize(residual_fn, jacobian_fn, x0, *,
                 block_size: int = 1, robust_scale: float | None = None, plus=None):
     """Damped normal-equations Levenberg-Marquardt.
 
     `residual_fn(x)` and `jacobian_fn(x)` are evaluated at the current point;
     when `plus` is given, parameters live on a manifold and the Jacobian is
-    taken with respect to the local increment at zero.  Damping is divided by
+    taken with respect to the local increment at zero.  The Jacobian is a
+    dense (residuals, parameters) array or a `BlockJacobian`, whose
+    per-group row blocks form JᵀWJ one group at a time.  Damping is divided by
     10 on accepted steps and multiplied by 10 on rejections.  The report's
     `termination` gives the reason the run stopped:
 
@@ -132,19 +200,16 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
     termination = None
 
     for _ in range(_MAX_ITERATIONS):
-        J = np.asarray(jacobian_fn(x), dtype=float)
+        J = _row_blocks(jacobian_fn(x))
         if J.shape != (r.size, x.size):
             raise ValueError(f"jacobian shape {J.shape} does not match "
                              f"({r.size}, {x.size})")
-        sw = np.sqrt(_block_weights(r, block_size, robust_scale))
-        Jw = J * sw[:, None]
-        g = Jw.T @ (r * sw)
+        JtJ, g = J.normal_equations(_block_weights(r, block_size, robust_scale), r)
         if not np.all(np.isfinite(g)):
             raise errors.NormalEquationsFailed("gradient is not finite")
         if np.max(np.abs(g)) < _GRADIENT_TOLERANCE:
             termination = "gradient"
             break
-        JtJ = Jw.T @ Jw
         diag = np.clip(np.diag(JtJ), _MU_MIN, None)
 
         solved = False
@@ -251,15 +316,17 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
     """Closures of the stacked problem x_c = R_i (P - c) + t_i.
 
     `points` (M, 3), `pixels` (M, 2) and `image` (M,) list every
-    observation; `rotations` holds one Rotation per image.  The center c is
-    a parameter starting at `center` when that is given, and zero
-    otherwise; `translations` (N, 3), when given, are the initial per-image
-    t_i, which are otherwise zero.  The parameter vector is (fx, fy, cx, cy,
-    gamma, d1, d2, [c], then per image the rotation vector [and t_i]).
+    observation, each image's points contiguous and in image order;
+    `rotations` holds one Rotation per image.  The center c is a parameter
+    starting at `center` when that is given, and zero otherwise;
+    `translations` (N, 3), when given, are the initial per-image t_i, which
+    are otherwise zero.  The parameter vector is (fx, fy, cx, cy, gamma, d1,
+    d2, [c], then per image the rotation vector [and t_i]).
 
-    Returns (residual, jacobian, plus, x0, unpack); unpack(x) gives
-    (intrinsics (5,), distortion (2,), c (3,), rotation vectors (N, 3),
-    translations (N, 3) or None).
+    Returns (residual, jacobian, plus, x0, unpack); the Jacobian is a
+    BlockJacobian with one group per image, and unpack(x) gives (intrinsics
+    (5,), distortion (2,), c (3,), rotation vectors (N, 3), translations
+    (N, 3) or None).
     """
     n = len(rotations)
     m = len(points)
@@ -267,8 +334,7 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
     first = 10 if has_center else 7
     stride = 3 if translations is None else 6
     rot_cols = first + stride * np.arange(n)[:, None] + np.arange(3)
-    point_rows = 2 * np.arange(m)[:, None, None] + np.arange(2)[:, None]
-    point_rot_cols = rot_cols[image][:, None, :]
+    starts = 2 * np.searchsorted(image, np.arange(n + 1))
 
     def unpack(x):
         c = x[7:10] if has_center else np.zeros(3)
@@ -292,16 +358,12 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
         intr_p, dist_p, R, centered, xc = camera_points(x)
         J_K, J_d, J_xc = _projection_jacobian(intr_p, dist_p, xc)
         J_centered = J_xc @ R
-        J = np.zeros((2 * m, first + stride * n))
-        J[:, 0:5] = J_K.reshape(2 * m, 5)
-        J[:, 5:7] = J_d.reshape(2 * m, 2)
-        if has_center:
-            J[:, 7:10] = -J_centered.reshape(2 * m, 3)
         # d x_c / d delta = -R [P - c]x, and a^T [q]x = (a x q)^T row by row.
-        J[point_rows, point_rot_cols] = np.cross(centered[:, None, :], J_centered)
-        if translations is not None:
-            J[point_rows, point_rot_cols + 3] = J_xc
-        return J
+        J_rot = np.cross(centered[:, None, :], J_centered)
+        columns = ([J_K, J_d] + ([-J_centered] if has_center else []) + [J_rot]
+                   + ([J_xc] if translations is not None else []))
+        return BlockJacobian(np.concatenate(columns, axis=2).reshape(2 * m, -1),
+                             first, starts)
 
     def plus(x, delta):
         x_new = x + delta
@@ -327,8 +389,11 @@ def _per_image_rms(r: np.ndarray, image: np.ndarray):
     return float(np.sqrt(np.mean(r * r))), tuple(float(v) for v in per)
 
 
-def _refined(x, report: ResidualReport, residual, unpack, image):
-    """Unpacked LM end point: K, d, rotations, c, t and the report with RMS."""
+def _adjusted(problem, image):
+    """Run LM on a stacked problem; K, d, rotations, c, t and the report with RMS."""
+    residual, jacobian, plus, x0, unpack = problem
+    x, report = lm_minimize(residual, jacobian, x0,
+                            block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
     intr_p, dist_p, c, aas, t = unpack(x)
     rms, per = _per_image_rms(residual(x), image)
     intr = CameraIntrinsics(*intr_p)
@@ -343,6 +408,18 @@ def _refined(x, report: ResidualReport, residual, unpack, image):
 # spherical-motion bundle adjustment
 # ---------------------------------------------------------------------------
 
+def _spherical_problem(observations: ObservationSet, init):
+    """`spherical_problem` and the image index of the stacked observations."""
+    intr0, dist0, ext0 = init
+    if len(ext0.rotations) != len(observations):
+        raise ValueError("initial extrinsics must hold one rotation per image")
+    if not np.all(np.isfinite(ext0.t_cp)):
+        raise ValueError("initial optical center must be finite")
+    points, pixels, image = _stacked(observations)
+    return _reprojection_problem(points, pixels, image, intr0, dist0, ext0.rotations,
+                                 center=ext0.t_cp), image
+
+
 def spherical_problem(observations: ObservationSet, init):
     """Residual, Jacobian and manifold-update closures for the spherical BA.
 
@@ -350,13 +427,7 @@ def spherical_problem(observations: ObservationSet, init):
     finite differences on the same local parameterization.
     Returns (residual, jacobian, plus, x0, unpack).
     """
-    intr0, dist0, ext0 = init
-    if len(ext0.rotations) != len(observations):
-        raise ValueError("initial extrinsics must hold one rotation per image")
-    if not np.all(np.isfinite(ext0.t_cp)):
-        raise ValueError("initial optical center must be finite")
-    return _reprojection_problem(*_stacked(observations), intr0, dist0, ext0.rotations,
-                                 center=ext0.t_cp)
+    return _spherical_problem(observations, init)[0]
 
 
 def spherical_reprojection_rms(observations: ObservationSet, init):
@@ -364,8 +435,8 @@ def spherical_reprojection_rms(observations: ObservationSet, init):
 
     `init` is (CameraIntrinsics, Distortion, SphericalExtrinsics).
     """
-    residual, _, _, x0, _ = spherical_problem(observations, init)
-    return _per_image_rms(residual(x0), _stacked(observations)[2])
+    (residual, _, _, x0, _), image = _spherical_problem(observations, init)
+    return _per_image_rms(residual(x0), image)
 
 
 def spherical_ba(observations: ObservationSet, init):
@@ -375,11 +446,8 @@ def spherical_ba(observations: ObservationSet, init):
     image i is [R_i | -R_i t_cp], so the parameter vector has 10 + 3N entries.
     Returns the refined triple and a report.
     """
-    residual, jacobian, plus, x0, unpack = spherical_problem(observations, init)
-    x, report = lm_minimize(residual, jacobian, x0,
-                            block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
-    intr, dist, rotations, t_cp, _, report = _refined(
-        x, report, residual, unpack, _stacked(observations)[2])
+    intr, dist, rotations, t_cp, _, report = _adjusted(
+        *_spherical_problem(observations, init))
     ext = SphericalExtrinsics(x=t_cp[0], y=t_cp[1], r=-t_cp[2], rotations=rotations)
     return (intr, dist, ext), report
 
@@ -389,18 +457,19 @@ def spherical_ba(observations: ObservationSet, init):
 # ---------------------------------------------------------------------------
 
 def _single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
+    """`single_image_problem`'s closures with `unpack`, and the image index."""
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if len(rays) != len(pixels):
         raise ValueError("rays and pixels differ in length")
     intr0, dist0, rot0 = init
-    return _reprojection_problem(rays, pixels, np.zeros(len(rays), dtype=int),
-                                 intr0, dist0, [rot0])
+    image = np.zeros(len(rays), dtype=int)
+    return _reprojection_problem(rays, pixels, image, intr0, dist0, [rot0]), image
 
 
 def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
     """Residual/Jacobian/update closures for the single-image refinement."""
-    return _single_image_problem(rays, pixels, init)[:4]
+    return _single_image_problem(rays, pixels, init)[0][:4]
 
 
 def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
@@ -412,11 +481,7 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     if len(rays) < 8:
         raise ValueError(f"single-image refinement needs >= 8 correspondences, got {len(rays)}")
-    residual, jacobian, plus, x0, unpack = _single_image_problem(rays, pixels, init)
-    x, report = lm_minimize(residual, jacobian, x0,
-                            block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
-    intr, dist, (rot,), _, _, report = _refined(
-        x, report, residual, unpack, np.zeros(len(rays), dtype=int))
+    intr, dist, (rot,), _, _, report = _adjusted(*_single_image_problem(rays, pixels, init))
     return (intr, dist, rot), report
 
 
@@ -424,14 +489,21 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
 # free-motion bundle adjustment (baseline refinement)
 # ---------------------------------------------------------------------------
 
-def general_problem(observations: ObservationSet, init):
-    """Residual/Jacobian/update closures for the free-motion refinement."""
+def _general_problem(observations: ObservationSet, init):
+    """`general_problem` and the image index of the stacked observations."""
     intr0, dist0, poses0 = init
     if len(poses0) != len(observations):
         raise ValueError("initial poses must match the image count")
-    return _reprojection_problem(*_stacked(observations), intr0, dist0,
+    points, pixels, image = _stacked(observations)
+    translations = [np.asarray(t, dtype=float) for _, t in poses0]
+    return _reprojection_problem(points, pixels, image, intr0, dist0,
                                  [rot for rot, _ in poses0],
-                                 translations=[np.asarray(t, dtype=float) for _, t in poses0])
+                                 translations=translations), image
+
+
+def general_problem(observations: ObservationSet, init):
+    """Residual/Jacobian/update closures for the free-motion refinement."""
+    return _general_problem(observations, init)[0]
 
 
 def general_ba(observations: ObservationSet, init):
@@ -440,9 +512,6 @@ def general_ba(observations: ObservationSet, init):
     `init` is (CameraIntrinsics, Distortion, [(Rotation, t), ...]); used as the
     refinement stage of the motion-unconstrained baseline.
     """
-    residual, jacobian, plus, x0, unpack = general_problem(observations, init)
-    x, report = lm_minimize(residual, jacobian, x0,
-                            block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
-    intr, dist, rotations, _, translations, report = _refined(
-        x, report, residual, unpack, _stacked(observations)[2])
+    intr, dist, rotations, _, translations, report = _adjusted(
+        *_general_problem(observations, init))
     return (intr, dist, list(zip(rotations, translations))), report

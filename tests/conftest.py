@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, set before numpy loads: the problems are small, and the
+# Monte Carlo pool's workers oversubscribe the cores with more.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

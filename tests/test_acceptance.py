@@ -407,7 +407,7 @@ def test_criterion_9_optimizer_integrity():
     worst = 0.0
     for _ in range(50):
         x = plus(x0, rng.normal(size=x0.size) * 1e-3)
-        J = jacobian(x)
+        J = jacobian(x).toarray()
         J_fd = central_difference_jacobian(residual, plus, x)
         worst = max(worst, float(np.max(np.abs(J - J_fd) / np.maximum(1.0, np.abs(J)))))
 
@@ -419,7 +419,7 @@ def test_criterion_9_optimizer_integrity():
         rays, pixels, (TRUE_K, Distortion(0.05, -0.1), rot))
     for _ in range(50):
         x = plus_s(x0_s, rng.normal(size=x0_s.size) * 1e-3)
-        J = jacobian_s(x)
+        J = jacobian_s(x).toarray()
         J_fd = central_difference_jacobian(residual_s, plus_s, x)
         worst = max(worst, float(np.max(np.abs(J - J_fd) / np.maximum(1.0, np.abs(J)))))
     jacobian_ok = worst < 1e-5

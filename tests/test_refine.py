@@ -230,7 +230,8 @@ def test_spherical_jacobian_matches_finite_differences():
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = plus(x0, rng.normal(size=x0.size) * 1e-3)
-        assert max_relative_deviation(jacobian(x), fd_jacobian(residual, plus, x)) < 1e-5
+        assert max_relative_deviation(jacobian(x).toarray(),
+                                      fd_jacobian(residual, plus, x)) < 1e-5
 
 
 def test_single_image_jacobian_matches_finite_differences():
@@ -245,7 +246,8 @@ def test_single_image_jacobian_matches_finite_differences():
     residual, jacobian, plus, x0 = refine.single_image_problem(rays, pixels, init)
     for _ in range(3):
         x = plus(x0, rng.normal(size=x0.size) * 1e-3)
-        assert max_relative_deviation(jacobian(x), fd_jacobian(residual, plus, x)) < 1e-5
+        assert max_relative_deviation(jacobian(x).toarray(),
+                                      fd_jacobian(residual, plus, x)) < 1e-5
 
 
 def test_general_jacobian_matches_finite_differences():
@@ -253,7 +255,7 @@ def test_general_jacobian_matches_finite_differences():
     residual, jacobian, plus, x0, _ = refine.general_problem(obs, zhang_general_init(obs))
     rng = np.random.default_rng(9)
     x = plus(x0, rng.normal(size=x0.size) * 1e-3)
-    assert max_relative_deviation(jacobian(x), fd_jacobian(residual, plus, x)) < 1e-5
+    assert max_relative_deviation(jacobian(x).toarray(), fd_jacobian(residual, plus, x)) < 1e-5
 
 
 def test_residuals_reject_points_behind_camera():
@@ -275,6 +277,43 @@ def test_residuals_reject_points_behind_camera():
             residual(x0)
         with pytest.raises(errors.PointBehindCamera):
             jacobian(x0)
+
+
+def noisy_problems():
+    """Spherical, general and single-image closures on noisy scenes."""
+    _, _, obs = scene(seed=41, pixel_noise_sigma=1.0)
+    intr, ext = solve_closed_form(obs)
+    spherical = refine.spherical_problem(obs, (intr, Distortion(0.0, 0.0), ext))
+    general = refine.general_problem(obs, zhang_general_init(obs))
+    rays, pixels, intr, _, rot = single_image_setup(
+        np.random.default_rng(4), Distortion(0.1, -0.2), noise_sigma=1.0)
+    single = refine.single_image_problem(rays, pixels, (intr, Distortion(0.0, 0.0), rot))
+    return {"spherical": spherical, "general": general, "single": single}
+
+
+@pytest.mark.parametrize("name", ["spherical", "general", "single"])
+def test_block_normal_equations_match_dense(name):
+    residual, jacobian, _, x0, *_ = noisy_problems()[name]
+    r = residual(x0)
+    weights = refine._block_weights(r, 2, refine._CAUCHY_SCALE_PX)
+    J = jacobian(x0)
+    JtJ, g = J.normal_equations(weights, r)
+    dense = J.toarray()
+    assert dense.shape == (r.size, x0.size)
+    dense_JtJ = dense.T @ (weights[:, None] * dense)
+    dense_g = dense.T @ (weights * r)
+    assert np.max(np.abs(JtJ - dense_JtJ)) <= 1e-12 * np.max(np.abs(dense_JtJ))
+    assert np.max(np.abs(g - dense_g)) <= 1e-12 * np.max(np.abs(dense_g))
+
+
+def test_lm_rejects_jacobian_of_wrong_shape():
+    with pytest.raises(ValueError):
+        refine.lm_minimize(lambda x: x - 1.0, lambda x: np.eye(3), np.zeros(2))
+    with pytest.raises(ValueError):
+        refine.lm_minimize(lambda x: x - 1.0, lambda x: np.ones(2), np.zeros(2))
+    residual, jacobian, plus, x0, _ = noisy_problems()["spherical"]
+    with pytest.raises(ValueError):
+        refine.lm_minimize(residual, jacobian, np.append(x0, 0.0), block_size=2, plus=plus)
 
 
 # ---------------------------------------------------------------------------
