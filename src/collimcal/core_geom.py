@@ -12,7 +12,9 @@ Coordinate conventions used throughout the package:
 A homography maps homogeneous target-plane points (X, Y, 1) to
 homogeneous pixels and factors as H = lam * K [r1 r2 t].  Estimated
 homographies are scaled to Frobenius norm sqrt(3) with H[2,2] > 0,
-which pins the otherwise arbitrary sign/scale of lam.
+which pins the otherwise arbitrary sign/scale of lam.  An ObservationSet
+fits every image's homography once, in one batched DLT
+(`ObservationSet.homography_fit`), and every solver reads that result.
 
 Radial distortion uses the forward (projection-side) model: normalized
 coordinates are scaled by (1 + d1 r^2 + d2 r^4) before the intrinsic
@@ -22,6 +24,8 @@ map.  Undistortion is done by fixed-point iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,9 +134,6 @@ class Rotation:
 
     def axis_angle(self) -> np.ndarray:
         return axis_angle_from_rotation_matrix(self.matrix)
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        return Rotation(self.matrix @ other.matrix)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -277,6 +278,15 @@ class ObservationSet:
         im = self.images[index]
         return self.target.xy_for(im.ids), im.uv
 
+    @cached_property
+    def homography_fit(self) -> "HomographyFit":
+        """Every image's homography from one batched DLT, fitted on first use.
+
+        The solvers and the baseline all read this one result; the images
+        must not be modified after it is first read.
+        """
+        return _fit_observations(self)
+
 
 @dataclass(frozen=True)
 class Homography:
@@ -379,15 +389,70 @@ def angular_distance(v1: np.ndarray, v2: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def _normalization_transform(points: np.ndarray) -> np.ndarray:
-    """Hartley isotropic normalization: centroid to origin, mean distance sqrt(2)."""
-    pts = np.asarray(points, dtype=float)
-    centroid = pts.mean(axis=0)
-    mean_dist = np.mean(np.linalg.norm(pts - centroid, axis=1))
-    s = np.sqrt(2.0) / mean_dist if mean_dist > 1e-12 else 1.0
-    return np.array([[s, 0.0, -s * centroid[0]],
-                     [0.0, s, -s * centroid[1]],
-                     [0.0, 0.0, 1.0]])
+def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Hartley isotropic normalization of each padded point set (N, n, 2).
+
+    Centroid to origin, mean distance sqrt(2), over the points where `mask`
+    (N, n) is true; returns (N, 3, 3).
+    """
+    count = mask.sum(axis=1)
+    centroid = np.sum(points * mask[..., None], axis=1) / count[:, None]
+    dist = np.linalg.norm(points - centroid[:, None], axis=2)
+    mean_dist = np.sum(dist * mask, axis=1) / count
+    # Coincident points keep unit scale; the DLT's rank check rejects them.
+    s = np.sqrt(2.0) / np.where(mean_dist > 1e-12, mean_dist, np.sqrt(2.0))
+    T = np.zeros((len(points), 3, 3))
+    T[:, 0, 0] = T[:, 1, 1] = s
+    T[:, :2, 2] = -s[:, None] * centroid
+    T[:, 2, 2] = 1.0
+    return T
+
+
+def _dlt(correspondences) -> tuple:
+    """Normalized DLT of every image's (target_xy, pixels_uv) in one batched SVD.
+
+    Each image keeps its own Hartley normalization.  Its (2n, 9) design
+    matrix is zero-padded to a common height (at least 10 rows, so that the
+    thin SVD keeps the null vector); zero rows leave A^T A, and with it the
+    singular values and the null vector, unchanged.  Returns one Homography
+    per image and raises DegenerateConfiguration naming the first image
+    whose homography is ambiguous or rank deficient.
+    """
+    counts = np.array([len(xy) for xy, _ in correspondences])
+    n = max(int(counts.max()), 5)
+    mask = np.arange(n) < counts[:, None]
+    X = np.zeros((len(counts), n, 2))
+    U = np.zeros((len(counts), n, 2))
+    for k, (xy, uv) in enumerate(correspondences):
+        X[k, :counts[k]] = xy
+        U[k, :counts[k]] = uv
+    Tx = _normalization_transforms(X, mask)
+    Tu = _normalization_transforms(U, mask)
+    # Homogeneous points whose padding rows are zero, third coordinate too,
+    # so that the normalization leaves them zero and their design rows vanish.
+    Xn = np.concatenate([X, mask[..., None]], axis=2) @ Tx.transpose(0, 2, 1)
+    Un = np.concatenate([U, mask[..., None]], axis=2) @ Tu.transpose(0, 2, 1)
+
+    A = np.zeros((len(counts), 2 * n, 9))
+    A[:, 0::2, 0:3] = Xn
+    A[:, 0::2, 6:9] = -Un[..., 0:1] * Xn
+    A[:, 1::2, 3:6] = Xn
+    A[:, 1::2, 6:9] = -Un[..., 1:2] * Xn
+
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
+    # With >= 4 generic correspondences only one singular value is ~0; a
+    # second vanishing one means the solution is ambiguous.
+    ambiguous = np.flatnonzero(s[:, -2] <= 1e-10 * s[:, 0])
+    if len(ambiguous):
+        raise errors.DegenerateConfiguration(
+            f"image {ambiguous[0]}: homography design matrix is rank deficient")
+    homographies = []
+    for k, H in enumerate(np.linalg.inv(Tu) @ Vt[:, -1].reshape(-1, 3, 3) @ Tx):
+        try:
+            homographies.append(Homography(_with_scale_convention(H)))
+        except ValueError as exc:
+            raise errors.DegenerateConfiguration(f"image {k}: {exc}") from None
+    return tuple(homographies)
 
 
 def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> Homography:
@@ -398,26 +463,68 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> Homogra
         raise ValueError("correspondence lists differ in length")
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 correspondences")
+    return _dlt([(X, U)])[0]
 
-    Tx = _normalization_transform(X)
-    Tu = _normalization_transform(U)
-    Xn = np.column_stack([X, np.ones(len(X))]) @ Tx.T
-    Un = np.column_stack([U, np.ones(len(U))]) @ Tu.T
 
-    A = np.zeros((2 * len(X), 9))
-    A[0::2, 0:3] = Xn
-    A[0::2, 6:9] = -Un[:, 0:1] * Xn
-    A[1::2, 3:6] = Xn
-    A[1::2, 6:9] = -Un[:, 1:2] * Xn
+@dataclass(frozen=True)
+class _Frame:
+    """Similarity transforms taking raw pixels/target mm to O(1) solver units.
 
-    _, s, Vt = np.linalg.svd(A)
-    # With >= 4 generic correspondences only one singular value is ~0; a
-    # second vanishing one means the solution is ambiguous.
-    if s[-2] <= 1e-10 * s[0]:
-        raise errors.DegenerateConfiguration("homography design matrix is rank deficient")
-    Hn = Vt[-1].reshape(3, 3)
-    H = np.linalg.inv(Tu) @ Hn @ Tx
-    return Homography(_with_scale_convention(H))
+    Solving in raw units mixes pixel and mm scales and loses half the
+    float64 mantissa to cancellation in the constraint matrices.
+    """
+
+    pixel_scale: float
+    pixel_shift: np.ndarray
+    target_scale: float
+    target_shift: np.ndarray
+
+    def intrinsics_to_raw(self, intr: CameraIntrinsics) -> CameraIntrinsics:
+        s, m = self.pixel_scale, self.pixel_shift
+        return CameraIntrinsics(fx=intr.fx * s, fy=intr.fy * s,
+                                cx=intr.cx * s + m[0], cy=intr.cy * s + m[1],
+                                gamma=intr.gamma * s)
+
+    def center_to_raw(self, x: float, y: float, r: float):
+        s, m = self.target_scale, self.target_shift
+        return x * s + m[0], y * s + m[1], r * s
+
+    def homography_to_raw(self, H: np.ndarray) -> Homography:
+        """Raw-unit homography from a normalized one: T_pix^-1 H T_tgt."""
+        s, m = self.pixel_scale, self.pixel_shift
+        pix_inv = np.array([[s, 0.0, m[0]], [0.0, s, m[1]], [0.0, 0.0, 1.0]])
+        s, m = self.target_scale, self.target_shift
+        tgt = np.array([[1.0 / s, 0.0, -m[0] / s], [0.0, 1.0 / s, -m[1] / s],
+                        [0.0, 0.0, 1.0]])
+        return Homography(_with_scale_convention(pix_inv @ H @ tgt))
+
+
+class HomographyFit(NamedTuple):
+    """Every image's homography in the frame's O(1) units, from one batched DLT.
+
+    Each homography maps normalized target points to normalized pixels; the
+    frame maps intrinsics, centers and homographies back to raw units.
+    """
+
+    homographies: tuple
+    frame: _Frame
+
+
+def _fit_observations(observations: ObservationSet) -> HomographyFit:
+    pairs = [observations.correspondences(k) for k in range(len(observations))]
+    all_uv = np.vstack([uv for _, uv in pairs])
+    pix_shift = all_uv.mean(axis=0)
+    pix_scale = np.mean(np.linalg.norm(all_uv - pix_shift, axis=1))
+    if not pix_scale > 0:
+        raise errors.DegenerateConfiguration(
+            "image 0: every observed pixel of every image is the same point")
+    tgt = observations.target.xy
+    tgt_shift = tgt.mean(axis=0)
+    tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
+    homographies = _dlt([((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale)
+                         for xy, uv in pairs])
+    return HomographyFit(homographies, _Frame(pixel_scale=pix_scale, pixel_shift=pix_shift,
+                                              target_scale=tgt_scale, target_shift=tgt_shift))
 
 
 def homography_from_pose(intr: CameraIntrinsics, rot: Rotation, t: np.ndarray) -> Homography:

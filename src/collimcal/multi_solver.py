@@ -7,10 +7,11 @@ them gives a closed-form linear solve for three or more images; for
 exactly two images a minimal solver treats the combined center term as a
 hidden variable and finds it as an eigenvalue of a linear matrix pencil.
 
-All solvers internally rescale pixels and target coordinates to O(1)
-(shared similarity transforms) before assembling constraint matrices;
-without this the mixed pixel/mm scales lose half the float64 mantissa to
-cancellation.  Results are mapped back to the input units.
+All solvers read the homographies of `ObservationSet.homography_fit`,
+fitted once per observation set in O(1) units (shared similarity
+transforms of pixels and target coordinates); without the rescaling the
+mixed pixel/mm scales lose half the float64 mantissa to cancellation.
+Results are mapped back to the input units through its frame.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .core_geom import (
     CameraIntrinsics,
     Homography,
     ObservationSet,
-    Rotation,
     decompose_homography,
-    estimate_homography,
 )
 
 # Index of each entry of a symmetric 3x3 matrix in its 6-vector form
@@ -85,17 +84,6 @@ class DegeneracyReport:
     z_rotation_pairs: tuple
     rank: int
     singular_values: np.ndarray
-
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(self.pure_translation_pairs or self.z_rotation_pairs
-                    or self.rank < 11)
-
-
-def motion_matrix(rot: Rotation, t_cp: np.ndarray) -> np.ndarray:
-    """M = [r1 r2 -R t_cp]; its determinant equals the spherical radius."""
-    R = rot.matrix
-    return np.column_stack([R[:, 0], R[:, 1], -R @ np.asarray(t_cp, dtype=float)])
 
 
 def scale_ratio(H_i: Homography, H_base: Homography) -> float:
@@ -177,49 +165,6 @@ def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
     return CameraIntrinsics.from_matrix(K / K[2, 2])
 
 
-# ---------------------------------------------------------------------------
-# shared normalization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Frame:
-    """Similarity transforms taking raw pixels/target mm to O(1) solver units."""
-
-    pixel_scale: float
-    pixel_shift: np.ndarray
-    target_scale: float
-    target_shift: np.ndarray
-
-    def intrinsics_to_raw(self, intr: CameraIntrinsics) -> CameraIntrinsics:
-        s, m = self.pixel_scale, self.pixel_shift
-        return CameraIntrinsics(fx=intr.fx * s, fy=intr.fy * s,
-                                cx=intr.cx * s + m[0], cy=intr.cy * s + m[1],
-                                gamma=intr.gamma * s)
-
-    def center_to_raw(self, x: float, y: float, r: float):
-        s, m = self.target_scale, self.target_shift
-        return x * s + m[0], y * s + m[1], r * s
-
-
-def normalized_homographies(observations: ObservationSet):
-    """Per-image homographies in normalized units plus the frame to undo them."""
-    all_uv = np.vstack([im.uv for im in observations.images])
-    pix_shift = all_uv.mean(axis=0)
-    pix_scale = np.mean(np.linalg.norm(all_uv - pix_shift, axis=1))
-    tgt = observations.target.xy
-    tgt_shift = tgt.mean(axis=0)
-    tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
-    frame = _Frame(pixel_scale=pix_scale, pixel_shift=pix_shift,
-                   target_scale=tgt_scale, target_shift=tgt_shift)
-    homographies = []
-    for k in range(len(observations)):
-        xy, uv = observations.correspondences(k)
-        xy_n = (xy - tgt_shift) / tgt_scale
-        uv_n = (uv - pix_shift) / pix_scale
-        homographies.append(estimate_homography(xy_n, uv_n))
-    return homographies, frame
-
-
 def _default_base_index(observations: ObservationSet) -> int:
     counts = [len(im) for im in observations.images]
     return int(np.argmax(counts))  # argmax takes the lowest index on ties
@@ -255,7 +200,7 @@ def _solve_linear(observations: ObservationSet, base_index, min_images: int):
     if len(observations) < min_images:
         raise ValueError(f"closed-form solver needs at least {min_images} images, "
                          f"got {len(observations)}")
-    homographies, frame = normalized_homographies(observations)
+    homographies, frame = observations.homography_fit
     if base_index is None:
         base_index = _default_base_index(observations)
     system = build_linear_system(homographies, base_index)
@@ -360,7 +305,7 @@ def solve_minimal(observations: ObservationSet):
     """
     if len(observations) != 2:
         raise ValueError(f"minimal solver takes exactly 2 images, got {len(observations)}")
-    homographies, frame = normalized_homographies(observations)
+    homographies, frame = observations.homography_fit
     rows_by_image = [_image_constraint_rows(H.matrix) for H in homographies]
 
     candidates = []
@@ -433,7 +378,7 @@ def detect_degeneracy(observations: ObservationSet) -> DegeneracyReport:
     """
     if len(observations) < 2:
         raise ValueError("degeneracy detection needs at least 2 images")
-    homographies, _ = normalized_homographies(observations)
+    homographies, _ = observations.homography_fit
     H = np.array([h.matrix for h in homographies])
     i, j = np.triu_indices(len(H), k=1)
     translation, z_rotation = _degenerate_pair_flags(np.linalg.inv(H)[i] @ H[j])

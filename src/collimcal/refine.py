@@ -176,7 +176,9 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
         "gradient"  the gradient infinity norm fell below 1e-10;
         "cost"      an accepted step lowered the robust cost by no more than
                     a relative 1e-10 (cost - cost_new <= 1e-10 * cost);
-        "step"      an accepted step was shorter than 1e-12;
+        "step"      a step was shorter than 1e-12: accepted, or rejected with
+                    a finite cost (at an exact fit the cost is rounding
+                    noise that no step can lower, and x stays);
         "budget"    100 Jacobians were used up;
         "damping"   every step was rejected up to the largest damping.
 
@@ -237,6 +239,9 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
                 trajectory.append(cost)
                 accepted += 1
                 mu = max(mu / 10.0, _MU_MIN)
+                break
+            if np.isfinite(cost_new) and np.linalg.norm(delta) < _STEP_TOLERANCE:
+                termination = "step"
                 break
             mu *= 10.0
         else:  # the damping ran past _MU_MAX without an accepted step

@@ -30,14 +30,12 @@ from .core_geom import (
     PlanarTarget,
     Rotation,
     assert_monotone_distortion,
-    estimate_homography,
     decompose_homography,
     project,
 )
 from .multi_solver import (
     decompose_iac,
     iac_constraint_vector,
-    normalized_homographies,
     solve_closed_form,
 )
 from .refine import general_ba, spherical_ba
@@ -191,7 +189,7 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     """
     if len(observations) < 2:
         raise ValueError("baseline initialization needs at least 2 images")
-    homographies, frame = normalized_homographies(observations)
+    homographies, frame = observations.homography_fit
     rows = []
     for H in homographies:
         rows.append(iac_constraint_vector(H.matrix, 1, 2))
@@ -208,13 +206,10 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
 
 
 def _zhang_poses(observations: ObservationSet, intr: CameraIntrinsics):
-    poses = []
-    for i in range(len(observations)):
-        xy, uv = observations.correspondences(i)
-        H = estimate_homography(xy, uv)
-        rot, t, _ = decompose_homography(H, intr)
-        poses.append((rot, t))
-    return poses
+    """Each image's (rotation, translation) from its raw-unit homography."""
+    homographies, frame = observations.homography_fit
+    return [decompose_homography(frame.homography_to_raw(H.matrix), intr)[:2]
+            for H in homographies]
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +240,6 @@ class TrialStats:
         if np.all(np.isnan(col)):
             return float("nan")
         return float(np.nanmean(np.abs(col)))
-
-    def mean_rel_error(self, name: str) -> float:
-        true = self.truth[PARAM_NAMES.index(name)]
-        return self.mean_abs_error(name) / abs(true)
 
     def focal_rel_errors(self) -> np.ndarray:
         fx, fy = self.truth[0], self.truth[1]

@@ -25,6 +25,12 @@ def first_images(observations, count):
                           images=observations.images[:count])
 
 
+def motion_matrix(rot, t_cp):
+    """M = [r1 r2 -R t_cp]; its determinant equals the spherical radius."""
+    R = rot.matrix
+    return np.column_stack([R[:, 0], R[:, 1], -R @ np.asarray(t_cp, dtype=float)])
+
+
 @pytest.fixture
 def noiseless_scene():
     return scene(seed=0)

@@ -122,6 +122,31 @@ def test_calibrate_degenerate_exit_4(tmp_path):
     assert code == 4 or not os.path.exists(tmp_path / "r.json")
 
 
+def test_calibrate_coincident_pixels_exit_4(sim_file, tmp_path, capsys):
+    # Every pixel of every image at one point: no homography can be fitted.
+    payload = json.loads(sim_file.read_text())
+    for image in payload["images"]:
+        for point in image["points"]:
+            point[1:] = [500.0, 400.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["calibrate", "--in", str(bad), "--mode", "nimg",
+                 "--out", str(tmp_path / "r.json")]) == 4
+    assert "image 0" in capsys.readouterr().err
+
+
+def test_calibrate_collinear_image_exit_4(sim_file, tmp_path, capsys):
+    # One image's pixels on a line: its homography would have rank 2.
+    payload = json.loads(sim_file.read_text())
+    for point in payload["images"][2]["points"]:
+        point[2] = 400.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["calibrate", "--in", str(bad), "--mode", "nimg",
+                 "--out", str(tmp_path / "r.json")]) == 4
+    assert "image 2" in capsys.readouterr().err
+
+
 def edited_copy(path, out, keys, value):
     """Copy of a JSON file with the entry at the nested `keys` set to `value`."""
     payload = json.loads(path.read_text())

@@ -3,6 +3,7 @@ import pytest
 
 from collimcal import core_geom as cg
 from collimcal import errors
+from conftest import scene
 
 TRUE_K = cg.CameraIntrinsics(fx=1000.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01)
 TRUE_D = cg.Distortion(d1=0.1, d2=-0.2)
@@ -250,6 +251,45 @@ def test_estimate_then_decompose_round_trip_spherical_pose():
                           R.matrix @ np.array([0, 0, 1.0])) < 1e-8
         assert np.max(np.abs(R_out.matrix - R.matrix)) < 1e-8
         assert np.allclose(t_out, t, atol=1e-6)
+
+
+def dropped_points_scene(seed):
+    """A default noisy scene in which every image keeps a random subset of its points."""
+    _, _, obs = scene(seed=seed, pixel_noise_sigma=0.5)
+    rng = np.random.default_rng(seed)
+    images = []
+    for im in obs.images:
+        keep = np.sort(rng.choice(len(im), size=rng.integers(8, len(im) + 1), replace=False))
+        images.append(cg.ImagePoints(ids=im.ids[keep], uv=im.uv[keep]))
+    return cg.ObservationSet(target=obs.target, images=tuple(images))
+
+
+def relative_difference(A, B):
+    return float(np.linalg.norm(A - B) / np.linalg.norm(B))
+
+
+def test_batched_homographies_match_per_image_fits():
+    counts = set()
+    for seed in range(20):
+        obs = dropped_points_scene(seed)
+        homographies, frame = obs.homography_fit
+        for k in range(len(obs)):
+            xy, uv = obs.correspondences(k)
+            counts.add(len(uv))
+            alone = cg.estimate_homography((xy - frame.target_shift) / frame.target_scale,
+                                           (uv - frame.pixel_shift) / frame.pixel_scale)
+            assert relative_difference(homographies[k].matrix, alone.matrix) <= 1e-12
+    assert len(counts) > 50  # the stack pads images of many different sizes
+
+
+def test_raw_homographies_from_the_frame_match_raw_fits():
+    for seed in range(20):
+        obs = dropped_points_scene(seed)
+        homographies, frame = obs.homography_fit
+        for k in range(len(obs)):
+            raw = frame.homography_to_raw(homographies[k].matrix).matrix
+            direct = cg.estimate_homography(*obs.correspondences(k)).matrix
+            assert relative_difference(raw, direct) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from collimcal.core_geom import (
     homography_from_pose,
     project,
 )
-from conftest import first_images, scene
+from conftest import first_images, motion_matrix, scene
 
 TRUE_K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01)
 TRUE_TCP = np.array([150.0, 105.0, -700.0])
@@ -46,7 +46,7 @@ def z_rotated_observation_set(base_rotations, extra_pairs):
     """Observations for the given rotations plus z-rotated twins of image 0."""
     rotations = list(base_rotations)
     for theta in extra_pairs:
-        rotations.append(base_rotations[0].compose(z_rotation(theta)))
+        rotations.append(Rotation(base_rotations[0].matrix @ z_rotation(theta).matrix))
     config, _, _ = scene(seed=0)
     target = config.target.planar_target()
     points = np.column_stack([target.xy, np.zeros(len(target.ids))])
@@ -274,7 +274,7 @@ def test_detect_identical_images_flagged(noiseless_scene):
                                 images=(obs.images[0], obs.images[0], obs.images[1]))
     report = ms.detect_degeneracy(duplicated)
     assert (0, 1) in report.pure_translation_pairs
-    assert report.is_degenerate
+    assert report.pure_translation_pairs or report.z_rotation_pairs or report.rank < 11
 
 
 def test_detect_z_rotation_pair():
@@ -291,7 +291,7 @@ def test_degenerate_pairs_match_pairwise_reference():
     base = random_spherical_rotations(np.random.default_rng(19), 4)
     twins = z_rotated_observation_set(base, extra_pairs=(0.6, -0.9))
     obs = ObservationSet(target=twins.target, images=twins.images + (twins.images[2],))
-    homographies, _ = ms.normalized_homographies(obs)
+    homographies = obs.homography_fit.homographies
     translation, z_rotation = [], []
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
@@ -326,6 +326,28 @@ def test_z_rotated_append_leaves_rank_unchanged():
     assert any(pair[0] == 0 for pair in with_dup.z_rotation_pairs)
 
 
+def test_homographies_fitted_once_per_observation_set(monkeypatch):
+    # Every DLT design matrix has nine columns; nothing else the solvers
+    # decompose does.  Count the images whose design matrix is decomposed.
+    from collimcal import synth
+    svd = np.linalg.svd
+    fitted = []
+
+    def counting_svd(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.shape[-1] == 9:
+            fitted.append(int(np.prod(a.shape[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    _, _, obs = scene(seed=2, pixel_noise_sigma=0.5)
+    ms.detect_degeneracy(obs)
+    ms.solve_closed_form(obs)
+    intr = synth.zhang_init(obs)
+    synth._zhang_poses(obs, intr)
+    assert fitted == [len(obs)]
+
+
 # ---------------------------------------------------------------------------
 # spherical motion invariant
 # ---------------------------------------------------------------------------
@@ -336,5 +358,5 @@ def test_motion_matrix_determinant_equals_radius():
         rot = random_spherical_rotations(rng, 1, max_angle=np.pi / 2)[0]
         r = rng.uniform(100.0, 2000.0)
         t_cp = np.array([rng.uniform(-300, 300), rng.uniform(-300, 300), -r])
-        M = ms.motion_matrix(rot, t_cp)
+        M = motion_matrix(rot, t_cp)
         assert abs(np.linalg.det(M) - r) < 1e-10 * max(1.0, r)

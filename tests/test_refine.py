@@ -218,6 +218,17 @@ def test_ba_stops_converged_on_noisy_scenes(adjustment):
         assert report.iterations_used <= 15
 
 
+def test_spherical_ba_converges_at_an_exact_fit():
+    # Noiseless scenes: the closed form already sits at the optimum, the cost
+    # is rounding noise and no step lowers it.  LM must stop on the step
+    # tolerance and say it converged, not run the damping out.
+    for seed in range(30):
+        _, _, obs = scene(seed=seed)
+        intr, ext = solve_closed_form(obs)
+        _, report = refine.spherical_ba(obs, (intr, Distortion(0.0, 0.0), ext))
+        assert report.converged, (seed, report.termination)
+
+
 # ---------------------------------------------------------------------------
 # Jacobian correctness (independent finite differences)
 # ---------------------------------------------------------------------------
