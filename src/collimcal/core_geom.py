@@ -34,6 +34,8 @@ from . import errors
 UNDISTORT_MAX_ITERATIONS = 20
 UNDISTORT_TOLERANCE = 1e-12
 ROTATION_TOLERANCE = 1e-12
+# Fewest points that fix a view's homography.
+MIN_IMAGE_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -113,11 +115,24 @@ class Rotation:
         R = np.asarray(self.matrix, dtype=float)
         if R.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > ROTATION_TOLERANCE:
-            raise ValueError("matrix is not orthonormal within 1e-12")
-        if abs(np.linalg.det(R) - 1.0) > ROTATION_TOLERANCE:
-            raise ValueError("matrix determinant is not +1 within 1e-12")
+        defect = _rotation_defect(R[None])
+        if defect:
+            raise ValueError(defect[1])
         object.__setattr__(self, "matrix", R)
+
+    @classmethod
+    def from_stack(cls, R: np.ndarray) -> tuple:
+        """One Rotation per matrix of the stack R (N, 3, 3), validated in one pass.
+
+        Raises ValueError naming the first matrix that is not a proper rotation.
+        """
+        R = np.asarray(R, dtype=float)
+        if R.ndim != 3 or R.shape[1:] != (3, 3):
+            raise ValueError("rotations must be an (N, 3, 3) stack")
+        defect = _rotation_defect(R)
+        if defect:
+            raise ValueError(f"rotation {defect[0]}: {defect[1]}")
+        return tuple(_validated(cls, M) for M in R)
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -136,14 +151,38 @@ class Rotation:
         return axis_angle_from_rotation_matrix(self.matrix)
 
 
+def _validated(cls, matrix: np.ndarray):
+    """An instance of the frozen matrix class cls whose matrix the caller has checked."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "matrix", matrix)
+    return obj
+
+
+def _rotation_defect(R: np.ndarray):
+    """(index, reason) of the first matrix of R (N, 3, 3) that is not a proper
+    rotation within ROTATION_TOLERANCE, or None if every one is."""
+    skewed = np.max(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)), axis=(1, 2)) > ROTATION_TOLERANCE
+    improper = np.abs(np.linalg.det(R) - 1.0) > ROTATION_TOLERANCE
+    bad = np.flatnonzero(skewed | improper)
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    if skewed[k]:
+        return k, "matrix is not orthonormal within 1e-12"
+    return k, "matrix determinant is not +1 within 1e-12"
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices [v]x of one vector (3,) or a stack (..., 3)."""
     v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack([np.stack([zero, -z, y], axis=-1),
-                     np.stack([z, zero, -x], axis=-1),
-                     np.stack([-y, x, zero], axis=-1)], axis=-2)
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1] = -v[..., 2]
+    S[..., 0, 2] = v[..., 1]
+    S[..., 1, 0] = v[..., 2]
+    S[..., 1, 2] = -v[..., 0]
+    S[..., 2, 0] = -v[..., 1]
+    S[..., 2, 1] = v[..., 0]
+    return S
 
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
@@ -197,6 +236,11 @@ def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _has_duplicates(ids: np.ndarray) -> bool:
+    s = np.sort(ids)
+    return bool(np.any(s[1:] == s[:-1]))
+
+
 @dataclass(frozen=True)
 class PlanarTarget:
     """Known planar pattern: integer point ids and their (X, Y) mm positions, Z = 0."""
@@ -211,7 +255,7 @@ class PlanarTarget:
             raise ValueError("ids and xy must have the same length")
         if not np.all(np.isfinite(xy)):
             raise ValueError("target coordinates must be finite")
-        if len(np.unique(ids)) != len(ids):
+        if _has_duplicates(ids):
             raise ValueError("target point ids must be unique")
         if len(ids) < 4:
             raise ValueError("target needs at least 4 points")
@@ -222,9 +266,14 @@ class PlanarTarget:
         object.__setattr__(self, "xy", xy)
 
     def xy_for(self, ids: np.ndarray) -> np.ndarray:
-        order = {pid: k for k, pid in enumerate(self.ids.tolist())}
-        idx = np.array([order[int(i)] for i in ids], dtype=int)
-        return self.xy[idx]
+        """(X, Y) of each given point id, in order; KeyError names an id not on the target."""
+        ids = np.asarray(ids, dtype=int).reshape(-1)
+        order = np.argsort(self.ids)
+        rows = order[np.minimum(np.searchsorted(self.ids, ids, sorter=order), len(order) - 1)]
+        unknown = ids[self.ids[rows] != ids]
+        if len(unknown):
+            raise KeyError(int(unknown[0]))
+        return self.xy[rows]
 
 
 @dataclass(frozen=True)
@@ -241,7 +290,7 @@ class ImagePoints:
             raise ValueError("ids and uv must have the same length")
         if not np.all(np.isfinite(uv)):
             raise ValueError("pixel coordinates must be finite")
-        if len(np.unique(ids)) != len(ids):
+        if _has_duplicates(ids):
             raise ValueError("observed point ids must be unique within an image")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "uv", uv)
@@ -263,8 +312,8 @@ class ObservationSet:
         for k, im in enumerate(images):
             if not isinstance(im, ImagePoints):
                 raise TypeError("images must be ImagePoints instances")
-            if len(im) < 4:
-                raise ValueError(f"image {k} has fewer than 4 observed points")
+            if len(im) < MIN_IMAGE_POINTS:
+                raise ValueError(f"image {k} has fewer than {MIN_IMAGE_POINTS} observed points")
             unknown = set(im.ids.tolist()) - known
             if unknown:
                 raise ValueError(f"image {k} observes ids not on the target: {sorted(unknown)}")
@@ -298,19 +347,42 @@ class Homography:
         H = np.asarray(self.matrix, dtype=float)
         if H.shape != (3, 3):
             raise ValueError("homography must be a 3x3 matrix")
-        s = np.linalg.svd(H, compute_uv=False)
-        if s[-1] / s[0] <= 1e-10:
+        if len(_rank_deficient(H[None])):
             raise ValueError("homography is rank deficient")
         object.__setattr__(self, "matrix", H)
 
 
+def _rank_deficient(H: np.ndarray) -> np.ndarray:
+    """Indices of the matrices of H (N, 3, 3) with s_min / s_max <= 1e-10."""
+    s = np.linalg.svd(H, compute_uv=False)
+    return np.flatnonzero(s[:, -1] / s[:, 0] <= 1e-10)
+
+
 def _with_scale_convention(H: np.ndarray) -> np.ndarray:
-    """Scale to Frobenius norm sqrt(3); pick the sign making H[2,2] positive."""
-    H = H * (np.sqrt(3.0) / np.linalg.norm(H))
-    anchor = H[2, 2]
-    if abs(anchor) < 1e-12:
-        anchor = H.flat[np.argmax(np.abs(H))]
-    return H if anchor > 0 else -H
+    """Scale each of H (N, 3, 3) to Frobenius norm sqrt(3) with H[2,2] > 0.
+
+    A matrix whose H[2,2] is below 1e-12 takes its sign from its largest entry.
+    """
+    flat = H.reshape(-1, 1, 9)
+    # Norms as dot products, which round like np.linalg.norm of one matrix.
+    H = H * (np.sqrt(3.0) / np.sqrt(flat @ flat.transpose(0, 2, 1)))
+    anchor = H[:, 2, 2]
+    small = np.abs(anchor) < 1e-12
+    if np.any(small):
+        flat = H.reshape(-1, 9)
+        anchor = np.where(small, flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)],
+                          anchor)
+    return np.where((anchor > 0)[:, None, None], H, -H)
+
+
+def _checked_homographies(H: np.ndarray) -> np.ndarray:
+    """H (N, 3, 3) under the scale convention; DegenerateConfiguration names
+    the first image whose homography is rank deficient."""
+    H = _with_scale_convention(H)
+    bad = _rank_deficient(H)
+    if len(bad):
+        raise errors.DegenerateConfiguration(f"image {bad[0]}: homography is rank deficient")
+    return H
 
 
 def project_camera_points(intr_p, dist_p, xc: np.ndarray):
@@ -408,24 +480,24 @@ def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarra
     return T
 
 
-def _dlt(correspondences) -> tuple:
-    """Normalized DLT of every image's (target_xy, pixels_uv) in one batched SVD.
+def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> tuple:
+    """Normalized DLT of every image's correspondences in one batched SVD.
 
-    Each image keeps its own Hartley normalization.  Its (2n, 9) design
-    matrix is zero-padded to a common height (at least 10 rows, so that the
-    thin SVD keeps the null vector); zero rows leave A^T A, and with it the
-    singular values and the null vector, unchanged.  Returns one Homography
-    per image and raises DegenerateConfiguration naming the first image
-    whose homography is ambiguous or rank deficient.
+    `xy` and `uv` (M, 2) hold the images' target points and pixels one
+    image after the other, `counts` (N,) how many each image has.  Each
+    image keeps its own Hartley normalization.  Its (2n, 9) design matrix is
+    zero-padded to a common height (at least 10 rows, so that the thin SVD
+    keeps the null vector); zero rows leave A^T A, and with it the singular
+    values and the null vector, unchanged.  Returns one Homography per image
+    and raises DegenerateConfiguration naming the first image whose
+    homography is ambiguous or rank deficient.
     """
-    counts = np.array([len(xy) for xy, _ in correspondences])
     n = max(int(counts.max()), 5)
     mask = np.arange(n) < counts[:, None]
     X = np.zeros((len(counts), n, 2))
     U = np.zeros((len(counts), n, 2))
-    for k, (xy, uv) in enumerate(correspondences):
-        X[k, :counts[k]] = xy
-        U[k, :counts[k]] = uv
+    X[mask] = xy
+    U[mask] = uv
     Tx = _normalization_transforms(X, mask)
     Tu = _normalization_transforms(U, mask)
     # Homogeneous points whose padding rows are zero, third coordinate too,
@@ -446,13 +518,8 @@ def _dlt(correspondences) -> tuple:
     if len(ambiguous):
         raise errors.DegenerateConfiguration(
             f"image {ambiguous[0]}: homography design matrix is rank deficient")
-    homographies = []
-    for k, H in enumerate(np.linalg.inv(Tu) @ Vt[:, -1].reshape(-1, 3, 3) @ Tx):
-        try:
-            homographies.append(Homography(_with_scale_convention(H)))
-        except ValueError as exc:
-            raise errors.DegenerateConfiguration(f"image {k}: {exc}") from None
-    return tuple(homographies)
+    H = _checked_homographies(np.linalg.inv(Tu) @ Vt[:, -1].reshape(-1, 3, 3) @ Tx)
+    return tuple(_validated(Homography, M) for M in H)
 
 
 def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> Homography:
@@ -463,7 +530,7 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> Homogra
         raise ValueError("correspondence lists differ in length")
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 correspondences")
-    return _dlt([(X, U)])[0]
+    return _dlt(X, U, np.array([len(X)]))[0]
 
 
 @dataclass(frozen=True)
@@ -489,14 +556,17 @@ class _Frame:
         s, m = self.target_scale, self.target_shift
         return x * s + m[0], y * s + m[1], r * s
 
-    def homography_to_raw(self, H: np.ndarray) -> Homography:
-        """Raw-unit homography from a normalized one: T_pix^-1 H T_tgt."""
+    def homographies_to_raw(self, H: np.ndarray) -> np.ndarray:
+        """Raw-unit homographies T_pix^-1 H T_tgt of normalized ones H (N, 3, 3).
+
+        They are scaled and checked as every fitted homography is.
+        """
         s, m = self.pixel_scale, self.pixel_shift
         pix_inv = np.array([[s, 0.0, m[0]], [0.0, s, m[1]], [0.0, 0.0, 1.0]])
         s, m = self.target_scale, self.target_shift
         tgt = np.array([[1.0 / s, 0.0, -m[0] / s], [0.0, 1.0 / s, -m[1] / s],
                         [0.0, 0.0, 1.0]])
-        return Homography(_with_scale_convention(pix_inv @ H @ tgt))
+        return _checked_homographies(pix_inv @ H @ tgt)
 
 
 class HomographyFit(NamedTuple):
@@ -509,20 +579,26 @@ class HomographyFit(NamedTuple):
     homographies: tuple
     frame: _Frame
 
+    @property
+    def matrices(self) -> np.ndarray:
+        """The homographies as one (N, 3, 3) stack."""
+        return np.array([H.matrix for H in self.homographies])
+
 
 def _fit_observations(observations: ObservationSet) -> HomographyFit:
-    pairs = [observations.correspondences(k) for k in range(len(observations))]
-    all_uv = np.vstack([uv for _, uv in pairs])
-    pix_shift = all_uv.mean(axis=0)
-    pix_scale = np.mean(np.linalg.norm(all_uv - pix_shift, axis=1))
+    images = observations.images
+    counts = np.array([len(im) for im in images])
+    uv = np.concatenate([im.uv for im in images])
+    xy = observations.target.xy_for(np.concatenate([im.ids for im in images]))
+    pix_shift = uv.mean(axis=0)
+    pix_scale = np.mean(np.linalg.norm(uv - pix_shift, axis=1))
     if not pix_scale > 0:
         raise errors.DegenerateConfiguration(
             "image 0: every observed pixel of every image is the same point")
     tgt = observations.target.xy
     tgt_shift = tgt.mean(axis=0)
     tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
-    homographies = _dlt([((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale)
-                         for xy, uv in pairs])
+    homographies = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, counts)
     return HomographyFit(homographies, _Frame(pixel_scale=pix_scale, pixel_shift=pix_shift,
                                               target_scale=tgt_scale, target_shift=tgt_shift))
 
@@ -531,23 +607,33 @@ def homography_from_pose(intr: CameraIntrinsics, rot: Rotation, t: np.ndarray) -
     """Exact H = K [r1 r2 t] under the package scale convention."""
     R = rot.matrix
     H = intr.matrix @ np.column_stack([R[:, 0], R[:, 1], np.asarray(t, dtype=float)])
-    return Homography(_with_scale_convention(H))
+    return Homography(_with_scale_convention(H[None])[0])
 
 
-def decompose_homography(H: Homography, intr: CameraIntrinsics):
+def decompose_homography(H, intr: CameraIntrinsics):
     """Recover (rotation, translation, lam) from H = lam * K [r1 r2 t].
 
+    H is one Homography, or a stack (N, 3, 3) of homography matrices whose
+    poses are recovered in one pass: (N Rotations, t (N, 3), lam (N,)).
     The sign is chosen so the target origin lies in front of the camera
     (t[2] > 0) and the rotation is re-orthogonalized by SVD.
     """
-    M = intr.inverse @ H.matrix
-    n1 = np.linalg.norm(M[:, 0])
-    n2 = np.linalg.norm(M[:, 1])
-    lam = 0.5 * (n1 + n2)
-    r1 = M[:, 0] / lam
-    r2 = M[:, 1] / lam
-    t = M[:, 2] / lam
-    if t[2] < 0:
-        r1, r2, t = -r1, -r2, -t
-    R = Rotation.from_matrix_orthogonalized(np.column_stack([r1, r2, np.cross(r1, r2)]))
-    return R, t, float(lam)
+    if isinstance(H, Homography):
+        rotations, t, lam = _decompose(H.matrix[None], intr)
+        return rotations[0], t[0], float(lam[0])
+    return _decompose(np.asarray(H, dtype=float), intr)
+
+
+def _decompose(H: np.ndarray, intr: CameraIntrinsics):
+    M = intr.inverse @ H
+    cols = M.transpose(0, 2, 1)[:, :2]
+    # Column norms as dot products, which round like np.linalg.norm of one vector.
+    n = np.sqrt(cols[..., None, :] @ cols[..., :, None])[..., 0, 0]
+    lam = 0.5 * (n[:, 0] + n[:, 1])
+    r1 = M[:, :, 0] / lam[:, None]
+    r2 = M[:, :, 1] / lam[:, None]
+    t = M[:, :, 2] / lam[:, None]
+    sign = np.where(t[:, 2] < 0, -1.0, 1.0)[:, None]
+    r1, r2, t = sign * r1, sign * r2, sign * t
+    R = nearest_rotation(np.stack([r1, r2, np.cross(r1, r2)], axis=-1))
+    return Rotation.from_stack(R), t, lam

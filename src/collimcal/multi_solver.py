@@ -28,9 +28,8 @@ from .core_geom import (
     decompose_homography,
 )
 
-# Index of each entry of a symmetric 3x3 matrix in its 6-vector form
+# The entries of a symmetric 3x3 matrix in the order of its 6-vector form
 # (M11, M12, M13, M22, M23, M33).
-_SYM_INDEX = {(1, 1): 0, (1, 2): 1, (1, 3): 2, (2, 2): 3, (2, 3): 4, (3, 3): 5}
 _SYM_PAIRS = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 RANK_RATIO_CUTOFF = 1e-8
@@ -92,24 +91,32 @@ def scale_ratio(H_i: Homography, H_base: Homography) -> float:
     The motion matrix has unit determinant ratio between images, so the
     ratio is the signed real cube root of det(H_base^-1 H_i).
     """
-    det_base = np.linalg.det(H_base.matrix)
-    if abs(det_base) < 1e-300:
+    return float(_scale_ratios(np.array([H_base.matrix, H_i.matrix]), 0)[1])
+
+
+def _scale_ratios(H: np.ndarray, base_index: int) -> np.ndarray:
+    """scale_ratio of every homography of the stack H (N, 3, 3) to H[base_index]."""
+    det = np.linalg.det(H)
+    if abs(det[base_index]) < 1e-300:
         raise errors.DegenerateConfiguration("base homography is singular")
-    return float(np.cbrt(np.linalg.det(H_i.matrix) / det_base))
+    return np.cbrt(det / det[base_index])
 
 
 def iac_constraint_vector(H: np.ndarray, m: int, n: int) -> np.ndarray:
-    """u_mn with u_mn . q = h_m^T Q h_n for columns h_m, h_n of H and symmetric Q."""
-    hm = H[:, m - 1]
-    hn = H[:, n - 1]
-    return np.array([
-        hm[0] * hn[0],
-        hm[0] * hn[1] + hn[0] * hm[1],
-        hm[0] * hn[2] + hn[0] * hm[2],
-        hm[1] * hn[1],
-        hm[1] * hn[2] + hn[1] * hm[2],
-        hm[2] * hn[2],
-    ])
+    """u_mn with u_mn . q = h_m^T Q h_n for columns h_m, h_n of H and symmetric Q.
+
+    Takes one H (3, 3) or a stack (..., 3, 3) and returns (..., 6).
+    """
+    hm = H[..., :, m - 1]
+    hn = H[..., :, n - 1]
+    return np.stack([
+        hm[..., 0] * hn[..., 0],
+        hm[..., 0] * hn[..., 1] + hn[..., 0] * hm[..., 1],
+        hm[..., 0] * hn[..., 2] + hn[..., 0] * hm[..., 2],
+        hm[..., 1] * hn[..., 1],
+        hm[..., 1] * hn[..., 2] + hn[..., 1] * hm[..., 2],
+        hm[..., 2] * hn[..., 2],
+    ], axis=-1)
 
 
 def build_linear_system(homographies, base_index: int) -> LinearSystem:
@@ -120,27 +127,19 @@ def build_linear_system(homographies, base_index: int) -> LinearSystem:
     The sixth (3,3) row is required: without it the A33 column is empty and
     the optical center cannot be decoded from the solution.
     """
-    homographies = list(homographies)
-    if not 0 <= base_index < len(homographies):
+    H = np.array([h.matrix for h in homographies])
+    if not 0 <= base_index < len(H):
         raise ValueError("base_index out of range")
-    base = homographies[base_index]
-    ratios = []
-    rows = []
-    rhs = []
-    for H in homographies:
-        lam_ratio = scale_ratio(H, base)
-        ratios.append(lam_ratio)
-        mu2 = (1.0 / lam_ratio) ** 2
-        Hinv_t = np.linalg.inv(H.matrix).T
-        for (m, n) in _SYM_PAIRS:
-            # (H^-1 W H^-T)_mn on w = (W11, W12, W13, W22, W23); W33 = 1.
-            u = iac_constraint_vector(Hinv_t, m, n)
-            a_part = np.zeros(6)
-            a_part[_SYM_INDEX[(m, n)]] = -mu2
-            rows.append(np.concatenate([u[:5], a_part]))
-            rhs.append(-u[5])
-    return LinearSystem(d=np.array(rows), b=np.array(rhs),
-                        lambda_ratios=tuple(ratios), base_index=base_index)
+    ratios = _scale_ratios(H, base_index)
+    # (H^-1 W H^-T)_mn on w = (W11, W12, W13, W22, W23); W33 = 1.
+    Hinv_t = np.linalg.inv(H).transpose(0, 2, 1)
+    u = np.stack([iac_constraint_vector(Hinv_t, m, n) for (m, n) in _SYM_PAIRS], axis=1)
+    d = np.zeros((len(H), 6, 11))
+    d[..., :5] = u[..., :5]
+    diagonal = np.arange(6)
+    d[:, diagonal, 5 + diagonal] = -((1.0 / ratios) ** 2)[:, None]
+    return LinearSystem(d=d.reshape(-1, 11), b=-u[..., 5].reshape(-1),
+                        lambda_ratios=tuple(ratios.tolist()), base_index=base_index)
 
 
 def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
@@ -200,10 +199,10 @@ def _solve_linear(observations: ObservationSet, base_index, min_images: int):
     if len(observations) < min_images:
         raise ValueError(f"closed-form solver needs at least {min_images} images, "
                          f"got {len(observations)}")
-    homographies, frame = observations.homography_fit
+    fit = observations.homography_fit
     if base_index is None:
         base_index = _default_base_index(observations)
-    system = build_linear_system(homographies, base_index)
+    system = build_linear_system(fit.homographies, base_index)
     sv = np.linalg.svd(system.d, compute_uv=False)
     if sv[-1] <= RANK_RATIO_CUTOFF * sv[0]:
         raise errors.DegenerateConfiguration(
@@ -212,9 +211,9 @@ def _solve_linear(observations: ObservationSet, base_index, min_images: int):
     solution, *_ = np.linalg.lstsq(system.d, system.b, rcond=None)
     intr_n = _decode_intrinsics(solution[:5])
     x_n, y_n, r_n = _decode_center(solution[5:])
-    rotations = tuple(decompose_homography(H, intr_n)[0] for H in homographies)
-    intr = frame.intrinsics_to_raw(intr_n)
-    x, y, r = frame.center_to_raw(x_n, y_n, r_n)
+    rotations, _, _ = decompose_homography(fit.matrices, intr_n)
+    intr = fit.frame.intrinsics_to_raw(intr_n)
+    x, y, r = fit.frame.center_to_raw(x_n, y_n, r_n)
     return intr, SphericalExtrinsics(x=x, y=y, r=r, rotations=rotations)
 
 
@@ -305,8 +304,8 @@ def solve_minimal(observations: ObservationSet):
     """
     if len(observations) != 2:
         raise ValueError(f"minimal solver takes exactly 2 images, got {len(observations)}")
-    homographies, frame = observations.homography_fit
-    rows_by_image = [_image_constraint_rows(H.matrix) for H in homographies]
+    fit = observations.homography_fit
+    rows_by_image = [_image_constraint_rows(H.matrix) for H in fit.homographies]
 
     candidates = []
     for c in _hidden_variable_roots(rows_by_image):
@@ -332,9 +331,9 @@ def solve_minimal(observations: ObservationSet):
             continue
         residual = _candidate_residual(rows_by_image, q / np.linalg.norm(q),
                                        (x_n, y_n, t2_n))
-        rotations = tuple(decompose_homography(H, intr_n)[0] for H in homographies)
-        intr = frame.intrinsics_to_raw(intr_n)
-        x, y, r = frame.center_to_raw(x_n, y_n, float(np.sqrt(r2)))
+        rotations, _, _ = decompose_homography(fit.matrices, intr_n)
+        intr = fit.frame.intrinsics_to_raw(intr_n)
+        x, y, r = fit.frame.center_to_raw(x_n, y_n, float(np.sqrt(r2)))
         candidates.append((residual,
                            intr,
                            SphericalExtrinsics(x=x, y=y, r=r, rotations=rotations)))
@@ -378,13 +377,13 @@ def detect_degeneracy(observations: ObservationSet) -> DegeneracyReport:
     """
     if len(observations) < 2:
         raise ValueError("degeneracy detection needs at least 2 images")
-    homographies, _ = observations.homography_fit
-    H = np.array([h.matrix for h in homographies])
+    fit = observations.homography_fit
+    H = fit.matrices
     i, j = np.triu_indices(len(H), k=1)
     translation, z_rotation = _degenerate_pair_flags(np.linalg.inv(H)[i] @ H[j])
     pairs = list(zip(i.tolist(), j.tolist()))
 
-    system = build_linear_system(homographies, _default_base_index(observations))
+    system = build_linear_system(fit.homographies, _default_base_index(observations))
     sv = np.linalg.svd(system.d, compute_uv=False)
     rank = int(np.sum(sv > RANK_RATIO_CUTOFF * sv[0]))
     return DegeneracyReport(

@@ -403,8 +403,7 @@ def _adjusted(problem, image):
     rms, per = _per_image_rms(residual(x), image)
     intr = CameraIntrinsics(*intr_p)
     dist = Distortion(*dist_p)
-    rotations = tuple(Rotation.from_matrix_orthogonalized(R)
-                      for R in rotation_matrix_from_axis_angle(aas))
+    rotations = Rotation.from_stack(nearest_rotation(rotation_matrix_from_axis_angle(aas)))
     report = replace(report, rms_reprojection=rms, per_image_rms=per)
     return intr, dist, rotations, c, t, report
 

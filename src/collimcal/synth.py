@@ -23,6 +23,7 @@ import numpy as np
 
 from . import errors
 from .core_geom import (
+    MIN_IMAGE_POINTS,
     CameraIntrinsics,
     Distortion,
     ImagePoints,
@@ -31,7 +32,8 @@ from .core_geom import (
     Rotation,
     assert_monotone_distortion,
     decompose_homography,
-    project,
+    project_camera_points,
+    rotation_matrix_from_axis_angle,
 )
 from .multi_solver import (
     decompose_iac,
@@ -115,7 +117,78 @@ def default_config(**overrides) -> SyntheticConfig:
 
 def _inside(uv: np.ndarray, image_size) -> np.ndarray:
     w, h = image_size
-    return (uv[:, 0] >= 0) & (uv[:, 0] <= w) & (uv[:, 1] >= 0) & (uv[:, 1] <= h)
+    u, v = uv[..., 0], uv[..., 1]
+    return (u >= 0) & (u <= w) & (v >= 0) & (v <= h)
+
+
+def _grid_points(target: PlanarTarget) -> np.ndarray:
+    return np.column_stack([target.xy, np.zeros(len(target.ids))])
+
+
+def _camera_model(config: SyntheticConfig):
+    intr, dist = config.intrinsics, config.distortion
+    return (intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma), (dist.d1, dist.d2)
+
+
+def _draw_pose(config: SyntheticConfig, rng: np.random.Generator, points: np.ndarray):
+    """One image's rotation matrix and jittered center, drawn as the protocol says.
+
+    Each attempt draws an axis (3 normals) and an angle (1 uniform); the
+    first whose whole target lies in front of the camera and inside the
+    image at the nominal center is kept, and the jitter (3 normals) follows.
+    """
+    nominal = config.t_cp
+    intr_p, dist_p = _camera_model(config)
+    for _ in range(POSE_ATTEMPTS):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angle = rng.uniform(0.0, np.deg2rad(MAX_TILT_DEG))
+        R = rotation_matrix_from_axis_angle(axis * angle)
+        try:
+            uv = project_camera_points(intr_p, dist_p, points @ R.T + (-R @ nominal))[0]
+        except errors.PointBehindCamera:
+            continue
+        if np.all(_inside(uv, config.image_size)):
+            break
+    else:
+        raise errors.PoseSamplingFailed(
+            f"no visible pose found in {POSE_ATTEMPTS} attempts; "
+            f"the view cone is too wide for this target/image geometry")
+    return R, nominal + rng.normal(size=3) * config.spherical_noise_sigma
+
+
+def _draw_poses(config: SyntheticConfig, rng: np.random.Generator, points: np.ndarray):
+    """Rotations (N, 3, 3) and centers (N, 3) of every image, drawn in image order."""
+    R = np.empty((config.image_count, 3, 3))
+    centers = np.empty((config.image_count, 3))
+    for k in range(config.image_count):
+        R[k], centers[k] = _draw_pose(config, rng, points)
+    return R, centers
+
+
+def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
+            points: np.ndarray, rng: np.random.Generator):
+    """Noisy pixels (N, n, 2) of the points seen from every pose, in one pass.
+
+    Returns the pixels, which points to keep (N, n): inside the image in a
+    view with every point in front of the camera, and which views have every
+    point in front (N,).  The noise is drawn for every view, as N sequential
+    (n, 2) draws would be.
+    """
+    t = -(R @ centers[..., None])[..., 0]
+    xc = points @ R.transpose(0, 2, 1) + t[:, None, :]
+    front = np.all(xc[..., 2] > 0, axis=1)
+    uv = np.zeros(xc.shape[:2] + (2,))
+    intr_p, dist_p = _camera_model(config)
+    uv[front] = project_camera_points(intr_p, dist_p, xc[front].reshape(-1, 3))[0].reshape(
+        -1, len(points), 2)
+    uv = uv + rng.normal(size=uv.shape) * config.pixel_noise_sigma
+    return uv, _inside(uv, config.image_size) & front[:, None], front
+
+
+def _observations(target: PlanarTarget, uv: np.ndarray, keep: np.ndarray) -> ObservationSet:
+    return ObservationSet(target=target, images=tuple(
+        ImagePoints(ids=target.ids[k], uv=pixels[k]) for pixels, k in zip(uv, keep)))
 
 
 def generate_spherical_poses(config: SyntheticConfig, rng: np.random.Generator):
@@ -128,51 +201,52 @@ def generate_spherical_poses(config: SyntheticConfig, rng: np.random.Generator):
     perturbation, drawn afterwards from an always-consumed stream, models
     the imperfect collimator.  Returns [(Rotation, t_cp_i), ...].
     """
-    target = config.target.planar_target()
-    points = np.column_stack([target.xy, np.zeros(len(target.ids))])
-    nominal = config.t_cp
-    poses = []
-    for _ in range(config.image_count):
-        for _ in range(POSE_ATTEMPTS):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = rng.uniform(0.0, np.deg2rad(MAX_TILT_DEG))
-            rot = Rotation.from_axis_angle(axis * angle)
-            try:
-                uv = project(config.intrinsics, config.distortion, rot,
-                             -rot.matrix @ nominal, points)
-            except errors.PointBehindCamera:
-                continue
-            if np.all(_inside(uv, config.image_size)):
-                break
-        else:
-            raise errors.PoseSamplingFailed(
-                f"no visible pose found in {POSE_ATTEMPTS} attempts; "
-                f"the view cone is too wide for this target/image geometry")
-        jitter = rng.normal(size=3) * config.spherical_noise_sigma
-        poses.append((rot, nominal + jitter))
-    return poses
+    R, centers = _draw_poses(config, rng, _grid_points(config.target.planar_target()))
+    return list(zip(Rotation.from_stack(R), centers))
 
 
 def render_observations(poses, config: SyntheticConfig,
                         rng: np.random.Generator) -> ObservationSet:
-    """Project the grid through the full model, add pixel noise, drop off-image points."""
+    """Project the grid through the full model, add pixel noise, drop off-image points.
+
+    Raises PointBehindCamera naming the first view with a target point
+    behind the camera.
+    """
     target = config.target.planar_target()
-    points = np.column_stack([target.xy, np.zeros(len(target.ids))])
-    images = []
-    for rot, t_cp_i in poses:
-        uv = project(config.intrinsics, config.distortion, rot,
-                     -rot.matrix @ t_cp_i, points)
-        uv = uv + rng.normal(size=uv.shape) * config.pixel_noise_sigma
-        keep = _inside(uv, config.image_size)
-        images.append(ImagePoints(ids=target.ids[keep], uv=uv[keep]))
-    return ObservationSet(target=target, images=tuple(images))
+    R = np.array([rot.matrix for rot, _ in poses])
+    centers = np.array([center for _, center in poses], dtype=float)
+    uv, keep, front = _render(R, centers, config, _grid_points(target), rng)
+    if not np.all(front):
+        raise errors.PointBehindCamera(
+            f"image {np.argmin(front)}: target point(s) at non-positive depth")
+    return _observations(target, uv, keep)
 
 
 def make_scene(config: SyntheticConfig, rng: np.random.Generator):
-    """Poses plus their rendered observations, sharing one RNG stream."""
-    poses = generate_spherical_poses(config, rng)
-    return poses, render_observations(poses, config, rng)
+    """Poses plus their rendered observations, sharing one RNG stream.
+
+    The poses are drawn first, then the pixel noise of every view.  A view
+    whose jittered center puts a target point behind the camera, or leaves
+    fewer than MIN_IMAGE_POINTS points in the image, is drawn again (pose,
+    jitter and noise) after that, up to POSE_ATTEMPTS draws in all; then
+    PoseSamplingFailed names the image.
+    """
+    target = config.target.planar_target()
+    points = _grid_points(target)
+    R, centers = _draw_poses(config, rng, points)
+    uv, keep, _ = _render(R, centers, config, points, rng)
+    for k in np.flatnonzero(keep.sum(axis=1) < MIN_IMAGE_POINTS):
+        for _ in range(POSE_ATTEMPTS - 1):
+            R[k], centers[k] = _draw_pose(config, rng, points)
+            view_uv, view_keep, _ = _render(R[k:k + 1], centers[k:k + 1], config, points, rng)
+            uv[k], keep[k] = view_uv[0], view_keep[0]
+            if keep[k].sum() >= MIN_IMAGE_POINTS:
+                break
+        else:
+            raise errors.PoseSamplingFailed(
+                f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {MIN_IMAGE_POINTS} "
+                f"target points in front of the camera and inside the image")
+    return list(zip(Rotation.from_stack(R), centers)), _observations(target, uv, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +263,25 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     """
     if len(observations) < 2:
         raise ValueError("baseline initialization needs at least 2 images")
-    homographies, frame = observations.homography_fit
-    rows = []
-    for H in homographies:
-        rows.append(iac_constraint_vector(H.matrix, 1, 2))
-        rows.append(iac_constraint_vector(H.matrix, 1, 1)
-                    - iac_constraint_vector(H.matrix, 2, 2))
+    fit = observations.homography_fit
+    H = fit.matrices
+    V = np.stack([iac_constraint_vector(H, 1, 2),
+                  iac_constraint_vector(H, 1, 1) - iac_constraint_vector(H, 2, 2)],
+                 axis=1).reshape(-1, 6)
     if len(observations) == 2:
-        rows.append(np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))  # gamma = 0
-    V = np.array(rows)
+        V = np.vstack([V, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])  # gamma = 0
     _, s, Vt = np.linalg.svd(V)
     if s[-2] <= 1e-9 * s[0]:
         raise errors.DegenerateConfiguration(
             "absolute-conic constraint matrix is rank deficient")
-    return frame.intrinsics_to_raw(decompose_iac(Vt[-1]))
+    return fit.frame.intrinsics_to_raw(decompose_iac(Vt[-1]))
 
 
 def _zhang_poses(observations: ObservationSet, intr: CameraIntrinsics):
     """Each image's (rotation, translation) from its raw-unit homography."""
-    homographies, frame = observations.homography_fit
-    return [decompose_homography(frame.homography_to_raw(H.matrix), intr)[:2]
-            for H in homographies]
+    fit = observations.homography_fit
+    rotations, t, _ = decompose_homography(fit.frame.homographies_to_raw(fit.matrices), intr)
+    return list(zip(rotations, t))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,32 @@ def test_rotation_validation():
     assert np.max(np.abs(R.matrix.T @ R.matrix - np.eye(3))) < 1e-12
 
 
+def test_rotation_stack_matches_one_vector_at_a_time():
+    rng = np.random.default_rng(21)
+    v = rng.normal(size=(2000, 3)) * rng.uniform(0.0, np.pi, size=(2000, 1))
+    v[:100] *= 1e-13 / np.linalg.norm(v[:100], axis=1, keepdims=True)  # |v| < 1e-12
+    v[100] = 0.0
+    stack = cg.rotation_matrix_from_axis_angle(v)
+    for k in range(len(v)):
+        alone = cg.rotation_matrix_from_axis_angle(v[k])
+        assert alone.shape == (3, 3)
+        assert alone.tobytes() == stack[k].tobytes()
+
+
+def test_rotation_stack_validation_names_the_bad_matrix():
+    R = cg.rotation_matrix_from_axis_angle(np.random.default_rng(22).normal(size=(5, 3)))
+    rotations = cg.Rotation.from_stack(R)
+    assert [r.matrix.tobytes() for r in rotations] == [M.tobytes() for M in R]
+    skewed = R.copy()
+    skewed[3, 0, 0] += 1e-9
+    with pytest.raises(ValueError, match="rotation 3: matrix is not orthonormal"):
+        cg.Rotation.from_stack(skewed)
+    improper = R.copy()
+    improper[1] = -improper[1]
+    with pytest.raises(ValueError, match="rotation 1: matrix determinant"):
+        cg.Rotation.from_stack(improper)
+
+
 def test_axis_angle_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -80,6 +106,18 @@ def test_planar_target_invariants():
         cg.PlanarTarget(ids=[0, 1, 2, 3], xy=[[0, 0], [1, 0], [2, 0], [3, 0]])
     t = cg.PlanarTarget(ids=[3, 1, 0, 2], xy=[[0, 0], [1, 0], [0, 1], [1, 1]])
     assert np.allclose(t.xy_for([1, 3]), [[1, 0], [0, 0]])
+
+
+def test_xy_for_looks_up_every_id_at_once():
+    rng = np.random.default_rng(23)
+    ids = rng.permutation(200)[:88] * 3
+    t = cg.PlanarTarget(ids=ids, xy=rng.normal(size=(88, 2)))
+    query = rng.choice(ids, size=300)
+    row = {pid: k for k, pid in enumerate(ids.tolist())}
+    assert np.array_equal(t.xy_for(query), t.xy[[row[q] for q in query.tolist()]])
+    for unknown in (ids.max() + 1, ids.min() - 1, 1):
+        with pytest.raises(KeyError):
+            t.xy_for(np.append(query, unknown))
 
 
 def test_observation_set_invariants():
@@ -285,11 +323,46 @@ def test_batched_homographies_match_per_image_fits():
 def test_raw_homographies_from_the_frame_match_raw_fits():
     for seed in range(20):
         obs = dropped_points_scene(seed)
-        homographies, frame = obs.homography_fit
-        for k in range(len(obs)):
-            raw = frame.homography_to_raw(homographies[k].matrix).matrix
+        fit = obs.homography_fit
+        raws = fit.frame.homographies_to_raw(fit.matrices)
+        for k, raw in enumerate(raws):
             direct = cg.estimate_homography(*obs.correspondences(k)).matrix
             assert relative_difference(raw, direct) <= 1e-9
+
+
+def test_rank_deficient_homography_in_a_stack_names_the_image():
+    fit = dropped_points_scene(0).homography_fit
+    H = fit.matrices[:4].copy()
+    H[2] = np.outer([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
+    with pytest.raises(errors.DegenerateConfiguration, match="image 2: homography is rank deficient"):
+        fit.frame.homographies_to_raw(H)
+
+
+def reference_decomposition(H, intr):
+    """decompose_homography computed for one image on its own."""
+    M = intr.inverse @ H
+    lam = 0.5 * (np.linalg.norm(M[:, 0]) + np.linalg.norm(M[:, 1]))
+    r1, r2, t = M[:, 0] / lam, M[:, 1] / lam, M[:, 2] / lam
+    if t[2] < 0:
+        r1, r2, t = -r1, -r2, -t
+    R = cg.Rotation.from_matrix_orthogonalized(np.column_stack([r1, r2, np.cross(r1, r2)]))
+    return R.matrix, t, lam
+
+
+def test_batched_decomposition_matches_per_image_decomposition():
+    for seed in range(20):
+        config, _, _ = scene(seed=seed)
+        fit = dropped_points_scene(seed).homography_fit
+        raw = fit.frame.homographies_to_raw(fit.matrices)
+        rotations, t, lam = cg.decompose_homography(raw, config.intrinsics)
+        for k, H in enumerate(raw):
+            R_ref, t_ref, lam_ref = reference_decomposition(H, config.intrinsics)
+            assert np.max(np.abs(rotations[k].matrix - R_ref)) <= 1e-12
+            assert relative_difference(t[k], t_ref) <= 1e-12
+            assert abs(lam[k] - lam_ref) <= 1e-12 * lam_ref
+            R_one, t_one, lam_one = cg.decompose_homography(cg.Homography(H), config.intrinsics)
+            assert np.array_equal(R_one.matrix, rotations[k].matrix)
+            assert np.array_equal(t_one, t[k]) and lam_one == lam[k]
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,37 @@ def test_linear_system_row_count_scales_with_images():
     assert system.lambda_ratios[2] == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_linear_system(homographies, base_index):
+    """build_linear_system one image at a time: six rows per homography."""
+    det_base = np.linalg.det(homographies[base_index].matrix)
+    rows, rhs, ratios = [], [], []
+    for H in homographies:
+        lam_ratio = float(np.cbrt(np.linalg.det(H.matrix) / det_base))
+        ratios.append(lam_ratio)
+        Hinv_t = np.linalg.inv(H.matrix).T
+        for k, (m, n) in enumerate([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]):
+            u = ms.iac_constraint_vector(Hinv_t, m, n)
+            a_part = np.zeros(6)
+            a_part[k] = -(1.0 / lam_ratio) ** 2
+            rows.append(np.concatenate([u[:5], a_part]))
+            rhs.append(-u[5])
+    return np.array(rows), np.array(rhs), ratios
+
+
+def test_linear_system_matches_per_image_reference():
+    for seed in range(20):
+        _, _, obs = scene(seed=seed, pixel_noise_sigma=0.5)
+        homographies = obs.homography_fit.homographies
+        base = seed % len(homographies)
+        system = ms.build_linear_system(homographies, base)
+        d, b, ratios = reference_linear_system(homographies, base)
+        assert list(system.lambda_ratios) == ratios
+        assert np.array_equal(system.b, b)
+        # The mu^2 entries are squared by a multiply, which rounds correctly;
+        # Python's ** may differ from it in the last bit.
+        np.testing.assert_allclose(system.d, d, rtol=4.5e-16, atol=0.0)
+
+
 def test_closed_form_base_invariance(noiseless_scene):
     _, _, obs = noiseless_scene
     results = [ms.solve_closed_form(obs, base_index=b) for b in (0, 4, 9)]

@@ -5,8 +5,10 @@ from collimcal import errors, synth
 from collimcal.core_geom import (
     CameraIntrinsics,
     Distortion,
+    Rotation,
     angular_distance,
     back_project,
+    project,
 )
 from conftest import motion_matrix, scene
 
@@ -150,6 +152,100 @@ def test_render_noise_statistics():
         deltas.append(a - b)
     sigma = np.std(np.vstack(deltas))
     assert 0.45 < sigma < 0.55
+
+
+def reference_scene(config, rng):
+    """make_scene as one pose attempt and one image at a time, on the public API.
+
+    Returns the poses, each image's (ids, pixels), and how many pose
+    attempts were rejected.
+    """
+    target = config.target.planar_target()
+    points = np.column_stack([target.xy, np.zeros(len(target.ids))])
+    w, h = config.image_size
+
+    def inside(uv):
+        return (uv[:, 0] >= 0) & (uv[:, 0] <= w) & (uv[:, 1] >= 0) & (uv[:, 1] <= h)
+
+    poses, rejected = [], 0
+    for _ in range(config.image_count):
+        for _ in range(synth.POSE_ATTEMPTS):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            angle = rng.uniform(0.0, np.deg2rad(synth.MAX_TILT_DEG))
+            rot = Rotation.from_axis_angle(axis * angle)
+            try:
+                uv = project(config.intrinsics, config.distortion, rot,
+                             -rot.matrix @ config.t_cp, points)
+            except errors.PointBehindCamera:
+                rejected += 1
+                continue
+            if np.all(inside(uv)):
+                break
+            rejected += 1
+        else:
+            raise AssertionError("the reference found no visible pose")
+        jitter = rng.normal(size=3) * config.spherical_noise_sigma
+        poses.append((rot, config.t_cp + jitter))
+    images = []
+    for rot, center in poses:
+        uv = project(config.intrinsics, config.distortion, rot, -rot.matrix @ center, points)
+        uv = uv + rng.normal(size=uv.shape) * config.pixel_noise_sigma
+        keep = inside(uv)
+        images.append((target.ids[keep], uv[keep]))
+    return poses, images, rejected
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_scenes_match_the_per_image_reference_bit_for_bit():
+    configs = [synth.default_config(pixel_noise_sigma=0.5),
+               synth.default_config(pixel_noise_sigma=1.0, distortion=Distortion(0.1, -0.2)),
+               synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=30.0)]
+    rejected = dropped = 0
+    for seed in range(20):
+        config = configs[seed % 3]
+        poses, obs = synth.make_scene(config, pose_rng(seed=seed))
+        ref_poses, ref_images, ref_rejected = reference_scene(config, pose_rng(seed=seed))
+        rejected += ref_rejected
+        assert len(poses) == len(ref_poses) == len(obs.images)
+        for (rot, center), (ref_rot, ref_center) in zip(poses, ref_poses):
+            assert same_bytes(rot.matrix, ref_rot.matrix)
+            assert same_bytes(center, ref_center)
+        for im, (ref_ids, ref_uv) in zip(obs.images, ref_images):
+            assert same_bytes(im.ids, ref_ids)
+            assert same_bytes(im.uv, ref_uv)
+            dropped += len(im) < len(obs.target.ids)
+    # The seeds exercise rejected pose attempts and images with dropped points.
+    assert rejected > 0 and dropped > 0
+
+
+@pytest.mark.parametrize("sigma", [200.0, 400.0])
+def test_center_jitter_that_ruins_a_view_draws_it_again(sigma):
+    # At 200 mm the jitter leaves some views with fewer than 4 points in the
+    # image, at 400 mm it puts points behind the camera; each such view is
+    # drawn again instead of failing the trial.
+    cfg = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=sigma)
+    for trial in range(20):
+        rng = pose_rng(trial=trial)
+        poses, obs = synth.make_scene(cfg, rng)
+        target = cfg.target.planar_target()
+        points = np.column_stack([target.xy, np.zeros(len(target.ids))])
+        for (rot, center), im in zip(poses, obs.images):
+            assert len(im) >= 4
+            assert np.all((points - center) @ rot.matrix.T[:, 2] > 0)
+        results = synth.run_single_trial(cfg, trial, ("ours", "zhang"))
+        assert set(results) == {"ours", "zhang"}
+
+
+def test_view_that_cannot_be_drawn_names_the_image():
+    # Noise this large throws every point out of the image on every draw.
+    cfg = synth.default_config(pixel_noise_sigma=1e7, image_count=2)
+    with pytest.raises(errors.PoseSamplingFailed, match="image 0"):
+        synth.make_scene(cfg, pose_rng())
 
 
 # ---------------------------------------------------------------------------
