@@ -27,12 +27,10 @@ from .core_geom import (
 )
 from .multi_solver import (
     DegeneracyReport,
-    LinearSystem,
     SphericalExtrinsics,
     build_linear_system,
     decompose_iac,
     detect_degeneracy,
-    scale_ratio,
     solve_closed_form,
     solve_minimal,
 )
@@ -56,9 +54,7 @@ from .synth import (
     SyntheticConfig,
     TargetGrid,
     TrialStats,
-    generate_spherical_poses,
     default_config,
-    render_observations,
     run_monte_carlo,
     zhang_init,
 )
@@ -68,15 +64,14 @@ __all__ = [
     "ObservationSet", "PlanarTarget", "Rotation",
     "angular_distance", "back_project", "decompose_homography",
     "estimate_homography", "homography_from_pose", "project",
-    "DegeneracyReport", "LinearSystem", "SphericalExtrinsics",
+    "DegeneracyReport", "SphericalExtrinsics",
     "build_linear_system", "decompose_iac", "detect_degeneracy",
-    "scale_ratio", "solve_closed_form", "solve_minimal",
+    "solve_closed_form", "solve_minimal",
     "ResidualReport", "general_ba", "lm_minimize",
     "single_image_ba", "spherical_ba",
     "RayDatabase", "SingleImageResult", "build_ray_database",
     "calibrate_single_image", "estimate_rotation_kabsch",
     "init_focal_quartic", "refine_intrinsics_angle",
     "SyntheticConfig", "TargetGrid", "TrialStats",
-    "generate_spherical_poses", "default_config",
-    "render_observations", "run_monte_carlo", "zhang_init",
+    "default_config", "run_monte_carlo", "zhang_init",
 ]

@@ -17,7 +17,7 @@ from . import errors, fileio, synth
 from .core_geom import Distortion, ObservationSet
 from .multi_solver import detect_degeneracy, solve_closed_form, solve_minimal
 from .refine import spherical_ba, spherical_reprojection_rms
-from .single_calib import calibrate_single_image
+from .single_calib import build_ray_database, calibrate_single_image
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -177,7 +177,6 @@ def cmd_build_db(args) -> int:
             f"reference file must hold exactly 1 image, got {len(data.observations)}")
     intr, dist = fileio.read_camera_file(args.ref_cam)
     image = data.observations.images[0]
-    from .single_calib import build_ray_database
     database = build_ray_database(image.ids, image.uv, intr, dist)
     fileio.write_ray_database(args.out, database)
     print(f"wrote {args.out}: {len(database)} rays")

@@ -142,11 +142,6 @@ class Rotation:
     def from_axis_angle(cls, v) -> "Rotation":
         return cls(rotation_matrix_from_axis_angle(np.asarray(v, dtype=float)))
 
-    @classmethod
-    def from_matrix_orthogonalized(cls, M: np.ndarray) -> "Rotation":
-        """Nearest rotation to M in the Frobenius sense, via SVD."""
-        return cls(nearest_rotation(M))
-
     def axis_angle(self) -> np.ndarray:
         return axis_angle_from_rotation_matrix(self.matrix)
 
@@ -480,7 +475,7 @@ def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarra
     return T
 
 
-def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> tuple:
+def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Normalized DLT of every image's correspondences in one batched SVD.
 
     `xy` and `uv` (M, 2) hold the images' target points and pixels one
@@ -488,9 +483,9 @@ def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> tuple:
     image keeps its own Hartley normalization.  Its (2n, 9) design matrix is
     zero-padded to a common height (at least 10 rows, so that the thin SVD
     keeps the null vector); zero rows leave A^T A, and with it the singular
-    values and the null vector, unchanged.  Returns one Homography per image
-    and raises DegenerateConfiguration naming the first image whose
-    homography is ambiguous or rank deficient.
+    values and the null vector, unchanged.  Returns the homographies
+    (N, 3, 3) and raises DegenerateConfiguration naming the first image
+    whose homography is ambiguous or rank deficient.
     """
     n = max(int(counts.max()), 5)
     mask = np.arange(n) < counts[:, None]
@@ -518,8 +513,7 @@ def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> tuple:
     if len(ambiguous):
         raise errors.DegenerateConfiguration(
             f"image {ambiguous[0]}: homography design matrix is rank deficient")
-    H = _checked_homographies(np.linalg.inv(Tu) @ Vt[:, -1].reshape(-1, 3, 3) @ Tx)
-    return tuple(_validated(Homography, M) for M in H)
+    return _checked_homographies(np.linalg.inv(Tu) @ Vt[:, -1].reshape(-1, 3, 3) @ Tx)
 
 
 def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> Homography:
@@ -530,7 +524,7 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> Homogra
         raise ValueError("correspondence lists differ in length")
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 correspondences")
-    return _dlt(X, U, np.array([len(X)]))[0]
+    return _validated(Homography, _dlt(X, U, np.array([len(X)]))[0])
 
 
 @dataclass(frozen=True)
@@ -572,17 +566,12 @@ class _Frame:
 class HomographyFit(NamedTuple):
     """Every image's homography in the frame's O(1) units, from one batched DLT.
 
-    Each homography maps normalized target points to normalized pixels; the
-    frame maps intrinsics, centers and homographies back to raw units.
+    `matrices` (N, 3, 3) map normalized target points to normalized pixels;
+    the frame maps intrinsics, centers and homographies back to raw units.
     """
 
-    homographies: tuple
+    matrices: np.ndarray
     frame: _Frame
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """The homographies as one (N, 3, 3) stack."""
-        return np.array([H.matrix for H in self.homographies])
 
 
 def _fit_observations(observations: ObservationSet) -> HomographyFit:
@@ -598,9 +587,10 @@ def _fit_observations(observations: ObservationSet) -> HomographyFit:
     tgt = observations.target.xy
     tgt_shift = tgt.mean(axis=0)
     tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
-    homographies = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, counts)
-    return HomographyFit(homographies, _Frame(pixel_scale=pix_scale, pixel_shift=pix_shift,
-                                              target_scale=tgt_scale, target_shift=tgt_shift))
+    H = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, counts)
+    H.flags.writeable = False  # cached on the observation set and shared by every solver
+    return HomographyFit(H, _Frame(pixel_scale=pix_scale, pixel_shift=pix_shift,
+                                   target_scale=tgt_scale, target_shift=tgt_shift))
 
 
 def homography_from_pose(intr: CameraIntrinsics, rot: Rotation, t: np.ndarray) -> Homography:

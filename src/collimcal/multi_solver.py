@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .core_geom import (
-    CameraIntrinsics,
-    Homography,
-    ObservationSet,
-    decompose_homography,
-)
+from .core_geom import CameraIntrinsics, ObservationSet, decompose_homography
 
 # The entries of a symmetric 3x3 matrix in the order of its 6-vector form
 # (M11, M12, M13, M22, M23, M33).
@@ -62,20 +57,6 @@ class SphericalExtrinsics:
 
 
 @dataclass(frozen=True)
-class LinearSystem:
-    """Stacked constraint system D [w; a] = b with one six-row block per image."""
-
-    d: np.ndarray
-    b: np.ndarray
-    lambda_ratios: tuple
-    base_index: int
-
-    def __post_init__(self):
-        if self.d.shape[0] != 6 * len(self.lambda_ratios) or self.d.shape[1] != 11:
-            raise ValueError("linear system must have six rows per image and 11 columns")
-
-
-@dataclass(frozen=True)
 class DegeneracyReport:
     """Flags for the two degenerate motions plus the rank of the stacked system."""
 
@@ -85,17 +66,12 @@ class DegeneracyReport:
     singular_values: np.ndarray
 
 
-def scale_ratio(H_i: Homography, H_base: Homography) -> float:
-    """Homography scale ratio lambda_i / lambda_base.
+def _scale_ratios(H: np.ndarray, base_index: int) -> np.ndarray:
+    """Scale ratios lambda_i / lambda_base of the homographies H (N, 3, 3).
 
-    The motion matrix has unit determinant ratio between images, so the
+    The motion matrix has unit determinant ratio between images, so each
     ratio is the signed real cube root of det(H_base^-1 H_i).
     """
-    return float(_scale_ratios(np.array([H_base.matrix, H_i.matrix]), 0)[1])
-
-
-def _scale_ratios(H: np.ndarray, base_index: int) -> np.ndarray:
-    """scale_ratio of every homography of the stack H (N, 3, 3) to H[base_index]."""
     det = np.linalg.det(H)
     if abs(det[base_index]) < 1e-300:
         raise errors.DegenerateConfiguration("base homography is singular")
@@ -119,15 +95,15 @@ def iac_constraint_vector(H: np.ndarray, m: int, n: int) -> np.ndarray:
     ], axis=-1)
 
 
-def build_linear_system(homographies, base_index: int) -> LinearSystem:
-    """Stack the per-image constraint blocks around the chosen base image.
+def build_linear_system(H: np.ndarray, base_index: int):
+    """Stacked constraint system d [w; a] = b of the homographies H (N, 3, 3).
 
-    Each image contributes six rows, one per independent entry of the
-    symmetric constraint H^-1 W H^-T = mu^2 A with mu = lambda_base/lambda_i.
-    The sixth (3,3) row is required: without it the A33 column is empty and
-    the optical center cannot be decoded from the solution.
+    Returns (d (6N, 11), b (6N,)).  Each image contributes six rows, one per
+    independent entry of the symmetric constraint H^-1 W H^-T = mu^2 A with
+    mu = lambda_base/lambda_i.  The sixth (3,3) row is required: without it
+    the A33 column is empty and the optical center cannot be decoded from
+    the solution.
     """
-    H = np.array([h.matrix for h in homographies])
     if not 0 <= base_index < len(H):
         raise ValueError("base_index out of range")
     ratios = _scale_ratios(H, base_index)
@@ -138,8 +114,7 @@ def build_linear_system(homographies, base_index: int) -> LinearSystem:
     d[..., :5] = u[..., :5]
     diagonal = np.arange(6)
     d[:, diagonal, 5 + diagonal] = -((1.0 / ratios) ** 2)[:, None]
-    return LinearSystem(d=d.reshape(-1, 11), b=-u[..., 5].reshape(-1),
-                        lambda_ratios=tuple(ratios.tolist()), base_index=base_index)
+    return d.reshape(-1, 11), -u[..., 5].reshape(-1)
 
 
 def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
@@ -195,35 +170,28 @@ def _decode_center(a: np.ndarray):
     return x, y, float(np.sqrt(r2))
 
 
-def _solve_linear(observations: ObservationSet, base_index, min_images: int):
-    if len(observations) < min_images:
-        raise ValueError(f"closed-form solver needs at least {min_images} images, "
-                         f"got {len(observations)}")
+def solve_closed_form(observations: ObservationSet):
+    """Closed-form calibration from three or more images.
+
+    Returns (CameraIntrinsics, SphericalExtrinsics).  The base image of the
+    linear system is the one with the most observed points.
+    """
+    if len(observations) < 3:
+        raise ValueError(f"closed-form solver needs at least 3 images, got {len(observations)}")
     fit = observations.homography_fit
-    if base_index is None:
-        base_index = _default_base_index(observations)
-    system = build_linear_system(fit.homographies, base_index)
-    sv = np.linalg.svd(system.d, compute_uv=False)
+    d, b = build_linear_system(fit.matrices, _default_base_index(observations))
+    sv = np.linalg.svd(d, compute_uv=False)
     if sv[-1] <= RANK_RATIO_CUTOFF * sv[0]:
         raise errors.DegenerateConfiguration(
             f"stacked linear system is rank deficient "
             f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})")
-    solution, *_ = np.linalg.lstsq(system.d, system.b, rcond=None)
+    solution, *_ = np.linalg.lstsq(d, b, rcond=None)
     intr_n = _decode_intrinsics(solution[:5])
     x_n, y_n, r_n = _decode_center(solution[5:])
     rotations, _, _ = decompose_homography(fit.matrices, intr_n)
     intr = fit.frame.intrinsics_to_raw(intr_n)
     x, y, r = fit.frame.center_to_raw(x_n, y_n, r_n)
     return intr, SphericalExtrinsics(x=x, y=y, r=r, rotations=rotations)
-
-
-def solve_closed_form(observations: ObservationSet, base_index: int | None = None):
-    """Closed-form calibration from three or more images.
-
-    Returns (CameraIntrinsics, SphericalExtrinsics).  The base image is the
-    one with the most observed points unless base_index overrides it.
-    """
-    return _solve_linear(observations, base_index, min_images=3)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +273,7 @@ def solve_minimal(observations: ObservationSet):
     if len(observations) != 2:
         raise ValueError(f"minimal solver takes exactly 2 images, got {len(observations)}")
     fit = observations.homography_fit
-    rows_by_image = [_image_constraint_rows(H.matrix) for H in fit.homographies]
+    rows_by_image = [_image_constraint_rows(H) for H in fit.matrices]
 
     candidates = []
     for c in _hidden_variable_roots(rows_by_image):
@@ -377,14 +345,13 @@ def detect_degeneracy(observations: ObservationSet) -> DegeneracyReport:
     """
     if len(observations) < 2:
         raise ValueError("degeneracy detection needs at least 2 images")
-    fit = observations.homography_fit
-    H = fit.matrices
+    H = observations.homography_fit.matrices
     i, j = np.triu_indices(len(H), k=1)
     translation, z_rotation = _degenerate_pair_flags(np.linalg.inv(H)[i] @ H[j])
     pairs = list(zip(i.tolist(), j.tolist()))
 
-    system = build_linear_system(fit.homographies, _default_base_index(observations))
-    sv = np.linalg.svd(system.d, compute_uv=False)
+    d, _ = build_linear_system(H, _default_base_index(observations))
+    sv = np.linalg.svd(d, compute_uv=False)
     rank = int(np.sum(sv > RANK_RATIO_CUTOFF * sv[0]))
     return DegeneracyReport(
         pure_translation_pairs=tuple(p for p, flag in zip(pairs, translation) if flag),

@@ -328,7 +328,7 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
     are otherwise zero.  The parameter vector is (fx, fy, cx, cy, gamma, d1,
     d2, [c], then per image the rotation vector [and t_i]).
 
-    Returns (residual, jacobian, plus, x0, unpack); the Jacobian is a
+    Returns (residual, jacobian, plus, x0, unpack, image); the Jacobian is a
     BlockJacobian with one group per image, and unpack(x) gives (intrinsics
     (5,), distortion (2,), c (3,), rotation vectors (N, 3), translations
     (N, 3) or None).
@@ -384,7 +384,7 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
     x0[rot_cols] = [rot.axis_angle() for rot in rotations]
     if translations is not None:
         x0[rot_cols + 3] = translations
-    return residual, jacobian, plus, x0, unpack
+    return residual, jacobian, plus, x0, unpack, image
 
 
 def _per_image_rms(r: np.ndarray, image: np.ndarray):
@@ -394,9 +394,9 @@ def _per_image_rms(r: np.ndarray, image: np.ndarray):
     return float(np.sqrt(np.mean(r * r))), tuple(float(v) for v in per)
 
 
-def _adjusted(problem, image):
+def _adjusted(problem):
     """Run LM on a stacked problem; K, d, rotations, c, t and the report with RMS."""
-    residual, jacobian, plus, x0, unpack = problem
+    residual, jacobian, plus, x0, unpack, image = problem
     x, report = lm_minimize(residual, jacobian, x0,
                             block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
     intr_p, dist_p, c, aas, t = unpack(x)
@@ -412,8 +412,13 @@ def _adjusted(problem, image):
 # spherical-motion bundle adjustment
 # ---------------------------------------------------------------------------
 
-def _spherical_problem(observations: ObservationSet, init):
-    """`spherical_problem` and the image index of the stacked observations."""
+def spherical_problem(observations: ObservationSet, init):
+    """The spherical BA's stacked problem (see `_reprojection_problem`).
+
+    `init` is (CameraIntrinsics, Distortion, SphericalExtrinsics).  Exposed
+    so the analytic Jacobian can be checked against finite differences on
+    the same local parameterization.
+    """
     intr0, dist0, ext0 = init
     if len(ext0.rotations) != len(observations):
         raise ValueError("initial extrinsics must hold one rotation per image")
@@ -421,17 +426,7 @@ def _spherical_problem(observations: ObservationSet, init):
         raise ValueError("initial optical center must be finite")
     points, pixels, image = _stacked(observations)
     return _reprojection_problem(points, pixels, image, intr0, dist0, ext0.rotations,
-                                 center=ext0.t_cp), image
-
-
-def spherical_problem(observations: ObservationSet, init):
-    """Residual, Jacobian and manifold-update closures for the spherical BA.
-
-    Exposed separately so the analytic Jacobian can be checked against
-    finite differences on the same local parameterization.
-    Returns (residual, jacobian, plus, x0, unpack).
-    """
-    return _spherical_problem(observations, init)[0]
+                                 center=ext0.t_cp)
 
 
 def spherical_reprojection_rms(observations: ObservationSet, init):
@@ -439,7 +434,7 @@ def spherical_reprojection_rms(observations: ObservationSet, init):
 
     `init` is (CameraIntrinsics, Distortion, SphericalExtrinsics).
     """
-    (residual, _, _, x0, _), image = _spherical_problem(observations, init)
+    residual, _, _, x0, _, image = spherical_problem(observations, init)
     return _per_image_rms(residual(x0), image)
 
 
@@ -450,8 +445,7 @@ def spherical_ba(observations: ObservationSet, init):
     image i is [R_i | -R_i t_cp], so the parameter vector has 10 + 3N entries.
     Returns the refined triple and a report.
     """
-    intr, dist, rotations, t_cp, _, report = _adjusted(
-        *_spherical_problem(observations, init))
+    intr, dist, rotations, t_cp, _, report = _adjusted(spherical_problem(observations, init))
     ext = SphericalExtrinsics(x=t_cp[0], y=t_cp[1], r=-t_cp[2], rotations=rotations)
     return (intr, dist, ext), report
 
@@ -460,20 +454,18 @@ def spherical_ba(observations: ObservationSet, init):
 # single-image bundle adjustment
 # ---------------------------------------------------------------------------
 
-def _single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
-    """`single_image_problem`'s closures with `unpack`, and the image index."""
+def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
+    """The single-image BA's stacked problem: one image, c = t = 0, P the rays.
+
+    `init` is (CameraIntrinsics, Distortion, Rotation).
+    """
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if len(rays) != len(pixels):
         raise ValueError("rays and pixels differ in length")
     intr0, dist0, rot0 = init
-    image = np.zeros(len(rays), dtype=int)
-    return _reprojection_problem(rays, pixels, image, intr0, dist0, [rot0]), image
-
-
-def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
-    """Residual/Jacobian/update closures for the single-image refinement."""
-    return _single_image_problem(rays, pixels, init)[0][:4]
+    return _reprojection_problem(rays, pixels, np.zeros(len(rays), dtype=int),
+                                 intr0, dist0, [rot0])
 
 
 def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
@@ -485,7 +477,7 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     if len(rays) < 8:
         raise ValueError(f"single-image refinement needs >= 8 correspondences, got {len(rays)}")
-    intr, dist, (rot,), _, _, report = _adjusted(*_single_image_problem(rays, pixels, init))
+    intr, dist, (rot,), _, _, report = _adjusted(single_image_problem(rays, pixels, init))
     return (intr, dist, rot), report
 
 
@@ -493,21 +485,18 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
 # free-motion bundle adjustment (baseline refinement)
 # ---------------------------------------------------------------------------
 
-def _general_problem(observations: ObservationSet, init):
-    """`general_problem` and the image index of the stacked observations."""
+def general_problem(observations: ObservationSet, init):
+    """The free-motion BA's stacked problem, with a translation per image.
+
+    `init` is (CameraIntrinsics, Distortion, [(Rotation, t), ...]).
+    """
     intr0, dist0, poses0 = init
     if len(poses0) != len(observations):
         raise ValueError("initial poses must match the image count")
     points, pixels, image = _stacked(observations)
-    translations = [np.asarray(t, dtype=float) for _, t in poses0]
     return _reprojection_problem(points, pixels, image, intr0, dist0,
                                  [rot for rot, _ in poses0],
-                                 translations=translations), image
-
-
-def general_problem(observations: ObservationSet, init):
-    """Residual/Jacobian/update closures for the free-motion refinement."""
-    return _general_problem(observations, init)[0]
+                                 translations=[np.asarray(t, dtype=float) for _, t in poses0])
 
 
 def general_ba(observations: ObservationSet, init):
@@ -516,6 +505,5 @@ def general_ba(observations: ObservationSet, init):
     `init` is (CameraIntrinsics, Distortion, [(Rotation, t), ...]); used as the
     refinement stage of the motion-unconstrained baseline.
     """
-    intr, dist, rotations, _, translations, report = _adjusted(
-        *_general_problem(observations, init))
+    intr, dist, rotations, _, translations, report = _adjusted(general_problem(observations, init))
     return (intr, dist, list(zip(rotations, translations))), report

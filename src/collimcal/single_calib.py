@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .core_geom import CameraIntrinsics, Distortion, Rotation, back_project
+from .core_geom import CameraIntrinsics, Distortion, Rotation, back_project, nearest_rotation
 from .refine import ResidualReport, lm_minimize, single_image_ba
 
 MAX_EXHAUSTIVE_PAIR_POINTS = 120
@@ -219,10 +219,10 @@ def refine_intrinsics_angle(pixels: np.ndarray, rays: np.ndarray,
 def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> Rotation:
     """Least-squares rotation R with R @ db_rays[i] ~ calib_rays[i].
 
-    Centroid-subtracted covariance and SVD with the determinant-sign
-    correction, so the result is always a proper rotation.  The factor
-    order is fixed by the alignment direction, verified by tests, not by
-    symbol-pushing: B = sum(q_bar q_bar'^T), R = U diag(1,1,d) V^T.
+    The rotation nearest, in the Frobenius sense, to the covariance
+    B = sum(q_bar q_bar'^T) of the centroid-subtracted bundles, so the result
+    is always a proper rotation.  The factor order is fixed by the alignment
+    direction, verified by tests, not by symbol-pushing.
     """
     q = np.asarray(calib_rays, dtype=float).reshape(-1, 3)
     qp = np.asarray(db_rays, dtype=float).reshape(-1, 3)
@@ -233,12 +233,10 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> Rot
     qc = q - q.mean(axis=0)
     qpc = qp - qp.mean(axis=0)
     B = qc.T @ qpc
-    U, s, Vt = np.linalg.svd(B)
+    s = np.linalg.svd(B, compute_uv=False)
     if s[1] <= 1e-12 * max(s[0], 1e-300):
         raise errors.DegenerateConfiguration("ray bundles are collinear")
-    d = np.sign(np.linalg.det(U @ Vt))
-    R = U @ np.diag([1.0, 1.0, d]) @ Vt
-    return Rotation.from_matrix_orthogonalized(R)
+    return Rotation(nearest_rotation(B))
 
 
 def calibrate_single_image(ids, pixels, database: RayDatabase, *,

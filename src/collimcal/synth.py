@@ -121,10 +121,6 @@ def _inside(uv: np.ndarray, image_size) -> np.ndarray:
     return (u >= 0) & (u <= w) & (v >= 0) & (v <= h)
 
 
-def _grid_points(target: PlanarTarget) -> np.ndarray:
-    return np.column_stack([target.xy, np.zeros(len(target.ids))])
-
-
 def _camera_model(config: SyntheticConfig):
     intr, dist = config.intrinsics, config.distortion
     return (intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma), (dist.d1, dist.d2)
@@ -133,9 +129,10 @@ def _camera_model(config: SyntheticConfig):
 def _draw_pose(config: SyntheticConfig, rng: np.random.Generator, points: np.ndarray):
     """One image's rotation matrix and jittered center, drawn as the protocol says.
 
-    Each attempt draws an axis (3 normals) and an angle (1 uniform); the
-    first whose whole target lies in front of the camera and inside the
-    image at the nominal center is kept, and the jitter (3 normals) follows.
+    Each attempt draws a uniform axis (3 normals) and an angle uniform in
+    [0, MAX_TILT_DEG] (1 uniform); the first whose whole target lies in front
+    of the camera and inside the image at the nominal center is kept, and
+    the jitter (3 normals), which models the imperfect collimator, follows.
     """
     nominal = config.t_cp
     intr_p, dist_p = _camera_model(config)
@@ -157,23 +154,13 @@ def _draw_pose(config: SyntheticConfig, rng: np.random.Generator, points: np.nda
     return R, nominal + rng.normal(size=3) * config.spherical_noise_sigma
 
 
-def _draw_poses(config: SyntheticConfig, rng: np.random.Generator, points: np.ndarray):
-    """Rotations (N, 3, 3) and centers (N, 3) of every image, drawn in image order."""
-    R = np.empty((config.image_count, 3, 3))
-    centers = np.empty((config.image_count, 3))
-    for k in range(config.image_count):
-        R[k], centers[k] = _draw_pose(config, rng, points)
-    return R, centers
-
-
 def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
             points: np.ndarray, rng: np.random.Generator):
     """Noisy pixels (N, n, 2) of the points seen from every pose, in one pass.
 
-    Returns the pixels, which points to keep (N, n): inside the image in a
-    view with every point in front of the camera, and which views have every
-    point in front (N,).  The noise is drawn for every view, as N sequential
-    (n, 2) draws would be.
+    Returns the pixels and which points to keep (N, n): inside the image in
+    a view with every point in front of the camera.  The noise is drawn for
+    every view, as N sequential (n, 2) draws would be.
     """
     t = -(R @ centers[..., None])[..., 0]
     xc = points @ R.transpose(0, 2, 1) + t[:, None, :]
@@ -183,62 +170,30 @@ def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
     uv[front] = project_camera_points(intr_p, dist_p, xc[front].reshape(-1, 3))[0].reshape(
         -1, len(points), 2)
     uv = uv + rng.normal(size=uv.shape) * config.pixel_noise_sigma
-    return uv, _inside(uv, config.image_size) & front[:, None], front
-
-
-def _observations(target: PlanarTarget, uv: np.ndarray, keep: np.ndarray) -> ObservationSet:
-    return ObservationSet(target=target, images=tuple(
-        ImagePoints(ids=target.ids[k], uv=pixels[k]) for pixels, k in zip(uv, keep)))
-
-
-def generate_spherical_poses(config: SyntheticConfig, rng: np.random.Generator):
-    """Sample per-image rotations keeping the whole target visible.
-
-    Rotations are drawn with a uniform axis and an angle uniform in
-    [0, 30 deg] about the target-facing orientation; a pose is resampled
-    (up to 100 attempts) until every target point projects inside the
-    image.  Visibility is checked for the nominal center; the spherical
-    perturbation, drawn afterwards from an always-consumed stream, models
-    the imperfect collimator.  Returns [(Rotation, t_cp_i), ...].
-    """
-    R, centers = _draw_poses(config, rng, _grid_points(config.target.planar_target()))
-    return list(zip(Rotation.from_stack(R), centers))
-
-
-def render_observations(poses, config: SyntheticConfig,
-                        rng: np.random.Generator) -> ObservationSet:
-    """Project the grid through the full model, add pixel noise, drop off-image points.
-
-    Raises PointBehindCamera naming the first view with a target point
-    behind the camera.
-    """
-    target = config.target.planar_target()
-    R = np.array([rot.matrix for rot, _ in poses])
-    centers = np.array([center for _, center in poses], dtype=float)
-    uv, keep, front = _render(R, centers, config, _grid_points(target), rng)
-    if not np.all(front):
-        raise errors.PointBehindCamera(
-            f"image {np.argmin(front)}: target point(s) at non-positive depth")
-    return _observations(target, uv, keep)
+    return uv, _inside(uv, config.image_size) & front[:, None]
 
 
 def make_scene(config: SyntheticConfig, rng: np.random.Generator):
-    """Poses plus their rendered observations, sharing one RNG stream.
+    """Poses [(Rotation, center), ...] and their rendered observations.
 
-    The poses are drawn first, then the pixel noise of every view.  A view
-    whose jittered center puts a target point behind the camera, or leaves
-    fewer than MIN_IMAGE_POINTS points in the image, is drawn again (pose,
-    jitter and noise) after that, up to POSE_ATTEMPTS draws in all; then
-    PoseSamplingFailed names the image.
+    The one way to make a synthetic scene.  Every image's pose is drawn
+    first, in image order (`_draw_pose`), then the pixel noise of every
+    view, all from the one RNG stream.  A view whose jittered center puts a
+    target point behind the camera, or leaves fewer than MIN_IMAGE_POINTS
+    points in the image, is drawn again (pose, jitter and noise) after that,
+    up to POSE_ATTEMPTS draws in all; then PoseSamplingFailed names the image.
     """
     target = config.target.planar_target()
-    points = _grid_points(target)
-    R, centers = _draw_poses(config, rng, points)
-    uv, keep, _ = _render(R, centers, config, points, rng)
+    points = np.column_stack([target.xy, np.zeros(len(target.ids))])
+    R = np.empty((config.image_count, 3, 3))
+    centers = np.empty((config.image_count, 3))
+    for k in range(config.image_count):
+        R[k], centers[k] = _draw_pose(config, rng, points)
+    uv, keep = _render(R, centers, config, points, rng)
     for k in np.flatnonzero(keep.sum(axis=1) < MIN_IMAGE_POINTS):
         for _ in range(POSE_ATTEMPTS - 1):
             R[k], centers[k] = _draw_pose(config, rng, points)
-            view_uv, view_keep, _ = _render(R[k:k + 1], centers[k:k + 1], config, points, rng)
+            view_uv, view_keep = _render(R[k:k + 1], centers[k:k + 1], config, points, rng)
             uv[k], keep[k] = view_uv[0], view_keep[0]
             if keep[k].sum() >= MIN_IMAGE_POINTS:
                 break
@@ -246,7 +201,8 @@ def make_scene(config: SyntheticConfig, rng: np.random.Generator):
             raise errors.PoseSamplingFailed(
                 f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {MIN_IMAGE_POINTS} "
                 f"target points in front of the camera and inside the image")
-    return list(zip(Rotation.from_stack(R), centers)), _observations(target, uv, keep)
+    images = tuple(ImagePoints(ids=target.ids[k], uv=pixels[k]) for pixels, k in zip(uv, keep))
+    return list(zip(Rotation.from_stack(R), centers)), ObservationSet(target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +370,10 @@ def _trial_worker(payload):
 def default_worker_count() -> int:
     env = os.environ.get("COLLIMCAL_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"COLLIMCAL_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

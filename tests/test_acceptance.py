@@ -292,7 +292,7 @@ def test_criterion_7_spherical_motion_properties():
     worst_det = 0.0
     for trial in range(200):
         rng = np.random.default_rng(np.random.SeedSequence(9000, spawn_key=(trial,)))
-        poses = synth.generate_spherical_poses(config, rng)
+        poses, _ = synth.make_scene(config, rng)
         i, j = pair_rng.choice(len(points), size=2, replace=False)
         angles = [angular_distance(rot.matrix @ (points[i] - t),
                                    rot.matrix @ (points[j] - t))
@@ -402,7 +402,7 @@ def test_criterion_9_optimizer_integrity():
     # Spherical BA residual at 100 random parameter points (several scenes).
     config, poses, obs = scene(seed=71, pixel_noise_sigma=0.5, image_count=4)
     intr, ext = ms.solve_closed_form(obs)
-    residual, jacobian, plus, x0, _ = refine.spherical_problem(
+    residual, jacobian, plus, x0, *_ = refine.spherical_problem(
         obs, (intr, Distortion(0.0, 0.0), ext))
     worst = 0.0
     for _ in range(50):
@@ -415,7 +415,7 @@ def test_criterion_9_optimizer_integrity():
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     rot = Rotation.from_axis_angle([0.05, -0.1, 0.07])
     pixels = project(TRUE_K, Distortion(0.1, -0.2), rot, np.zeros(3), rays)
-    residual_s, jacobian_s, plus_s, x0_s = refine.single_image_problem(
+    residual_s, jacobian_s, plus_s, x0_s, *_ = refine.single_image_problem(
         rays, pixels, (TRUE_K, Distortion(0.05, -0.1), rot))
     for _ in range(50):
         x = plus_s(x0_s, rng.normal(size=x0_s.size) * 1e-3)

@@ -84,7 +84,12 @@ def test_calibrate_no_refine_stage(sim_file, tmp_path):
     out = tmp_path / "report.json"
     assert main(["calibrate", "--in", str(sim_file), "--mode", "nimg",
                  "--no-refine", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["stage"] == "init"
+    report = json.loads(out.read_text())
+    assert report["stage"] == "init"
+    # The closed form is exact on the noiseless file, so are its reprojections.
+    assert len(report["per_image_rms_px"]) == 15
+    assert max(report["per_image_rms_px"]) < 1e-9
+    assert report["rms_reprojection_px"] < 1e-9
 
 
 def test_calibrate_minimal_mode(tmp_path):
@@ -269,6 +274,16 @@ def test_benchmark_csv_contract(tmp_path, monkeypatch):
                       "d1_err_mean", "d2_err_mean", "tcp_err_mm_mean",
                       "fail_count", "ms_per_trial"]
     assert len(lines) == 1 + 2 * 4  # two sweep points, four solver arms
+
+
+def test_benchmark_names_a_bad_thread_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLLIMCAL_THREADS", "two")
+    cfg = write_config(tmp_path / "cfg.json", trial_count=2,
+                       sweep_values={"noise": [0.5]})
+    assert main(["benchmark", "--config", cfg, "--sweep", "noise",
+                 "--out", str(tmp_path / "bench.csv")]) == 2
+    assert "COLLIMCAL_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
 
 
 def strip_timing(csv_text: str) -> str:

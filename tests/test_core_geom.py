@@ -310,13 +310,13 @@ def test_batched_homographies_match_per_image_fits():
     counts = set()
     for seed in range(20):
         obs = dropped_points_scene(seed)
-        homographies, frame = obs.homography_fit
+        H, frame = obs.homography_fit
         for k in range(len(obs)):
             xy, uv = obs.correspondences(k)
             counts.add(len(uv))
             alone = cg.estimate_homography((xy - frame.target_shift) / frame.target_scale,
                                            (uv - frame.pixel_shift) / frame.pixel_scale)
-            assert relative_difference(homographies[k].matrix, alone.matrix) <= 1e-12
+            assert relative_difference(H[k], alone.matrix) <= 1e-12
     assert len(counts) > 50  # the stack pads images of many different sizes
 
 
@@ -345,7 +345,7 @@ def reference_decomposition(H, intr):
     r1, r2, t = M[:, 0] / lam, M[:, 1] / lam, M[:, 2] / lam
     if t[2] < 0:
         r1, r2, t = -r1, -r2, -t
-    R = cg.Rotation.from_matrix_orthogonalized(np.column_stack([r1, r2, np.cross(r1, r2)]))
+    R = cg.Rotation(cg.nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)])))
     return R.matrix, t, lam
 
 

@@ -58,14 +58,19 @@ def z_rotated_observation_set(base_rotations, extra_pairs):
 
 
 # ---------------------------------------------------------------------------
-# scale_ratio
+# scale ratios
 # ---------------------------------------------------------------------------
+
+def ratio_to_base(H_i, H_base):
+    """lambda_i / lambda_base of two homographies, from the solver's stacked ratios."""
+    return float(ms._scale_ratios(np.array([H_base.matrix, H_i.matrix]), 0)[1])
+
 
 def test_scale_ratio_identity_and_doubling():
     H = spherical_homography(Rotation.from_axis_angle([0.05, -0.1, 0.02]))
-    assert ms.scale_ratio(H, H) == pytest.approx(1.0, abs=1e-12)
-    assert ms.scale_ratio(Homography(2.0 * H.matrix), H) == pytest.approx(2.0, abs=1e-12)
-    assert ms.scale_ratio(Homography(-H.matrix), H) == pytest.approx(-1.0, abs=1e-12)
+    assert ratio_to_base(H, H) == pytest.approx(1.0, abs=1e-12)
+    assert ratio_to_base(Homography(2.0 * H.matrix), H) == pytest.approx(2.0, abs=1e-12)
+    assert ratio_to_base(Homography(-H.matrix), H) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_scale_ratio_matches_generator_scales():
@@ -80,7 +85,7 @@ def test_scale_ratio_matches_generator_scales():
         lams.append(H.matrix[2, 2] / t[2])
         Hs.append(H)
     for i in range(1, 4):
-        assert ms.scale_ratio(Hs[i], Hs[0]) == pytest.approx(lams[i] / lams[0], rel=1e-9)
+        assert ratio_to_base(Hs[i], Hs[0]) == pytest.approx(lams[i] / lams[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +97,7 @@ def normalized_unit_homographies(rng, count):
     K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.542, cy=0.478, gamma=1e-5)
     t_cp = np.array([0.5, 0.35, -7.0 / 3.0])
     rots = random_spherical_rotations(rng, count)
-    Hs = [homography_from_pose(K, rot, -rot.matrix @ t_cp) for rot in rots]
+    Hs = np.array([homography_from_pose(K, rot, -rot.matrix @ t_cp).matrix for rot in rots])
     return K, t_cp, Hs
 
 
@@ -100,8 +105,7 @@ def ground_truth_solution(K, t_cp, H_base):
     W = K.matrix @ K.matrix.T
     x, y, r = t_cp[0], t_cp[1], -t_cp[2]
     Ki = K.inverse
-    lam1 = 0.5 * (np.linalg.norm(Ki @ H_base.matrix[:, 0])
-                  + np.linalg.norm(Ki @ H_base.matrix[:, 1]))
+    lam1 = 0.5 * (np.linalg.norm(Ki @ H_base[:, 0]) + np.linalg.norm(Ki @ H_base[:, 1]))
     s = 1.0 / (lam1 * r) ** 2
     w = np.array([W[0, 0], W[0, 1], W[0, 2], W[1, 1], W[1, 2]])
     a = s * np.array([r * r + x * x, x * y, x, r * r + y * y, y, 1.0])
@@ -111,30 +115,33 @@ def ground_truth_solution(K, t_cp, H_base):
 def test_linear_system_shape_and_ground_truth_residual():
     rng = np.random.default_rng(4)
     K, t_cp, Hs = normalized_unit_homographies(rng, 3)
-    system = ms.build_linear_system(Hs, base_index=0)
-    assert system.d.shape == (18, 11)  # six rows per image, eleven unknowns
-    assert system.b.shape == (18,)
+    d, b = ms.build_linear_system(Hs, base_index=0)
+    assert d.shape == (18, 11)  # six rows per image, eleven unknowns
+    assert b.shape == (18,)
     wa = ground_truth_solution(K, t_cp, Hs[0])
-    assert np.linalg.norm(system.d @ wa - system.b) < 1e-8
+    assert np.linalg.norm(d @ wa - b) < 1e-8
 
 
 def test_linear_system_row_count_scales_with_images():
     rng = np.random.default_rng(5)
     _, _, Hs = normalized_unit_homographies(rng, 7)
-    system = ms.build_linear_system(Hs, base_index=2)
-    assert system.d.shape == (6 * 7, 11)
-    assert len(system.lambda_ratios) == 7
-    assert system.lambda_ratios[2] == pytest.approx(1.0, abs=1e-12)
+    d, _ = ms.build_linear_system(Hs, base_index=2)
+    assert d.shape == (6 * 7, 11)
+    ratios = ms._scale_ratios(Hs, 2)
+    assert len(ratios) == 7
+    assert ratios[2] == pytest.approx(1.0, abs=1e-12)
+    # The base image's block carries -mu^2 = -1 on its A entries.
+    assert np.array_equal(d[12:18, 5:], -np.eye(6))
 
 
 def reference_linear_system(homographies, base_index):
     """build_linear_system one image at a time: six rows per homography."""
-    det_base = np.linalg.det(homographies[base_index].matrix)
+    det_base = np.linalg.det(homographies[base_index])
     rows, rhs, ratios = [], [], []
     for H in homographies:
-        lam_ratio = float(np.cbrt(np.linalg.det(H.matrix) / det_base))
+        lam_ratio = float(np.cbrt(np.linalg.det(H) / det_base))
         ratios.append(lam_ratio)
-        Hinv_t = np.linalg.inv(H.matrix).T
+        Hinv_t = np.linalg.inv(H).T
         for k, (m, n) in enumerate([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]):
             u = ms.iac_constraint_vector(Hinv_t, m, n)
             a_part = np.zeros(6)
@@ -147,25 +154,32 @@ def reference_linear_system(homographies, base_index):
 def test_linear_system_matches_per_image_reference():
     for seed in range(20):
         _, _, obs = scene(seed=seed, pixel_noise_sigma=0.5)
-        homographies = obs.homography_fit.homographies
-        base = seed % len(homographies)
-        system = ms.build_linear_system(homographies, base)
-        d, b, ratios = reference_linear_system(homographies, base)
-        assert list(system.lambda_ratios) == ratios
-        assert np.array_equal(system.b, b)
+        H = obs.homography_fit.matrices
+        base = seed % len(H)
+        d, b = ms.build_linear_system(H, base)
+        d_ref, b_ref, ratios = reference_linear_system(H, base)
+        assert ms._scale_ratios(H, base).tolist() == ratios
+        assert np.array_equal(b, b_ref)
         # The mu^2 entries are squared by a multiply, which rounds correctly;
         # Python's ** may differ from it in the last bit.
-        np.testing.assert_allclose(system.d, d, rtol=4.5e-16, atol=0.0)
+        np.testing.assert_allclose(d, d_ref, rtol=4.5e-16, atol=0.0)
 
 
 def test_closed_form_base_invariance(noiseless_scene):
     _, _, obs = noiseless_scene
-    results = [ms.solve_closed_form(obs, base_index=b) for b in (0, 4, 9)]
-    for intr, ext in results[1:]:
+    fit = obs.homography_fit
+    results = []
+    for base in (0, 4, 9):
+        d, b = ms.build_linear_system(fit.matrices, base)
+        solution, *_ = np.linalg.lstsq(d, b, rcond=None)
+        intr = fit.frame.intrinsics_to_raw(ms._decode_intrinsics(solution[:5]))
+        center = np.array(fit.frame.center_to_raw(*ms._decode_center(solution[5:])))
+        results.append((intr, center))  # center (x, y, r)
+    for intr, center in results[1:]:
         assert abs(intr.fx - results[0][0].fx) / 1000.0 < 1e-8
         assert abs(intr.fy - results[0][0].fy) / 1000.0 < 1e-8
         assert abs(intr.cx - results[0][0].cx) < 1e-6
-        assert np.allclose(ext.t_cp, results[0][1].t_cp, atol=1e-6)
+        assert np.allclose(center, results[0][1], atol=1e-6)
 
 
 def test_linear_solution_scale_invariant():
@@ -173,12 +187,13 @@ def test_linear_solution_scale_invariant():
     K, t_cp, Hs = normalized_unit_homographies(rng, 5)
 
     def decode_fx(homographies):
-        system = ms.build_linear_system(homographies, base_index=0)
-        sol, *_ = np.linalg.lstsq(system.d, system.b, rcond=None)
+        d, b = ms.build_linear_system(homographies, base_index=0)
+        sol, *_ = np.linalg.lstsq(d, b, rcond=None)
         return ms._decode_intrinsics(sol[:5]).fx
 
     fx_a = decode_fx(Hs)
-    scaled = [Homography(3.7 * H.matrix) if i == 2 else H for i, H in enumerate(Hs)]
+    scaled = Hs.copy()
+    scaled[2] *= 3.7
     fx_b = decode_fx(scaled)
     assert abs(fx_a - fx_b) / fx_a < 1e-9
 
@@ -322,11 +337,11 @@ def test_degenerate_pairs_match_pairwise_reference():
     base = random_spherical_rotations(np.random.default_rng(19), 4)
     twins = z_rotated_observation_set(base, extra_pairs=(0.6, -0.9))
     obs = ObservationSet(target=twins.target, images=twins.images + (twins.images[2],))
-    homographies = obs.homography_fit.homographies
+    H = obs.homography_fit.matrices
     translation, z_rotation = [], []
     for i in range(len(obs)):
         for j in range(i + 1, len(obs)):
-            G = np.linalg.inv(homographies[i].matrix) @ homographies[j].matrix
+            G = np.linalg.inv(H[i]) @ H[j]
             G = G / G[2, 2]
             if np.max(np.abs(G - np.eye(3))) < 1e-6:
                 translation.append((i, j))

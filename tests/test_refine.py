@@ -126,7 +126,7 @@ def exact_init(poses, config):
 def test_spherical_parameter_count(noiseless_scene):
     config, poses, obs = noiseless_scene
     init = exact_init(poses, config)
-    _, _, _, x0, _ = refine.spherical_problem(obs, init)
+    _, _, _, x0, *_ = refine.spherical_problem(obs, init)
     assert x0.size == 10 + 3 * len(obs)
 
 
@@ -237,7 +237,7 @@ def test_spherical_jacobian_matches_finite_differences():
     config, poses, obs = scene(seed=31, pixel_noise_sigma=0.5)
     intr, ext = solve_closed_form(obs)
     init = (intr, Distortion(0.0, 0.0), ext)
-    residual, jacobian, plus, x0, _ = refine.spherical_problem(obs, init)
+    residual, jacobian, plus, x0, *_ = refine.spherical_problem(obs, init)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = plus(x0, rng.normal(size=x0.size) * 1e-3)
@@ -254,7 +254,7 @@ def test_single_image_jacobian_matches_finite_differences():
     rot = Rotation.from_axis_angle([0.03, -0.06, 0.1])
     pixels = project(intr, Distortion(0.1, -0.2), rot, np.zeros(3), rays)
     init = (intr, Distortion(0.05, -0.1), rot)
-    residual, jacobian, plus, x0 = refine.single_image_problem(rays, pixels, init)
+    residual, jacobian, plus, x0, *_ = refine.single_image_problem(rays, pixels, init)
     for _ in range(3):
         x = plus(x0, rng.normal(size=x0.size) * 1e-3)
         assert max_relative_deviation(jacobian(x).toarray(),
@@ -263,7 +263,7 @@ def test_single_image_jacobian_matches_finite_differences():
 
 def test_general_jacobian_matches_finite_differences():
     config, poses, obs = scene(seed=33, image_count=4, pixel_noise_sigma=0.3)
-    residual, jacobian, plus, x0, _ = refine.general_problem(obs, zhang_general_init(obs))
+    residual, jacobian, plus, x0, *_ = refine.general_problem(obs, zhang_general_init(obs))
     rng = np.random.default_rng(9)
     x = plus(x0, rng.normal(size=x0.size) * 1e-3)
     assert max_relative_deviation(jacobian(x).toarray(), fd_jacobian(residual, plus, x)) < 1e-5
@@ -322,7 +322,7 @@ def test_lm_rejects_jacobian_of_wrong_shape():
         refine.lm_minimize(lambda x: x - 1.0, lambda x: np.eye(3), np.zeros(2))
     with pytest.raises(ValueError):
         refine.lm_minimize(lambda x: x - 1.0, lambda x: np.ones(2), np.zeros(2))
-    residual, jacobian, plus, x0, _ = noisy_problems()["spherical"]
+    residual, jacobian, plus, x0, *_ = noisy_problems()["spherical"]
     with pytest.raises(ValueError):
         refine.lm_minimize(residual, jacobian, np.append(x0, 0.0), block_size=2, plus=plus)
 

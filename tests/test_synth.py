@@ -55,7 +55,7 @@ def test_grid_target_layout():
 
 def test_poses_share_center_without_spherical_noise():
     cfg = synth.default_config()
-    poses = synth.generate_spherical_poses(cfg, pose_rng())
+    poses, _ = synth.make_scene(cfg, pose_rng())
     centers = np.array([c for _, c in poses])
     assert np.all(centers == centers[0])
     assert np.allclose(centers[0], cfg.t_cp)
@@ -63,7 +63,7 @@ def test_poses_share_center_without_spherical_noise():
 
 def test_poses_perturbed_center_statistics():
     cfg = synth.default_config(spherical_noise_sigma=5.0, image_count=400)
-    poses = synth.generate_spherical_poses(cfg, pose_rng())
+    poses, _ = synth.make_scene(cfg, pose_rng())
     offsets = np.array([c - cfg.t_cp for _, c in poses])
     assert 4.0 < np.std(offsets) < 6.0
     assert np.all(np.abs(np.mean(offsets, axis=0)) < 1.5)
@@ -71,7 +71,7 @@ def test_poses_perturbed_center_statistics():
 
 def test_pose_motion_matrix_determinant():
     cfg = synth.default_config()
-    poses = synth.generate_spherical_poses(cfg, pose_rng(seed=1))
+    poses, _ = synth.make_scene(cfg, pose_rng(seed=1))
     for rot, t_cp in poses:
         assert abs(np.linalg.det(motion_matrix(rot, t_cp)) - cfg.radius) < 1e-10 * cfg.radius
 
@@ -80,7 +80,7 @@ def test_angle_invariance_across_poses():
     # The angle subtended by any fixed target point pair is the same from
     # every pose: spherical motion preserves viewing angles.
     cfg = synth.default_config(image_count=100)
-    poses = synth.generate_spherical_poses(cfg, pose_rng(seed=2))
+    poses, _ = synth.make_scene(cfg, pose_rng(seed=2))
     target = cfg.target.planar_target()
     points = np.column_stack([target.xy, np.zeros(len(target.ids))])
     pair_rng = np.random.default_rng(3)
@@ -96,7 +96,7 @@ def test_angle_invariance_across_poses():
 
 def test_target_stays_on_sphere():
     cfg = synth.default_config(image_count=1000)
-    poses = synth.generate_spherical_poses(cfg, pose_rng(seed=4))
+    poses, _ = synth.make_scene(cfg, pose_rng(seed=4))
     expected = np.linalg.norm(cfg.t_cp)
     for rot, t_cp in poses:
         t = -rot.matrix @ t_cp
@@ -106,7 +106,7 @@ def test_target_stays_on_sphere():
 def test_pose_sampling_failure_when_target_cannot_fit():
     cfg = synth.default_config(radius=260.0)  # target wider than the view
     with pytest.raises(errors.PoseSamplingFailed):
-        synth.generate_spherical_poses(cfg, pose_rng(seed=5))
+        synth.make_scene(cfg, pose_rng(seed=5))
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +115,13 @@ def test_pose_sampling_failure_when_target_cannot_fit():
 
 def test_render_full_visibility_noiseless():
     cfg = synth.default_config()
-    rng = pose_rng(seed=6)
-    poses = synth.generate_spherical_poses(cfg, rng)
-    obs = synth.render_observations(poses, cfg, rng)
+    _, obs = synth.make_scene(cfg, pose_rng(seed=6))
     assert all(len(im) == 88 for im in obs.images)
 
 
 def test_render_inverts_through_back_projection():
     cfg = synth.default_config(distortion=Distortion(0.1, -0.2), image_count=3)
-    rng = pose_rng(seed=7)
-    poses = synth.generate_spherical_poses(cfg, rng)
-    obs = synth.render_observations(poses, cfg, rng)
+    poses, obs = synth.make_scene(cfg, pose_rng(seed=7))
     target = cfg.target.planar_target()
     for (rot, t_cp), im in zip(poses, obs.images):
         points = np.column_stack([target.xy_for(im.ids),
@@ -137,13 +133,13 @@ def test_render_inverts_through_back_projection():
 
 
 def test_render_noise_statistics():
+    # One seed at sigma 0 and 0.5 gives the same poses with the noise scaled.
     cfg = synth.default_config(pixel_noise_sigma=0.5, image_count=120)
-    rng = pose_rng(seed=8)
-    poses = synth.generate_spherical_poses(cfg, rng)
-    noiseless = synth.render_observations(poses, synth.default_config(image_count=120),
-                                          pose_rng(seed=8, trial=1))
-    # rebuild with the same poses but fresh noise
-    noisy = synth.render_observations(poses, cfg, rng)
+    noiseless_poses, noiseless = synth.make_scene(synth.default_config(image_count=120),
+                                                  pose_rng(seed=8))
+    poses, noisy = synth.make_scene(cfg, pose_rng(seed=8))
+    for (rot, center), (rot0, center0) in zip(poses, noiseless_poses):
+        assert np.array_equal(rot.matrix, rot0.matrix) and np.array_equal(center, center0)
     deltas = []
     for im_a, im_b in zip(noisy.images, noiseless.images):
         common = np.intersect1d(im_a.ids, im_b.ids)
