@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .core_geom import (
     CameraIntrinsics,
     Distortion,
-    Homography,
     ImagePoints,
     ObservationSet,
     PlanarTarget,
@@ -22,7 +21,6 @@ from .core_geom import (
     back_project,
     decompose_homography,
     estimate_homography,
-    homography_from_pose,
     project,
 )
 from .multi_solver import (
@@ -60,10 +58,10 @@ from .synth import (
 )
 
 __all__ = [
-    "CameraIntrinsics", "Distortion", "Homography", "ImagePoints",
+    "CameraIntrinsics", "Distortion", "ImagePoints",
     "ObservationSet", "PlanarTarget", "Rotation",
     "angular_distance", "back_project", "decompose_homography",
-    "estimate_homography", "homography_from_pose", "project",
+    "estimate_homography", "project",
     "DegeneracyReport", "SphericalExtrinsics",
     "build_linear_system", "decompose_iac", "detect_degeneracy",
     "solve_closed_form", "solve_minimal",

@@ -23,6 +23,7 @@ map.  Undistortion is done by fixed-point iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -49,6 +50,9 @@ class CameraIntrinsics:
     gamma: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy, self.gamma))):
+            raise ValueError(f"intrinsics must be finite, got fx={self.fx}, fy={self.fy}, "
+                             f"cx={self.cx}, cy={self.cy}, gamma={self.gamma}")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
@@ -88,6 +92,10 @@ class Distortion:
 
     d1: float = 0.0
     d2: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.d1) and math.isfinite(self.d2)):
+            raise ValueError(f"distortion must be finite, got ({self.d1}, {self.d2})")
 
     def factor(self, r2):
         return 1.0 + self.d1 * r2 + self.d2 * r2 * r2
@@ -303,15 +311,19 @@ class ObservationSet:
 
     def __post_init__(self):
         images = tuple(self.images)
-        known = set(self.target.ids.tolist())
         for k, im in enumerate(images):
             if not isinstance(im, ImagePoints):
                 raise TypeError("images must be ImagePoints instances")
             if len(im) < MIN_IMAGE_POINTS:
                 raise ValueError(f"image {k} has fewer than {MIN_IMAGE_POINTS} observed points")
-            unknown = set(im.ids.tolist()) - known
-            if unknown:
-                raise ValueError(f"image {k} observes ids not on the target: {sorted(unknown)}")
+        if images:
+            ids = np.concatenate([im.ids for im in images])
+            unknown = ~np.isin(ids, self.target.ids)
+            if np.any(unknown):
+                image = np.repeat(np.arange(len(images)), [len(im) for im in images])
+                k = int(image[np.argmax(unknown)])
+                raise ValueError(f"image {k} observes ids not on the target: "
+                                 f"{np.unique(ids[unknown & (image == k)]).tolist()}")
         object.__setattr__(self, "images", images)
 
     def __len__(self) -> int:
@@ -330,21 +342,6 @@ class ObservationSet:
         must not be modified after it is first read.
         """
         return _fit_observations(self)
-
-
-@dataclass(frozen=True)
-class Homography:
-    """A 3x3 projective map between target plane and image, defined up to scale."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        H = np.asarray(self.matrix, dtype=float)
-        if H.shape != (3, 3):
-            raise ValueError("homography must be a 3x3 matrix")
-        if len(_rank_deficient(H[None])):
-            raise ValueError("homography is rank deficient")
-        object.__setattr__(self, "matrix", H)
 
 
 def _rank_deficient(H: np.ndarray) -> np.ndarray:
@@ -516,15 +513,18 @@ def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return _checked_homographies(np.linalg.inv(Tu) @ Vt[:, -1].reshape(-1, 3, 3) @ Tx)
 
 
-def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> Homography:
-    """Normalized DLT estimate of the target-plane-to-image homography."""
+def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndarray:
+    """Normalized DLT estimate (3, 3) of the target-plane-to-image homography.
+
+    It is scaled and rank-checked as every fitted homography is.
+    """
     X = np.asarray(target_xy, dtype=float).reshape(-1, 2)
     U = np.asarray(pixels_uv, dtype=float).reshape(-1, 2)
     if len(X) != len(U):
         raise ValueError("correspondence lists differ in length")
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 correspondences")
-    return _validated(Homography, _dlt(X, U, np.array([len(X)]))[0])
+    return _dlt(X, U, np.array([len(X)]))[0]
 
 
 @dataclass(frozen=True)
@@ -593,28 +593,16 @@ def _fit_observations(observations: ObservationSet) -> HomographyFit:
                                    target_scale=tgt_scale, target_shift=tgt_shift))
 
 
-def homography_from_pose(intr: CameraIntrinsics, rot: Rotation, t: np.ndarray) -> Homography:
-    """Exact H = K [r1 r2 t] under the package scale convention."""
-    R = rot.matrix
-    H = intr.matrix @ np.column_stack([R[:, 0], R[:, 1], np.asarray(t, dtype=float)])
-    return Homography(_with_scale_convention(H[None])[0])
+def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
+    """Recover every pose of a stack H (N, 3, 3) with H_i = lam_i * K [r1 r2 t_i].
 
-
-def decompose_homography(H, intr: CameraIntrinsics):
-    """Recover (rotation, translation, lam) from H = lam * K [r1 r2 t].
-
-    H is one Homography, or a stack (N, 3, 3) of homography matrices whose
-    poses are recovered in one pass: (N Rotations, t (N, 3), lam (N,)).
-    The sign is chosen so the target origin lies in front of the camera
-    (t[2] > 0) and the rotation is re-orthogonalized by SVD.
+    Returns (N Rotations, t (N, 3), lam (N,)), recovered in one pass.  The
+    sign is chosen so the target origin lies in front of the camera
+    (t[2] > 0) and the rotations are re-orthogonalized by SVD.
     """
-    if isinstance(H, Homography):
-        rotations, t, lam = _decompose(H.matrix[None], intr)
-        return rotations[0], t[0], float(lam[0])
-    return _decompose(np.asarray(H, dtype=float), intr)
-
-
-def _decompose(H: np.ndarray, intr: CameraIntrinsics):
+    H = np.asarray(H, dtype=float)
+    if H.ndim != 3 or H.shape[1:] != (3, 3):
+        raise ValueError("homographies must be an (N, 3, 3) stack")
     M = intr.inverse @ H
     cols = M.transpose(0, 2, 1)[:, :2]
     # Column norms as dot products, which round like np.linalg.norm of one vector.

@@ -114,6 +114,11 @@ def _intrinsics_from(payload, path) -> CameraIntrinsics:
         raise FileFormatError(f"{path}: bad intrinsics block: {exc}") from exc
 
 
+def _distortion_from(block, path) -> Distortion:
+    """The block's "distortion" pair, (0, 0) when it has none."""
+    return Distortion(*_pair(block.get("distortion", [0.0, 0.0]), float, "distortion", path))
+
+
 # ---------------------------------------------------------------------------
 # observation files
 # ---------------------------------------------------------------------------
@@ -177,8 +182,7 @@ def read_observation_file(payload, path) -> ObservationFile:
         block = payload["ground_truth"]
         ground_truth = GroundTruth(
             intrinsics=_intrinsics_from(_require(block, "intrinsics", path), path),
-            distortion=Distortion(*_pair(block.get("distortion", [0.0, 0.0]),
-                                         float, "distortion", path)),
+            distortion=_distortion_from(block, path),
             t_cp=np.array([float(v) for v in _require(block, "t_cp", path)]),
             rotations=tuple(np.array([float(v) for v in aa])
                             for aa in block.get("rotations_axis_angle", [])))
@@ -199,8 +203,7 @@ def write_camera_file(path, intrinsics: CameraIntrinsics, distortion: Distortion
 @_reader
 def read_camera_file(payload, path):
     intr = _intrinsics_from(_require(payload, "intrinsics", path), path)
-    return intr, Distortion(*_pair(payload.get("distortion", [0.0, 0.0]),
-                                   float, "distortion", path))
+    return intr, _distortion_from(payload, path)
 
 
 def write_ray_database(path, database: RayDatabase) -> None:
@@ -219,8 +222,7 @@ def write_ray_database(path, database: RayDatabase) -> None:
 def read_ray_database(payload, path) -> RayDatabase:
     provenance = _require(payload, "provenance", path)
     intr = _intrinsics_from(_require(provenance, "intrinsics", path), path)
-    dist = Distortion(*_pair(provenance.get("distortion", [0.0, 0.0]),
-                             float, "distortion", path))
+    dist = _distortion_from(provenance, path)
     rays = _require(payload, "rays", path)
     return RayDatabase(ids=[int(r[0]) for r in rays],
                        rays=[[float(r[1]), float(r[2]), float(r[3])] for r in rays],
@@ -237,8 +239,7 @@ def read_synthetic_config(payload, path) -> SyntheticConfig:
     if "intrinsics" in payload:
         kwargs["intrinsics"] = _intrinsics_from(payload["intrinsics"], path)
     if "distortion" in payload:
-        kwargs["distortion"] = Distortion(*_pair(payload["distortion"], float,
-                                                 "distortion", path))
+        kwargs["distortion"] = _distortion_from(payload, path)
     if "image_size" in payload:
         kwargs["image_size"] = _pair(payload["image_size"], int, "image_size", path)
     if "target" in payload:

@@ -24,8 +24,9 @@ from . import errors
 from .core_geom import CameraIntrinsics, ObservationSet, decompose_homography
 
 # The entries of a symmetric 3x3 matrix in the order of its 6-vector form
-# (M11, M12, M13, M22, M23, M33).
+# (M11, M12, M13, M22, M23, M33), and their 0-based row and column indices.
 _SYM_PAIRS = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+_SYM_I, _SYM_J = np.array(_SYM_PAIRS).T - 1
 
 RANK_RATIO_CUTOFF = 1e-8
 # Eigenvalues of the minimal solver's pencil below this fraction of the
@@ -78,21 +79,18 @@ def _scale_ratios(H: np.ndarray, base_index: int) -> np.ndarray:
     return np.cbrt(det / det[base_index])
 
 
-def iac_constraint_vector(H: np.ndarray, m: int, n: int) -> np.ndarray:
-    """u_mn with u_mn . q = h_m^T Q h_n for columns h_m, h_n of H and symmetric Q.
+def conic_rows(H: np.ndarray) -> np.ndarray:
+    """The conic-constraint table of one H (3, 3) or a stack (..., 3, 3).
 
-    Takes one H (3, 3) or a stack (..., 3, 3) and returns (..., 6).
+    Returns (..., 6, 6) whose row k is u_mn for the k-th pair (m, n) of
+    _SYM_PAIRS: u_mn . q = h_m^T Q h_n for columns h_m, h_n of H and the
+    symmetric Q of the 6-vector q.
     """
-    hm = H[..., :, m - 1]
-    hn = H[..., :, n - 1]
-    return np.stack([
-        hm[..., 0] * hn[..., 0],
-        hm[..., 0] * hn[..., 1] + hn[..., 0] * hm[..., 1],
-        hm[..., 0] * hn[..., 2] + hn[..., 0] * hm[..., 2],
-        hm[..., 1] * hn[..., 1],
-        hm[..., 1] * hn[..., 2] + hn[..., 1] * hm[..., 2],
-        hm[..., 2] * hn[..., 2],
-    ], axis=-1)
+    cols = np.swapaxes(H, -1, -2)
+    hm = cols[..., _SYM_I, :]
+    hn = cols[..., _SYM_J, :]
+    return (hm[..., _SYM_I] * hn[..., _SYM_J]
+            + np.where(_SYM_I != _SYM_J, hn[..., _SYM_I] * hm[..., _SYM_J], 0.0))
 
 
 def build_linear_system(H: np.ndarray, base_index: int):
@@ -109,7 +107,7 @@ def build_linear_system(H: np.ndarray, base_index: int):
     ratios = _scale_ratios(H, base_index)
     # (H^-1 W H^-T)_mn on w = (W11, W12, W13, W22, W23); W33 = 1.
     Hinv_t = np.linalg.inv(H).transpose(0, 2, 1)
-    u = np.stack([iac_constraint_vector(Hinv_t, m, n) for (m, n) in _SYM_PAIRS], axis=1)
+    u = conic_rows(Hinv_t)
     d = np.zeros((len(H), 6, 11))
     d[..., :5] = u[..., :5]
     diagonal = np.arange(6)
@@ -198,42 +196,19 @@ def solve_closed_form(observations: ObservationSet):
 # minimal solver
 # ---------------------------------------------------------------------------
 
-def _image_constraint_rows(H: np.ndarray):
-    u11 = iac_constraint_vector(H, 1, 1)
-    u12 = iac_constraint_vector(H, 1, 2)
-    u22 = iac_constraint_vector(H, 2, 2)
-    u13 = iac_constraint_vector(H, 1, 3)
-    u23 = iac_constraint_vector(H, 2, 3)
-    u33 = iac_constraint_vector(H, 3, 3)
-    return u11, u12, u22, u13, u23, u33
+def _hidden_variable_roots(A: np.ndarray, B: np.ndarray):
+    """Real c with det C(c) = 0, for the pencil C(c) = A + c B with rank(B) = 2.
 
-
-def _hidden_variable_matrix(rows_by_image, c: float) -> np.ndarray:
-    blocks = []
-    for (u11, u12, u22, u13, u23, u33) in rows_by_image:
-        blocks.append(u12)
-        blocks.append(u11 - u22)
-        blocks.append(u13 + u23 + u33 + c * u11)
-    return np.array(blocks)
-
-
-def _hidden_variable_roots(rows_by_image):
-    """Real c with det C(c) = 0, for C(c) = A + c B and rank(B) = 2.
-
-    B = E U holds the two images' u11 rows (U) in rows 2 and 5 (E), so the
-    nonzero eigenvalues lam of A^-1 B are those of the 2x2 matrix U A^-1 E,
-    and each gives c = -1/lam.  An eigenvalue that is zero up to rounding is
-    a root at infinity and is dropped.  The 2x2 product loses digits to
-    cancellation; one Newton step on log det C(c), whose derivative is
-    tr(C^-1 B), restores them.
+    B holds the two images' u11 rows (U) in rows 2 and 5 (E, so B = E U),
+    so the nonzero eigenvalues lam of A^-1 B are those of the 2x2 matrix
+    U A^-1 E, and each gives c = -1/lam.  An eigenvalue that is zero up to
+    rounding is a root at infinity and is dropped.  The 2x2 product loses
+    digits to cancellation; one Newton step on log det C(c), whose
+    derivative is tr(C^-1 B), restores them.
     """
-    A = _hidden_variable_matrix(rows_by_image, 0.0)
-    E = np.zeros((6, 2))
-    E[2, 0] = E[5, 1] = 1.0
-    U = np.array([u11 for (u11, *_) in rows_by_image])
-    B = E @ U
+    E = np.eye(6)[:, 2::3]
     try:
-        lam = np.linalg.eigvals(U @ np.linalg.solve(A, E))
+        lam = np.linalg.eigvals(B[2::3] @ np.linalg.solve(A, E))
     except np.linalg.LinAlgError as exc:
         raise errors.NoRealRoot("hidden-variable system is singular at c = 0") from exc
     cutoff = _ROOT_RATIO_CUTOFF * np.max(np.abs(lam))
@@ -252,15 +227,6 @@ def _hidden_variable_roots(rows_by_image):
     return roots
 
 
-def _candidate_residual(rows_by_image, q, centers) -> float:
-    x, y, t2 = centers
-    total = 0.0
-    for (u11, u12, u22, u13, u23, u33) in rows_by_image:
-        for row in (u12, u11 - u22, u13 + x * u11, u23 + y * u11, u33 - t2 * u11):
-            total += float(row @ q) ** 2 / float(row @ row)
-    return total
-
-
 def solve_minimal(observations: ObservationSet):
     """Two-image minimal solver via the hidden-variable technique.
 
@@ -273,12 +239,17 @@ def solve_minimal(observations: ObservationSet):
     if len(observations) != 2:
         raise ValueError(f"minimal solver takes exactly 2 images, got {len(observations)}")
     fit = observations.homography_fit
-    rows_by_image = [_image_constraint_rows(H) for H in fit.matrices]
+    # Each (2, 6): one row per image.
+    u11, u12, u13, u22, u23, u33 = np.moveaxis(conic_rows(fit.matrices), 1, 0)
+    # Per image, rows u12, u11 - u22 and u13 + u23 + u33 + c u11 of C(c).
+    A = np.stack([u12, u11 - u22, u13 + u23 + u33], axis=1).reshape(6, 6)
+    B = np.zeros((2, 3, 6))
+    B[:, 2] = u11
+    B = B.reshape(6, 6)
 
     candidates = []
-    for c in _hidden_variable_roots(rows_by_image):
-        C = _hidden_variable_matrix(rows_by_image, c)
-        _, _, Vt = np.linalg.svd(C)
+    for c in _hidden_variable_roots(A, B):
+        _, _, Vt = np.linalg.svd(A + c * B)
         q = Vt[-1]
         if q[5] < 0:
             q = -q
@@ -287,18 +258,15 @@ def solve_minimal(observations: ObservationSet):
         except errors.NotPositiveDefinite:
             continue
         # Joint least squares of both images' center constraints.
-        num = np.zeros(3)
-        den = 0.0
-        for (u11, _, _, u13, u23, u33) in rows_by_image:
-            g11 = float(u11 @ q)
-            num += g11 * np.array([-(u13 @ q), -(u23 @ q), (u33 @ q)])
-            den += g11 * g11
-        x_n, y_n, t2_n = num / den
+        g11 = u11 @ q
+        num = np.sum(g11[:, None] * np.stack([-(u13 @ q), -(u23 @ q), u33 @ q], axis=1), axis=0)
+        x_n, y_n, t2_n = num / np.sum(g11 * g11)
         r2 = t2_n - x_n * x_n - y_n * y_n
         if r2 <= 0:
             continue
-        residual = _candidate_residual(rows_by_image, q / np.linalg.norm(q),
-                                       (x_n, y_n, t2_n))
+        rows = np.stack([u12, u11 - u22, u13 + x_n * u11, u23 + y_n * u11, u33 - t2_n * u11])
+        q_unit = q / np.linalg.norm(q)
+        residual = np.sum((rows @ q_unit) ** 2 / np.sum(rows * rows, axis=-1))
         rotations, _, _ = decompose_homography(fit.matrices, intr_n)
         intr = fit.frame.intrinsics_to_raw(intr_n)
         x, y, r = fit.frame.center_to_raw(x_n, y_n, float(np.sqrt(r2)))

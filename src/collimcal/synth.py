@@ -35,11 +35,7 @@ from .core_geom import (
     project_camera_points,
     rotation_matrix_from_axis_angle,
 )
-from .multi_solver import (
-    decompose_iac,
-    iac_constraint_vector,
-    solve_closed_form,
-)
+from .multi_solver import conic_rows, decompose_iac, solve_closed_form
 from .refine import general_ba, spherical_ba
 
 MAX_TILT_DEG = 30.0
@@ -86,6 +82,9 @@ class SyntheticConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("radius", "target_offset", "pixel_noise_sigma", "spherical_noise_sigma"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         if self.image_count < 1 or self.trial_count < 1:
@@ -220,10 +219,8 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     if len(observations) < 2:
         raise ValueError("baseline initialization needs at least 2 images")
     fit = observations.homography_fit
-    H = fit.matrices
-    V = np.stack([iac_constraint_vector(H, 1, 2),
-                  iac_constraint_vector(H, 1, 1) - iac_constraint_vector(H, 2, 2)],
-                 axis=1).reshape(-1, 6)
+    u = conic_rows(fit.matrices)
+    V = np.stack([u[:, 1], u[:, 0] - u[:, 3]], axis=1).reshape(-1, 6)  # u12, u11 - u22
     if len(observations) == 2:
         V = np.vstack([V, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])  # gamma = 0
     _, s, Vt = np.linalg.svd(V)

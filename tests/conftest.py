@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from collimcal import synth
-from collimcal.core_geom import ObservationSet
+from collimcal.core_geom import ObservationSet, _with_scale_convention
 
 
 def scene(seed=0, trial=0, **overrides):
@@ -29,6 +29,13 @@ def motion_matrix(rot, t_cp):
     """M = [r1 r2 -R t_cp]; its determinant equals the spherical radius."""
     R = rot.matrix
     return np.column_stack([R[:, 0], R[:, 1], -R @ np.asarray(t_cp, dtype=float)])
+
+
+def homography_from_pose(intr, rot, t):
+    """Exact H = K [r1 r2 t] (3, 3) under the package scale convention."""
+    R = rot.matrix
+    H = intr.matrix @ np.column_stack([R[:, 0], R[:, 1], np.asarray(t, dtype=float)])
+    return _with_scale_convention(H[None])[0]
 
 
 @pytest.fixture

@@ -196,6 +196,55 @@ def test_calibrate_non_finite_pixel_exit_2(sim_file, tmp_path, capsys, value):
     assert "image_003" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, keys, value", [
+    ("simulate", ("pixel_noise_sigma",), NAN),
+    ("simulate", ("spherical_noise_sigma",), INF),
+    ("simulate", ("radius",), NAN),
+    ("simulate", ("radius",), INF),
+    ("simulate", ("target_offset",), [NAN, 105.0]),
+    ("simulate", ("intrinsics",), {"fx": 1000.0, "fy": 1000.0, "cx": NAN, "cy": 478.0}),
+    ("simulate", ("distortion",), [INF, 0.0]),
+    ("calibrate", ("ground_truth", "intrinsics", "gamma"), INF),
+    ("calibrate", ("ground_truth", "distortion"), [0.0, NAN]),
+    ("build-db", ("intrinsics", "fx"), INF),
+    ("build-db", ("intrinsics", "cx"), NAN),
+    ("build-db", ("distortion",), [NAN, 0.0]),
+    ("build-db", ("distortion",), [INF, 0.0]),
+    ("benchmark", ("pixel_noise_sigma",), INF),
+], ids=["simulate-pixel-sigma", "simulate-spherical-sigma", "simulate-radius-nan",
+        "simulate-radius-inf", "simulate-offset", "simulate-cx", "simulate-distortion",
+        "calibrate-truth-gamma", "calibrate-truth-distortion", "build-db-fx", "build-db-cx",
+        "build-db-distortion-nan", "build-db-distortion-inf", "benchmark-pixel-sigma"])
+def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, value):
+    # JSON readers accept NaN and Infinity; each must be refused as input.
+    bad = tmp_path / "bad.json"
+    out = str(tmp_path / "out.json")
+    if command in ("simulate", "benchmark"):
+        edited_copy(tmp_path / "cfg.json", bad, keys, value)
+        argv = [command, "--config", str(bad), "--out", out]
+        if command == "benchmark":
+            argv += ["--sweep", "noise"]
+    elif command == "calibrate":
+        edited_copy(sim_file, bad, keys, value)
+        argv = ["calibrate", "--in", str(bad), "--mode", "nimg", "--out", out]
+    else:
+        ref_obs = tmp_path / "ref_obs.json"
+        cfg = write_config(tmp_path / "ref_cfg.json", image_count=1)
+        assert main(["simulate", "--config", cfg, "--out", str(ref_obs)]) == 0
+        cam = tmp_path / "cam.json"
+        fileio.write_camera_file(cam, CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0),
+                                 Distortion(0.0, 0.0))
+        edited_copy(cam, bad, keys, value)
+        argv = ["build-db", "--ref-obs", str(ref_obs), "--ref-cam", str(bad), "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "must be finite" in err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # build-db + single-image flow
 # ---------------------------------------------------------------------------

@@ -5,14 +5,12 @@ from collimcal import errors
 from collimcal import multi_solver as ms
 from collimcal.core_geom import (
     CameraIntrinsics,
-    Homography,
     ImagePoints,
     ObservationSet,
     Rotation,
-    homography_from_pose,
     project,
 )
-from conftest import first_images, motion_matrix, scene
+from conftest import first_images, homography_from_pose, motion_matrix, scene
 
 TRUE_K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01)
 TRUE_TCP = np.array([150.0, 105.0, -700.0])
@@ -63,14 +61,14 @@ def z_rotated_observation_set(base_rotations, extra_pairs):
 
 def ratio_to_base(H_i, H_base):
     """lambda_i / lambda_base of two homographies, from the solver's stacked ratios."""
-    return float(ms._scale_ratios(np.array([H_base.matrix, H_i.matrix]), 0)[1])
+    return float(ms._scale_ratios(np.array([H_base, H_i]), 0)[1])
 
 
 def test_scale_ratio_identity_and_doubling():
     H = spherical_homography(Rotation.from_axis_angle([0.05, -0.1, 0.02]))
     assert ratio_to_base(H, H) == pytest.approx(1.0, abs=1e-12)
-    assert ratio_to_base(Homography(2.0 * H.matrix), H) == pytest.approx(2.0, abs=1e-12)
-    assert ratio_to_base(Homography(-H.matrix), H) == pytest.approx(-1.0, abs=1e-12)
+    assert ratio_to_base(2.0 * H, H) == pytest.approx(2.0, abs=1e-12)
+    assert ratio_to_base(-H, H) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_scale_ratio_matches_generator_scales():
@@ -82,7 +80,7 @@ def test_scale_ratio_matches_generator_scales():
     for rot in rots:
         t = -rot.matrix @ TRUE_TCP
         H = spherical_homography(rot)
-        lams.append(H.matrix[2, 2] / t[2])
+        lams.append(H[2, 2] / t[2])
         Hs.append(H)
     for i in range(1, 4):
         assert ratio_to_base(Hs[i], Hs[0]) == pytest.approx(lams[i] / lams[0], rel=1e-9)
@@ -97,7 +95,7 @@ def normalized_unit_homographies(rng, count):
     K = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.542, cy=0.478, gamma=1e-5)
     t_cp = np.array([0.5, 0.35, -7.0 / 3.0])
     rots = random_spherical_rotations(rng, count)
-    Hs = np.array([homography_from_pose(K, rot, -rot.matrix @ t_cp).matrix for rot in rots])
+    Hs = np.array([homography_from_pose(K, rot, -rot.matrix @ t_cp) for rot in rots])
     return K, t_cp, Hs
 
 
@@ -134,6 +132,22 @@ def test_linear_system_row_count_scales_with_images():
     assert np.array_equal(d[12:18, 5:], -np.eye(6))
 
 
+def test_conic_rows_are_the_column_products():
+    # Row k of the table against h_m^T Q h_n computed directly, for the
+    # k-th pair (m, n) of the symmetric entries, on one H and on a stack.
+    rng = np.random.default_rng(29)
+    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    for H in (rng.normal(size=(3, 3)), rng.normal(size=(2, 4, 3, 3))):
+        Q = rng.normal(size=(3, 3))
+        Q = Q + Q.T
+        q = Q[tuple(np.array(pairs).T)]
+        direct = np.stack([np.einsum("...i,ij,...j->...", H[..., :, m], Q, H[..., :, n])
+                           for m, n in pairs], axis=-1)
+        table = ms.conic_rows(H)
+        assert table.shape == H.shape[:-2] + (6, 6)
+        np.testing.assert_allclose(table @ q, direct, rtol=1e-12, atol=1e-12)
+
+
 def reference_linear_system(homographies, base_index):
     """build_linear_system one image at a time: six rows per homography."""
     det_base = np.linalg.det(homographies[base_index])
@@ -142,8 +156,7 @@ def reference_linear_system(homographies, base_index):
         lam_ratio = float(np.cbrt(np.linalg.det(H) / det_base))
         ratios.append(lam_ratio)
         Hinv_t = np.linalg.inv(H).T
-        for k, (m, n) in enumerate([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]):
-            u = ms.iac_constraint_vector(Hinv_t, m, n)
+        for k, u in enumerate(ms.conic_rows(Hinv_t)):
             a_part = np.zeros(6)
             a_part[k] = -(1.0 / lam_ratio) ** 2
             rows.append(np.concatenate([u[:5], a_part]))

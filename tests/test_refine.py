@@ -197,7 +197,7 @@ def zhang_general_init(obs):
     poses = []
     for i in range(len(obs)):
         xy, uv = obs.correspondences(i)
-        rot, t, _ = decompose_homography(estimate_homography(xy, uv), intr)
+        (rot,), (t,), _ = decompose_homography(estimate_homography(xy, uv)[None], intr)
         poses.append((rot, t))
     return intr, Distortion(0.0, 0.0), poses
 
