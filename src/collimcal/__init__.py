@@ -17,7 +17,6 @@ from .core_geom import (
     ObservationSet,
     PlanarTarget,
     Rotation,
-    angular_distance,
     back_project,
     decompose_homography,
     estimate_homography,
@@ -60,7 +59,7 @@ from .synth import (
 __all__ = [
     "CameraIntrinsics", "Distortion", "ImagePoints",
     "ObservationSet", "PlanarTarget", "Rotation",
-    "angular_distance", "back_project", "decompose_homography",
+    "back_project", "decompose_homography",
     "estimate_homography", "project",
     "DegeneracyReport", "SphericalExtrinsics",
     "build_linear_system", "decompose_iac", "detect_degeneracy",

@@ -16,7 +16,7 @@ import numpy as np
 from . import errors, fileio, synth
 from .core_geom import Distortion, ObservationSet
 from .multi_solver import detect_degeneracy, solve_closed_form, solve_minimal
-from .refine import spherical_ba, spherical_reprojection_rms
+from .refine import reprojection_rms, spherical_ba, spherical_problem
 from .single_calib import build_ray_database, calibrate_single_image
 
 EXIT_OK = 0
@@ -53,10 +53,9 @@ def _truth_errors(intr, dist, ext, truth: fileio.GroundTruth):
         "cx_err_px": abs(intr.cx - truth.intrinsics.cx),
         "cy_err_px": abs(intr.cy - truth.intrinsics.cy),
         "gamma_err": abs(intr.gamma - truth.intrinsics.gamma),
+        "d1_err": abs(dist.d1 - truth.distortion.d1),
+        "d2_err": abs(dist.d2 - truth.distortion.d2),
     }
-    if dist is not None:
-        block["d1_err"] = abs(dist.d1 - truth.distortion.d1)
-        block["d2_err"] = abs(dist.d2 - truth.distortion.d2)
     if ext is not None:
         block["tcp_err_mm"] = float(np.linalg.norm(ext.t_cp - truth.t_cp))
     return block
@@ -83,7 +82,7 @@ def cmd_simulate(args) -> int:
         intrinsics=config.intrinsics,
         distortion=config.distortion,
         t_cp=config.t_cp,
-        rotations=tuple(rot.axis_angle() for rot, _ in poses))
+        rotations=tuple(fileio.rotations_payload(rot for rot, _ in poses)))
     fileio.write_observation_file(args.out, observations,
                                   image_size=config.image_size, ground_truth=truth)
     print(f"wrote {args.out}: {len(observations)} images, "
@@ -112,6 +111,7 @@ def cmd_calibrate(args) -> int:
               "config_echo": {"mode": args.mode, "reference": args.reference,
                               "no_refine": bool(args.no_refine)}}
 
+    ext = None
     if args.mode == "single":
         database = fileio.read_ray_database(args.reference)
         image = observations.images[0]
@@ -121,18 +121,13 @@ def cmd_calibrate(args) -> int:
             refine_distortion=not args.no_refine)
         intr, dist = result.intrinsics, result.distortion
         report.update({
-            "intrinsics": fileio.intrinsics_payload(intr),
-            "distortion": [dist.d1, dist.d2],
-            "rotation_axis_angle": fileio.rotation_payload(result.rotation),
+            "rotation_axis_angle": fileio.rotations_payload([result.rotation])[0],
             "rms_reprojection_px": result.report.rms_reprojection,
             "n_matched": result.n_matched,
             "n_dropped": result.n_dropped,
             "converged": result.report.converged,
             "termination": result.report.termination,
         })
-        if data.ground_truth is not None:
-            report["error_vs_truth"] = _truth_errors(intr, dist, None,
-                                                     data.ground_truth)
     else:
         report["degeneracy"] = _degeneracy_block(observations)
         if args.mode == "nimg":
@@ -144,7 +139,7 @@ def cmd_calibrate(args) -> int:
         dist = Distortion(0.0, 0.0)
         if args.no_refine:
             stage = "init"
-            rms, per_image = spherical_reprojection_rms(observations, (intr, dist, ext))
+            rms, per_image = reprojection_rms(spherical_problem(observations, (intr, dist, ext)))
         else:
             (intr, dist, ext), ba_report = spherical_ba(observations,
                                                         (intr, dist, ext))
@@ -154,16 +149,15 @@ def cmd_calibrate(args) -> int:
             rms, per_image = ba_report.rms_reprojection, ba_report.per_image_rms
         report.update({
             "stage": stage,
-            "intrinsics": fileio.intrinsics_payload(intr),
-            "distortion": [dist.d1, dist.d2],
             "t_cp_mm": [float(v) for v in ext.t_cp],
-            "rotations_axis_angle": [fileio.rotation_payload(r) for r in ext.rotations],
+            "rotations_axis_angle": fileio.rotations_payload(ext.rotations),
             "rms_reprojection_px": rms,
             "per_image_rms_px": per_image,
         })
-        if data.ground_truth is not None:
-            report["error_vs_truth"] = _truth_errors(intr, dist, ext,
-                                                     data.ground_truth)
+    report["intrinsics"] = fileio.intrinsics_payload(intr)
+    report["distortion"] = [dist.d1, dist.d2]
+    if data.ground_truth is not None:
+        report["error_vs_truth"] = _truth_errors(intr, dist, ext, data.ground_truth)
     fileio.write_report(args.out, report)
     print(f"wrote {args.out}: fx={report['intrinsics']['fx']:.3f} "
           f"fy={report['intrinsics']['fy']:.3f}")
@@ -191,10 +185,11 @@ def cmd_benchmark(args) -> int:
     for s in stats:
         focal = s.focal_rel_errors()
         cxy = s.principal_point_errors()
+        d1, d2 = (np.abs(s.trials[:, synth.PARAM_NAMES.index(name)]) for name in ("d1", "d2"))
         row = (s.sweep_value, s.solver, s.stage,
                _nan_guarded(np.nanmean, focal), _nan_guarded(np.nanstd, focal),
                _nan_guarded(np.nanmean, cxy), _nan_guarded(np.nanstd, cxy),
-               s.mean_abs_error("d1"), s.mean_abs_error("d2"),
+               _nan_guarded(np.nanmean, d1), _nan_guarded(np.nanmean, d2),
                _nan_guarded(np.nanmean, s.center_errors()),
                s.fail_count, s.ms_per_trial())
         lines.append(",".join(_fmt(v) for v in row))

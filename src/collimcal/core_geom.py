@@ -24,7 +24,7 @@ map.  Undistortion is done by fixed-point iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -87,7 +87,7 @@ class Distortion:
 
     The forward map x -> x * (1 + d1 r^2 + d2 r^4) must stay monotone in
     radius over the working field of view; callers that know the field of
-    view check this with `assert_monotone` against the image diagonal.
+    view check this with `check_monotone_within` against the image diagonal.
     """
 
     d1: float = 0.0
@@ -100,17 +100,13 @@ class Distortion:
     def factor(self, r2):
         return 1.0 + self.d1 * r2 + self.d2 * r2 * r2
 
-    def is_monotone_within(self, max_radius: float) -> bool:
+    def check_monotone_within(self, max_radius: float) -> None:
+        """Raise ValueError unless the map is monotone up to normalized radius max_radius."""
         # d/dr of r*(1 + d1 r^2 + d2 r^4) = 1 + 3 d1 r^2 + 5 d2 r^4
         r2 = np.linspace(0.0, max_radius, 256) ** 2
-        return bool(np.all(1.0 + 3.0 * self.d1 * r2 + 5.0 * self.d2 * r2 * r2 > 0.0))
-
-
-def assert_monotone_distortion(dist: Distortion, max_radius: float) -> None:
-    if not dist.is_monotone_within(max_radius):
-        raise ValueError(
-            f"distortion ({dist.d1}, {dist.d2}) is not monotone within "
-            f"normalized radius {max_radius:.4f}")
+        if not np.all(1.0 + 3.0 * self.d1 * r2 + 5.0 * self.d2 * r2 * r2 > 0.0):
+            raise ValueError(f"distortion ({self.d1}, {self.d2}) is not monotone within "
+                             f"normalized radius {max_radius:.4f}")
 
 
 @dataclass(frozen=True)
@@ -141,17 +137,6 @@ class Rotation:
         if defect:
             raise ValueError(f"rotation {defect[0]}: {defect[1]}")
         return tuple(_validated(cls, M) for M in R)
-
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(np.eye(3))
-
-    @classmethod
-    def from_axis_angle(cls, v) -> "Rotation":
-        return cls(rotation_matrix_from_axis_angle(np.asarray(v, dtype=float)))
-
-    def axis_angle(self) -> np.ndarray:
-        return axis_angle_from_rotation_matrix(self.matrix)
 
 
 def _validated(cls, matrix: np.ndarray):
@@ -268,14 +253,21 @@ class PlanarTarget:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "xy", xy)
 
+    def _rows(self, ids: np.ndarray):
+        """Row of each given point id (M,) and whether the id is on the target (M,).
+
+        The row of an id not on the target is arbitrary.
+        """
+        order = np.argsort(self.ids)
+        rows = order[np.minimum(np.searchsorted(self.ids, ids, sorter=order), len(order) - 1)]
+        return rows, self.ids[rows] == ids
+
     def xy_for(self, ids: np.ndarray) -> np.ndarray:
         """(X, Y) of each given point id, in order; KeyError names an id not on the target."""
         ids = np.asarray(ids, dtype=int).reshape(-1)
-        order = np.argsort(self.ids)
-        rows = order[np.minimum(np.searchsorted(self.ids, ids, sorter=order), len(order) - 1)]
-        unknown = ids[self.ids[rows] != ids]
-        if len(unknown):
-            raise KeyError(int(unknown[0]))
+        rows, found = self._rows(ids)
+        if not np.all(found):
+            raise KeyError(int(ids[~found][0]))
         return self.xy[rows]
 
 
@@ -304,10 +296,18 @@ class ImagePoints:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """A planar target plus per-image pixel observations of it."""
+    """A planar target plus per-image pixel observations of it.
+
+    The observations are also kept stacked, image after image, in read-only
+    arrays: `xy` (M, 2) the target point and `uv` (M, 2) the pixel of each,
+    and `counts` (N,) how many each image has.
+    """
 
     target: PlanarTarget
     images: tuple
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
+    uv: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
@@ -316,23 +316,23 @@ class ObservationSet:
                 raise TypeError("images must be ImagePoints instances")
             if len(im) < MIN_IMAGE_POINTS:
                 raise ValueError(f"image {k} has fewer than {MIN_IMAGE_POINTS} observed points")
-        if images:
-            ids = np.concatenate([im.ids for im in images])
-            unknown = ~np.isin(ids, self.target.ids)
-            if np.any(unknown):
-                image = np.repeat(np.arange(len(images)), [len(im) for im in images])
-                k = int(image[np.argmax(unknown)])
-                raise ValueError(f"image {k} observes ids not on the target: "
-                                 f"{np.unique(ids[unknown & (image == k)]).tolist()}")
+        counts = np.array([len(im) for im in images], dtype=int)
+        ids = np.concatenate([np.zeros(0, dtype=int)] + [im.ids for im in images])
+        rows, found = self.target._rows(ids)
+        if not np.all(found):
+            image = np.repeat(np.arange(len(images)), counts)
+            k = int(image[np.argmin(found)])
+            raise ValueError(f"image {k} observes ids not on the target: "
+                             f"{np.unique(ids[~found & (image == k)]).tolist()}")
+        stacked = {"xy": self.target.xy[rows], "counts": counts,
+                   "uv": np.concatenate([np.zeros((0, 2))] + [im.uv for im in images])}
+        for name, value in stacked.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "images", images)
 
     def __len__(self) -> int:
         return len(self.images)
-
-    def correspondences(self, index: int):
-        """Aligned (target_xy, pixel_uv) arrays for one image."""
-        im = self.images[index]
-        return self.target.xy_for(im.ids), im.uv
 
     @cached_property
     def homography_fit(self) -> "HomographyFit":
@@ -441,18 +441,6 @@ def back_project(intr: CameraIntrinsics, dist: Distortion, pixels: np.ndarray) -
     return rays[0] if np.asarray(pixels).ndim == 1 else rays
 
 
-def angular_distance(v1: np.ndarray, v2: np.ndarray) -> float:
-    """Angle in [0, pi] between two nonzero 3-vectors."""
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("angular distance is undefined for a zero vector")
-    c = np.dot(v1, v2) / (n1 * n2)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Hartley isotropic normalization of each padded point set (N, n, 2).
 
@@ -473,7 +461,7 @@ def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarra
 
 
 def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Normalized DLT of every image's correspondences in one batched SVD.
+    """Normalized DLT of every image's point pairs in one batched SVD.
 
     `xy` and `uv` (M, 2) hold the images' target points and pixels one
     image after the other, `counts` (N,) how many each image has.  Each
@@ -504,7 +492,7 @@ def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
     A[:, 1::2, 6:9] = -Un[..., 1:2] * Xn
 
     _, s, Vt = np.linalg.svd(A, full_matrices=False)
-    # With >= 4 generic correspondences only one singular value is ~0; a
+    # With >= 4 generic point pairs only one singular value is ~0; a
     # second vanishing one means the solution is ambiguous.
     ambiguous = np.flatnonzero(s[:, -2] <= 1e-10 * s[:, 0])
     if len(ambiguous):
@@ -523,7 +511,7 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
     if len(X) != len(U):
         raise ValueError("correspondence lists differ in length")
     if len(X) < 4:
-        raise ValueError("homography estimation needs at least 4 correspondences")
+        raise ValueError("homography estimation needs at least 4 point pairs")
     return _dlt(X, U, np.array([len(X)]))[0]
 
 
@@ -575,10 +563,7 @@ class HomographyFit(NamedTuple):
 
 
 def _fit_observations(observations: ObservationSet) -> HomographyFit:
-    images = observations.images
-    counts = np.array([len(im) for im in images])
-    uv = np.concatenate([im.uv for im in images])
-    xy = observations.target.xy_for(np.concatenate([im.ids for im in images]))
+    xy, uv = observations.xy, observations.uv
     pix_shift = uv.mean(axis=0)
     pix_scale = np.mean(np.linalg.norm(uv - pix_shift, axis=1))
     if not pix_scale > 0:
@@ -587,7 +572,7 @@ def _fit_observations(observations: ObservationSet) -> HomographyFit:
     tgt = observations.target.xy
     tgt_shift = tgt.mean(axis=0)
     tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
-    H = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, counts)
+    H = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, observations.counts)
     H.flags.writeable = False  # cached on the observation set and shared by every solver
     return HomographyFit(H, _Frame(pixel_scale=pix_scale, pixel_shift=pix_shift,
                                    target_scale=tgt_scale, target_shift=tgt_shift))

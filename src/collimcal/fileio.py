@@ -22,7 +22,7 @@ from .core_geom import (
     ImagePoints,
     ObservationSet,
     PlanarTarget,
-    Rotation,
+    axis_angle_from_rotation_matrix,
 )
 from .single_calib import RayDatabase
 from .synth import SyntheticConfig, TargetGrid
@@ -52,7 +52,7 @@ class ObservationFile:
 
 def _dump(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -244,8 +244,7 @@ def read_synthetic_config(payload, path) -> SyntheticConfig:
         kwargs["image_size"] = _pair(payload["image_size"], int, "image_size", path)
     if "target" in payload:
         t = payload["target"]
-        kwargs["target"] = TargetGrid(rows=int(t.get("rows", 8)),
-                                      cols=int(t.get("cols", 11)),
+        kwargs["target"] = TargetGrid(rows=t.get("rows", 8), cols=t.get("cols", 11),
                                       spacing=float(t.get("spacing_mm", 30.0)))
     if "target_offset" in payload:
         kwargs["target_offset"] = _pair(payload["target_offset"], float,
@@ -263,7 +262,15 @@ def read_synthetic_config(payload, path) -> SyntheticConfig:
 def read_sweep_values(payload, path, sweep: str):
     custom = payload.get("sweep_values", {})
     if sweep in custom:
-        return [float(v) for v in custom[sweep]]
+        values = [float(v) for v in custom[sweep]]
+        if not all(np.isfinite(v) and v >= 0 for v in values):
+            raise FileFormatError(f"{path}: {sweep} sweep values must be finite and "
+                                  f"non-negative, got {values}")
+        # Every sweep runs the closed form, which needs three images.
+        if sweep == "images" and not all(v.is_integer() and v >= 3 for v in values):
+            raise FileFormatError(f"{path}: images sweep values must be integers of "
+                                  f"at least 3, got {values}")
+        return values
     defaults = {
         "noise": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
         "images": [3, 5, 10, 15, 20, 25, 30],
@@ -276,8 +283,9 @@ def read_sweep_values(payload, path, sweep: str):
 # calibration reports
 # ---------------------------------------------------------------------------
 
-def rotation_payload(rot: Rotation):
-    return [float(v) for v in rot.axis_angle()]
+def rotations_payload(rotations) -> list:
+    """The JSON axis-angle vectors of a sequence of Rotations."""
+    return axis_angle_from_rotation_matrix(np.array([rot.matrix for rot in rotations])).tolist()
 
 
 def write_report(path, report: dict) -> None:

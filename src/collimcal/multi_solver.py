@@ -138,8 +138,7 @@ def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
 
 
 def _default_base_index(observations: ObservationSet) -> int:
-    counts = [len(im) for im in observations.images]
-    return int(np.argmax(counts))  # argmax takes the lowest index on ties
+    return int(np.argmax(observations.counts))  # argmax takes the lowest index on ties
 
 
 def _decode_intrinsics(w: np.ndarray) -> CameraIntrinsics:

@@ -307,31 +307,23 @@ def _projection_jacobian(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray)
     return J_K, J_d, J_xc
 
 
-def _stacked(observations: ObservationSet):
-    """Target points (M, 3), pixels (M, 2) and image index (M,) of every observation."""
-    pairs = [observations.correspondences(i) for i in range(len(observations))]
-    points = np.vstack([np.column_stack([xy, np.zeros(len(xy))]) for xy, _ in pairs])
-    pixels = np.vstack([uv for _, uv in pairs])
-    image = np.repeat(np.arange(len(pairs)), [len(uv) for _, uv in pairs])
-    return points, pixels, image
-
-
-def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
+def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
                           center=None, translations=None):
     """Closures of the stacked problem x_c = R_i (P - c) + t_i.
 
-    `points` (M, 3), `pixels` (M, 2) and `image` (M,) list every
-    observation, each image's points contiguous and in image order;
-    `rotations` holds one Rotation per image.  The center c is a parameter
-    starting at `center` when that is given, and zero otherwise;
-    `translations` (N, 3), when given, are the initial per-image t_i, which
-    are otherwise zero.  The parameter vector is (fx, fy, cx, cy, gamma, d1,
-    d2, [c], then per image the rotation vector [and t_i]).
+    `points` (M, 3) and `pixels` (M, 2) list every observation, image after
+    image, and `counts` (N,) how many each image has; `rotations` holds one
+    Rotation per image.  The center c is a parameter starting at `center`
+    when that is given, and zero otherwise; `translations` (N, 3), when
+    given, are the initial per-image t_i, which are otherwise zero.  The
+    parameter vector is (fx, fy, cx, cy, gamma, d1, d2, [c], then per image
+    the rotation vector [and t_i]).
 
-    Returns (residual, jacobian, plus, x0, unpack, image); the Jacobian is a
-    BlockJacobian with one group per image, and unpack(x) gives (intrinsics
-    (5,), distortion (2,), c (3,), rotation vectors (N, 3), translations
-    (N, 3) or None).
+    Returns (residual, jacobian, plus, x0, unpack, image), with image (M,)
+    the image index of each observation; the Jacobian is a BlockJacobian
+    with one group per image, and unpack(x) gives (intrinsics (5,),
+    distortion (2,), c (3,), rotation vectors (N, 3), translations (N, 3)
+    or None).
     """
     n = len(rotations)
     m = len(points)
@@ -339,7 +331,8 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
     first = 10 if has_center else 7
     stride = 3 if translations is None else 6
     rot_cols = first + stride * np.arange(n)[:, None] + np.arange(3)
-    starts = 2 * np.searchsorted(image, np.arange(n + 1))
+    image = np.repeat(np.arange(n), counts)
+    starts = 2 * np.concatenate([[0], np.cumsum(counts)])
 
     def unpack(x):
         c = x[7:10] if has_center else np.zeros(3)
@@ -381,10 +374,15 @@ def _reprojection_problem(points, pixels, image, intr, dist, rotations, *,
     x0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
     if has_center:
         x0[7:10] = center
-    x0[rot_cols] = [rot.axis_angle() for rot in rotations]
+    x0[rot_cols] = axis_angle_from_rotation_matrix(np.array([rot.matrix for rot in rotations]))
     if translations is not None:
         x0[rot_cols + 3] = translations
     return residual, jacobian, plus, x0, unpack, image
+
+
+def _plane_points(observations: ObservationSet) -> np.ndarray:
+    """The observed target points (M, 3) on the plane Z = 0."""
+    return np.column_stack([observations.xy, np.zeros(len(observations.xy))])
 
 
 def _per_image_rms(r: np.ndarray, image: np.ndarray):
@@ -424,17 +422,18 @@ def spherical_problem(observations: ObservationSet, init):
         raise ValueError("initial extrinsics must hold one rotation per image")
     if not np.all(np.isfinite(ext0.t_cp)):
         raise ValueError("initial optical center must be finite")
-    points, pixels, image = _stacked(observations)
-    return _reprojection_problem(points, pixels, image, intr0, dist0, ext0.rotations,
+    return _reprojection_problem(_plane_points(observations), observations.uv,
+                                 observations.counts, intr0, dist0, ext0.rotations,
                                  center=ext0.t_cp)
 
 
-def spherical_reprojection_rms(observations: ObservationSet, init):
-    """Overall and per-image reprojection RMS (px) of a spherical-motion solution.
+def reprojection_rms(problem):
+    """Overall and per-image reprojection RMS (px) at the start of a stacked problem.
 
-    `init` is (CameraIntrinsics, Distortion, SphericalExtrinsics).
+    `problem` is what `spherical_problem`, `general_problem` or
+    `single_image_problem` returns.
     """
-    residual, _, _, x0, _, image = spherical_problem(observations, init)
+    residual, _, _, x0, _, image = problem
     return _per_image_rms(residual(x0), image)
 
 
@@ -464,19 +463,18 @@ def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
     if len(rays) != len(pixels):
         raise ValueError("rays and pixels differ in length")
     intr0, dist0, rot0 = init
-    return _reprojection_problem(rays, pixels, np.zeros(len(rays), dtype=int),
-                                 intr0, dist0, [rot0])
+    return _reprojection_problem(rays, pixels, [len(rays)], intr0, dist0, [rot0])
 
 
 def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
     """Refine (K, d, R) so that projected reference rays match observed pixels.
 
     `rays` are unit directions in the reference camera frame; the residual of
-    point i is pi(K, d, R q'_i) - p_i.  Needs at least 8 correspondences.
+    point i is pi(K, d, R q'_i) - p_i.  Needs at least 8 ray-pixel pairs.
     """
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     if len(rays) < 8:
-        raise ValueError(f"single-image refinement needs >= 8 correspondences, got {len(rays)}")
+        raise ValueError(f"single-image refinement needs >= 8 ray-pixel pairs, got {len(rays)}")
     intr, dist, (rot,), _, _, report = _adjusted(single_image_problem(rays, pixels, init))
     return (intr, dist, rot), report
 
@@ -493,8 +491,8 @@ def general_problem(observations: ObservationSet, init):
     intr0, dist0, poses0 = init
     if len(poses0) != len(observations):
         raise ValueError("initial poses must match the image count")
-    points, pixels, image = _stacked(observations)
-    return _reprojection_problem(points, pixels, image, intr0, dist0,
+    return _reprojection_problem(_plane_points(observations), observations.uv,
+                                 observations.counts, intr0, dist0,
                                  [rot for rot, _ in poses0],
                                  translations=[np.asarray(t, dtype=float) for _, t in poses0])
 

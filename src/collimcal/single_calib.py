@@ -18,7 +18,13 @@ import numpy as np
 
 from . import errors
 from .core_geom import CameraIntrinsics, Distortion, Rotation, back_project, nearest_rotation
-from .refine import ResidualReport, lm_minimize, single_image_ba
+from .refine import (
+    ResidualReport,
+    lm_minimize,
+    reprojection_rms,
+    single_image_ba,
+    single_image_problem,
+)
 
 MAX_EXHAUSTIVE_PAIR_POINTS = 120
 SUBSAMPLED_PARTNERS = 30
@@ -51,15 +57,17 @@ class RayDatabase:
         return len(self.ids)
 
     def match(self, ids):
-        """Indices aligning this database with the given id list (intersection)."""
-        position = {int(pid): k for k, pid in enumerate(self.ids)}
-        db_idx, other_idx = [], []
-        for k, pid in enumerate(np.atleast_1d(ids)):
-            j = position.get(int(pid))
-            if j is not None:
-                db_idx.append(j)
-                other_idx.append(k)
-        return np.array(db_idx, dtype=int), np.array(other_idx, dtype=int)
+        """Indices aligning this database with the given unique ids (intersection).
+
+        Returns (database rows, positions in `ids`), in the order of `ids`.
+        """
+        ids = np.atleast_1d(np.asarray(ids, dtype=int))
+        if len(np.unique(ids)) != len(ids):
+            raise ValueError("matched point ids must be unique")
+        _, db_idx, other_idx = np.intersect1d(self.ids, ids, assume_unique=True,
+                                              return_indices=True)
+        order = np.argsort(other_idx)
+        return db_idx[order], other_idx[order]
 
 
 @dataclass(frozen=True)
@@ -95,16 +103,12 @@ def select_pairs(count: int):
         i, j = np.triu_indices(count, k=1)
         return i, j
     rng = np.random.default_rng(0)
-    ii, jj = [], []
-    for i in range(count):
-        partners = rng.choice(count - 1, size=SUBSAMPLED_PARTNERS, replace=False)
-        partners = partners + (partners >= i)
-        ii.extend([i] * SUBSAMPLED_PARTNERS)
-        jj.extend(partners.tolist())
-    keep = {}
-    for a, b in zip(ii, jj):
-        keep[(min(a, b), max(a, b))] = None
-    pairs = np.array(sorted(keep), dtype=int)
+    partners = np.array([rng.choice(count - 1, size=SUBSAMPLED_PARTNERS, replace=False)
+                         for _ in range(count)])
+    partners += partners >= np.arange(count)[:, None]  # skip the point itself
+    pairs = np.column_stack([np.repeat(np.arange(count), SUBSAMPLED_PARTNERS),
+                             partners.ravel()])
+    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -120,7 +124,7 @@ def init_focal_quartic(pixels: np.ndarray, rays: np.ndarray,
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     if len(pixels) < 2:
-        raise ValueError("focal initialization needs at least 2 correspondences")
+        raise ValueError("focal initialization needs at least 2 ray-pixel pairs")
     m = pixels - np.array([image_width / 2.0, image_height / 2.0])
     i, j = select_pairs(len(pixels))
     g = np.sum(rays[i] * rays[j], axis=1)
@@ -275,13 +279,13 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
     rot = stage("estimate_rotation_kabsch",
                 lambda: estimate_rotation_kabsch(calib_rays, rays))
 
+    dist = Distortion(0.0, 0.0)
     if refine_distortion:
         (intr, dist, rot), report = stage(
-            "single_image_ba",
-            lambda: single_image_ba(rays, uv, (intr, Distortion(0.0, 0.0), rot)))
+            "single_image_ba", lambda: single_image_ba(rays, uv, (intr, dist, rot)))
     else:
-        dist = Distortion(0.0, 0.0)
-        report = ResidualReport(rms_reprojection=float("nan"), per_image_rms=(),
+        rms, per_image = reprojection_rms(single_image_problem(rays, uv, (intr, dist, rot)))
+        report = ResidualReport(rms_reprojection=rms, per_image_rms=per_image,
                                 iterations_used=0, termination="not_run",
                                 cost_trajectory=())
     return SingleImageResult(intrinsics=intr, distortion=dist, rotation=rot,

@@ -30,7 +30,6 @@ from .core_geom import (
     ObservationSet,
     PlanarTarget,
     Rotation,
-    assert_monotone_distortion,
     decompose_homography,
     project_camera_points,
     rotation_matrix_from_axis_angle,
@@ -57,6 +56,13 @@ class TargetGrid:
     rows: int = 8
     cols: int = 11
     spacing: float = 30.0
+
+    def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (self.rows, self.cols)):
+            raise ValueError(f"target rows and cols must be integers of at least 2, "
+                             f"got {self.rows} and {self.cols}")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"target spacing must be finite and positive, got {self.spacing}")
 
     def planar_target(self) -> PlanarTarget:
         jj, ii = np.meshgrid(np.arange(self.cols), np.arange(self.rows))
@@ -96,7 +102,7 @@ class SyntheticConfig:
         corners = np.array([[0.0, 0.0], [w, 0.0], [0.0, h], [w, h]])
         radii = np.hypot((corners[:, 0] - intr.cx) / intr.fx,
                          (corners[:, 1] - intr.cy) / intr.fy)
-        assert_monotone_distortion(self.distortion, float(radii.max()))
+        self.distortion.check_monotone_within(float(radii.max()))
 
     @property
     def t_cp(self) -> np.ndarray:
@@ -260,12 +266,6 @@ class TrialStats:
     def _column(self, name: str) -> np.ndarray:
         return self.trials[:, PARAM_NAMES.index(name)]
 
-    def mean_abs_error(self, name: str) -> float:
-        col = self._column(name)
-        if np.all(np.isnan(col)):
-            return float("nan")
-        return float(np.nanmean(np.abs(col)))
-
     def focal_rel_errors(self) -> np.ndarray:
         fx, fy = self.truth[0], self.truth[1]
         return 0.5 * (np.abs(self._column("fx")) / fx + np.abs(self._column("fy")) / fy)
@@ -318,7 +318,7 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
     truth = config.truth_vector()
     for _ in range(POSE_ATTEMPTS):
         _, observations = make_scene(config, rng)
-        if min(len(im) for im in observations.images) >= 20:
+        if observations.counts.min() >= 20:
             break
     else:
         raise errors.PoseSamplingFailed("could not render 20 visible points per image")

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from collimcal import synth
-from collimcal.core_geom import ObservationSet, _with_scale_convention
+from collimcal.core_geom import (
+    ObservationSet,
+    Rotation,
+    _with_scale_convention,
+    rotation_matrix_from_axis_angle,
+)
 
 
 def scene(seed=0, trial=0, **overrides):
@@ -29,6 +34,27 @@ def motion_matrix(rot, t_cp):
     """M = [r1 r2 -R t_cp]; its determinant equals the spherical radius."""
     R = rot.matrix
     return np.column_stack([R[:, 0], R[:, 1], -R @ np.asarray(t_cp, dtype=float)])
+
+
+def rotation_from_axis_angle(v):
+    """The Rotation of the axis-angle vector v (3,)."""
+    return Rotation(rotation_matrix_from_axis_angle(np.asarray(v, dtype=float)))
+
+
+def identity_rotation():
+    return Rotation(np.eye(3))
+
+
+def angular_distance(v1, v2) -> float:
+    """Angle in [0, pi] between two nonzero 3-vectors."""
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    n1 = np.linalg.norm(v1)
+    n2 = np.linalg.norm(v2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise ValueError("angular distance is undefined for a zero vector")
+    c = np.dot(v1, v2) / (n1 * n2)
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
 def homography_from_pose(intr, rot, t):

@@ -19,12 +19,17 @@ from collimcal.core_geom import (
     ImagePoints,
     ObservationSet,
     Rotation,
-    angular_distance,
     axis_angle_from_rotation_matrix,
     project,
 )
 from collimcal.cli import main as cli_main
-from conftest import first_images, motion_matrix, scene
+from conftest import (
+    angular_distance,
+    first_images,
+    motion_matrix,
+    rotation_from_axis_angle,
+    scene,
+)
 
 TRUE_K = CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0, 0.01)
 TRUE_TCP = np.array([150.0, 105.0, -700.0])
@@ -211,13 +216,13 @@ def test_criterion_6_degeneracy():
     def random_rotation():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        return Rotation.from_axis_angle(axis * rng.uniform(0.03, 0.2))
+        return rotation_from_axis_angle(axis * rng.uniform(0.03, 0.2))
 
     z_dup_ok = True
     details = []
     for n in (3, 5, 15):
         base = [random_rotation() for _ in range(n)]
-        z_twin = Rotation(base[0].matrix @ Rotation.from_axis_angle([0.0, 0.0, 0.8]).matrix)
+        z_twin = Rotation(base[0].matrix @ rotation_from_axis_angle([0.0, 0.0, 0.8]).matrix)
         before = ms.detect_degeneracy(render_rotations(base))
         after = ms.detect_degeneracy(render_rotations(base + [z_twin]))
         flagged = any(pair == (0, n) for pair in after.z_rotation_pairs)
@@ -413,7 +418,7 @@ def test_criterion_9_optimizer_integrity():
 
     rays = rng.normal(size=(25, 3)) * np.array([0.25, 0.2, 0.0]) + [0.0, 0.0, 1.0]
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    rot = Rotation.from_axis_angle([0.05, -0.1, 0.07])
+    rot = rotation_from_axis_angle([0.05, -0.1, 0.07])
     pixels = project(TRUE_K, Distortion(0.1, -0.2), rot, np.zeros(3), rays)
     residual_s, jacobian_s, plus_s, x0_s, *_ = refine.single_image_problem(
         rays, pixels, (TRUE_K, Distortion(0.05, -0.1), rot))

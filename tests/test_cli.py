@@ -7,6 +7,7 @@ import pytest
 from collimcal import fileio, synth
 from collimcal.cli import main
 from collimcal.core_geom import CameraIntrinsics, Distortion
+from conftest import rotation_from_axis_angle
 
 
 def write_config(path, **overrides):
@@ -116,9 +117,8 @@ def test_calibrate_degenerate_exit_4(tmp_path):
     # All views relate by z-axis rotations: the stacked system stays rank
     # deficient and the solver must fail with the degeneracy exit code.
     from test_multi_solver import z_rotated_observation_set
-    from collimcal.core_geom import Rotation
     obs_set = z_rotated_observation_set(
-        [Rotation.from_axis_angle([0.1, -0.05, 0.02])], extra_pairs=(0.5, -0.7))
+        [rotation_from_axis_angle([0.1, -0.05, 0.02])], extra_pairs=(0.5, -0.7))
     path = tmp_path / "degenerate.json"
     fileio.write_observation_file(path, obs_set)
     code = main(["calibrate", "--in", str(path), "--mode", "nimg",
@@ -245,6 +245,31 @@ def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, valu
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command, block, message", [
+    ("benchmark", {"sweep_values": {"noise": [0.5, NAN]}}, "noise sweep values must be finite"),
+    ("benchmark", {"sweep_values": {"images": [NAN]}}, "images sweep values must be finite"),
+    ("benchmark", {"sweep_values": {"images": [5, 2.7]}}, "integers of at least 3"),
+    ("benchmark", {"sweep_values": {"images": [2]}}, "integers of at least 3"),
+    ("benchmark", {"sweep_values": {"spherical": [-5.0]}}, "must be finite and non-negative"),
+    ("simulate", {"target": {"spacing_mm": NAN}}, "spacing must be finite"),
+    ("simulate", {"target": {"spacing_mm": 0.0}}, "spacing must be finite and positive"),
+    ("simulate", {"target": {"rows": 1}}, "rows and cols must be integers of at least 2"),
+    ("simulate", {"target": {"cols": 2.7}}, "rows and cols must be integers of at least 2"),
+], ids=["sweep-noise-nan", "sweep-images-nan", "sweep-images-fraction", "sweep-images-2",
+        "sweep-spherical-negative", "grid-spacing-nan", "grid-spacing-zero", "grid-rows-1",
+        "grid-cols-fraction"])
+def test_bad_sweep_or_grid_value_exit_2(tmp_path, capsys, command, block, message):
+    bad = write_config(tmp_path / "bad.json", **block)
+    out = str(tmp_path / "out")
+    argv = [command, "--config", bad, "--out", out]
+    if command == "benchmark":
+        argv += ["--sweep", next(iter(block["sweep_values"]))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert bad in err and message in err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # build-db + single-image flow
 # ---------------------------------------------------------------------------
@@ -276,6 +301,29 @@ def test_build_db_and_single_calibration(reference_db, tmp_path):
     report = json.loads(out.read_text())
     assert report["error_vs_truth"]["fx_err_rel"] < 1e-6
     assert report["n_matched"] == 88
+
+
+def strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_no_refine_reports_are_strict_json(sim_file, reference_db, tmp_path):
+    inputs = {"nimg": sim_file}
+    for mode, count, seed in (("minimal", 2, 3), ("single", 1, 12)):
+        cfg = write_config(tmp_path / f"{mode}_cfg.json", image_count=count, rng_seed=seed)
+        inputs[mode] = tmp_path / f"{mode}_obs.json"
+        assert main(["simulate", "--config", cfg, "--out", str(inputs[mode])]) == 0
+    for mode, path in inputs.items():
+        out = tmp_path / f"{mode}_report.json"
+        extra = ["--reference", str(reference_db)] if mode == "single" else []
+        assert main(["calibrate", "--in", str(path), "--mode", mode, "--no-refine",
+                     "--out", str(out)] + extra) == 0
+        report = strict_json(out)
+        # Noiseless and undistorted, so the initial estimate reprojects exactly.
+        assert 0.0 <= report["rms_reprojection_px"] < 1e-6, mode
+    assert report["termination"] == "not_run" and report["distortion"] == [0.0, 0.0]
 
 
 def test_database_round_trip_bit_identical(reference_db, tmp_path):

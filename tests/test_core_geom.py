@@ -3,7 +3,14 @@ import pytest
 
 from collimcal import core_geom as cg
 from collimcal import errors
-from conftest import homography_from_pose, scene
+from conftest import (
+    angular_distance,
+    first_images,
+    homography_from_pose,
+    identity_rotation,
+    rotation_from_axis_angle,
+    scene,
+)
 
 TRUE_K = cg.CameraIntrinsics(fx=1000.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01)
 TRUE_D = cg.Distortion(d1=0.1, d2=-0.2)
@@ -12,7 +19,7 @@ TRUE_D = cg.Distortion(d1=0.1, d2=-0.2)
 def random_rotation(rng, max_angle=np.pi):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    return cg.Rotation.from_axis_angle(axis * rng.uniform(0.0, max_angle))
+    return rotation_from_axis_angle(axis * rng.uniform(0.0, max_angle))
 
 
 def tiny_angle(u, v):
@@ -40,14 +47,14 @@ def test_intrinsics_inverse_matches_numpy():
 
 def test_distortion_monotonicity_window():
     # Valid up to r^2 solving r^4 - 0.3 r^2 - 1 = 0, i.e. r ~ 1.078 for (0.1, -0.2).
-    assert TRUE_D.is_monotone_within(1.0)
-    assert not TRUE_D.is_monotone_within(1.2)
+    TRUE_D.check_monotone_within(1.0)
+    with pytest.raises(ValueError, match=r"^distortion \(0.1, -0.2\) is not monotone"):
+        TRUE_D.check_monotone_within(1.2)
     # A stronger distortion pair is monotone only within a smaller radius.
     strong = cg.Distortion(0.3, -0.5)
-    assert strong.is_monotone_within(0.90)
-    assert not strong.is_monotone_within(1.0)
-    with pytest.raises(ValueError):
-        cg.assert_monotone_distortion(strong, 1.0)
+    strong.check_monotone_within(0.90)
+    with pytest.raises(ValueError, match="within normalized radius 1.0000"):
+        strong.check_monotone_within(1.0)
 
 
 def test_rotation_validation():
@@ -55,7 +62,7 @@ def test_rotation_validation():
         cg.Rotation(np.eye(3) * 2.0)
     with pytest.raises(ValueError):
         cg.Rotation(np.diag([1.0, 1.0, -1.0]))
-    R = cg.Rotation.from_axis_angle([0.1, -0.2, 0.3])
+    R = rotation_from_axis_angle([0.1, -0.2, 0.3])
     assert np.max(np.abs(R.matrix.T @ R.matrix - np.eye(3))) < 1e-12
 
 
@@ -90,12 +97,12 @@ def test_axis_angle_round_trip():
     for _ in range(200):
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, np.pi - 1e-3) / np.linalg.norm(v)
-        R = cg.Rotation.from_axis_angle(v)
-        assert np.allclose(R.axis_angle(), v, atol=1e-9)
+        R = rotation_from_axis_angle(v)
+        assert np.allclose(cg.axis_angle_from_rotation_matrix(R.matrix), v, atol=1e-9)
     # near-pi branch
     v = np.array([1.0, 0.0, 0.0]) * (np.pi - 1e-9)
-    R = cg.Rotation.from_axis_angle(v)
-    back = R.axis_angle()
+    R = rotation_from_axis_angle(v)
+    back = cg.axis_angle_from_rotation_matrix(R.matrix)
     assert abs(np.linalg.norm(back) - np.linalg.norm(v)) < 1e-6
 
 
@@ -137,12 +144,32 @@ def test_observation_set_invariants():
         cg.ImagePoints(ids=[0, 0, 1, 2], uv=np.zeros((4, 2)))
 
 
+def test_observation_set_stacks_its_images_once():
+    obs = dropped_points_scene(4)
+    rng = np.random.default_rng(4)
+    shuffled = cg.ObservationSet(target=obs.target, images=tuple(
+        cg.ImagePoints(ids=im.ids[p], uv=im.uv[p])
+        for im in obs.images for p in [rng.permutation(len(im))]))
+    for subset in (shuffled, first_images(shuffled, 3), first_images(shuffled, 1)):
+        assert subset.counts.tolist() == [len(im) for im in subset.images]
+        ends = np.cumsum(subset.counts)
+        for im, lo, hi in zip(subset.images, ends - subset.counts, ends):
+            assert np.array_equal(subset.xy[lo:hi], subset.target.xy_for(im.ids))
+            assert np.array_equal(subset.uv[lo:hi], im.uv)
+        for stacked in (subset.xy, subset.uv, subset.counts):
+            assert not stacked.flags.writeable
+            with pytest.raises(ValueError):
+                stacked[0] = 0
+    empty = cg.ObservationSet(target=obs.target, images=())
+    assert empty.xy.shape == empty.uv.shape == (0, 2) and empty.counts.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # project / back_project
 # ---------------------------------------------------------------------------
 
 def test_project_optical_axis_point_hits_principal_point():
-    uv = cg.project(TRUE_K, TRUE_D, cg.Rotation.identity(),
+    uv = cg.project(TRUE_K, TRUE_D, identity_rotation(),
                     np.array([0.0, 0.0, 700.0]), np.array([0.0, 0.0, 0.0]))
     assert np.allclose(uv, [542.0, 478.0], atol=1e-12)
 
@@ -160,7 +187,7 @@ def test_project_matches_independent_evaluation():
     xd, yd = xn * f, yn * f
     expected = np.array([1000.0 * xd + 0.01 * yd + 542.0, 1000.0 * yd + 478.0])
 
-    uv = cg.project(TRUE_K, TRUE_D, cg.Rotation.identity(), t, P)
+    uv = cg.project(TRUE_K, TRUE_D, identity_rotation(), t, P)
     assert np.allclose(uv, expected, atol=1e-12)
     # frozen values from the oracle above
     assert np.allclose(expected, [369.7727259929445, 327.3024538473553], atol=1e-9)
@@ -168,7 +195,7 @@ def test_project_matches_independent_evaluation():
 
 def test_project_rejects_point_behind_camera():
     with pytest.raises(errors.PointBehindCamera):
-        cg.project(TRUE_K, TRUE_D, cg.Rotation.identity(),
+        cg.project(TRUE_K, TRUE_D, identity_rotation(),
                    np.array([150.0, 105.0, -700.0]), np.array([0.0, 0.0, 0.0]))
 
 
@@ -202,7 +229,7 @@ def test_project_back_project_round_trip():
 
 def test_round_trip_gamma_zero_exact():
     K = cg.CameraIntrinsics(fx=800.0, fy=820.0, cx=500.0, cy=400.0, gamma=0.0)
-    R = cg.Rotation.identity()
+    R = identity_rotation()
     t = np.array([0.0, 0.0, 500.0])
     P = np.array([40.0, -25.0, 0.0])
     uv = cg.project(K, cg.Distortion(), R, t, P)
@@ -257,7 +284,7 @@ def test_homography_degenerate_inputs_rejected():
 
 def test_decompose_recovers_exact_pose():
     t = np.array([0.0, 0.0, 700.0])
-    H = homography_from_pose(TRUE_K, cg.Rotation.identity(), t)
+    H = homography_from_pose(TRUE_K, identity_rotation(), t)
     (R,), (t_out,), (lam,) = cg.decompose_homography(H[None], TRUE_K)
     assert np.allclose(R.matrix, np.eye(3), atol=1e-10)
     assert np.allclose(t_out, t, atol=1e-9 * 700.0)
@@ -265,7 +292,7 @@ def test_decompose_recovers_exact_pose():
 
 
 def test_decompose_takes_only_a_stack():
-    H = homography_from_pose(TRUE_K, cg.Rotation.identity(), np.array([0.0, 0.0, 700.0]))
+    H = homography_from_pose(TRUE_K, identity_rotation(), np.array([0.0, 0.0, 700.0]))
     with pytest.raises(ValueError, match=r"\(N, 3, 3\) stack"):
         cg.decompose_homography(H, TRUE_K)
 
@@ -319,8 +346,8 @@ def test_batched_homographies_match_per_image_fits():
     for seed in range(20):
         obs = dropped_points_scene(seed)
         H, frame = obs.homography_fit
-        for k in range(len(obs)):
-            xy, uv = obs.correspondences(k)
+        for k, im in enumerate(obs.images):
+            xy, uv = obs.target.xy_for(im.ids), im.uv
             counts.add(len(uv))
             alone = cg.estimate_homography((xy - frame.target_shift) / frame.target_scale,
                                            (uv - frame.pixel_shift) / frame.pixel_scale)
@@ -333,8 +360,9 @@ def test_raw_homographies_from_the_frame_match_raw_fits():
         obs = dropped_points_scene(seed)
         fit = obs.homography_fit
         raws = fit.frame.homographies_to_raw(fit.matrices)
-        for k, raw in enumerate(raws):
-            direct = cg.estimate_homography(*obs.correspondences(k))
+        ends = np.cumsum(obs.counts)
+        for raw, lo, hi in zip(raws, ends - obs.counts, ends):
+            direct = cg.estimate_homography(obs.xy[lo:hi], obs.uv[lo:hi])
             assert relative_difference(raw, direct) <= 1e-9
 
 
@@ -375,10 +403,10 @@ def test_batched_decomposition_matches_per_image_decomposition():
 # ---------------------------------------------------------------------------
 
 def test_angular_distance_basics():
-    assert cg.angular_distance([1, 0, 0], [0, 1, 0]) == pytest.approx(np.pi / 2)
-    assert cg.angular_distance([1, 0, 0], [1, 0, 0]) == 0.0
+    assert angular_distance([1, 0, 0], [0, 1, 0]) == pytest.approx(np.pi / 2)
+    assert angular_distance([1, 0, 0], [1, 0, 0]) == 0.0
     with pytest.raises(ValueError):
-        cg.angular_distance([0, 0, 0], [1, 0, 0])
+        angular_distance([0, 0, 0], [1, 0, 0])
 
 
 def test_orthogonal_point_triplet_right_angles():
@@ -388,7 +416,7 @@ def test_orthogonal_point_triplet_right_angles():
     B = np.array([-np.sqrt(2.0) / 2 * r, np.sqrt(6.0) / 2 * r, r])
     C = np.array([-np.sqrt(2.0) / 2 * r, -np.sqrt(6.0) / 2 * r, r])
     for u, v in ((A, B), (A, C), (B, C)):
-        assert cg.angular_distance(u, v) == pytest.approx(np.pi / 2, abs=1e-12)
+        assert angular_distance(u, v) == pytest.approx(np.pi / 2, abs=1e-12)
 
 
 def test_angle_invariance_under_rotation():
@@ -397,6 +425,6 @@ def test_angle_invariance_under_rotation():
         Q = random_rotation(rng)
         v1 = rng.normal(size=3)
         v2 = rng.normal(size=3)
-        a = cg.angular_distance(v1, v2)
-        b = cg.angular_distance(Q.matrix @ v1, Q.matrix @ v2)
+        a = angular_distance(v1, v2)
+        b = angular_distance(Q.matrix @ v1, Q.matrix @ v2)
         assert abs(a - b) < 1e-12

@@ -10,7 +10,13 @@ from collimcal.core_geom import (
     Rotation,
     project,
 )
-from conftest import first_images, homography_from_pose, motion_matrix, scene
+from conftest import (
+    first_images,
+    homography_from_pose,
+    motion_matrix,
+    rotation_from_axis_angle,
+    scene,
+)
 
 TRUE_K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01)
 TRUE_TCP = np.array([150.0, 105.0, -700.0])
@@ -21,7 +27,7 @@ def spherical_homography(rot):
 
 
 def z_rotation(theta):
-    return Rotation.from_axis_angle([0.0, 0.0, theta])
+    return rotation_from_axis_angle([0.0, 0.0, theta])
 
 
 def random_spherical_rotations(rng, count, max_angle=0.22):
@@ -29,7 +35,7 @@ def random_spherical_rotations(rng, count, max_angle=0.22):
     for _ in range(count):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        out.append(Rotation.from_axis_angle(axis * rng.uniform(0.03, max_angle)))
+        out.append(rotation_from_axis_angle(axis * rng.uniform(0.03, max_angle)))
     return out
 
 
@@ -65,7 +71,7 @@ def ratio_to_base(H_i, H_base):
 
 
 def test_scale_ratio_identity_and_doubling():
-    H = spherical_homography(Rotation.from_axis_angle([0.05, -0.1, 0.02]))
+    H = spherical_homography(rotation_from_axis_angle([0.05, -0.1, 0.02]))
     assert ratio_to_base(H, H) == pytest.approx(1.0, abs=1e-12)
     assert ratio_to_base(2.0 * H, H) == pytest.approx(2.0, abs=1e-12)
     assert ratio_to_base(-H, H) == pytest.approx(-1.0, abs=1e-12)
@@ -243,7 +249,7 @@ def test_closed_form_noise_statistics_small_sample():
 
 def test_closed_form_degenerate_rotations_rejected():
     obs = z_rotated_observation_set(
-        [Rotation.from_axis_angle([0.12, -0.06, 0.03])], extra_pairs=(0.5, -0.8))
+        [rotation_from_axis_angle([0.12, -0.06, 0.03])], extra_pairs=(0.5, -0.8))
     with pytest.raises((errors.DegenerateConfiguration, errors.NegativeRadicand)):
         ms.solve_closed_form(obs)
 

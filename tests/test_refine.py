@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from collimcal import errors, refine
-from collimcal.core_geom import CameraIntrinsics, Distortion, Rotation, back_project, project
+from collimcal.core_geom import CameraIntrinsics, Distortion, back_project, project
 from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form
-from conftest import scene
+from conftest import identity_rotation, rotation_from_axis_angle, scene
 
 
 def fd_jacobian(residual, plus, x, h=1e-6):
@@ -195,9 +195,9 @@ def zhang_general_init(obs):
     from collimcal.synth import zhang_init
     intr = zhang_init(obs)
     poses = []
-    for i in range(len(obs)):
-        xy, uv = obs.correspondences(i)
-        (rot,), (t,), _ = decompose_homography(estimate_homography(xy, uv)[None], intr)
+    for im in obs.images:
+        xy = obs.target.xy_for(im.ids)
+        (rot,), (t,), _ = decompose_homography(estimate_homography(xy, im.uv)[None], intr)
         poses.append((rot, t))
     return intr, Distortion(0.0, 0.0), poses
 
@@ -251,7 +251,7 @@ def test_single_image_jacobian_matches_finite_differences():
     rays[:, 2] = np.abs(rays[:, 2]) * 4.0 + 2.0
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     intr = CameraIntrinsics(1000.0, 1000.0, 540.0, 480.0, 0.01)
-    rot = Rotation.from_axis_angle([0.03, -0.06, 0.1])
+    rot = rotation_from_axis_angle([0.03, -0.06, 0.1])
     pixels = project(intr, Distortion(0.1, -0.2), rot, np.zeros(3), rays)
     init = (intr, Distortion(0.05, -0.1), rot)
     residual, jacobian, plus, x0, *_ = refine.single_image_problem(rays, pixels, init)
@@ -273,14 +273,14 @@ def test_residuals_reject_points_behind_camera():
     config, poses, obs = scene(seed=31, image_count=3)
     intr, ext = solve_closed_form(obs)
     dist = Distortion(0.0, 0.0)
-    flip = Rotation.from_axis_angle([np.pi, 0.0, 0.0])
+    flip = rotation_from_axis_angle([np.pi, 0.0, 0.0])
     # A half turn about x sends every target point behind a camera that
     # sits in front of the target (and every forward ray backwards).
     spherical = refine.spherical_problem(
         obs, (intr, dist, SphericalExtrinsics(x=ext.x, y=ext.y, r=ext.r,
                                               rotations=(flip,) * len(obs))))
     general = refine.general_problem(
-        obs, (intr, dist, [(Rotation.identity(), np.array([0.0, 0.0, -1e4]))] * len(obs)))
+        obs, (intr, dist, [(identity_rotation(), np.array([0.0, 0.0, -1e4]))] * len(obs)))
     rays = np.array([[0.1, 0.0, 1.0], [0.0, -0.1, 1.0], [0.05, 0.05, 1.0]])
     single = refine.single_image_problem(rays, np.zeros((3, 2)), (intr, dist, flip))
     for residual, jacobian, _, x0, *_ in (spherical, general, single):
@@ -334,7 +334,7 @@ def test_lm_rejects_jacobian_of_wrong_shape():
 def single_image_setup(rng, dist_true, noise_sigma=0.0, n=88):
     ref_K = CameraIntrinsics(1200.0, 1200.0, 700.0, 500.0, 0.0)
     intr_true = CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0, 0.01)
-    rot_true = Rotation.from_axis_angle([0.05, -0.08, 0.12])
+    rot_true = rotation_from_axis_angle([0.05, -0.08, 0.12])
     rays = rng.normal(size=(n, 3)) * np.array([0.25, 0.2, 0.0]) + np.array([0.0, 0.0, 1.0])
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     pixels = project(intr_true, dist_true, rot_true, np.zeros(3), rays)

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 from collimcal import errors, synth
 from collimcal import single_calib as sc
-from collimcal.core_geom import CameraIntrinsics, Distortion, Rotation, angular_distance
+from collimcal.core_geom import CameraIntrinsics, Distortion, axis_angle_from_rotation_matrix
+from conftest import angular_distance, rotation_from_axis_angle
 
 REF_K = CameraIntrinsics(fx=1200.0, fy=1180.0, cx=700.0, cy=500.0, gamma=0.0)
 CAL_K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01)
@@ -31,7 +32,6 @@ def calibration_image(seed=6, trial=0, distortion=Distortion(0.0, 0.0), noise=0.
 
 def geodesic_angle(Ra, Rb):
     """Rotation angle between two rotation matrices; exact for tiny angles."""
-    from collimcal.core_geom import axis_angle_from_rotation_matrix
     return float(np.linalg.norm(axis_angle_from_rotation_matrix(Ra.T @ Rb)))
 
 
@@ -94,7 +94,7 @@ def test_quartic_exact_recovery_centered_prior():
     rng = np.random.default_rng(2)
     rays = random_unit_rays(rng, 40)
     K = CameraIntrinsics(1000.0, 1000.0, 540.0, 480.0, 0.0)
-    Q = Rotation.from_axis_angle([0.1, -0.05, 0.2])
+    Q = rotation_from_axis_angle([0.1, -0.05, 0.2])
     cal = rays @ Q.matrix.T
     ph = cal / cal[:, 2:3]
     uv = ph[:, :2] * 1000.0 + np.array([540.0, 480.0])
@@ -106,7 +106,7 @@ def test_quartic_polynomial_root_residual():
     # The assembled quadratic in (1/f)^2 vanishes at the true value.
     rng = np.random.default_rng(3)
     rays = random_unit_rays(rng, 30)
-    cal = rays @ Rotation.from_axis_angle([0.0, 0.1, -0.07]).matrix.T
+    cal = rays @ rotation_from_axis_angle([0.0, 0.1, -0.07]).matrix.T
     uv = (cal / cal[:, 2:3])[:, :2] * 1000.0 + np.array([540.0, 480.0])
     m = uv - np.array([540.0, 480.0])
     i, j = sc.select_pairs(len(uv))
@@ -132,7 +132,7 @@ def test_quartic_tolerates_off_center_principal_point():
     # True c off the assumed image center by (2, -2) px.
     rng = np.random.default_rng(4)
     rays = random_unit_rays(rng, 60)
-    cal = rays @ Rotation.from_axis_angle([0.05, 0.04, -0.1]).matrix.T
+    cal = rays @ rotation_from_axis_angle([0.05, 0.04, -0.1]).matrix.T
     ph = cal / cal[:, 2:3]
     uv = ph[:, :2] * 1000.0 + np.array([542.0, 478.0])
     f = sc.init_focal_quartic(uv, rays, 1080, 960)
@@ -145,7 +145,7 @@ def test_quartic_tolerates_off_center_principal_point():
 
 def full_intrinsics_setup(rng, intr=CAL_K):
     rays = random_unit_rays(rng, 70)
-    Q = Rotation.from_axis_angle([0.08, -0.03, 0.15])
+    Q = rotation_from_axis_angle([0.08, -0.03, 0.15])
     cal = rays @ Q.matrix.T
     ph = cal / cal[:, 2:3]
     uv = (np.column_stack([ph[:, 0], ph[:, 1], np.ones(len(ph))]) @ intr.matrix.T)[:, :2]
@@ -196,6 +196,26 @@ def test_pair_subsampling_strategy_robustness():
     assert abs(full.fy - sub.fy) / full.fy < 5e-4
 
 
+def reference_pairs(count):
+    """The subsampled pairs of select_pairs, deduplicated through a dict."""
+    rng = np.random.default_rng(0)
+    keep = {}
+    for i in range(count):
+        partners = rng.choice(count - 1, size=sc.SUBSAMPLED_PARTNERS, replace=False)
+        for j in (partners + (partners >= i)).tolist():
+            keep[(min(i, j), max(i, j))] = None
+    pairs = np.array(sorted(keep), dtype=int)
+    return pairs[:, 0], pairs[:, 1]
+
+
+@pytest.mark.parametrize("count", [121, 200, 500])
+def test_subsampled_pairs_match_a_dict_reference(count):
+    i, j = sc.select_pairs(count)
+    ref_i, ref_j = reference_pairs(count)
+    assert i.dtype == ref_i.dtype and j.dtype == ref_j.dtype
+    assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+
+
 # ---------------------------------------------------------------------------
 # Kabsch rotation
 # ---------------------------------------------------------------------------
@@ -212,7 +232,7 @@ def test_kabsch_random_rotations():
         rays = random_unit_rays(rng, 15)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        Q = Rotation.from_axis_angle(axis * rng.uniform(0, np.pi * 0.9))
+        Q = rotation_from_axis_angle(axis * rng.uniform(0, np.pi * 0.9))
         R = sc.estimate_rotation_kabsch(rays @ Q.matrix.T, rays)
         assert geodesic_angle(R.matrix, Q.matrix) < 1e-10
 
@@ -225,7 +245,7 @@ def test_kabsch_reflection_guard():
     flat[:, 2] = 1.0  # all rays in a plane after centering? keep near-planar
     flat[:, 1] *= 1e-6
     flat /= np.linalg.norm(flat, axis=1, keepdims=True)
-    Q = Rotation.from_axis_angle([0.3, -0.2, 0.5])
+    Q = rotation_from_axis_angle([0.3, -0.2, 0.5])
     noisy = flat @ Q.matrix.T + rng.normal(size=flat.shape) * 1e-4
     R = sc.estimate_rotation_kabsch(noisy, flat)
     assert abs(np.linalg.det(R.matrix) - 1.0) < 1e-12
@@ -263,7 +283,7 @@ def test_pipeline_rotation_matches_relative_pose_invariance():
                                                  image_width=1080, image_height=960))
     fx = [r.intrinsics.fx for r in results]
     assert max(fx) - min(fx) < 1e-6 * 1000.0
-    angles = [np.ravel(r.rotation.axis_angle()) for r in results]
+    angles = [axis_angle_from_rotation_matrix(r.rotation.matrix) for r in results]
     assert np.linalg.norm(angles[0] - angles[1]) > 1e-3  # genuinely different poses
 
 
@@ -302,6 +322,32 @@ def test_pipeline_requires_eight_matches():
     with pytest.raises(ValueError):
         sc.calibrate_single_image(image.ids[:7], image.uv[:7], db,
                                   image_width=1080, image_height=960)
+
+
+def reference_match(db_ids, ids):
+    """RayDatabase.match through a dict, one observed id at a time."""
+    position = {int(pid): k for k, pid in enumerate(db_ids)}
+    pairs = [(position[int(pid)], k) for k, pid in enumerate(ids) if int(pid) in position]
+    return (np.array([db for db, _ in pairs], dtype=int),
+            np.array([k for _, k in pairs], dtype=int))
+
+
+def test_match_equals_a_dict_reference_in_the_observed_order():
+    rng = np.random.default_rng(12)
+    db_ids = rng.permutation(400)[:120] * 2  # even; the odd ids are unknown
+    db = sc.RayDatabase(ids=db_ids, rays=random_unit_rays(rng, 120),
+                        ref_intrinsics=REF_K, ref_distortion=Distortion())
+    for _ in range(200):
+        known = rng.choice(db_ids, size=rng.integers(0, 121), replace=False)
+        unknown = 2 * rng.choice(500, size=rng.integers(0, 30), replace=False) + 1
+        ids = rng.permutation(np.concatenate([known, unknown]))
+        db_idx, obs_idx = db.match(ids)
+        ref_db, ref_obs = reference_match(db_ids, ids)
+        assert np.array_equal(db_idx, ref_db) and np.array_equal(obs_idx, ref_obs)
+        assert np.all(np.diff(obs_idx) > 0)
+        assert np.array_equal(db.ids[db_idx], ids[obs_idx])
+    with pytest.raises(ValueError, match="unique"):
+        db.match([db_ids[0], 7, db_ids[0]])
 
 
 def test_pipeline_drops_unmatched_ids():

@@ -5,12 +5,10 @@ from collimcal import errors, synth
 from collimcal.core_geom import (
     CameraIntrinsics,
     Distortion,
-    Rotation,
-    angular_distance,
     back_project,
     project,
 )
-from conftest import motion_matrix, scene
+from conftest import angular_distance, motion_matrix, rotation_from_axis_angle, scene
 
 
 def pose_rng(seed=0, trial=0):
@@ -169,7 +167,7 @@ def reference_scene(config, rng):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             angle = rng.uniform(0.0, np.deg2rad(synth.MAX_TILT_DEG))
-            rot = Rotation.from_axis_angle(axis * angle)
+            rot = rotation_from_axis_angle(axis * angle)
             try:
                 uv = project(config.intrinsics, config.distortion, rot,
                              -rot.matrix @ config.t_cp, points)
@@ -259,9 +257,8 @@ def test_zhang_exact_on_noiseless_scene(noiseless_scene):
 
 def test_zhang_degenerate_rotation_set_rejected():
     from test_multi_solver import z_rotated_observation_set
-    from collimcal.core_geom import Rotation
     obs = z_rotated_observation_set(
-        [Rotation.from_axis_angle([0.1, -0.07, 0.02])], extra_pairs=(0.4, -0.6))
+        [rotation_from_axis_angle([0.1, -0.07, 0.02])], extra_pairs=(0.4, -0.6))
     with pytest.raises((errors.DegenerateConfiguration, errors.NotPositiveDefinite)):
         synth.zhang_init(obs)
 
@@ -319,9 +316,10 @@ def test_trial_stats_accessors():
     cfg = synth.default_config(pixel_noise_sigma=0.5, trial_count=5)
     s = synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours",), workers=1)[0]
     assert s.trials.shape == (5, 10)
-    assert s.mean_abs_error("fx") >= 0
-    fx_true = s.truth[synth.PARAM_NAMES.index("fx")]
-    assert s.mean_abs_error("fx") / abs(fx_true) == pytest.approx(s.mean_abs_error("fx") / 1000.0)
+    fx = synth.PARAM_NAMES.index("fx")
+    mean_abs_fx = np.nanmean(np.abs(s.trials[:, fx]))
+    assert mean_abs_fx >= 0
+    assert mean_abs_fx / abs(s.truth[fx]) == pytest.approx(mean_abs_fx / 1000.0)
     assert s.ms_per_trial() > 0
     assert s.solver == "ours" and s.stage == "init"
 
