@@ -136,14 +136,10 @@ class Rotation:
         defect = _rotation_defect(R)
         if defect:
             raise ValueError(f"rotation {defect[0]}: {defect[1]}")
-        return tuple(_validated(cls, M) for M in R)
-
-
-def _validated(cls, matrix: np.ndarray):
-    """An instance of the frozen matrix class cls whose matrix the caller has checked."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "matrix", matrix)
-    return obj
+        rotations = tuple(object.__new__(cls) for _ in R)
+        for rot, M in zip(rotations, R):  # already checked, so skip __post_init__
+            object.__setattr__(rot, "matrix", M)
+        return rotations
 
 
 def _rotation_defect(R: np.ndarray):
@@ -515,14 +511,17 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
     return _dlt(X, U, np.array([len(X)]))[0]
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """Similarity transforms taking raw pixels/target mm to O(1) solver units.
+class HomographyFit(NamedTuple):
+    """Every image's homography in O(1) solver units, from one batched DLT.
 
-    Solving in raw units mixes pixel and mm scales and loses half the
-    float64 mantissa to cancellation in the constraint matrices.
+    `matrices` (N, 3, 3) map normalized target points to normalized pixels.
+    The similarity transforms that normalize pixels and target mm map
+    intrinsics, centers and homographies back to raw units: solving in raw
+    units mixes pixel and mm scales and loses half the float64 mantissa to
+    cancellation in the constraint matrices.
     """
 
+    matrices: np.ndarray
     pixel_scale: float
     pixel_shift: np.ndarray
     target_scale: float
@@ -551,17 +550,6 @@ class _Frame:
         return _checked_homographies(pix_inv @ H @ tgt)
 
 
-class HomographyFit(NamedTuple):
-    """Every image's homography in the frame's O(1) units, from one batched DLT.
-
-    `matrices` (N, 3, 3) map normalized target points to normalized pixels;
-    the frame maps intrinsics, centers and homographies back to raw units.
-    """
-
-    matrices: np.ndarray
-    frame: _Frame
-
-
 def _fit_observations(observations: ObservationSet) -> HomographyFit:
     xy, uv = observations.xy, observations.uv
     pix_shift = uv.mean(axis=0)
@@ -574,8 +562,8 @@ def _fit_observations(observations: ObservationSet) -> HomographyFit:
     tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
     H = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, observations.counts)
     H.flags.writeable = False  # cached on the observation set and shared by every solver
-    return HomographyFit(H, _Frame(pixel_scale=pix_scale, pixel_shift=pix_shift,
-                                   target_scale=tgt_scale, target_shift=tgt_shift))
+    return HomographyFit(H, pixel_scale=pix_scale, pixel_shift=pix_shift,
+                         target_scale=tgt_scale, target_shift=tgt_shift)
 
 
 def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):

@@ -11,7 +11,8 @@ All solvers read the homographies of `ObservationSet.homography_fit`,
 fitted once per observation set in O(1) units (shared similarity
 transforms of pixels and target coordinates); without the rescaling the
 mixed pixel/mm scales lose half the float64 mantissa to cancellation.
-Results are mapped back to the input units through its frame.
+The fit's `intrinsics_to_raw` and `center_to_raw` map results back to
+the input units.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class DegeneracyReport:
     pure_translation_pairs: tuple
     z_rotation_pairs: tuple
     rank: int
-    singular_values: np.ndarray
 
 
 def _scale_ratios(H: np.ndarray, base_index: int) -> np.ndarray:
@@ -186,8 +186,8 @@ def solve_closed_form(observations: ObservationSet):
     intr_n = _decode_intrinsics(solution[:5])
     x_n, y_n, r_n = _decode_center(solution[5:])
     rotations, _, _ = decompose_homography(fit.matrices, intr_n)
-    intr = fit.frame.intrinsics_to_raw(intr_n)
-    x, y, r = fit.frame.center_to_raw(x_n, y_n, r_n)
+    intr = fit.intrinsics_to_raw(intr_n)
+    x, y, r = fit.center_to_raw(x_n, y_n, r_n)
     return intr, SphericalExtrinsics(x=x, y=y, r=r, rotations=rotations)
 
 
@@ -267,8 +267,8 @@ def solve_minimal(observations: ObservationSet):
         q_unit = q / np.linalg.norm(q)
         residual = np.sum((rows @ q_unit) ** 2 / np.sum(rows * rows, axis=-1))
         rotations, _, _ = decompose_homography(fit.matrices, intr_n)
-        intr = fit.frame.intrinsics_to_raw(intr_n)
-        x, y, r = fit.frame.center_to_raw(x_n, y_n, float(np.sqrt(r2)))
+        intr = fit.intrinsics_to_raw(intr_n)
+        x, y, r = fit.center_to_raw(x_n, y_n, float(np.sqrt(r2)))
         candidates.append((residual,
                            intr,
                            SphericalExtrinsics(x=x, y=y, r=r, rotations=rotations)))
@@ -323,5 +323,4 @@ def detect_degeneracy(observations: ObservationSet) -> DegeneracyReport:
     return DegeneracyReport(
         pure_translation_pairs=tuple(p for p, flag in zip(pairs, translation) if flag),
         z_rotation_pairs=tuple(p for p, flag in zip(pairs, z_rotation) if flag),
-        rank=rank,
-        singular_values=sv)
+        rank=rank)

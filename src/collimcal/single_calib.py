@@ -93,41 +93,40 @@ def build_ray_database(ids, pixels, ref_intrinsics: CameraIntrinsics,
                        ref_intrinsics=ref_intrinsics, ref_distortion=ref_distortion)
 
 
-def select_pairs(count: int):
-    """Point-pair index sets for the cosine constraints.
+def select_pairs(rays: np.ndarray):
+    """The pair table of the cosine constraints: (i, j, g) with g = rays[i]·rays[j].
 
     All pairs up to 120 points; beyond that each point is paired with 30
     random partners drawn with seed 0, which keeps the constraint count linear.
     """
+    rays = np.asarray(rays, dtype=float).reshape(-1, 3)
+    count = len(rays)
     if count <= MAX_EXHAUSTIVE_PAIR_POINTS:
         i, j = np.triu_indices(count, k=1)
-        return i, j
-    rng = np.random.default_rng(0)
-    partners = np.array([rng.choice(count - 1, size=SUBSAMPLED_PARTNERS, replace=False)
-                         for _ in range(count)])
-    partners += partners >= np.arange(count)[:, None]  # skip the point itself
-    pairs = np.column_stack([np.repeat(np.arange(count), SUBSAMPLED_PARTNERS),
-                             partners.ravel()])
-    pairs = np.unique(np.sort(pairs, axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    else:
+        rng = np.random.default_rng(0)
+        partners = np.array([rng.choice(count - 1, size=SUBSAMPLED_PARTNERS, replace=False)
+                             for _ in range(count)])
+        partners += partners >= np.arange(count)[:, None]  # skip the point itself
+        pairs = np.column_stack([np.repeat(np.arange(count), SUBSAMPLED_PARTNERS),
+                                 partners.ravel()])
+        i, j = np.unique(np.sort(pairs, axis=1), axis=0).T
+    return i, j, np.sum(rays[i] * rays[j], axis=1)
 
 
-def init_focal_quartic(pixels: np.ndarray, rays: np.ndarray,
-                       image_width: float, image_height: float) -> float:
-    """Closed-form focal length from pairwise angle constraints.
+def init_focal_quartic(pixels: np.ndarray, pairs, image_width: float,
+                       image_height: float) -> float:
+    """Closed-form focal length from the pair table (i, j, g) of `select_pairs`.
 
     Assumes fx = fy = f, zero skew and the principal point at the image
     center.  Summing the per-pair constraints cos^2 = g^2 over all pairs
     gives a quadratic in (1/f)^2 which is solved exactly; with two
-    admissible roots the one with smaller squared cosine error wins.
+    admissible roots the one with smaller squared cosine residual wins.
     """
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    rays = np.asarray(rays, dtype=float).reshape(-1, 3)
-    if len(pixels) < 2:
-        raise ValueError("focal initialization needs at least 2 ray-pixel pairs")
-    m = pixels - np.array([image_width / 2.0, image_height / 2.0])
-    i, j = select_pairs(len(pixels))
-    g = np.sum(rays[i] * rays[j], axis=1)
+    i, j, g = pairs
+    center = (image_width / 2.0, image_height / 2.0)
+    m = pixels - np.array(center)
     alpha = np.sum(m[i] * m[j], axis=1)
     beta_i = np.sum(m[i] * m[i], axis=1)
     beta_j = np.sum(m[j] * m[j], axis=1)
@@ -154,21 +153,20 @@ def init_focal_quartic(pixels: np.ndarray, rays: np.ndarray,
         raise errors.NoRealRoot("no positive real focal length root")
     if len(focals) == 1:
         return float(focals[0])
-
-    def cosine_error(f):
-        q = np.column_stack([m / f, np.ones(len(m))])
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        return float(np.sum((np.sum(q[i] * q[j], axis=1) - g) ** 2))
-
-    return float(min(focals, key=cosine_error))
+    residual, _ = _cosine_residual_and_jacobian(pixels, pairs)
+    return float(min(focals,
+                     key=lambda f: np.sum(residual(np.array([f, f, *center, 0.0])) ** 2)))
 
 
-def _cosine_residual_and_jacobian(pixels, g, pair_i, pair_j):
+def _cosine_residual_and_jacobian(pixels, pairs):
     """Closures for the pairwise-cosine cost over the 5 intrinsic parameters."""
+    pair_i, pair_j, g = pairs
     ph = np.column_stack([pixels, np.ones(len(pixels))])
 
     def unpack(x):
         fx, fy, cx, cy, gamma = x
+        if not (fx > 0 and fy > 0):  # lm_minimize rejects such a trial step
+            raise errors.CalibrationError(f"trial focal lengths fx={fx}, fy={fy} are not positive")
         intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, gamma=gamma)
         q = ph @ intr.inverse.T
         return intr, q
@@ -200,21 +198,18 @@ def _cosine_residual_and_jacobian(pixels, g, pair_i, pair_j):
     return residual, jacobian
 
 
-def refine_intrinsics_angle(pixels: np.ndarray, rays: np.ndarray,
+def refine_intrinsics_angle(pixels: np.ndarray, pairs,
                             initial: CameraIntrinsics) -> CameraIntrinsics:
-    """Refine all five intrinsics on the pairwise-cosine constraints.
+    """Refine all five intrinsics on the pair table (i, j, g) of `select_pairs`.
 
     Distortion is deliberately absent here; it enters only at the final
     reprojection stage.  Each pair contributes one Cauchy-robustified
     residual (calibration cosine minus database cosine).
     """
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    rays = np.asarray(rays, dtype=float).reshape(-1, 3)
-    pair_i, pair_j = select_pairs(len(pixels))
-    if len(pair_i) < 5:
+    if len(pairs[2]) < 5:
         raise ValueError("intrinsic refinement needs at least 5 point pairs")
-    g = np.sum(rays[pair_i] * rays[pair_j], axis=1)
-    residual, jacobian = _cosine_residual_and_jacobian(pixels, g, pair_i, pair_j)
+    residual, jacobian = _cosine_residual_and_jacobian(pixels, pairs)
     x0 = np.array([initial.fx, initial.fy, initial.cx, initial.cy, initial.gamma])
     x, _ = lm_minimize(residual, jacobian, x0, robust_scale=ANGLE_CAUCHY_SCALE)
     return CameraIntrinsics(fx=x[0], fy=x[1], cx=x[2], cy=x[3], gamma=x[4])
@@ -269,12 +264,13 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
         except errors.CalibrationError as exc:
             raise errors.PipelineStageError(name, exc) from exc
 
+    pairs = select_pairs(rays)
     focal = stage("init_focal_quartic",
-                  lambda: init_focal_quartic(uv, rays, image_width, image_height))
+                  lambda: init_focal_quartic(uv, pairs, image_width, image_height))
     initial = CameraIntrinsics(fx=focal, fy=focal,
                                cx=image_width / 2.0, cy=image_height / 2.0, gamma=0.0)
     intr = stage("refine_intrinsics_angle",
-                 lambda: refine_intrinsics_angle(uv, rays, initial))
+                 lambda: refine_intrinsics_angle(uv, pairs, initial))
     calib_rays = back_project(intr, Distortion(), uv)
     rot = stage("estimate_rotation_kabsch",
                 lambda: estimate_rotation_kabsch(calib_rays, rays))

@@ -233,13 +233,13 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     if s[-2] <= 1e-9 * s[0]:
         raise errors.DegenerateConfiguration(
             "absolute-conic constraint matrix is rank deficient")
-    return fit.frame.intrinsics_to_raw(decompose_iac(Vt[-1]))
+    return fit.intrinsics_to_raw(decompose_iac(Vt[-1]))
 
 
 def _zhang_poses(observations: ObservationSet, intr: CameraIntrinsics):
     """Each image's (rotation, translation) from its raw-unit homography."""
     fit = observations.homography_fit
-    rotations, t, _ = decompose_homography(fit.frame.homographies_to_raw(fit.matrices), intr)
+    rotations, t, _ = decompose_homography(fit.homographies_to_raw(fit.matrices), intr)
     return list(zip(rotations, t))
 
 

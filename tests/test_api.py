@@ -57,3 +57,41 @@ def test_public_names_are_used():
     unused = [name for name in collimcal.__all__
               if name not in used and not re.search(rf"\b{name}\b", text)]
     assert not unused
+
+
+
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_imports(source):
+    """Private names that a package module's source takes from another package module.
+
+    Both `from .module import _name` and `module._name` on a module bound by
+    `from . import module` count.
+    """
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("collimcal")):
+            for alias in node.names:
+                if is_private(alias.name):
+                    found.append(f"{node.module or '.'}.{alias.name}")
+                if node.module in (None, "collimcal"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and is_private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    assert private_imports("from .core_geom import _dlt, project\n"
+                           "from . import errors as e\n"
+                           "from . import __version__\n"
+                           "e._hidden()\n") == ["core_geom._dlt", "e._hidden"]
+    found = {path.name: names for path in (ROOT / "src" / "collimcal").glob("*.py")
+             if (names := private_imports(path.read_text()))}
+    assert not found

@@ -345,13 +345,13 @@ def test_batched_homographies_match_per_image_fits():
     counts = set()
     for seed in range(20):
         obs = dropped_points_scene(seed)
-        H, frame = obs.homography_fit
+        fit = obs.homography_fit
         for k, im in enumerate(obs.images):
             xy, uv = obs.target.xy_for(im.ids), im.uv
             counts.add(len(uv))
-            alone = cg.estimate_homography((xy - frame.target_shift) / frame.target_scale,
-                                           (uv - frame.pixel_shift) / frame.pixel_scale)
-            assert relative_difference(H[k], alone) <= 1e-12
+            alone = cg.estimate_homography((xy - fit.target_shift) / fit.target_scale,
+                                           (uv - fit.pixel_shift) / fit.pixel_scale)
+            assert relative_difference(fit.matrices[k], alone) <= 1e-12
     assert len(counts) > 50  # the stack pads images of many different sizes
 
 
@@ -359,7 +359,7 @@ def test_raw_homographies_from_the_frame_match_raw_fits():
     for seed in range(20):
         obs = dropped_points_scene(seed)
         fit = obs.homography_fit
-        raws = fit.frame.homographies_to_raw(fit.matrices)
+        raws = fit.homographies_to_raw(fit.matrices)
         ends = np.cumsum(obs.counts)
         for raw, lo, hi in zip(raws, ends - obs.counts, ends):
             direct = cg.estimate_homography(obs.xy[lo:hi], obs.uv[lo:hi])
@@ -371,7 +371,7 @@ def test_rank_deficient_homography_in_a_stack_names_the_image():
     H = fit.matrices[:4].copy()
     H[2] = np.outer([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
     with pytest.raises(errors.DegenerateConfiguration, match="image 2: homography is rank deficient"):
-        fit.frame.homographies_to_raw(H)
+        fit.homographies_to_raw(H)
 
 
 def reference_decomposition(H, intr):
@@ -389,7 +389,7 @@ def test_batched_decomposition_matches_per_image_decomposition():
     for seed in range(20):
         config, _, _ = scene(seed=seed)
         fit = dropped_points_scene(seed).homography_fit
-        raw = fit.frame.homographies_to_raw(fit.matrices)
+        raw = fit.homographies_to_raw(fit.matrices)
         rotations, t, lam = cg.decompose_homography(raw, config.intrinsics)
         for k, H in enumerate(raw):
             R_ref, t_ref, lam_ref = reference_decomposition(H, config.intrinsics)

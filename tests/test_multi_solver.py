@@ -191,8 +191,8 @@ def test_closed_form_base_invariance(noiseless_scene):
     for base in (0, 4, 9):
         d, b = ms.build_linear_system(fit.matrices, base)
         solution, *_ = np.linalg.lstsq(d, b, rcond=None)
-        intr = fit.frame.intrinsics_to_raw(ms._decode_intrinsics(solution[:5]))
-        center = np.array(fit.frame.center_to_raw(*ms._decode_center(solution[5:])))
+        intr = fit.intrinsics_to_raw(ms._decode_intrinsics(solution[:5]))
+        center = np.array(fit.center_to_raw(*ms._decode_center(solution[5:])))
         results.append((intr, center))  # center (x, y, r)
     for intr, center in results[1:]:
         assert abs(intr.fx - results[0][0].fx) / 1000.0 < 1e-8

@@ -98,7 +98,7 @@ def test_quartic_exact_recovery_centered_prior():
     cal = rays @ Q.matrix.T
     ph = cal / cal[:, 2:3]
     uv = ph[:, :2] * 1000.0 + np.array([540.0, 480.0])
-    f = sc.init_focal_quartic(uv, rays, 1080, 960)
+    f = sc.init_focal_quartic(uv, sc.select_pairs(rays), 1080, 960)
     assert abs(f - 1000.0) / 1000.0 < 1e-6
 
 
@@ -109,8 +109,7 @@ def test_quartic_polynomial_root_residual():
     cal = rays @ rotation_from_axis_angle([0.0, 0.1, -0.07]).matrix.T
     uv = (cal / cal[:, 2:3])[:, :2] * 1000.0 + np.array([540.0, 480.0])
     m = uv - np.array([540.0, 480.0])
-    i, j = sc.select_pairs(len(uv))
-    g = np.sum(rays[i] * rays[j], axis=1)
+    i, j, g = sc.select_pairs(rays)
     alpha = np.sum(m[i] * m[j], axis=1)
     bi = np.sum(m[i] ** 2, axis=1)
     bj = np.sum(m[j] ** 2, axis=1)
@@ -125,7 +124,7 @@ def test_quartic_degenerate_rays_rejected():
     rays = np.tile([0.0, 0.0, 1.0], (10, 1))
     uv = np.tile([540.0, 480.0], (10, 1))
     with pytest.raises(errors.NoRealRoot):
-        sc.init_focal_quartic(uv, rays, 1080, 960)
+        sc.init_focal_quartic(uv, sc.select_pairs(rays), 1080, 960)
 
 
 def test_quartic_tolerates_off_center_principal_point():
@@ -135,7 +134,7 @@ def test_quartic_tolerates_off_center_principal_point():
     cal = rays @ rotation_from_axis_angle([0.05, 0.04, -0.1]).matrix.T
     ph = cal / cal[:, 2:3]
     uv = ph[:, :2] * 1000.0 + np.array([542.0, 478.0])
-    f = sc.init_focal_quartic(uv, rays, 1080, 960)
+    f = sc.init_focal_quartic(uv, sc.select_pairs(rays), 1080, 960)
     assert abs(f - 1000.0) / 1000.0 < 0.01
 
 
@@ -143,8 +142,8 @@ def test_quartic_tolerates_off_center_principal_point():
 # angle-constraint intrinsic refinement
 # ---------------------------------------------------------------------------
 
-def full_intrinsics_setup(rng, intr=CAL_K):
-    rays = random_unit_rays(rng, 70)
+def full_intrinsics_setup(rng, intr=CAL_K, count=70):
+    rays = random_unit_rays(rng, count)
     Q = rotation_from_axis_angle([0.08, -0.03, 0.15])
     cal = rays @ Q.matrix.T
     ph = cal / cal[:, 2:3]
@@ -154,16 +153,17 @@ def full_intrinsics_setup(rng, intr=CAL_K):
 
 def test_angle_refinement_fixed_point():
     rays, uv, _ = full_intrinsics_setup(np.random.default_rng(5))
-    out = sc.refine_intrinsics_angle(uv, rays, CAL_K)
+    out = sc.refine_intrinsics_angle(uv, sc.select_pairs(rays), CAL_K)
     assert abs(out.fx - CAL_K.fx) < 1e-6
     assert abs(out.gamma - CAL_K.gamma) < 1e-8
 
 
 def test_angle_refinement_from_quartic_prior():
     rays, uv, _ = full_intrinsics_setup(np.random.default_rng(6))
-    f0 = sc.init_focal_quartic(uv, rays, 1080, 960)
+    pairs = sc.select_pairs(rays)
+    f0 = sc.init_focal_quartic(uv, pairs, 1080, 960)
     start = CameraIntrinsics(f0, f0, 540.0, 480.0, 0.0)
-    out = sc.refine_intrinsics_angle(uv, rays, start)
+    out = sc.refine_intrinsics_angle(uv, pairs, start)
     assert abs(out.fx - 1000.0) / 1000.0 < 1e-3
     assert abs(out.fy - 1000.0) / 1000.0 < 1e-3
     assert np.hypot(out.cx - 542.0, out.cy - 478.0) < 0.5
@@ -171,13 +171,13 @@ def test_angle_refinement_from_quartic_prior():
 
 def test_angle_invariance_residual_after_refinement():
     rays, uv, _ = full_intrinsics_setup(np.random.default_rng(8))
+    i, j, g = sc.select_pairs(rays)
     out = sc.refine_intrinsics_angle(
-        uv, rays, CameraIntrinsics(980.0, 1020.0, 540.0, 480.0, 0.0))
+        uv, (i, j, g), CameraIntrinsics(980.0, 1020.0, 540.0, 480.0, 0.0))
     ph = np.column_stack([uv, np.ones(len(uv))])
     q = ph @ out.inverse.T
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    i, j = sc.select_pairs(len(uv))
-    resid = np.sum(q[i] * q[j], axis=1) - np.sum(rays[i] * rays[j], axis=1)
+    resid = np.sum(q[i] * q[j], axis=1) - g
     assert np.sqrt(np.mean(resid ** 2)) < 1e-8
 
 
@@ -185,15 +185,28 @@ def test_pair_subsampling_strategy_robustness():
     # All-pairs versus star-pairs changes the recovered focal by < 0.05%.
     rays, uv, _ = full_intrinsics_setup(np.random.default_rng(9))
     start = CameraIntrinsics(990.0, 990.0, 540.0, 480.0, 0.0)
-    full = sc.refine_intrinsics_angle(uv, rays, start)
+    full = sc.refine_intrinsics_angle(uv, sc.select_pairs(rays), start)
     original = sc.MAX_EXHAUSTIVE_PAIR_POINTS
     sc.MAX_EXHAUSTIVE_PAIR_POINTS = 10  # force the subsampled path
     try:
-        sub = sc.refine_intrinsics_angle(uv, rays, start)
+        sub = sc.refine_intrinsics_angle(uv, sc.select_pairs(rays), start)
     finally:
         sc.MAX_EXHAUSTIVE_PAIR_POINTS = original
     assert abs(full.fx - sub.fx) / full.fx < 5e-4
     assert abs(full.fy - sub.fy) / full.fy < 5e-4
+
+
+@pytest.mark.parametrize("start_focal", [5000.0, 20000.0])
+def test_angle_refinement_rejects_steps_to_a_non_positive_focal(start_focal):
+    # From far above the truth the first LM steps overshoot below f = 0; each
+    # such trial point must count as a rejected step, not abort the refinement.
+    K = CameraIntrinsics(1000.0, 1000.0, 540.0, 480.0, 0.0)
+    rays, uv, _ = full_intrinsics_setup(np.random.default_rng(12), intr=K, count=88)
+    uv = uv + np.random.default_rng(13).normal(scale=0.5, size=uv.shape)
+    start = CameraIntrinsics(start_focal, start_focal, 540.0, 480.0, 0.0)
+    out = sc.refine_intrinsics_angle(uv, sc.select_pairs(rays), start)
+    assert abs(out.fx - 1000.0) / 1000.0 < 1e-2
+    assert abs(out.fy - 1000.0) / 1000.0 < 1e-2
 
 
 def reference_pairs(count):
@@ -210,10 +223,12 @@ def reference_pairs(count):
 
 @pytest.mark.parametrize("count", [121, 200, 500])
 def test_subsampled_pairs_match_a_dict_reference(count):
-    i, j = sc.select_pairs(count)
+    rays = random_unit_rays(np.random.default_rng(count), count)
+    i, j, g = sc.select_pairs(rays)
     ref_i, ref_j = reference_pairs(count)
     assert i.dtype == ref_i.dtype and j.dtype == ref_j.dtype
     assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+    assert np.allclose(g, [rays[a] @ rays[b] for a, b in zip(i, j)], rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +329,18 @@ def test_pipeline_distorted_noisy_statistics():
         rms.append(res.report.rms_reprojection)
     assert np.mean(focal_errors) < 0.01
     assert 0.3 < np.mean(rms) < 0.7
+
+
+def test_pipeline_selects_the_pairs_once(monkeypatch):
+    # Both angle stages read the one pair table the pipeline builds.
+    calls = []
+    select_pairs = sc.select_pairs
+    monkeypatch.setattr(sc, "select_pairs", lambda *args: calls.append(args)
+                        or select_pairs(*args))
+    db, _ = reference_database()
+    image, _ = calibration_image()
+    sc.calibrate_single_image(image.ids, image.uv, db, image_width=1080, image_height=960)
+    assert len(calls) == 1
 
 
 def test_pipeline_requires_eight_matches():
