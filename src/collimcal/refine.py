@@ -16,8 +16,12 @@ are free:
     single image:      one image, c = t = 0, and P the reference rays (10).
 
 Rotations are updated right-multiplicatively, R <- R exp(delta^), and
-re-orthogonalized on every accepted step; the solver works on local
-increments, so Jacobian rotation blocks are evaluated at delta = 0.
+re-orthogonalized on every trial step (every call of `plus`, damping
+retries included); the solver works on local increments, so Jacobian
+rotation blocks are evaluated at delta = 0.  `plus` hands its matrices on
+to the evaluations at the point it returns, and one LM iteration projects
+every point once: the Jacobian at the point the residual last evaluated,
+compared by value, reuses its camera frame and projection.
 
 Residuals are robustified with the Cauchy function rho(s) = c^2 log(1 + s/c^2)
 applied per residual block via iteratively reweighted least squares.
@@ -264,49 +268,6 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
 # the stacked reprojection problem
 # ---------------------------------------------------------------------------
 
-def _projection_jacobian(intr_p: np.ndarray, dist_p: np.ndarray, xc: np.ndarray):
-    """Derivatives (J_K, J_d, J_xc) of the pixels of xc (M, 3).
-
-    Shapes (M, 2, 5), (M, 2, 2) and (M, 2, 3), with parameter order
-    (fx, fy, cx, cy, gamma) and (d1, d2).
-    """
-    fx, fy, cx, cy, gamma = intr_p
-    d1, d2 = dist_p
-    _, xn, yn, r2, f = project_camera_points(intr_p, dist_p, xc)
-    z = xc[:, 2]
-    xd = xn * f
-    yd = yn * f
-
-    m = len(xc)
-    J_K = np.zeros((m, 2, 5))
-    J_K[:, 0, 0] = xd
-    J_K[:, 0, 2] = 1.0
-    J_K[:, 0, 4] = yd
-    J_K[:, 1, 1] = yd
-    J_K[:, 1, 3] = 1.0
-
-    A = np.array([[fx, gamma], [0.0, fy]])
-    D_dist = np.stack([np.column_stack([xn * r2, xn * r2 * r2]),
-                       np.column_stack([yn * r2, yn * r2 * r2])], axis=1)
-    J_d = A @ D_dist
-
-    k = 2.0 * (d1 + 2.0 * d2 * r2)
-    D_xy = np.empty((m, 2, 2))
-    D_xy[:, 0, 0] = f + xn * xn * k
-    D_xy[:, 0, 1] = xn * yn * k
-    D_xy[:, 1, 0] = xn * yn * k
-    D_xy[:, 1, 1] = f + yn * yn * k
-
-    D_n = np.zeros((m, 2, 3))
-    D_n[:, 0, 0] = 1.0 / z
-    D_n[:, 0, 2] = -xn / z
-    D_n[:, 1, 1] = 1.0 / z
-    D_n[:, 1, 2] = -yn / z
-
-    J_xc = A @ D_xy @ D_n
-    return J_K, J_d, J_xc
-
-
 def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
                           center=None, translations=None):
     """Closures of the stacked problem x_c = R_i (P - c) + t_i.
@@ -319,11 +280,15 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     parameter vector is (fx, fy, cx, cy, gamma, d1, d2, [c], then per image
     the rotation vector [and t_i]).
 
+    The closures share, keyed by the value of x: the last evaluation, which
+    a residual that raises leaves in place, and the rotation matrices at x0
+    and at `plus`'s last input and output.
+
     Returns (residual, jacobian, plus, x0, unpack, image), with image (M,)
     the image index of each observation; the Jacobian is a BlockJacobian
     with one group per image, and unpack(x) gives (intrinsics (5,),
-    distortion (2,), c (3,), rotation vectors (N, 3), translations (N, 3)
-    or None).
+    distortion (2,), c (3,), rotation matrices (N, 3, 3), translations
+    (N, 3) or None).
     """
     n = len(rotations)
     m = len(points)
@@ -332,51 +297,85 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     stride = 3 if translations is None else 6
     rot_cols = first + stride * np.arange(n)[:, None] + np.arange(3)
     image = np.repeat(np.arange(n), counts)
+    points_t = np.ascontiguousarray(points.T, dtype=float)
     starts = 2 * np.concatenate([[0], np.cumsum(counts)])
-
-    def unpack(x):
-        c = x[7:10] if has_center else np.zeros(3)
-        t = None if translations is None else x[rot_cols + 3]
-        return x[:5], x[5:7], c, x[rot_cols], t
-
-    def camera_points(x):
-        intr_p, dist_p, c, aas, t = unpack(x)
-        R = rotation_matrix_from_axis_angle(aas)[image]
-        centered = points - c
-        xc = (R @ centered[:, :, None])[:, :, 0]
-        if t is not None:
-            xc += t[image]
-        return intr_p, dist_p, R, centered, xc
-
-    def residual(x):
-        intr_p, dist_p, _, _, xc = camera_points(x)
-        return (project_camera_points(intr_p, dist_p, xc)[0] - pixels).ravel()
-
-    def jacobian(x):
-        intr_p, dist_p, R, centered, xc = camera_points(x)
-        J_K, J_d, J_xc = _projection_jacobian(intr_p, dist_p, xc)
-        J_centered = J_xc @ R
-        # d x_c / d delta = -R [P - c]x, and a^T [q]x = (a x q)^T row by row.
-        J_rot = np.cross(centered[:, None, :], J_centered)
-        columns = ([J_K, J_d] + ([-J_centered] if has_center else []) + [J_rot]
-                   + ([J_xc] if translations is not None else []))
-        return BlockJacobian(np.concatenate(columns, axis=2).reshape(2 * m, -1),
-                             first, starts)
-
-    def plus(x, delta):
-        x_new = x + delta
-        R = nearest_rotation(rotation_matrix_from_axis_angle(x[rot_cols])
-                             @ rotation_matrix_from_axis_angle(delta[rot_cols]))
-        x_new[rot_cols] = axis_angle_from_rotation_matrix(R)
-        return x_new
 
     x0 = np.zeros(first + stride * n)
     x0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
     if has_center:
         x0[7:10] = center
-    x0[rot_cols] = axis_angle_from_rotation_matrix(np.array([rot.matrix for rot in rotations]))
+    R0 = np.array([rot.matrix for rot in rotations])
+    x0[rot_cols] = axis_angle_from_rotation_matrix(R0)
     if translations is not None:
         x0[rot_cols + 3] = translations
+    known = [(x0.copy(), R0)]   # (x, rotation matrices at x)
+    last = []                   # [x, evaluation at x] once a point evaluated
+
+    def unpack(x):
+        c = x[7:10] if has_center else np.zeros(3)
+        t = None if translations is None else x[rot_cols + 3]
+        R = next((R for key, R in known if np.array_equal(key, x)), None)
+        if R is None:
+            R = rotation_matrix_from_axis_angle(x[rot_cols])
+        return x[:5], x[5:7], c, R, t
+
+    def evaluate(x):
+        if last and np.array_equal(last[0], x):
+            return last[1]
+        x = np.array(x, dtype=float)
+        intr_p, dist_p, c, R, t = unpack(x)
+        # Each point's rotation, component-major (3, 3, M) like P - c (3, M),
+        # so that every component is one contiguous row.
+        R = R.transpose(1, 2, 0).take(image, axis=2)
+        centered = points_t - c[:, None]
+        xc = np.einsum("ijm,jm->im", R, centered)
+        if t is not None:
+            xc += t.T.take(image, axis=1)
+        uv, xn, yn, r2, f = project_camera_points(intr_p, dist_p, xc.T)
+        last[:] = x, (uv, intr_p, dist_p, R, centered, xc[2], xn, yn, r2, f)
+        return last[1]
+
+    def residual(x):
+        return (evaluate(x)[0] - pixels).ravel()
+
+    def jacobian(x):
+        _, (fx, fy, _, _, gamma), (d1, d2), R, q, z, xn, yn, r2, f = evaluate(x)
+        B = np.zeros((m, 2, first + stride))
+        # pixel = A (xd, yd) + (cx, cy) with A = [[fx, gamma], [0, fy]] and
+        # (xd, yd) = f (xn, yn): the intrinsic and distortion columns.
+        B[:, 0, 0] = xn * f
+        B[:, 1, 1] = B[:, 0, 4] = yn * f
+        B[:, 0, 2] = B[:, 1, 3] = 1.0
+        B[:, 0, 5] = (fx * xn + gamma * yn) * r2
+        B[:, 1, 5] = fy * yn * r2
+        B[:, :, 6] = B[:, :, 5] * r2[:, None]
+        # d(xd, yd)/d x_c = [f I + k n n^T | -(f + k r2) n] / z with n = (xn, yn)
+        # and k = 2 (d1 + 2 d2 r2), row by row; A times it is d pixel / d x_c.
+        k = 2.0 * (d1 + 2.0 * d2 * r2)
+        kxy = xn * yn * k / z
+        g = -(f + k * r2) / z
+        dx = np.array([(f + xn * xn * k) / z, kxy, xn * g])
+        dy = np.array([kxy, (f + yn * yn * k) / z, yn * g])
+        for row, J_xc in enumerate((fx * dx + gamma * dy, fy * dy)):
+            # With a = J_xc R: d x_c / d c = -R gives -a, and d x_c / d delta
+            # = -R [q]x with q = P - c gives -a [q]x, the cross product q x a.
+            a = J_xc[0] * R[0] + J_xc[1] * R[1] + J_xc[2] * R[2]
+            B[:, row, first:first + 3] = (q[[1, 2, 0]] * a[[2, 0, 1]]
+                                          - q[[2, 0, 1]] * a[[1, 2, 0]]).T
+            if has_center:
+                B[:, row, 7:10] = -a.T
+            if translations is not None:
+                B[:, row, first + 3:] = J_xc.T
+        return BlockJacobian(B.reshape(2 * m, -1), first, starts)
+
+    def plus(x, delta):
+        R_x = unpack(x)[3]
+        R = nearest_rotation(R_x @ rotation_matrix_from_axis_angle(delta[rot_cols]))
+        x_new = x + delta
+        x_new[rot_cols] = axis_angle_from_rotation_matrix(R)
+        known[:] = (np.array(x, dtype=float), R_x), (x_new.copy(), R)
+        return x_new
+
     return residual, jacobian, plus, x0, unpack, image
 
 
@@ -397,11 +396,11 @@ def _adjusted(problem):
     residual, jacobian, plus, x0, unpack, image = problem
     x, report = lm_minimize(residual, jacobian, x0,
                             block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
-    intr_p, dist_p, c, aas, t = unpack(x)
+    intr_p, dist_p, c, R, t = unpack(x)
     rms, per = _per_image_rms(residual(x), image)
     intr = CameraIntrinsics(*intr_p)
     dist = Distortion(*dist_p)
-    rotations = Rotation.from_stack(nearest_rotation(rotation_matrix_from_axis_angle(aas)))
+    rotations = Rotation.from_stack(R)
     report = replace(report, rms_reprojection=rms, per_image_rms=per)
     return intr, dist, rotations, c, t, report
 

@@ -269,6 +269,29 @@ def test_general_jacobian_matches_finite_differences():
     assert max_relative_deviation(jacobian(x).toarray(), fd_jacobian(residual, plus, x)) < 1e-5
 
 
+@pytest.mark.parametrize("adjustment", ["spherical", "general"])
+def test_multi_image_jacobian_with_distortion_and_skew_matches_finite_differences(adjustment):
+    # The d1, d2 and gamma entries of the multi-image Jacobians, and the pose
+    # columns they scale, vanish at d = 0 and gamma = 0.
+    _, _, obs = scene(seed=35, image_count=4, pixel_noise_sigma=0.5)
+    dist = Distortion(0.1, -0.2)
+    if adjustment == "spherical":
+        intr, ext = solve_closed_form(obs)
+        intr = CameraIntrinsics(intr.fx, intr.fy, intr.cx, intr.cy, 0.8)
+        problem = refine.spherical_problem(obs, (intr, dist, ext))
+    else:
+        intr, _, poses = zhang_general_init(obs)
+        intr = CameraIntrinsics(intr.fx, intr.fy, intr.cx, intr.cy, 0.8)
+        problem = refine.general_problem(obs, (intr, dist, poses))
+    residual, jacobian, plus, x0, *_ = problem
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        x = plus(x0, rng.normal(size=x0.size) * 1e-3)
+        assert x[4] != 0.0 and x[5] != 0.0 and x[6] != 0.0
+        assert max_relative_deviation(jacobian(x).toarray(),
+                                      fd_jacobian(residual, plus, x)) < 1e-5
+
+
 def test_residuals_reject_points_behind_camera():
     config, poses, obs = scene(seed=31, image_count=3)
     intr, ext = solve_closed_form(obs)
@@ -300,6 +323,54 @@ def noisy_problems():
         np.random.default_rng(4), Distortion(0.1, -0.2), noise_sigma=1.0)
     single = refine.single_image_problem(rays, pixels, (intr, Distortion(0.0, 0.0), rot))
     return {"spherical": spherical, "general": general, "single": single}
+
+
+def behind_camera(name, x):
+    """A copy of x that puts the first image's points behind its camera."""
+    x = x.copy()
+    if name == "general":
+        x[12] = -1e4          # t_z of image 0, after (K, d) and its rotation
+    else:
+        first = 10 if name == "spherical" else 7
+        x[first:first + 3] = [np.pi, 0.0, 0.0]  # a half turn about x
+    return x
+
+
+@pytest.mark.parametrize("name", ["spherical", "general", "single"])
+def test_jacobian_never_reuses_a_stale_evaluation(name):
+    # The Jacobian reuses the residual's evaluation at the same x; it must
+    # equal a freshly built problem's Jacobian however the calls interleave.
+    residual, jacobian, _, x0, *_ = noisy_problems()[name]
+
+    def fresh(x):
+        return noisy_problems()[name][1](x).toarray()
+
+    rng = np.random.default_rng(21)
+    x = x0 + rng.normal(size=x0.size) * 1e-4
+    y = x0 + rng.normal(size=x0.size) * 1e-4
+    residual(x)
+    assert np.array_equal(jacobian(x).toarray(), fresh(x))
+    # after a residual at another point
+    residual(x)
+    residual(y)
+    assert np.array_equal(jacobian(x).toarray(), fresh(x))
+    # after x was mutated in place
+    residual(x)
+    x[0] += 1.0
+    x[-1] += 1e-3
+    assert np.array_equal(jacobian(x).toarray(), fresh(x))
+    # after a residual that raised: it stores nothing, so y's evaluation
+    # stays valid and the point that raised has none to reuse
+    behind = behind_camera(name, x)
+    residual(y)
+    with pytest.raises(errors.PointBehindCamera):
+        residual(behind)
+    assert np.array_equal(jacobian(y).toarray(), fresh(y))
+    with pytest.raises(errors.PointBehindCamera):
+        residual(behind)
+    with pytest.raises(errors.PointBehindCamera):
+        jacobian(behind)
+    assert np.array_equal(jacobian(x).toarray(), fresh(x))
 
 
 @pytest.mark.parametrize("name", ["spherical", "general", "single"])
