@@ -16,7 +16,6 @@ from .core_geom import (
     ImagePoints,
     ObservationSet,
     PlanarTarget,
-    Rotation,
     back_project,
     decompose_homography,
     estimate_homography,
@@ -58,7 +57,7 @@ from .synth import (
 
 __all__ = [
     "CameraIntrinsics", "Distortion", "ImagePoints",
-    "ObservationSet", "PlanarTarget", "Rotation",
+    "ObservationSet", "PlanarTarget",
     "back_project", "decompose_homography",
     "estimate_homography", "project",
     "DegeneracyReport", "SphericalExtrinsics",

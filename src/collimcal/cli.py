@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import errors, fileio, synth
-from .core_geom import Distortion, ObservationSet
+from .core_geom import Distortion, ObservationSet, axis_angle_from_rotation_matrix
 from .multi_solver import detect_degeneracy, solve_closed_form, solve_minimal
 from .refine import reprojection_rms, spherical_ba, spherical_problem
 from .single_calib import build_ray_database, calibrate_single_image
@@ -77,12 +77,12 @@ def _degeneracy_block(observations: ObservationSet):
 def cmd_simulate(args) -> int:
     config = fileio.read_synthetic_config(args.config)
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(0,)))
-    poses, observations = synth.make_scene(config, rng)
+    (R, _), observations = synth.make_scene(config, rng)
     truth = fileio.GroundTruth(
         intrinsics=config.intrinsics,
         distortion=config.distortion,
         t_cp=config.t_cp,
-        rotations=tuple(fileio.rotations_payload(rot for rot, _ in poses)))
+        rotations=axis_angle_from_rotation_matrix(R))
     fileio.write_observation_file(args.out, observations,
                                   image_size=config.image_size, ground_truth=truth)
     print(f"wrote {args.out}: {len(observations)} images, "
@@ -121,7 +121,7 @@ def cmd_calibrate(args) -> int:
             refine_distortion=not args.no_refine)
         intr, dist = result.intrinsics, result.distortion
         report.update({
-            "rotation_axis_angle": fileio.rotations_payload([result.rotation])[0],
+            "rotation_axis_angle": fileio.rotations_payload(result.rotation),
             "rms_reprojection_px": result.report.rms_reprojection,
             "n_matched": result.n_matched,
             "n_dropped": result.n_dropped,

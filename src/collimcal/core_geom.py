@@ -9,6 +9,12 @@ Coordinate conventions used throughout the package:
                    x_cam = R @ P + t.
     Image frame:   pixels, origin top-left, u right, v down.
 
+A rotation is a plain (3, 3) float array and the rotations of several
+images are one (N, 3, 3) stack, with the translations, where there are
+any, an (N, 3) array beside it.  `checked_rotations` is the one check
+that a stack holds proper rotations; the solvers apply it where a
+rotation is produced or handed in.
+
 A homography maps homogeneous target-plane points (X, Y, 1) to
 homogeneous pixels and factors as H = lam * K [r1 r2 t].  Estimated
 homographies are scaled to Frobenius norm sqrt(3) with H[2,2] > 0,
@@ -109,51 +115,23 @@ class Distortion:
                              f"normalized radius {max_radius:.4f}")
 
 
-@dataclass(frozen=True)
-class Rotation:
-    """A proper rotation matrix, validated on construction."""
+def checked_rotations(R: np.ndarray) -> np.ndarray:
+    """R (N, 3, 3) as a float stack, checked to hold proper rotations.
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.matrix, dtype=float)
-        if R.shape != (3, 3):
-            raise ValueError("rotation must be a 3x3 matrix")
-        defect = _rotation_defect(R[None])
-        if defect:
-            raise ValueError(defect[1])
-        object.__setattr__(self, "matrix", R)
-
-    @classmethod
-    def from_stack(cls, R: np.ndarray) -> tuple:
-        """One Rotation per matrix of the stack R (N, 3, 3), validated in one pass.
-
-        Raises ValueError naming the first matrix that is not a proper rotation.
-        """
-        R = np.asarray(R, dtype=float)
-        if R.ndim != 3 or R.shape[1:] != (3, 3):
-            raise ValueError("rotations must be an (N, 3, 3) stack")
-        defect = _rotation_defect(R)
-        if defect:
-            raise ValueError(f"rotation {defect[0]}: {defect[1]}")
-        rotations = tuple(object.__new__(cls) for _ in R)
-        for rot, M in zip(rotations, R):  # already checked, so skip __post_init__
-            object.__setattr__(rot, "matrix", M)
-        return rotations
-
-
-def _rotation_defect(R: np.ndarray):
-    """(index, reason) of the first matrix of R (N, 3, 3) that is not a proper
-    rotation within ROTATION_TOLERANCE, or None if every one is."""
+    Raises ValueError naming the first matrix that is not orthonormal, or
+    whose determinant is not +1, within ROTATION_TOLERANCE.
+    """
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 3 or R.shape[1:] != (3, 3):
+        raise ValueError("rotations must be an (N, 3, 3) stack")
     skewed = np.max(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)), axis=(1, 2)) > ROTATION_TOLERANCE
     improper = np.abs(np.linalg.det(R) - 1.0) > ROTATION_TOLERANCE
     bad = np.flatnonzero(skewed | improper)
-    if not len(bad):
-        return None
-    k = int(bad[0])
-    if skewed[k]:
-        return k, "matrix is not orthonormal within 1e-12"
-    return k, "matrix determinant is not +1 within 1e-12"
+    if len(bad):
+        k = int(bad[0])
+        reason = "is not orthonormal" if skewed[k] else "determinant is not +1"
+        raise ValueError(f"rotation {k}: matrix {reason} within 1e-12")
+    return R
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -395,14 +373,14 @@ def project_camera_points(intr_p, dist_p, xc: np.ndarray):
     return np.column_stack([fx * xd + gamma * yd + cx, fy * yd + cy]), xn, yn, r2, f
 
 
-def project(intr: CameraIntrinsics, dist: Distortion, rot: Rotation, t: np.ndarray,
+def project(intr: CameraIntrinsics, dist: Distortion, R: np.ndarray, t: np.ndarray,
             points: np.ndarray) -> np.ndarray:
-    """Project target-frame points (N, 3) mm to pixels (N, 2).
+    """Project target-frame points (N, 3) mm to pixels (N, 2) from the pose (R, t).
 
     Raises PointBehindCamera if any point has non-positive camera-frame depth.
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
-    xc = P @ rot.matrix.T + np.asarray(t, dtype=float)
+    xc = P @ np.asarray(R, dtype=float).T + np.asarray(t, dtype=float)
     out = project_camera_points((intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma),
                                 (dist.d1, dist.d2), xc)[0]
     return out[0] if np.asarray(points).ndim == 1 else out
@@ -569,7 +547,7 @@ def _fit_observations(observations: ObservationSet) -> HomographyFit:
 def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
     """Recover every pose of a stack H (N, 3, 3) with H_i = lam_i * K [r1 r2 t_i].
 
-    Returns (N Rotations, t (N, 3), lam (N,)), recovered in one pass.  The
+    Returns (R (N, 3, 3), t (N, 3), lam (N,)), recovered in one pass.  The
     sign is chosen so the target origin lies in front of the camera
     (t[2] > 0) and the rotations are re-orthogonalized by SVD.
     """
@@ -587,4 +565,4 @@ def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
     sign = np.where(t[:, 2] < 0, -1.0, 1.0)[:, None]
     r1, r2, t = sign * r1, sign * r2, sign * t
     R = nearest_rotation(np.stack([r1, r2, np.cross(r1, r2)], axis=-1))
-    return Rotation.from_stack(R), t, lam
+    return checked_rotations(R), t, lam

@@ -39,7 +39,7 @@ class GroundTruth:
     intrinsics: CameraIntrinsics
     distortion: Distortion
     t_cp: np.ndarray
-    rotations: tuple  # per-image axis-angle vectors
+    rotations: np.ndarray | None  # per-image axis-angle vectors (N, 3), if known
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,11 @@ class ObservationFile:
 
 
 def _dump(path, payload) -> None:
+    # Serialized before the file is opened, so that a payload JSON cannot
+    # hold (a NaN, say) leaves any file at `path` as it was.
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _load(path):
@@ -148,9 +150,10 @@ def write_observation_file(path, observations: ObservationSet, *,
             "intrinsics": intrinsics_payload(ground_truth.intrinsics),
             "distortion": [ground_truth.distortion.d1, ground_truth.distortion.d2],
             "t_cp": [float(v) for v in ground_truth.t_cp],
-            "rotations_axis_angle": [[float(v) for v in aa]
-                                     for aa in ground_truth.rotations],
         }
+        if ground_truth.rotations is not None:
+            payload["ground_truth"]["rotations_axis_angle"] = np.asarray(
+                ground_truth.rotations, dtype=float).tolist()
     _dump(path, payload)
 
 
@@ -180,12 +183,20 @@ def read_observation_file(payload, path) -> ObservationFile:
     ground_truth = None
     if "ground_truth" in payload:
         block = payload["ground_truth"]
+        t_cp = np.array(_require(block, "t_cp", path), dtype=float)
+        if t_cp.shape != (3,) or not np.all(np.isfinite(t_cp)):
+            raise FileFormatError(f"{path}: ground truth t_cp must be finite and hold "
+                                  f"3 numbers, got {t_cp.tolist()}")
+        rotations = block.get("rotations_axis_angle")
+        if rotations is not None:
+            rotations = np.array(rotations, dtype=float)
+            if rotations.shape != (len(observations), 3) or not np.all(np.isfinite(rotations)):
+                raise FileFormatError(
+                    f"{path}: ground truth rotations_axis_angle must be finite and hold "
+                    f"one 3-vector per image ({len(observations)}), got shape {rotations.shape}")
         ground_truth = GroundTruth(
             intrinsics=_intrinsics_from(_require(block, "intrinsics", path), path),
-            distortion=_distortion_from(block, path),
-            t_cp=np.array([float(v) for v in _require(block, "t_cp", path)]),
-            rotations=tuple(np.array([float(v) for v in aa])
-                            for aa in block.get("rotations_axis_angle", [])))
+            distortion=_distortion_from(block, path), t_cp=t_cp, rotations=rotations)
     return ObservationFile(observations=observations, image_names=tuple(names),
                            image_size=image_size, ground_truth=ground_truth)
 
@@ -254,7 +265,7 @@ def read_synthetic_config(payload, path) -> SyntheticConfig:
             kwargs[key] = float(payload[key])
     for key in ("image_count", "trial_count", "rng_seed"):
         if key in payload:
-            kwargs[key] = int(payload[key])
+            kwargs[key] = payload[key]  # SyntheticConfig refuses a non-integer
     return SyntheticConfig(**kwargs)
 
 
@@ -283,9 +294,9 @@ def read_sweep_values(payload, path, sweep: str):
 # calibration reports
 # ---------------------------------------------------------------------------
 
-def rotations_payload(rotations) -> list:
-    """The JSON axis-angle vectors of a sequence of Rotations."""
-    return axis_angle_from_rotation_matrix(np.array([rot.matrix for rot in rotations])).tolist()
+def rotations_payload(R: np.ndarray) -> list:
+    """The JSON axis-angle vector of one rotation (3, 3), or the vectors of a stack."""
+    return axis_angle_from_rotation_matrix(R).tolist()
 
 
 def write_report(path, report: dict) -> None:

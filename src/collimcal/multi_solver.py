@@ -41,17 +41,19 @@ _STRUCTURE_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class SphericalExtrinsics:
-    """Spherical-motion extrinsics: fixed optical center plus per-image rotations."""
+    """Spherical-motion extrinsics: fixed optical center plus per-image rotations.
+
+    `rotations` is the (N, 3, 3) stack of the images' R_i.
+    """
 
     x: float
     y: float
     r: float
-    rotations: tuple
+    rotations: np.ndarray
 
     def __post_init__(self):
         if not self.r > 0:
             raise ValueError(f"spherical radius must be positive, got {self.r}")
-        object.__setattr__(self, "rotations", tuple(self.rotations))
 
     @property
     def t_cp(self) -> np.ndarray:

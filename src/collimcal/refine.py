@@ -38,8 +38,8 @@ from .core_geom import (
     CameraIntrinsics,
     Distortion,
     ObservationSet,
-    Rotation,
     axis_angle_from_rotation_matrix,
+    checked_rotations,
     nearest_rotation,
     project_camera_points,
     rotation_matrix_from_axis_angle,
@@ -273,12 +273,14 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     """Closures of the stacked problem x_c = R_i (P - c) + t_i.
 
     `points` (M, 3) and `pixels` (M, 2) list every observation, image after
-    image, and `counts` (N,) how many each image has; `rotations` holds one
-    Rotation per image.  The center c is a parameter starting at `center`
-    when that is given, and zero otherwise; `translations` (N, 3), when
-    given, are the initial per-image t_i, which are otherwise zero.  The
-    parameter vector is (fx, fy, cx, cy, gamma, d1, d2, [c], then per image
-    the rotation vector [and t_i]).
+    image, and `counts` (N,) how many each image has; `rotations` (N, 3, 3)
+    are the initial R_i.  They are copied and checked here, the one place
+    where a caller's rotations enter the three bundle adjustments:
+    ValueError names the first that is not a proper rotation.  The center c
+    is a parameter starting at `center` when that is given, and zero
+    otherwise; `translations` (N, 3), when given, are the initial per-image
+    t_i, which are otherwise zero.  The parameter vector is (fx, fy, cx, cy,
+    gamma, d1, d2, [c], then per image the rotation vector [and t_i]).
 
     The closures share, keyed by the value of x: the last evaluation, which
     a residual that raises leaves in place, and the rotation matrices at x0
@@ -290,7 +292,8 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     distortion (2,), c (3,), rotation matrices (N, 3, 3), translations
     (N, 3) or None).
     """
-    n = len(rotations)
+    R0 = checked_rotations(np.array(rotations, dtype=float))
+    n = len(R0)
     m = len(points)
     has_center = center is not None
     first = 10 if has_center else 7
@@ -304,7 +307,6 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     x0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
     if has_center:
         x0[7:10] = center
-    R0 = np.array([rot.matrix for rot in rotations])
     x0[rot_cols] = axis_angle_from_rotation_matrix(R0)
     if translations is not None:
         x0[rot_cols + 3] = translations
@@ -400,9 +402,8 @@ def _adjusted(problem):
     rms, per = _per_image_rms(residual(x), image)
     intr = CameraIntrinsics(*intr_p)
     dist = Distortion(*dist_p)
-    rotations = Rotation.from_stack(R)
     report = replace(report, rms_reprojection=rms, per_image_rms=per)
-    return intr, dist, rotations, c, t, report
+    return intr, dist, checked_rotations(R), c, t, report
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +456,7 @@ def spherical_ba(observations: ObservationSet, init):
 def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
     """The single-image BA's stacked problem: one image, c = t = 0, P the rays.
 
-    `init` is (CameraIntrinsics, Distortion, Rotation).
+    `init` is (CameraIntrinsics, Distortion, R (3, 3)).
     """
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -474,8 +475,8 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
     rays = np.asarray(rays, dtype=float).reshape(-1, 3)
     if len(rays) < 8:
         raise ValueError(f"single-image refinement needs >= 8 ray-pixel pairs, got {len(rays)}")
-    intr, dist, (rot,), _, _, report = _adjusted(single_image_problem(rays, pixels, init))
-    return (intr, dist, rot), report
+    intr, dist, (R,), _, _, report = _adjusted(single_image_problem(rays, pixels, init))
+    return (intr, dist, R), report
 
 
 # ---------------------------------------------------------------------------
@@ -485,22 +486,21 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
 def general_problem(observations: ObservationSet, init):
     """The free-motion BA's stacked problem, with a translation per image.
 
-    `init` is (CameraIntrinsics, Distortion, [(Rotation, t), ...]).
+    `init` is (CameraIntrinsics, Distortion, (R (N, 3, 3), t (N, 3))).
     """
-    intr0, dist0, poses0 = init
-    if len(poses0) != len(observations):
+    intr0, dist0, (R0, t0) = init
+    if not len(R0) == len(t0) == len(observations):
         raise ValueError("initial poses must match the image count")
     return _reprojection_problem(_plane_points(observations), observations.uv,
-                                 observations.counts, intr0, dist0,
-                                 [rot for rot, _ in poses0],
-                                 translations=[np.asarray(t, dtype=float) for _, t in poses0])
+                                 observations.counts, intr0, dist0, R0, translations=t0)
 
 
 def general_ba(observations: ObservationSet, init):
     """Refine K, distortion and unconstrained per-image poses (7 + 6N parameters).
 
-    `init` is (CameraIntrinsics, Distortion, [(Rotation, t), ...]); used as the
-    refinement stage of the motion-unconstrained baseline.
+    `init` is (CameraIntrinsics, Distortion, (R (N, 3, 3), t (N, 3))), and the
+    refined triple has the same form; used as the refinement stage of the
+    motion-unconstrained baseline.
     """
-    intr, dist, rotations, _, translations, report = _adjusted(general_problem(observations, init))
-    return (intr, dist, list(zip(rotations, translations))), report
+    intr, dist, R, _, t, report = _adjusted(general_problem(observations, init))
+    return (intr, dist, (R, t)), report

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .core_geom import CameraIntrinsics, Distortion, Rotation, back_project, nearest_rotation
+from .core_geom import (
+    CameraIntrinsics,
+    Distortion,
+    back_project,
+    checked_rotations,
+    nearest_rotation,
+)
 from .refine import (
     ResidualReport,
     lm_minimize,
@@ -74,7 +80,7 @@ class RayDatabase:
 class SingleImageResult:
     intrinsics: CameraIntrinsics
     distortion: Distortion
-    rotation: Rotation
+    rotation: np.ndarray  # (3, 3)
     report: ResidualReport
     n_matched: int
     n_dropped: int
@@ -215,7 +221,7 @@ def refine_intrinsics_angle(pixels: np.ndarray, pairs,
     return CameraIntrinsics(fx=x[0], fy=x[1], cx=x[2], cy=x[3], gamma=x[4])
 
 
-def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> Rotation:
+def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> np.ndarray:
     """Least-squares rotation R with R @ db_rays[i] ~ calib_rays[i].
 
     The rotation nearest, in the Frobenius sense, to the covariance
@@ -235,7 +241,7 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> Rot
     s = np.linalg.svd(B, compute_uv=False)
     if s[1] <= 1e-12 * max(s[0], 1e-300):
         raise errors.DegenerateConfiguration("ray bundles are collinear")
-    return Rotation(nearest_rotation(B))
+    return checked_rotations(nearest_rotation(B)[None])[0]
 
 
 def calibrate_single_image(ids, pixels, database: RayDatabase, *,

@@ -29,7 +29,7 @@ from .core_geom import (
     ImagePoints,
     ObservationSet,
     PlanarTarget,
-    Rotation,
+    checked_rotations,
     decompose_homography,
     project_camera_points,
     rotation_matrix_from_axis_angle,
@@ -93,11 +93,16 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
+        for name in ("image_count", "trial_count", "rng_seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.image_count < 1 or self.trial_count < 1:
             raise ValueError("counts must be at least 1")
         if self.pixel_noise_sigma < 0 or self.spherical_noise_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
         w, h = self.image_size
+        if not (w > 0 and h > 0):
+            raise ValueError(f"image_size must be positive, got {self.image_size}")
         intr = self.intrinsics
         corners = np.array([[0.0, 0.0], [w, 0.0], [0.0, h], [w, h]])
         radii = np.hypot((corners[:, 0] - intr.cx) / intr.fx,
@@ -179,7 +184,7 @@ def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
 
 
 def make_scene(config: SyntheticConfig, rng: np.random.Generator):
-    """Poses [(Rotation, center), ...] and their rendered observations.
+    """Poses (R (N, 3, 3), centers (N, 3)) and their rendered observations.
 
     The one way to make a synthetic scene.  Every image's pose is drawn
     first, in image order (`_draw_pose`), then the pixel noise of every
@@ -207,7 +212,7 @@ def make_scene(config: SyntheticConfig, rng: np.random.Generator):
                 f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {MIN_IMAGE_POINTS} "
                 f"target points in front of the camera and inside the image")
     images = tuple(ImagePoints(ids=target.ids[k], uv=pixels[k]) for pixels, k in zip(uv, keep))
-    return list(zip(Rotation.from_stack(R), centers)), ObservationSet(target, images)
+    return (checked_rotations(R), centers), ObservationSet(target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +242,10 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
 
 
 def _zhang_poses(observations: ObservationSet, intr: CameraIntrinsics):
-    """Each image's (rotation, translation) from its raw-unit homography."""
+    """Every image's pose (R (N, 3, 3), t (N, 3)) from its raw-unit homography."""
     fit = observations.homography_fit
-    rotations, t, _ = decompose_homography(fit.homographies_to_raw(fit.matrices), intr)
-    return list(zip(rotations, t))
+    R, t, _ = decompose_homography(fit.homographies_to_raw(fit.matrices), intr)
+    return R, t
 
 
 # ---------------------------------------------------------------------------

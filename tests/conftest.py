@@ -11,7 +11,6 @@ import pytest
 from collimcal import synth
 from collimcal.core_geom import (
     ObservationSet,
-    Rotation,
     _with_scale_convention,
     rotation_matrix_from_axis_angle,
 )
@@ -30,19 +29,18 @@ def first_images(observations, count):
                           images=observations.images[:count])
 
 
-def motion_matrix(rot, t_cp):
+def motion_matrix(R, t_cp):
     """M = [r1 r2 -R t_cp]; its determinant equals the spherical radius."""
-    R = rot.matrix
     return np.column_stack([R[:, 0], R[:, 1], -R @ np.asarray(t_cp, dtype=float)])
 
 
 def rotation_from_axis_angle(v):
-    """The Rotation of the axis-angle vector v (3,)."""
-    return Rotation(rotation_matrix_from_axis_angle(np.asarray(v, dtype=float)))
+    """The rotation matrix (3, 3) of the axis-angle vector v (3,)."""
+    return rotation_matrix_from_axis_angle(np.asarray(v, dtype=float))
 
 
 def identity_rotation():
-    return Rotation(np.eye(3))
+    return np.eye(3)
 
 
 def angular_distance(v1, v2) -> float:
@@ -57,9 +55,8 @@ def angular_distance(v1, v2) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def homography_from_pose(intr, rot, t):
+def homography_from_pose(intr, R, t):
     """Exact H = K [r1 r2 t] (3, 3) under the package scale convention."""
-    R = rot.matrix
     H = intr.matrix @ np.column_stack([R[:, 0], R[:, 1], np.asarray(t, dtype=float)])
     return _with_scale_convention(H[None])[0]
 

@@ -18,7 +18,6 @@ from collimcal.core_geom import (
     Distortion,
     ImagePoints,
     ObservationSet,
-    Rotation,
     axis_angle_from_rotation_matrix,
     project,
 )
@@ -205,7 +204,7 @@ def render_rotations(rotations):
     images = []
     for rot in rotations:
         uv = project(config.intrinsics, config.distortion, rot,
-                     -rot.matrix @ config.t_cp, points)
+                     -rot @ config.t_cp, points)
         images.append(ImagePoints(ids=target.ids, uv=uv))
     return ObservationSet(target=target, images=tuple(images))
 
@@ -222,7 +221,7 @@ def test_criterion_6_degeneracy():
     details = []
     for n in (3, 5, 15):
         base = [random_rotation() for _ in range(n)]
-        z_twin = Rotation(base[0].matrix @ rotation_from_axis_angle([0.0, 0.0, 0.8]).matrix)
+        z_twin = base[0] @ rotation_from_axis_angle([0.0, 0.0, 0.8])
         before = ms.detect_degeneracy(render_rotations(base))
         after = ms.detect_degeneracy(render_rotations(base + [z_twin]))
         flagged = any(pair == (0, n) for pair in after.z_rotation_pairs)
@@ -297,13 +296,12 @@ def test_criterion_7_spherical_motion_properties():
     worst_det = 0.0
     for trial in range(200):
         rng = np.random.default_rng(np.random.SeedSequence(9000, spawn_key=(trial,)))
-        poses, _ = synth.make_scene(config, rng)
+        (R, centers), _ = synth.make_scene(config, rng)
         i, j = pair_rng.choice(len(points), size=2, replace=False)
-        angles = [angular_distance(rot.matrix @ (points[i] - t),
-                                   rot.matrix @ (points[j] - t))
-                  for rot, t in poses]
+        angles = [angular_distance(rot @ (points[i] - t), rot @ (points[j] - t))
+                  for rot, t in zip(R, centers)]
         worst_angle_spread = max(worst_angle_spread, max(angles) - min(angles))
-        for rot, t in poses:
+        for rot, t in zip(R, centers):
             det = np.linalg.det(motion_matrix(rot, t))
             worst_det = max(worst_det, abs(det - config.radius) / config.radius)
     scenes_ok = worst_angle_spread < 1e-10 and worst_det < 1e-10
@@ -336,10 +334,10 @@ def single_image_database(ref_K, seed):
     cfg = synth.default_config(intrinsics=ref_K, image_size=(1400, 1000),
                                      image_count=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    poses, obs = synth.make_scene(cfg, rng)
+    (R, _), obs = synth.make_scene(cfg, rng)
     db = sc.build_ray_database(obs.images[0].ids, obs.images[0].uv,
                                ref_K, Distortion(0.0, 0.0))
-    return db, poses[0][0]
+    return db, R[0]
 
 
 def test_criterion_8_single_image_pipeline():
@@ -350,7 +348,7 @@ def test_criterion_8_single_image_pipeline():
     # Noiseless, distortion-free: exact recovery of K and the relative rotation.
     cal_cfg = synth.default_config(image_count=1)
     rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(0,)))
-    cal_poses, cal_obs = synth.make_scene(cal_cfg, rng)
+    (cal_R, _), cal_obs = synth.make_scene(cal_cfg, rng)
     image = cal_obs.images[0]
     result = sc.calibrate_single_image(image.ids, image.uv, db,
                                        image_width=1080, image_height=960)
@@ -358,9 +356,9 @@ def test_criterion_8_single_image_pipeline():
                     rel_err(result.intrinsics.fy, 1000.0),
                     rel_err(result.intrinsics.cx, 542.0),
                     rel_err(result.intrinsics.cy, 478.0))
-    R_true = cal_poses[0][0].matrix @ ref_rot.matrix.T
+    R_true = cal_R[0] @ ref_rot.T
     rot_err = float(np.linalg.norm(
-        axis_angle_from_rotation_matrix(result.rotation.matrix.T @ R_true)))
+        axis_angle_from_rotation_matrix(result.rotation.T @ R_true)))
     exact_ok = worst_rel < 1e-6 and rot_err < 1e-8
 
     # Distorted and noisy, 50 trials of 88 points.

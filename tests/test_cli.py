@@ -166,12 +166,17 @@ def edited_copy(path, out, keys, value):
 @pytest.mark.parametrize("kind, keys, value", [
     ("observations", ("ground_truth", "distortion"), [0.1]),
     ("observations", ("ground_truth", "t_cp"), None),
+    ("observations", ("ground_truth", "t_cp"), [150.0, 105.0]),
+    ("observations", ("ground_truth", "rotations_axis_angle"), [[1.0], [2.0, 3.0]]),
+    ("observations", ("ground_truth", "rotations_axis_angle"), [[0.0, 0.0, 0.1]] * 14),
     ("observations", ("image_size",), [1]),
     ("observations", ("images",), 5),
     ("config", ("distortion",), [0.1]),
     ("config", ("target",), 5),
-], ids=["truth-distortion", "truth-t_cp", "image_size", "images", "config-distortion",
-        "config-target"])
+    ("config", ("image_count",), 3.9),
+], ids=["truth-distortion", "truth-t_cp", "truth-t_cp-2", "truth-rotations-ragged",
+        "truth-rotations-count", "image_size", "images", "config-distortion",
+        "config-target", "config-image-count-fraction"])
 def test_malformed_file_exit_2(sim_file, tmp_path, capsys, kind, keys, value):
     bad = tmp_path / "bad.json"
     if kind == "config":
@@ -209,6 +214,8 @@ NAN, INF = float("nan"), float("inf")
     ("simulate", ("distortion",), [INF, 0.0]),
     ("calibrate", ("ground_truth", "intrinsics", "gamma"), INF),
     ("calibrate", ("ground_truth", "distortion"), [0.0, NAN]),
+    ("calibrate", ("ground_truth", "t_cp"), [150.0, NAN, -700.0]),
+    ("calibrate", ("ground_truth", "rotations_axis_angle"), [[0.0, INF, 0.0]] * 15),
     ("build-db", ("intrinsics", "fx"), INF),
     ("build-db", ("intrinsics", "cx"), NAN),
     ("build-db", ("distortion",), [NAN, 0.0]),
@@ -216,7 +223,8 @@ NAN, INF = float("nan"), float("inf")
     ("benchmark", ("pixel_noise_sigma",), INF),
 ], ids=["simulate-pixel-sigma", "simulate-spherical-sigma", "simulate-radius-nan",
         "simulate-radius-inf", "simulate-offset", "simulate-cx", "simulate-distortion",
-        "calibrate-truth-gamma", "calibrate-truth-distortion", "build-db-fx", "build-db-cx",
+        "calibrate-truth-gamma", "calibrate-truth-distortion", "calibrate-truth-t_cp",
+        "calibrate-truth-rotations", "build-db-fx", "build-db-cx",
         "build-db-distortion-nan", "build-db-distortion-inf", "benchmark-pixel-sigma"])
 def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, value):
     # JSON readers accept NaN and Infinity; each must be refused as input.
@@ -255,9 +263,14 @@ def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, valu
     ("simulate", {"target": {"spacing_mm": 0.0}}, "spacing must be finite and positive"),
     ("simulate", {"target": {"rows": 1}}, "rows and cols must be integers of at least 2"),
     ("simulate", {"target": {"cols": 2.7}}, "rows and cols must be integers of at least 2"),
+    ("simulate", {"image_size": [0, -5]}, "image_size must be positive"),
+    ("simulate", {"image_count": 3.9}, "image_count must be an integer"),
+    ("simulate", {"trial_count": 2.7}, "trial_count must be an integer"),
+    ("simulate", {"rng_seed": 0.5}, "rng_seed must be an integer"),
 ], ids=["sweep-noise-nan", "sweep-images-nan", "sweep-images-fraction", "sweep-images-2",
         "sweep-spherical-negative", "grid-spacing-nan", "grid-spacing-zero", "grid-rows-1",
-        "grid-cols-fraction"])
+        "grid-cols-fraction", "image-size-nonpositive", "image-count-fraction",
+        "trial-count-fraction", "rng-seed-fraction"])
 def test_bad_sweep_or_grid_value_exit_2(tmp_path, capsys, command, block, message):
     bad = write_config(tmp_path / "bad.json", **block)
     out = str(tmp_path / "out")
@@ -324,6 +337,17 @@ def test_no_refine_reports_are_strict_json(sim_file, reference_db, tmp_path):
         # Noiseless and undistorted, so the initial estimate reprojects exactly.
         assert 0.0 <= report["rms_reprojection_px"] < 1e-6, mode
     assert report["termination"] == "not_run" and report["distortion"] == [0.0, 0.0]
+
+
+def test_report_that_cannot_be_written_leaves_the_file_unchanged(tmp_path):
+    # The text is built before the file is opened: a value JSON cannot hold
+    # raises without truncating what is already there.
+    out = tmp_path / "report.json"
+    fileio.write_report(out, {"rms_reprojection_px": 0.5})
+    before = out.read_bytes()
+    with pytest.raises(ValueError):
+        fileio.write_report(out, {"rms_reprojection_px": float("nan")})
+    assert out.read_bytes() == before
 
 
 def test_database_round_trip_bit_identical(reference_db, tmp_path):

@@ -58,12 +58,14 @@ def test_distortion_monotonicity_window():
 
 
 def test_rotation_validation():
-    with pytest.raises(ValueError):
-        cg.Rotation(np.eye(3) * 2.0)
-    with pytest.raises(ValueError):
-        cg.Rotation(np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="rotation 0: matrix is not orthonormal"):
+        cg.checked_rotations((np.eye(3) * 2.0)[None])
+    with pytest.raises(ValueError, match="rotation 0: matrix determinant is not"):
+        cg.checked_rotations(np.diag([1.0, 1.0, -1.0])[None])
+    with pytest.raises(ValueError, match=r"\(N, 3, 3\) stack"):
+        cg.checked_rotations(np.eye(3))
     R = rotation_from_axis_angle([0.1, -0.2, 0.3])
-    assert np.max(np.abs(R.matrix.T @ R.matrix - np.eye(3))) < 1e-12
+    assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
 
 
 def test_rotation_stack_matches_one_vector_at_a_time():
@@ -80,16 +82,15 @@ def test_rotation_stack_matches_one_vector_at_a_time():
 
 def test_rotation_stack_validation_names_the_bad_matrix():
     R = cg.rotation_matrix_from_axis_angle(np.random.default_rng(22).normal(size=(5, 3)))
-    rotations = cg.Rotation.from_stack(R)
-    assert [r.matrix.tobytes() for r in rotations] == [M.tobytes() for M in R]
+    assert cg.checked_rotations(R).tobytes() == R.tobytes()
     skewed = R.copy()
     skewed[3, 0, 0] += 1e-9
     with pytest.raises(ValueError, match="rotation 3: matrix is not orthonormal"):
-        cg.Rotation.from_stack(skewed)
+        cg.checked_rotations(skewed)
     improper = R.copy()
     improper[1] = -improper[1]
     with pytest.raises(ValueError, match="rotation 1: matrix determinant"):
-        cg.Rotation.from_stack(improper)
+        cg.checked_rotations(improper)
 
 
 def test_axis_angle_round_trip():
@@ -98,11 +99,11 @@ def test_axis_angle_round_trip():
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, np.pi - 1e-3) / np.linalg.norm(v)
         R = rotation_from_axis_angle(v)
-        assert np.allclose(cg.axis_angle_from_rotation_matrix(R.matrix), v, atol=1e-9)
+        assert np.allclose(cg.axis_angle_from_rotation_matrix(R), v, atol=1e-9)
     # near-pi branch
     v = np.array([1.0, 0.0, 0.0]) * (np.pi - 1e-9)
     R = rotation_from_axis_angle(v)
-    back = cg.axis_angle_from_rotation_matrix(R.matrix)
+    back = cg.axis_angle_from_rotation_matrix(R)
     assert abs(np.linalg.norm(back) - np.linalg.norm(v)) < 1e-6
 
 
@@ -218,7 +219,7 @@ def test_project_back_project_round_trip():
         R = random_rotation(rng, max_angle=0.4)
         t = np.array([rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(400, 900)])
         P = np.array([rng.uniform(-150, 150), rng.uniform(-100, 100), 0.0])
-        xc = R.matrix @ P + t
+        xc = R @ P + t
         if xc[2] <= 0 or np.hypot(xc[0], xc[1]) / xc[2] > 0.6:
             continue
         uv = cg.project(TRUE_K, TRUE_D, R, t, P)
@@ -234,7 +235,7 @@ def test_round_trip_gamma_zero_exact():
     P = np.array([40.0, -25.0, 0.0])
     uv = cg.project(K, cg.Distortion(), R, t, P)
     ray = cg.back_project(K, cg.Distortion(), uv)
-    direction = (R.matrix @ P + t)
+    direction = (R @ P + t)
     direction /= np.linalg.norm(direction)
     assert np.allclose(ray, direction, atol=1e-12)
 
@@ -286,7 +287,7 @@ def test_decompose_recovers_exact_pose():
     t = np.array([0.0, 0.0, 700.0])
     H = homography_from_pose(TRUE_K, identity_rotation(), t)
     (R,), (t_out,), (lam,) = cg.decompose_homography(H[None], TRUE_K)
-    assert np.allclose(R.matrix, np.eye(3), atol=1e-10)
+    assert np.allclose(R, np.eye(3), atol=1e-10)
     assert np.allclose(t_out, t, atol=1e-9 * 700.0)
     assert lam > 0
 
@@ -304,7 +305,7 @@ def test_decompose_reorthogonalizes_under_perturbation():
     H = homography_from_pose(TRUE_K, Rt, t)
     H_noisy = H + 1e-6 * rng.normal(size=(3, 3))
     (R,), _, _ = cg.decompose_homography(H_noisy[None], TRUE_K)
-    assert np.max(np.abs(R.matrix.T @ R.matrix - np.eye(3))) < 1e-12
+    assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
 
 
 def test_estimate_then_decompose_round_trip_spherical_pose():
@@ -312,7 +313,7 @@ def test_estimate_then_decompose_round_trip_spherical_pose():
     t_cp = np.array([150.0, 105.0, -700.0])
     for _ in range(10):
         R = random_rotation(rng, max_angle=0.2)
-        t = -R.matrix @ t_cp
+        t = -R @ t_cp
         xy = np.array([[x, y] for x in (0.0, 100.0, 200.0, 300.0)
                        for y in (0.0, 70.0, 140.0, 210.0)])
         uv = cg.project(cg.CameraIntrinsics(1000, 1000, 542, 478, 0.01), cg.Distortion(),
@@ -320,9 +321,9 @@ def test_estimate_then_decompose_round_trip_spherical_pose():
         H = cg.estimate_homography(xy, uv)
         (R_out,), (t_out,), _ = cg.decompose_homography(
             H[None], cg.CameraIntrinsics(1000, 1000, 542, 478, 0.01))
-        assert tiny_angle(R_out.matrix @ np.array([0, 0, 1.0]),
-                          R.matrix @ np.array([0, 0, 1.0])) < 1e-8
-        assert np.max(np.abs(R_out.matrix - R.matrix)) < 1e-8
+        assert tiny_angle(R_out @ np.array([0, 0, 1.0]),
+                          R @ np.array([0, 0, 1.0])) < 1e-8
+        assert np.max(np.abs(R_out - R)) < 1e-8
         assert np.allclose(t_out, t, atol=1e-6)
 
 
@@ -381,8 +382,8 @@ def reference_decomposition(H, intr):
     r1, r2, t = M[:, 0] / lam, M[:, 1] / lam, M[:, 2] / lam
     if t[2] < 0:
         r1, r2, t = -r1, -r2, -t
-    R = cg.Rotation(cg.nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)])))
-    return R.matrix, t, lam
+    R = cg.nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
+    return cg.checked_rotations(R[None])[0], t, lam
 
 
 def test_batched_decomposition_matches_per_image_decomposition():
@@ -393,7 +394,7 @@ def test_batched_decomposition_matches_per_image_decomposition():
         rotations, t, lam = cg.decompose_homography(raw, config.intrinsics)
         for k, H in enumerate(raw):
             R_ref, t_ref, lam_ref = reference_decomposition(H, config.intrinsics)
-            assert np.max(np.abs(rotations[k].matrix - R_ref)) <= 1e-12
+            assert np.max(np.abs(rotations[k] - R_ref)) <= 1e-12
             assert relative_difference(t[k], t_ref) <= 1e-12
             assert abs(lam[k] - lam_ref) <= 1e-12 * lam_ref
 
@@ -426,5 +427,5 @@ def test_angle_invariance_under_rotation():
         v1 = rng.normal(size=3)
         v2 = rng.normal(size=3)
         a = angular_distance(v1, v2)
-        b = angular_distance(Q.matrix @ v1, Q.matrix @ v2)
+        b = angular_distance(Q @ v1, Q @ v2)
         assert abs(a - b) < 1e-12

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,9 +120,9 @@ def test_lm_rejecting_every_step_reports_damping():
 # ---------------------------------------------------------------------------
 
 def exact_init(poses, config):
-    rotations = tuple(rot for rot, _ in poses)
+    R, _ = poses
     ext = SphericalExtrinsics(x=config.target_offset[0], y=config.target_offset[1],
-                              r=config.radius, rotations=rotations)
+                              r=config.radius, rotations=R)
     return config.intrinsics, config.distortion, ext
 
 
@@ -194,12 +197,9 @@ def zhang_general_init(obs):
     from collimcal.core_geom import estimate_homography, decompose_homography
     from collimcal.synth import zhang_init
     intr = zhang_init(obs)
-    poses = []
-    for im in obs.images:
-        xy = obs.target.xy_for(im.ids)
-        (rot,), (t,), _ = decompose_homography(estimate_homography(xy, im.uv)[None], intr)
-        poses.append((rot, t))
-    return intr, Distortion(0.0, 0.0), poses
+    H = np.array([estimate_homography(obs.target.xy_for(im.ids), im.uv) for im in obs.images])
+    R, t, _ = decompose_homography(H, intr)
+    return intr, Distortion(0.0, 0.0), (R, t)
 
 
 @pytest.mark.parametrize("adjustment", ["spherical", "general"])
@@ -301,9 +301,10 @@ def test_residuals_reject_points_behind_camera():
     # sits in front of the target (and every forward ray backwards).
     spherical = refine.spherical_problem(
         obs, (intr, dist, SphericalExtrinsics(x=ext.x, y=ext.y, r=ext.r,
-                                              rotations=(flip,) * len(obs))))
+                                              rotations=np.array([flip] * len(obs)))))
     general = refine.general_problem(
-        obs, (intr, dist, [(identity_rotation(), np.array([0.0, 0.0, -1e4]))] * len(obs)))
+        obs, (intr, dist, (np.array([identity_rotation()] * len(obs)),
+                           np.tile([0.0, 0.0, -1e4], (len(obs), 1)))))
     rays = np.array([[0.1, 0.0, 1.0], [0.0, -0.1, 1.0], [0.05, 0.05, 1.0]])
     single = refine.single_image_problem(rays, np.zeros((3, 2)), (intr, dist, flip))
     for residual, jacobian, _, x0, *_ in (spherical, general, single):
@@ -311,6 +312,31 @@ def test_residuals_reject_points_behind_camera():
             residual(x0)
         with pytest.raises(errors.PointBehindCamera):
             jacobian(x0)
+
+
+@pytest.mark.parametrize("adjustment", ["spherical", "general", "single"])
+@pytest.mark.parametrize("defect, message", [
+    (np.diag([1.0, 1.0, 1.0 + 1e-9]), "matrix is not orthonormal"),
+    (np.diag([1.0, 1.0, -1.0]), "matrix determinant is not +1"),
+])
+def test_ba_refuses_a_start_rotation_that_is_not_proper(adjustment, defect, message):
+    # A caller's start rotations enter every bundle adjustment through one
+    # check, which names the image of the first bad one.
+    _, _, obs = scene(seed=31, image_count=3)
+    intr, ext = solve_closed_form(obs)
+    dist = Distortion(0.0, 0.0)
+    R = ext.rotations.copy()
+    R[-1] = R[-1] @ defect
+    if adjustment == "spherical":
+        image, run = 2, lambda: refine.spherical_ba(obs, (intr, dist, replace(ext, rotations=R)))
+    elif adjustment == "general":
+        image, run = 2, lambda: refine.general_ba(obs, (intr, dist, (R, -(R @ ext.t_cp))))
+    else:
+        rays = np.array([[0.1, 0.0, 1.0], [0.0, -0.1, 1.0], [0.05, 0.05, 1.0]] * 3)
+        image, run = 0, lambda: refine.single_image_ba(rays, np.zeros((9, 2)),
+                                                       (intr, dist, R[-1]))
+    with pytest.raises(ValueError, match=rf"^rotation {image}: {re.escape(message)}"):
+        run()
 
 
 def noisy_problems():

@@ -15,10 +15,10 @@ def reference_database(seed=5, ref_distortion=Distortion(0.0, 0.0)):
     cfg = synth.default_config(intrinsics=REF_K, image_size=(1400, 1000),
                                      image_count=1, distortion=ref_distortion)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    poses, obs = synth.make_scene(cfg, rng)
+    (R, _), obs = synth.make_scene(cfg, rng)
     db = sc.build_ray_database(obs.images[0].ids, obs.images[0].uv,
                                REF_K, ref_distortion)
-    return db, poses[0][0]
+    return db, R[0]
 
 
 def calibration_image(seed=6, trial=0, distortion=Distortion(0.0, 0.0), noise=0.0,
@@ -26,8 +26,8 @@ def calibration_image(seed=6, trial=0, distortion=Distortion(0.0, 0.0), noise=0.
     cfg = synth.default_config(intrinsics=intrinsics, image_count=1,
                                      distortion=distortion, pixel_noise_sigma=noise)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
-    poses, obs = synth.make_scene(cfg, rng)
-    return obs.images[0], poses[0][0]
+    (R, _), obs = synth.make_scene(cfg, rng)
+    return obs.images[0], R[0]
 
 
 def geodesic_angle(Ra, Rb):
@@ -60,7 +60,7 @@ def test_database_angles_match_scene_geometry():
     cfg = synth.default_config()
     target = cfg.target.planar_target()
     points = np.column_stack([target.xy, np.zeros(len(target.ids))]) - cfg.t_cp
-    cam_points = points @ ref_rot.matrix.T
+    cam_points = points @ ref_rot.T
     rng = np.random.default_rng(0)
     for _ in range(200):
         i, j = rng.choice(len(db), size=2, replace=False)
@@ -95,7 +95,7 @@ def test_quartic_exact_recovery_centered_prior():
     rays = random_unit_rays(rng, 40)
     K = CameraIntrinsics(1000.0, 1000.0, 540.0, 480.0, 0.0)
     Q = rotation_from_axis_angle([0.1, -0.05, 0.2])
-    cal = rays @ Q.matrix.T
+    cal = rays @ Q.T
     ph = cal / cal[:, 2:3]
     uv = ph[:, :2] * 1000.0 + np.array([540.0, 480.0])
     f = sc.init_focal_quartic(uv, sc.select_pairs(rays), 1080, 960)
@@ -106,7 +106,7 @@ def test_quartic_polynomial_root_residual():
     # The assembled quadratic in (1/f)^2 vanishes at the true value.
     rng = np.random.default_rng(3)
     rays = random_unit_rays(rng, 30)
-    cal = rays @ rotation_from_axis_angle([0.0, 0.1, -0.07]).matrix.T
+    cal = rays @ rotation_from_axis_angle([0.0, 0.1, -0.07]).T
     uv = (cal / cal[:, 2:3])[:, :2] * 1000.0 + np.array([540.0, 480.0])
     m = uv - np.array([540.0, 480.0])
     i, j, g = sc.select_pairs(rays)
@@ -131,7 +131,7 @@ def test_quartic_tolerates_off_center_principal_point():
     # True c off the assumed image center by (2, -2) px.
     rng = np.random.default_rng(4)
     rays = random_unit_rays(rng, 60)
-    cal = rays @ rotation_from_axis_angle([0.05, 0.04, -0.1]).matrix.T
+    cal = rays @ rotation_from_axis_angle([0.05, 0.04, -0.1]).T
     ph = cal / cal[:, 2:3]
     uv = ph[:, :2] * 1000.0 + np.array([542.0, 478.0])
     f = sc.init_focal_quartic(uv, sc.select_pairs(rays), 1080, 960)
@@ -145,7 +145,7 @@ def test_quartic_tolerates_off_center_principal_point():
 def full_intrinsics_setup(rng, intr=CAL_K, count=70):
     rays = random_unit_rays(rng, count)
     Q = rotation_from_axis_angle([0.08, -0.03, 0.15])
-    cal = rays @ Q.matrix.T
+    cal = rays @ Q.T
     ph = cal / cal[:, 2:3]
     uv = (np.column_stack([ph[:, 0], ph[:, 1], np.ones(len(ph))]) @ intr.matrix.T)[:, :2]
     return rays, uv, Q
@@ -238,7 +238,7 @@ def test_subsampled_pairs_match_a_dict_reference(count):
 def test_kabsch_identity():
     rays = random_unit_rays(np.random.default_rng(10), 20)
     R = sc.estimate_rotation_kabsch(rays, rays)
-    assert np.allclose(R.matrix, np.eye(3), atol=1e-12)
+    assert np.allclose(R, np.eye(3), atol=1e-12)
 
 
 def test_kabsch_random_rotations():
@@ -248,8 +248,8 @@ def test_kabsch_random_rotations():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         Q = rotation_from_axis_angle(axis * rng.uniform(0, np.pi * 0.9))
-        R = sc.estimate_rotation_kabsch(rays @ Q.matrix.T, rays)
-        assert geodesic_angle(R.matrix, Q.matrix) < 1e-10
+        R = sc.estimate_rotation_kabsch(rays @ Q.T, rays)
+        assert geodesic_angle(R, Q) < 1e-10
 
 
 def test_kabsch_reflection_guard():
@@ -261,9 +261,9 @@ def test_kabsch_reflection_guard():
     flat[:, 1] *= 1e-6
     flat /= np.linalg.norm(flat, axis=1, keepdims=True)
     Q = rotation_from_axis_angle([0.3, -0.2, 0.5])
-    noisy = flat @ Q.matrix.T + rng.normal(size=flat.shape) * 1e-4
+    noisy = flat @ Q.T + rng.normal(size=flat.shape) * 1e-4
     R = sc.estimate_rotation_kabsch(noisy, flat)
-    assert abs(np.linalg.det(R.matrix) - 1.0) < 1e-12
+    assert abs(np.linalg.det(R) - 1.0) < 1e-12
 
 
 def test_kabsch_degenerate_collinear():
@@ -284,8 +284,8 @@ def test_pipeline_noiseless_exact():
     assert abs(res.intrinsics.fx - CAL_K.fx) / CAL_K.fx < 1e-6
     assert abs(res.intrinsics.fy - CAL_K.fy) / CAL_K.fy < 1e-6
     assert abs(res.intrinsics.cx - CAL_K.cx) < 1e-3
-    R_true = cal_rot.matrix @ ref_rot.matrix.T
-    assert geodesic_angle(res.rotation.matrix, R_true) < 1e-8
+    R_true = cal_rot @ ref_rot.T
+    assert geodesic_angle(res.rotation, R_true) < 1e-8
 
 
 def test_pipeline_rotation_matches_relative_pose_invariance():
@@ -298,7 +298,7 @@ def test_pipeline_rotation_matches_relative_pose_invariance():
                                                  image_width=1080, image_height=960))
     fx = [r.intrinsics.fx for r in results]
     assert max(fx) - min(fx) < 1e-6 * 1000.0
-    angles = [axis_angle_from_rotation_matrix(r.rotation.matrix) for r in results]
+    angles = [axis_angle_from_rotation_matrix(r.rotation) for r in results]
     assert np.linalg.norm(angles[0] - angles[1]) > 1e-3  # genuinely different poses
 
 

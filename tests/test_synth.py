@@ -53,16 +53,15 @@ def test_grid_target_layout():
 
 def test_poses_share_center_without_spherical_noise():
     cfg = synth.default_config()
-    poses, _ = synth.make_scene(cfg, pose_rng())
-    centers = np.array([c for _, c in poses])
+    (_, centers), _ = synth.make_scene(cfg, pose_rng())
     assert np.all(centers == centers[0])
     assert np.allclose(centers[0], cfg.t_cp)
 
 
 def test_poses_perturbed_center_statistics():
     cfg = synth.default_config(spherical_noise_sigma=5.0, image_count=400)
-    poses, _ = synth.make_scene(cfg, pose_rng())
-    offsets = np.array([c - cfg.t_cp for _, c in poses])
+    (_, centers), _ = synth.make_scene(cfg, pose_rng())
+    offsets = centers - cfg.t_cp
     assert 4.0 < np.std(offsets) < 6.0
     assert np.all(np.abs(np.mean(offsets, axis=0)) < 1.5)
 
@@ -70,7 +69,7 @@ def test_poses_perturbed_center_statistics():
 def test_pose_motion_matrix_determinant():
     cfg = synth.default_config()
     poses, _ = synth.make_scene(cfg, pose_rng(seed=1))
-    for rot, t_cp in poses:
+    for rot, t_cp in zip(*poses):
         assert abs(np.linalg.det(motion_matrix(rot, t_cp)) - cfg.radius) < 1e-10 * cfg.radius
 
 
@@ -85,9 +84,9 @@ def test_angle_invariance_across_poses():
     for _ in range(10):
         i, j = pair_rng.choice(len(points), size=2, replace=False)
         angles = []
-        for rot, t_cp in poses:
-            vi = rot.matrix @ (points[i] - t_cp)
-            vj = rot.matrix @ (points[j] - t_cp)
+        for rot, t_cp in zip(*poses):
+            vi = rot @ (points[i] - t_cp)
+            vj = rot @ (points[j] - t_cp)
             angles.append(angular_distance(vi, vj))
         assert max(angles) - min(angles) < 1e-10
 
@@ -96,8 +95,8 @@ def test_target_stays_on_sphere():
     cfg = synth.default_config(image_count=1000)
     poses, _ = synth.make_scene(cfg, pose_rng(seed=4))
     expected = np.linalg.norm(cfg.t_cp)
-    for rot, t_cp in poses:
-        t = -rot.matrix @ t_cp
+    for rot, t_cp in zip(*poses):
+        t = -rot @ t_cp
         assert abs(np.linalg.norm(t) - expected) < 1e-10
 
 
@@ -119,12 +118,12 @@ def test_render_full_visibility_noiseless():
 
 def test_render_inverts_through_back_projection():
     cfg = synth.default_config(distortion=Distortion(0.1, -0.2), image_count=3)
-    poses, obs = synth.make_scene(cfg, pose_rng(seed=7))
+    (R, centers), obs = synth.make_scene(cfg, pose_rng(seed=7))
     target = cfg.target.planar_target()
-    for (rot, t_cp), im in zip(poses, obs.images):
+    for rot, t_cp, im in zip(R, centers, obs.images):
         points = np.column_stack([target.xy_for(im.ids),
                                   np.zeros(len(im.ids))])
-        cam = (points - t_cp) @ rot.matrix.T
+        cam = (points - t_cp) @ rot.T
         rays = back_project(cfg.intrinsics, cfg.distortion, im.uv)
         cam /= np.linalg.norm(cam, axis=1, keepdims=True)
         assert np.max(np.linalg.norm(np.cross(rays, cam), axis=1)) < 1e-10
@@ -133,11 +132,10 @@ def test_render_inverts_through_back_projection():
 def test_render_noise_statistics():
     # One seed at sigma 0 and 0.5 gives the same poses with the noise scaled.
     cfg = synth.default_config(pixel_noise_sigma=0.5, image_count=120)
-    noiseless_poses, noiseless = synth.make_scene(synth.default_config(image_count=120),
-                                                  pose_rng(seed=8))
-    poses, noisy = synth.make_scene(cfg, pose_rng(seed=8))
-    for (rot, center), (rot0, center0) in zip(poses, noiseless_poses):
-        assert np.array_equal(rot.matrix, rot0.matrix) and np.array_equal(center, center0)
+    (R0, centers0), noiseless = synth.make_scene(synth.default_config(image_count=120),
+                                                 pose_rng(seed=8))
+    (R, centers), noisy = synth.make_scene(cfg, pose_rng(seed=8))
+    assert np.array_equal(R, R0) and np.array_equal(centers, centers0)
     deltas = []
     for im_a, im_b in zip(noisy.images, noiseless.images):
         common = np.intersect1d(im_a.ids, im_b.ids)
@@ -170,7 +168,7 @@ def reference_scene(config, rng):
             rot = rotation_from_axis_angle(axis * angle)
             try:
                 uv = project(config.intrinsics, config.distortion, rot,
-                             -rot.matrix @ config.t_cp, points)
+                             -rot @ config.t_cp, points)
             except errors.PointBehindCamera:
                 rejected += 1
                 continue
@@ -183,7 +181,7 @@ def reference_scene(config, rng):
         poses.append((rot, config.t_cp + jitter))
     images = []
     for rot, center in poses:
-        uv = project(config.intrinsics, config.distortion, rot, -rot.matrix @ center, points)
+        uv = project(config.intrinsics, config.distortion, rot, -rot @ center, points)
         uv = uv + rng.normal(size=uv.shape) * config.pixel_noise_sigma
         keep = inside(uv)
         images.append((target.ids[keep], uv[keep]))
@@ -202,12 +200,12 @@ def test_scenes_match_the_per_image_reference_bit_for_bit():
     rejected = dropped = 0
     for seed in range(20):
         config = configs[seed % 3]
-        poses, obs = synth.make_scene(config, pose_rng(seed=seed))
+        (R, centers), obs = synth.make_scene(config, pose_rng(seed=seed))
         ref_poses, ref_images, ref_rejected = reference_scene(config, pose_rng(seed=seed))
         rejected += ref_rejected
-        assert len(poses) == len(ref_poses) == len(obs.images)
-        for (rot, center), (ref_rot, ref_center) in zip(poses, ref_poses):
-            assert same_bytes(rot.matrix, ref_rot.matrix)
+        assert len(R) == len(centers) == len(ref_poses) == len(obs.images)
+        for rot, center, (ref_rot, ref_center) in zip(R, centers, ref_poses):
+            assert same_bytes(rot, ref_rot)
             assert same_bytes(center, ref_center)
         for im, (ref_ids, ref_uv) in zip(obs.images, ref_images):
             assert same_bytes(im.ids, ref_ids)
@@ -225,12 +223,12 @@ def test_center_jitter_that_ruins_a_view_draws_it_again(sigma):
     cfg = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=sigma)
     for trial in range(20):
         rng = pose_rng(trial=trial)
-        poses, obs = synth.make_scene(cfg, rng)
+        (R, centers), obs = synth.make_scene(cfg, rng)
         target = cfg.target.planar_target()
         points = np.column_stack([target.xy, np.zeros(len(target.ids))])
-        for (rot, center), im in zip(poses, obs.images):
+        for rot, center, im in zip(R, centers, obs.images):
             assert len(im) >= 4
-            assert np.all((points - center) @ rot.matrix.T[:, 2] > 0)
+            assert np.all((points - center) @ rot.T[:, 2] > 0)
         results = synth.run_single_trial(cfg, trial, ("ours", "zhang"))
         assert set(results) == {"ours", "zhang"}
 
