@@ -89,7 +89,8 @@ def _reader(parse):
             return parse(payload, path, *args)
         except FileFormatError:
             raise
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
     return read
 
@@ -99,6 +100,14 @@ def _pair(value, cast, name, path):
     if not isinstance(value, list) or len(value) != 2:
         raise FileFormatError(f"{path}: {name} must be a two-element list")
     return cast(value[0]), cast(value[1])
+
+
+def _image_size(value, path):
+    """The (width, height) of an image_size entry: two positive integers."""
+    size = _pair(value, float, "image_size", path)
+    if not all(v.is_integer() and v > 0 for v in size):
+        raise FileFormatError(f"{path}: image_size must be positive integers, got {value}")
+    return int(size[0]), int(size[1])
 
 
 def intrinsics_payload(intr: CameraIntrinsics) -> dict:
@@ -178,7 +187,7 @@ def read_observation_file(payload, path) -> ObservationFile:
 
     image_size = None
     if "image_size" in payload:
-        image_size = _pair(payload["image_size"], int, "image_size", path)
+        image_size = _image_size(payload["image_size"], path)
 
     ground_truth = None
     if "ground_truth" in payload:
@@ -252,7 +261,7 @@ def read_synthetic_config(payload, path) -> SyntheticConfig:
     if "distortion" in payload:
         kwargs["distortion"] = _distortion_from(payload, path)
     if "image_size" in payload:
-        kwargs["image_size"] = _pair(payload["image_size"], int, "image_size", path)
+        kwargs["image_size"] = _image_size(payload["image_size"], path)
     if "target" in payload:
         t = payload["target"]
         kwargs["target"] = TargetGrid(rows=t.get("rows", 8), cols=t.get("cols", 11),

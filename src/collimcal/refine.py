@@ -15,9 +15,12 @@ are free:
                        the refinement stage of the plane-based baseline;
     single image:      one image, c = t = 0, and P the reference rays (10).
 
-Rotations are updated right-multiplicatively, R <- R exp(delta^), and
-re-orthogonalized on every trial step (every call of `plus`, damping
-retries included); the solver works on local increments, so Jacobian
+Rotations are updated right-multiplicatively, R <- R exp(delta^), on every
+trial step (every call of `plus`, damping retries included).  The product of
+two rotations is orthonormal to rounding, so one Newton-Schulz polar step
+R <- R (3I - RᵀR) / 2 takes the place of an SVD and keeps every rotation at
+rounding level (Triggs et al., "Bundle Adjustment - A Modern Synthesis",
+2000, section 2.2).  The solver works on local increments, so Jacobian
 rotation blocks are evaluated at delta = 0.  `plus` hands its matrices on
 to the evaluations at the point it returns, and one LM iteration projects
 every point once: the Jacobian at the point the residual last evaluated,
@@ -40,7 +43,6 @@ from .core_geom import (
     ObservationSet,
     axis_angle_from_rotation_matrix,
     checked_rotations,
-    nearest_rotation,
     project_camera_points,
     rotation_matrix_from_axis_angle,
 )
@@ -80,22 +82,25 @@ class ResidualReport:
 
 
 def _block_squares(r: np.ndarray, block_size: int) -> np.ndarray:
-    return np.sum(r.reshape(-1, block_size) ** 2, axis=1)
+    """Sum of squares of each block of `block_size` consecutive entries of r."""
+    # Strided columns, added in order: as np.sum over each block, without a
+    # reduction over rows of length block_size.
+    return sum(r[j::block_size] ** 2 for j in range(block_size))
 
 
-def _robust_cost(r: np.ndarray, block_size: int, scale) -> float:
-    s = _block_squares(r, block_size)
+def _robust_cost(squares: np.ndarray, scale) -> float:
+    """Robust cost of the residual blocks with the given sums of squares."""
     if scale is None:
-        return float(np.sum(s))
+        return float(np.sum(squares))
     c2 = scale * scale
-    return float(c2 * np.sum(np.log1p(s / c2)))
+    return float(c2 * np.sum(np.log1p(squares / c2)))
 
 
-def _block_weights(r: np.ndarray, block_size: int, scale) -> np.ndarray:
+def _block_weights(squares: np.ndarray, block_size: int, scale) -> np.ndarray:
+    """IRLS weight of every residual entry, from its block's sum of squares."""
     if scale is None:
-        return np.ones(len(r))
-    s = _block_squares(r, block_size)
-    w = 1.0 / (1.0 + s / (scale * scale))
+        return np.ones(len(squares) * block_size)
+    w = 1.0 / (1.0 + squares / (scale * scale))
     return np.repeat(w, block_size)
 
 
@@ -107,8 +112,9 @@ class BlockJacobian:
     parameters, then by the `stride` parameters of the row's own group.
     Group g owns rows `starts[g]:starts[g + 1]` and the parameters from
     `shared + g * stride` on; every other entry of the row is zero.  The
-    bundle adjustments' groups are their images.  A dense Jacobian is the
-    form with one group and stride 0.
+    bundle adjustments' groups are their images, and their `block` is a
+    column-major view.  A dense Jacobian is the form with one group and
+    stride 0.
     """
     block: np.ndarray
     shared: int
@@ -122,36 +128,50 @@ class BlockJacobian:
     def shape(self) -> tuple:
         return len(self.block), self.shared + self.stride * (len(self.starts) - 1)
 
-    def _groups(self):
-        """(rows, own columns) of each group."""
-        for g, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
-            own = self.shared + g * self.stride
-            yield slice(lo, hi), slice(own, own + self.stride)
-
     def toarray(self) -> np.ndarray:
         J = np.zeros(self.shape)
         J[:, :self.shared] = self.block[:, :self.shared]
-        for rows, own in self._groups():
-            J[rows, own] = self.block[rows, self.shared:]
+        for g, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
+            own = self.shared + g * self.stride
+            J[lo:hi, own:own + self.stride] = self.block[lo:hi, self.shared:]
         return J
 
     def normal_equations(self, weights: np.ndarray, r: np.ndarray):
-        """(JᵀWJ, JᵀWr) with W = diag(weights), one product per group."""
-        s = self.shared
+        """(JᵀWJ, JᵀWr) with W = diag(weights), every group's Gram in one product.
+
+        The weighted row blocks are viewed as (groups, rows, columns): a plain
+        reshape when every group has as many rows, otherwise a gather through
+        a row index padded with a zero row.  One batched BᵀB and one Bᵀr then
+        give every group's Gram and gradient, which are scattered into JᵀWJ
+        and JᵀWr through reshaped views.
+        """
+        s, k = self.shared, self.stride
+        n = len(self.starts) - 1
+        sizes = np.diff(self.starts)
+        length = sizes.max()
         sw = np.sqrt(weights)
-        Bw = self.block * sw[:, None]
         rw = r * sw
+        if np.all(sizes == length):
+            Bp = (self.block * sw[:, None]).reshape(n, length, -1)
+            rp = rw.reshape(n, length, 1)
+        else:
+            # The weighted rows and a zero row after them, column-major like
+            # the bundle adjustments' blocks, so that the gather is cheap.
+            Bw = np.zeros((len(rw) + 1, self.block.shape[1]), order="F")
+            np.multiply(self.block, sw[:, None], out=Bw[:-1])
+            lanes = np.arange(length)
+            rows = np.where(lanes < sizes[:, None], self.starts[:-1, None] + lanes, len(rw))
+            Bp, rp = Bw[rows], np.append(rw, 0.0)[rows][..., None]
+        Bt = Bp.transpose(0, 2, 1)
+        G = Bt @ Bp
+        v = (Bt @ rp)[..., 0]
         JtJ = np.zeros((self.shape[1],) * 2)
-        g = np.zeros(self.shape[1])
-        for rows, own in self._groups():
-            G = Bw[rows].T @ Bw[rows]
-            v = Bw[rows].T @ rw[rows]
-            JtJ[:s, :s] += G[:s, :s]
-            JtJ[:s, own] = G[:s, s:]
-            JtJ[own, :s] = G[s:, :s]
-            JtJ[own, own] = G[s:, s:]
-            g[:s] += v[:s]
-            g[own] = v[s:]
+        JtJ[:s, :s] = G[:, :s, :s].sum(axis=0)
+        JtJ[:s, s:] = G[:, :s, s:].transpose(1, 0, 2).reshape(s, n * k)
+        JtJ[s:, :s] = G[:, s:, :s].reshape(n * k, s)
+        group = np.arange(n)
+        JtJ[s:, s:].reshape(n, k, n, k)[group, :, group, :] = G[:, s:, s:]
+        g = np.concatenate([v[:, :s].sum(axis=0), v[:, s:].reshape(-1)])
         return JtJ, g
 
 
@@ -173,8 +193,11 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
     when `plus` is given, parameters live on a manifold and the Jacobian is
     taken with respect to the local increment at zero.  The Jacobian is a
     dense (residuals, parameters) array or a `BlockJacobian`, whose
-    per-group row blocks form JᵀWJ one group at a time.  Damping is divided by
-    10 on accepted steps and multiplied by 10 on rejections.  The report's
+    per-group row blocks form JᵀWJ in one batched product over the groups.
+    Each residual's block squares are taken once and serve both its robust
+    cost and, once it is accepted, the next iteration's IRLS weights.
+    Damping is divided by 10 on accepted steps and multiplied by 10 on
+    rejections.  The report's
     `termination` gives the reason the run stopped:
 
         "gradient"  the gradient infinity norm fell below 1e-10;
@@ -199,7 +222,8 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
     r = np.asarray(residual_fn(x), dtype=float)
     if r.size % block_size:
         raise ValueError("residual length is not a multiple of the block size")
-    cost = _robust_cost(r, block_size, robust_scale)
+    squares = _block_squares(r, block_size)
+    cost = _robust_cost(squares, robust_scale)
     trajectory = [cost]
     mu = _INITIAL_DAMPING
     accepted = 0
@@ -210,7 +234,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
         if J.shape != (r.size, x.size):
             raise ValueError(f"jacobian shape {J.shape} does not match "
                              f"({r.size}, {x.size})")
-        JtJ, g = J.normal_equations(_block_weights(r, block_size, robust_scale), r)
+        JtJ, g = J.normal_equations(_block_weights(squares, block_size, robust_scale), r)
         if not np.all(np.isfinite(g)):
             raise errors.NormalEquationsFailed("gradient is not finite")
         if np.max(np.abs(g)) < _GRADIENT_TOLERANCE:
@@ -231,7 +255,8 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
             x_new = plus(x, delta)
             try:
                 r_new = np.asarray(residual_fn(x_new), dtype=float)
-                cost_new = _robust_cost(r_new, block_size, robust_scale)
+                squares_new = _block_squares(r_new, block_size)
+                cost_new = _robust_cost(squares_new, robust_scale)
             except errors.CalibrationError:
                 cost_new = np.inf
             if np.isfinite(cost_new) and cost_new <= cost:
@@ -239,7 +264,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
                     termination = "cost"
                 elif np.linalg.norm(delta) < _STEP_TOLERANCE:
                     termination = "step"
-                x, r, cost = x_new, r_new, cost_new
+                x, r, squares, cost = x_new, r_new, squares_new, cost_new
                 trajectory.append(cost)
                 accepted += 1
                 mu = max(mu / 10.0, _MU_MIN)
@@ -342,15 +367,18 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
 
     def jacobian(x):
         _, (fx, fy, _, _, gamma), (d1, d2), R, q, z, xn, yn, r2, f = evaluate(x)
-        B = np.zeros((m, 2, first + stride))
+        # Column-major: B[col, i, row] is the derivative of row (u or v) of
+        # point i, so every column is written with unit point stride and the
+        # row block is the transposed view (2M, first + stride).
+        B = np.zeros((first + stride, m, 2))
         # pixel = A (xd, yd) + (cx, cy) with A = [[fx, gamma], [0, fy]] and
         # (xd, yd) = f (xn, yn): the intrinsic and distortion columns.
-        B[:, 0, 0] = xn * f
-        B[:, 1, 1] = B[:, 0, 4] = yn * f
-        B[:, 0, 2] = B[:, 1, 3] = 1.0
-        B[:, 0, 5] = (fx * xn + gamma * yn) * r2
-        B[:, 1, 5] = fy * yn * r2
-        B[:, :, 6] = B[:, :, 5] * r2[:, None]
+        B[0, :, 0] = xn * f
+        B[1, :, 1] = B[4, :, 0] = yn * f
+        B[2, :, 0] = B[3, :, 1] = 1.0
+        B[5, :, 0] = (fx * xn + gamma * yn) * r2
+        B[5, :, 1] = fy * yn * r2
+        B[6] = B[5] * r2[:, None]
         # d(xd, yd)/d x_c = [f I + k n n^T | -(f + k r2) n] / z with n = (xn, yn)
         # and k = 2 (d1 + 2 d2 r2), row by row; A times it is d pixel / d x_c.
         k = 2.0 * (d1 + 2.0 * d2 * r2)
@@ -362,17 +390,20 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
             # With a = J_xc R: d x_c / d c = -R gives -a, and d x_c / d delta
             # = -R [q]x with q = P - c gives -a [q]x, the cross product q x a.
             a = J_xc[0] * R[0] + J_xc[1] * R[1] + J_xc[2] * R[2]
-            B[:, row, first:first + 3] = (q[[1, 2, 0]] * a[[2, 0, 1]]
-                                          - q[[2, 0, 1]] * a[[1, 2, 0]]).T
+            B[first:first + 3, :, row] = (q[[1, 2, 0]] * a[[2, 0, 1]]
+                                          - q[[2, 0, 1]] * a[[1, 2, 0]])
             if has_center:
-                B[:, row, 7:10] = -a.T
+                B[7:10, :, row] = -a
             if translations is not None:
-                B[:, row, first + 3:] = J_xc.T
-        return BlockJacobian(B.reshape(2 * m, -1), first, starts)
+                B[first + 3:, :, row] = J_xc
+        return BlockJacobian(B.reshape(first + stride, 2 * m).T, first, starts)
 
     def plus(x, delta):
         R_x = unpack(x)[3]
-        R = nearest_rotation(R_x @ rotation_matrix_from_axis_angle(delta[rot_cols]))
+        R = R_x @ rotation_matrix_from_axis_angle(delta[rot_cols])
+        # A product of two rotations is orthonormal to rounding; one
+        # Newton-Schulz polar step R (3I - RᵀR) / 2 removes the rounding.
+        R = R @ (1.5 * np.eye(3) - 0.5 * (R.transpose(0, 2, 1) @ R))
         x_new = x + delta
         x_new[rot_cols] = axis_angle_from_rotation_matrix(R)
         known[:] = (np.array(x, dtype=float), R_x), (x_new.copy(), R)
@@ -388,7 +419,7 @@ def _plane_points(observations: ObservationSet) -> np.ndarray:
 
 def _per_image_rms(r: np.ndarray, image: np.ndarray):
     """Overall and per-image RMS of the stacked residual r (2M,)."""
-    squares = np.sum(r.reshape(-1, 2) ** 2, axis=1)
+    squares = _block_squares(r, 2)
     per = np.sqrt(np.bincount(image, squares) / (2.0 * np.bincount(image)))
     return float(np.sqrt(np.mean(r * r))), tuple(float(v) for v in per)
 

@@ -170,13 +170,20 @@ def edited_copy(path, out, keys, value):
     ("observations", ("ground_truth", "rotations_axis_angle"), [[1.0], [2.0, 3.0]]),
     ("observations", ("ground_truth", "rotations_axis_angle"), [[0.0, 0.0, 0.1]] * 14),
     ("observations", ("image_size",), [1]),
+    ("observations", ("image_size",), [0, -5]),
+    ("observations", ("image_size",), [1080.9, 960]),
     ("observations", ("images",), 5),
     ("config", ("distortion",), [0.1]),
     ("config", ("target",), 5),
     ("config", ("image_count",), 3.9),
+    ("config", ("image_size",), [1080.9, 960]),
+    ("config", ("image_size",), [10 ** 400, 960]),
+    ("config", ("radius",), 10 ** 400),
 ], ids=["truth-distortion", "truth-t_cp", "truth-t_cp-2", "truth-rotations-ragged",
-        "truth-rotations-count", "image_size", "images", "config-distortion",
-        "config-target", "config-image-count-fraction"])
+        "truth-rotations-count", "image_size", "image_size-nonpositive",
+        "image_size-fraction", "images", "config-distortion", "config-target",
+        "config-image-count-fraction", "config-image_size-fraction",
+        "config-image_size-overflow", "config-radius-overflow"])
 def test_malformed_file_exit_2(sim_file, tmp_path, capsys, kind, keys, value):
     bad = tmp_path / "bad.json"
     if kind == "config":
@@ -264,12 +271,15 @@ def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, valu
     ("simulate", {"target": {"rows": 1}}, "rows and cols must be integers of at least 2"),
     ("simulate", {"target": {"cols": 2.7}}, "rows and cols must be integers of at least 2"),
     ("simulate", {"image_size": [0, -5]}, "image_size must be positive"),
+    ("simulate", {"image_size": [1080.9, 960]}, "image_size must be positive integers"),
+    ("simulate", {"image_size": [NAN, 960]}, "image_size must be positive integers"),
     ("simulate", {"image_count": 3.9}, "image_count must be an integer"),
     ("simulate", {"trial_count": 2.7}, "trial_count must be an integer"),
     ("simulate", {"rng_seed": 0.5}, "rng_seed must be an integer"),
 ], ids=["sweep-noise-nan", "sweep-images-nan", "sweep-images-fraction", "sweep-images-2",
         "sweep-spherical-negative", "grid-spacing-nan", "grid-spacing-zero", "grid-rows-1",
-        "grid-cols-fraction", "image-size-nonpositive", "image-count-fraction",
+        "grid-cols-fraction", "image-size-nonpositive", "image-size-fraction",
+        "image-size-nan", "image-count-fraction",
         "trial-count-fraction", "rng-seed-fraction"])
 def test_bad_sweep_or_grid_value_exit_2(tmp_path, capsys, command, block, message):
     bad = write_config(tmp_path / "bad.json", **block)
