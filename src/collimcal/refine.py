@@ -27,7 +27,11 @@ every point once: the Jacobian at the point the residual last evaluated,
 compared by value, reuses its camera frame and projection.
 
 Residuals are robustified with the Cauchy function rho(s) = c^2 log(1 + s/c^2)
-applied per residual block via iteratively reweighted least squares.
+applied per residual block via iteratively reweighted least squares.  IRLS
+converges linearly, so LM stops once the accepted steps still to come are
+predicted to move the parameters by under a hundredth of their own standard
+deviation, from the covariance sigma^2 (JᵀWJ)^-1 of the estimate; a relative
+cost decrease of 1e-10 stays as the backstop (see `lm_minimize`).
 """
 
 from __future__ import annotations
@@ -57,9 +61,12 @@ _STEP_TOLERANCE = 1e-12
 # Relative decrease of the robust cost below which an accepted step ends the
 # run (the `function_tolerance` of Ceres Solver).
 _COST_TOLERANCE = 1e-10
+# Predicted distance to the optimum, in the parameters' own standard
+# deviations, below which shrinking accepted steps end the run.
+_UNCERTAINTY_TOLERANCE = 1e-2
 # Cauchy scale of the bundle adjustments' per-point pixel residuals.
 _CAUCHY_SCALE_PX = 2.0
-_CONVERGED = ("gradient", "cost", "step")
+_CONVERGED = ("gradient", "cost", "step", "uncertainty")
 
 
 @dataclass(frozen=True)
@@ -67,8 +74,10 @@ class ResidualReport:
     """Outcome of one refinement.
 
     `termination` says why LM stopped: "gradient", "cost", "step",
-    "budget" or "damping" (see `lm_minimize`), or "not_run" when no
-    refinement ran.
+    "uncertainty", "budget" or "damping" (see `lm_minimize`), or "not_run"
+    when no refinement ran.  The first four count as converged;
+    "uncertainty" means the steps left to the optimum add up to under a
+    hundredth of a standard deviation of every parameter.
     """
     rms_reprojection: float
     per_image_rms: tuple
@@ -185,6 +194,30 @@ def _row_blocks(J) -> BlockJacobian:
     return BlockJacobian(J, J.shape[1], np.array([0, len(J)]))
 
 
+def _step_spread(JtJ: np.ndarray, delta: np.ndarray, cost: float, m: int):
+    """s = sqrt(deltaᵀ A delta / sigma^2), sigma^2 = cost / (m - P); None if undefined.
+
+    s is the step's length in the parameters' own standard deviations (see
+    `lm_minimize`); it is undefined when m <= P or sigma^2 <= 0.
+    """
+    dof = m - delta.size
+    if dof <= 0 or not cost > 0.0:
+        return None
+    return float(np.sqrt(max(delta @ JtJ @ delta, 0.0) * dof / cost))
+
+
+def _distance_left(spread, last_spread) -> float:
+    """Geometric-series sum s rho / (1 - rho) of the steps to come, rho = s / s_prev.
+
+    Infinite unless both lengths are defined, the last one is positive and
+    the steps shrink (rho < 1).
+    """
+    if spread is None or not last_spread:
+        return np.inf
+    rho = spread / last_spread
+    return spread * rho / (1.0 - rho) if rho < 1.0 else np.inf
+
+
 def lm_minimize(residual_fn, jacobian_fn, x0, *,
                 block_size: int = 1, robust_scale: float | None = None, plus=None):
     """Damped normal-equations Levenberg-Marquardt.
@@ -206,10 +239,22 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
         "step"      a step was shorter than 1e-12: accepted, or rejected with
                     a finite cost (at an exact fit the cost is rounding
                     noise that no step can lower, and x stays);
+        "uncertainty"
+                    the accepted steps shrink so that the distance left to
+                    the optimum is under 0.01 standard deviations (below);
         "budget"    100 Jacobians were used up;
         "damping"   every step was rejected up to the largest damping.
 
-    The first three count as converged.  A non-finite gradient, or damped
+    The first four count as converged.  The "uncertainty" test measures each
+    accepted step delta against the covariance sigma^2 A^-1 of the
+    Gauss-Newton estimate (Triggs et al. 2000, section 9), with A the
+    undamped JᵀWJ of the iteration and sigma^2 = cost_new / (m - P) over m
+    residuals and P parameters: s_k = sqrt(deltaᵀ A delta / sigma^2) bounds
+    every |delta_i| / sigma_i.  IRLS converges linearly, so with the ratio
+    rho = s_k / s_(k-1) of consecutive accepted steps the steps still to come
+    sum to about s_k rho / (1 - rho); the run ends when rho < 1 and that is
+    below 0.01.  The test is skipped when m <= P or sigma^2 <= 0, and until
+    two accepted steps have a defined s.  A non-finite gradient, or damped
     normal equations that no damping level can solve, raise
     `errors.NormalEquationsFailed`.
 
@@ -227,6 +272,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
     trajectory = [cost]
     mu = _INITIAL_DAMPING
     accepted = 0
+    spread = None   # s of the last accepted step, None while undefined
     termination = None
 
     for _ in range(_MAX_ITERATIONS):
@@ -260,10 +306,13 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
             except errors.CalibrationError:
                 cost_new = np.inf
             if np.isfinite(cost_new) and cost_new <= cost:
+                last_spread, spread = spread, _step_spread(JtJ, delta, cost_new, r.size)
                 if cost - cost_new <= _COST_TOLERANCE * cost:
                     termination = "cost"
                 elif np.linalg.norm(delta) < _STEP_TOLERANCE:
                     termination = "step"
+                elif _distance_left(spread, last_spread) < _UNCERTAINTY_TOLERANCE:
+                    termination = "uncertainty"
                 x, r, squares, cost = x_new, r_new, squares_new, cost_new
                 trajectory.append(cost)
                 accepted += 1

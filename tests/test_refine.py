@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,73 @@ def test_lm_cost_trajectory_monotone_with_robustifier():
     traj = report.cost_trajectory
     assert all(a >= b_ - 1e-12 for a, b_ in zip(traj, traj[1:]))
     assert report.converged
+
+
+def strict_lm(*args, **kwargs):
+    """lm_minimize with every warning, numpy's division by zero too, raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return refine.lm_minimize(*args, **kwargs)
+
+
+def test_lm_uncertainty_stop_skips_square_problems_and_exact_fits():
+    # With m <= P or a zero cost there is no estimate of the noise, so the
+    # stop on the parameters' standard deviations must stay silent: no
+    # division by zero, and the run ends on a test that needs none.
+    def square(x):
+        return np.array([x[0] ** 2 + x[1] - 3.0, x[0] - x[1] ** 3 + 1.0])
+
+    def square_jacobian(x):
+        return np.array([[2.0 * x[0], 1.0], [1.0, -3.0 * x[1] ** 2]])
+
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(12, 3))
+    b = A @ np.array([1.0, -2.0, 0.5])
+
+    def exact(x):
+        return np.concatenate([A @ x - b, [x[0] * x[1] + 2.0]])
+
+    def exact_jacobian(x):
+        return np.vstack([A, [x[1], x[0], 0.0]])
+
+    def flat(x):
+        return np.full(3, max(x[0] - 2.0, 0.0))
+
+    def flat_jacobian(x):
+        # Understates the slope, so that the first step overshoots into the
+        # half-line where the residual, and so the cost, is exactly zero.
+        return np.full((3, 1), 0.5)
+
+    runs = [(square, square_jacobian, np.array([2.0, 2.0]), {}),
+            (exact, exact_jacobian, np.zeros(3), {}),
+            (exact, exact_jacobian, np.zeros(3), {"robust_scale": 1.0}),
+            (lambda x: A @ x - b, lambda x: A, np.zeros(3), {}),
+            (flat, flat_jacobian, np.array([3.0]), {}),
+            (lambda x: np.array([x[0] * x[1] - 2.0]), lambda x: np.array([[x[1], x[0]]]),
+             np.array([3.0, 3.0]), {})]
+    for residual, jacobian, x0, kwargs in runs:
+        x, report = strict_lm(residual, jacobian, x0, **kwargs)
+        assert report.termination in ("gradient", "cost", "step")
+        assert report.iterations_used > 0
+        assert np.max(np.abs(residual(x))) < 1e-6
+
+
+def test_lm_uncertainty_stop_needs_two_accepted_steps(monkeypatch):
+    # A first accepted step far shorter than 0.01 standard deviations has no
+    # step before it to give a rate, so it must not end the run.
+    monkeypatch.setattr(refine, "_MAX_ITERATIONS", 1)
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(40, 3))
+    b = A @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=40)
+    x_hat = np.linalg.lstsq(A, b, rcond=None)[0]
+    residual = lambda x: A @ x - b
+    sigma = 0.1 * np.sqrt(np.diag(np.linalg.inv(A.T @ A)))
+    x0 = x_hat + 1e-3 * sigma
+    spread = refine._step_spread(A.T @ A, x_hat - x0, float(np.sum(residual(x_hat) ** 2)), 40)
+    assert spread < 1e-2
+    _, report = strict_lm(residual, lambda x: A, x0)
+    assert report.iterations_used == 1
+    assert report.termination == "budget"
 
 
 def test_lm_respects_iteration_budget(monkeypatch):
@@ -213,8 +281,10 @@ def zhang_general_init(obs):
 
 @pytest.mark.parametrize("adjustment", ["spherical", "general"])
 def test_ba_stops_converged_on_noisy_scenes(adjustment):
-    # At 1 px the robust cost stops falling after about ten accepted steps;
-    # LM must stop there and say it converged, not run the damping out.
+    # At 1 px the accepted steps shrink geometrically, and after about seven
+    # the steps still to come add up to under 0.01 standard deviations of
+    # every parameter (at most 9 over these 20 scenes); LM must stop there
+    # and say it converged, not run on to the cost tolerance or the damping.
     for trial in range(20):
         _, _, obs = scene(seed=0, trial=trial, pixel_noise_sigma=1.0)
         if adjustment == "spherical":
@@ -223,8 +293,46 @@ def test_ba_stops_converged_on_noisy_scenes(adjustment):
         else:
             _, report = refine.general_ba(obs, zhang_general_init(obs))
         assert report.converged
-        assert report.termination in ("cost", "gradient")
-        assert report.iterations_used <= 15
+        assert report.termination == "uncertainty"
+        assert report.iterations_used <= 10
+
+
+def gauss_newton_step_in_sd(problem):
+    """Largest |delta_i| / sigma_i of one undamped Gauss-Newton step from x0.
+
+    delta = -A^-1 g with the Cauchy IRLS weights at x0, and sigma_i^2 =
+    sigma^2 (A^-1)_ii with sigma^2 the robust cost over m - P, the
+    covariance of the estimate.  A is Jacobi-scaled before it is inverted.
+    """
+    residual, jacobian, _, x0, *_ = problem
+    r = residual(x0)
+    squares = refine._block_squares(r, 2)
+    weights = refine._block_weights(squares, 2, refine._CAUCHY_SCALE_PX)
+    A, g = jacobian(x0).normal_equations(weights, r)
+    scale = 1.0 / np.sqrt(np.diag(A))
+    A_inv = scale[:, None] * np.linalg.inv(scale[:, None] * A * scale) * scale
+    delta = -A_inv @ g
+    sigma2 = refine._robust_cost(squares, refine._CAUCHY_SCALE_PX) / (r.size - x0.size)
+    return float(np.max(np.abs(delta) / np.sqrt(sigma2 * np.diag(A_inv))))
+
+
+@pytest.mark.parametrize("adjustment", ["spherical", "general"])
+@pytest.mark.parametrize("noise", [1.0, 3.0])
+def test_ba_stops_within_a_hundredth_of_a_standard_deviation(adjustment, noise):
+    # The stop's contract: from the returned result, the Gauss-Newton step
+    # to the optimum moves no parameter by more than 0.02 of its own
+    # standard deviation.  A 3 px scene converges slowest.
+    for trial in range(6):
+        _, _, obs = scene(seed=2, trial=trial, pixel_noise_sigma=noise)
+        if adjustment == "spherical":
+            intr, ext = solve_closed_form(obs)
+            result, report = refine.spherical_ba(obs, (intr, Distortion(0.0, 0.0), ext))
+            problem = refine.spherical_problem(obs, result)
+        else:
+            result, report = refine.general_ba(obs, zhang_general_init(obs))
+            problem = refine.general_problem(obs, result)
+        assert report.converged, (trial, report.termination)
+        assert gauss_newton_step_in_sd(problem) <= 0.02, trial
 
 
 def test_spherical_ba_converges_at_an_exact_fit():
