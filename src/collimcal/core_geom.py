@@ -200,7 +200,7 @@ def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:
 
 def _has_duplicates(ids: np.ndarray) -> bool:
     s = np.sort(ids)
-    return bool(np.any(s[1:] == s[:-1]))
+    return bool((s[1:] == s[:-1]).any())
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ class PlanarTarget:
         xy = np.asarray(self.xy, dtype=float).reshape(-1, 2)
         if ids.shape[0] != xy.shape[0]:
             raise ValueError("ids and xy must have the same length")
-        if not np.all(np.isfinite(xy)):
+        if not np.isfinite(xy).all():
             raise ValueError("target coordinates must be finite")
         if _has_duplicates(ids):
             raise ValueError("target point ids must be unique")
@@ -257,7 +257,7 @@ class ImagePoints:
         uv = np.asarray(self.uv, dtype=float).reshape(-1, 2)
         if ids.shape[0] != uv.shape[0]:
             raise ValueError("ids and uv must have the same length")
-        if not np.all(np.isfinite(uv)):
+        if not np.isfinite(uv).all():
             raise ValueError("pixel coordinates must be finite")
         if _has_duplicates(ids):
             raise ValueError("observed point ids must be unique within an image")
@@ -415,6 +415,11 @@ def back_project(intr: CameraIntrinsics, dist: Distortion, pixels: np.ndarray) -
     return rays[0] if np.asarray(pixels).ndim == 1 else rays
 
 
+def _point_norms(d: np.ndarray) -> np.ndarray:
+    """Lengths of 2-D points d (..., 2), rounded as np.linalg.norm(d, axis=-1) rounds them."""
+    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+
+
 def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Hartley isotropic normalization of each padded point set (N, n, 2).
 
@@ -423,7 +428,7 @@ def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarra
     """
     count = mask.sum(axis=1)
     centroid = np.sum(points * mask[..., None], axis=1) / count[:, None]
-    dist = np.linalg.norm(points - centroid[:, None], axis=2)
+    dist = _point_norms(points - centroid[:, None])
     mean_dist = np.sum(dist * mask, axis=1) / count
     # Coincident points keep unit scale; the DLT's rank check rejects them.
     s = np.sqrt(2.0) / np.where(mean_dist > 1e-12, mean_dist, np.sqrt(2.0))
@@ -440,39 +445,41 @@ def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
     `xy` and `uv` (M, 2) hold the images' target points and pixels one
     image after the other, `counts` (N,) how many each image has.  Each
     image keeps its own Hartley normalization.  Its (2n, 9) design matrix is
-    zero-padded to a common height (at least 10 rows, so that the thin SVD
-    keeps the null vector); zero rows leave A^T A, and with it the singular
-    values and the null vector, unchanged.  Returns the homographies
+    zero-padded to a common height (at least 10 rows, so that its R factor
+    is 9 x 9); zero rows leave A^T A, and with it the singular values and
+    the null vector, unchanged.  The SVD is taken of the R factor of A's
+    QR decomposition, the path LAPACK's gesdd takes for tall matrices,
+    without forming A's left singular vectors.  Returns the homographies
     (N, 3, 3) and raises DegenerateConfiguration naming the first image
     whose homography is ambiguous or rank deficient.
     """
+    N = len(counts)
     n = max(int(counts.max()), 5)
-    mask = np.arange(n) < counts[:, None]
-    X = np.zeros((len(counts), n, 2))
-    U = np.zeros((len(counts), n, 2))
-    X[mask] = xy
-    U[mask] = uv
-    Tx = _normalization_transforms(X, mask)
-    Tu = _normalization_transforms(U, mask)
+    # Every image's target points, then every image's pixels, as 2N padded
+    # point sets (2N, n, 2) that one call normalizes.
+    mask = np.tile(np.arange(n) < counts[:, None], (2, 1))
+    P = np.zeros((2 * N, n, 2))
+    P[mask] = np.concatenate([xy, uv])
+    T = _normalization_transforms(P, mask)
     # Homogeneous points whose padding rows are zero, third coordinate too,
     # so that the normalization leaves them zero and their design rows vanish.
-    Xn = np.concatenate([X, mask[..., None]], axis=2) @ Tx.transpose(0, 2, 1)
-    Un = np.concatenate([U, mask[..., None]], axis=2) @ Tu.transpose(0, 2, 1)
+    Pn = np.concatenate([P, mask[..., None]], axis=2) @ T.transpose(0, 2, 1)
+    Xn, Un = Pn[:N], Pn[N:]
 
-    A = np.zeros((len(counts), 2 * n, 9))
+    A = np.zeros((N, 2 * n, 9))
     A[:, 0::2, 0:3] = Xn
     A[:, 0::2, 6:9] = -Un[..., 0:1] * Xn
     A[:, 1::2, 3:6] = Xn
     A[:, 1::2, 6:9] = -Un[..., 1:2] * Xn
 
-    _, s, Vt = np.linalg.svd(A, full_matrices=False)
+    _, s, Vt = np.linalg.svd(np.linalg.qr(A, mode="r"))
     # With >= 4 generic point pairs only one singular value is ~0; a
     # second vanishing one means the solution is ambiguous.
     ambiguous = np.flatnonzero(s[:, -2] <= 1e-10 * s[:, 0])
     if len(ambiguous):
         raise errors.DegenerateConfiguration(
             f"image {ambiguous[0]}: homography design matrix is rank deficient")
-    return _checked_homographies(np.linalg.inv(Tu) @ Vt[:, -1].reshape(-1, 3, 3) @ Tx)
+    return _checked_homographies(np.linalg.inv(T[N:]) @ Vt[:, -1].reshape(-1, 3, 3) @ T[:N])
 
 
 def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndarray:
@@ -531,13 +538,13 @@ class HomographyFit(NamedTuple):
 def _fit_observations(observations: ObservationSet) -> HomographyFit:
     xy, uv = observations.xy, observations.uv
     pix_shift = uv.mean(axis=0)
-    pix_scale = np.mean(np.linalg.norm(uv - pix_shift, axis=1))
+    pix_scale = np.mean(_point_norms(uv - pix_shift))
     if not pix_scale > 0:
         raise errors.DegenerateConfiguration(
             "image 0: every observed pixel of every image is the same point")
     tgt = observations.target.xy
     tgt_shift = tgt.mean(axis=0)
-    tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
+    tgt_scale = np.mean(_point_norms(tgt - tgt_shift))
     H = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, observations.counts)
     H.flags.writeable = False  # cached on the observation set and shared by every solver
     return HomographyFit(H, pixel_scale=pix_scale, pixel_shift=pix_shift,

@@ -179,12 +179,11 @@ def solve_closed_form(observations: ObservationSet):
         raise ValueError(f"closed-form solver needs at least 3 images, got {len(observations)}")
     fit = observations.homography_fit
     d, b = build_linear_system(fit.matrices, _default_base_index(observations))
-    sv = np.linalg.svd(d, compute_uv=False)
+    solution, _, _, sv = np.linalg.lstsq(d, b, rcond=None)
     if sv[-1] <= RANK_RATIO_CUTOFF * sv[0]:
         raise errors.DegenerateConfiguration(
             f"stacked linear system is rank deficient "
             f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})")
-    solution, *_ = np.linalg.lstsq(d, b, rcond=None)
     intr_n = _decode_intrinsics(solution[:5])
     x_n, y_n, r_n = _decode_center(solution[5:])
     rotations, _, _ = decompose_homography(fit.matrices, intr_n)

@@ -14,6 +14,7 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -64,10 +65,18 @@ class TargetGrid:
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError(f"target spacing must be finite and positive, got {self.spacing}")
 
+    @functools.lru_cache(maxsize=16)
     def planar_target(self) -> PlanarTarget:
+        """The grid as a PlanarTarget, built once per grid value and shared.
+
+        Its `ids` and `xy` are read-only, since every caller gets the same arrays.
+        """
         jj, ii = np.meshgrid(np.arange(self.cols), np.arange(self.rows))
         xy = np.column_stack([jj.ravel() * self.spacing, ii.ravel() * self.spacing])
-        return PlanarTarget(ids=np.arange(self.rows * self.cols), xy=xy)
+        target = PlanarTarget(ids=np.arange(self.rows * self.cols), xy=xy)
+        target.ids.flags.writeable = False
+        target.xy.flags.writeable = False
+        return target
 
 
 @dataclass(frozen=True)
@@ -145,17 +154,28 @@ def _draw_pose(config: SyntheticConfig, rng: np.random.Generator, points: np.nda
     the jitter (3 normals), which models the imperfect collimator, follows.
     """
     nominal = config.t_cp
-    intr_p, dist_p = _camera_model(config)
+    (fx, fy, cx, cy, gamma), (d1, d2) = _camera_model(config)
+    w, h = config.image_size
+    max_angle = np.deg2rad(MAX_TILT_DEG)
     for _ in range(POSE_ATTEMPTS):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        angle = rng.uniform(0.0, np.deg2rad(MAX_TILT_DEG))
+        angle = rng.uniform(0.0, max_angle)
         R = rotation_matrix_from_axis_angle(axis * angle)
-        try:
-            uv = project_camera_points(intr_p, dist_p, points @ R.T + (-R @ nominal))[0]
-        except errors.PointBehindCamera:
+        # project_camera_points' arithmetic, in its order, without the
+        # outputs it would build; it keeps the attempts that it would keep.
+        x, y, z = (points @ R.T + (-R @ nominal)).T
+        if z.min() <= 0:
             continue
-        if np.all(_inside(uv, config.image_size)):
+        xn = x / z
+        yn = y / z
+        r2 = xn * xn + yn * yn
+        f = 1.0 + d1 * r2 + d2 * r2 * r2
+        xd = xn * f
+        yd = yn * f
+        u = fx * xd + gamma * yd + cx
+        v = fy * yd + cy
+        if u.min() >= 0 and u.max() <= w and v.min() >= 0 and v.max() <= h:
             break
     else:
         raise errors.PoseSamplingFailed(
@@ -192,6 +212,8 @@ def make_scene(config: SyntheticConfig, rng: np.random.Generator):
     target point behind the camera, or leaves fewer than MIN_IMAGE_POINTS
     points in the image, is drawn again (pose, jitter and noise) after that,
     up to POSE_ATTEMPTS draws in all; then PoseSamplingFailed names the image.
+    The observations' target is the grid's cached, read-only PlanarTarget,
+    shared by every scene of that grid.
     """
     target = config.target.planar_target()
     points = np.column_stack([target.xy, np.zeros(len(target.ids))])
@@ -404,8 +426,11 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
 
         payloads = [(point_config, t, arms) for t in range(n)]
         if workers > 1 and n > 1:
+            # Trials are seeded by their index, so chunks change no result;
+            # they save the parent a hand-off per trial.
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_trial_worker, payloads))
+                outcomes = list(pool.map(_trial_worker, payloads,
+                                         chunksize=max(1, n // (4 * workers))))
         else:
             outcomes = [_trial_worker(p) for p in payloads]
 

@@ -283,6 +283,46 @@ def test_homography_degenerate_inputs_rejected():
         cg.estimate_homography(xy[:3], uv[:3])
 
 
+def reference_homography(xy, uv):
+    """Normalized DLT through the SVD of a design matrix built point by point.
+
+    The SVD is the full one, so that four points (eight rows) keep the null vector.
+    """
+    def hartley(p):
+        c = p.mean(axis=0)
+        s = np.sqrt(2.0) / np.mean(np.linalg.norm(p - c, axis=1))
+        return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+
+    Tx, Tu = hartley(xy), hartley(uv)
+    rows = []
+    for (x, y), (u, v) in zip(xy, uv):
+        X = Tx @ [x, y, 1.0]
+        un, vn, _ = Tu @ [u, v, 1.0]
+        rows.append(np.concatenate([X, np.zeros(3), -un * X]))
+        rows.append(np.concatenate([np.zeros(3), X, -vn * X]))
+    _, _, Vt = np.linalg.svd(np.array(rows))
+    H = np.linalg.inv(Tu) @ Vt[-1].reshape(3, 3) @ Tx
+    H *= np.sqrt(3.0) / np.linalg.norm(H)
+    return H if H[2, 2] > 0 else -H
+
+
+@pytest.mark.parametrize("count", [4, 5, 20, 88])
+def test_homography_matches_the_design_matrix_null_vector(count):
+    # The DLT takes the SVD of the design matrix's R factor; its null vector
+    # is the one of the design matrix itself.
+    _, _, obs = scene(seed=4, pixel_noise_sigma=1.0)
+    im = obs.images[0]
+    assert len(im) == 88
+    xy, uv = obs.target.xy_for(im.ids), im.uv
+    rows = {4: [0, 10, 77, 87], 5: [0, 10, 40, 77, 87]}.get(
+        count, np.random.default_rng(count).choice(88, count, replace=False))
+    H = cg.estimate_homography(xy[rows], uv[rows])
+    assert relative_difference(H, reference_homography(xy[rows], uv[rows])) <= 1e-12
+    row = np.arange(11)  # the grid's first row: 11 collinear points, 22 design rows
+    with pytest.raises(errors.DegenerateConfiguration):
+        cg.estimate_homography(xy[row], uv[row])
+
+
 def test_decompose_recovers_exact_pose():
     t = np.array([0.0, 0.0, 700.0])
     H = homography_from_pose(TRUE_K, identity_rotation(), t)

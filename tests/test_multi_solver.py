@@ -246,6 +246,15 @@ def test_closed_form_noise_statistics_small_sample():
     assert np.nanmean(stats.focal_rel_errors()) < 0.005
 
 
+def test_closed_form_rank_deficient_system_rejected(noiseless_scene):
+    # Three copies of one view stack three equal six-row blocks: rank 6 of 11.
+    _, _, obs = noiseless_scene
+    tripled = ObservationSet(target=obs.target, images=(obs.images[0],) * 3)
+    with pytest.raises(errors.DegenerateConfiguration,
+                       match=r"^stacked linear system is rank deficient \(sigma_min/sigma_max = "):
+        ms.solve_closed_form(tripled)
+
+
 def test_closed_form_degenerate_rotations_rejected():
     obs = z_rotated_observation_set(
         [rotation_from_axis_angle([0.12, -0.06, 0.03])], extra_pairs=(0.5, -0.8))

@@ -47,6 +47,20 @@ def test_grid_target_layout():
     assert np.allclose(target.xy[3:], [[0, 10], [10, 10], [20, 10]])
 
 
+def test_scenes_share_one_read_only_target_per_grid():
+    cfg = synth.default_config()
+    _, a = synth.make_scene(cfg, pose_rng(seed=1))
+    _, b = synth.make_scene(synth.default_config(pixel_noise_sigma=0.5), pose_rng(seed=2))
+    assert a.target is b.target is cfg.target.planar_target()
+    with pytest.raises(ValueError, match="read-only"):
+        a.target.xy[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        a.target.ids[0] = 1
+    wider = synth.TargetGrid(spacing=31.0).planar_target()
+    assert wider is not a.target
+    assert wider.xy[1].tolist() == [31.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # pose generation
 # ---------------------------------------------------------------------------
@@ -284,6 +298,16 @@ def test_monte_carlo_parallel_matches_serial():
     serial = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours",), workers=1)[0]
     parallel = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours",), workers=3)[0]
     assert np.array_equal(serial.trials, parallel.trials, equal_nan=True)
+
+
+def test_monte_carlo_parallel_chunks_match_serial():
+    # 16 trials on 2 workers go out in chunks of 2.
+    cfg = synth.default_config(pixel_noise_sigma=0.7, trial_count=16)
+    serial = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours", "zhang"), workers=1)
+    parallel = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours", "zhang"), workers=2)
+    for a, b in zip(serial, parallel):
+        assert a.trials.tobytes() == b.trials.tobytes()
+        assert a.fail_count == b.fail_count
 
 
 def test_monte_carlo_noise_trend():
