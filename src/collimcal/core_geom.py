@@ -362,15 +362,25 @@ def project_camera_points(intr_p, dist_p, xc: np.ndarray):
     z = xc[:, 2]
     if np.any(z <= 0):
         raise errors.PointBehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
+    u, v, xn, yn, r2, f = radial_pixels(intr_p, dist_p, xc[:, 0], xc[:, 1], z)
+    return np.column_stack([u, v]), xn, yn, r2, f
+
+
+def radial_pixels(intr_p, dist_p, x, y, z):
+    """The pinhole-plus-radial map of camera-frame coordinates x, y, z (M,), depth unchecked.
+
+    Returns the pixel columns u and v and, as project_camera_points does,
+    xn, yn, r2 and f.
+    """
     fx, fy, cx, cy, gamma = intr_p
     d1, d2 = dist_p
-    xn = xc[:, 0] / z
-    yn = xc[:, 1] / z
+    xn = x / z
+    yn = y / z
     r2 = xn * xn + yn * yn
     f = 1.0 + d1 * r2 + d2 * r2 * r2
     xd = xn * f
     yd = yn * f
-    return np.column_stack([fx * xd + gamma * yd + cx, fy * yd + cy]), xn, yn, r2, f
+    return fx * xd + gamma * yd + cx, fy * yd + cy, xn, yn, r2, f
 
 
 def project(intr: CameraIntrinsics, dist: Distortion, R: np.ndarray, t: np.ndarray,
@@ -415,11 +425,6 @@ def back_project(intr: CameraIntrinsics, dist: Distortion, pixels: np.ndarray) -
     return rays[0] if np.asarray(pixels).ndim == 1 else rays
 
 
-def _point_norms(d: np.ndarray) -> np.ndarray:
-    """Lengths of 2-D points d (..., 2), rounded as np.linalg.norm(d, axis=-1) rounds them."""
-    return np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
-
-
 def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Hartley isotropic normalization of each padded point set (N, n, 2).
 
@@ -428,7 +433,7 @@ def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarra
     """
     count = mask.sum(axis=1)
     centroid = np.sum(points * mask[..., None], axis=1) / count[:, None]
-    dist = _point_norms(points - centroid[:, None])
+    dist = np.linalg.norm(points - centroid[:, None], axis=2)
     mean_dist = np.sum(dist * mask, axis=1) / count
     # Coincident points keep unit scale; the DLT's rank check rejects them.
     s = np.sqrt(2.0) / np.where(mean_dist > 1e-12, mean_dist, np.sqrt(2.0))
@@ -538,13 +543,13 @@ class HomographyFit(NamedTuple):
 def _fit_observations(observations: ObservationSet) -> HomographyFit:
     xy, uv = observations.xy, observations.uv
     pix_shift = uv.mean(axis=0)
-    pix_scale = np.mean(_point_norms(uv - pix_shift))
+    pix_scale = np.mean(np.linalg.norm(uv - pix_shift, axis=1))
     if not pix_scale > 0:
         raise errors.DegenerateConfiguration(
             "image 0: every observed pixel of every image is the same point")
     tgt = observations.target.xy
     tgt_shift = tgt.mean(axis=0)
-    tgt_scale = np.mean(_point_norms(tgt - tgt_shift))
+    tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
     H = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, observations.counts)
     H.flags.writeable = False  # cached on the observation set and shared by every solver
     return HomographyFit(H, pixel_scale=pix_scale, pixel_shift=pix_shift,

@@ -33,6 +33,7 @@ from .core_geom import (
     checked_rotations,
     decompose_homography,
     project_camera_points,
+    radial_pixels,
     rotation_matrix_from_axis_angle,
 )
 from .multi_solver import conic_rows, decompose_iac, solve_closed_form
@@ -154,7 +155,7 @@ def _draw_pose(config: SyntheticConfig, rng: np.random.Generator, points: np.nda
     the jitter (3 normals), which models the imperfect collimator, follows.
     """
     nominal = config.t_cp
-    (fx, fy, cx, cy, gamma), (d1, d2) = _camera_model(config)
+    intr_p, dist_p = _camera_model(config)
     w, h = config.image_size
     max_angle = np.deg2rad(MAX_TILT_DEG)
     for _ in range(POSE_ATTEMPTS):
@@ -162,19 +163,12 @@ def _draw_pose(config: SyntheticConfig, rng: np.random.Generator, points: np.nda
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.0, max_angle)
         R = rotation_matrix_from_axis_angle(axis * angle)
-        # project_camera_points' arithmetic, in its order, without the
-        # outputs it would build; it keeps the attempts that it would keep.
+        # project_camera_points' checks, inline, without the outputs it would
+        # build; it keeps the attempts that it would keep.
         x, y, z = (points @ R.T + (-R @ nominal)).T
         if z.min() <= 0:
             continue
-        xn = x / z
-        yn = y / z
-        r2 = xn * xn + yn * yn
-        f = 1.0 + d1 * r2 + d2 * r2 * r2
-        xd = xn * f
-        yd = yn * f
-        u = fx * xd + gamma * yd + cx
-        v = fy * yd + cy
+        u, v = radial_pixels(intr_p, dist_p, x, y, z)[:2]
         if u.min() >= 0 and u.max() <= w and v.min() >= 0 and v.max() <= h:
             break
     else:

@@ -294,20 +294,14 @@ def test_monte_carlo_deterministic():
 
 
 def test_monte_carlo_parallel_matches_serial():
-    cfg = synth.default_config(pixel_noise_sigma=0.7, trial_count=6)
-    serial = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours",), workers=1)[0]
-    parallel = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours",), workers=3)[0]
-    assert np.array_equal(serial.trials, parallel.trials, equal_nan=True)
-
-
-def test_monte_carlo_parallel_chunks_match_serial():
-    # 16 trials on 2 workers go out in chunks of 2.
-    cfg = synth.default_config(pixel_noise_sigma=0.7, trial_count=16)
-    serial = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours", "zhang"), workers=1)
-    parallel = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours", "zhang"), workers=2)
-    for a, b in zip(serial, parallel):
-        assert a.trials.tobytes() == b.trials.tobytes()
-        assert a.fail_count == b.fail_count
+    # 6 trials on 3 workers go out one at a time, 16 on 2 in chunks of 2.
+    for trial_count, workers in ((6, 3), (16, 2)):
+        cfg = synth.default_config(pixel_noise_sigma=0.7, trial_count=trial_count)
+        serial = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours",), workers=1)[0]
+        parallel = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours",),
+                                         workers=workers)[0]
+        assert serial.trials.tobytes() == parallel.trials.tobytes()
+        assert serial.fail_count == parallel.fail_count
 
 
 def test_monte_carlo_noise_trend():
