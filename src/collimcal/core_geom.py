@@ -155,6 +155,10 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None, None], (U * [1.0, 1.0, -1.0]) @ Vt, R)
 
 
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
+
+
 def rotation_matrix_from_axis_angle(v: np.ndarray) -> np.ndarray:
     """Rodrigues formula; v is the unit axis scaled by the angle in radians.
 
@@ -163,13 +167,18 @@ def rotation_matrix_from_axis_angle(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     # |v| as a dot product, which rounds like np.linalg.norm of one vector.
     theta = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
-    # Below 1e-12 rad the second-order expansion I + S + S^2/2 of S = [v]x
-    # keeps the map smooth through zero.
     small = theta < 1e-12
-    S = skew(v / np.where(small, 1.0, theta))
-    a = np.where(small, 1.0, np.sin(theta))[..., None]
-    b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
-    return np.eye(3) + a * S + b * (S @ S)
+    if small.any():
+        # Below 1e-12 rad the second-order expansion I + S + S^2/2 of S = [v]x
+        # keeps the map smooth through zero.
+        S = skew(v / np.where(small, 1.0, theta))
+        a = np.where(small, 1.0, np.sin(theta))[..., None]
+        b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
+    else:
+        S = skew(v / theta)
+        a = np.sin(theta)[..., None]
+        b = (1.0 - np.cos(theta))[..., None]
+    return _IDENTITY + a * S + b * (S @ S)
 
 
 def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -102,6 +103,32 @@ def _pair(value, cast, name, path):
     return cast(value[0]), cast(value[1])
 
 
+def _point_rows(rows, fields, where):
+    """Ids (n,) and coordinates (n, len(fields)) of the point rows [id, *fields].
+
+    A row must be a list of an integer id (not a bool, a float or a string)
+    and len(fields) numbers; anything else raises FileFormatError naming
+    `where`.  Types are checked in bulk, and one flat list is converted.
+    """
+    width = 1 + len(fields)
+    layout = f"[integer id, {', '.join(fields)}]"
+    try:
+        if type(rows) is not list or not set(map(len, rows)) <= {width}:
+            raise TypeError
+        flat = list(itertools.chain.from_iterable(rows))
+    except TypeError:
+        raise FileFormatError(f"{where}: every point must be a list {layout}") from None
+    ids, *columns = (flat[k::width] for k in range(width))
+    if not (set(map(type, ids)) <= {int}
+            and all(set(map(type, column)) <= {int, float} for column in columns)):
+        raise FileFormatError(f"{where}: every point must be {layout} with an integer "
+                              f"id and numbers")
+    try:
+        return np.array(ids, dtype=int), np.array(flat, dtype=float).reshape(-1, width)[:, 1:]
+    except OverflowError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
+
+
 def _image_size(value, path):
     """The (width, height) of an image_size entry: two positive integers."""
     size = _pair(value, float, "image_size", path)
@@ -169,20 +196,19 @@ def write_observation_file(path, observations: ObservationSet, *,
 @_reader
 def read_observation_file(payload, path) -> ObservationFile:
     target_block = _require(payload, "target", path)
-    points = _require(target_block, "points", path)
-    target = PlanarTarget(ids=[int(p[0]) for p in points],
-                          xy=[[float(p[1]), float(p[2])] for p in points])
+    ids, xy = _point_rows(_require(target_block, "points", path), ("x", "y"),
+                          f"{path}: bad target points")
+    target = PlanarTarget(ids=ids, xy=xy)
 
     images, names = [], []
     for k, block in enumerate(_require(payload, "images", path)):
         names.append(str(block.get("name", f"image_{k:03d}")))
-        pts = _require(block, "points", path)
+        where = f"{path}: bad points in image {k} ({names[-1]})"
+        ids, uv = _point_rows(_require(block, "points", path), ("u", "v"), where)
         try:
-            images.append(ImagePoints(ids=[int(p[0]) for p in pts],
-                                      uv=[[float(p[1]), float(p[2])] for p in pts]))
-        except (ValueError, TypeError, IndexError) as exc:
-            raise FileFormatError(
-                f"{path}: bad points in image {k} ({names[-1]}): {exc}") from exc
+            images.append(ImagePoints(ids=ids, uv=uv))
+        except ValueError as exc:
+            raise FileFormatError(f"{where}: {exc}") from exc
     observations = ObservationSet(target=target, images=tuple(images))
 
     image_size = None
@@ -243,10 +269,9 @@ def read_ray_database(payload, path) -> RayDatabase:
     provenance = _require(payload, "provenance", path)
     intr = _intrinsics_from(_require(provenance, "intrinsics", path), path)
     dist = _distortion_from(provenance, path)
-    rays = _require(payload, "rays", path)
-    return RayDatabase(ids=[int(r[0]) for r in rays],
-                       rays=[[float(r[1]), float(r[2]), float(r[3])] for r in rays],
-                       ref_intrinsics=intr, ref_distortion=dist)
+    ids, rays = _point_rows(_require(payload, "rays", path), ("x", "y", "z"),
+                            f"{path}: bad rays")
+    return RayDatabase(ids=ids, rays=rays, ref_intrinsics=intr, ref_distortion=dist)
 
 
 # ---------------------------------------------------------------------------

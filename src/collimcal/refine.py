@@ -21,10 +21,15 @@ two rotations is orthonormal to rounding, so one Newton-Schulz polar step
 R <- R (3I - RᵀR) / 2 takes the place of an SVD and keeps every rotation at
 rounding level (Triggs et al., "Bundle Adjustment - A Modern Synthesis",
 2000, section 2.2).  The solver works on local increments, so Jacobian
-rotation blocks are evaluated at delta = 0.  `plus` hands its matrices on
-to the evaluations at the point it returns, and one LM iteration projects
-every point once: the Jacobian at the point the residual last evaluated,
-compared by value, reuses its camera frame and projection.
+rotation blocks are evaluated at delta = 0.
+
+LM works on an explicit state (`LMState`): the parameter vector, the
+rotation stack and the one evaluation made there.  `plus` returns a new
+state, and the residual stores its evaluation on the state it was given, so
+the Jacobian at that state reuses its camera frame and projection and one LM
+iteration projects every point once.  A state is read-only, so a stored
+evaluation cannot go stale.  Rotations stay matrices throughout; only a
+report converts them to axis-angle.
 
 Residuals are robustified with the Cauchy function rho(s) = c^2 log(1 + s/c^2)
 applied per residual block via iteratively reweighted least squares.  IRLS
@@ -45,7 +50,6 @@ from .core_geom import (
     CameraIntrinsics,
     Distortion,
     ObservationSet,
-    axis_angle_from_rotation_matrix,
     checked_rotations,
     project_camera_points,
     rotation_matrix_from_axis_angle,
@@ -110,7 +114,24 @@ def _block_weights(squares: np.ndarray, block_size: int, scale) -> np.ndarray:
     if scale is None:
         return np.ones(len(squares) * block_size)
     w = 1.0 / (1.0 + squares / (scale * scale))
-    return np.repeat(w, block_size)
+    return w if block_size == 1 else np.repeat(w, block_size)
+
+
+class LMState:
+    """A point of an LM problem: the parameter vector `x`, the (N, 3, 3)
+    `rotations` of a problem that has any, and the `evaluation` the problem
+    stores at its first successful residual or Jacobian there.
+
+    `x` and `rotations` are made read-only, so a stored evaluation cannot go
+    stale: a step makes a new state (a problem's `plus`).
+    """
+    __slots__ = ("x", "rotations", "evaluation")
+
+    def __init__(self, x: np.ndarray, rotations: np.ndarray | None = None):
+        x.flags.writeable = False
+        if rotations is not None:
+            rotations.flags.writeable = False
+        self.x, self.rotations, self.evaluation = x, rotations, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,32 +169,38 @@ class BlockJacobian:
     def normal_equations(self, weights: np.ndarray, r: np.ndarray):
         """(JᵀWJ, JᵀWr) with W = diag(weights), every group's Gram in one product.
 
-        The weighted row blocks are viewed as (groups, rows, columns): a plain
-        reshape when every group has as many rows, otherwise a gather through
-        a row index padded with a zero row.  One batched BᵀB and one Bᵀr then
-        give every group's Gram and gradient, which are scattered into JᵀWJ
-        and JᵀWr through reshaped views.
+        Without per-group columns (stride 0, the dense form) that product is
+        (√W J)ᵀ(√W J).  Otherwise the weighted row blocks are viewed as
+        (groups, rows, columns): a plain reshape when every group has as many
+        rows, otherwise one gather through a row index padded with row 0 at
+        weight zero.  One batched BᵀB and one Bᵀr then give every group's
+        Gram and gradient, which are scattered into JᵀWJ and JᵀWr through
+        reshaped views; one group's are JᵀWJ and JᵀWr themselves.
         """
         s, k = self.shared, self.stride
+        sw = np.sqrt(weights)
+        if k == 0:
+            Bw = self.block * sw[:, None]
+            return Bw.T @ Bw, Bw.T @ (r * sw)
         n = len(self.starts) - 1
         sizes = np.diff(self.starts)
         length = sizes.max()
-        sw = np.sqrt(weights)
-        rw = r * sw
         if np.all(sizes == length):
             Bp = (self.block * sw[:, None]).reshape(n, length, -1)
-            rp = rw.reshape(n, length, 1)
+            rp = (r * sw).reshape(n, length, 1)
         else:
-            # The weighted rows and a zero row after them, column-major like
-            # the bundle adjustments' blocks, so that the gather is cheap.
-            Bw = np.zeros((len(rw) + 1, self.block.shape[1]), order="F")
-            np.multiply(self.block, sw[:, None], out=Bw[:-1])
             lanes = np.arange(length)
-            rows = np.where(lanes < sizes[:, None], self.starts[:-1, None] + lanes, len(rw))
-            Bp, rp = Bw[rows], np.append(rw, 0.0)[rows][..., None]
+            kept = lanes < sizes[:, None]
+            rows = np.where(kept, self.starts[:-1, None] + lanes, 0)
+            swp = sw[rows] * kept
+            Bp = self.block[rows]
+            Bp *= swp[..., None]
+            rp = (r[rows] * swp)[..., None]
         Bt = Bp.transpose(0, 2, 1)
         G = Bt @ Bp
         v = (Bt @ rp)[..., 0]
+        if n == 1:
+            return G[0], v[0]
         JtJ = np.zeros((self.shape[1],) * 2)
         JtJ[:s, :s] = G[:, :s, :s].sum(axis=0)
         JtJ[:s, s:] = G[:, :s, s:].transpose(1, 0, 2).reshape(s, n * k)
@@ -222,16 +249,21 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
                 block_size: int = 1, robust_scale: float | None = None, plus=None):
     """Damped normal-equations Levenberg-Marquardt.
 
-    `residual_fn(x)` and `jacobian_fn(x)` are evaluated at the current point;
-    when `plus` is given, parameters live on a manifold and the Jacobian is
-    taken with respect to the local increment at zero.  The Jacobian is a
-    dense (residuals, parameters) array or a `BlockJacobian`, whose
-    per-group row blocks form JᵀWJ in one batched product over the groups.
-    Each residual's block squares are taken once and serve both its robust
-    cost and, once it is accepted, the next iteration's IRLS weights.
-    Damping is divided by 10 on accepted steps and multiplied by 10 on
-    rejections.  The report's
-    `termination` gives the reason the run stopped:
+    Without `plus`, x is a parameter vector and a step adds to it.  With
+    `plus`, x is a state that only the three callables look into (an
+    `LMState`, for the problems of this package): `plus(x, delta)` returns
+    the state one step delta away, and the Jacobian is taken with respect to
+    that local increment at zero.  The parameter count comes from the
+    Jacobian, a dense (residuals, parameters) array or a `BlockJacobian`,
+    whose per-group row blocks form JᵀWJ in one batched product over the
+    groups.  `residual_fn(x)` is called at the start and at every trial
+    state; `jacobian_fn(x)` only ever at the last state whose residual was
+    evaluated, the start or the step just accepted, so a problem may reuse
+    that evaluation.  Each residual's block squares are taken once and serve
+    both its robust cost and, once it is accepted, the next iteration's IRLS
+    weights.  Damping is divided by 10 on accepted steps and multiplied by 10
+    on rejections.  The report's `termination` gives the reason the run
+    stopped:
 
         "gradient"  the gradient infinity norm fell below 1e-10;
         "cost"      an accepted step lowered the robust cost by no more than
@@ -258,12 +290,12 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
     normal equations that no damping level can solve, raise
     `errors.NormalEquationsFailed`.
 
-    Returns (parameters, ResidualReport).  The cost trajectory holds the
+    Returns (the final x, ResidualReport).  The cost trajectory holds the
     robust cost at the start and after every accepted step.
     """
+    x = x0
     if plus is None:
-        plus = lambda x, d: x + d
-    x = np.asarray(x0, dtype=float).copy()
+        x, plus = np.asarray(x0, dtype=float), np.add
     r = np.asarray(residual_fn(x), dtype=float)
     if r.size % block_size:
         raise ValueError("residual length is not a multiple of the block size")
@@ -277,21 +309,21 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
 
     for _ in range(_MAX_ITERATIONS):
         J = _row_blocks(jacobian_fn(x))
-        if J.shape != (r.size, x.size):
+        if J.shape[0] != r.size:
             raise ValueError(f"jacobian shape {J.shape} does not match "
-                             f"({r.size}, {x.size})")
+                             f"{r.size} residuals")
         JtJ, g = J.normal_equations(_block_weights(squares, block_size, robust_scale), r)
         if not np.all(np.isfinite(g)):
             raise errors.NormalEquationsFailed("gradient is not finite")
         if np.max(np.abs(g)) < _GRADIENT_TOLERANCE:
             termination = "gradient"
             break
-        diag = np.clip(np.diag(JtJ), _MU_MIN, None)
+        diag = np.maximum(JtJ.diagonal(), _MU_MIN)
 
         solved = False
         while mu <= _MU_MAX:
             damped = JtJ.copy()
-            damped.flat[::x.size + 1] += mu * diag
+            damped.flat[::g.size + 1] += mu * diag
             try:
                 delta = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
@@ -344,7 +376,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
 
 def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
                           center=None, translations=None):
-    """Closures of the stacked problem x_c = R_i (P - c) + t_i.
+    """Closures of the stacked problem x_c = R_i (P - c) + t_i, and its start.
 
     `points` (M, 3) and `pixels` (M, 2) list every observation, image after
     image, and `counts` (N,) how many each image has; `rotations` (N, 3, 3)
@@ -353,18 +385,16 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     ValueError names the first that is not a proper rotation.  The center c
     is a parameter starting at `center` when that is given, and zero
     otherwise; `translations` (N, 3), when given, are the initial per-image
-    t_i, which are otherwise zero.  The parameter vector is (fx, fy, cx, cy,
-    gamma, d1, d2, [c], then per image the rotation vector [and t_i]).
+    t_i, which are otherwise zero.  The parameter vector of a state is (fx,
+    fy, cx, cy, gamma, d1, d2, [c], then per image the rotation increment
+    [and t_i]); the increments are zero at every state, whose rotations are
+    the matrices it holds.
 
-    The closures share, keyed by the value of x: the last evaluation, which
-    a residual that raises leaves in place, and the rotation matrices at x0
-    and at `plus`'s last input and output.
-
-    Returns (residual, jacobian, plus, x0, unpack, image), with image (M,)
-    the image index of each observation; the Jacobian is a BlockJacobian
-    with one group per image, and unpack(x) gives (intrinsics (5,),
-    distortion (2,), c (3,), rotation matrices (N, 3, 3), translations
-    (N, 3) or None).
+    Returns (residual, jacobian, plus, x0, unpack, image): x0 is the start
+    `LMState`, image (M,) the image index of each observation, the Jacobian
+    a BlockJacobian with one group per image, and unpack(state) gives
+    (intrinsics (5,), distortion (2,), c (3,), rotation matrices (N, 3, 3),
+    translations (N, 3) or None).
     """
     R0 = checked_rotations(np.array(rotations, dtype=float))
     n = len(R0)
@@ -376,46 +406,40 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     image = np.repeat(np.arange(n), counts)
     points_t = np.ascontiguousarray(points.T, dtype=float)
     starts = 2 * np.concatenate([[0], np.cumsum(counts)])
+    polar = 1.5 * np.eye(3)
 
     x0 = np.zeros(first + stride * n)
     x0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
     if has_center:
         x0[7:10] = center
-    x0[rot_cols] = axis_angle_from_rotation_matrix(R0)
     if translations is not None:
         x0[rot_cols + 3] = translations
-    known = [(x0.copy(), R0)]   # (x, rotation matrices at x)
-    last = []                   # [x, evaluation at x] once a point evaluated
 
-    def unpack(x):
+    def unpack(state):
+        x = state.x
         c = x[7:10] if has_center else np.zeros(3)
         t = None if translations is None else x[rot_cols + 3]
-        R = next((R for key, R in known if np.array_equal(key, x)), None)
-        if R is None:
-            R = rotation_matrix_from_axis_angle(x[rot_cols])
-        return x[:5], x[5:7], c, R, t
+        return x[:5], x[5:7], c, state.rotations, t
 
-    def evaluate(x):
-        if last and np.array_equal(last[0], x):
-            return last[1]
-        x = np.array(x, dtype=float)
-        intr_p, dist_p, c, R, t = unpack(x)
-        # Each point's rotation, component-major (3, 3, M) like P - c (3, M),
-        # so that every component is one contiguous row.
-        R = R.transpose(1, 2, 0).take(image, axis=2)
-        centered = points_t - c[:, None]
-        xc = np.einsum("ijm,jm->im", R, centered)
-        if t is not None:
-            xc += t.T.take(image, axis=1)
-        uv, xn, yn, r2, f = project_camera_points(intr_p, dist_p, xc.T)
-        last[:] = x, (uv, intr_p, dist_p, R, centered, xc[2], xn, yn, r2, f)
-        return last[1]
+    def evaluate(state):
+        if state.evaluation is None:
+            intr_p, dist_p, c, R, t = unpack(state)
+            # Each point's rotation, component-major (3, 3, M) like P - c
+            # (3, M), so that every component is one contiguous row.
+            R = R.transpose(1, 2, 0).take(image, axis=2)
+            centered = points_t - c[:, None]
+            xc = np.einsum("ijm,jm->im", R, centered)
+            if t is not None:
+                xc += t.T.take(image, axis=1)
+            uv, xn, yn, r2, f = project_camera_points(intr_p, dist_p, xc.T)
+            state.evaluation = (uv, intr_p, dist_p, R, centered, xc[2], xn, yn, r2, f)
+        return state.evaluation
 
-    def residual(x):
-        return (evaluate(x)[0] - pixels).ravel()
+    def residual(state):
+        return (evaluate(state)[0] - pixels).ravel()
 
-    def jacobian(x):
-        _, (fx, fy, _, _, gamma), (d1, d2), R, q, z, xn, yn, r2, f = evaluate(x)
+    def jacobian(state):
+        _, (fx, fy, _, _, gamma), (d1, d2), R, q, z, xn, yn, r2, f = evaluate(state)
         # Column-major: B[col, i, row] is the derivative of row (u or v) of
         # point i, so every column is written with unit point stride and the
         # row block is the transposed view (2M, first + stride).
@@ -447,18 +471,16 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
                 B[first + 3:, :, row] = J_xc
         return BlockJacobian(B.reshape(first + stride, 2 * m).T, first, starts)
 
-    def plus(x, delta):
-        R_x = unpack(x)[3]
-        R = R_x @ rotation_matrix_from_axis_angle(delta[rot_cols])
+    def plus(state, delta):
+        R = state.rotations @ rotation_matrix_from_axis_angle(delta[rot_cols])
         # A product of two rotations is orthonormal to rounding; one
         # Newton-Schulz polar step R (3I - RᵀR) / 2 removes the rounding.
-        R = R @ (1.5 * np.eye(3) - 0.5 * (R.transpose(0, 2, 1) @ R))
-        x_new = x + delta
-        x_new[rot_cols] = axis_angle_from_rotation_matrix(R)
-        known[:] = (np.array(x, dtype=float), R_x), (x_new.copy(), R)
-        return x_new
+        R = R @ (polar - 0.5 * (R.transpose(0, 2, 1) @ R))
+        x = state.x + delta
+        x[rot_cols] = 0.0
+        return LMState(x, R)
 
-    return residual, jacobian, plus, x0, unpack, image
+    return residual, jacobian, plus, LMState(x0, R0), unpack, image
 
 
 def _plane_points(observations: ObservationSet) -> np.ndarray:
@@ -483,7 +505,8 @@ def _adjusted(problem):
     intr = CameraIntrinsics(*intr_p)
     dist = Distortion(*dist_p)
     report = replace(report, rms_reprojection=rms, per_image_rms=per)
-    return intr, dist, checked_rotations(R), c, t, report
+    # A copy: the state's rotations are read-only, the caller's are not.
+    return intr, dist, checked_rotations(R.copy()), c, t, report
 
 
 # ---------------------------------------------------------------------------

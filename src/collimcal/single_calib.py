@@ -25,6 +25,7 @@ from .core_geom import (
     nearest_rotation,
 )
 from .refine import (
+    LMState,
     ResidualReport,
     lm_minimize,
     reprojection_rms,
@@ -117,7 +118,18 @@ def select_pairs(rays: np.ndarray):
         pairs = np.column_stack([np.repeat(np.arange(count), SUBSAMPLED_PARTNERS),
                                  partners.ravel()])
         i, j = np.unique(np.sort(pairs, axis=1), axis=0).T
-    return i, j, np.sum(rays[i] * rays[j], axis=1)
+    ri, rj = _pair_columns(rays, i, j)
+    return i, j, ri[0] * rj[0] + ri[1] * rj[1] + ri[2] * rj[2]
+
+
+def _pair_columns(points: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """The two ends of every pair of rows of points (m, k), each (k, pairs).
+
+    Gathered with `take` from the component-major (k, m) copy, which costs a
+    fraction of a fancy-indexed row gather.
+    """
+    columns = np.ascontiguousarray(points.T)
+    return columns.take(i, axis=1), columns.take(j, axis=1)
 
 
 def init_focal_quartic(pixels: np.ndarray, pairs, image_width: float,
@@ -132,10 +144,10 @@ def init_focal_quartic(pixels: np.ndarray, pairs, image_width: float,
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     i, j, g = pairs
     center = (image_width / 2.0, image_height / 2.0)
-    m = pixels - np.array(center)
-    alpha = np.sum(m[i] * m[j], axis=1)
-    beta_i = np.sum(m[i] * m[i], axis=1)
-    beta_j = np.sum(m[j] * m[j], axis=1)
+    mi, mj = _pair_columns(pixels - np.array(center), i, j)
+    alpha = mi[0] * mj[0] + mi[1] * mj[1]
+    beta_i = mi[0] * mi[0] + mi[1] * mi[1]
+    beta_j = mj[0] * mj[0] + mj[1] * mj[1]
     # (alpha t + 1)^2 - g^2 (beta_i t + 1)(beta_j t + 1) = 0 with t = 1/f^2
     a2 = float(np.sum(alpha * alpha - g * g * beta_i * beta_j))
     a1 = float(np.sum(2.0 * alpha - g * g * (beta_i + beta_j)))
@@ -159,49 +171,69 @@ def init_focal_quartic(pixels: np.ndarray, pairs, image_width: float,
         raise errors.NoRealRoot("no positive real focal length root")
     if len(focals) == 1:
         return float(focals[0])
-    residual, _ = _cosine_residual_and_jacobian(pixels, pairs)
-    return float(min(focals,
-                     key=lambda f: np.sum(residual(np.array([f, f, *center, 0.0])) ** 2)))
+    residual = _cosine_model(pixels, pairs)[0]
+    return float(min(focals, key=lambda f: np.sum(
+        residual(LMState(np.array([f, f, *center, 0.0]))) ** 2)))
 
 
-def _cosine_residual_and_jacobian(pixels, pairs):
-    """Closures for the pairwise-cosine cost over the 5 intrinsic parameters."""
+def _cosine_model(pixels, pairs):
+    """The pairwise-cosine residuals over the intrinsics x = (fx, fy, cx, cy, gamma).
+
+    Pixel p_k back-projects to the unit ray q^_k = q_k / |q_k| with
+    q_k = K^-1 (p_k, 1), and pair (i, j) of the table (i, j, g) has the
+    residual c_ij - g_ij, c_ij = q^_i . q^_j.  The rays are kept
+    component-major (3, m) and each end of the pairs is gathered with `take`.
+    The Jacobian comes in closed form from the same evaluation.  With
+    v = K^-T q^, a parameter with dK = e_a e_b^T moves the cosine by
+
+        dc_ij = -[(v_j,a - c_ij v_i,a) q^_i,b + (v_i,a - c_ij v_j,a) q^_j,b],
+
+    where (a, b) is (0, 0) for fx, (1, 1) for fy, (0, 2) for cx, (1, 2) for
+    cy and (0, 1) for gamma (from dq = -K^-1 dK q and
+    dq^ = (I - q^ q^^T) dq / |q|).  K^-T is lower triangular, so v_0 and v_1
+    need only the first two components of the same ray.
+
+    Returns (residual, jacobian, plus) over `LMState`s whose x is the
+    parameter vector; the residual stores its evaluation on the state and
+    the Jacobian reuses it.  A state with a non-positive focal length
+    raises CalibrationError, which makes lm_minimize reject the step.
+    """
     pair_i, pair_j, g = pairs
     ph = np.column_stack([pixels, np.ones(len(pixels))])
 
-    def unpack(x):
-        fx, fy, cx, cy, gamma = x
-        if not (fx > 0 and fy > 0):  # lm_minimize rejects such a trial step
-            raise errors.CalibrationError(f"trial focal lengths fx={fx}, fy={fy} are not positive")
-        intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, gamma=gamma)
-        q = ph @ intr.inverse.T
-        return intr, q
+    def evaluate(state):
+        if state.evaluation is None:
+            fx, fy, cx, cy, gamma = state.x
+            if not (fx > 0 and fy > 0):
+                raise errors.CalibrationError(
+                    f"trial focal lengths fx={fx}, fy={fy} are not positive")
+            Ki = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, gamma=gamma).inverse
+            q = ph @ Ki.T
+            qi, qj = _pair_columns(q / np.linalg.norm(q, axis=1, keepdims=True),
+                                   pair_i, pair_j)
+            state.evaluation = Ki, qi, qj, qi[0] * qj[0] + qi[1] * qj[1] + qi[2] * qj[2]
+        return state.evaluation
 
-    def residual(x):
-        _, q = unpack(x)
-        qn = q / np.linalg.norm(q, axis=1, keepdims=True)
-        return np.sum(qn[pair_i] * qn[pair_j], axis=1) - g
+    def residual(state):
+        return evaluate(state)[3] - g
 
-    def jacobian(x):
-        intr, q = unpack(x)
-        norms = np.linalg.norm(q, axis=1)
-        qn = q / norms[:, None]
-        # dq = -K^-1 dK K^-1 p~ = -K^-1 dK q, for each of the five parameters
-        Ki = intr.inverse
-        dK = np.zeros((5, 3, 3))
-        dK[0, 0, 0] = 1.0  # fx
-        dK[1, 1, 1] = 1.0  # fy
-        dK[2, 0, 2] = 1.0  # cx
-        dK[3, 1, 2] = 1.0  # cy
-        dK[4, 0, 1] = 1.0  # gamma
-        dq = -np.einsum("ab,pbc,mc->mpa", Ki, dK, q)  # (m, 5, 3)
-        # d(qn) = (I - qn qn^T)/|q| dq
-        dqn = (dq - qn[:, None, :] * np.einsum("ma,mpa->mp", qn, dq)[:, :, None])
-        dqn /= norms[:, None, None]
-        return (np.einsum("ma,mpa->mp", qn[pair_j], dqn[pair_i])
-                + np.einsum("ma,mpa->mp", qn[pair_i], dqn[pair_j]))
+    def jacobian(state):
+        Ki, qi, qj, c = evaluate(state)
+        vi = Ki[:2, :2].T @ qi[:2]
+        vj = Ki[:2, :2].T @ qj[:2]
+        # The minus sign taken inside: dc = A_a q^_i,b + B_a q^_j,b with
+        # A = c v_i - v_j and B = c v_j - v_i.
+        A = c * vi - vj
+        B = c * vj - vi
+        J = np.empty((5, len(c)))
+        for row, (a, b) in enumerate(((0, 0), (1, 1), (0, 2), (1, 2), (0, 1))):
+            J[row] = A[a] * qi[b] + B[a] * qj[b]
+        return J.T
 
-    return residual, jacobian
+    def plus(state, delta):
+        return LMState(state.x + delta)
+
+    return residual, jacobian, plus
 
 
 def refine_intrinsics_angle(pixels: np.ndarray, pairs,
@@ -210,15 +242,15 @@ def refine_intrinsics_angle(pixels: np.ndarray, pairs,
 
     Distortion is deliberately absent here; it enters only at the final
     reprojection stage.  Each pair contributes one Cauchy-robustified
-    residual (calibration cosine minus database cosine).
+    residual (calibration cosine minus database cosine; see `_cosine_model`).
     """
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if len(pairs[2]) < 5:
         raise ValueError("intrinsic refinement needs at least 5 point pairs")
-    residual, jacobian = _cosine_residual_and_jacobian(pixels, pairs)
-    x0 = np.array([initial.fx, initial.fy, initial.cx, initial.cy, initial.gamma])
-    x, _ = lm_minimize(residual, jacobian, x0, robust_scale=ANGLE_CAUCHY_SCALE)
-    return CameraIntrinsics(fx=x[0], fy=x[1], cx=x[2], cy=x[3], gamma=x[4])
+    residual, jacobian, plus = _cosine_model(pixels, pairs)
+    x0 = LMState(np.array([initial.fx, initial.fy, initial.cx, initial.cy, initial.gamma]))
+    x, _ = lm_minimize(residual, jacobian, x0, robust_scale=ANGLE_CAUCHY_SCALE, plus=plus)
+    return CameraIntrinsics(*x.x)
 
 
 def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> np.ndarray:

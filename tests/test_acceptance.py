@@ -389,13 +389,14 @@ def test_criterion_8_single_image_pipeline():
 # 9. optimizer integrity
 # ---------------------------------------------------------------------------
 
-def central_difference_jacobian(residual, plus, x, h=1e-6):
-    r0 = residual(x)
-    J = np.empty((r0.size, x.size))
-    for k in range(x.size):
-        e = np.zeros(x.size)
+def central_difference_jacobian(residual, plus, state, h=1e-6):
+    r0 = residual(state)
+    size = state.x.size
+    J = np.empty((r0.size, size))
+    for k in range(size):
+        e = np.zeros(size)
         e[k] = h
-        J[:, k] = (residual(plus(x, e)) - residual(plus(x, -e))) / (2.0 * h)
+        J[:, k] = (residual(plus(state, e)) - residual(plus(state, -e))) / (2.0 * h)
     return J
 
 
@@ -409,7 +410,7 @@ def test_criterion_9_optimizer_integrity():
         obs, (intr, Distortion(0.0, 0.0), ext))
     worst = 0.0
     for _ in range(50):
-        x = plus(x0, rng.normal(size=x0.size) * 1e-3)
+        x = plus(x0, rng.normal(size=x0.x.size) * 1e-3)
         J = jacobian(x).toarray()
         J_fd = central_difference_jacobian(residual, plus, x)
         worst = max(worst, float(np.max(np.abs(J - J_fd) / np.maximum(1.0, np.abs(J)))))
@@ -421,7 +422,7 @@ def test_criterion_9_optimizer_integrity():
     residual_s, jacobian_s, plus_s, x0_s, *_ = refine.single_image_problem(
         rays, pixels, (TRUE_K, Distortion(0.05, -0.1), rot))
     for _ in range(50):
-        x = plus_s(x0_s, rng.normal(size=x0_s.size) * 1e-3)
+        x = plus_s(x0_s, rng.normal(size=x0_s.x.size) * 1e-3)
         J = jacobian_s(x).toarray()
         J_fd = central_difference_jacobian(residual_s, plus_s, x)
         worst = max(worst, float(np.max(np.abs(J - J_fd) / np.maximum(1.0, np.abs(J)))))

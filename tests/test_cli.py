@@ -179,22 +179,42 @@ def edited_copy(path, out, keys, value):
     ("config", ("image_size",), [1080.9, 960]),
     ("config", ("image_size",), [10 ** 400, 960]),
     ("config", ("radius",), 10 ** 400),
+    # Point k of every image, and ray k, carry id k: int() would have
+    # truncated each of these ids back to the row's own.
+    ("observations", ("images", 4, "points", 7, 0), 7.9),
+    ("observations", ("images", 4, "points", 1, 0), True),
+    ("observations", ("images", 4, "points", 7), [7, 500.0, 400.0, 1.0]),
+    ("observations", ("images", 4, "points", 7, 1), "500.0"),
+    ("observations", ("target", "points", 3, 0), 3.5),
+    ("database", ("rays", 5, 0), 5.5),
 ], ids=["truth-distortion", "truth-t_cp", "truth-t_cp-2", "truth-rotations-ragged",
         "truth-rotations-count", "image_size", "image_size-nonpositive",
         "image_size-fraction", "images", "config-distortion", "config-target",
         "config-image-count-fraction", "config-image_size-fraction",
-        "config-image_size-overflow", "config-radius-overflow"])
-def test_malformed_file_exit_2(sim_file, tmp_path, capsys, kind, keys, value):
+        "config-image_size-overflow", "config-radius-overflow", "point-id-fraction",
+        "point-id-bool", "point-extra-entry", "point-string-coordinate",
+        "target-id-fraction", "database-id-fraction"])
+def test_malformed_file_exit_2(sim_file, tmp_path, capsys, request, kind, keys, value):
     bad = tmp_path / "bad.json"
     if kind == "config":
         edited_copy(tmp_path / "cfg.json", bad, keys, value)
         argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]
+    elif kind == "database":
+        edited_copy(request.getfixturevalue("reference_db"), bad, keys, value)
+        cal_obs = tmp_path / "cal_obs.json"
+        cfg = write_config(tmp_path / "cal_cfg.json", image_count=1, rng_seed=12)
+        assert main(["simulate", "--config", cfg, "--out", str(cal_obs)]) == 0
+        argv = ["calibrate", "--in", str(cal_obs), "--mode", "single",
+                "--reference", str(bad), "--out", str(tmp_path / "r.json")]
     else:
         edited_copy(sim_file, bad, keys, value)
         argv = ["calibrate", "--in", str(bad), "--mode", "nimg",
                 "--out", str(tmp_path / "r.json")]
     assert main(argv) == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if keys[0] == "images" and len(keys) > 1:
+        assert f"image {keys[1]} (image_{keys[1]:03d})" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -80,6 +80,20 @@ def test_rotation_stack_matches_one_vector_at_a_time():
         assert alone.tobytes() == stack[k].tobytes()
 
 
+@pytest.mark.parametrize("angles", [(0.0, 1e-13, 0.7, 2.9), (0.4, 1.3, 3.1)],
+                         ids=["mixed", "no-small-angle"])
+def test_rotation_stack_with_and_without_small_angles_matches_one_vector_at_a_time(angles):
+    # A stack with an angle below 1e-12 rad takes the series branch for the
+    # whole stack, and one without takes the plain formula; either way each
+    # matrix equals the vector's own, bit for bit.
+    axes = np.random.default_rng(23).normal(size=(len(angles), 3))
+    v = axes / np.linalg.norm(axes, axis=1, keepdims=True) * np.array(angles)[:, None]
+    stack = cg.rotation_matrix_from_axis_angle(v)
+    for k in range(len(v)):
+        assert cg.rotation_matrix_from_axis_angle(v[k]).tobytes() == stack[k].tobytes()
+    assert np.max(np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(3))) < 1e-15
+
+
 def test_rotation_stack_validation_names_the_bad_matrix():
     R = cg.rotation_matrix_from_axis_angle(np.random.default_rng(22).normal(size=(5, 3)))
     assert cg.checked_rotations(R).tobytes() == R.tobytes()

@@ -20,14 +20,15 @@ from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form
 from conftest import identity_rotation, rotation_from_axis_angle, scene
 
 
-def fd_jacobian(residual, plus, x, h=1e-6):
+def fd_jacobian(residual, plus, state, h=1e-6):
     """Independent central-difference Jacobian on the local parameterization."""
-    r0 = residual(x)
-    J = np.empty((r0.size, x.size))
-    for k in range(x.size):
-        e = np.zeros(x.size)
+    r0 = residual(state)
+    size = state.x.size
+    J = np.empty((r0.size, size))
+    for k in range(size):
+        e = np.zeros(size)
         e[k] = h
-        J[:, k] = (residual(plus(x, e)) - residual(plus(x, -e))) / (2.0 * h)
+        J[:, k] = (residual(plus(state, e)) - residual(plus(state, -e))) / (2.0 * h)
     return J
 
 
@@ -207,7 +208,7 @@ def test_spherical_parameter_count(noiseless_scene):
     config, poses, obs = noiseless_scene
     init = exact_init(poses, config)
     _, _, _, x0, *_ = refine.spherical_problem(obs, init)
-    assert x0.size == 10 + 3 * len(obs)
+    assert x0.x.size == 10 + 3 * len(obs)
 
 
 def test_spherical_ba_fixed_point(noiseless_scene, monkeypatch):
@@ -312,7 +313,7 @@ def gauss_newton_step_in_sd(problem):
     scale = 1.0 / np.sqrt(np.diag(A))
     A_inv = scale[:, None] * np.linalg.inv(scale[:, None] * A * scale) * scale
     delta = -A_inv @ g
-    sigma2 = refine._robust_cost(squares, refine._CAUCHY_SCALE_PX) / (r.size - x0.size)
+    sigma2 = refine._robust_cost(squares, refine._CAUCHY_SCALE_PX) / (r.size - x0.x.size)
     return float(np.max(np.abs(delta) / np.sqrt(sigma2 * np.diag(A_inv))))
 
 
@@ -357,7 +358,7 @@ def test_spherical_jacobian_matches_finite_differences():
     residual, jacobian, plus, x0, *_ = refine.spherical_problem(obs, init)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        x = plus(x0, rng.normal(size=x0.size) * 1e-3)
+        x = plus(x0, rng.normal(size=x0.x.size) * 1e-3)
         assert max_relative_deviation(jacobian(x).toarray(),
                                       fd_jacobian(residual, plus, x)) < 1e-5
 
@@ -373,7 +374,7 @@ def test_single_image_jacobian_matches_finite_differences():
     init = (intr, Distortion(0.05, -0.1), rot)
     residual, jacobian, plus, x0, *_ = refine.single_image_problem(rays, pixels, init)
     for _ in range(3):
-        x = plus(x0, rng.normal(size=x0.size) * 1e-3)
+        x = plus(x0, rng.normal(size=x0.x.size) * 1e-3)
         assert max_relative_deviation(jacobian(x).toarray(),
                                       fd_jacobian(residual, plus, x)) < 1e-5
 
@@ -382,7 +383,7 @@ def test_general_jacobian_matches_finite_differences():
     config, poses, obs = scene(seed=33, image_count=4, pixel_noise_sigma=0.3)
     residual, jacobian, plus, x0, *_ = refine.general_problem(obs, zhang_general_init(obs))
     rng = np.random.default_rng(9)
-    x = plus(x0, rng.normal(size=x0.size) * 1e-3)
+    x = plus(x0, rng.normal(size=x0.x.size) * 1e-3)
     assert max_relative_deviation(jacobian(x).toarray(), fd_jacobian(residual, plus, x)) < 1e-5
 
 
@@ -403,8 +404,8 @@ def test_multi_image_jacobian_with_distortion_and_skew_matches_finite_difference
     residual, jacobian, plus, x0, *_ = problem
     rng = np.random.default_rng(11)
     for _ in range(2):
-        x = plus(x0, rng.normal(size=x0.size) * 1e-3)
-        assert x[4] != 0.0 and x[5] != 0.0 and x[6] != 0.0
+        x = plus(x0, rng.normal(size=x0.x.size) * 1e-3)
+        assert x.x[4] != 0.0 and x.x[5] != 0.0 and x.x[6] != 0.0
         assert max_relative_deviation(jacobian(x).toarray(),
                                       fd_jacobian(residual, plus, x)) < 1e-5
 
@@ -468,46 +469,49 @@ def noisy_problems():
     return {"spherical": spherical, "general": general, "single": single}
 
 
-def behind_camera(name, x):
-    """A copy of x that puts the first image's points behind its camera."""
-    x = x.copy()
+def behind_camera(name, state, plus):
+    """A state beside `state` that puts the first image's points behind its camera."""
     if name == "general":
-        x[12] = -1e4          # t_z of image 0, after (K, d) and its rotation
-    else:
-        first = 10 if name == "spherical" else 7
-        x[first:first + 3] = [np.pi, 0.0, 0.0]  # a half turn about x
-    return x
+        delta = np.zeros(state.x.size)
+        delta[12] = -1e4 - state.x[12]   # t_z of image 0, after (K, d) and its rotation
+        return plus(state, delta)
+    R = state.rotations.copy()
+    R[0] = rotation_from_axis_angle([np.pi, 0.0, 0.0])  # a half turn about x
+    return refine.LMState(state.x.copy(), R)
 
 
 @pytest.mark.parametrize("name", ["spherical", "general", "single"])
 def test_jacobian_never_reuses_a_stale_evaluation(name):
-    # The Jacobian reuses the residual's evaluation at the same x; it must
-    # equal a freshly built problem's Jacobian however the calls interleave.
-    residual, jacobian, _, x0, *_ = noisy_problems()[name]
+    # The Jacobian reuses the evaluation stored on its state; it must equal a
+    # freshly built problem's Jacobian at the same point however the calls
+    # interleave.
+    residual, jacobian, plus, x0, *_ = noisy_problems()[name]
 
-    def fresh(x):
-        return noisy_problems()[name][1](x).toarray()
+    def fresh(state):
+        copy = refine.LMState(state.x.copy(), state.rotations.copy())
+        return noisy_problems()[name][1](copy).toarray()
 
     rng = np.random.default_rng(21)
-    x = x0 + rng.normal(size=x0.size) * 1e-4
-    y = x0 + rng.normal(size=x0.size) * 1e-4
+    x = plus(x0, rng.normal(size=x0.x.size) * 1e-4)
+    y = plus(x0, rng.normal(size=x0.x.size) * 1e-4)
     residual(x)
     assert np.array_equal(jacobian(x).toarray(), fresh(x))
     # after a residual at another point
     residual(x)
     residual(y)
     assert np.array_equal(jacobian(x).toarray(), fresh(x))
-    # after x was mutated in place
-    residual(x)
-    x[0] += 1.0
-    x[-1] += 1e-3
-    assert np.array_equal(jacobian(x).toarray(), fresh(x))
+    # a state cannot change under its stored evaluation
+    with pytest.raises(ValueError):
+        x.x[0] += 1.0
+    with pytest.raises(ValueError):
+        x.rotations[0, 0, 0] = 1.0
     # after a residual that raised: it stores nothing, so y's evaluation
     # stays valid and the point that raised has none to reuse
-    behind = behind_camera(name, x)
+    behind = behind_camera(name, x, plus)
     residual(y)
     with pytest.raises(errors.PointBehindCamera):
         residual(behind)
+    assert behind.evaluation is None
     assert np.array_equal(jacobian(y).toarray(), fresh(y))
     with pytest.raises(errors.PointBehindCamera):
         residual(behind)
@@ -532,7 +536,7 @@ def test_block_normal_equations_match_dense(name):
     residual, jacobian, _, x0, *_ = noisy_problems()[name]
     r = residual(x0)
     J = jacobian(x0)
-    assert J.shape == (r.size, x0.size)
+    assert J.shape == (r.size, x0.x.size)
     assert_normal_equations_match_dense(J, r)
 
 
@@ -573,7 +577,7 @@ def test_dense_jacobian_normal_equations_match():
     residual, jacobian, _, x0, *_ = noisy_problems()["spherical"]
     r = residual(x0)
     J = refine._row_blocks(jacobian(x0).toarray())
-    assert J.stride == 0 and J.shape == (r.size, x0.size)
+    assert J.stride == 0 and J.shape == (r.size, x0.x.size)
     assert_normal_equations_match_dense(J, r)
 
 
@@ -597,7 +601,7 @@ def test_plus_keeps_rotations_proper_over_a_long_chain(name):
     for _ in range(2000):
         axis = rng.normal(size=(n, 3))
         axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-        delta = np.zeros(x.size)
+        delta = np.zeros(x.x.size)
         delta[rot_cols] = axis * rng.uniform(0.0, 0.3, size=(n, 1))
         x = plus(x, delta)
         R = checked_rotations(unpack(x)[3])
@@ -614,9 +618,15 @@ def test_lm_rejects_jacobian_of_wrong_shape():
         refine.lm_minimize(lambda x: x - 1.0, lambda x: np.eye(3), np.zeros(2))
     with pytest.raises(ValueError):
         refine.lm_minimize(lambda x: x - 1.0, lambda x: np.ones(2), np.zeros(2))
+    # The parameter count comes from the Jacobian: one row short is refused
+    # by lm_minimize, one column too many by the state's `plus`.
     residual, jacobian, plus, x0, *_ = noisy_problems()["spherical"]
     with pytest.raises(ValueError):
-        refine.lm_minimize(residual, jacobian, np.append(x0, 0.0), block_size=2, plus=plus)
+        refine.lm_minimize(residual, lambda s: jacobian(s).toarray()[:-1], x0,
+                           block_size=2, plus=plus)
+    with pytest.raises(ValueError):
+        refine.lm_minimize(residual, lambda s: np.column_stack(
+            [jacobian(s).toarray(), np.zeros(residual(s).size)]), x0, block_size=2, plus=plus)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import replace
 from collimcal import errors, synth
 from collimcal import single_calib as sc
 from collimcal.core_geom import CameraIntrinsics, Distortion, axis_angle_from_rotation_matrix
+from collimcal.refine import LMState
 from conftest import angular_distance, rotation_from_axis_angle
 
 REF_K = CameraIntrinsics(fx=1200.0, fy=1180.0, cx=700.0, cy=500.0, gamma=0.0)
@@ -207,6 +208,27 @@ def test_angle_refinement_rejects_steps_to_a_non_positive_focal(start_focal):
     out = sc.refine_intrinsics_angle(uv, sc.select_pairs(rays), start)
     assert abs(out.fx - 1000.0) / 1000.0 < 1e-2
     assert abs(out.fy - 1000.0) / 1000.0 < 1e-2
+
+
+@pytest.mark.parametrize("count", [90, 160], ids=["exhaustive", "subsampled"])
+def test_cosine_jacobian_matches_central_differences(count):
+    # The closed-form derivatives of the pairwise cosines against central
+    # differences, with skew and an off-center principal point, on both
+    # kinds of pair table, away from the optimum.
+    K = CameraIntrinsics(1010.0, 985.0, 561.0, 452.0, 2.5)
+    rays, uv, _ = full_intrinsics_setup(np.random.default_rng(count), intr=K, count=count)
+    pairs = sc.select_pairs(rays)
+    exhaustive = len(pairs[0]) == count * (count - 1) // 2
+    assert exhaustive == (count <= sc.MAX_EXHAUSTIVE_PAIR_POINTS)
+    residual, jacobian, plus = sc._cosine_model(uv, pairs)
+    state = LMState(np.array([1040.0, 960.0, 548.0, 470.0, -1.5]))
+    J = jacobian(state)
+    h = 1e-2  # pixels, for every parameter
+    J_fd = np.column_stack([(residual(plus(state, e)) - residual(plus(state, -e))) / (2.0 * h)
+                            for e in np.eye(5) * h])
+    assert J.shape == (len(pairs[2]), 5)
+    deviation = np.max(np.abs(J - J_fd), axis=0) / np.max(np.abs(J), axis=0)
+    assert np.all(deviation < 1e-6), deviation
 
 
 def reference_pairs(count):
