@@ -438,10 +438,10 @@ def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarra
     """Hartley isotropic normalization of each padded point set (N, n, 2).
 
     Centroid to origin, mean distance sqrt(2), over the points where `mask`
-    (N, n) is true; returns (N, 3, 3).
+    (N, n) is true, the padding being zero; returns (N, 3, 3).
     """
     count = mask.sum(axis=1)
-    centroid = np.sum(points * mask[..., None], axis=1) / count[:, None]
+    centroid = points.sum(axis=1) / count[:, None]
     dist = np.linalg.norm(points - centroid[:, None], axis=2)
     mean_dist = np.sum(dist * mask, axis=1) / count
     # Coincident points keep unit scale; the DLT's rank check rejects them.

@@ -68,9 +68,13 @@ def _load(path):
                               f"column {exc.colno}: {exc.msg}") from exc
 
 
-def _require(payload, key, path):
+def _require(payload, key, path, kind=None):
+    """payload[key]; FileFormatError if it is missing or, given `kind`, not one."""
     if key not in payload:
         raise FileFormatError(f"{path}: missing required key '{key}'")
+    if kind is not None and not isinstance(payload[key], kind):
+        raise FileFormatError(f"{path}: {key} must be "
+                              f"{'an object' if kind is dict else 'a list of objects'}")
     return payload[key]
 
 
@@ -195,13 +199,16 @@ def write_observation_file(path, observations: ObservationSet, *,
 
 @_reader
 def read_observation_file(payload, path) -> ObservationFile:
-    target_block = _require(payload, "target", path)
+    target_block = _require(payload, "target", path, dict)
     ids, xy = _point_rows(_require(target_block, "points", path), ("x", "y"),
                           f"{path}: bad target points")
     target = PlanarTarget(ids=ids, xy=xy)
 
     images, names = [], []
-    for k, block in enumerate(_require(payload, "images", path)):
+    for k, block in enumerate(_require(payload, "images", path, list)):
+        if not isinstance(block, dict):
+            raise FileFormatError(f"{path}: bad image {k} (image_{k:03d}): "
+                                  f"images must be a list of objects")
         names.append(str(block.get("name", f"image_{k:03d}")))
         where = f"{path}: bad points in image {k} ({names[-1]})"
         ids, uv = _point_rows(_require(block, "points", path), ("u", "v"), where)
@@ -217,7 +224,7 @@ def read_observation_file(payload, path) -> ObservationFile:
 
     ground_truth = None
     if "ground_truth" in payload:
-        block = payload["ground_truth"]
+        block = _require(payload, "ground_truth", path, dict)
         t_cp = np.array(_require(block, "t_cp", path), dtype=float)
         if t_cp.shape != (3,) or not np.all(np.isfinite(t_cp)):
             raise FileFormatError(f"{path}: ground truth t_cp must be finite and hold "
@@ -230,7 +237,7 @@ def read_observation_file(payload, path) -> ObservationFile:
                     f"{path}: ground truth rotations_axis_angle must be finite and hold "
                     f"one 3-vector per image ({len(observations)}), got shape {rotations.shape}")
         ground_truth = GroundTruth(
-            intrinsics=_intrinsics_from(_require(block, "intrinsics", path), path),
+            intrinsics=_intrinsics_from(_require(block, "intrinsics", path, dict), path),
             distortion=_distortion_from(block, path), t_cp=t_cp, rotations=rotations)
     return ObservationFile(observations=observations, image_names=tuple(names),
                            image_size=image_size, ground_truth=ground_truth)
@@ -248,7 +255,7 @@ def write_camera_file(path, intrinsics: CameraIntrinsics, distortion: Distortion
 
 @_reader
 def read_camera_file(payload, path):
-    intr = _intrinsics_from(_require(payload, "intrinsics", path), path)
+    intr = _intrinsics_from(_require(payload, "intrinsics", path, dict), path)
     return intr, _distortion_from(payload, path)
 
 
@@ -266,8 +273,8 @@ def write_ray_database(path, database: RayDatabase) -> None:
 
 @_reader
 def read_ray_database(payload, path) -> RayDatabase:
-    provenance = _require(payload, "provenance", path)
-    intr = _intrinsics_from(_require(provenance, "intrinsics", path), path)
+    provenance = _require(payload, "provenance", path, dict)
+    intr = _intrinsics_from(_require(provenance, "intrinsics", path, dict), path)
     dist = _distortion_from(provenance, path)
     ids, rays = _point_rows(_require(payload, "rays", path), ("x", "y", "z"),
                             f"{path}: bad rays")
@@ -288,7 +295,7 @@ def read_synthetic_config(payload, path) -> SyntheticConfig:
     if "image_size" in payload:
         kwargs["image_size"] = _image_size(payload["image_size"], path)
     if "target" in payload:
-        t = payload["target"]
+        t = _require(payload, "target", path, dict)
         kwargs["target"] = TargetGrid(rows=t.get("rows", 8), cols=t.get("cols", 11),
                                       spacing=float(t.get("spacing_mm", 30.0)))
     if "target_offset" in payload:

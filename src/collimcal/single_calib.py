@@ -115,9 +115,10 @@ def select_pairs(rays: np.ndarray):
         partners = np.array([rng.choice(count - 1, size=SUBSAMPLED_PARTNERS, replace=False)
                              for _ in range(count)])
         partners += partners >= np.arange(count)[:, None]  # skip the point itself
-        pairs = np.column_stack([np.repeat(np.arange(count), SUBSAMPLED_PARTNERS),
-                                 partners.ravel()])
-        i, j = np.unique(np.sort(pairs, axis=1), axis=0).T
+        rows, cols = np.repeat(np.arange(count), SUBSAMPLED_PARTNERS), partners.ravel()
+        # Each pair once, in (i, j) order: the unique keys i * count + j, i < j.
+        keys = np.minimum(rows, cols) * count + np.maximum(rows, cols)
+        i, j = np.divmod(np.unique(keys), count)
     ri, rj = _pair_columns(rays, i, j)
     return i, j, ri[0] * rj[0] + ri[1] * rj[1] + ri[2] * rj[2]
 

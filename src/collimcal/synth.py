@@ -19,6 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -380,11 +381,6 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
     return results
 
 
-def _trial_worker(payload):
-    config, trial_index, arms = payload
-    return trial_index, run_single_trial(config, trial_index, arms)
-
-
 def default_worker_count() -> int:
     env = os.environ.get("COLLIMCAL_THREADS")
     if env:
@@ -400,8 +396,12 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     """Monte Carlo sweep: trial_count paired trials per sweep value and arm.
 
     Returns a list of TrialStats, one per (sweep value, arm), in sweep-major
-    order.  Per-trial failures are recorded as NaN rows; a sweep point raises
-    only if more than half of the trials failed for some arm.
+    order.  Every point's trials run on one process pool per call, handed
+    out in chunks of max(1, trial_count // (4 * workers)); trials are seeded
+    by their index, so neither the worker count nor the chunks change a
+    result.  Per-trial failures are recorded as NaN rows.  Once every point
+    has run, the first point at which more than half of the trials failed
+    for some arm raises CalibrationError.
     """
     arms = tuple(arms)
     for arm in arms:
@@ -410,39 +410,28 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     if workers is None:
         workers = default_worker_count()
 
-    all_stats = []
-    for value in sweep_values:
-        point_config = _config_for(config, sweep_kind, value)
-        truth = point_config.truth_vector()
-        n = point_config.trial_count
-        per_arm_errors = {arm: np.full((n, 10), np.nan) for arm in arms}
-        per_arm_seconds = {arm: np.full(n, np.nan) for arm in arms}
+    points = [(value, _config_for(config, sweep_kind, value)) for value in sweep_values]
+    n = config.trial_count
+    configs = [point for _, point in points for _ in range(n)]
+    indices = list(range(n)) * len(points)
+    if workers > 1 and len(configs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_single_trial, configs, indices, repeat(arms),
+                                     chunksize=max(1, n // (4 * workers))))
+    else:
+        outcomes = list(map(run_single_trial, configs, indices, repeat(arms)))
 
-        payloads = [(point_config, t, arms) for t in range(n)]
-        if workers > 1 and n > 1:
-            # Trials are seeded by their index, so chunks change no result;
-            # they save the parent a hand-off per trial.
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_trial_worker, payloads,
-                                         chunksize=max(1, n // (4 * workers))))
-        else:
-            outcomes = [_trial_worker(p) for p in payloads]
-
-        for trial_index, result in outcomes:
-            for arm, (row, seconds) in result.items():
-                if row is not None:
-                    per_arm_errors[arm][trial_index] = row
-                per_arm_seconds[arm][trial_index] = seconds
-
+    all_stats, failures = [], []
+    for p, (value, point_config) in enumerate(points):
         for arm in arms:
-            fails = int(np.sum(np.all(np.isnan(per_arm_errors[arm]), axis=1)))
+            rows, seconds = zip(*(result[arm] for result in outcomes[p * n:(p + 1) * n]))
+            trials = np.array([np.full(10, np.nan) if row is None else row for row in rows])
+            fails = int(np.sum(np.all(np.isnan(trials), axis=1)))
             if fails > n // 2:
-                raise errors.CalibrationError(
-                    f"sweep point {value} arm {arm}: {fails}/{n} trials failed")
-            solver, stage = _ARM_LABELS[arm]
-            all_stats.append(TrialStats(sweep_value=float(value), solver=solver,
-                                        stage=stage, truth=truth,
-                                        trials=per_arm_errors[arm],
-                                        seconds=per_arm_seconds[arm],
-                                        fail_count=fails))
+                failures.append(f"sweep point {value} arm {arm}: {fails}/{n} trials failed")
+            all_stats.append(TrialStats(float(value), *_ARM_LABELS[arm],
+                                        truth=point_config.truth_vector(), trials=trials,
+                                        seconds=np.array(seconds), fail_count=fails))
+    if failures:
+        raise errors.CalibrationError(failures[0])
     return all_stats

@@ -173,6 +173,11 @@ def edited_copy(path, out, keys, value):
     ("observations", ("image_size",), [0, -5]),
     ("observations", ("image_size",), [1080.9, 960]),
     ("observations", ("images",), 5),
+    ("observations", ("images",), {"image_000": []}),
+    ("observations", ("images",), "image_000"),
+    ("observations", ("images",), [1, 2, 3]),
+    ("observations", ("target",), 5),
+    ("observations", ("ground_truth",), [1]),
     ("config", ("distortion",), [0.1]),
     ("config", ("target",), 5),
     ("config", ("image_count",), 3.9),
@@ -189,7 +194,8 @@ def edited_copy(path, out, keys, value):
     ("database", ("rays", 5, 0), 5.5),
 ], ids=["truth-distortion", "truth-t_cp", "truth-t_cp-2", "truth-rotations-ragged",
         "truth-rotations-count", "image_size", "image_size-nonpositive",
-        "image_size-fraction", "images", "config-distortion", "config-target",
+        "image_size-fraction", "images", "images-object", "images-string",
+        "images-numbers", "target", "truth", "config-distortion", "config-target",
         "config-image-count-fraction", "config-image_size-fraction",
         "config-image_size-overflow", "config-radius-overflow", "point-id-fraction",
         "point-id-bool", "point-extra-entry", "point-string-coordinate",
@@ -215,6 +221,10 @@ def test_malformed_file_exit_2(sim_file, tmp_path, capsys, request, kind, keys, 
     assert str(bad) in err
     if keys[0] == "images" and len(keys) > 1:
         assert f"image {keys[1]} (image_{keys[1]:03d})" in err
+    if keys in (("images",), ("target",), ("ground_truth",)):
+        assert f"{keys[0]} must be {'a list of' if keys[0] == 'images' else 'an'} object" in err
+    if keys == ("images",) and isinstance(value, list):
+        assert "bad image 0 (image_000)" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

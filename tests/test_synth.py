@@ -302,6 +302,27 @@ def test_monte_carlo_parallel_matches_serial():
                                          workers=workers)[0]
         assert serial.trials.tobytes() == parallel.trials.tobytes()
         assert serial.fail_count == parallel.fail_count
+    # A 3-point sweep runs on one pool and must equal three one-point serial calls.
+    cfg = synth.default_config(trial_count=5)
+    values = [0.5, 3.0, 1.0]
+    serial = [s for v in values for s in synth.run_monte_carlo(
+        cfg, "noise", [v], arms=("ours", "zhang"), workers=1)]
+    for workers in (2, 3):
+        parallel = synth.run_monte_carlo(cfg, "noise", values, arms=("ours", "zhang"),
+                                         workers=workers)
+        assert [(s.sweep_value, s.solver) for s in parallel] == \
+            [(s.sweep_value, s.solver) for s in serial]
+        for a, b in zip(serial, parallel):
+            assert a.trials.tobytes() == b.trials.tobytes()
+            assert a.fail_count == b.fail_count
+
+
+def test_monte_carlo_failing_middle_point_raises_after_the_sweep():
+    # At 50 px 6 of 8 three-image closed forms fail.  The check runs once every
+    # point is done and names the middle one.
+    cfg = synth.default_config(image_count=3, trial_count=8)
+    with pytest.raises(errors.CalibrationError, match=r"sweep point 50\.0 arm ours: 6/8"):
+        synth.run_monte_carlo(cfg, "noise", [0.5, 50.0, 1.0], arms=("ours",), workers=2)
 
 
 def test_monte_carlo_noise_trend():
