@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .core_geom import (
     CameraIntrinsics,
     Distortion,
-    ImagePoints,
     ObservationSet,
     PlanarTarget,
     back_project,
@@ -56,8 +55,7 @@ from .synth import (
 )
 
 __all__ = [
-    "CameraIntrinsics", "Distortion", "ImagePoints",
-    "ObservationSet", "PlanarTarget",
+    "CameraIntrinsics", "Distortion", "ObservationSet", "PlanarTarget",
     "back_project", "decompose_homography",
     "estimate_homography", "project",
     "DegeneracyReport", "SphericalExtrinsics",

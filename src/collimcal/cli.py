@@ -86,7 +86,7 @@ def cmd_simulate(args) -> int:
     fileio.write_observation_file(args.out, observations,
                                   image_size=config.image_size, ground_truth=truth)
     print(f"wrote {args.out}: {len(observations)} images, "
-          f"{sum(len(im) for im in observations.images)} points")
+          f"{len(observations.ids)} points")
     return EXIT_OK
 
 
@@ -114,9 +114,8 @@ def cmd_calibrate(args) -> int:
     ext = None
     if args.mode == "single":
         database = fileio.read_ray_database(args.reference)
-        image = observations.images[0]
         result = calibrate_single_image(
-            image.ids, image.uv, database,
+            observations.ids, observations.uv, database,
             image_width=data.image_size[0], image_height=data.image_size[1],
             refine_distortion=not args.no_refine)
         intr, dist = result.intrinsics, result.distortion
@@ -170,8 +169,7 @@ def cmd_build_db(args) -> int:
         raise fileio.FileFormatError(
             f"reference file must hold exactly 1 image, got {len(data.observations)}")
     intr, dist = fileio.read_camera_file(args.ref_cam)
-    image = data.observations.images[0]
-    database = build_ray_database(image.ids, image.uv, intr, dist)
+    database = build_ray_database(data.observations.ids, data.observations.uv, intr, dist)
     fileio.write_ray_database(args.out, database)
     print(f"wrote {args.out}: {len(database)} rays")
     return EXIT_OK

@@ -207,11 +207,6 @@ def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _has_duplicates(ids: np.ndarray) -> bool:
-    s = np.sort(ids)
-    return bool((s[1:] == s[:-1]).any())
-
-
 @dataclass(frozen=True)
 class PlanarTarget:
     """Known planar pattern: integer point ids and their (X, Y) mm positions, Z = 0."""
@@ -226,7 +221,8 @@ class PlanarTarget:
             raise ValueError("ids and xy must have the same length")
         if not np.isfinite(xy).all():
             raise ValueError("target coordinates must be finite")
-        if _has_duplicates(ids):
+        sorted_ids = np.sort(ids)
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise ValueError("target point ids must be unique")
         if len(ids) < 4:
             raise ValueError("target needs at least 4 points")
@@ -254,75 +250,63 @@ class PlanarTarget:
         return self.xy[rows]
 
 
-@dataclass(frozen=True)
-class ImagePoints:
-    """Observed pixels of one image, keyed by target point id."""
-
-    ids: np.ndarray
-    uv: np.ndarray
-
-    def __post_init__(self):
-        ids = np.atleast_1d(np.asarray(self.ids, dtype=int))
-        uv = np.asarray(self.uv, dtype=float).reshape(-1, 2)
-        if ids.shape[0] != uv.shape[0]:
-            raise ValueError("ids and uv must have the same length")
-        if not np.isfinite(uv).all():
-            raise ValueError("pixel coordinates must be finite")
-        if _has_duplicates(ids):
-            raise ValueError("observed point ids must be unique within an image")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "uv", uv)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """A planar target plus per-image pixel observations of it.
+    """A planar target plus the pixels observed of it in N images.
 
-    The observations are also kept stacked, image after image, in read-only
-    arrays: `xy` (M, 2) the target point and `uv` (M, 2) the pixel of each,
-    and `counts` (N,) how many each image has.
+    The observations are stacked, image after image, in read-only copies:
+    `ids` (M,) the target point id and `uv` (M, 2) the pixel of each, and
+    `counts` (N,) how many each image has; `xy` (M, 2) is the target point
+    of each id.  Every image holds at least MIN_IMAGE_POINTS finite pixels
+    of distinct ids on the target.
     """
 
     target: PlanarTarget
-    images: tuple
-    xy: np.ndarray = field(init=False, repr=False, compare=False)
-    uv: np.ndarray = field(init=False, repr=False, compare=False)
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    ids: np.ndarray
+    uv: np.ndarray
+    counts: np.ndarray
+    xy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        images = tuple(self.images)
-        for k, im in enumerate(images):
-            if not isinstance(im, ImagePoints):
-                raise TypeError("images must be ImagePoints instances")
-            if len(im) < MIN_IMAGE_POINTS:
-                raise ValueError(f"image {k} has fewer than {MIN_IMAGE_POINTS} observed points")
-        counts = np.array([len(im) for im in images], dtype=int)
-        ids = np.concatenate([np.zeros(0, dtype=int)] + [im.ids for im in images])
+        ids = np.array(self.ids, dtype=int).reshape(-1)
+        uv = np.array(self.uv, dtype=float).reshape(-1, 2)
+        counts = np.array(self.counts, dtype=int).reshape(-1)
+        if not len(ids) == len(uv) == counts.sum():
+            raise ValueError(f"counts add up to {counts.sum()} points, but there are "
+                             f"{len(ids)} ids and {len(uv)} pixels")
+        short = np.flatnonzero(counts < MIN_IMAGE_POINTS)
+        if len(short):
+            raise ValueError(f"image {short[0]} has fewer than {MIN_IMAGE_POINTS} "
+                             f"observed points")
+        image = np.repeat(np.arange(len(counts)), counts)
+        bad = ~np.isfinite(uv).all(axis=1)
+        if bad.any():
+            raise ValueError(f"image {image[np.argmax(bad)]} has non-finite pixel coordinates")
         rows, found = self.target._rows(ids)
         if not np.all(found):
-            image = np.repeat(np.arange(len(images)), counts)
-            k = int(image[np.argmin(found)])
+            k = image[np.argmin(found)]
             raise ValueError(f"image {k} observes ids not on the target: "
                              f"{np.unique(ids[~found & (image == k)]).tolist()}")
-        stacked = {"xy": self.target.xy[rows], "counts": counts,
-                   "uv": np.concatenate([np.zeros((0, 2))] + [im.uv for im in images])}
-        for name, value in stacked.items():
+        # Each (image, target row) pair once: sorted, a repeat sits next to its twin.
+        key = np.sort(image * len(self.target.ids) + rows)
+        repeated = np.flatnonzero(key[1:] == key[:-1])
+        if len(repeated):
+            k, row = divmod(int(key[repeated[0]]), len(self.target.ids))
+            raise ValueError(f"image {k} observes point id {self.target.ids[row]} "
+                             f"more than once")
+        for name, value in {"ids": ids, "uv": uv, "counts": counts,
+                            "xy": self.target.xy[rows]}.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "images", images)
 
     def __len__(self) -> int:
-        return len(self.images)
+        return len(self.counts)
 
     @cached_property
     def homography_fit(self) -> "HomographyFit":
         """Every image's homography from one batched DLT, fitted on first use.
 
-        The solvers and the baseline all read this one result; the images
-        must not be modified after it is first read.
+        The solvers and the baseline all read this one result.
         """
         return _fit_observations(self)
 

@@ -20,7 +20,6 @@ from . import __version__
 from .core_geom import (
     CameraIntrinsics,
     Distortion,
-    ImagePoints,
     ObservationSet,
     PlanarTarget,
     axis_angle_from_rotation_matrix,
@@ -111,7 +110,7 @@ def _point_rows(rows, fields, where):
     """Ids (n,) and coordinates (n, len(fields)) of the point rows [id, *fields].
 
     A row must be a list of an integer id (not a bool, a float or a string)
-    and len(fields) numbers; anything else raises FileFormatError naming
+    and len(fields) finite numbers; anything else raises FileFormatError naming
     `where`.  Types are checked in bulk, and one flat list is converted.
     """
     width = 1 + len(fields)
@@ -128,9 +127,13 @@ def _point_rows(rows, fields, where):
         raise FileFormatError(f"{where}: every point must be {layout} with an integer "
                               f"id and numbers")
     try:
-        return np.array(ids, dtype=int), np.array(flat, dtype=float).reshape(-1, width)[:, 1:]
+        ids, coordinates = (np.array(ids, dtype=int),
+                            np.array(flat, dtype=float).reshape(-1, width)[:, 1:])
     except OverflowError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
+    if not np.isfinite(coordinates).all():
+        raise FileFormatError(f"{where}: every coordinate must be finite")
+    return ids, coordinates
 
 
 def _image_size(value, path):
@@ -172,16 +175,17 @@ def write_observation_file(path, observations: ObservationSet, *,
         f"image_{k:03d}" for k in range(len(observations))]
     if len(names) != len(observations):
         raise ValueError("image_names length must match the image count")
+    points = [[i, u, v] for i, (u, v) in zip(observations.ids.tolist(),
+                                             observations.uv.tolist())]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "units": {"world": "mm", "image": "pixel"},
         "target": {"points": [[int(i), float(x), float(y)]
                               for i, (x, y) in zip(observations.target.ids,
                                                    observations.target.xy)]},
-        "images": [{"name": name,
-                    "points": [[int(i), float(u), float(v)]
-                               for i, (u, v) in zip(im.ids, im.uv)]}
-                   for name, im in zip(names, observations.images)],
+        "images": [{"name": name, "points": points[end - count:end]}
+                   for name, count, end in zip(names, observations.counts.tolist(),
+                                               np.cumsum(observations.counts).tolist())],
     }
     if image_size is not None:
         payload["image_size"] = [int(image_size[0]), int(image_size[1])]
@@ -204,19 +208,18 @@ def read_observation_file(payload, path) -> ObservationFile:
                           f"{path}: bad target points")
     target = PlanarTarget(ids=ids, xy=xy)
 
-    images, names = [], []
+    ids, uv, names = [np.zeros(0, dtype=int)], [np.zeros((0, 2))], []
     for k, block in enumerate(_require(payload, "images", path, list)):
         if not isinstance(block, dict):
             raise FileFormatError(f"{path}: bad image {k} (image_{k:03d}): "
                                   f"images must be a list of objects")
         names.append(str(block.get("name", f"image_{k:03d}")))
-        where = f"{path}: bad points in image {k} ({names[-1]})"
-        ids, uv = _point_rows(_require(block, "points", path), ("u", "v"), where)
-        try:
-            images.append(ImagePoints(ids=ids, uv=uv))
-        except ValueError as exc:
-            raise FileFormatError(f"{where}: {exc}") from exc
-    observations = ObservationSet(target=target, images=tuple(images))
+        rows = _point_rows(_require(block, "points", path), ("u", "v"),
+                           f"{path}: bad points in image {k} ({names[-1]})")
+        ids.append(rows[0])
+        uv.append(rows[1])
+    observations = ObservationSet(target, np.concatenate(ids), np.concatenate(uv),
+                                  list(map(len, ids[1:])))
 
     image_size = None
     if "image_size" in payload:
@@ -312,8 +315,10 @@ def read_synthetic_config(payload, path) -> SyntheticConfig:
 
 @_reader
 def read_sweep_values(payload, path, sweep: str):
-    custom = payload.get("sweep_values", {})
+    custom = _require(payload, "sweep_values", path, dict) if "sweep_values" in payload else {}
     if sweep in custom:
+        if not isinstance(custom[sweep], list) or not custom[sweep]:
+            raise FileFormatError(f"{path}: sweep_values {sweep} must be a non-empty list")
         values = [float(v) for v in custom[sweep]]
         if not all(np.isfinite(v) and v >= 0 for v in values):
             raise FileFormatError(f"{path}: {sweep} sweep values must be finite and "

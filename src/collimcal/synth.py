@@ -28,7 +28,6 @@ from .core_geom import (
     MIN_IMAGE_POINTS,
     CameraIntrinsics,
     Distortion,
-    ImagePoints,
     ObservationSet,
     PlanarTarget,
     checked_rotations,
@@ -105,8 +104,9 @@ class SyntheticConfig:
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         for name in ("image_count", "trial_count", "rng_seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.image_count < 1 or self.trial_count < 1:
             raise ValueError("counts must be at least 1")
         if self.pixel_noise_sigma < 0 or self.spherical_noise_sigma < 0:
@@ -228,8 +228,9 @@ def make_scene(config: SyntheticConfig, rng: np.random.Generator):
             raise errors.PoseSamplingFailed(
                 f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {MIN_IMAGE_POINTS} "
                 f"target points in front of the camera and inside the image")
-    images = tuple(ImagePoints(ids=target.ids[k], uv=pixels[k]) for pixels, k in zip(uv, keep))
-    return (checked_rotations(R), centers), ObservationSet(target, images)
+    observations = ObservationSet(target, target.ids[np.nonzero(keep)[1]], uv[keep],
+                                  keep.sum(axis=1))
+    return (checked_rotations(R), centers), observations
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 # One BLAS thread, set before numpy loads: the problems are small, and the
 # Monte Carlo pool's workers oversubscribe the cores with more.
@@ -7,6 +8,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from collimcal import synth
 from collimcal.core_geom import (
@@ -14,6 +16,10 @@ from collimcal.core_geom import (
     _with_scale_convention,
     rotation_matrix_from_axis_angle,
 )
+
+# Hypothesis caches the constants it reads from the tested source in its home
+# directory, which defaults to the working one.
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "collimcal-hypothesis"))
 
 
 def scene(seed=0, trial=0, **overrides):
@@ -24,9 +30,29 @@ def scene(seed=0, trial=0, **overrides):
     return config, poses, observations
 
 
+def split_images(observations):
+    """Every image's (ids (n,), pixels (n, 2)) of an observation set, in order."""
+    ends = np.cumsum(observations.counts)
+    return [(observations.ids[end - count:end], observations.uv[end - count:end])
+            for count, end in zip(observations.counts, ends)]
+
+
+def stack_images(target, images):
+    """The ObservationSet of the images given as (ids, pixels) pairs."""
+    images = list(images)
+    ids = [np.zeros(0, dtype=int)] + [ids for ids, _ in images]
+    uv = [np.zeros((0, 2))] + [uv for _, uv in images]
+    return ObservationSet(target, np.concatenate(ids), np.concatenate(uv), list(map(len, ids[1:])))
+
+
+def pick_images(observations, indices):
+    """The set of the images of `observations` at `indices`, repeats allowed."""
+    images = split_images(observations)
+    return stack_images(observations.target, [images[k] for k in indices])
+
+
 def first_images(observations, count):
-    return ObservationSet(target=observations.target,
-                          images=observations.images[:count])
+    return pick_images(observations, range(count))
 
 
 def motion_matrix(R, t_cp):

@@ -16,8 +16,6 @@ from collimcal import single_calib as sc
 from collimcal.core_geom import (
     CameraIntrinsics,
     Distortion,
-    ImagePoints,
-    ObservationSet,
     axis_angle_from_rotation_matrix,
     project,
 )
@@ -28,6 +26,8 @@ from conftest import (
     motion_matrix,
     rotation_from_axis_angle,
     scene,
+    split_images,
+    stack_images,
 )
 
 TRUE_K = CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0, 0.01)
@@ -205,8 +205,8 @@ def render_rotations(rotations):
     for rot in rotations:
         uv = project(config.intrinsics, config.distortion, rot,
                      -rot @ config.t_cp, points)
-        images.append(ImagePoints(ids=target.ids, uv=uv))
-    return ObservationSet(target=target, images=tuple(images))
+        images.append((target.ids, uv))
+    return stack_images(target, images)
 
 
 def test_criterion_6_degeneracy():
@@ -232,7 +232,8 @@ def test_criterion_6_degeneracy():
     # same pixels; rendered as the same spherical pose twice.
     pose = random_rotation()
     obs = render_rotations([pose, pose])
-    delta = float(np.max(np.abs(obs.images[0].uv - obs.images[1].uv)))
+    (_, uv_a), (_, uv_b) = split_images(obs)
+    delta = float(np.max(np.abs(uv_a - uv_b)))
     translation_report = ms.detect_degeneracy(obs)
     translation_ok = delta < 1e-9 and (0, 1) in translation_report.pure_translation_pairs
 
@@ -335,7 +336,7 @@ def single_image_database(ref_K, seed):
                                      image_count=1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     (R, _), obs = synth.make_scene(cfg, rng)
-    db = sc.build_ray_database(obs.images[0].ids, obs.images[0].uv,
+    db = sc.build_ray_database(obs.ids, obs.uv,
                                ref_K, Distortion(0.0, 0.0))
     return db, R[0]
 
@@ -349,8 +350,7 @@ def test_criterion_8_single_image_pipeline():
     cal_cfg = synth.default_config(image_count=1)
     rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(0,)))
     (cal_R, _), cal_obs = synth.make_scene(cal_cfg, rng)
-    image = cal_obs.images[0]
-    result = sc.calibrate_single_image(image.ids, image.uv, db,
+    result = sc.calibrate_single_image(cal_obs.ids, cal_obs.uv, db,
                                        image_width=1080, image_height=960)
     worst_rel = max(rel_err(result.intrinsics.fx, 1000.0),
                     rel_err(result.intrinsics.fy, 1000.0),
@@ -369,7 +369,7 @@ def test_criterion_8_single_image_pipeline():
                                          pixel_noise_sigma=0.5)
         rng = np.random.default_rng(np.random.SeedSequence(43, spawn_key=(trial,)))
         _, obs = synth.make_scene(cfg, rng)
-        res = sc.calibrate_single_image(obs.images[0].ids, obs.images[0].uv, db,
+        res = sc.calibrate_single_image(obs.ids, obs.uv, db,
                                         image_width=1080, image_height=960)
         focal_errors.append(0.5 * (rel_err(res.intrinsics.fx, 1000.0)
                                    + rel_err(res.intrinsics.fy, 1000.0)))

@@ -3,11 +3,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from collimcal import fileio, synth
 from collimcal.cli import main
-from collimcal.core_geom import CameraIntrinsics, Distortion
-from conftest import rotation_from_axis_angle
+from collimcal.core_geom import MIN_IMAGE_POINTS, CameraIntrinsics, Distortion, PlanarTarget
+from conftest import rotation_from_axis_angle, stack_images
 
 
 def write_config(path, **overrides):
@@ -34,7 +36,7 @@ def sim_file(tmp_path):
 def test_simulate_writes_paper_scene(sim_file):
     data = fileio.read_observation_file(sim_file)
     assert len(data.observations) == 15
-    assert all(len(im) <= 88 for im in data.observations.images)
+    assert data.observations.counts.max() <= 88
     assert data.ground_truth.intrinsics.fx == 1000.0
     assert data.image_size == (1080, 960)
 
@@ -184,6 +186,11 @@ def edited_copy(path, out, keys, value):
     ("config", ("image_size",), [1080.9, 960]),
     ("config", ("image_size",), [10 ** 400, 960]),
     ("config", ("radius",), 10 ** 400),
+    ("config", ("image_count",), True),
+    ("config", ("rng_seed",), False),
+    ("config", ("trial_count",), True),
+    ("benchmark", ("sweep_values",), [0.5]),
+    ("benchmark", ("sweep_values",), {"noise": []}),
     # Point k of every image, and ray k, carry id k: int() would have
     # truncated each of these ids back to the row's own.
     ("observations", ("images", 4, "points", 7, 0), 7.9),
@@ -197,14 +204,19 @@ def edited_copy(path, out, keys, value):
         "image_size-fraction", "images", "images-object", "images-string",
         "images-numbers", "target", "truth", "config-distortion", "config-target",
         "config-image-count-fraction", "config-image_size-fraction",
-        "config-image_size-overflow", "config-radius-overflow", "point-id-fraction",
+        "config-image_size-overflow", "config-radius-overflow", "config-image-count-bool",
+        "config-rng-seed-bool", "config-trial-count-bool", "sweep-values-list",
+        "sweep-values-empty", "point-id-fraction",
         "point-id-bool", "point-extra-entry", "point-string-coordinate",
         "target-id-fraction", "database-id-fraction"])
 def test_malformed_file_exit_2(sim_file, tmp_path, capsys, request, kind, keys, value):
     bad = tmp_path / "bad.json"
-    if kind == "config":
+    if kind in ("config", "benchmark"):
         edited_copy(tmp_path / "cfg.json", bad, keys, value)
-        argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "x.json")]
+        command = "simulate" if kind == "config" else "benchmark"
+        argv = [command, "--config", str(bad), "--out", str(tmp_path / "x.out")]
+        if kind == "benchmark":
+            argv += ["--sweep", "noise"]
     elif kind == "database":
         edited_copy(request.getfixturevalue("reference_db"), bad, keys, value)
         cal_obs = tmp_path / "cal_obs.json"
@@ -395,6 +407,41 @@ def test_database_round_trip_bit_identical(reference_db, tmp_path):
     copy = tmp_path / "copy.json"
     fileio.write_ray_database(copy, db)
     assert copy.read_bytes() == reference_db.read_bytes()
+
+
+@st.composite
+def observation_sets(draw):
+    """A target of 4 to 12 points and up to 4 images of uneven, permuted subsets of it."""
+    size = draw(st.integers(4, 12))
+    ids = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=size, max_size=size,
+                        unique=True))
+    mm = st.floats(-1e4, 1e4)
+    try:
+        target = PlanarTarget(ids, draw(st.lists(st.tuples(mm, mm), min_size=size,
+                                                 max_size=size)))
+    except ValueError:
+        reject()  # collinear points
+    pixel = st.floats(allow_nan=False, allow_infinity=False)
+    images = []
+    for _ in range(draw(st.integers(0, 4))):
+        seen = draw(st.permutations(ids))[:draw(st.integers(MIN_IMAGE_POINTS, size))]
+        uv = draw(st.lists(st.tuples(pixel, pixel), min_size=len(seen), max_size=len(seen)))
+        images.append((np.array(seen), np.array(uv)))
+    return stack_images(target, images)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(observation_sets())
+def test_observation_file_round_trip_bit_identical(tmp_path_factory, obs):
+    first = tmp_path_factory.mktemp("round_trip") / "first.json"
+    fileio.write_observation_file(first, obs)
+    back = fileio.read_observation_file(first).observations
+    for a, b in ((back.target.ids, obs.target.ids), (back.target.xy, obs.target.xy),
+                 (back.ids, obs.ids), (back.uv, obs.uv), (back.counts, obs.counts)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    second = first.with_name("second.json")
+    fileio.write_observation_file(second, back)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_tampered_database_rejected(reference_db, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from collimcal import core_geom as cg
-from collimcal import errors
+from collimcal import errors, fileio
 from conftest import (
     angular_distance,
     first_images,
@@ -10,6 +10,8 @@ from conftest import (
     identity_rotation,
     rotation_from_axis_angle,
     scene,
+    split_images,
+    stack_images,
 )
 
 TRUE_K = cg.CameraIntrinsics(fx=1000.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01)
@@ -144,39 +146,63 @@ def test_xy_for_looks_up_every_id_at_once():
 
 def test_observation_set_invariants():
     target = cg.PlanarTarget(ids=[0, 1, 2, 3], xy=[[0, 0], [30, 0], [0, 30], [30, 30]])
-    good = cg.ImagePoints(ids=[0, 1, 2, 3], uv=np.zeros((4, 2)))
-    cg.ObservationSet(target=target, images=(good,))
+    zeros = np.zeros((4, 2))
+    good = ([0, 1, 2, 3], zeros)
+    stack_images(target, [good])
+    # One id in two different images is two observations of one point.
+    stack_images(target, [good, ([3, 2, 1, 0], zeros)])
     with pytest.raises(ValueError):
-        cg.ObservationSet(target=target, images=(cg.ImagePoints(ids=[0, 1, 2, 9],
-                                                                uv=np.zeros((4, 2))),))
-    stray = (cg.ImagePoints(ids=[3, 9, 1, 2], uv=np.zeros((4, 2))),
-             cg.ImagePoints(ids=[12, 0, 5, 2], uv=np.zeros((4, 2))))
+        stack_images(target, [([0, 1, 2, 9], zeros)])
+    stray = [([3, 9, 1, 2], zeros), ([12, 0, 5, 2], zeros)]
     with pytest.raises(ValueError, match=r"^image 1 observes ids not on the target: \[9\]$"):
-        cg.ObservationSet(target=target, images=(good,) + stray)
+        stack_images(target, [good] + stray)
     with pytest.raises(ValueError, match=r"^image 1 observes ids not on the target: \[5, 12\]$"):
-        cg.ObservationSet(target=target, images=(good, stray[1]))
-    with pytest.raises(ValueError):
-        cg.ImagePoints(ids=[0, 0, 1, 2], uv=np.zeros((4, 2)))
+        stack_images(target, [good, stray[1]])
+    with pytest.raises(ValueError, match=r"^image 1 observes point id 0 more than once$"):
+        stack_images(target, [good, ([0, 0, 1, 2], zeros)])
+    with pytest.raises(ValueError, match=r"^image 2 has non-finite pixel coordinates$"):
+        stack_images(target, [good, good, ([0, 1, 2, 3], [[0, 0], [0, 0], [np.nan, 0], [0, 0]])])
+    with pytest.raises(ValueError, match=r"^image 1 has fewer than 4 observed points$"):
+        stack_images(target, [good, ([0, 1, 2], zeros[:3]), good])
+    with pytest.raises(ValueError, match=r"^counts add up to 5 points, but there are 4 ids "):
+        cg.ObservationSet(target, [0, 1, 2, 3], zeros, [5])
 
 
 def test_observation_set_stacks_its_images_once():
     obs = dropped_points_scene(4)
     rng = np.random.default_rng(4)
-    shuffled = cg.ObservationSet(target=obs.target, images=tuple(
-        cg.ImagePoints(ids=im.ids[p], uv=im.uv[p])
-        for im in obs.images for p in [rng.permutation(len(im))]))
+    shuffled = stack_images(obs.target, [(ids[p], uv[p]) for ids, uv in split_images(obs)
+                                         for p in [rng.permutation(len(ids))]])
     for subset in (shuffled, first_images(shuffled, 3), first_images(shuffled, 1)):
-        assert subset.counts.tolist() == [len(im) for im in subset.images]
-        ends = np.cumsum(subset.counts)
-        for im, lo, hi in zip(subset.images, ends - subset.counts, ends):
-            assert np.array_equal(subset.xy[lo:hi], subset.target.xy_for(im.ids))
-            assert np.array_equal(subset.uv[lo:hi], im.uv)
-        for stacked in (subset.xy, subset.uv, subset.counts):
-            assert not stacked.flags.writeable
-            with pytest.raises(ValueError):
-                stacked[0] = 0
-    empty = cg.ObservationSet(target=obs.target, images=())
-    assert empty.xy.shape == empty.uv.shape == (0, 2) and empty.counts.shape == (0,)
+        assert subset.counts.tolist() == [len(ids) for ids, _ in split_images(subset)]
+        assert np.array_equal(subset.xy, subset.target.xy_for(subset.ids))
+    assert np.array_equal(shuffled.counts, obs.counts)
+    assert not np.array_equal(shuffled.ids, obs.ids)
+    empty = stack_images(obs.target, [])
+    assert len(empty) == 0
+    assert empty.xy.shape == empty.uv.shape == (0, 2)
+    assert empty.ids.shape == empty.counts.shape == (0,)
+
+
+def test_observation_set_keeps_read_only_copies_of_its_input(tmp_path):
+    obs = dropped_points_scene(5)
+    ids, uv, counts = obs.ids.copy(), obs.uv.copy(), obs.counts.copy()
+    built = cg.ObservationSet(obs.target, ids, uv, counts)
+    ids[[0, 1]] = ids[[1, 0]]
+    uv += 7.0
+    counts[[0, 1]] = counts[[1, 0]] + [1, -1]
+    assert np.array_equal(built.ids, obs.ids) and np.array_equal(built.uv, obs.uv)
+    assert np.array_equal(built.counts, obs.counts)
+    assert np.array_equal(built.homography_fit.matrices, obs.homography_fit.matrices)
+    path = tmp_path / "obs.json"
+    fileio.write_observation_file(path, built)
+    back = fileio.read_observation_file(path).observations
+    for name in ("ids", "uv", "counts", "xy"):
+        assert np.array_equal(getattr(back, name), getattr(obs, name)), name
+        stored = getattr(built, name)
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +321,9 @@ def test_homography_degenerate_inputs_rejected():
         cg.estimate_homography(xy, uv)
     # 11 collinear points of a noisy view: 22 design rows, which go through QR.
     _, _, obs = scene(seed=4, pixel_noise_sigma=1.0)
-    im, row = obs.images[0], np.arange(11)  # the grid's first row
+    (ids, pixels), row = split_images(obs)[0], np.arange(11)  # the grid's first row
     with pytest.raises(errors.DegenerateConfiguration):
-        cg.estimate_homography(obs.target.xy_for(im.ids)[row], im.uv[row])
+        cg.estimate_homography(obs.target.xy_for(ids)[row], pixels[row])
     with pytest.raises(ValueError):
         cg.estimate_homography(xy[:3], uv[:3])
 
@@ -330,9 +356,9 @@ def test_homography_matches_the_design_matrix_null_vector(count):
     # The DLT takes the SVD of the design matrix's R factor; its null vector
     # is the one of the design matrix itself.
     _, _, obs = scene(seed=4, pixel_noise_sigma=1.0)
-    im = obs.images[0]
-    assert len(im) == 88
-    xy, uv = obs.target.xy_for(im.ids), im.uv
+    ids, uv = split_images(obs)[0]
+    assert len(ids) == 88
+    xy = obs.target.xy_for(ids)
     rows = {4: [0, 10, 77, 87], 5: [0, 10, 40, 77, 87]}.get(
         count, np.random.default_rng(count).choice(88, count, replace=False))
     H = cg.estimate_homography(xy[rows], uv[rows])
@@ -388,10 +414,10 @@ def dropped_points_scene(seed):
     _, _, obs = scene(seed=seed, pixel_noise_sigma=0.5)
     rng = np.random.default_rng(seed)
     images = []
-    for im in obs.images:
-        keep = np.sort(rng.choice(len(im), size=rng.integers(8, len(im) + 1), replace=False))
-        images.append(cg.ImagePoints(ids=im.ids[keep], uv=im.uv[keep]))
-    return cg.ObservationSet(target=obs.target, images=tuple(images))
+    for ids, uv in split_images(obs):
+        keep = np.sort(rng.choice(len(ids), size=rng.integers(8, len(ids) + 1), replace=False))
+        images.append((ids[keep], uv[keep]))
+    return stack_images(obs.target, images)
 
 
 def relative_difference(A, B):
@@ -403,8 +429,8 @@ def test_batched_homographies_match_per_image_fits():
     for seed in range(20):
         obs = dropped_points_scene(seed)
         fit = obs.homography_fit
-        for k, im in enumerate(obs.images):
-            xy, uv = obs.target.xy_for(im.ids), im.uv
+        for k, (ids, uv) in enumerate(split_images(obs)):
+            xy = obs.target.xy_for(ids)
             counts.add(len(uv))
             alone = cg.estimate_homography((xy - fit.target_shift) / fit.target_scale,
                                            (uv - fit.pixel_shift) / fit.pixel_scale)

@@ -5,16 +5,16 @@ from collimcal import errors
 from collimcal import multi_solver as ms
 from collimcal.core_geom import (
     CameraIntrinsics,
-    ImagePoints,
-    ObservationSet,
     project,
 )
 from conftest import (
     first_images,
     homography_from_pose,
     motion_matrix,
+    pick_images,
     rotation_from_axis_angle,
     scene,
+    stack_images,
 )
 
 TRUE_K = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01)
@@ -56,8 +56,8 @@ def z_rotated_observation_set(base_rotations, extra_pairs):
     images = []
     for rot in rotations:
         uv = project(TRUE_K, config.distortion, rot, -rot @ TRUE_TCP, points)
-        images.append(ImagePoints(ids=target.ids, uv=uv))
-    return ObservationSet(target=target, images=tuple(images))
+        images.append((target.ids, uv))
+    return stack_images(target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def test_closed_form_noise_statistics_small_sample():
 def test_closed_form_rank_deficient_system_rejected(noiseless_scene):
     # Three copies of one view stack three equal six-row blocks: rank 6 of 11.
     _, _, obs = noiseless_scene
-    tripled = ObservationSet(target=obs.target, images=(obs.images[0],) * 3)
+    tripled = pick_images(obs, [0, 0, 0])
     with pytest.raises(errors.DegenerateConfiguration,
                        match=r"^stacked linear system is rank deficient \(sigma_min/sigma_max = "):
         ms.solve_closed_form(tripled)
@@ -290,8 +290,7 @@ def test_minimal_solver_arity():
 
 def test_minimal_solver_pure_translation_pair_degenerate(noiseless_scene):
     _, _, obs = noiseless_scene
-    duplicated = ObservationSet(target=obs.target,
-                                images=(obs.images[0], obs.images[0]))
+    duplicated = pick_images(obs, [0, 0])
     with pytest.raises((errors.NoRealRoot, errors.NoValidCandidate)):
         ms.solve_minimal(duplicated)
 
@@ -343,8 +342,7 @@ def test_decompose_iac_rejects_indefinite():
 
 def test_detect_identical_images_flagged(noiseless_scene):
     _, _, obs = noiseless_scene
-    duplicated = ObservationSet(target=obs.target,
-                                images=(obs.images[0], obs.images[0], obs.images[1]))
+    duplicated = pick_images(obs, [0, 0, 1])
     report = ms.detect_degeneracy(duplicated)
     assert (0, 1) in report.pure_translation_pairs
     assert report.pure_translation_pairs or report.z_rotation_pairs or report.rank < 11
@@ -363,7 +361,7 @@ def test_degenerate_pairs_match_pairwise_reference():
     # checked entry by entry, as the batched flags must reproduce.
     base = random_spherical_rotations(np.random.default_rng(19), 4)
     twins = z_rotated_observation_set(base, extra_pairs=(0.6, -0.9))
-    obs = ObservationSet(target=twins.target, images=twins.images + (twins.images[2],))
+    obs = pick_images(twins, list(range(len(twins))) + [2])
     H = obs.homography_fit.matrices
     translation, z_rotation = [], []
     for i in range(len(obs)):

@@ -10,14 +10,18 @@ from collimcal.core_geom import (
     MIN_IMAGE_POINTS,
     CameraIntrinsics,
     Distortion,
-    ImagePoints,
-    ObservationSet,
     back_project,
     checked_rotations,
     project,
 )
 from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form
-from conftest import identity_rotation, rotation_from_axis_angle, scene
+from conftest import (
+    identity_rotation,
+    rotation_from_axis_angle,
+    scene,
+    split_images,
+    stack_images,
+)
 
 
 def fd_jacobian(residual, plus, state, h=1e-6):
@@ -275,7 +279,8 @@ def zhang_general_init(obs):
     from collimcal.core_geom import estimate_homography, decompose_homography
     from collimcal.synth import zhang_init
     intr = zhang_init(obs)
-    H = np.array([estimate_homography(obs.target.xy_for(im.ids), im.uv) for im in obs.images])
+    H = np.array([estimate_homography(obs.target.xy_for(ids), uv)
+                  for ids, uv in split_images(obs)])
     R, t, _ = decompose_homography(H, intr)
     return intr, Distortion(0.0, 0.0), (R, t)
 
@@ -542,9 +547,9 @@ def test_block_normal_equations_match_dense(name):
 
 def thinned(observations, keep):
     """`observations` with image k cut to its first keep[k] points."""
-    images = tuple(ImagePoints(ids=im.ids[:keep.get(k)], uv=im.uv[:keep.get(k)])
-                   for k, im in enumerate(observations.images))
-    return ObservationSet(target=observations.target, images=images)
+    return stack_images(observations.target,
+                        [(ids[:keep.get(k)], uv[:keep.get(k)])
+                         for k, (ids, uv) in enumerate(split_images(observations))])
 
 
 def uneven_problems():

@@ -17,7 +17,7 @@ def reference_database(seed=5, ref_distortion=Distortion(0.0, 0.0)):
                                      image_count=1, distortion=ref_distortion)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     (R, _), obs = synth.make_scene(cfg, rng)
-    db = sc.build_ray_database(obs.images[0].ids, obs.images[0].uv,
+    db = sc.build_ray_database(obs.ids, obs.uv,
                                REF_K, ref_distortion)
     return db, R[0]
 
@@ -28,7 +28,7 @@ def calibration_image(seed=6, trial=0, distortion=Distortion(0.0, 0.0), noise=0.
                                      distortion=distortion, pixel_noise_sigma=noise)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
     (R, _), obs = synth.make_scene(cfg, rng)
-    return obs.images[0], R[0]
+    return obs, R[0]
 
 
 def geodesic_angle(Ra, Rb):
