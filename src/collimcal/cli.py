@@ -9,6 +9,7 @@ COLLIMCAL_THREADS environment variable (unset means hardware concurrency).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -201,7 +202,9 @@ def cmd_benchmark(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared for the process."""
     parser = argparse.ArgumentParser(
         prog="collimcal",
         description="Collimator-based camera calibration toolkit")
@@ -210,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic observation file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("calibrate", help="calibrate from an observation file")
     p.add_argument("--in", required=True)
@@ -219,26 +221,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ray database file (single mode)")
     p.add_argument("--no-refine", dest="no_refine", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("build-db", help="build a ray database from a reference image")
     p.add_argument("--ref-obs", dest="ref_obs", required=True)
     p.add_argument("--ref-cam", dest="ref_cam", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_build_db)
 
     p = sub.add_parser("benchmark", help="run a Monte Carlo sweep to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--sweep", required=True, choices=synth.SWEEP_KINDS)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_benchmark)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up by name on every call rather than bound into the shared
+    # parser, so that a wrapped module function (a tracer's, a test's) runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (fileio.FileFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

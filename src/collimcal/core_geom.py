@@ -207,6 +207,21 @@ def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+def integer_array(values, name: str) -> np.ndarray:
+    """`values` flattened to an int array, without a copy where it can.
+
+    ValueError naming `name` if any entry is a bool, a float or a string,
+    rather than truncate it; an empty input passes whatever its dtype,
+    since np.asarray([]) is float.
+    """
+    array = np.asarray(values).reshape(-1)
+    if len(array) and (array.dtype.kind not in "iu" or (
+            isinstance(values, (list, tuple))
+            and any(isinstance(v, (bool, np.bool_)) for v in values))):
+        raise ValueError(f"{name} must be integers, not booleans, floats or strings")
+    return array.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class PlanarTarget:
     """Known planar pattern: integer point ids and their (X, Y) mm positions, Z = 0."""
@@ -215,7 +230,7 @@ class PlanarTarget:
     xy: np.ndarray
 
     def __post_init__(self):
-        ids = np.atleast_1d(np.asarray(self.ids, dtype=int))
+        ids = integer_array(self.ids, "target point ids")
         xy = np.asarray(self.xy, dtype=float).reshape(-1, 2)
         if ids.shape[0] != xy.shape[0]:
             raise ValueError("ids and xy must have the same length")
@@ -243,7 +258,7 @@ class PlanarTarget:
 
     def xy_for(self, ids: np.ndarray) -> np.ndarray:
         """(X, Y) of each given point id, in order; KeyError names an id not on the target."""
-        ids = np.asarray(ids, dtype=int).reshape(-1)
+        ids = integer_array(ids, "point ids")
         rows, found = self._rows(ids)
         if not np.all(found):
             raise KeyError(int(ids[~found][0]))
@@ -268,9 +283,9 @@ class ObservationSet:
     xy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ids = np.array(self.ids, dtype=int).reshape(-1)
+        ids = np.array(integer_array(self.ids, "ids"))
         uv = np.array(self.uv, dtype=float).reshape(-1, 2)
-        counts = np.array(self.counts, dtype=int).reshape(-1)
+        counts = np.array(integer_array(self.counts, "counts"))
         if not len(ids) == len(uv) == counts.sum():
             raise ValueError(f"counts add up to {counts.sum()} points, but there are "
                              f"{len(ids)} ids and {len(uv)} pixels")

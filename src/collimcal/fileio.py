@@ -1,10 +1,13 @@
 """JSON file formats: observations, ray databases, camera files, reports, configs.
 
-One human-readable JSON format covers everything except benchmark output,
-which is CSV.  World coordinates are millimetres and image coordinates are
-pixels throughout; every file carries a schema version.  Writing is
-deterministic (sorted keys, shortest-roundtrip floats), so identical data
-produces byte-identical files.
+One JSON format covers everything except benchmark output, which is CSV.
+World coordinates are millimetres and image coordinates are pixels
+throughout; every file carries a schema version.  Files are written as
+compact, strict JSON on one line (`python -m json.tool` pretty-prints one);
+the readers ignore whitespace, so indented files read the same.  Writing
+is deterministic (sorted keys, shortest-roundtrip floats), so identical
+data produces byte-identical files.  Where a number is expected, the
+readers take a JSON number only, never a boolean or a string.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ class ObservationFile:
 
 def _dump(path, payload) -> None:
     # Serialized before the file is opened, so that a payload JSON cannot
-    # hold (a NaN, say) leaves any file at `path` as it was.
-    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"
+    # hold (a NaN, say) leaves any file at `path` as it was.  No indent:
+    # with one, json falls back from its C encoder to pure Python.
+    text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -88,7 +92,7 @@ def _reader(parse):
         payload = _load(path)
         try:
             version = _require(payload, "schema_version", path)
-            if version != SCHEMA_VERSION:
+            if _number(version, "schema_version", path) != SCHEMA_VERSION:
                 raise FileFormatError(f"{path}: unsupported schema version {version!r}")
             return parse(payload, path, *args)
         except FileFormatError:
@@ -99,11 +103,26 @@ def _reader(parse):
     return read
 
 
-def _pair(value, cast, name, path):
-    """The two entries of a two-element list, each passed through `cast`."""
+def _number(value, name, path) -> float:
+    """A JSON number as a float; FileFormatError for anything else, a bool or a string too."""
+    if type(value) not in (int, float):
+        raise FileFormatError(f"{path}: {name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, name, path) -> np.ndarray:
+    """A JSON number, or a list (of lists) of them, as a float array."""
+    array = np.array(value, dtype=object)
+    if not all(type(v) in (int, float) for v in array.flat):
+        raise FileFormatError(f"{path}: {name} must hold numbers only")
+    return array.astype(float)
+
+
+def _pair(value, name, path):
+    """The two numbers of a two-element list, as floats."""
     if not isinstance(value, list) or len(value) != 2:
         raise FileFormatError(f"{path}: {name} must be a two-element list")
-    return cast(value[0]), cast(value[1])
+    return _number(value[0], name, path), _number(value[1], name, path)
 
 
 def _point_rows(rows, fields, where):
@@ -138,7 +157,7 @@ def _point_rows(rows, fields, where):
 
 def _image_size(value, path):
     """The (width, height) of an image_size entry: two positive integers."""
-    size = _pair(value, float, "image_size", path)
+    size = _pair(value, "image_size", path)
     if not all(v.is_integer() and v > 0 for v in size):
         raise FileFormatError(f"{path}: image_size must be positive integers, got {value}")
     return int(size[0]), int(size[1])
@@ -150,18 +169,18 @@ def intrinsics_payload(intr: CameraIntrinsics) -> dict:
             "gamma": intr.gamma}
 
 
-def _intrinsics_from(payload, path) -> CameraIntrinsics:
-    try:
-        return CameraIntrinsics(fx=float(payload["fx"]), fy=float(payload["fy"]),
-                                cx=float(payload["cx"]), cy=float(payload["cy"]),
-                                gamma=float(payload.get("gamma", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: bad intrinsics block: {exc}") from exc
+def _intrinsics_from(parent, path) -> CameraIntrinsics:
+    """The camera of the parent block's "intrinsics" object; gamma defaults to 0."""
+    block = _require(parent, "intrinsics", path, dict)
+    return CameraIntrinsics(
+        *(_number(_require(block, key, path), f"intrinsics {key}", path)
+          for key in ("fx", "fy", "cx", "cy")),
+        gamma=_number(block.get("gamma", 0.0), "intrinsics gamma", path))
 
 
 def _distortion_from(block, path) -> Distortion:
     """The block's "distortion" pair, (0, 0) when it has none."""
-    return Distortion(*_pair(block.get("distortion", [0.0, 0.0]), float, "distortion", path))
+    return Distortion(*_pair(block.get("distortion", [0.0, 0.0]), "distortion", path))
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +247,19 @@ def read_observation_file(payload, path) -> ObservationFile:
     ground_truth = None
     if "ground_truth" in payload:
         block = _require(payload, "ground_truth", path, dict)
-        t_cp = np.array(_require(block, "t_cp", path), dtype=float)
+        t_cp = _numbers(_require(block, "t_cp", path), "ground truth t_cp", path)
         if t_cp.shape != (3,) or not np.all(np.isfinite(t_cp)):
             raise FileFormatError(f"{path}: ground truth t_cp must be finite and hold "
                                   f"3 numbers, got {t_cp.tolist()}")
         rotations = block.get("rotations_axis_angle")
         if rotations is not None:
-            rotations = np.array(rotations, dtype=float)
+            rotations = _numbers(rotations, "ground truth rotations_axis_angle", path)
             if rotations.shape != (len(observations), 3) or not np.all(np.isfinite(rotations)):
                 raise FileFormatError(
                     f"{path}: ground truth rotations_axis_angle must be finite and hold "
                     f"one 3-vector per image ({len(observations)}), got shape {rotations.shape}")
         ground_truth = GroundTruth(
-            intrinsics=_intrinsics_from(_require(block, "intrinsics", path, dict), path),
+            intrinsics=_intrinsics_from(block, path),
             distortion=_distortion_from(block, path), t_cp=t_cp, rotations=rotations)
     return ObservationFile(observations=observations, image_names=tuple(names),
                            image_size=image_size, ground_truth=ground_truth)
@@ -258,7 +277,7 @@ def write_camera_file(path, intrinsics: CameraIntrinsics, distortion: Distortion
 
 @_reader
 def read_camera_file(payload, path):
-    intr = _intrinsics_from(_require(payload, "intrinsics", path, dict), path)
+    intr = _intrinsics_from(payload, path)
     return intr, _distortion_from(payload, path)
 
 
@@ -277,7 +296,7 @@ def write_ray_database(path, database: RayDatabase) -> None:
 @_reader
 def read_ray_database(payload, path) -> RayDatabase:
     provenance = _require(payload, "provenance", path, dict)
-    intr = _intrinsics_from(_require(provenance, "intrinsics", path, dict), path)
+    intr = _intrinsics_from(provenance, path)
     dist = _distortion_from(provenance, path)
     ids, rays = _point_rows(_require(payload, "rays", path), ("x", "y", "z"),
                             f"{path}: bad rays")
@@ -292,7 +311,7 @@ def read_ray_database(payload, path) -> RayDatabase:
 def read_synthetic_config(payload, path) -> SyntheticConfig:
     kwargs = {}
     if "intrinsics" in payload:
-        kwargs["intrinsics"] = _intrinsics_from(payload["intrinsics"], path)
+        kwargs["intrinsics"] = _intrinsics_from(payload, path)
     if "distortion" in payload:
         kwargs["distortion"] = _distortion_from(payload, path)
     if "image_size" in payload:
@@ -300,13 +319,13 @@ def read_synthetic_config(payload, path) -> SyntheticConfig:
     if "target" in payload:
         t = _require(payload, "target", path, dict)
         kwargs["target"] = TargetGrid(rows=t.get("rows", 8), cols=t.get("cols", 11),
-                                      spacing=float(t.get("spacing_mm", 30.0)))
+                                      spacing=_number(t.get("spacing_mm", 30.0),
+                                                      "spacing_mm", path))
     if "target_offset" in payload:
-        kwargs["target_offset"] = _pair(payload["target_offset"], float,
-                                        "target_offset", path)
+        kwargs["target_offset"] = _pair(payload["target_offset"], "target_offset", path)
     for key in ("radius", "pixel_noise_sigma", "spherical_noise_sigma"):
         if key in payload:
-            kwargs[key] = float(payload[key])
+            kwargs[key] = _number(payload[key], key, path)
     for key in ("image_count", "trial_count", "rng_seed"):
         if key in payload:
             kwargs[key] = payload[key]  # SyntheticConfig refuses a non-integer
@@ -319,7 +338,7 @@ def read_sweep_values(payload, path, sweep: str):
     if sweep in custom:
         if not isinstance(custom[sweep], list) or not custom[sweep]:
             raise FileFormatError(f"{path}: sweep_values {sweep} must be a non-empty list")
-        values = [float(v) for v in custom[sweep]]
+        values = [_number(v, f"{sweep} sweep value", path) for v in custom[sweep]]
         if not all(np.isfinite(v) and v >= 0 for v in values):
             raise FileFormatError(f"{path}: {sweep} sweep values must be finite and "
                                   f"non-negative, got {values}")

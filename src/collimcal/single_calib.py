@@ -22,6 +22,7 @@ from .core_geom import (
     Distortion,
     back_project,
     checked_rotations,
+    integer_array,
     nearest_rotation,
 )
 from .refine import (
@@ -48,7 +49,7 @@ class RayDatabase:
     ref_distortion: Distortion
 
     def __post_init__(self):
-        ids = np.atleast_1d(np.asarray(self.ids, dtype=int))
+        ids = integer_array(self.ids, "database point ids")
         rays = np.asarray(self.rays, dtype=float).reshape(-1, 3)
         if len(ids) != len(rays):
             raise ValueError("ids and rays must have the same length")
@@ -68,7 +69,7 @@ class RayDatabase:
 
         Returns (database rows, positions in `ids`), in the order of `ids`.
         """
-        ids = np.atleast_1d(np.asarray(ids, dtype=int))
+        ids = integer_array(ids, "matched point ids")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("matched point ids must be unique")
         _, db_idx, other_idx = np.intersect1d(self.ids, ids, assume_unique=True,

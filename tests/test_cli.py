@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from collimcal import fileio, synth
-from collimcal.cli import main
+from collimcal import cli, fileio, synth
+from collimcal.cli import build_parser, main
 from collimcal.core_geom import MIN_IMAGE_POINTS, CameraIntrinsics, Distortion, PlanarTarget
 from conftest import rotation_from_axis_angle, stack_images
 
@@ -199,6 +199,22 @@ def edited_copy(path, out, keys, value):
     ("observations", ("images", 4, "points", 7, 1), "500.0"),
     ("observations", ("target", "points", 3, 0), 3.5),
     ("database", ("rays", 5, 0), 5.5),
+    # A JSON boolean or string where a number belongs; float() takes both.
+    ("config", ("pixel_noise_sigma",), True),
+    ("config", ("pixel_noise_sigma",), "0.5"),
+    ("config", ("radius",), "700"),
+    ("config", ("distortion",), [True, 0]),
+    ("config", ("target_offset",), ["150", 105]),
+    ("config", ("intrinsics",), {"fx": "1000", "fy": 1000, "cx": 542, "cy": 478}),
+    ("config", ("schema_version",), True),
+    ("config", ("image_size",), [True, 960]),
+    ("benchmark", ("sweep_values",), {"noise": [True, 0.5]}),
+    ("observations", ("schema_version",), True),
+    ("observations", ("image_size",), [True, 960]),
+    ("observations", ("ground_truth", "intrinsics", "fx"), "1000"),
+    ("observations", ("ground_truth", "t_cp"), ["150", 105, -700]),
+    ("observations", ("ground_truth", "rotations_axis_angle"), [[True, 0, 0]] * 15),
+    ("database", ("provenance", "distortion"), [False, 0]),
 ], ids=["truth-distortion", "truth-t_cp", "truth-t_cp-2", "truth-rotations-ragged",
         "truth-rotations-count", "image_size", "image_size-nonpositive",
         "image_size-fraction", "images", "images-object", "images-string",
@@ -208,7 +224,12 @@ def edited_copy(path, out, keys, value):
         "config-rng-seed-bool", "config-trial-count-bool", "sweep-values-list",
         "sweep-values-empty", "point-id-fraction",
         "point-id-bool", "point-extra-entry", "point-string-coordinate",
-        "target-id-fraction", "database-id-fraction"])
+        "target-id-fraction", "database-id-fraction", "config-sigma-bool",
+        "config-sigma-string", "config-radius-string", "config-distortion-bool",
+        "config-offset-string", "config-fx-string",
+        "config-schema-bool", "config-image_size-bool", "sweep-value-bool",
+        "schema-bool", "image_size-bool", "truth-fx-string", "truth-t_cp-string",
+        "truth-rotations-bool", "database-distortion-bool"])
 def test_malformed_file_exit_2(sim_file, tmp_path, capsys, request, kind, keys, value):
     bad = tmp_path / "bad.json"
     if kind in ("config", "benchmark"):
@@ -310,6 +331,7 @@ def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, valu
     ("benchmark", {"sweep_values": {"spherical": [-5.0]}}, "must be finite and non-negative"),
     ("simulate", {"target": {"spacing_mm": NAN}}, "spacing must be finite"),
     ("simulate", {"target": {"spacing_mm": 0.0}}, "spacing must be finite and positive"),
+    ("simulate", {"target": {"spacing_mm": "30"}}, "spacing_mm must be a number"),
     ("simulate", {"target": {"rows": 1}}, "rows and cols must be integers of at least 2"),
     ("simulate", {"target": {"cols": 2.7}}, "rows and cols must be integers of at least 2"),
     ("simulate", {"image_size": [0, -5]}, "image_size must be positive"),
@@ -319,7 +341,8 @@ def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, valu
     ("simulate", {"trial_count": 2.7}, "trial_count must be an integer"),
     ("simulate", {"rng_seed": 0.5}, "rng_seed must be an integer"),
 ], ids=["sweep-noise-nan", "sweep-images-nan", "sweep-images-fraction", "sweep-images-2",
-        "sweep-spherical-negative", "grid-spacing-nan", "grid-spacing-zero", "grid-rows-1",
+        "sweep-spherical-negative", "grid-spacing-nan", "grid-spacing-zero",
+        "grid-spacing-string", "grid-rows-1",
         "grid-cols-fraction", "image-size-nonpositive", "image-size-fraction",
         "image-size-nan", "image-count-fraction",
         "trial-count-fraction", "rng-seed-fraction"])
@@ -374,21 +397,89 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-def test_no_refine_reports_are_strict_json(sim_file, reference_db, tmp_path):
+def calibrate_each_mode(sim_file, reference_db, tmp_path, tag, *extra):
+    """The report path of one `calibrate` per mode, on the noiseless nimg,
+    minimal and single scenes."""
     inputs = {"nimg": sim_file}
     for mode, count, seed in (("minimal", 2, 3), ("single", 1, 12)):
         cfg = write_config(tmp_path / f"{mode}_cfg.json", image_count=count, rng_seed=seed)
         inputs[mode] = tmp_path / f"{mode}_obs.json"
         assert main(["simulate", "--config", cfg, "--out", str(inputs[mode])]) == 0
+    reports = {}
     for mode, path in inputs.items():
-        out = tmp_path / f"{mode}_report.json"
-        extra = ["--reference", str(reference_db)] if mode == "single" else []
-        assert main(["calibrate", "--in", str(path), "--mode", mode, "--no-refine",
-                     "--out", str(out)] + extra) == 0
+        reports[mode] = tmp_path / f"{mode}_report_{tag}.json"
+        reference = ["--reference", str(reference_db)] if mode == "single" else []
+        assert main(["calibrate", "--in", str(path), "--mode", mode,
+                     "--out", str(reports[mode]), *reference, *extra]) == 0
+    return reports
+
+
+def test_no_refine_reports_are_strict_json(sim_file, reference_db, tmp_path):
+    for mode, out in calibrate_each_mode(sim_file, reference_db, tmp_path, "init",
+                                         "--no-refine").items():
         report = strict_json(out)
         # Noiseless and undistorted, so the initial estimate reprojects exactly.
         assert 0.0 <= report["rms_reprojection_px"] < 1e-6, mode
     assert report["termination"] == "not_run" and report["distortion"] == [0.0, 0.0]
+
+
+def test_every_writer_writes_one_compact_sorted_document(sim_file, reference_db, tmp_path):
+    camera = tmp_path / "camera.json"
+    fileio.write_camera_file(camera, CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0),
+                             Distortion(0.1, -0.2))
+    first = calibrate_each_mode(sim_file, reference_db, tmp_path, "first")
+    second = calibrate_each_mode(sim_file, reference_db, tmp_path, "second")
+    for path in (sim_file, reference_db, camera, *first.values()):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, allow_nan=False) + "\n"
+        assert text.count("\n") == 1
+    for mode in first:
+        assert first[mode].read_bytes() == second[mode].read_bytes(), mode
+
+
+def test_indented_files_read_and_calibrate_the_same(sim_file, reference_db, tmp_path):
+    # Files written with indent=1, as earlier versions wrote them.
+    obs = tmp_path / "indented_obs.json"
+    obs.write_text(json.dumps(json.loads(sim_file.read_text()), indent=1, sort_keys=True))
+    db = tmp_path / "indented_db.json"
+    db.write_text(json.dumps(json.loads(reference_db.read_text()), indent=1, sort_keys=True))
+    compact = fileio.read_observation_file(sim_file)
+    indented = fileio.read_observation_file(obs)
+    for name in ("ids", "uv", "counts", "xy"):
+        assert np.array_equal(getattr(indented.observations, name),
+                              getattr(compact.observations, name))
+    assert indented.ground_truth.intrinsics == compact.ground_truth.intrinsics
+    assert np.array_equal(fileio.read_ray_database(db).rays,
+                          fileio.read_ray_database(reference_db).rays)
+    reports = {}
+    for tag, path in (("compact", sim_file), ("indented", obs)):
+        reports[tag] = tmp_path / f"{tag}_report.json"
+        assert main(["calibrate", "--in", str(path), "--mode", "nimg",
+                     "--out", str(reports[tag])]) == 0
+    reports = {tag: json.loads(path.read_text()) for tag, path in reports.items()}
+    assert reports["indented"].pop("input") == str(obs)
+    assert reports["compact"].pop("input") == str(sim_file)
+    assert reports["indented"] == reports["compact"]
+
+
+def test_one_parser_serves_every_call_without_leaking_arguments(sim_file, tmp_path,
+                                                                 monkeypatch):
+    assert build_parser() is build_parser()
+    init, refined = tmp_path / "init.json", tmp_path / "refined.json"
+    assert main(["calibrate", "--in", str(sim_file), "--mode", "nimg", "--no-refine",
+                 "--out", str(init)]) == 0
+    assert main(["calibrate", "--in", str(sim_file), "--mode", "nimg",
+                 "--out", str(refined)]) == 0
+    assert json.loads(init.read_text())["stage"] == "init"
+    report = json.loads(refined.read_text())
+    assert report["stage"] == "refined"
+    assert report["config_echo"]["no_refine"] is False
+    # A command wrapped after the parser was built is the one that runs.
+    modes = []
+    monkeypatch.setattr(cli, "cmd_calibrate", lambda args: modes.append(args.mode) or 0)
+    assert main(["calibrate", "--in", str(sim_file), "--mode", "minimal",
+                 "--out", str(refined)]) == 0
+    assert modes == ["minimal"]
 
 
 def test_report_that_cannot_be_written_leaves_the_file_unchanged(tmp_path):

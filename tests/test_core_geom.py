@@ -130,6 +130,10 @@ def test_planar_target_invariants():
         cg.PlanarTarget(ids=[0, 1, 2, 3], xy=[[0, 0], [1, 0], [2, 0], [3, 0]])
     t = cg.PlanarTarget(ids=[3, 1, 0, 2], xy=[[0, 0], [1, 0], [0, 1], [1, 1]])
     assert np.allclose(t.xy_for([1, 3]), [[1, 0], [0, 0]])
+    # int() would have truncated these to the distinct ids 0..3.
+    for ids in ([0.5, 1.5, 2.5, 3.5], [True, False, 2, 3], np.array([0.0, 1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError, match=r"^target point ids must be integers"):
+            cg.PlanarTarget(ids=ids, xy=t.xy)
 
 
 def test_xy_for_looks_up_every_id_at_once():
@@ -142,6 +146,8 @@ def test_xy_for_looks_up_every_id_at_once():
     for unknown in (ids.max() + 1, ids.min() - 1, 1):
         with pytest.raises(KeyError):
             t.xy_for(np.append(query, unknown))
+    with pytest.raises(ValueError, match=r"^point ids must be integers"):
+        t.xy_for(query + 0.5)
 
 
 def test_observation_set_invariants():
@@ -166,6 +172,13 @@ def test_observation_set_invariants():
         stack_images(target, [good, ([0, 1, 2], zeros[:3]), good])
     with pytest.raises(ValueError, match=r"^counts add up to 5 points, but there are 4 ids "):
         cg.ObservationSet(target, [0, 1, 2, 3], zeros, [5])
+    # Truncated, each of these would have made a valid set.
+    for ids, counts, name in (([0.7, 1.2, 2, 3], [4], "ids"), ([0, True, 2, 3], [4], "ids"),
+                              (["0", "1", "2", "3"], [4], "ids"),
+                              ([0, 1, 2, 3], [4.9], "counts"),
+                              (np.arange(8), np.array([True, True]) * 4.0, "counts")):
+        with pytest.raises(ValueError, match=rf"^{name} must be integers"):
+            cg.ObservationSet(target, ids, np.zeros((len(ids), 2)), counts)
 
 
 def test_observation_set_stacks_its_images_once():

@@ -84,6 +84,10 @@ def test_database_rejects_duplicates_and_tampering():
     with pytest.raises(ValueError):
         sc.RayDatabase(ids=db.ids, rays=rays,
                        ref_intrinsics=REF_K, ref_distortion=Distortion())
+    for ids in ([0.5, 1.5], [True, 2]):
+        with pytest.raises(ValueError, match=r"^database point ids must be integers"):
+            sc.RayDatabase(ids=ids, rays=db.rays[:2],
+                           ref_intrinsics=REF_K, ref_distortion=Distortion())
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +401,8 @@ def test_match_equals_a_dict_reference_in_the_observed_order():
         assert np.array_equal(db.ids[db_idx], ids[obs_idx])
     with pytest.raises(ValueError, match="unique"):
         db.match([db_ids[0], 7, db_ids[0]])
+    with pytest.raises(ValueError, match="^matched point ids must be integers"):
+        db.match([db_ids[0] + 0.5, 7])
 
 
 def test_pipeline_drops_unmatched_ids():
