@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 invalid input or configuration, 3 solver or
 numeric failure, 4 hard degeneracy.  All commands are deterministic given
 their inputs and seeds; benchmark parallelism is capped by the
-COLLIMCAL_THREADS environment variable (unset means hardware concurrency).
+COLLIMCAL_THREADS environment variable (unset means the number of CPUs the
+process may run on, its CPU affinity).
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from .core_geom import (
     Distortion,
     ObservationSet,
     checked_rotations,
-    project_camera_points,
+    radial_pixels,
     rotation_matrix_from_axis_angle,
 )
 from .multi_solver import SphericalExtrinsics
@@ -138,17 +138,26 @@ class LMState:
 class BlockJacobian:
     """A Jacobian whose rows fall into groups with parameters of their own.
 
-    Row k of `block` holds the derivatives by the `shared` leading
-    parameters, then by the `stride` parameters of the row's own group.
-    Group g owns rows `starts[g]:starts[g + 1]` and the parameters from
-    `shared + g * stride` on; every other entry of the row is zero.  The
-    bundle adjustments' groups are their images, and their `block` is a
-    column-major view.  A dense Jacobian is the form with one group and
-    stride 0.
+    `block` (groups, columns, length) holds group g's rows as the columns of
+    `block[g]`: the derivatives by the `shared` leading parameters, then by
+    the `stride` parameters of the group's own, which start at `shared + g *
+    stride`; every other entry of a row is zero.  `rows`, when given, lists
+    where each row of the Jacobian sits in the flattened (groups, length)
+    grid; the slots it leaves out are padding, which counts with weight zero
+    and is not part of the Jacobian.  Without it the slots are the rows, in
+    order.
+    `weighted`, when given, is a buffer of the shape of `block` that
+    `normal_equations` writes its weighted copy into.
+
+    The bundle adjustments' groups are their images, padded to the largest
+    image, and their `block` and `weighted` are buffers of their problem: a
+    BlockJacobian of theirs is valid until the problem's next Jacobian.  A
+    dense Jacobian is the form with one group, stride 0 and no padding.
     """
     block: np.ndarray
     shared: int
-    starts: np.ndarray
+    rows: np.ndarray | None = None
+    weighted: np.ndarray | None = None
 
     @property
     def stride(self) -> int:
@@ -156,49 +165,40 @@ class BlockJacobian:
 
     @property
     def shape(self) -> tuple:
-        return len(self.block), self.shared + self.stride * (len(self.starts) - 1)
+        n, _, length = self.block.shape
+        size = n * length if self.rows is None else len(self.rows)
+        return size, self.shared + self.stride * n
 
     def toarray(self) -> np.ndarray:
-        J = np.zeros(self.shape)
-        J[:, :self.shared] = self.block[:, :self.shared]
-        for g, (lo, hi) in enumerate(zip(self.starts[:-1], self.starts[1:])):
-            own = self.shared + g * self.stride
-            J[lo:hi, own:own + self.stride] = self.block[lo:hi, self.shared:]
-        return J
+        n, _, length = self.block.shape
+        s, k = self.shared, self.stride
+        J = np.zeros((n, length, self.shape[1]))
+        J[:, :, :s] = self.block[:, :s].transpose(0, 2, 1)
+        for g in range(n):
+            J[g, :, s + g * k:s + (g + 1) * k] = self.block[g, s:].T
+        J = J.reshape(n * length, -1)
+        return J if self.rows is None else J[self.rows]
 
     def normal_equations(self, weights: np.ndarray, r: np.ndarray):
         """(JᵀWJ, JᵀWr) with W = diag(weights), every group's Gram in one product.
 
-        Without per-group columns (stride 0, the dense form) that product is
-        (√W J)ᵀ(√W J).  Otherwise the weighted row blocks are viewed as
-        (groups, rows, columns): a plain reshape when every group has as many
-        rows, otherwise one gather through a row index padded with row 0 at
-        weight zero.  One batched BᵀB and one Bᵀr then give every group's
+        The weights and r are placed on the grid through `rows` (a reshape
+        without it), padding at weight zero.  With Bw the weighted
+        copy of the block, one batched Bw Bᵀ and one Bw r give every group's
         Gram and gradient, which are scattered into JᵀWJ and JᵀWr through
         reshaped views; one group's are JᵀWJ and JᵀWr themselves.
         """
+        n, _, length = self.block.shape
         s, k = self.shared, self.stride
-        sw = np.sqrt(weights)
-        if k == 0:
-            Bw = self.block * sw[:, None]
-            return Bw.T @ Bw, Bw.T @ (r * sw)
-        n = len(self.starts) - 1
-        sizes = np.diff(self.starts)
-        length = sizes.max()
-        if np.all(sizes == length):
-            Bp = (self.block * sw[:, None]).reshape(n, length, -1)
-            rp = (r * sw).reshape(n, length, 1)
+        if self.rows is None:
+            w, rp = weights, r
         else:
-            lanes = np.arange(length)
-            kept = lanes < sizes[:, None]
-            rows = np.where(kept, self.starts[:-1, None] + lanes, 0)
-            swp = sw[rows] * kept
-            Bp = self.block[rows]
-            Bp *= swp[..., None]
-            rp = (r[rows] * swp)[..., None]
-        Bt = Bp.transpose(0, 2, 1)
-        G = Bt @ Bp
-        v = (Bt @ rp)[..., 0]
+            w, rp = np.zeros(n * length), np.zeros(n * length)
+            w[self.rows] = weights
+            rp[self.rows] = r
+        Bw = np.multiply(self.block, w.reshape(n, 1, length), out=self.weighted)
+        G = Bw @ self.block.transpose(0, 2, 1)
+        v = (Bw @ rp.reshape(n, length, 1))[..., 0]
         if n == 1:
             return G[0], v[0]
         JtJ = np.zeros((self.shape[1],) * 2)
@@ -218,7 +218,7 @@ def _row_blocks(J) -> BlockJacobian:
     J = np.asarray(J, dtype=float)
     if J.ndim != 2:
         raise ValueError(f"jacobian must be 2-D, got shape {J.shape}")
-    return BlockJacobian(J, J.shape[1], np.array([0, len(J)]))
+    return BlockJacobian(J.T[None], J.shape[1])
 
 
 def _step_spread(JtJ: np.ndarray, delta: np.ndarray, cost: float, m: int):
@@ -259,9 +259,10 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
     groups.  `residual_fn(x)` is called at the start and at every trial
     state; `jacobian_fn(x)` only ever at the last state whose residual was
     evaluated, the start or the step just accepted, so a problem may reuse
-    that evaluation.  Each residual's block squares are taken once and serve
-    both its robust cost and, once it is accepted, the next iteration's IRLS
-    weights.  Damping is divided by 10 on accepted steps and multiplied by 10
+    that evaluation; and each Jacobian is used up before the next is asked
+    for, so a problem may write them all into one buffer.  Each residual's
+    block squares are taken once and serve both its robust cost and, once
+    it is accepted, the next iteration's IRLS weights.  Damping is divided by 10 on accepted steps and multiplied by 10
     on rejections.  The report's `termination` gives the reason the run
     stopped:
 
@@ -390,23 +391,55 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     [and t_i]); the increments are zero at every state, whose rotations are
     the matrices it holds.
 
+    The points are laid out image-major on one (N, L) grid, L the largest
+    count, so that every image's x_c is one product R_i (P - c) over a
+    (3, L) block.  An image's slots past its own count repeat its first
+    point; they count in no residual, cost, RMS or depth check, and carry
+    weight zero in the normal equations.  The residual is the 2M real
+    entries, point after point, (u, v) within a point.  The Jacobian is a
+    BlockJacobian with one group per image, written into one buffer of the
+    problem, and its weighted copy into another: a Jacobian is valid until
+    the problem's next Jacobian.
+
     Returns (residual, jacobian, plus, x0, unpack, image): x0 is the start
-    `LMState`, image (M,) the image index of each observation, the Jacobian
-    a BlockJacobian with one group per image, and unpack(state) gives
-    (intrinsics (5,), distortion (2,), c (3,), rotation matrices (N, 3, 3),
-    translations (N, 3) or None).
+    `LMState`, image (M,) the image index of each observation, and
+    unpack(state) gives (intrinsics (5,), distortion (2,), c (3,), rotation
+    matrices (N, 3, 3), translations (N, 3) or None).
     """
     R0 = checked_rotations(np.array(rotations, dtype=float))
     n = len(R0)
-    m = len(points)
+    counts = np.asarray(counts)
     has_center = center is not None
     first = 10 if has_center else 7
     stride = 3 if translations is None else 6
     rot_cols = first + stride * np.arange(n)[:, None] + np.arange(3)
     image = np.repeat(np.arange(n), counts)
-    points_t = np.ascontiguousarray(points.T, dtype=float)
-    starts = 2 * np.concatenate([[0], np.cumsum(counts)])
     polar = 1.5 * np.eye(3)
+
+    length = int(counts.max())
+    lanes = np.arange(length)
+    kept = lanes < counts[:, None]
+    source = np.concatenate([[0], np.cumsum(counts)[:-1]])[:, None] + np.where(kept, lanes, 0)
+    grid = np.ascontiguousarray(np.asarray(points, dtype=float)[source].transpose(0, 2, 1))
+    slot = np.flatnonzero(kept)   # each point's slot in the flattened grid
+    real = None if kept.all() else slot
+    # The Jacobian's buffer: B[i, col, row, l] is the derivative of row (u
+    # or v) of slot l of image i by the image's column col, so that every
+    # column is written in rows of unit stride and every image's block is
+    # the (columns, 2L) view.  `rows` places residual entry 2p + row of
+    # point p in that view.  The constant columns and structural zeros are
+    # written here, once.
+    u_rows = slot + length * (slot // length)
+    rows = np.column_stack([u_rows, u_rows + length]).ravel()
+    B = np.zeros((n, first + stride, 2, length))
+    B[:, 2, 0] = B[:, 3, 1] = 1.0
+    blocks = B.reshape(n, first + stride, 2 * length)
+    weighted = np.empty_like(blocks)
+    # d x_c / d t_i is the identity, so the translation columns are the
+    # projection's derivative by x_c; without them, the rotation columns hold
+    # it until the rotation entries are written over it.
+    J_xc = B[:, first + 3:] if translations is not None else B[:, first:first + 3]
+    a = np.empty((n, 3, 2 * length))
 
     x0 = np.zeros(first + stride * n)
     x0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
@@ -424,52 +457,67 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     def evaluate(state):
         if state.evaluation is None:
             intr_p, dist_p, c, R, t = unpack(state)
-            # Each point's rotation, component-major (3, 3, M) like P - c
-            # (3, M), so that every component is one contiguous row.
-            R = R.transpose(1, 2, 0).take(image, axis=2)
-            centered = points_t - c[:, None]
-            xc = np.einsum("ijm,jm->im", R, centered)
+            q = grid - c[:, None] if has_center else grid
+            xc = R @ q
             if t is not None:
-                xc += t.T.take(image, axis=1)
-            uv, xn, yn, r2, f = project_camera_points(intr_p, dist_p, xc.T)
-            state.evaluation = (uv, intr_p, dist_p, R, centered, xc[2], xn, yn, r2, f)
+                xc += t[:, :, None]
+            z = xc[:, 2]
+            if np.any(z <= 0):
+                behind = z <= 0
+                count = int(np.sum(behind if real is None else behind.ravel()[real]))
+                raise errors.PointBehindCamera(f"{count} point(s) at non-positive depth")
+            u, v, xn, yn, r2, f = radial_pixels(intr_p, dist_p, xc[:, 0], xc[:, 1], z)
+            uv = np.stack([u, v], axis=-1).reshape(-1, 2)
+            r = ((uv if real is None else uv[real]) - pixels).ravel()
+            r.flags.writeable = False
+            state.evaluation = (r, intr_p, dist_p, R, q, z, xn, yn, r2, f)
         return state.evaluation
 
     def residual(state):
-        return (evaluate(state)[0] - pixels).ravel()
+        return evaluate(state)[0]
 
     def jacobian(state):
         _, (fx, fy, _, _, gamma), (d1, d2), R, q, z, xn, yn, r2, f = evaluate(state)
-        # Column-major: B[col, i, row] is the derivative of row (u or v) of
-        # point i, so every column is written with unit point stride and the
-        # row block is the transposed view (2M, first + stride).
-        B = np.zeros((first + stride, m, 2))
         # pixel = A (xd, yd) + (cx, cy) with A = [[fx, gamma], [0, fy]] and
-        # (xd, yd) = f (xn, yn): the intrinsic and distortion columns.
-        B[0, :, 0] = xn * f
-        B[1, :, 1] = B[4, :, 0] = yn * f
-        B[2, :, 0] = B[3, :, 1] = 1.0
-        B[5, :, 0] = (fx * xn + gamma * yn) * r2
-        B[5, :, 1] = fy * yn * r2
-        B[6] = B[5] * r2[:, None]
-        # d(xd, yd)/d x_c = [f I + k n n^T | -(f + k r2) n] / z with n = (xn, yn)
-        # and k = 2 (d1 + 2 d2 r2), row by row; A times it is d pixel / d x_c.
-        k = 2.0 * (d1 + 2.0 * d2 * r2)
-        kxy = xn * yn * k / z
-        g = -(f + k * r2) / z
-        dx = np.array([(f + xn * xn * k) / z, kxy, xn * g])
-        dy = np.array([kxy, (f + yn * yn * k) / z, yn * g])
-        for row, J_xc in enumerate((fx * dx + gamma * dy, fy * dy)):
-            # With a = J_xc R: d x_c / d c = -R gives -a, and d x_c / d delta
-            # = -R [q]x with q = P - c gives -a [q]x, the cross product q x a.
-            a = J_xc[0] * R[0] + J_xc[1] * R[1] + J_xc[2] * R[2]
-            B[first:first + 3, :, row] = (q[[1, 2, 0]] * a[[2, 0, 1]]
-                                          - q[[2, 0, 1]] * a[[1, 2, 0]])
-            if has_center:
-                B[7:10, :, row] = -a
-            if translations is not None:
-                B[first + 3:, :, row] = J_xc
-        return BlockJacobian(B.reshape(first + stride, 2 * m).T, first, starts)
+        # (xd, yd) = f (xn, yn): the intrinsic and distortion columns, with
+        # (pu, pv) = A (xn, yn).
+        pu = fx * xn + gamma * yn
+        pv = fy * yn
+        np.multiply(xn, f, out=B[:, 0, 0])
+        np.multiply(yn, f, out=B[:, 1, 1])
+        B[:, 4, 0] = B[:, 1, 1]
+        np.multiply(pu, r2, out=B[:, 5, 0])
+        np.multiply(pv, r2, out=B[:, 5, 1])
+        np.multiply(B[:, 5], r2[:, None], out=B[:, 6])
+        # d(xd, yd)/d x_c = [f I + k n nᵀ | -(f + k r2) n] / z with n = (xn, yn)
+        # and k = 2 d1 + 4 d2 r2, so A times it, d pixel / d x_c, has the rows
+        # u: (f (fx, gamma, -pu) + k pu m) / z and v: (f (0, fy, -pv) + k pv m) / z
+        # with m = (xn, yn, -r2).
+        fz = f / z
+        kz = (2.0 * d1 + 4.0 * d2 * r2) / z
+        h = -(fz + kz * r2)
+        ku, kv = kz * pu, kz * pv
+        u, v = J_xc[:, :, 0], J_xc[:, :, 1]
+        np.multiply(ku, xn, out=u[:, 0])
+        u[:, 0] += fx * fz
+        np.multiply(ku, yn, out=u[:, 1])
+        u[:, 1] += gamma * fz
+        np.multiply(pu, h, out=u[:, 2])
+        np.multiply(kv, xn, out=v[:, 0])
+        np.multiply(kv, yn, out=v[:, 1])
+        v[:, 1] += fy * fz
+        np.multiply(pv, h, out=v[:, 2])
+        # With a = Rᵀ J_xc, image by image: d x_c / d c = -R gives -a, and
+        # d x_c / d delta = -R [q]x with q = P - c gives -a [q]x, the cross
+        # product q x a.
+        np.matmul(R.transpose(0, 2, 1), J_xc.reshape(n, 3, 2 * length), out=a)
+        a4 = a.reshape(n, 3, 2, length)
+        q4 = q[:, :, None]
+        for j, (j1, j2) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.subtract(q4[:, j1] * a4[:, j2], q4[:, j2] * a4[:, j1], out=B[:, first + j])
+        if has_center:
+            np.negative(a4, out=B[:, 7:10])
+        return BlockJacobian(blocks, first, rows, weighted)
 
     def plus(state, delta):
         R = state.rotations @ rotation_matrix_from_axis_angle(delta[rot_cols])

@@ -14,6 +14,7 @@ reproducible.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import time
@@ -49,6 +50,16 @@ _ARM_LABELS = {"ours": ("ours", "init"), "ours_ba": ("ours", "refined"),
                "zhang": ("zhang", "init"), "zhang_ba": ("zhang", "refined")}
 
 SWEEP_KINDS = ("noise", "images", "spherical")
+
+# A Monte Carlo pool worker's glibc heap settings (`_keep_worker_heap`): the
+# mallopt parameters of malloc.h and their values.  Freed memory up to the
+# trim threshold stays in the worker, and blocks below the mmap threshold
+# come from its heap.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_WORKER_TRIM_THRESHOLD = 512 << 20
+_WORKER_MMAP_THRESHOLD = 256 << 20
+# mallopt's return values (1 on success) in a worker that made the setting.
+_worker_heap_setting = None
 
 
 @dataclass(frozen=True)
@@ -111,9 +122,13 @@ class SyntheticConfig:
             raise ValueError("counts must be at least 1")
         if self.pixel_noise_sigma < 0 or self.spherical_noise_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
-        w, h = self.image_size
-        if not (w > 0 and h > 0):
-            raise ValueError(f"image_size must be positive, got {self.image_size}")
+        size = tuple(self.image_size) if np.ndim(self.image_size) == 1 else ()
+        if len(size) != 2 or not all(
+                isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+                and float(v).is_integer() and v > 0 for v in size):
+            raise ValueError(
+                f"image_size must be two positive integers, got {self.image_size!r}")
+        w, h = size
         intr = self.intrinsics
         corners = np.array([[0.0, 0.0], [w, 0.0], [0.0, h], [w, h]])
         radii = np.hypot((corners[:, 0] - intr.cx) / intr.fx,
@@ -383,13 +398,35 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
 
 
 def default_worker_count() -> int:
+    """COLLIMCAL_THREADS if set, else the number of CPUs this process may run on."""
     env = os.environ.get("COLLIMCAL_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"COLLIMCAL_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _keep_worker_heap() -> None:
+    """Pool worker initializer: keep freed heap in the worker.
+
+    glibc otherwise hands freed memory back to the system between bundle
+    adjustment iterations, and the next iteration faults it in again.  The
+    workers are short-lived processes that run trials only, so the caller's
+    allocator is never touched.  Records mallopt's return values; does
+    nothing where libc or mallopt cannot be loaded.
+    """
+    global _worker_heap_setting
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _worker_heap_setting = (mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD),
+                            mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD))
 
 
 def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
@@ -400,9 +437,11 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     order.  Every point's trials run on one process pool per call, handed
     out in chunks of max(1, trial_count // (4 * workers)); trials are seeded
     by their index, so neither the worker count nor the chunks change a
-    result.  Per-trial failures are recorded as NaN rows.  Once every point
-    has run, the first point at which more than half of the trials failed
-    for some arm raises CalibrationError.
+    result.  The pool has at most one worker per trial, and each worker
+    keeps its freed heap (`_keep_worker_heap`).  Per-trial failures are
+    recorded as NaN rows.  Once every point has run, the first point at
+    which more than half of the trials failed for some arm raises
+    CalibrationError.
     """
     arms = tuple(arms)
     for arm in arms:
@@ -415,8 +454,9 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     n = config.trial_count
     configs = [point for _, point in points for _ in range(n)]
     indices = list(range(n)) * len(points)
-    if workers > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    workers = min(workers, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_worker_heap) as pool:
             outcomes = list(pool.map(run_single_trial, configs, indices, repeat(arms),
                                      chunksize=max(1, n // (4 * workers))))
     else:

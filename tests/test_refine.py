@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collimcal import errors, refine
 from collimcal.core_geom import (
@@ -568,12 +570,70 @@ def uneven_problems():
 
 @pytest.mark.parametrize("name", ["spherical", "general"])
 def test_block_normal_equations_match_dense_with_uneven_images(name):
-    residual, jacobian, _, x0, *_ = uneven_problems()[name]
+    residual, jacobian, _, x0, _, image = uneven_problems()[name]
     r = residual(x0)
     J = jacobian(x0)
-    sizes = np.diff(J.starts) // 2
+    sizes = np.bincount(image)
     assert sizes.min() == MIN_IMAGE_POINTS and len(set(sizes.tolist())) == 4
+    assert J.block.shape[2] == 2 * sizes.max() and len(J.rows) == r.size
     assert_normal_equations_match_dense(J, r)
+
+
+def padded_problem(counts, translations, seed):
+    """A stacked problem with the given per-image counts, on random points in
+    front of every camera, with distortion and skew so no column vanishes."""
+    rng = np.random.default_rng(seed)
+    n, m = len(counts), sum(counts)
+    points = rng.uniform(-200.0, 200.0, (m, 3))
+    points[:, 2] += 1000.0
+    R = np.array([rotation_from_axis_angle(v) for v in rng.normal(size=(n, 3)) * 0.1])
+    pixels = rng.uniform(0.0, 1000.0, (m, 2))
+    intr = CameraIntrinsics(1000.0, 1010.0, 540.0, 480.0, 0.8)
+    if translations:
+        return refine._reprojection_problem(points, pixels, counts, intr, Distortion(0.1, -0.2),
+                                            R, translations=rng.normal(size=(n, 3)))
+    return refine._reprojection_problem(points, pixels, counts, intr, Distortion(0.1, -0.2),
+                                        R, center=rng.normal(size=3) * 10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       translations=st.booleans(), seed=st.integers(0, 2**16))
+@example(counts=[25], translations=False, seed=0)           # one image
+@example(counts=[30, 30, 29, 30], translations=True, seed=1)  # one point short
+@example(counts=[30, 30, 29, 30], translations=False, seed=2)
+def test_padded_normal_equations_match_dense(counts, translations, seed):
+    # Every image is padded to the largest count; the padding must add
+    # nothing to JᵀWJ or JᵀWr, and the dense stride-0 form of the same
+    # Jacobian must give them too.
+    residual, jacobian, _, x0, *_ = padded_problem(counts, translations, seed)
+    r = residual(x0)
+    J = jacobian(x0)
+    assert J.shape == (r.size, x0.x.size) == (2 * sum(counts), x0.x.size)
+    assert_normal_equations_match_dense(J, r)
+    assert_normal_equations_match_dense(refine._row_blocks(J.toarray()), r)
+
+
+@pytest.mark.parametrize("name", ["spherical", "general"])
+def test_uneven_jacobian_matches_finite_differences(name):
+    residual, jacobian, plus, x0, *_ = uneven_problems()[name]
+    x = plus(x0, np.random.default_rng(13).normal(size=x0.x.size) * 1e-3)
+    assert max_relative_deviation(jacobian(x).toarray(), fd_jacobian(residual, plus, x)) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["spherical", "general"])
+def test_uneven_point_behind_camera_counts_real_points(name):
+    # Image 0 is thinned to MIN_IMAGE_POINTS and padded to the largest
+    # image; every one of its points goes behind the camera, and only the
+    # real ones are counted.
+    residual, jacobian, plus, x0, _, image = uneven_problems()[name]
+    assert np.bincount(image)[0] == MIN_IMAGE_POINTS < np.bincount(image).max()
+    behind = behind_camera(name, x0, plus)
+    message = rf"^{MIN_IMAGE_POINTS} point\(s\) at non-positive depth$"
+    with pytest.raises(errors.PointBehindCamera, match=message):
+        residual(behind)
+    with pytest.raises(errors.PointBehindCamera, match=message):
+        jacobian(behind)
 
 
 def test_dense_jacobian_normal_equations_match():

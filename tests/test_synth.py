@@ -1,3 +1,8 @@
+import concurrent.futures
+import ctypes
+import os
+import platform
+
 import numpy as np
 import pytest
 
@@ -44,6 +49,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # non-monotone forward distortion within this camera's field of view
         synth.default_config(distortion=Distortion(-0.9, 0.0))
+
+
+@pytest.mark.parametrize("size", [(1080.5, 960), (True, 960), (0, 960), (1080, 960, 3)])
+def test_config_rejects_a_bad_image_size(size):
+    with pytest.raises(ValueError, match="image_size"):
+        synth.default_config(image_size=size)
 
 
 def test_grid_target_layout():
@@ -320,6 +331,64 @@ def test_monte_carlo_parallel_matches_serial():
         for a, b in zip(serial, parallel):
             assert a.trials.tobytes() == b.trials.tobytes()
             assert a.fail_count == b.fail_count
+    # The bundle adjustments run on workers that keep their heap, and must
+    # still give the serial bytes.
+    cfg = synth.default_config(pixel_noise_sigma=1.0, trial_count=4)
+    serial = synth.run_monte_carlo(cfg, "noise", [1.0], workers=1)
+    parallel = synth.run_monte_carlo(cfg, "noise", [1.0], workers=2)
+    assert [s.solver + s.stage for s in parallel] == [s.solver + s.stage for s in serial]
+    for a, b in zip(serial, parallel):
+        assert a.trials.tobytes() == b.trials.tobytes()
+        assert a.fail_count == b.fail_count
+
+
+def test_default_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("COLLIMCAL_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert synth.default_worker_count() == 3
+    monkeypatch.setenv("COLLIMCAL_THREADS", "5")
+    assert synth.default_worker_count() == 5
+    monkeypatch.delenv("COLLIMCAL_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert synth.default_worker_count() == (os.cpu_count() or 1)
+
+
+def test_pool_has_at_most_one_worker_per_trial(monkeypatch):
+    sizes = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", Pool)
+    cfg = synth.default_config(trial_count=2)
+    synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours",), workers=8)
+    synth.run_monte_carlo(synth.default_config(trial_count=1), "noise", [0.5],
+                          arms=("ours",), workers=8)
+    assert sizes == [2]
+
+
+def worker_heap_setting():
+    return synth._worker_heap_setting
+
+
+def test_workers_keep_their_heap_and_the_caller_does_not():
+    with concurrent.futures.ProcessPoolExecutor(1, initializer=synth._keep_worker_heap) as pool:
+        in_worker = pool.submit(worker_heap_setting).result()
+    assert synth._worker_heap_setting is None
+    if platform.libc_ver()[0] == "glibc":
+        assert in_worker == (1, 1)
+
+
+def test_worker_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
+    def no_libc(name):
+        raise OSError("no libc")
+
+    for cdll in (no_libc, lambda name: object()):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        synth._keep_worker_heap()
+        assert synth._worker_heap_setting is None
 
 
 def test_monte_carlo_failing_middle_point_raises_after_the_sweep():
