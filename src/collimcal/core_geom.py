@@ -247,6 +247,18 @@ class PlanarTarget:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "xy", xy)
 
+    @cached_property
+    def _frame(self) -> tuple[np.ndarray, float]:
+        """Centroid (2,) and mean distance from it of the target points, in mm.
+
+        The homography pass solves in this shift and scale; computed on
+        first use, so the scenes that share a target share it too.
+        """
+        shift = self.xy.mean(axis=0)
+        shift.flags.writeable = False
+        d = self.xy - shift
+        return shift, float(np.mean(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+
     def _rows(self, ids: np.ndarray):
         """Row of each given point id (M,) and whether the id is on the target (M,).
 
@@ -433,72 +445,90 @@ def back_project(intr: CameraIntrinsics, dist: Distortion, pixels: np.ndarray) -
     return rays[0] if np.asarray(pixels).ndim == 1 else rays
 
 
-def _normalization_transforms(points: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Hartley isotropic normalization of each padded point set (N, n, 2).
-
-    Centroid to origin, mean distance sqrt(2), over the points where `mask`
-    (N, n) is true, the padding being zero; returns (N, 3, 3).
-    """
-    count = mask.sum(axis=1)
-    centroid = points.sum(axis=1) / count[:, None]
-    dist = np.linalg.norm(points - centroid[:, None], axis=2)
-    mean_dist = np.sum(dist * mask, axis=1) / count
-    # Coincident points keep unit scale; the DLT's rank check rejects them.
-    s = np.sqrt(2.0) / np.where(mean_dist > 1e-12, mean_dist, np.sqrt(2.0))
-    T = np.zeros((len(points), 3, 3))
-    T[:, 0, 0] = T[:, 1, 1] = s
-    T[:, :2, 2] = -s[:, None] * centroid
-    T[:, 2, 2] = 1.0
-    return T
-
-
 def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Normalized DLT of every image's point pairs in one batched SVD.
+    """Normalized DLT (Hartley and Zisserman, section 4.4) of every image at once.
 
     `xy` and `uv` (M, 2) hold the images' target points and pixels one
     image after the other, `counts` (N,) how many each image has.  Each
-    image keeps its own Hartley normalization.  Its (2n, 9) design matrix is
-    zero-padded to a common height (at least 10 rows, so that its R factor
-    is 9 x 9); zero rows leave A^T A, and with it the singular values and
-    the null vector, unchanged.  The SVD is taken of the R factor of A's
-    QR decomposition, the path LAPACK's gesdd takes for tall matrices,
-    without forming A's left singular vectors.  Returns the homographies
-    (N, 3, 3) and raises DegenerateConfiguration naming the first image
-    whose homography is ambiguous or rank deficient.
+    image keeps its own isotropic normalization (centroid to the origin,
+    mean distance sqrt(2)).  With X (n, 3) the image's normalized target
+    rows (x, y, 1) and u, v its normalized pixels, the design matrix is,
+    up to row order, A = [[X, 0, -u*X], [0, X, -v*X]]; it is never formed.
+    A block QR reduces it instead: X = Q1 R1 (thin), E = Q1^T (-u*X),
+    F = Q1^T (-v*X), and R3 is the R factor of the 2n x 3 block that
+    stacks (-u*X) - Q1 E and (-v*X) - Q1 F.  The 9 x 9 matrix
+    R = [[R1, 0, E], [0, R1, F], [0, 0, R3]] has R^T R = A^T A, so it has
+    A's singular values and right singular vectors, and one batched SVD
+    of the N factors gives every null vector.  Each step is an orthogonal
+    transform, so the backward error stays O(eps ||A||), as with a QR of
+    A itself.  Images are zero-padded to the largest count: zero rows of X
+    leave every product, and so A^T A, unchanged.  Returns the
+    homographies (N, 3, 3) and raises DegenerateConfiguration naming the
+    first image whose homography is ambiguous or rank deficient.
     """
-    N = len(counts)
-    n = max(int(counts.max()), 5)
-    # Every image's target points, then every image's pixels, as 2N padded
-    # point sets (2N, n, 2) that one call normalizes.
-    mask = np.tile(np.arange(n) < counts[:, None], (2, 1))
-    P = np.zeros((2 * N, n, 2))
-    P[mask] = np.concatenate([xy, uv])
-    T = _normalization_transforms(P, mask)
-    # Homogeneous points whose padding rows are zero, third coordinate too,
-    # so that the normalization leaves them zero and their design rows vanish.
-    Pn = np.concatenate([P, mask[..., None]], axis=2) @ T.transpose(0, 2, 1)
-    Xn, Un = Pn[:N], Pn[N:]
-
-    A = np.zeros((N, 2 * n, 9))
-    A[:, 0::2, 0:3] = Xn
-    A[:, 0::2, 6:9] = -Un[..., 0:1] * Xn
-    A[:, 1::2, 3:6] = Xn
-    A[:, 1::2, 6:9] = -Un[..., 1:2] * Xn
-
-    _, s, Vt = np.linalg.svd(np.linalg.qr(A, mode="r"))
+    R, T_xy, T_uv_inv = _dlt_factor(xy, uv, counts)
+    _, s, Vt = np.linalg.svd(R)
     # With >= 4 generic point pairs only one singular value is ~0; a
     # second vanishing one means the solution is ambiguous.
     ambiguous = np.flatnonzero(s[:, -2] <= 1e-10 * s[:, 0])
     if len(ambiguous):
         raise errors.DegenerateConfiguration(
             f"image {ambiguous[0]}: homography design matrix is rank deficient")
-    return _checked_homographies(np.linalg.inv(T[N:]) @ Vt[:, -1].reshape(-1, 3, 3) @ T[:N])
+    return _checked_homographies(T_uv_inv @ Vt[:, -1].reshape(-1, 3, 3) @ T_xy)
+
+
+def _dlt_factor(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray):
+    """Every image's 9 x 9 factor R (N, 9, 9), whose Gram is its A^T A (see `_dlt`).
+
+    Also returns the normalizations T_xy and the inverses of T_uv (N, 3, 3).
+    """
+    N, n = len(counts), int(counts.max())
+    mask = np.arange(n) < counts[:, None]
+    # Target points and pixels side by side, (N, n, 4), zero in the padding.
+    # Sums over the points run as products with a ones vector, which take
+    # a fraction of the time of numpy's reductions over a middle axis.
+    P = np.zeros((N, n, 4))
+    P[mask] = np.concatenate([xy, uv], axis=1)
+    ones = np.ones(n)
+    centroid = (ones @ P) / counts[:, None]
+    D = np.where(mask[..., None], P - centroid[:, None], 0.0)
+    D2 = D * D
+    mean_dist = (ones @ np.sqrt(D2[..., 0::2] + D2[..., 1::2])) / counts[:, None]
+    # Coincident points keep unit scale; the ambiguity test rejects them.
+    s = np.sqrt(2.0) / np.where(mean_dist > 1e-12, mean_dist, np.sqrt(2.0))  # (N, 2)
+    X = np.empty((N, n, 3))
+    X[..., :2] = D[..., :2] * s[:, None, :1]
+    X[..., 2] = mask
+    # The columns -u*X and -v*X of every point, (N, n, 6).
+    B = (X[..., None, :] * (D[..., 2:] * -s[:, None, 1:])[..., None]).reshape(N, n, 6)
+
+    Q1, R1 = np.linalg.qr(X)
+    EF = Q1.transpose(0, 2, 1) @ B
+    # Row pairs (-u*X - Q1 E, -v*X - Q1 F) of point k are rows 2k, 2k+1.
+    R3 = np.linalg.qr((B - Q1 @ EF).reshape(N, 2 * n, 3), mode="r")
+    R = np.zeros((N, 9, 9))
+    R[:, 0:3, 0:3] = R[:, 3:6, 3:6] = R1
+    R[:, 0:3, 6:9] = EF[..., :3]
+    R[:, 3:6, 6:9] = EF[..., 3:]
+    R[:, 6:9, 6:9] = R3
+
+    # T = [[s, 0, -s c], [0, s, -s c], [0, 0, 1]], and its closed-form inverse.
+    T_xy = np.zeros((N, 3, 3))
+    T_xy[:, 0, 0] = T_xy[:, 1, 1] = s[:, 0]
+    T_xy[:, :2, 2] = -s[:, :1] * centroid[:, :2]
+    T_xy[:, 2, 2] = 1.0
+    T_uv_inv = np.zeros((N, 3, 3))
+    T_uv_inv[:, 0, 0] = T_uv_inv[:, 1, 1] = 1.0 / s[:, 1]
+    T_uv_inv[:, :2, 2] = centroid[:, 2:]
+    T_uv_inv[:, 2, 2] = 1.0
+    return R, T_xy, T_uv_inv
 
 
 def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndarray:
     """Normalized DLT estimate (3, 3) of the target-plane-to-image homography.
 
-    It is scaled and rank-checked as every fitted homography is.
+    It is scaled and rank-checked as every fitted homography is.  Fewer
+    than 4 point pairs or a non-finite coordinate raise ValueError.
     """
     X = np.asarray(target_xy, dtype=float).reshape(-1, 2)
     U = np.asarray(pixels_uv, dtype=float).reshape(-1, 2)
@@ -506,6 +536,8 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
         raise ValueError("correspondence lists differ in length")
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 point pairs")
+    if not (np.isfinite(X).all() and np.isfinite(U).all()):
+        raise ValueError("homography point coordinates must be finite")
     return _dlt(X, U, np.array([len(X)]))[0]
 
 
@@ -549,16 +581,18 @@ class HomographyFit(NamedTuple):
 
 
 def _fit_observations(observations: ObservationSet) -> HomographyFit:
-    xy, uv = observations.xy, observations.uv
-    pix_shift = uv.mean(axis=0)
-    pix_scale = np.mean(np.linalg.norm(uv - pix_shift, axis=1))
+    if not len(observations):
+        raise ValueError("the observation set has no images to fit homographies to")
+    uv = observations.uv
+    ones = np.ones(len(uv))
+    pix_shift = (ones @ uv) / len(uv)
+    d = uv - pix_shift
+    pix_scale = (ones @ np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])) / len(uv)
     if not pix_scale > 0:
         raise errors.DegenerateConfiguration(
             "image 0: every observed pixel of every image is the same point")
-    tgt = observations.target.xy
-    tgt_shift = tgt.mean(axis=0)
-    tgt_scale = np.mean(np.linalg.norm(tgt - tgt_shift, axis=1))
-    H = _dlt((xy - tgt_shift) / tgt_scale, (uv - pix_shift) / pix_scale, observations.counts)
+    tgt_shift, tgt_scale = observations.target._frame
+    H = _dlt((observations.xy - tgt_shift) / tgt_scale, d / pix_scale, observations.counts)
     H.flags.writeable = False  # cached on the observation set and shared by every solver
     return HomographyFit(H, pixel_scale=pix_scale, pixel_shift=pix_shift,
                          target_scale=tgt_scale, target_shift=tgt_shift)
@@ -575,14 +609,13 @@ def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
     if H.ndim != 3 or H.shape[1:] != (3, 3):
         raise ValueError("homographies must be an (N, 3, 3) stack")
     M = intr.inverse @ H
-    cols = M.transpose(0, 2, 1)[:, :2]
-    # Column norms as dot products, which round like np.linalg.norm of one vector.
-    n = np.sqrt(cols[..., None, :] @ cols[..., :, None])[..., 0, 0]
+    M2 = M * M
+    n = np.sqrt(M2[:, 0, :2] + M2[:, 1, :2] + M2[:, 2, :2])  # norms of the columns r1, r2
     lam = 0.5 * (n[:, 0] + n[:, 1])
-    r1 = M[:, :, 0] / lam[:, None]
-    r2 = M[:, :, 1] / lam[:, None]
-    t = M[:, :, 2] / lam[:, None]
-    sign = np.where(t[:, 2] < 0, -1.0, 1.0)[:, None]
-    r1, r2, t = sign * r1, sign * r2, sign * t
-    R = nearest_rotation(np.stack([r1, r2, np.cross(r1, r2)], axis=-1))
-    return checked_rotations(R), t, lam
+    # One scale per image: 1 / lam, negated where t[2] = M[2, 2] / lam < 0.
+    G = M * (np.where(M[:, 2, 2] < 0, -1.0, 1.0) / lam)[:, None, None]
+    t = G[:, :, 2].copy()
+    # The third column becomes r1 x r2.
+    a, b = G[:, :, 0], G[:, :, 1]
+    G[:, :, 2] = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+    return checked_rotations(nearest_rotation(G)), t, lam

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collimcal import core_geom as cg
 from collimcal import errors, fileio
@@ -341,11 +343,28 @@ def test_homography_degenerate_inputs_rejected():
         cg.estimate_homography(xy[:3], uv[:3])
 
 
-def reference_homography(xy, uv):
-    """Normalized DLT through the SVD of a design matrix built point by point.
+@pytest.mark.parametrize("bad", ["nan pixel", "inf target"])
+def test_homography_rejects_non_finite_coordinates(bad):
+    xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+    uv = 100.0 + 50.0 * xy
+    if bad == "nan pixel":
+        uv[2, 1] = np.nan
+    else:
+        xy[4, 0] = np.inf
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        cg.estimate_homography(xy, uv)
 
-    The SVD is the full one, so that four points (eight rows) keep the null vector.
-    """
+
+def test_homography_pass_of_no_images_is_a_value_error():
+    _, _, obs = scene(seed=4)
+    empty = stack_images(obs.target, [])
+    assert len(empty) == 0
+    with pytest.raises(ValueError, match="no images"):
+        empty.homography_fit
+
+
+def reference_design_matrix(xy, uv):
+    """Hartley normalizations Tx, Tu and the (2n, 9) design matrix, built point by point."""
     def hartley(p):
         c = p.mean(axis=0)
         s = np.sqrt(2.0) / np.mean(np.linalg.norm(p - c, axis=1))
@@ -358,7 +377,21 @@ def reference_homography(xy, uv):
         un, vn, _ = Tu @ [u, v, 1.0]
         rows.append(np.concatenate([X, np.zeros(3), -un * X]))
         rows.append(np.concatenate([np.zeros(3), X, -vn * X]))
-    _, _, Vt = np.linalg.svd(np.array(rows))
+    return Tx, Tu, np.array(rows)
+
+
+def reference_homography(xy, uv):
+    """Normalized DLT through the SVD of the explicit design matrix.
+
+    The SVD is the full one, so that four points (eight rows) keep the null
+    vector.  DegenerateConfiguration if a second singular value of the nine
+    (zero where A has only eight rows) is within 1e-10 of the largest.
+    """
+    Tx, Tu, A = reference_design_matrix(xy, uv)
+    _, s, Vt = np.linalg.svd(A)
+    s = np.concatenate([s, np.zeros(9 - len(s))])
+    if s[-2] <= 1e-10 * s[0]:
+        raise errors.DegenerateConfiguration("ambiguous")
     H = np.linalg.inv(Tu) @ Vt[-1].reshape(3, 3) @ Tx
     H *= np.sqrt(3.0) / np.linalg.norm(H)
     return H if H[2, 2] > 0 else -H
@@ -376,6 +409,105 @@ def test_homography_matches_the_design_matrix_null_vector(count):
         count, np.random.default_rng(count).choice(88, count, replace=False))
     H = cg.estimate_homography(xy[rows], uv[rows])
     assert relative_difference(H, reference_homography(xy[rows], uv[rows])) <= 1e-12
+
+
+def random_observations(counts, seed, collinear_image=None):
+    """Images of `counts` points of a jittered 11 x 8 grid under random homographies.
+
+    With `collinear_image` given, the target's first row (ids 0-10) lies
+    on the line y = 0, that image sees only points of this row, and every
+    other image sees only points of the other rows.
+    """
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(np.arange(11.0), np.arange(8.0)), axis=-1).reshape(-1, 2)
+    xy = 30.0 * grid + rng.uniform(-5.0, 5.0, size=grid.shape)
+    if collinear_image is not None:
+        xy[:11, 1] = 0.0
+    target = cg.PlanarTarget(np.arange(88), xy)
+    images = []
+    for k, count in enumerate(counts):
+        if collinear_image is None:
+            pool = np.arange(88)
+        else:
+            pool = np.arange(11) if k == collinear_image else np.arange(11, 88)
+        ids = rng.choice(pool, size=min(count, len(pool)), replace=False)
+        H = np.array([[rng.uniform(1.5, 3.0), rng.uniform(-0.3, 0.3), rng.uniform(100, 500)],
+                      [rng.uniform(-0.3, 0.3), rng.uniform(1.5, 3.0), rng.uniform(100, 400)],
+                      [rng.uniform(-5e-4, 5e-4), rng.uniform(-5e-4, 5e-4), 1.0]])
+        ph = np.column_stack([xy[ids], np.ones(len(ids))]) @ H.T
+        uv = ph[:, :2] / ph[:, 2:] + rng.normal(0.0, rng.uniform(0.0, 2.0), size=(len(ids), 2))
+        images.append((ids, uv))
+    return stack_images(target, images)
+
+
+def frame_images(obs):
+    """Every image's (target points, pixels) in the frame of its homography pass."""
+    fit = obs.homography_fit
+    return [((obs.target.xy_for(ids) - fit.target_shift) / fit.target_scale,
+             (uv - fit.pixel_shift) / fit.pixel_scale) for ids, uv in split_images(obs)]
+
+
+point_sets = st.tuples(st.lists(st.integers(4, 88), min_size=1, max_size=6),
+                       st.integers(0, 2**32 - 1))
+pass_settings = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@pass_settings
+@given(point_sets)
+@example(([4], 1))
+@example(([88], 2))
+@example(([4, 88, 4, 17], 3))
+def test_homography_pass_matches_the_explicit_design_matrix(drawn):
+    obs = random_observations(*drawn)
+    for H, (xy, uv) in zip(obs.homography_fit.matrices, frame_images(obs)):
+        assert relative_difference(H, reference_homography(xy, uv)) <= 1e-12
+
+
+@pass_settings
+@given(point_sets)
+@example(([4], 1))
+@example(([4, 88, 4, 17], 3))
+def test_homography_factor_has_the_design_matrix_gram(drawn):
+    obs = random_observations(*drawn)
+    images = frame_images(obs)
+    R, _, _ = cg._dlt_factor(np.concatenate([xy for xy, _ in images]),
+                             np.concatenate([uv for _, uv in images]), obs.counts)
+    for factor, (xy, uv) in zip(R, images):
+        _, _, A = reference_design_matrix(xy, uv)
+        assert np.linalg.norm(factor.T @ factor - A.T @ A) <= 1e-13 * np.linalg.norm(A) ** 2
+
+
+@pass_settings
+@given(point_sets)
+@example(([4], 1))
+@example(([4, 88, 4, 17], 3))
+def test_homography_pass_ignores_point_order(drawn):
+    obs = random_observations(*drawn)
+    rng = np.random.default_rng(drawn[1])
+    shuffled = stack_images(obs.target, [(ids[order], uv[order]) for ids, uv in split_images(obs)
+                                         for order in [rng.permutation(len(ids))]])
+    for a, b in zip(shuffled.homography_fit.matrices, obs.homography_fit.matrices):
+        assert relative_difference(a, b) <= 1e-12
+
+
+@pass_settings
+@given(point_sets, st.integers(0, 5))
+@example(([4], 1), 0)
+@example(([30, 4, 88], 2), 2)
+def test_collinear_image_in_the_pass_is_named(drawn, collinear):
+    counts, seed = drawn
+    collinear %= len(counts)
+    obs = random_observations(counts, seed, collinear_image=collinear)
+    flagged = []
+    for k, (ids, uv) in enumerate(split_images(obs)):
+        try:
+            reference_homography(obs.target.xy_for(ids), uv)
+        except errors.DegenerateConfiguration:
+            flagged.append(k)
+    assert flagged == [collinear]
+    with pytest.raises(errors.DegenerateConfiguration,
+                       match=f"^image {collinear}: homography design matrix is rank deficient$"):
+        obs.homography_fit
 
 
 def test_decompose_recovers_exact_pose():
