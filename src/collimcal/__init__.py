@@ -32,7 +32,6 @@ from .multi_solver import (
 from .refine import (
     ResidualReport,
     general_ba,
-    lm_minimize,
     single_image_ba,
     spherical_ba,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "DegeneracyReport", "SphericalExtrinsics",
     "build_linear_system", "decompose_iac", "detect_degeneracy",
     "solve_closed_form", "solve_minimal",
-    "ResidualReport", "general_ba", "lm_minimize",
+    "ResidualReport", "general_ba",
     "single_image_ba", "spherical_ba",
     "RayDatabase", "SingleImageResult", "build_ray_database",
     "calibrate_single_image", "estimate_rotation_kabsch",

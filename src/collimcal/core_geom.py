@@ -371,26 +371,13 @@ def _checked_homographies(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def project_camera_points(intr_p, dist_p, xc: np.ndarray):
-    """Pinhole-plus-radial map of camera-frame points xc (M, 3) to pixels.
+def radial_pixels(intr_p, dist_p, x, y, z):
+    """The pinhole-plus-radial map of camera-frame coordinates x, y, z, depth unchecked.
 
     `intr_p` is (fx, fy, cx, cy, gamma) and `dist_p` is (d1, d2).  Returns
-    the pixels (M, 2) and, for derivatives, the normalized coordinates xn
-    and yn, r2 = xn^2 + yn^2 and the radial factor f = 1 + d1 r2 + d2 r2^2.
-    Raises PointBehindCamera if any point has non-positive depth.
-    """
-    z = xc[:, 2]
-    if np.any(z <= 0):
-        raise errors.PointBehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
-    u, v, xn, yn, r2, f = radial_pixels(intr_p, dist_p, xc[:, 0], xc[:, 1], z)
-    return np.column_stack([u, v]), xn, yn, r2, f
-
-
-def radial_pixels(intr_p, dist_p, x, y, z):
-    """The pinhole-plus-radial map of camera-frame coordinates x, y, z (M,), depth unchecked.
-
-    Returns the pixel columns u and v and, as project_camera_points does,
-    xn, yn, r2 and f.
+    the pixel coordinates u and v and, for derivatives, the normalized
+    coordinates xn and yn, r2 = xn^2 + yn^2 and the radial factor
+    f = 1 + d1 r2 + d2 r2^2, all of the shape of x.
     """
     fx, fy, cx, cy, gamma = intr_p
     d1, d2 = dist_p
@@ -410,9 +397,12 @@ def project(intr: CameraIntrinsics, dist: Distortion, R: np.ndarray, t: np.ndarr
     Raises PointBehindCamera if any point has non-positive camera-frame depth.
     """
     P = np.asarray(points, dtype=float).reshape(-1, 3)
-    xc = P @ np.asarray(R, dtype=float).T + np.asarray(t, dtype=float)
-    out = project_camera_points((intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma),
-                                (dist.d1, dist.d2), xc)[0]
+    x, y, z = (P @ np.asarray(R, dtype=float).T + np.asarray(t, dtype=float)).T
+    if np.any(z <= 0):
+        raise errors.PointBehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
+    u, v = radial_pixels((intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma),
+                         (dist.d1, dist.d2), x, y, z)[:2]
+    out = np.column_stack([u, v])
     return out[0] if np.asarray(points).ndim == 1 else out
 
 

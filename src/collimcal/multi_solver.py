@@ -234,11 +234,18 @@ def solve_minimal(observations: ObservationSet):
     C(c) q = 0, which is linear in c; the roots of det C(c) are generalized
     eigenvalues of the pencil.  Keeps every root whose conic is positive
     definite with a positive radius.  Candidates are returned ordered by
-    total squared constraint residual.
+    total squared constraint residual.  A pair that `detect_degeneracy`
+    flags, a pure translation or a rotation about a z-parallel axis, raises
+    DegenerateConfiguration naming the motion.
     """
     if len(observations) != 2:
         raise ValueError(f"minimal solver takes exactly 2 images, got {len(observations)}")
     fit = observations.homography_fit
+    translation, z_rotation = _degenerate_pair_flags(
+        np.linalg.inv(fit.matrices[:1]) @ fit.matrices[1:])
+    if translation[0] or z_rotation[0]:
+        motion = "a pure translation" if translation[0] else "a rotation about a z-parallel axis"
+        raise errors.DegenerateConfiguration(f"images 0 and 1 differ by {motion}")
     # Each (2, 6): one row per image.
     u11, u12, u13, u22, u23, u33 = np.moveaxis(conic_rows(fit.matrices), 1, 0)
     # Per image, rows u12, u11 - u22 and u13 + u23 + u33 + c u11 of C(c).

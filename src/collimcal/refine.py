@@ -101,18 +101,14 @@ def _block_squares(r: np.ndarray, block_size: int) -> np.ndarray:
     return sum(r[j::block_size] ** 2 for j in range(block_size))
 
 
-def _robust_cost(squares: np.ndarray, scale) -> float:
+def _robust_cost(squares: np.ndarray, scale: float) -> float:
     """Robust cost of the residual blocks with the given sums of squares."""
-    if scale is None:
-        return float(np.sum(squares))
     c2 = scale * scale
     return float(c2 * np.sum(np.log1p(squares / c2)))
 
 
-def _block_weights(squares: np.ndarray, block_size: int, scale) -> np.ndarray:
+def _block_weights(squares: np.ndarray, block_size: int, scale: float) -> np.ndarray:
     """IRLS weight of every residual entry, from its block's sum of squares."""
-    if scale is None:
-        return np.ones(len(squares) * block_size)
     w = 1.0 / (1.0 + squares / (scale * scale))
     return w if block_size == 1 else np.repeat(w, block_size)
 
@@ -151,8 +147,8 @@ class BlockJacobian:
 
     The bundle adjustments' groups are their images, padded to the largest
     image, and their `block` and `weighted` are buffers of their problem: a
-    BlockJacobian of theirs is valid until the problem's next Jacobian.  A
-    dense Jacobian is the form with one group, stride 0 and no padding.
+    BlockJacobian of theirs is valid until the problem's next Jacobian.  The
+    single-image angle refinement's Jacobian is one group with stride 0.
     """
     block: np.ndarray
     shared: int
@@ -211,16 +207,6 @@ class BlockJacobian:
         return JtJ, g
 
 
-def _row_blocks(J) -> BlockJacobian:
-    """`J` as a BlockJacobian; a dense array becomes one group with stride 0."""
-    if isinstance(J, BlockJacobian):
-        return J
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2:
-        raise ValueError(f"jacobian must be 2-D, got shape {J.shape}")
-    return BlockJacobian(J.T[None], J.shape[1])
-
-
 def _step_spread(JtJ: np.ndarray, delta: np.ndarray, cost: float, m: int):
     """s = sqrt(deltaᵀ A delta / sigma^2), sigma^2 = cost / (m - P); None if undefined.
 
@@ -245,26 +231,26 @@ def _distance_left(spread, last_spread) -> float:
     return spread * rho / (1.0 - rho) if rho < 1.0 else np.inf
 
 
-def lm_minimize(residual_fn, jacobian_fn, x0, *,
-                block_size: int = 1, robust_scale: float | None = None, plus=None):
-    """Damped normal-equations Levenberg-Marquardt.
+def lm_minimize(residual_fn, jacobian_fn, x0, *, robust_scale: float, plus,
+                block_size: int = 1):
+    """Cauchy-robust IRLS Levenberg-Marquardt on damped normal equations.
 
-    Without `plus`, x is a parameter vector and a step adds to it.  With
-    `plus`, x is a state that only the three callables look into (an
-    `LMState`, for the problems of this package): `plus(x, delta)` returns
-    the state one step delta away, and the Jacobian is taken with respect to
-    that local increment at zero.  The parameter count comes from the
-    Jacobian, a dense (residuals, parameters) array or a `BlockJacobian`,
-    whose per-group row blocks form JᵀWJ in one batched product over the
-    groups.  `residual_fn(x)` is called at the start and at every trial
-    state; `jacobian_fn(x)` only ever at the last state whose residual was
-    evaluated, the start or the step just accepted, so a problem may reuse
-    that evaluation; and each Jacobian is used up before the next is asked
-    for, so a problem may write them all into one buffer.  Each residual's
-    block squares are taken once and serve both its robust cost and, once
-    it is accepted, the next iteration's IRLS weights.  Damping is divided by 10 on accepted steps and multiplied by 10
-    on rejections.  The report's `termination` gives the reason the run
-    stopped:
+    x is a state that only the three callables look into (an `LMState`, for
+    the problems of this package): `plus(x, delta)` returns the state one
+    step delta away, and the Jacobian is taken with respect to that local
+    increment at zero.  The Jacobian is a `BlockJacobian`, whose per-group
+    row blocks form JᵀWJ in one batched product over the groups, and the
+    parameter count comes from it.  Each block of `block_size` consecutive
+    residuals is robustified with the Cauchy function of scale
+    `robust_scale`.  `residual_fn(x)` is called at the start and at every
+    trial state; `jacobian_fn(x)` only ever at the last state whose residual
+    was evaluated, the start or the step just accepted, so a problem may
+    reuse that evaluation; and each Jacobian is used up before the next is
+    asked for, so a problem may write them all into one buffer.  Each
+    residual's block squares are taken once and serve both its robust cost
+    and, once it is accepted, the next iteration's IRLS weights.  Damping is
+    divided by 10 on accepted steps and multiplied by 10 on rejections.  The
+    report's `termination` gives the reason the run stopped:
 
         "gradient"  the gradient infinity norm fell below 1e-10;
         "cost"      an accepted step lowered the robust cost by no more than
@@ -295,8 +281,6 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
     robust cost at the start and after every accepted step.
     """
     x = x0
-    if plus is None:
-        x, plus = np.asarray(x0, dtype=float), np.add
     r = np.asarray(residual_fn(x), dtype=float)
     if r.size % block_size:
         raise ValueError("residual length is not a multiple of the block size")
@@ -309,7 +293,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *,
     termination = None
 
     for _ in range(_MAX_ITERATIONS):
-        J = _row_blocks(jacobian_fn(x))
+        J = jacobian_fn(x)
         if J.shape[0] != r.size:
             raise ValueError(f"jacobian shape {J.shape} does not match "
                              f"{r.size} residuals")

@@ -26,6 +26,7 @@ from .core_geom import (
     nearest_rotation,
 )
 from .refine import (
+    BlockJacobian,
     LMState,
     ResidualReport,
     lm_minimize,
@@ -197,8 +198,9 @@ def _cosine_model(pixels, pairs):
 
     Returns (residual, jacobian, plus) over `LMState`s whose x is the
     parameter vector; the residual stores its evaluation on the state and
-    the Jacobian reuses it.  A state with a non-positive focal length
-    raises CalibrationError, which makes lm_minimize reject the step.
+    the Jacobian, a one-group `BlockJacobian`, reuses it.  A state with a
+    non-positive focal length raises CalibrationError, which makes
+    lm_minimize reject the step.
     """
     pair_i, pair_j, g = pairs
     ph = np.column_stack([pixels, np.ones(len(pixels))])
@@ -230,7 +232,7 @@ def _cosine_model(pixels, pairs):
         J = np.empty((5, len(c)))
         for row, (a, b) in enumerate(((0, 0), (1, 1), (0, 2), (1, 2), (0, 1))):
             J[row] = A[a] * qi[b] + B[a] * qj[b]
-        return J.T
+        return BlockJacobian(J[None], 5)
 
     def plus(state, delta):
         return LMState(state.x + delta)

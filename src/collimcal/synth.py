@@ -33,7 +33,6 @@ from .core_geom import (
     PlanarTarget,
     checked_rotations,
     decompose_homography,
-    project_camera_points,
     radial_pixels,
     rotation_matrix_from_axis_angle,
 )
@@ -179,8 +178,8 @@ def _draw_pose(config: SyntheticConfig, rng: np.random.Generator, points: np.nda
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0.0, max_angle)
         R = rotation_matrix_from_axis_angle(axis * angle)
-        # project_camera_points' checks, inline, without the outputs it would
-        # build; it keeps the attempts that it would keep.
+        # Tested inline, not through `project`, which would raise on a point
+        # behind the camera and build a pixel array the test does not keep.
         x, y, z = (points @ R.T + (-R @ nominal)).T
         if z.min() <= 0:
             continue
@@ -207,8 +206,8 @@ def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
     front = np.all(xc[..., 2] > 0, axis=1)
     uv = np.zeros(xc.shape[:2] + (2,))
     intr_p, dist_p = _camera_model(config)
-    uv[front] = project_camera_points(intr_p, dist_p, xc[front].reshape(-1, 3))[0].reshape(
-        -1, len(points), 2)
+    x, y, z = np.moveaxis(xc[front], -1, 0)
+    uv[front] = np.stack(radial_pixels(intr_p, dist_p, x, y, z)[:2], axis=-1)
     uv = uv + rng.normal(size=uv.shape) * config.pixel_noise_sigma
     return uv, _inside(uv, config.image_size) & front[:, None]
 

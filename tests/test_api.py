@@ -60,6 +60,46 @@ def test_public_names_are_used():
 
 
 
+# Definitions that nothing in the package uses, kept on purpose: a dense
+# view of a Jacobian and the intrinsic matrix, for tests; the writer of the
+# camera file that the package reads; and the target's id-to-point lookup.
+KEPT_ON_PURPOSE = {"refine.BlockJacobian.toarray", "core_geom.CameraIntrinsics.matrix",
+                   "fileio.write_camera_file", "core_geom.PlanarTarget.xy_for"}
+
+
+def definitions(node, prefix):
+    """(qualified name, name) of every function, method and class under an AST node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}.{child.name}", child.name
+            yield from definitions(child, f"{prefix}.{child.name}")
+        else:
+            yield from definitions(child, prefix)
+
+
+def named_names(path):
+    """used_names of a file, and its string literals that are one identifier
+    (the benchmark's tracer names its targets by string)."""
+    return used_names(path) | {
+        node.value for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.isidentifier()}
+
+
+def test_every_definition_is_used():
+    # A function, method or class earns its place by a use elsewhere in the
+    # package or in the benchmark; commands are dispatched by name.
+    paths = [path for path in (ROOT / "src" / "collimcal").glob("*.py")
+             if path.name != "__init__.py"]
+    used = set().union(*map(used_names, paths),
+                       *map(named_names, (ROOT / "perfbench").glob("*.py")))
+    dead = {qualified for path in paths
+            for qualified, name in definitions(ast.parse(path.read_text()), path.stem)
+            if not (name.startswith("__") and name.endswith("__"))
+            and not name.startswith("cmd_") and name not in used}
+    assert dead == KEPT_ON_PURPOSE
+
+
 def is_private(name):
     return name.startswith("_") and not name.endswith("__")
 

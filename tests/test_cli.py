@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from collimcal import cli, fileio, synth
 from collimcal.cli import build_parser, main
 from collimcal.core_geom import MIN_IMAGE_POINTS, CameraIntrinsics, Distortion, PlanarTarget
-from conftest import rotation_from_axis_angle, stack_images
+from conftest import pick_images, rotation_from_axis_angle, scene, stack_images
 
 
 def write_config(path, **overrides):
@@ -127,6 +127,25 @@ def test_calibrate_degenerate_exit_4(tmp_path):
                  "--out", str(tmp_path / "r.json")])
     assert code in (3, 4)  # rank-deficiency detected, or radicand failure first
     assert code == 4 or not os.path.exists(tmp_path / "r.json")
+
+
+@pytest.mark.parametrize("pair, motion", [("duplicated", "a pure translation"),
+                                           ("z_rotated", "a rotation about a z-parallel axis")])
+def test_calibrate_minimal_degenerate_pair_exit_4(pair, motion, tmp_path, capsys):
+    # A pair that the degeneracy report flags is refused as a degeneracy
+    # before the minimal solver looks for roots.
+    from test_multi_solver import z_rotated_observation_set
+    if pair == "duplicated":
+        obs_set = pick_images(scene(seed=0)[2], [0, 0])
+    else:
+        obs_set = z_rotated_observation_set(
+            [rotation_from_axis_angle([0.1, -0.05, 0.02])], extra_pairs=(0.5,))
+    path = tmp_path / "pair.json"
+    fileio.write_observation_file(path, obs_set)
+    out = tmp_path / "r.json"
+    assert main(["calibrate", "--in", str(path), "--mode", "minimal", "--out", str(out)]) == 4
+    assert f"images 0 and 1 differ by {motion}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_coincident_pixels_exit_4(sim_file, tmp_path, capsys):

@@ -295,6 +295,23 @@ def test_round_trip_gamma_zero_exact():
     assert np.allclose(ray, direction, atol=1e-12)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(fx=st.floats(500.0, 2000.0), fy=st.floats(500.0, 2000.0),
+       gamma=st.floats(-1.0, 1.0), d1=st.floats(-0.2, 0.2), d2=st.floats(-0.2, 0.2),
+       radius=st.floats(0.0, 0.5), angle=st.floats(0.0, 2.0 * np.pi),
+       depth=st.floats(1.0, 1e4))
+@example(fx=500.0, fy=2000.0, gamma=-1.0, d1=-0.2, d2=-0.2, radius=0.5, angle=0.0, depth=1.0)
+@example(fx=2000.0, fy=500.0, gamma=1.0, d1=0.2, d2=0.2, radius=0.5, angle=2.0, depth=1e4)
+def test_project_back_project_round_trip_property(fx, fy, gamma, d1, d2, radius, angle, depth):
+    # A camera-frame point within normalized radius 0.5, projected and
+    # back-projected, gives its own unit ray.
+    K = cg.CameraIntrinsics(fx=fx, fy=fy, cx=542.0, cy=478.0, gamma=gamma)
+    dist = cg.Distortion(d1, d2)
+    point = depth * np.array([radius * np.cos(angle), radius * np.sin(angle), 1.0])
+    ray = cg.back_project(K, dist, cg.project(K, dist, identity_rotation(), np.zeros(3), point))
+    assert np.max(np.abs(ray - point / np.linalg.norm(point))) <= 1e-10
+
+
 def test_undistortion_divergence_reported():
     # Far outside the monotone window the fixed point cannot settle.
     bad = cg.Distortion(d1=-0.9, d2=0.0)

@@ -291,7 +291,7 @@ def test_minimal_solver_arity():
 def test_minimal_solver_pure_translation_pair_degenerate(noiseless_scene):
     _, _, obs = noiseless_scene
     duplicated = pick_images(obs, [0, 0])
-    with pytest.raises((errors.NoRealRoot, errors.NoValidCandidate)):
+    with pytest.raises(errors.DegenerateConfiguration, match="pure translation"):
         ms.solve_minimal(duplicated)
 
 

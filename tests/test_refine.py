@@ -1,6 +1,7 @@
 import re
 import warnings
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collimcal import errors, refine
+from collimcal import single_calib as sc
 from collimcal.core_geom import (
     MIN_IMAGE_POINTS,
     CameraIntrinsics,
@@ -16,8 +18,9 @@ from collimcal.core_geom import (
     checked_rotations,
     project,
 )
-from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form
+from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form, solve_minimal
 from conftest import (
+    first_images,
     identity_rotation,
     rotation_from_axis_angle,
     scene,
@@ -42,8 +45,25 @@ def max_relative_deviation(J_analytic, J_fd):
     return float(np.max(np.abs(J_analytic - J_fd) / np.maximum(1.0, np.abs(J_analytic))))
 
 
-def vector_plus(x, d):
-    return x + d
+def one_group(J):
+    """A dense Jacobian (rows, parameters) as a BlockJacobian of one group, stride 0."""
+    J = np.asarray(J, dtype=float)
+    return refine.BlockJacobian(J.T[None], J.shape[-1])
+
+
+# A Cauchy scale far above every residual of the small problems below: their
+# IRLS weights stay within 1e-4 of one, so LM runs them as least squares.
+BROAD = 1e4
+
+
+def vector_lm(residual, jacobian, x0, *, robust_scale):
+    """lm_minimize on a vector problem: x in an LMState, a step added to it and
+    the dense Jacobian as one group.  Returns (the final x, the report)."""
+    x, report = refine.lm_minimize(
+        lambda state: residual(state.x), lambda state: one_group(jacobian(state.x)),
+        refine.LMState(np.array(x0, dtype=float)), robust_scale=robust_scale,
+        plus=lambda state, delta: refine.LMState(state.x + delta))
+    return x.x, report
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +77,7 @@ def test_lm_rosenbrock():
     def jacobian(x):
         return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
 
-    x, report = refine.lm_minimize(residual, jacobian, np.array([-1.2, 1.0]))
+    x, report = vector_lm(residual, jacobian, np.array([-1.2, 1.0]), robust_scale=BROAD)
     assert report.converged
     assert np.allclose(x, [1.0, 1.0], atol=1e-8)
 
@@ -66,7 +86,8 @@ def test_lm_zero_residual_start():
     def residual(x):
         return x - np.array([2.0, -3.0])
 
-    x, report = refine.lm_minimize(residual, lambda x: np.eye(2), np.array([2.0, -3.0]))
+    x, report = vector_lm(residual, lambda x: np.eye(2), np.array([2.0, -3.0]),
+                          robust_scale=BROAD)
     assert report.converged
     assert report.termination == "gradient"
     assert report.iterations_used == 0
@@ -79,18 +100,17 @@ def test_lm_cost_trajectory_monotone_with_robustifier():
     b = A @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=40)
     b[5] += 30.0  # one gross outlier
 
-    x, report = refine.lm_minimize(lambda x: A @ x - b, lambda x: A,
-                                   np.zeros(3), robust_scale=1.0)
+    x, report = vector_lm(lambda x: A @ x - b, lambda x: A, np.zeros(3), robust_scale=1.0)
     traj = report.cost_trajectory
     assert all(a >= b_ - 1e-12 for a, b_ in zip(traj, traj[1:]))
     assert report.converged
 
 
 def strict_lm(*args, **kwargs):
-    """lm_minimize with every warning, numpy's division by zero too, raised."""
+    """vector_lm with every warning, numpy's division by zero too, raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return refine.lm_minimize(*args, **kwargs)
+        return vector_lm(*args, **kwargs)
 
 
 def test_lm_uncertainty_stop_skips_square_problems_and_exact_fits():
@@ -121,15 +141,15 @@ def test_lm_uncertainty_stop_skips_square_problems_and_exact_fits():
         # half-line where the residual, and so the cost, is exactly zero.
         return np.full((3, 1), 0.5)
 
-    runs = [(square, square_jacobian, np.array([2.0, 2.0]), {}),
-            (exact, exact_jacobian, np.zeros(3), {}),
-            (exact, exact_jacobian, np.zeros(3), {"robust_scale": 1.0}),
-            (lambda x: A @ x - b, lambda x: A, np.zeros(3), {}),
-            (flat, flat_jacobian, np.array([3.0]), {}),
+    runs = [(square, square_jacobian, np.array([2.0, 2.0]), BROAD),
+            (exact, exact_jacobian, np.zeros(3), BROAD),
+            (exact, exact_jacobian, np.zeros(3), 1.0),
+            (lambda x: A @ x - b, lambda x: A, np.zeros(3), BROAD),
+            (flat, flat_jacobian, np.array([3.0]), BROAD),
             (lambda x: np.array([x[0] * x[1] - 2.0]), lambda x: np.array([[x[1], x[0]]]),
-             np.array([3.0, 3.0]), {})]
-    for residual, jacobian, x0, kwargs in runs:
-        x, report = strict_lm(residual, jacobian, x0, **kwargs)
+             np.array([3.0, 3.0]), BROAD)]
+    for residual, jacobian, x0, scale in runs:
+        x, report = strict_lm(residual, jacobian, x0, robust_scale=scale)
         assert report.termination in ("gradient", "cost", "step")
         assert report.iterations_used > 0
         assert np.max(np.abs(residual(x))) < 1e-6
@@ -148,7 +168,7 @@ def test_lm_uncertainty_stop_needs_two_accepted_steps(monkeypatch):
     x0 = x_hat + 1e-3 * sigma
     spread = refine._step_spread(A.T @ A, x_hat - x0, float(np.sum(residual(x_hat) ** 2)), 40)
     assert spread < 1e-2
-    _, report = strict_lm(residual, lambda x: A, x0)
+    _, report = strict_lm(residual, lambda x: A, x0, robust_scale=BROAD)
     assert report.iterations_used == 1
     assert report.termination == "budget"
 
@@ -162,15 +182,15 @@ def test_lm_respects_iteration_budget(monkeypatch):
     def jacobian(x):
         return np.array([[np.exp(x[0])], [3.0 * x[0] ** 2]])
 
-    _, report = refine.lm_minimize(residual, jacobian, np.array([4.0]))
+    _, report = vector_lm(residual, jacobian, np.array([4.0]), robust_scale=BROAD)
     assert report.iterations_used <= 2
     assert report.termination == "budget"
 
 
 def test_lm_non_finite_jacobian_raises():
     with pytest.raises(errors.NormalEquationsFailed):
-        refine.lm_minimize(lambda x: x - 1.0, lambda x: np.full((2, 2), np.nan),
-                           np.zeros(2))
+        vector_lm(lambda x: x - 1.0, lambda x: np.full((2, 2), np.nan), np.zeros(2),
+                  robust_scale=BROAD)
 
 
 def test_lm_unsolvable_normal_equations_raise(monkeypatch):
@@ -182,7 +202,7 @@ def test_lm_unsolvable_normal_equations_raise(monkeypatch):
     # steps leaves it, the damping never lands exactly on its ceiling.
     monkeypatch.setattr(refine, "_INITIAL_DAMPING", 1e-12)
     with pytest.raises(errors.NormalEquationsFailed):
-        refine.lm_minimize(lambda x: x - 1.0, lambda x: np.eye(2), np.zeros(2))
+        vector_lm(lambda x: x - 1.0, lambda x: np.eye(2), np.zeros(2), robust_scale=BROAD)
 
 
 def test_lm_rejecting_every_step_reports_damping():
@@ -193,7 +213,7 @@ def test_lm_rejecting_every_step_reports_damping():
             raise errors.PointBehindCamera("every step leaves the domain")
         return x - 1.0
 
-    x, report = refine.lm_minimize(residual, lambda x: np.eye(2), x0)
+    x, report = vector_lm(residual, lambda x: np.eye(2), x0, robust_scale=BROAD)
     assert report.termination == "damping"
     assert not report.converged
     assert np.array_equal(x, x0)
@@ -341,6 +361,92 @@ def test_ba_stops_within_a_hundredth_of_a_standard_deviation(adjustment, noise):
             problem = refine.general_problem(obs, result)
         assert report.converged, (trial, report.termination)
         assert gauss_newton_step_in_sd(problem) <= 0.02, trial
+
+
+def stop_gap_in_sd(run, problem_at, shared, scale, block_size, monkeypatch):
+    """Largest |x_i - x^_i| / sd_i over the first `shared` parameters.
+
+    x is the result of `run()`, x^ that of `run()` with the uncertainty stop
+    disabled, and sd_i^2 the diagonal of sigma^2 (JᵀWJ)^-1 at x^, with
+    sigma^2 the robust cost over m - P.  `problem_at(result)` gives the
+    residual, the Jacobian and the state of a result.
+    """
+    x = problem_at(run())[2].x[:shared]
+    with monkeypatch.context() as patched:
+        patched.setattr(refine, "_UNCERTAINTY_TOLERANCE", -1.0)
+        residual, jacobian, state = problem_at(run())
+    r = residual(state)
+    squares = refine._block_squares(r, block_size)
+    A, _ = jacobian(state).normal_equations(
+        refine._block_weights(squares, block_size, scale), r)
+    d = 1.0 / np.sqrt(np.diag(A))
+    cov = d[:, None] * np.linalg.inv(d[:, None] * A * d) * d
+    sigma2 = refine._robust_cost(squares, scale) / (r.size - state.x.size)
+    sd = np.sqrt(sigma2 * np.diag(cov)[:shared])
+    return float(np.max(np.abs(x - state.x[:shared]) / sd))
+
+
+def ba_run(adjust, problem, observations, init):
+    """`run` and `problem_at` of stop_gap_in_sd for a bundle adjustment."""
+    return (lambda: adjust(observations, init)[0],
+            lambda result: itemgetter(0, 1, 3)(problem(observations, result)))
+
+
+def production_runs(kind, trial, noise):
+    """(run, problem_at, shared, scale, block_size) of one production LM run
+    from its pipeline's own start, or None when that start cannot be made."""
+    config, _, obs = scene(seed=5, trial=trial, pixel_noise_sigma=noise,
+                           image_count=1 if kind in ("single", "angle") else 15)
+    ba = (refine._CAUCHY_SCALE_PX, 2)
+    if kind == "spherical":
+        intr, ext = solve_closed_form(obs)
+        return (*ba_run(refine.spherical_ba, refine.spherical_problem, obs,
+                        (intr, Distortion(0.0, 0.0), ext)), 10, *ba)
+    if kind == "general":
+        return (*ba_run(refine.general_ba, refine.general_problem, obs,
+                        zhang_general_init(obs)), 7, *ba)
+    if kind == "minimal":
+        pair = first_images(obs, 2)
+        try:
+            intr, ext = solve_minimal(pair)[0]
+        except errors.CalibrationError:
+            return None
+        return (*ba_run(refine.spherical_ba, refine.spherical_problem, pair,
+                        (intr, Distortion(0.0, 0.0), ext)), 10, *ba)
+    # The single-image pipeline against the exact rays from the nominal center.
+    rays = np.column_stack([obs.xy, np.zeros(len(obs.xy))]) - config.t_cp
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    pairs = sc.select_pairs(rays)
+    w, h = config.image_size
+    focal = sc.init_focal_quartic(obs.uv, pairs, w, h)
+    start = CameraIntrinsics(focal, focal, w / 2.0, h / 2.0, 0.0)
+    if kind == "angle":
+        residual, jacobian, _ = sc._cosine_model(obs.uv, pairs)
+        return (lambda: sc.refine_intrinsics_angle(obs.uv, pairs, start),
+                lambda K: (residual, jacobian,
+                           refine.LMState(np.array([K.fx, K.fy, K.cx, K.cy, K.gamma]))),
+                5, sc.ANGLE_CAUCHY_SCALE, 1)
+    intr = sc.refine_intrinsics_angle(obs.uv, pairs, start)
+    rot = sc.estimate_rotation_kabsch(back_project(intr, Distortion(), obs.uv), rays)
+    return (lambda: refine.single_image_ba(rays, obs.uv, (intr, Distortion(0.0, 0.0), rot))[0],
+            lambda result: itemgetter(0, 1, 3)(refine.single_image_problem(rays, obs.uv, result)),
+            7, *ba)
+
+
+@pytest.mark.parametrize("noise", [1.0, 3.0])
+@pytest.mark.parametrize("kind", ["spherical", "general", "minimal", "single", "angle"])
+def test_production_stops_land_at_the_optimum(kind, noise, monkeypatch):
+    # Each production LM run, from its pipeline's own start, must stop within
+    # 0.05 standard deviations of the optimum that the same run reaches with
+    # the uncertainty stop disabled, on K, d and the center where it has them.
+    gaps = []
+    for trial in range(8):
+        runs = production_runs(kind, trial, noise)
+        if runs is not None:
+            gaps.append(stop_gap_in_sd(*runs, monkeypatch))
+    print(f"{kind} at {noise} px: largest stop gap {max(gaps):.4f} sd over {len(gaps)} scenes")
+    assert len(gaps) >= 4
+    assert max(gaps) <= 0.05
 
 
 def test_spherical_ba_converges_at_an_exact_fit():
@@ -604,14 +710,14 @@ def padded_problem(counts, translations, seed):
 @example(counts=[30, 30, 29, 30], translations=False, seed=2)
 def test_padded_normal_equations_match_dense(counts, translations, seed):
     # Every image is padded to the largest count; the padding must add
-    # nothing to JᵀWJ or JᵀWr, and the dense stride-0 form of the same
-    # Jacobian must give them too.
+    # nothing to JᵀWJ or JᵀWr, and the same Jacobian made dense and passed
+    # as one stride-0 group must give them too.
     residual, jacobian, _, x0, *_ = padded_problem(counts, translations, seed)
     r = residual(x0)
     J = jacobian(x0)
     assert J.shape == (r.size, x0.x.size) == (2 * sum(counts), x0.x.size)
     assert_normal_equations_match_dense(J, r)
-    assert_normal_equations_match_dense(refine._row_blocks(J.toarray()), r)
+    assert_normal_equations_match_dense(one_group(J.toarray()), r)
 
 
 @pytest.mark.parametrize("name", ["spherical", "general"])
@@ -637,11 +743,11 @@ def test_uneven_point_behind_camera_counts_real_points(name):
 
 
 def test_dense_jacobian_normal_equations_match():
-    # A dense Jacobian, as the single-image angle refinement passes, is one
-    # group with stride 0.
+    # A dense Jacobian as one group with stride 0, the form the single-image
+    # angle refinement passes.
     residual, jacobian, _, x0, *_ = noisy_problems()["spherical"]
     r = residual(x0)
-    J = refine._row_blocks(jacobian(x0).toarray())
+    J = one_group(jacobian(x0).toarray())
     assert J.stride == 0 and J.shape == (r.size, x0.x.size)
     assert_normal_equations_match_dense(J, r)
 
@@ -680,18 +786,21 @@ def test_plus_keeps_rotations_proper_over_a_long_chain(name):
 
 def test_lm_rejects_jacobian_of_wrong_shape():
     with pytest.raises(ValueError):
-        refine.lm_minimize(lambda x: x - 1.0, lambda x: np.eye(3), np.zeros(2))
+        vector_lm(lambda x: x - 1.0, lambda x: np.eye(3), np.zeros(2), robust_scale=BROAD)
+    # A 1-D Jacobian makes a block of two dimensions, whose shape is refused.
     with pytest.raises(ValueError):
-        refine.lm_minimize(lambda x: x - 1.0, lambda x: np.ones(2), np.zeros(2))
+        vector_lm(lambda x: x - 1.0, lambda x: np.ones(2), np.zeros(2), robust_scale=BROAD)
     # The parameter count comes from the Jacobian: one row short is refused
     # by lm_minimize, one column too many by the state's `plus`.
     residual, jacobian, plus, x0, *_ = noisy_problems()["spherical"]
+    scale = refine._CAUCHY_SCALE_PX
     with pytest.raises(ValueError):
-        refine.lm_minimize(residual, lambda s: jacobian(s).toarray()[:-1], x0,
-                           block_size=2, plus=plus)
+        refine.lm_minimize(residual, lambda s: one_group(jacobian(s).toarray()[:-1]), x0,
+                           robust_scale=scale, plus=plus, block_size=2)
     with pytest.raises(ValueError):
-        refine.lm_minimize(residual, lambda s: np.column_stack(
-            [jacobian(s).toarray(), np.zeros(residual(s).size)]), x0, block_size=2, plus=plus)
+        refine.lm_minimize(residual, lambda s: one_group(np.column_stack(
+            [jacobian(s).toarray(), np.zeros(residual(s).size)])), x0,
+            robust_scale=scale, plus=plus, block_size=2)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,9 @@ def test_cosine_jacobian_matches_central_differences(count):
     assert exhaustive == (count <= sc.MAX_EXHAUSTIVE_PAIR_POINTS)
     residual, jacobian, plus = sc._cosine_model(uv, pairs)
     state = LMState(np.array([1040.0, 960.0, 548.0, 470.0, -1.5]))
-    J = jacobian(state)
+    block = jacobian(state)
+    assert block.block.shape[0] == 1 and block.stride == 0
+    J = block.toarray()
     h = 1e-2  # pixels, for every parameter
     J_fd = np.column_stack([(residual(plus(state, e)) - residual(plus(state, -e))) / (2.0 * h)
                             for e in np.eye(5) * h])
