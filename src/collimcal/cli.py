@@ -18,7 +18,7 @@ import numpy as np
 from . import errors, fileio, synth
 from .core_geom import Distortion, ObservationSet, axis_angle_from_rotation_matrix
 from .multi_solver import detect_degeneracy, solve_closed_form, solve_minimal
-from .refine import reprojection_rms, spherical_ba, spherical_problem
+from .refine import spherical_ba, spherical_problem, unrefined_report
 from .single_calib import build_ray_database, calibrate_single_image
 
 EXIT_OK = 0
@@ -120,14 +120,11 @@ def cmd_calibrate(args) -> int:
             observations.ids, observations.uv, database,
             image_width=data.image_size[0], image_height=data.image_size[1],
             refine_distortion=not args.no_refine)
-        intr, dist = result.intrinsics, result.distortion
+        intr, dist, fit = result.intrinsics, result.distortion, result.report
         report.update({
             "rotation_axis_angle": fileio.rotations_payload(result.rotation),
-            "rms_reprojection_px": result.report.rms_reprojection,
             "n_matched": result.n_matched,
             "n_dropped": result.n_dropped,
-            "converged": result.report.converged,
-            "termination": result.report.termination,
         })
     else:
         report["degeneracy"] = _degeneracy_block(observations)
@@ -139,22 +136,21 @@ def cmd_calibrate(args) -> int:
             intr, ext = candidates[0]
         dist = Distortion(0.0, 0.0)
         if args.no_refine:
-            stage = "init"
-            rms, per_image = reprojection_rms(spherical_problem(observations, (intr, dist, ext)))
+            fit = unrefined_report(spherical_problem(observations, (intr, dist, ext)))
         else:
-            (intr, dist, ext), ba_report = spherical_ba(observations,
-                                                        (intr, dist, ext))
-            report["converged"] = ba_report.converged
-            report["termination"] = ba_report.termination
-            stage = "refined"
-            rms, per_image = ba_report.rms_reprojection, ba_report.per_image_rms
+            (intr, dist, ext), fit = spherical_ba(observations, (intr, dist, ext))
         report.update({
-            "stage": stage,
             "t_cp_mm": [float(v) for v in ext.t_cp],
             "rotations_axis_angle": fileio.rotations_payload(ext.rotations),
-            "rms_reprojection_px": rms,
-            "per_image_rms_px": per_image,
         })
+    # The refinement block: the same fields in every mode, refined or not.
+    report.update({
+        "stage": "init" if args.no_refine else "refined",
+        "converged": fit.converged,
+        "termination": fit.termination,
+        "rms_reprojection_px": fit.rms_reprojection,
+        "per_image_rms_px": fit.per_image_rms,
+    })
     report["intrinsics"] = fileio.intrinsics_payload(intr)
     report["distortion"] = [dist.d1, dist.d2]
     if data.ground_truth is not None:

@@ -48,7 +48,6 @@ class GroundTruth:
 @dataclass(frozen=True)
 class ObservationFile:
     observations: ObservationSet
-    image_names: tuple
     image_size: tuple | None
     ground_truth: GroundTruth | None
 
@@ -188,23 +187,19 @@ def _distortion_from(block, path) -> Distortion:
 # ---------------------------------------------------------------------------
 
 def write_observation_file(path, observations: ObservationSet, *,
-                           image_names=None, image_size=None,
+                           image_size=None,
                            ground_truth: GroundTruth | None = None) -> None:
-    names = list(image_names) if image_names is not None else [
-        f"image_{k:03d}" for k in range(len(observations))]
-    if len(names) != len(observations):
-        raise ValueError("image_names length must match the image count")
     points = [[i, u, v] for i, (u, v) in zip(observations.ids.tolist(),
                                              observations.uv.tolist())]
+    bounds = [0, *np.cumsum(observations.counts).tolist()]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "units": {"world": "mm", "image": "pixel"},
         "target": {"points": [[int(i), float(x), float(y)]
                               for i, (x, y) in zip(observations.target.ids,
                                                    observations.target.xy)]},
-        "images": [{"name": name, "points": points[end - count:end]}
-                   for name, count, end in zip(names, observations.counts.tolist(),
-                                               np.cumsum(observations.counts).tolist())],
+        "images": [{"name": f"image_{k:03d}", "points": points[bounds[k]:bounds[k + 1]]}
+                   for k in range(len(observations))],
     }
     if image_size is not None:
         payload["image_size"] = [int(image_size[0]), int(image_size[1])]
@@ -227,14 +222,14 @@ def read_observation_file(payload, path) -> ObservationFile:
                           f"{path}: bad target points")
     target = PlanarTarget(ids=ids, xy=xy)
 
-    ids, uv, names = [np.zeros(0, dtype=int)], [np.zeros((0, 2))], []
+    ids, uv = [np.zeros(0, dtype=int)], [np.zeros((0, 2))]
     for k, block in enumerate(_require(payload, "images", path, list)):
         if not isinstance(block, dict):
             raise FileFormatError(f"{path}: bad image {k} (image_{k:03d}): "
                                   f"images must be a list of objects")
-        names.append(str(block.get("name", f"image_{k:03d}")))
+        name = str(block.get("name", f"image_{k:03d}"))
         rows = _point_rows(_require(block, "points", path), ("u", "v"),
-                           f"{path}: bad points in image {k} ({names[-1]})")
+                           f"{path}: bad points in image {k} ({name})")
         ids.append(rows[0])
         uv.append(rows[1])
     observations = ObservationSet(target, np.concatenate(ids), np.concatenate(uv),
@@ -261,8 +256,8 @@ def read_observation_file(payload, path) -> ObservationFile:
         ground_truth = GroundTruth(
             intrinsics=_intrinsics_from(block, path),
             distortion=_distortion_from(block, path), t_cp=t_cp, rotations=rotations)
-    return ObservationFile(observations=observations, image_names=tuple(names),
-                           image_size=image_size, ground_truth=ground_truth)
+    return ObservationFile(observations=observations, image_size=image_size,
+                           ground_truth=ground_truth)
 
 
 # ---------------------------------------------------------------------------

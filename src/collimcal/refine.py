@@ -562,14 +562,16 @@ def spherical_problem(observations: ObservationSet, init):
                                  center=ext0.t_cp)
 
 
-def reprojection_rms(problem):
-    """Overall and per-image reprojection RMS (px) at the start of a stacked problem.
+def unrefined_report(problem):
+    """The report of a stacked problem left at its start: "not_run", 0 iterations.
 
     `problem` is what `spherical_problem`, `general_problem` or
-    `single_image_problem` returns.
+    `single_image_problem` returns; the RMS is that of its start point.
     """
     residual, _, _, x0, _, image = problem
-    return _per_image_rms(residual(x0), image)
+    rms, per = _per_image_rms(residual(x0), image)
+    return ResidualReport(rms_reprojection=rms, per_image_rms=per, iterations_used=0,
+                          termination="not_run", cost_trajectory=())
 
 
 def spherical_ba(observations: ObservationSet, init):

@@ -30,9 +30,9 @@ from .refine import (
     LMState,
     ResidualReport,
     lm_minimize,
-    reprojection_rms,
     single_image_ba,
     single_image_problem,
+    unrefined_report,
 )
 
 MAX_EXHAUSTIVE_PAIR_POINTS = 120
@@ -92,7 +92,7 @@ class SingleImageResult:
 def build_ray_database(ids, pixels, ref_intrinsics: CameraIntrinsics,
                        ref_distortion: Distortion) -> RayDatabase:
     """Back-project reference observations into unit rays keyed by id."""
-    ids = np.atleast_1d(np.asarray(ids, dtype=int))
+    ids = integer_array(ids, "reference point ids")
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     if len(ids) < 8:
         raise ValueError(f"reference image needs >= 8 points, got {len(ids)}")
@@ -289,7 +289,7 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
     the database is by id intersection, unmatched points are dropped and
     counted.  Stage failures carry the stage name.
     """
-    ids = np.atleast_1d(np.asarray(ids, dtype=int))
+    ids = integer_array(ids, "calibration point ids")
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     db_idx, obs_idx = database.match(ids)
     n_matched = len(db_idx)
@@ -322,9 +322,6 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
         (intr, dist, rot), report = stage(
             "single_image_ba", lambda: single_image_ba(rays, uv, (intr, dist, rot)))
     else:
-        rms, per_image = reprojection_rms(single_image_problem(rays, uv, (intr, dist, rot)))
-        report = ResidualReport(rms_reprojection=rms, per_image_rms=per_image,
-                                iterations_used=0, termination="not_run",
-                                cost_trajectory=())
+        report = unrefined_report(single_image_problem(rays, uv, (intr, dist, rot)))
     return SingleImageResult(intrinsics=intr, distortion=dist, rotation=rot,
                              report=report, n_matched=n_matched, n_dropped=n_dropped)

@@ -439,7 +439,32 @@ def test_no_refine_reports_are_strict_json(sim_file, reference_db, tmp_path):
         report = strict_json(out)
         # Noiseless and undistorted, so the initial estimate reprojects exactly.
         assert 0.0 <= report["rms_reprojection_px"] < 1e-6, mode
-    assert report["termination"] == "not_run" and report["distortion"] == [0.0, 0.0]
+        assert report["termination"] == "not_run", mode
+        assert report["distortion"] == [0.0, 0.0], mode
+
+
+REFINEMENT_BLOCK = ("stage", "converged", "termination", "rms_reprojection_px",
+                    "per_image_rms_px")
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refined", "no_refine"])
+def test_every_mode_writes_the_same_refinement_block(sim_file, reference_db, tmp_path,
+                                                     refine):
+    extra = () if refine else ("--no-refine",)
+    for mode, out in calibrate_each_mode(sim_file, reference_db, tmp_path, "block",
+                                         *extra).items():
+        report = strict_json(out)
+        assert all(key in report for key in REFINEMENT_BLOCK), (mode, sorted(report))
+        images = 1 if mode == "single" else 2 if mode == "minimal" else 15
+        assert len(report["per_image_rms_px"]) == images, mode
+        assert max(report["per_image_rms_px"]) < 1e-6, mode
+        if refine:
+            assert report["stage"] == "refined", mode
+            assert report["termination"] != "not_run", mode
+        else:
+            assert report["stage"] == "init", mode
+            assert report["converged"] is False, mode
+            assert report["termination"] == "not_run", mode
 
 
 def test_every_writer_writes_one_compact_sorted_document(sim_file, reference_db, tmp_path):

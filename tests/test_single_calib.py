@@ -5,7 +5,7 @@ from dataclasses import replace
 from collimcal import errors, synth
 from collimcal import single_calib as sc
 from collimcal.core_geom import CameraIntrinsics, Distortion, axis_angle_from_rotation_matrix
-from collimcal.refine import LMState
+from collimcal.refine import LMState, single_image_problem
 from conftest import angular_distance, rotation_from_axis_angle
 
 REF_K = CameraIntrinsics(fx=1200.0, fy=1180.0, cx=700.0, cy=500.0, gamma=0.0)
@@ -369,6 +369,44 @@ def test_pipeline_selects_the_pairs_once(monkeypatch):
     image, _ = calibration_image()
     sc.calibrate_single_image(image.ids, image.uv, db, image_width=1080, image_height=960)
     assert len(calls) == 1
+
+
+def test_pipeline_without_refinement_reports_the_start_point():
+    db, _ = reference_database()
+    image, _ = calibration_image(distortion=Distortion(0.1, -0.2), noise=0.5)
+    res = sc.calibrate_single_image(image.ids, image.uv, db, image_width=1080,
+                                    image_height=960, refine_distortion=False)
+    report = res.report
+    assert report.termination == "not_run" and not report.converged
+    assert report.iterations_used == 0 and report.cost_trajectory == ()
+    assert res.distortion == Distortion(0.0, 0.0)
+    assert len(report.per_image_rms) == 1
+    assert report.per_image_rms[0] == pytest.approx(report.rms_reprojection, rel=1e-12)
+    db_idx, obs_idx = db.match(image.ids)
+    residual, _, _, x0, _, _ = single_image_problem(
+        db.rays[db_idx], image.uv[obs_idx], (res.intrinsics, Distortion(), res.rotation))
+    r = residual(x0)
+    assert report.rms_reprojection == np.sqrt(np.mean(r * r))
+    assert report.rms_reprojection > 0.5  # the unmodelled distortion shows
+
+
+BAD_IDS = {"float": lambda ids: list(ids + 0.3),
+           "bool": lambda ids: [bool(k % 2) for k in ids],
+           "string": lambda ids: [str(k) for k in ids]}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_IDS))
+@pytest.mark.parametrize("entry", ["build_ray_database", "calibrate_single_image"])
+def test_single_image_entry_points_refuse_non_integer_ids(entry, kind):
+    db, _ = reference_database()
+    image, _ = calibration_image()
+    ids = BAD_IDS[kind](image.ids)
+    field = "reference" if entry == "build_ray_database" else "calibration"
+    with pytest.raises(ValueError, match=f"^{field} point ids must be integers"):
+        if entry == "build_ray_database":
+            sc.build_ray_database(ids, image.uv, REF_K, Distortion())
+        else:
+            sc.calibrate_single_image(ids, image.uv, db, image_width=1080, image_height=960)
 
 
 def test_pipeline_requires_eight_matches():
