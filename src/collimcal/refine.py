@@ -521,10 +521,14 @@ def _plane_points(observations: ObservationSet) -> np.ndarray:
 
 
 def _per_image_rms(r: np.ndarray, image: np.ndarray):
-    """Overall and per-image RMS of the stacked residual r (2M,)."""
-    squares = _block_squares(r, 2)
-    per = np.sqrt(np.bincount(image, squares) / (2.0 * np.bincount(image)))
-    return float(np.sqrt(np.mean(r * r))), tuple(float(v) for v in per)
+    """Overall and per-image RMS of the stacked residual r (2M,).
+
+    Both come from the same per-image sums, so one image's RMS is the overall one.
+    """
+    sums = np.bincount(image, _block_squares(r, 2))
+    sizes = 2.0 * np.bincount(image)
+    return (float(np.sqrt(sums.sum() / sizes.sum())),
+            tuple(float(v) for v in np.sqrt(sums / sizes)))
 
 
 def _adjusted(problem):

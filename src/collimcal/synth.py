@@ -161,36 +161,62 @@ def _camera_model(config: SyntheticConfig):
     return (intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma), (dist.d1, dist.d2)
 
 
-def _draw_pose(config: SyntheticConfig, rng: np.random.Generator, points: np.ndarray):
-    """One image's rotation matrix and jittered center, drawn as the protocol says.
+def _draw_poses(config: SyntheticConfig, rngs, points: np.ndarray, images: range):
+    """Every stream's poses of `images`, drawn in lockstep rounds.
 
-    Each attempt draws a uniform axis (3 normals) and an angle uniform in
-    [0, MAX_TILT_DEG] (1 uniform); the first whose whole target lies in front
-    of the camera and inside the image at the nominal center is kept, and
-    the jitter (3 normals), which models the imperfect collimator, follows.
+    Each round, every stream still short of its images draws one attempt
+    from its own stream, as the protocol says: a uniform axis (3 normals)
+    and an angle uniform in [0, MAX_TILT_DEG] (1 uniform).  One stacked
+    test then judges all the attempts: an attempt is kept when the whole
+    target lies in front of the camera and inside the image at the nominal
+    center.  A stream whose attempt is kept draws the jitter (3 normals),
+    which models the imperfect collimator, and goes on to its next image.
+    So each stream sees the same draws, in the same order, as when it is
+    drawn alone.  Returns R (S, n, 3, 3) and centers (S, n, 3) for S
+    streams and n images; PoseSamplingFailed names the first image that
+    takes POSE_ATTEMPTS attempts.
     """
     nominal = config.t_cp
     intr_p, dist_p = _camera_model(config)
     w, h = config.image_size
     max_angle = np.deg2rad(MAX_TILT_DEG)
-    for _ in range(POSE_ATTEMPTS):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = rng.uniform(0.0, max_angle)
-        R = rotation_matrix_from_axis_angle(axis * angle)
+    R = np.empty((len(rngs), len(images), 3, 3))
+    jitter = np.empty((len(rngs), len(images), 3))
+    drawn = [0] * len(rngs)
+    tries = [0] * len(rngs)
+    active = list(range(len(rngs)))
+    while active:
+        axes = np.empty((len(active), 3))
+        angles = np.empty(len(active))
+        for i, s in enumerate(active):
+            axes[i] = rngs[s].normal(size=3)
+            angles[i] = rngs[s].uniform(0.0, max_angle)
+        # |axis| by np.vecdot, which rounds like np.linalg.norm of one vector.
+        axes /= np.sqrt(np.vecdot(axes, axes))[:, None]
+        attempts = rotation_matrix_from_axis_angle(axes * angles[:, None])
         # Tested inline, not through `project`, which would raise on a point
         # behind the camera and build a pixel array the test does not keep.
-        x, y, z = (points @ R.T + (-R @ nominal)).T
-        if z.min() <= 0:
-            continue
-        u, v = radial_pixels(intr_p, dist_p, x, y, z)[:2]
-        if u.min() >= 0 and u.max() <= w and v.min() >= 0 and v.max() <= h:
-            break
-    else:
-        raise errors.PoseSamplingFailed(
-            f"no visible pose found in {POSE_ATTEMPTS} attempts; "
-            f"the view cone is too wide for this target/image geometry")
-    return R, nominal + rng.normal(size=3) * config.spherical_noise_sigma
+        xc = points @ attempts.transpose(0, 2, 1) + (-attempts @ nominal)[:, None, :]
+        # A point behind the camera gets a NaN depth, so its pixel is NaN and
+        # fails the bounds test.
+        z = np.where(xc[..., 2] > 0, xc[..., 2], np.nan)
+        u, v = radial_pixels(intr_p, dist_p, xc[..., 0], xc[..., 1], z)[:2]
+        kept = ((u >= 0) & (u <= w) & (v >= 0) & (v <= h)).all(axis=1)
+        for i, s in enumerate(active):
+            if kept[i]:
+                R[s, drawn[s]] = attempts[i]
+                jitter[s, drawn[s]] = rngs[s].normal(size=3)
+                drawn[s] += 1
+                tries[s] = 0
+            else:
+                tries[s] += 1
+                if tries[s] == POSE_ATTEMPTS:
+                    raise errors.PoseSamplingFailed(
+                        f"image {images[drawn[s]]}: no visible pose found in "
+                        f"{POSE_ATTEMPTS} attempts; the view cone is too wide "
+                        f"for this target/image geometry")
+        active = [s for s in active if drawn[s] < len(images)]
+    return R, nominal + jitter * config.spherical_noise_sigma
 
 
 def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
@@ -212,39 +238,52 @@ def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
     return uv, _inside(uv, config.image_size) & front[:, None]
 
 
-def make_scene(config: SyntheticConfig, rng: np.random.Generator):
-    """Poses (R (N, 3, 3), centers (N, 3)) and their rendered observations.
+def _make_scenes(config: SyntheticConfig, rngs):
+    """One scene per RNG stream, every stream drawn as `make_scene` draws it.
 
-    The one way to make a synthetic scene.  Every image's pose is drawn
-    first, in image order (`_draw_pose`), then the pixel noise of every
-    view, all from the one RNG stream.  A view whose jittered center puts a
-    target point behind the camera, or leaves fewer than MIN_IMAGE_POINTS
-    points in the image, is drawn again (pose, jitter and noise) after that,
-    up to POSE_ATTEMPTS draws in all; then PoseSamplingFailed names the image.
-    The observations' target is the grid's cached, read-only PlanarTarget,
-    shared by every scene of that grid.
+    The poses of all streams are drawn in lockstep (`_draw_poses`); then
+    each stream, in order, renders its views and draws again those that
+    keep fewer than MIN_IMAGE_POINTS points.
     """
     target = config.target.planar_target()
     points = np.column_stack([target.xy, np.zeros(len(target.ids))])
-    R = np.empty((config.image_count, 3, 3))
-    centers = np.empty((config.image_count, 3))
-    for k in range(config.image_count):
-        R[k], centers[k] = _draw_pose(config, rng, points)
-    uv, keep = _render(R, centers, config, points, rng)
-    for k in np.flatnonzero(keep.sum(axis=1) < MIN_IMAGE_POINTS):
-        for _ in range(POSE_ATTEMPTS - 1):
-            R[k], centers[k] = _draw_pose(config, rng, points)
-            view_uv, view_keep = _render(R[k:k + 1], centers[k:k + 1], config, points, rng)
-            uv[k], keep[k] = view_uv[0], view_keep[0]
-            if keep[k].sum() >= MIN_IMAGE_POINTS:
-                break
-        else:
-            raise errors.PoseSamplingFailed(
-                f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {MIN_IMAGE_POINTS} "
-                f"target points in front of the camera and inside the image")
-    observations = ObservationSet(target, target.ids[np.nonzero(keep)[1]], uv[keep],
-                                  keep.sum(axis=1))
-    return (checked_rotations(R), centers), observations
+    poses = _draw_poses(config, rngs, points, range(config.image_count))
+    scenes = []
+    for rng, R, centers in zip(rngs, *poses):
+        uv, keep = _render(R, centers, config, points, rng)
+        for k in np.flatnonzero(keep.sum(axis=1) < MIN_IMAGE_POINTS):
+            for _ in range(POSE_ATTEMPTS - 1):
+                R[k], centers[k] = _draw_poses(config, [rng], points, range(k, k + 1))
+                uv[k], keep[k] = _render(R[k:k + 1], centers[k:k + 1], config, points, rng)
+                if keep[k].sum() >= MIN_IMAGE_POINTS:
+                    break
+            else:
+                raise errors.PoseSamplingFailed(
+                    f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {MIN_IMAGE_POINTS} "
+                    f"target points in front of the camera and inside the image")
+        observations = ObservationSet(target, target.ids[np.nonzero(keep)[1]], uv[keep],
+                                      keep.sum(axis=1))
+        scenes.append(((checked_rotations(R), centers), observations))
+    return scenes
+
+
+def make_scene(config: SyntheticConfig, rng: np.random.Generator):
+    """Poses (R (N, 3, 3), centers (N, 3)) and their rendered observations.
+
+    The one way to make a synthetic scene: the one-stream case of the
+    lockstep generator that the Monte Carlo pool uses for a chunk of trials.
+    Every image's pose is drawn first, in image order, then the pixel noise
+    of every view, all from the one RNG stream.  A pose attempt is kept when
+    the whole target lies in front of the camera and inside the image; after
+    POSE_ATTEMPTS rejected attempts PoseSamplingFailed names the image.  A
+    view whose jittered center puts a target point behind the camera, or
+    leaves fewer than MIN_IMAGE_POINTS points in the image, is drawn again
+    (pose, jitter and noise) after that, up to POSE_ATTEMPTS draws in all;
+    then PoseSamplingFailed names the image.  The observations' target is
+    the grid's cached, read-only PlanarTarget, shared by every scene of
+    that grid.
+    """
+    return _make_scenes(config, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +384,57 @@ def _error_row(intr, dist, ext, truth) -> np.ndarray:
     return row
 
 
+def _trial_rng(config: SyntheticConfig, trial_index: int) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence(config.rng_seed, spawn_key=(trial_index,)))
+
+
 def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
     """One paired trial: one scene, every requested solver arm on it.
 
-    Returns {arm: (error_row, seconds)}; a failed arm maps to (None, seconds).
+    A scene with an image of fewer than 20 points is drawn again, from the
+    same stream.  Returns {arm: (error_row, seconds)}; a failed arm maps to
+    (None, seconds).
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.rng_seed, spawn_key=(trial_index,)))
-    truth = config.truth_vector()
+    rng = _trial_rng(config, trial_index)
     for _ in range(POSE_ATTEMPTS):
         _, observations = make_scene(config, rng)
         if observations.counts.min() >= 20:
             break
     else:
         raise errors.PoseSamplingFailed("could not render 20 visible points per image")
+    return _run_arms(observations, config.truth_vector(), arms)
 
+
+def _run_chunk(config: SyntheticConfig, trials: range, arms):
+    """The outcomes of `run_single_trial` for trials of one sweep point.
+
+    Their scenes, and the scenes drawn again for too few points, are made
+    in lockstep (`_make_scenes`); each trial's stream sees the draws it sees
+    in `run_single_trial`.  If any scene cannot be made, the trials run one
+    at a time, so the error raised is the serial path's.
+    """
+    rngs = [_trial_rng(config, t) for t in trials]
+    observations = [None] * len(rngs)
+    pending = list(range(len(rngs)))
+    try:
+        for _ in range(POSE_ATTEMPTS):
+            scenes = _make_scenes(config, [rngs[i] for i in pending])
+            for i, (_, obs) in zip(pending, scenes):
+                observations[i] = obs
+            pending = [i for i in pending if observations[i].counts.min() < 20]
+            if not pending:
+                break
+    except errors.PoseSamplingFailed:
+        pass
+    if pending:
+        return [run_single_trial(config, t, arms) for t in trials]
+    truth = config.truth_vector()
+    return [_run_arms(obs, truth, arms) for obs in observations]
+
+
+def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
+    """Every requested solver arm on one scene: {arm: (error_row, seconds)}."""
     results = {}
     closed_form = None
     zhang = None
@@ -434,13 +509,15 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
 
     Returns a list of TrialStats, one per (sweep value, arm), in sweep-major
     order.  Every point's trials run on one process pool per call, handed
-    out in chunks of max(1, trial_count // (4 * workers)); trials are seeded
-    by their index, so neither the worker count nor the chunks change a
-    result.  The pool has at most one worker per trial, and each worker
-    keeps its freed heap (`_keep_worker_heap`).  Per-trial failures are
-    recorded as NaN rows.  Once every point has run, the first point at
-    which more than half of the trials failed for some arm raises
-    CalibrationError.
+    out in chunks of max(1, trial_count // (4 * workers)) trials of one
+    point; a chunk draws its scenes in lockstep (`_run_chunk`).  With one
+    worker, each trial runs alone through `run_single_trial`.  Trials are
+    seeded by their index, and a lockstep scene equals the one drawn alone,
+    so neither the worker count nor the chunks change a result.  The pool
+    has at most one worker per trial, and each worker keeps its freed heap
+    (`_keep_worker_heap`).  Per-trial failures are recorded as NaN rows.
+    Once every point has run, the first point at which more than half of
+    the trials failed for some arm raises CalibrationError.
     """
     arms = tuple(arms)
     for arm in arms:
@@ -451,15 +528,16 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
 
     points = [(value, _config_for(config, sweep_kind, value)) for value in sweep_values]
     n = config.trial_count
-    configs = [point for _, point in points for _ in range(n)]
-    indices = list(range(n)) * len(points)
-    workers = min(workers, len(configs))
+    workers = min(workers, n * len(points))
     if workers > 1:
+        size = max(1, n // (4 * workers))
+        chunks = [(point, range(start, min(start + size, n)))
+                  for _, point in points for start in range(0, n, size)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_keep_worker_heap) as pool:
-            outcomes = list(pool.map(run_single_trial, configs, indices, repeat(arms),
-                                     chunksize=max(1, n // (4 * workers))))
+            outcomes = [outcome for chunk in pool.map(_run_chunk, *zip(*chunks), repeat(arms))
+                        for outcome in chunk]
     else:
-        outcomes = list(map(run_single_trial, configs, indices, repeat(arms)))
+        outcomes = [run_single_trial(point, t, arms) for _, point in points for t in range(n)]
 
     all_stats, failures = [], []
     for p, (value, point_config) in enumerate(points):

@@ -847,6 +847,15 @@ def test_single_image_ba_rms_tracks_noise():
     assert 0.3 < np.mean(rms_values) < 0.7
 
 
+def test_one_image_rms_is_the_overall_rms():
+    # Both figures come from the same per-image sums, so they agree to the bit.
+    for trial in range(20):
+        rays, pixels, intr, dist, rot = single_image_setup(
+            np.random.default_rng(200 + trial), Distortion(0.1, -0.2), noise_sigma=0.5)
+        _, report = refine.single_image_ba(rays, pixels, (intr, Distortion(0.0, 0.0), rot))
+        assert report.per_image_rms == (report.rms_reprojection,)
+
+
 def test_single_image_ba_needs_eight_points():
     rays, pixels, intr, dist, rot = single_image_setup(np.random.default_rng(3),
                                                        Distortion(), n=7)

@@ -8,6 +8,7 @@ import pytest
 
 from collimcal import errors, synth
 from collimcal.core_geom import (
+    MIN_IMAGE_POINTS,
     CameraIntrinsics,
     Distortion,
     back_project,
@@ -133,8 +134,16 @@ def test_target_stays_on_sphere():
 
 def test_pose_sampling_failure_when_target_cannot_fit():
     cfg = synth.default_config(radius=260.0)  # target wider than the view
-    with pytest.raises(errors.PoseSamplingFailed):
+    with pytest.raises(errors.PoseSamplingFailed, match="image 0"):
         synth.make_scene(cfg, pose_rng(seed=5))
+    # A pooled chunk whose scenes cannot be made raises the serial path's
+    # error, whether a pose cannot be drawn or an image never keeps 20 points.
+    for cfg, message in ((synth.default_config(radius=260.0, trial_count=4), "image 0"),
+                         (synth.default_config(target=synth.TargetGrid(rows=3, cols=3),
+                                               image_count=2, trial_count=4), "20 visible")):
+        for workers in (1, 2):
+            with pytest.raises(errors.PoseSamplingFailed, match=message):
+                synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours",), workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +188,8 @@ def test_render_noise_statistics():
 def reference_scene(config, rng):
     """make_scene as one pose attempt and one image at a time, on the public API.
 
-    Returns the poses, each image's (ids, pixels), and how many pose
-    attempts were rejected.
+    Returns the poses, each image's (ids, pixels), how many pose attempts
+    were rejected and how many views were drawn again.
     """
     target = config.target.planar_target()
     points = np.column_stack([target.xy, np.zeros(len(target.ids))])
@@ -189,8 +198,10 @@ def reference_scene(config, rng):
     def inside(uv):
         return (uv[:, 0] >= 0) & (uv[:, 0] <= w) & (uv[:, 1] >= 0) & (uv[:, 1] <= h)
 
-    poses, rejected = [], 0
-    for _ in range(config.image_count):
+    rejected = 0
+
+    def draw_pose():
+        nonlocal rejected
         for _ in range(synth.POSE_ATTEMPTS):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
@@ -208,14 +219,30 @@ def reference_scene(config, rng):
         else:
             raise AssertionError("the reference found no visible pose")
         jitter = rng.normal(size=3) * config.spherical_noise_sigma
-        poses.append((rot, config.t_cp + jitter))
-    images = []
-    for rot, center in poses:
-        uv = project(config.intrinsics, config.distortion, rot, -rot @ center, points)
+        return rot, config.t_cp + jitter
+
+    def render(rot, center):
+        try:
+            uv, front = project(config.intrinsics, config.distortion, rot, -rot @ center,
+                                points), True
+        except errors.PointBehindCamera:
+            uv, front = np.zeros((len(points), 2)), False
         uv = uv + rng.normal(size=uv.shape) * config.pixel_noise_sigma
-        keep = inside(uv)
-        images.append((target.ids[keep], uv[keep]))
-    return poses, images, rejected
+        keep = inside(uv) & front
+        return target.ids[keep], uv[keep]
+
+    poses = [draw_pose() for _ in range(config.image_count)]
+    images = [render(rot, center) for rot, center in poses]
+    redrawn = 0
+    for k in range(config.image_count):
+        for _ in range(synth.POSE_ATTEMPTS - 1):
+            if len(images[k][0]) >= MIN_IMAGE_POINTS:
+                break
+            poses[k] = draw_pose()
+            images[k] = render(*poses[k])
+            redrawn += 1
+        assert len(images[k][0]) >= MIN_IMAGE_POINTS
+    return poses, images, rejected, redrawn
 
 
 def same_bytes(a, b):
@@ -223,26 +250,51 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_scene_is_the_reference(scene, reference):
+    (R, centers), obs = scene
+    ref_poses, ref_images = reference
+    assert len(R) == len(centers) == len(ref_poses) == len(obs)
+    for rot, center, (ref_rot, ref_center) in zip(R, centers, ref_poses):
+        assert same_bytes(rot, ref_rot)
+        assert same_bytes(center, ref_center)
+    for (ids, uv), (ref_ids, ref_uv) in zip(split_images(obs), ref_images):
+        assert same_bytes(ids, ref_ids)
+        assert same_bytes(uv, ref_uv)
+
+
 def test_scenes_match_the_per_image_reference_bit_for_bit():
+    # One stream at a time through make_scene, and each config's streams
+    # together through one lockstep call: every scene and every stream's
+    # final state must be the reference's.  At 200 mm of jitter some views
+    # are drawn again.
     configs = [synth.default_config(pixel_noise_sigma=0.5),
                synth.default_config(pixel_noise_sigma=1.0, distortion=Distortion(0.1, -0.2)),
-               synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=30.0)]
-    rejected = dropped = 0
-    for seed in range(20):
-        config = configs[seed % 3]
-        (R, centers), obs = synth.make_scene(config, pose_rng(seed=seed))
-        ref_poses, ref_images, ref_rejected = reference_scene(config, pose_rng(seed=seed))
+               synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=30.0),
+               synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=200.0)]
+    seeds = range(24)
+    rejected = dropped = redrawn = 0
+    references, states = {}, {}
+    for seed in seeds:
+        config = configs[seed % len(configs)]
+        rng = pose_rng(seed=seed)
+        poses, images, ref_rejected, ref_redrawn = reference_scene(config, rng)
+        references[seed], states[seed] = (poses, images), rng.bit_generator.state
         rejected += ref_rejected
-        assert len(R) == len(centers) == len(ref_poses) == len(obs)
-        for rot, center, (ref_rot, ref_center) in zip(R, centers, ref_poses):
-            assert same_bytes(rot, ref_rot)
-            assert same_bytes(center, ref_center)
-        for (ids, uv), (ref_ids, ref_uv) in zip(split_images(obs), ref_images):
-            assert same_bytes(ids, ref_ids)
-            assert same_bytes(uv, ref_uv)
-            dropped += len(ids) < len(obs.target.ids)
-    # The seeds exercise rejected pose attempts and images with dropped points.
-    assert rejected > 0 and dropped > 0
+        redrawn += ref_redrawn
+        dropped += sum(len(ids) < config.target.rows * config.target.cols
+                       for ids, _ in images)
+        rng = pose_rng(seed=seed)
+        assert_scene_is_the_reference(synth.make_scene(config, rng), references[seed])
+        assert rng.bit_generator.state == states[seed]
+    for c, config in enumerate(configs):
+        group = [seed for seed in seeds if seed % len(configs) == c]
+        rngs = [pose_rng(seed=seed) for seed in group]
+        for seed, rng, scene in zip(group, rngs, synth._make_scenes(config, rngs)):
+            assert_scene_is_the_reference(scene, references[seed])
+            assert rng.bit_generator.state == states[seed]
+    # The seeds exercise rejected pose attempts, images with dropped points
+    # and views drawn again.
+    assert rejected > 0 and dropped > 0 and redrawn > 0
 
 
 @pytest.mark.parametrize("sigma", [200.0, 400.0])
@@ -309,15 +361,26 @@ def test_monte_carlo_deterministic():
     assert np.array_equal(a.trials, b.trials, equal_nan=True)
 
 
+def same_trial_stats(a, b):
+    return ((a.sweep_value, a.solver, a.stage, a.fail_count)
+            == (b.sweep_value, b.solver, b.stage, b.fail_count)
+            and a.truth.tobytes() == b.truth.tobytes()
+            and a.trials.tobytes() == b.trials.tobytes())
+
+
 def test_monte_carlo_parallel_matches_serial():
-    # 6 trials on 3 workers go out one at a time, 16 on 2 in chunks of 2.
-    for trial_count, workers in ((6, 3), (16, 2)):
+    # 6 trials on 3 workers go out one at a time, 16 on 2 in chunks of 2,
+    # and 25 on 2 in chunks of 3 with a chunk of 1 last at each point; a
+    # chunk never holds trials of two points.
+    for trial_count, workers, sweep, values in (
+            (6, 3, "noise", [0.7]), (16, 2, "noise", [0.7]),
+            (25, 2, "noise", [0.7, 1.5]), (25, 2, "spherical", [0.0, 20.0])):
         cfg = synth.default_config(pixel_noise_sigma=0.7, trial_count=trial_count)
-        serial = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours",), workers=1)[0]
-        parallel = synth.run_monte_carlo(cfg, "noise", [0.7], arms=("ours",),
-                                         workers=workers)[0]
-        assert serial.trials.tobytes() == parallel.trials.tobytes()
-        assert serial.fail_count == parallel.fail_count
+        serial = synth.run_monte_carlo(cfg, sweep, values, arms=("ours", "zhang"), workers=1)
+        parallel = synth.run_monte_carlo(cfg, sweep, values, arms=("ours", "zhang"),
+                                         workers=workers)
+        assert len(serial) == len(parallel) == 2 * len(values)
+        assert all(map(same_trial_stats, serial, parallel))
     # A 3-point sweep runs on one pool and must equal three one-point serial calls.
     cfg = synth.default_config(trial_count=5)
     values = [0.5, 3.0, 1.0]
@@ -326,20 +389,15 @@ def test_monte_carlo_parallel_matches_serial():
     for workers in (2, 3):
         parallel = synth.run_monte_carlo(cfg, "noise", values, arms=("ours", "zhang"),
                                          workers=workers)
-        assert [(s.sweep_value, s.solver) for s in parallel] == \
-            [(s.sweep_value, s.solver) for s in serial]
-        for a, b in zip(serial, parallel):
-            assert a.trials.tobytes() == b.trials.tobytes()
-            assert a.fail_count == b.fail_count
+        assert len(serial) == len(parallel)
+        assert all(map(same_trial_stats, serial, parallel))
     # The bundle adjustments run on workers that keep their heap, and must
     # still give the serial bytes.
     cfg = synth.default_config(pixel_noise_sigma=1.0, trial_count=4)
     serial = synth.run_monte_carlo(cfg, "noise", [1.0], workers=1)
     parallel = synth.run_monte_carlo(cfg, "noise", [1.0], workers=2)
-    assert [s.solver + s.stage for s in parallel] == [s.solver + s.stage for s in serial]
-    for a, b in zip(serial, parallel):
-        assert a.trials.tobytes() == b.trials.tobytes()
-        assert a.fail_count == b.fail_count
+    assert len(serial) == len(parallel)
+    assert all(map(same_trial_stats, serial, parallel))
 
 
 def test_default_worker_count_follows_cpu_affinity(monkeypatch):
