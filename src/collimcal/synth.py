@@ -191,8 +191,8 @@ def _draw_poses(config: SyntheticConfig, rngs, points: np.ndarray, images: range
         for i, s in enumerate(active):
             axes[i] = rngs[s].normal(size=3)
             angles[i] = rngs[s].uniform(0.0, max_angle)
-        # |axis| by np.vecdot, which rounds like np.linalg.norm of one vector.
-        axes /= np.sqrt(np.vecdot(axes, axes))[:, None]
+        # |axis| as a dot product, which rounds like np.linalg.norm of one vector.
+        axes /= np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
         attempts = rotation_matrix_from_axis_angle(axes * angles[:, None])
         # Tested inline, not through `project`, which would raise on a point
         # behind the camera and build a pixel array the test does not keep.
@@ -411,24 +411,21 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
 
     Their scenes, and the scenes drawn again for too few points, are made
     in lockstep (`_make_scenes`); each trial's stream sees the draws it sees
-    in `run_single_trial`.  If any scene cannot be made, the trials run one
-    at a time, so the error raised is the serial path's.
+    in `run_single_trial`, and a scene that cannot be made raises the same
+    PoseSamplingFailed kinds.
     """
     rngs = [_trial_rng(config, t) for t in trials]
     observations = [None] * len(rngs)
     pending = list(range(len(rngs)))
-    try:
-        for _ in range(POSE_ATTEMPTS):
-            scenes = _make_scenes(config, [rngs[i] for i in pending])
-            for i, (_, obs) in zip(pending, scenes):
-                observations[i] = obs
-            pending = [i for i in pending if observations[i].counts.min() < 20]
-            if not pending:
-                break
-    except errors.PoseSamplingFailed:
-        pass
-    if pending:
-        return [run_single_trial(config, t, arms) for t in trials]
+    for _ in range(POSE_ATTEMPTS):
+        scenes = _make_scenes(config, [rngs[i] for i in pending])
+        for i, (_, obs) in zip(pending, scenes):
+            observations[i] = obs
+        pending = [i for i in pending if observations[i].counts.min() < 20]
+        if not pending:
+            break
+    else:
+        raise errors.PoseSamplingFailed("could not render 20 visible points per image")
     truth = config.truth_vector()
     return [_run_arms(obs, truth, arms) for obs in observations]
 

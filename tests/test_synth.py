@@ -136,8 +136,8 @@ def test_pose_sampling_failure_when_target_cannot_fit():
     cfg = synth.default_config(radius=260.0)  # target wider than the view
     with pytest.raises(errors.PoseSamplingFailed, match="image 0"):
         synth.make_scene(cfg, pose_rng(seed=5))
-    # A pooled chunk whose scenes cannot be made raises the serial path's
-    # error, whether a pose cannot be drawn or an image never keeps 20 points.
+    # A pooled chunk whose scenes cannot be made fails as the serial path
+    # does, whether a pose cannot be drawn or an image never keeps 20 points.
     for cfg, message in ((synth.default_config(radius=260.0, trial_count=4), "image 0"),
                          (synth.default_config(target=synth.TargetGrid(rows=3, cols=3),
                                                image_count=2, trial_count=4), "20 visible")):
