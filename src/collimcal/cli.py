@@ -10,13 +10,14 @@ process may run on, its CPU affinity).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 
 import numpy as np
 
 from . import errors, fileio, synth
-from .core_geom import Distortion, ObservationSet, axis_angle_from_rotation_matrix
+from .core_geom import Distortion, axis_angle_from_rotation_matrix
 from .multi_solver import detect_degeneracy, solve_closed_form, solve_minimal
 from .refine import spherical_ba, spherical_problem, unrefined_report
 from .single_calib import build_ray_database, calibrate_single_image
@@ -61,15 +62,6 @@ def _truth_errors(intr, dist, ext, truth: fileio.GroundTruth):
     if ext is not None:
         block["tcp_err_mm"] = float(np.linalg.norm(ext.t_cp - truth.t_cp))
     return block
-
-
-def _degeneracy_block(observations: ObservationSet):
-    report = detect_degeneracy(observations)
-    return {
-        "pure_translation_pairs": [list(p) for p in report.pure_translation_pairs],
-        "z_rotation_pairs": [list(p) for p in report.z_rotation_pairs],
-        "rank": report.rank,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +119,7 @@ def cmd_calibrate(args) -> int:
             "n_dropped": result.n_dropped,
         })
     else:
-        report["degeneracy"] = _degeneracy_block(observations)
+        report["degeneracy"] = dataclasses.asdict(detect_degeneracy(observations))
         if args.mode == "nimg":
             intr, ext = solve_closed_form(observations)
         else:

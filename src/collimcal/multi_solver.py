@@ -184,12 +184,18 @@ def solve_closed_form(observations: ObservationSet):
         raise errors.DegenerateConfiguration(
             f"stacked linear system is rank deficient "
             f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})")
-    intr_n = _decode_intrinsics(solution[:5])
-    x_n, y_n, r_n = _decode_center(solution[5:])
+    return _raw_solution(fit, _decode_intrinsics(solution[:5]), *_decode_center(solution[5:]))
+
+
+def _raw_solution(fit, intr_n, x_n, y_n, r_n):
+    """(CameraIntrinsics, SphericalExtrinsics) in raw units from a solution in fit units.
+
+    The rotations come from decomposing the fit's homographies with intr_n.
+    """
     rotations, _, _ = decompose_homography(fit.matrices, intr_n)
-    intr = fit.intrinsics_to_raw(intr_n)
     x, y, r = fit.center_to_raw(x_n, y_n, r_n)
-    return intr, SphericalExtrinsics(x=x, y=y, r=r, rotations=rotations)
+    return fit.intrinsics_to_raw(intr_n), SphericalExtrinsics(x=x, y=y, r=r,
+                                                               rotations=rotations)
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +280,13 @@ def solve_minimal(observations: ObservationSet):
         rows = np.stack([u12, u11 - u22, u13 + x_n * u11, u23 + y_n * u11, u33 - t2_n * u11])
         q_unit = q / np.linalg.norm(q)
         residual = np.sum((rows @ q_unit) ** 2 / np.sum(rows * rows, axis=-1))
-        rotations, _, _ = decompose_homography(fit.matrices, intr_n)
-        intr = fit.intrinsics_to_raw(intr_n)
-        x, y, r = fit.center_to_raw(x_n, y_n, float(np.sqrt(r2)))
-        candidates.append((residual,
-                           intr,
-                           SphericalExtrinsics(x=x, y=y, r=r, rotations=rotations)))
+        candidates.append((residual, _raw_solution(fit, intr_n, x_n, y_n,
+                                                   float(np.sqrt(r2)))))
     if not candidates:
         raise errors.NoValidCandidate(
             "no root produced a positive-definite conic with positive radius")
     candidates.sort(key=lambda item: item[0])
-    return [(intr, ext) for _, intr, ext in candidates]
+    return [solution for _, solution in candidates]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +50,9 @@ _ARM_LABELS = {"ours": ("ours", "init"), "ours_ba": ("ours", "refined"),
                "zhang": ("zhang", "init"), "zhang_ba": ("zhang", "refined")}
 
 SWEEP_KINDS = ("noise", "images", "spherical")
+# The SyntheticConfig field each sweep kind sets.
+_SWEEP_FIELDS = dict(zip(SWEEP_KINDS, ("pixel_noise_sigma", "image_count",
+                                       "spherical_noise_sigma")))
 
 # A Monte Carlo pool worker's glibc heap settings (`_keep_worker_heap`): the
 # mallopt parameters of malloc.h and their values.  Freed memory up to the
@@ -59,6 +63,11 @@ _WORKER_TRIM_THRESHOLD = 512 << 20
 _WORKER_MMAP_THRESHOLD = 256 << 20
 # mallopt's return values (1 on success) in a worker that made the setting.
 _worker_heap_setting = None
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A real number (an integer, with kind numbers.Integral) that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,8 @@ class TargetGrid:
         if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (self.rows, self.cols)):
             raise ValueError(f"target rows and cols must be integers of at least 2, "
                              f"got {self.rows} and {self.cols}")
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError(f"target spacing must be finite and positive, got {self.spacing}")
+        if not (_is_number(self.spacing) and np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError(f"target spacing must be finite and positive, got {self.spacing!r}")
 
     @functools.lru_cache(maxsize=16)
     def planar_target(self) -> PlanarTarget:
@@ -108,14 +117,21 @@ class SyntheticConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        offset = tuple(self.target_offset) if np.ndim(self.target_offset) == 1 else ()
+        if len(offset) != 2:
+            raise ValueError(f"target_offset must be two numbers, got {self.target_offset!r}")
         for name in ("radius", "target_offset", "pixel_noise_sigma", "spherical_noise_sigma"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            parts = offset if name == "target_offset" else (value,)
+            if not all(map(_is_number, parts)):
+                raise ValueError(f"{name} must be numeric, got {value!r}")
+            if not np.all(np.isfinite(parts)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         for name in ("image_count", "trial_count", "rng_seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_number(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.image_count < 1 or self.trial_count < 1:
             raise ValueError("counts must be at least 1")
@@ -123,8 +139,7 @@ class SyntheticConfig:
             raise ValueError("noise sigmas must be non-negative")
         size = tuple(self.image_size) if np.ndim(self.image_size) == 1 else ()
         if len(size) != 2 or not all(
-                isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-                and float(v).is_integer() and v > 0 for v in size):
+                _is_number(v) and float(v).is_integer() and v > 0 for v in size):
             raise ValueError(
                 f"image_size must be two positive integers, got {self.image_size!r}")
         w, h = size
@@ -150,15 +165,23 @@ def default_config(**overrides) -> SyntheticConfig:
     return replace(SyntheticConfig(), **overrides) if overrides else SyntheticConfig()
 
 
-def _inside(uv: np.ndarray, image_size) -> np.ndarray:
+def _inside(u: np.ndarray, v: np.ndarray, image_size) -> np.ndarray:
     w, h = image_size
-    u, v = uv[..., 0], uv[..., 1]
     return (u >= 0) & (u <= w) & (v >= 0) & (v <= h)
 
 
-def _camera_model(config: SyntheticConfig):
+def _pixels(config: SyntheticConfig, points: np.ndarray, R: np.ndarray, t: np.ndarray):
+    """Pixels u, v (S, n) of the target points (n, 3) in S views (R (S, 3, 3), t (S, 3)).
+
+    A point behind the camera gets a NaN depth, so its pixels are NaN and
+    fail every bounds test.  Inline rather than through `project`, which
+    raises on such a point.
+    """
     intr, dist = config.intrinsics, config.distortion
-    return (intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma), (dist.d1, dist.d2)
+    xc = points @ R.transpose(0, 2, 1) + t[:, None, :]
+    z = np.where(xc[..., 2] > 0, xc[..., 2], np.nan)
+    return radial_pixels((intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma),
+                         (dist.d1, dist.d2), xc[..., 0], xc[..., 1], z)[:2]
 
 
 def _draw_poses(config: SyntheticConfig, rngs, points: np.ndarray, images: range):
@@ -177,8 +200,6 @@ def _draw_poses(config: SyntheticConfig, rngs, points: np.ndarray, images: range
     takes POSE_ATTEMPTS attempts.
     """
     nominal = config.t_cp
-    intr_p, dist_p = _camera_model(config)
-    w, h = config.image_size
     max_angle = np.deg2rad(MAX_TILT_DEG)
     R = np.empty((len(rngs), len(images), 3, 3))
     jitter = np.empty((len(rngs), len(images), 3))
@@ -194,14 +215,8 @@ def _draw_poses(config: SyntheticConfig, rngs, points: np.ndarray, images: range
         # |axis| as a dot product, which rounds like np.linalg.norm of one vector.
         axes /= np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
         attempts = rotation_matrix_from_axis_angle(axes * angles[:, None])
-        # Tested inline, not through `project`, which would raise on a point
-        # behind the camera and build a pixel array the test does not keep.
-        xc = points @ attempts.transpose(0, 2, 1) + (-attempts @ nominal)[:, None, :]
-        # A point behind the camera gets a NaN depth, so its pixel is NaN and
-        # fails the bounds test.
-        z = np.where(xc[..., 2] > 0, xc[..., 2], np.nan)
-        u, v = radial_pixels(intr_p, dist_p, xc[..., 0], xc[..., 1], z)[:2]
-        kept = ((u >= 0) & (u <= w) & (v >= 0) & (v <= h)).all(axis=1)
+        u, v = _pixels(config, points, attempts, -attempts @ nominal)
+        kept = _inside(u, v, config.image_size).all(axis=1)
         for i, s in enumerate(active):
             if kept[i]:
                 R[s, drawn[s]] = attempts[i]
@@ -227,15 +242,11 @@ def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
     a view with every point in front of the camera.  The noise is drawn for
     every view, as N sequential (n, 2) draws would be.
     """
-    t = -(R @ centers[..., None])[..., 0]
-    xc = points @ R.transpose(0, 2, 1) + t[:, None, :]
-    front = np.all(xc[..., 2] > 0, axis=1)
-    uv = np.zeros(xc.shape[:2] + (2,))
-    intr_p, dist_p = _camera_model(config)
-    x, y, z = np.moveaxis(xc[front], -1, 0)
-    uv[front] = np.stack(radial_pixels(intr_p, dist_p, x, y, z)[:2], axis=-1)
-    uv = uv + rng.normal(size=uv.shape) * config.pixel_noise_sigma
-    return uv, _inside(uv, config.image_size) & front[:, None]
+    u, v = _pixels(config, points, R, -(R @ centers[..., None])[..., 0])
+    front = ~np.isnan(u).any(axis=1)
+    uv = np.stack([u, v], axis=-1)
+    uv += rng.normal(size=uv.shape) * config.pixel_noise_sigma
+    return uv, _inside(uv[..., 0], uv[..., 1], config.image_size) & front[:, None]
 
 
 def _make_scenes(config: SyntheticConfig, rngs):
@@ -358,13 +369,13 @@ class TrialStats:
 
 
 def _config_for(config: SyntheticConfig, sweep_kind: str, value) -> SyntheticConfig:
-    if sweep_kind == "noise":
-        return replace(config, pixel_noise_sigma=float(value))
-    if sweep_kind == "images":
-        return replace(config, image_count=int(value))
-    if sweep_kind == "spherical":
-        return replace(config, spherical_noise_sigma=float(value))
-    raise ValueError(f"unknown sweep kind {sweep_kind!r}; expected one of {SWEEP_KINDS}")
+    if sweep_kind not in SWEEP_KINDS:
+        raise ValueError(f"unknown sweep kind {sweep_kind!r}; expected one of {SWEEP_KINDS}")
+    images = sweep_kind == "images"
+    if not _is_number(value) or (images and not float(value).is_integer()):
+        raise ValueError(f"{sweep_kind} sweep value must be "
+                         f"{'an integer' if images else 'a number'}, got {value!r}")
+    return replace(config, **{_SWEEP_FIELDS[sweep_kind]: (int if images else float)(value)})
 
 
 def _error_row(intr, dist, ext, truth) -> np.ndarray:
@@ -384,37 +395,26 @@ def _error_row(intr, dist, ext, truth) -> np.ndarray:
     return row
 
 
-def _trial_rng(config: SyntheticConfig, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(config.rng_seed, spawn_key=(trial_index,)))
-
-
 def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
     """One paired trial: one scene, every requested solver arm on it.
 
-    A scene with an image of fewer than 20 points is drawn again, from the
-    same stream.  Returns {arm: (error_row, seconds)}; a failed arm maps to
-    (None, seconds).
+    The one-trial chunk (`_run_chunk`).  Returns {arm: (error_row, seconds)};
+    a failed arm maps to (None, seconds).
     """
-    rng = _trial_rng(config, trial_index)
-    for _ in range(POSE_ATTEMPTS):
-        _, observations = make_scene(config, rng)
-        if observations.counts.min() >= 20:
-            break
-    else:
-        raise errors.PoseSamplingFailed("could not render 20 visible points per image")
-    return _run_arms(observations, config.truth_vector(), arms)
+    return _run_chunk(config, range(trial_index, trial_index + 1), arms)[0]
 
 
 def _run_chunk(config: SyntheticConfig, trials: range, arms):
-    """The outcomes of `run_single_trial` for trials of one sweep point.
+    """The outcomes of the paired trials `trials` of one sweep point.
 
-    Their scenes, and the scenes drawn again for too few points, are made
-    in lockstep (`_make_scenes`); each trial's stream sees the draws it sees
-    in `run_single_trial`, and a scene that cannot be made raises the same
-    PoseSamplingFailed kinds.
+    Each trial's scene is drawn from its own stream; a scene with an image
+    of fewer than 20 points is drawn again from that stream, up to
+    POSE_ATTEMPTS scenes.  The scenes of all trials, first and redrawn, are
+    made in lockstep (`_make_scenes`), so a trial's scene does not depend
+    on the chunk it runs in.
     """
-    rngs = [_trial_rng(config, t) for t in trials]
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
+            for t in trials]
     observations = [None] * len(rngs)
     pending = list(range(len(rngs)))
     for _ in range(POSE_ATTEMPTS):
@@ -431,40 +431,34 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
 
 
 def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
-    """Every requested solver arm on one scene: {arm: (error_row, seconds)}."""
-    results = {}
-    closed_form = None
-    zhang = None
+    """Every requested solver arm on one scene: {arm: (error_row, seconds)}.
 
+    An initial arm computes its start, (intrinsics, extrinsics or None),
+    each time it runs; a refined arm reuses the start of its initial arm
+    when that arm ran before it, and its seconds then exclude the start.
+    """
+    results, starts = {}, {}
     for arm in arms:
+        if arm not in _ARM_LABELS:
+            raise ValueError(f"unknown solver arm {arm!r}")
+        solver, stage = _ARM_LABELS[arm]
         start = time.perf_counter()
         try:
-            if arm == "ours":
-                closed_form = solve_closed_form(observations)
-                results[arm] = (_error_row(closed_form[0], None, closed_form[1], truth),
-                                time.perf_counter() - start)
-            elif arm == "ours_ba":
-                if closed_form is None:
-                    closed_form = solve_closed_form(observations)
-                init = (closed_form[0], Distortion(0.0, 0.0), closed_form[1])
-                (intr, dist, ext), _ = spherical_ba(observations, init)
-                results[arm] = (_error_row(intr, dist, ext, truth),
-                                time.perf_counter() - start)
-            elif arm == "zhang":
-                zhang = zhang_init(observations)
-                results[arm] = (_error_row(zhang, None, None, truth),
-                                time.perf_counter() - start)
-            elif arm == "zhang_ba":
-                if zhang is None:
-                    zhang = zhang_init(observations)
-                init = (zhang, Distortion(0.0, 0.0), _zhang_poses(observations, zhang))
+            if stage == "init" or solver not in starts:
+                starts[solver] = (solve_closed_form(observations) if solver == "ours"
+                                  else (zhang_init(observations), None))
+            intr, ext = starts[solver]
+            dist = None
+            if stage == "refined" and solver == "ours":
+                (intr, dist, ext), _ = spherical_ba(
+                    observations, (intr, Distortion(0.0, 0.0), ext))
+            elif stage == "refined":
+                init = (intr, Distortion(0.0, 0.0), _zhang_poses(observations, intr))
                 (intr, dist, _), _ = general_ba(observations, init)
-                results[arm] = (_error_row(intr, dist, None, truth),
-                                time.perf_counter() - start)
-            else:
-                raise ValueError(f"unknown solver arm {arm!r}")
+            row = _error_row(intr, dist, ext, truth)
         except errors.CalibrationError:
-            results[arm] = (None, time.perf_counter() - start)
+            row = None
+        results[arm] = (row, time.perf_counter() - start)
     return results
 
 
@@ -508,13 +502,14 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     order.  Every point's trials run on one process pool per call, handed
     out in chunks of max(1, trial_count // (4 * workers)) trials of one
     point; a chunk draws its scenes in lockstep (`_run_chunk`).  With one
-    worker, each trial runs alone through `run_single_trial`.  Trials are
-    seeded by their index, and a lockstep scene equals the one drawn alone,
-    so neither the worker count nor the chunks change a result.  The pool
-    has at most one worker per trial, and each worker keeps its freed heap
-    (`_keep_worker_heap`).  Per-trial failures are recorded as NaN rows.
-    Once every point has run, the first point at which more than half of
-    the trials failed for some arm raises CalibrationError.
+    worker, each trial runs as a one-trial chunk (`run_single_trial`).
+    Trials are seeded by their index, and a lockstep scene equals the one
+    drawn alone, so neither the worker count nor the chunks change a
+    result.  The pool has at most one worker per trial, and each worker
+    keeps its freed heap (`_keep_worker_heap`).  Per-trial failures are
+    recorded as NaN rows.  Once every point has run, the first point at
+    which more than half of the trials failed for some arm raises
+    CalibrationError.
     """
     arms = tuple(arms)
     for arm in arms:
@@ -522,6 +517,8 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
             raise ValueError(f"unknown solver arm {arm!r}")
     if workers is None:
         workers = default_worker_count()
+    elif not _is_number(workers, numbers.Integral):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
 
     points = [(value, _config_for(config, sweep_kind, value)) for value in sweep_values]
     n = config.trial_count

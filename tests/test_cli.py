@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from collimcal import cli, fileio, synth
 from collimcal.cli import build_parser, main
 from collimcal.core_geom import MIN_IMAGE_POINTS, CameraIntrinsics, Distortion, PlanarTarget
+from collimcal.multi_solver import detect_degeneracy
 from conftest import pick_images, rotation_from_axis_angle, scene, stack_images
 
 
@@ -81,6 +83,20 @@ def test_calibrate_nimg_noiseless(sim_file, tmp_path):
     assert report["termination"] in ("gradient", "cost", "step", "uncertainty")
     assert report["degeneracy"]["rank"] == 11
     assert report["tool_version"]
+
+
+def test_nimg_report_lists_a_duplicated_images_pair(sim_file, tmp_path):
+    observations = fileio.read_observation_file(sim_file).observations
+    n = len(observations)
+    path = tmp_path / "duplicated.json"
+    fileio.write_observation_file(path, pick_images(observations, [*range(n), 3]))
+    out = tmp_path / "report.json"
+    assert main(["calibrate", "--in", str(path), "--mode", "nimg", "--no-refine",
+                 "--out", str(out)]) == 0
+    block = json.loads(out.read_text())["degeneracy"]
+    assert block["pure_translation_pairs"] == [[3, n]]
+    expected = detect_degeneracy(fileio.read_observation_file(path).observations)
+    assert block == json.loads(json.dumps(dataclasses.asdict(expected)))
 
 
 def test_calibrate_no_refine_stage(sim_file, tmp_path):

@@ -499,3 +499,37 @@ def test_unknown_sweep_and_arm_rejected():
         synth.run_monte_carlo(cfg, "zoom", [1.0], arms=("ours",), workers=1)
     with pytest.raises(ValueError):
         synth.run_monte_carlo(cfg, "noise", [1.0], arms=("theirs",), workers=1)
+    with pytest.raises(ValueError, match="theirs"):
+        synth.run_single_trial(cfg, 0, ("theirs",))
+
+
+def one_trial_sweep(sweep="noise", values=(0.5,), workers=1):
+    cfg = synth.default_config(trial_count=1)
+    return synth.run_monte_carlo(cfg, sweep, values, arms=("ours",), workers=workers)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: synth.default_config(radius=True), "radius"),
+    (lambda: synth.default_config(pixel_noise_sigma=True), "pixel_noise_sigma"),
+    (lambda: synth.default_config(spherical_noise_sigma=True), "spherical_noise_sigma"),
+    (lambda: synth.default_config(radius="700"), "radius"),
+    (lambda: synth.default_config(pixel_noise_sigma=None), "pixel_noise_sigma"),
+    (lambda: synth.default_config(spherical_noise_sigma=None), "spherical_noise_sigma"),
+    (lambda: synth.default_config(target_offset=(150.0, 105.0, 0.0)), "target_offset"),
+    (lambda: synth.default_config(target_offset=(150.0,)), "target_offset"),
+    (lambda: synth.default_config(target_offset=("150", 105.0)), "target_offset"),
+    (lambda: synth.TargetGrid(spacing=True), "spacing"),
+    (lambda: synth.TargetGrid(spacing="30"), "spacing"),
+    (lambda: one_trial_sweep(workers=2.5), "workers"),
+    (lambda: one_trial_sweep(workers="2"), "workers"),
+    (lambda: one_trial_sweep(workers=True), "workers"),
+    (lambda: one_trial_sweep(values=(True,)), "noise sweep value"),
+    (lambda: one_trial_sweep("spherical", values=("5",)), "spherical sweep value"),
+    (lambda: one_trial_sweep("images", values=(3.5,)), "images sweep value"),
+], ids=["radius-True", "pixel-sigma-True", "spherical-sigma-True", "radius-str",
+        "pixel-sigma-None", "spherical-sigma-None", "offset-3", "offset-1", "offset-str",
+        "spacing-True", "spacing-str", "workers-float", "workers-str", "workers-True",
+        "noise-sweep-True", "spherical-sweep-str", "images-sweep-3.5"])
+def test_inputs_that_are_not_numbers_are_refused_by_name(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
