@@ -25,11 +25,17 @@ fits every image's homography once, in one batched DLT
 Radial distortion uses the forward (projection-side) model: normalized
 coordinates are scaled by (1 + d1 r^2 + d2 r^4) before the intrinsic
 map.  Undistortion is done by fixed-point iteration.
+
+What counts as a number is decided here alone: `real_number`,
+`real_array` and `integer_array` refuse a bool, a string or None with a
+ValueError naming the field, and every type of the package applies them
+to its own fields when it is built.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -56,9 +62,8 @@ class CameraIntrinsics:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy, self.gamma))):
-            raise ValueError(f"intrinsics must be finite, got fx={self.fx}, fy={self.fy}, "
-                             f"cx={self.cx}, cy={self.cy}, gamma={self.gamma}")
+        for name in ("fx", "fy", "cx", "cy", "gamma"):
+            object.__setattr__(self, name, real_number(getattr(self, name), f"intrinsics {name}"))
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
@@ -100,8 +105,8 @@ class Distortion:
     d2: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.d1) and math.isfinite(self.d2)):
-            raise ValueError(f"distortion must be finite, got ({self.d1}, {self.d2})")
+        for name in ("d1", "d2"):
+            object.__setattr__(self, name, real_number(getattr(self, name), f"distortion {name}"))
 
     def factor(self, r2):
         return 1.0 + self.d1 * r2 + self.d2 * r2 * r2
@@ -207,6 +212,54 @@ def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+def real_number(value, name: str, integer: bool = False):
+    """`value` as a float, or as an int where `integer` is set.
+
+    The one check of a number: ValueError naming `name` if `value` is a
+    bool, a string, None or anything else that is not a real number (an
+    integer, given `integer`), or if it is not finite.
+    """
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                         f"got {value!r}")
+    # Compared, not converted: float() overflows on a huge int.
+    if not (integer or abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _holds_bool(values) -> bool:
+    """Whether a list or tuple holds a bool at any depth of nesting.
+
+    np.asarray would turn such a bool into a number, where a string or
+    None leaves a dtype of its own.
+    """
+    types = set(map(type, values))
+    return bool(types & {bool, np.bool_}) or (bool(types & {list, tuple}) and any(
+        _holds_bool(v) for v in values if isinstance(v, (list, tuple))))
+
+
+def _array_of(values, name: str, kinds: str, what: str) -> np.ndarray:
+    """np.asarray(values); ValueError naming `name` unless its dtype kind is in `kinds`
+    and no list in it holds a bool.  An empty input passes whatever its dtype."""
+    array = np.asarray(values)
+    if array.size and (array.dtype.kind not in kinds
+                       or isinstance(values, (list, tuple)) and _holds_bool(values)):
+        raise ValueError(f"{name} must be {what}")
+    return array
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """`values` as a float array, without a copy where it can.
+
+    ValueError naming `name` if any entry, at any depth of a nested list,
+    is a bool, a string or None; an ndarray costs one dtype test.
+    """
+    return _array_of(values, name, "iuf", "real numbers, not booleans, strings or None"
+                     ).astype(float, copy=False)
+
+
 def integer_array(values, name: str) -> np.ndarray:
     """`values` flattened to an int array, without a copy where it can.
 
@@ -214,12 +267,24 @@ def integer_array(values, name: str) -> np.ndarray:
     rather than truncate it; an empty input passes whatever its dtype,
     since np.asarray([]) is float.
     """
-    array = np.asarray(values).reshape(-1)
-    if len(array) and (array.dtype.kind not in "iu" or (
-            isinstance(values, (list, tuple))
-            and any(isinstance(v, (bool, np.bool_)) for v in values))):
-        raise ValueError(f"{name} must be integers, not booleans, floats or strings")
-    return array.astype(int, copy=False)
+    array = _array_of(values, name, "iu", "integers, not booleans, floats or strings")
+    ints = array.reshape(-1).astype(int, copy=False)
+    # np.asarray makes a list holding 2**63 or more uint64, which int would wrap.
+    if array.dtype.kind == "u" and (ints < 0).any():
+        raise ValueError(f"{name} must be integers below 2**63")
+    return ints
+
+
+def checked_image_size(value) -> tuple:
+    """The (width, height) of an image size, two positive integers, as ints.
+
+    ValueError for anything else, a bool or a string among them too.
+    """
+    size = real_array(value, "image_size")
+    if size.shape != (2,) or not all(v.is_integer() and v > 0 for v in size.tolist()):
+        raise ValueError(f"image_size must be positive integers (width, height), "
+                         f"got {value!r}")
+    return int(size[0]), int(size[1])
 
 
 @dataclass(frozen=True)
@@ -231,7 +296,7 @@ class PlanarTarget:
 
     def __post_init__(self):
         ids = integer_array(self.ids, "target point ids")
-        xy = np.asarray(self.xy, dtype=float).reshape(-1, 2)
+        xy = real_array(self.xy, "target coordinates").reshape(-1, 2)
         if ids.shape[0] != xy.shape[0]:
             raise ValueError("ids and xy must have the same length")
         if not np.isfinite(xy).all():
@@ -296,7 +361,7 @@ class ObservationSet:
 
     def __post_init__(self):
         ids = np.array(integer_array(self.ids, "ids"))
-        uv = np.array(self.uv, dtype=float).reshape(-1, 2)
+        uv = np.array(real_array(self.uv, "pixel coordinates")).reshape(-1, 2)
         counts = np.array(integer_array(self.counts, "counts"))
         if not len(ids) == len(uv) == counts.sum():
             raise ValueError(f"counts add up to {counts.sum()} points, but there are "

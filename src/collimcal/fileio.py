@@ -6,8 +6,10 @@ throughout; every file carries a schema version.  Files are written as
 compact, strict JSON on one line (`python -m json.tool` pretty-prints one);
 the readers ignore whitespace, so indented files read the same.  Writing
 is deterministic (sorted keys, shortest-roundtrip floats), so identical
-data produces byte-identical files.  Where a number is expected, the
-readers take a JSON number only, never a boolean or a string.
+data produces byte-identical files.  The readers check keys, list shapes
+and the schema version, and leave numbers to the checks of `core_geom`,
+which the types they build apply: a JSON boolean or string where a
+number belongs raises FileFormatError naming the file.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .core_geom import (
     ObservationSet,
     PlanarTarget,
     axis_angle_from_rotation_matrix,
+    checked_image_size,
+    integer_array,
+    real_array,
+    real_number,
 )
 from .single_calib import RayDatabase
 from .synth import SyntheticConfig, TargetGrid
@@ -91,7 +97,7 @@ def _reader(parse):
         payload = _load(path)
         try:
             version = _require(payload, "schema_version", path)
-            if _number(version, "schema_version", path) != SCHEMA_VERSION:
+            if real_number(version, "schema_version") != SCHEMA_VERSION:
                 raise FileFormatError(f"{path}: unsupported schema version {version!r}")
             return parse(payload, path, *args)
         except FileFormatError:
@@ -102,34 +108,12 @@ def _reader(parse):
     return read
 
 
-def _number(value, name, path) -> float:
-    """A JSON number as a float; FileFormatError for anything else, a bool or a string too."""
-    if type(value) not in (int, float):
-        raise FileFormatError(f"{path}: {name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _numbers(value, name, path) -> np.ndarray:
-    """A JSON number, or a list (of lists) of them, as a float array."""
-    array = np.array(value, dtype=object)
-    if not all(type(v) in (int, float) for v in array.flat):
-        raise FileFormatError(f"{path}: {name} must hold numbers only")
-    return array.astype(float)
-
-
-def _pair(value, name, path):
-    """The two numbers of a two-element list, as floats."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise FileFormatError(f"{path}: {name} must be a two-element list")
-    return _number(value[0], name, path), _number(value[1], name, path)
-
-
 def _point_rows(rows, fields, where):
     """Ids (n,) and coordinates (n, len(fields)) of the point rows [id, *fields].
 
     A row must be a list of an integer id (not a bool, a float or a string)
     and len(fields) finite numbers; anything else raises FileFormatError naming
-    `where`.  Types are checked in bulk, and one flat list is converted.
+    `where`.  One flat list is checked and converted.
     """
     width = 1 + len(fields)
     layout = f"[integer id, {', '.join(fields)}]"
@@ -137,29 +121,14 @@ def _point_rows(rows, fields, where):
         if type(rows) is not list or not set(map(len, rows)) <= {width}:
             raise TypeError
         flat = list(itertools.chain.from_iterable(rows))
-    except TypeError:
-        raise FileFormatError(f"{where}: every point must be a list {layout}") from None
-    ids, *columns = (flat[k::width] for k in range(width))
-    if not (set(map(type, ids)) <= {int}
-            and all(set(map(type, column)) <= {int, float} for column in columns)):
-        raise FileFormatError(f"{where}: every point must be {layout} with an integer "
-                              f"id and numbers")
-    try:
-        ids, coordinates = (np.array(ids, dtype=int),
-                            np.array(flat, dtype=float).reshape(-1, width)[:, 1:])
-    except OverflowError as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+        ids = integer_array(flat[::width], "point ids")
+        coordinates = real_array(flat, "point coordinates").reshape(-1, width)[:, 1:]
+    except (TypeError, ValueError):
+        raise FileFormatError(f"{where}: every point must be a list {layout} of "
+                              f"numbers") from None
     if not np.isfinite(coordinates).all():
         raise FileFormatError(f"{where}: every coordinate must be finite")
     return ids, coordinates
-
-
-def _image_size(value, path):
-    """The (width, height) of an image_size entry: two positive integers."""
-    size = _pair(value, "image_size", path)
-    if not all(v.is_integer() and v > 0 for v in size):
-        raise FileFormatError(f"{path}: image_size must be positive integers, got {value}")
-    return int(size[0]), int(size[1])
 
 
 def intrinsics_payload(intr: CameraIntrinsics) -> dict:
@@ -171,15 +140,16 @@ def intrinsics_payload(intr: CameraIntrinsics) -> dict:
 def _intrinsics_from(parent, path) -> CameraIntrinsics:
     """The camera of the parent block's "intrinsics" object; gamma defaults to 0."""
     block = _require(parent, "intrinsics", path, dict)
-    return CameraIntrinsics(
-        *(_number(_require(block, key, path), f"intrinsics {key}", path)
-          for key in ("fx", "fy", "cx", "cy")),
-        gamma=_number(block.get("gamma", 0.0), "intrinsics gamma", path))
+    return CameraIntrinsics(*(_require(block, key, path) for key in ("fx", "fy", "cx", "cy")),
+                            gamma=block.get("gamma", 0.0))
 
 
 def _distortion_from(block, path) -> Distortion:
     """The block's "distortion" pair, (0, 0) when it has none."""
-    return Distortion(*_pair(block.get("distortion", [0.0, 0.0]), "distortion", path))
+    pair = block.get("distortion", [0.0, 0.0])
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise FileFormatError(f"{path}: distortion must be a two-element list")
+    return Distortion(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +207,18 @@ def read_observation_file(payload, path) -> ObservationFile:
 
     image_size = None
     if "image_size" in payload:
-        image_size = _image_size(payload["image_size"], path)
+        image_size = checked_image_size(payload["image_size"])
 
     ground_truth = None
     if "ground_truth" in payload:
         block = _require(payload, "ground_truth", path, dict)
-        t_cp = _numbers(_require(block, "t_cp", path), "ground truth t_cp", path)
+        t_cp = real_array(_require(block, "t_cp", path), "ground truth t_cp")
         if t_cp.shape != (3,) or not np.all(np.isfinite(t_cp)):
             raise FileFormatError(f"{path}: ground truth t_cp must be finite and hold "
                                   f"3 numbers, got {t_cp.tolist()}")
         rotations = block.get("rotations_axis_angle")
         if rotations is not None:
-            rotations = _numbers(rotations, "ground truth rotations_axis_angle", path)
+            rotations = real_array(rotations, "ground truth rotations_axis_angle")
             if rotations.shape != (len(observations), 3) or not np.all(np.isfinite(rotations)):
                 raise FileFormatError(
                     f"{path}: ground truth rotations_axis_angle must be finite and hold "
@@ -304,26 +274,17 @@ def read_ray_database(payload, path) -> RayDatabase:
 
 @_reader
 def read_synthetic_config(payload, path) -> SyntheticConfig:
-    kwargs = {}
+    kwargs = {key: payload[key] for key in (
+        "image_size", "target_offset", "radius", "pixel_noise_sigma", "spherical_noise_sigma",
+        "image_count", "trial_count", "rng_seed") if key in payload}
     if "intrinsics" in payload:
         kwargs["intrinsics"] = _intrinsics_from(payload, path)
     if "distortion" in payload:
         kwargs["distortion"] = _distortion_from(payload, path)
-    if "image_size" in payload:
-        kwargs["image_size"] = _image_size(payload["image_size"], path)
     if "target" in payload:
         t = _require(payload, "target", path, dict)
         kwargs["target"] = TargetGrid(rows=t.get("rows", 8), cols=t.get("cols", 11),
-                                      spacing=_number(t.get("spacing_mm", 30.0),
-                                                      "spacing_mm", path))
-    if "target_offset" in payload:
-        kwargs["target_offset"] = _pair(payload["target_offset"], "target_offset", path)
-    for key in ("radius", "pixel_noise_sigma", "spherical_noise_sigma"):
-        if key in payload:
-            kwargs[key] = _number(payload[key], key, path)
-    for key in ("image_count", "trial_count", "rng_seed"):
-        if key in payload:
-            kwargs[key] = payload[key]  # SyntheticConfig refuses a non-integer
+                                      spacing=t.get("spacing_mm", 30.0))
     return SyntheticConfig(**kwargs)
 
 
@@ -333,8 +294,8 @@ def read_sweep_values(payload, path, sweep: str):
     if sweep in custom:
         if not isinstance(custom[sweep], list) or not custom[sweep]:
             raise FileFormatError(f"{path}: sweep_values {sweep} must be a non-empty list")
-        values = [_number(v, f"{sweep} sweep value", path) for v in custom[sweep]]
-        if not all(np.isfinite(v) and v >= 0 for v in values):
+        values = [real_number(v, f"{sweep} sweep values") for v in custom[sweep]]
+        if not all(v >= 0 for v in values):
             raise FileFormatError(f"{path}: {sweep} sweep values must be finite and "
                                   f"non-negative, got {values}")
         # Every sweep runs the closed form, which needs three images.

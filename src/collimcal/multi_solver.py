@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .core_geom import CameraIntrinsics, ObservationSet, decompose_homography
+from .core_geom import CameraIntrinsics, ObservationSet, decompose_homography, real_number
 
 # The entries of a symmetric 3x3 matrix in the order of its 6-vector form
 # (M11, M12, M13, M22, M23, M33), and their 0-based row and column indices.
@@ -52,6 +52,8 @@ class SphericalExtrinsics:
     rotations: np.ndarray
 
     def __post_init__(self):
+        for name in ("x", "y", "r"):
+            object.__setattr__(self, name, real_number(getattr(self, name), f"center {name}"))
         if not self.r > 0:
             raise ValueError(f"spherical radius must be positive, got {self.r}")
 

@@ -24,6 +24,8 @@ from .core_geom import (
     checked_rotations,
     integer_array,
     nearest_rotation,
+    real_array,
+    real_number,
 )
 from .refine import (
     BlockJacobian,
@@ -51,7 +53,7 @@ class RayDatabase:
 
     def __post_init__(self):
         ids = integer_array(self.ids, "database point ids")
-        rays = np.asarray(self.rays, dtype=float).reshape(-1, 3)
+        rays = real_array(self.rays, "database rays").reshape(-1, 3)
         if len(ids) != len(rays):
             raise ValueError("ids and rays must have the same length")
         if len(np.unique(ids)) != len(ids):
@@ -135,6 +137,14 @@ def _pair_columns(points: np.ndarray, i: np.ndarray, j: np.ndarray):
     return columns.take(i, axis=1), columns.take(j, axis=1)
 
 
+def _image_center(image_width, image_height):
+    """The center of an image of the given size; ValueError unless both are positive numbers."""
+    size = (real_number(image_width, "image_width"), real_number(image_height, "image_height"))
+    if not (size[0] > 0 and size[1] > 0):
+        raise ValueError(f"image_width and image_height must be positive, got {size}")
+    return size[0] / 2.0, size[1] / 2.0
+
+
 def init_focal_quartic(pixels: np.ndarray, pairs, image_width: float,
                        image_height: float) -> float:
     """Closed-form focal length from the pair table (i, j, g) of `select_pairs`.
@@ -144,9 +154,9 @@ def init_focal_quartic(pixels: np.ndarray, pairs, image_width: float,
     gives a quadratic in (1/f)^2 which is solved exactly; with two
     admissible roots the one with smaller squared cosine residual wins.
     """
+    center = _image_center(image_width, image_height)
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     i, j, g = pairs
-    center = (image_width / 2.0, image_height / 2.0)
     mi, mj = _pair_columns(pixels - np.array(center), i, j)
     alpha = mi[0] * mj[0] + mi[1] * mj[1]
     beta_i = mi[0] * mi[0] + mi[1] * mi[1]
@@ -289,6 +299,7 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
     the database is by id intersection, unmatched points are dropped and
     counted.  Stage failures carry the stage name.
     """
+    center = _image_center(image_width, image_height)
     ids = integer_array(ids, "calibration point ids")
     pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
     db_idx, obs_idx = database.match(ids)
@@ -309,8 +320,7 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
     pairs = select_pairs(rays)
     focal = stage("init_focal_quartic",
                   lambda: init_focal_quartic(uv, pairs, image_width, image_height))
-    initial = CameraIntrinsics(fx=focal, fy=focal,
-                               cx=image_width / 2.0, cy=image_height / 2.0, gamma=0.0)
+    initial = CameraIntrinsics(fx=focal, fy=focal, cx=center[0], cy=center[1], gamma=0.0)
     intr = stage("refine_intrinsics_angle",
                  lambda: refine_intrinsics_angle(uv, pairs, initial))
     calib_rays = back_project(intr, Distortion(), uv)

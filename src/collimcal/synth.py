@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,9 +31,11 @@ from .core_geom import (
     Distortion,
     ObservationSet,
     PlanarTarget,
+    checked_image_size,
     checked_rotations,
     decompose_homography,
     radial_pixels,
+    real_number,
     rotation_matrix_from_axis_angle,
 )
 from .multi_solver import conic_rows, decompose_iac, solve_closed_form
@@ -65,11 +66,6 @@ _WORKER_MMAP_THRESHOLD = 256 << 20
 _worker_heap_setting = None
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    """A real number (an integer, with kind numbers.Integral) that is not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class TargetGrid:
     """Regular grid of target points, row-major ids, spacing in mm."""
@@ -79,10 +75,13 @@ class TargetGrid:
     spacing: float = 30.0
 
     def __post_init__(self):
-        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (self.rows, self.cols)):
+        for name in ("rows", "cols", "spacing"):
+            object.__setattr__(self, name, real_number(getattr(self, name), f"target {name}",
+                                                       integer=name != "spacing"))
+        if not (self.rows >= 2 and self.cols >= 2):
             raise ValueError(f"target rows and cols must be integers of at least 2, "
                              f"got {self.rows} and {self.cols}")
-        if not (_is_number(self.spacing) and np.isfinite(self.spacing) and self.spacing > 0):
+        if not self.spacing > 0:
             raise ValueError(f"target spacing must be finite and positive, got {self.spacing!r}")
 
     @functools.lru_cache(maxsize=16)
@@ -120,29 +119,21 @@ class SyntheticConfig:
         offset = tuple(self.target_offset) if np.ndim(self.target_offset) == 1 else ()
         if len(offset) != 2:
             raise ValueError(f"target_offset must be two numbers, got {self.target_offset!r}")
-        for name in ("radius", "target_offset", "pixel_noise_sigma", "spherical_noise_sigma"):
-            value = getattr(self, name)
-            parts = offset if name == "target_offset" else (value,)
-            if not all(map(_is_number, parts)):
-                raise ValueError(f"{name} must be numeric, got {value!r}")
-            if not np.all(np.isfinite(parts)):
-                raise ValueError(f"{name} must be finite, got {value}")
+        checked = {"target_offset": tuple(real_number(v, "target_offset") for v in offset),
+                   "image_size": checked_image_size(self.image_size)}
+        for name in ("radius", "pixel_noise_sigma", "spherical_noise_sigma"):
+            checked[name] = real_number(getattr(self, name), name)
+        for name in ("image_count", "trial_count", "rng_seed"):
+            checked[name] = real_number(getattr(self, name), name, integer=True)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not self.radius > 0:
             raise ValueError("radius must be positive")
-        for name in ("image_count", "trial_count", "rng_seed"):
-            value = getattr(self, name)
-            if not _is_number(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.image_count < 1 or self.trial_count < 1:
             raise ValueError("counts must be at least 1")
         if self.pixel_noise_sigma < 0 or self.spherical_noise_sigma < 0:
             raise ValueError("noise sigmas must be non-negative")
-        size = tuple(self.image_size) if np.ndim(self.image_size) == 1 else ()
-        if len(size) != 2 or not all(
-                _is_number(v) and float(v).is_integer() and v > 0 for v in size):
-            raise ValueError(
-                f"image_size must be two positive integers, got {self.image_size!r}")
-        w, h = size
+        w, h = self.image_size
         intr = self.intrinsics
         corners = np.array([[0.0, 0.0], [w, 0.0], [0.0, h], [w, h]])
         radii = np.hypot((corners[:, 0] - intr.cx) / intr.fx,
@@ -371,11 +362,11 @@ class TrialStats:
 def _config_for(config: SyntheticConfig, sweep_kind: str, value) -> SyntheticConfig:
     if sweep_kind not in SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {sweep_kind!r}; expected one of {SWEEP_KINDS}")
+    number = real_number(value, f"{sweep_kind} sweep value")
     images = sweep_kind == "images"
-    if not _is_number(value) or (images and not float(value).is_integer()):
-        raise ValueError(f"{sweep_kind} sweep value must be "
-                         f"{'an integer' if images else 'a number'}, got {value!r}")
-    return replace(config, **{_SWEEP_FIELDS[sweep_kind]: (int if images else float)(value)})
+    if images and not number.is_integer():
+        raise ValueError(f"images sweep value must be an integer, got {value!r}")
+    return replace(config, **{_SWEEP_FIELDS[sweep_kind]: int(number) if images else number})
 
 
 def _error_row(intr, dist, ext, truth) -> np.ndarray:
@@ -515,10 +506,8 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     for arm in arms:
         if arm not in SOLVER_ARMS:
             raise ValueError(f"unknown solver arm {arm!r}")
-    if workers is None:
-        workers = default_worker_count()
-    elif not _is_number(workers, numbers.Integral):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
+    workers = default_worker_count() if workers is None else real_number(
+        workers, "workers", integer=True)
 
     points = [(value, _config_for(config, sweep_kind, value)) for value in sweep_values]
     n = config.trial_count

@@ -1,11 +1,25 @@
-"""The package's public names and the functions the traced benchmark wraps."""
+"""The package's public names and source, the functions the traced benchmark
+wraps, and the numbers the package's types take."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import collimcal
+from collimcal import (
+    CameraIntrinsics,
+    Distortion,
+    ObservationSet,
+    PlanarTarget,
+    RayDatabase,
+    SphericalExtrinsics,
+    SyntheticConfig,
+    TargetGrid,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -135,3 +149,119 @@ def test_no_module_imports_another_modules_private_names():
     found = {path.name: names for path in (ROOT / "src" / "collimcal").glob("*.py")
              if (names := private_imports(path.read_text()))}
     assert not found
+
+
+# NumPy names that NumPy 1.24, the floor pyproject.toml declares, lacks.
+# Only a newer NumPy is installed to test with, so nothing else would catch one.
+NUMPY_AFTER_FLOOR = {"vecdot", "matrix_transpose", "concat", "permute_dims", "unstack",
+                     "astype", "isdtype", "bitwise_count", "trapezoid", "pow",
+                     "cumulative_sum", "cumulative_prod", "matvec", "vecmat"}
+LINALG_AFTER_FLOOR = {"vecdot", "matrix_norm", "vector_norm", "svdvals", "outer",
+                      "diagonal", "trace", "cross"}
+
+
+def numpy_after_floor(source):
+    """The uses in `source` of NumPy names newer than the floor.
+
+    These are np.<name> and np.linalg.<name> of the two sets above, the
+    np.unique_* family, and the copy= keyword of np.asarray.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            if (owner == "np" and (node.attr in NUMPY_AFTER_FLOOR
+                                   or node.attr.startswith("unique_"))
+                    or owner == "np.linalg" and node.attr in LINALG_AFTER_FLOOR):
+                found.append(f"{owner}.{node.attr}")
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray"
+              and any(keyword.arg == "copy" for keyword in node.keywords)):
+            found.append("np.asarray(copy=)")
+    return sorted(found)
+
+
+def test_numpy_floor_scan_flags_newer_names():
+    source = ("import numpy as np\n"
+              "a = np.vecdot(x, x) + np.linalg.vector_norm(x) + np.trace(x)\n"
+              "b = np.unique_counts(x), np.asarray(x, copy=False), x.astype(float)\n"
+              "c = np.linalg.norm(x), np.cross(x, x), np.linalg.cross(x, x)\n")
+    assert numpy_after_floor(source) == ["np.asarray(copy=)", "np.linalg.cross",
+                                         "np.linalg.vector_norm", "np.unique_counts",
+                                         "np.vecdot"]
+
+
+def test_package_uses_no_numpy_newer_than_its_floor():
+    assert '"numpy>=1.24"' in (ROOT / "pyproject.toml").read_text()
+    found = {path.name: names for path in (ROOT / "src" / "collimcal").glob("*.py")
+             if (names := numpy_after_floor(path.read_text()))}
+    assert not found
+
+
+SQUARE = [[0.0, 0.0], [30.0, 0.0], [0.0, 30.0], [30.0, 30.0]]
+
+
+def valid_fields(kind):
+    """Keyword arguments that build a valid `kind`."""
+    target = PlanarTarget(ids=[0, 1, 2, 3], xy=SQUARE)
+    return {
+        CameraIntrinsics: dict(fx=1000.0, fy=990.0, cx=500.0, cy=400.0, gamma=0.0),
+        Distortion: dict(d1=0.1, d2=-0.2),
+        SphericalExtrinsics: dict(x=150.0, y=105.0, r=700.0, rotations=np.eye(3)[None]),
+        PlanarTarget: dict(ids=[0, 1, 2, 3], xy=SQUARE),
+        ObservationSet: dict(target=target, ids=[0, 1, 2, 3], uv=SQUARE, counts=[4]),
+        RayDatabase: dict(ids=[0, 1, 2, 3], rays=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                          [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                          ref_intrinsics=CameraIntrinsics(1000.0, 1000.0, 500.0, 400.0),
+                          ref_distortion=Distortion()),
+        TargetGrid: dict(rows=8, cols=11, spacing=30.0),
+        SyntheticConfig: {},
+    }[kind]
+
+
+# Every number field of the package's types, with the words that name it
+# in an error.
+NUMBER_FIELDS = [
+    *((CameraIntrinsics, name, f"intrinsics {name}") for name in ("fx", "fy", "cx", "cy",
+                                                                    "gamma")),
+    (Distortion, "d1", "distortion d1"), (Distortion, "d2", "distortion d2"),
+    *((SphericalExtrinsics, name, f"center {name}") for name in ("x", "y", "r")),
+    (PlanarTarget, "ids", "target point ids"), (PlanarTarget, "xy", "target coordinates"),
+    (ObservationSet, "ids", "ids"), (ObservationSet, "uv", "pixel coordinates"),
+    (ObservationSet, "counts", "counts"),
+    (RayDatabase, "ids", "database point ids"), (RayDatabase, "rays", "database rays"),
+    *((TargetGrid, name, f"target {name}") for name in ("rows", "cols", "spacing")),
+    *((SyntheticConfig, name, name) for name in (
+        "radius", "target_offset", "pixel_noise_sigma", "spherical_noise_sigma",
+        "image_count", "trial_count", "rng_seed", "image_size")),
+]
+
+
+def planted(value, bad):
+    """`value`, a number or a (nested) list of them, with its first number set to `bad`."""
+    if np.ndim(value) == 0:
+        return bad
+    value = np.asarray(value).tolist()
+    entry = value
+    while isinstance(entry[0], list):
+        entry = entry[0]
+    entry[0] = bad
+    return value
+
+
+@pytest.mark.parametrize("kind", sorted({kind for kind, _, _ in NUMBER_FIELDS},
+                                        key=lambda kind: kind.__name__))
+def test_valid_fields_build(kind):
+    kind(**valid_fields(kind))
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, float("nan")],
+                         ids=["bool", "string", "None", "nan"])
+@pytest.mark.parametrize("kind, field, label", NUMBER_FIELDS,
+                         ids=[f"{kind.__name__}.{field}" for kind, field, _ in NUMBER_FIELDS])
+def test_every_number_field_refuses_a_non_number_by_name(kind, field, label, bad):
+    # A list field gets the bad value as its first entry, nested or not.
+    fields = valid_fields(kind)
+    fields[field] = planted(fields[field] if field in fields
+                            else getattr(kind(), field), bad)
+    with pytest.raises(ValueError, match=re.escape(label)):
+        kind(**fields)

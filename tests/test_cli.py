@@ -366,9 +366,9 @@ def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, valu
     ("benchmark", {"sweep_values": {"spherical": [-5.0]}}, "must be finite and non-negative"),
     ("simulate", {"target": {"spacing_mm": NAN}}, "spacing must be finite"),
     ("simulate", {"target": {"spacing_mm": 0.0}}, "spacing must be finite and positive"),
-    ("simulate", {"target": {"spacing_mm": "30"}}, "spacing_mm must be a number"),
+    ("simulate", {"target": {"spacing_mm": "30"}}, "target spacing must be a number"),
     ("simulate", {"target": {"rows": 1}}, "rows and cols must be integers of at least 2"),
-    ("simulate", {"target": {"cols": 2.7}}, "rows and cols must be integers of at least 2"),
+    ("simulate", {"target": {"cols": 2.7}}, "target cols must be an integer"),
     ("simulate", {"image_size": [0, -5]}, "image_size must be positive"),
     ("simulate", {"image_size": [1080.9, 960]}, "image_size must be positive integers"),
     ("simulate", {"image_size": [NAN, 960]}, "image_size must be positive integers"),

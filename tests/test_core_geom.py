@@ -133,7 +133,8 @@ def test_planar_target_invariants():
     t = cg.PlanarTarget(ids=[3, 1, 0, 2], xy=[[0, 0], [1, 0], [0, 1], [1, 1]])
     assert np.allclose(t.xy_for([1, 3]), [[1, 0], [0, 0]])
     # int() would have truncated these to the distinct ids 0..3.
-    for ids in ([0.5, 1.5, 2.5, 3.5], [True, False, 2, 3], np.array([0.0, 1.0, 2.0, 3.0])):
+    for ids in ([0.5, 1.5, 2.5, 3.5], [True, False, 2, 3], np.array([0.0, 1.0, 2.0, 3.0]),
+                [[True, 1], [2, 3]], [2 ** 63, 1, 2, 3]):
         with pytest.raises(ValueError, match=r"^target point ids must be integers"):
             cg.PlanarTarget(ids=ids, xy=t.xy)
 
@@ -177,6 +178,7 @@ def test_observation_set_invariants():
     # Truncated, each of these would have made a valid set.
     for ids, counts, name in (([0.7, 1.2, 2, 3], [4], "ids"), ([0, True, 2, 3], [4], "ids"),
                               (["0", "1", "2", "3"], [4], "ids"),
+                              ([[True, 1], [2, 3]], [4], "ids"),
                               ([0, 1, 2, 3], [4.9], "counts"),
                               (np.arange(8), np.array([True, True]) * 4.0, "counts")):
         with pytest.raises(ValueError, match=rf"^{name} must be integers"):

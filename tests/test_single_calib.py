@@ -453,3 +453,28 @@ def test_pipeline_drops_unmatched_ids():
                                     image_width=1080, image_height=960)
     assert res.n_dropped == 3
     assert res.n_matched == len(ids) - 3
+
+
+@pytest.mark.parametrize("size, message", [
+    ("1080", "{} must be a number"),
+    (True, "{} must be a number"),
+    (None, "{} must be a number"),
+    (float("nan"), "{} must be finite"),
+    (0, "image_width and image_height must be positive"),
+    (-1080.0, "image_width and image_height must be positive"),
+], ids=["string", "bool", "None", "nan", "zero", "negative"])
+@pytest.mark.parametrize("entry", ["init_focal_quartic", "calibrate_single_image"])
+def test_single_image_entry_points_refuse_a_bad_image_size(entry, size, message):
+    # Each is an input error, not a solver stage's failure.  The width goes
+    # bad in one entry point and the height in the other.
+    db, _ = reference_database()
+    image, _ = calibration_image()
+    if entry == "init_focal_quartic":
+        db_idx, obs_idx = db.match(image.ids)
+        with pytest.raises(ValueError, match=message.format("image_width")):
+            sc.init_focal_quartic(image.uv[obs_idx], sc.select_pairs(db.rays[db_idx]),
+                                  size, 960)
+    else:
+        with pytest.raises(ValueError, match=message.format("image_height")):
+            sc.calibrate_single_image(image.ids, image.uv, db, image_width=1080,
+                                      image_height=size)
