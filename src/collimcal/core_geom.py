@@ -461,14 +461,14 @@ def project(intr: CameraIntrinsics, dist: Distortion, R: np.ndarray, t: np.ndarr
 
     Raises PointBehindCamera if any point has non-positive camera-frame depth.
     """
-    P = np.asarray(points, dtype=float).reshape(-1, 3)
+    P = real_array(points, "points").reshape(-1, 3)
     x, y, z = (P @ np.asarray(R, dtype=float).T + np.asarray(t, dtype=float)).T
     if np.any(z <= 0):
         raise errors.PointBehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
     u, v = radial_pixels((intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma),
                          (dist.d1, dist.d2), x, y, z)[:2]
     out = np.column_stack([u, v])
-    return out[0] if np.asarray(points).ndim == 1 else out
+    return out[0] if np.ndim(points) == 1 else out
 
 
 def undistort_normalized(dist: Distortion, xy_distorted: np.ndarray) -> np.ndarray:
@@ -491,13 +491,13 @@ def undistort_normalized(dist: Distortion, xy_distorted: np.ndarray) -> np.ndarr
 
 def back_project(intr: CameraIntrinsics, dist: Distortion, pixels: np.ndarray) -> np.ndarray:
     """Unit direction(s) of the ray(s) whose projection is the given pixel(s)."""
-    p = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    p = real_array(pixels, "pixels").reshape(-1, 2)
     ph = np.column_stack([p, np.ones(len(p))])
     xyd = ph @ intr.inverse.T
     xy = undistort_normalized(dist, xyd[:, :2])
     rays = np.column_stack([xy, np.ones(len(xy))])
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    return rays[0] if np.asarray(pixels).ndim == 1 else rays
+    return rays[0] if np.ndim(pixels) == 1 else rays
 
 
 def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -585,8 +585,8 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
     It is scaled and rank-checked as every fitted homography is.  Fewer
     than 4 point pairs or a non-finite coordinate raise ValueError.
     """
-    X = np.asarray(target_xy, dtype=float).reshape(-1, 2)
-    U = np.asarray(pixels_uv, dtype=float).reshape(-1, 2)
+    X = real_array(target_xy, "target_xy").reshape(-1, 2)
+    U = real_array(pixels_uv, "pixels_uv").reshape(-1, 2)
     if len(X) != len(U):
         raise ValueError("correspondence lists differ in length")
     if len(X) < 4:

@@ -95,7 +95,7 @@ def build_ray_database(ids, pixels, ref_intrinsics: CameraIntrinsics,
                        ref_distortion: Distortion) -> RayDatabase:
     """Back-project reference observations into unit rays keyed by id."""
     ids = integer_array(ids, "reference point ids")
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    pixels = real_array(pixels, "reference pixels").reshape(-1, 2)
     if len(ids) < 8:
         raise ValueError(f"reference image needs >= 8 points, got {len(ids)}")
     rays = back_project(ref_intrinsics, ref_distortion, pixels)
@@ -301,7 +301,7 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
     """
     center = _image_center(image_width, image_height)
     ids = integer_array(ids, "calibration point ids")
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    pixels = real_array(pixels, "calibration pixels").reshape(-1, 2)
     db_idx, obs_idx = database.match(ids)
     n_matched = len(db_idx)
     n_dropped = len(ids) - n_matched

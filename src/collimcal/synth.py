@@ -43,6 +43,8 @@ from .refine import general_ba, spherical_ba
 
 MAX_TILT_DEG = 30.0
 POSE_ATTEMPTS = 100
+# The fewest points a Monte Carlo trial's view keeps (`_run_chunk`).
+TRIAL_IMAGE_POINTS = 20
 
 PARAM_NAMES = ("fx", "fy", "cx", "cy", "gamma", "d1", "d2", "x", "y", "r")
 
@@ -240,12 +242,13 @@ def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
     return uv, _inside(uv[..., 0], uv[..., 1], config.image_size) & front[:, None]
 
 
-def _make_scenes(config: SyntheticConfig, rngs):
+def _make_scenes(config: SyntheticConfig, rngs, min_points: int = MIN_IMAGE_POINTS):
     """One scene per RNG stream, every stream drawn as `make_scene` draws it.
 
     The poses of all streams are drawn in lockstep (`_draw_poses`); then
-    each stream, in order, renders its views and draws again those that
-    keep fewer than MIN_IMAGE_POINTS points.
+    each stream, in order, renders its views and draws again, one view at
+    a time, those that keep fewer than `min_points` points.  A view is
+    drawn at most POSE_ATTEMPTS times; then PoseSamplingFailed names it.
     """
     target = config.target.planar_target()
     points = np.column_stack([target.xy, np.zeros(len(target.ids))])
@@ -253,15 +256,15 @@ def _make_scenes(config: SyntheticConfig, rngs):
     scenes = []
     for rng, R, centers in zip(rngs, *poses):
         uv, keep = _render(R, centers, config, points, rng)
-        for k in np.flatnonzero(keep.sum(axis=1) < MIN_IMAGE_POINTS):
+        for k in np.flatnonzero(keep.sum(axis=1) < min_points):
             for _ in range(POSE_ATTEMPTS - 1):
                 R[k], centers[k] = _draw_poses(config, [rng], points, range(k, k + 1))
                 uv[k], keep[k] = _render(R[k:k + 1], centers[k:k + 1], config, points, rng)
-                if keep[k].sum() >= MIN_IMAGE_POINTS:
+                if keep[k].sum() >= min_points:
                     break
             else:
                 raise errors.PoseSamplingFailed(
-                    f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {MIN_IMAGE_POINTS} "
+                    f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {min_points} "
                     f"target points in front of the camera and inside the image")
         observations = ObservationSet(target, target.ids[np.nonzero(keep)[1]], uv[keep],
                                       keep.sum(axis=1))
@@ -281,9 +284,11 @@ def make_scene(config: SyntheticConfig, rng: np.random.Generator):
     view whose jittered center puts a target point behind the camera, or
     leaves fewer than MIN_IMAGE_POINTS points in the image, is drawn again
     (pose, jitter and noise) after that, up to POSE_ATTEMPTS draws in all;
-    then PoseSamplingFailed names the image.  The observations' target is
-    the grid's cached, read-only PlanarTarget, shared by every scene of
-    that grid.
+    then PoseSamplingFailed names the image.  A Monte Carlo trial draws its
+    scene by the same rule with TRIAL_IMAGE_POINTS in place of
+    MIN_IMAGE_POINTS (`_run_chunk`).  The observations' target is the
+    grid's cached, read-only PlanarTarget, shared by every scene of that
+    grid.
     """
     return _make_scenes(config, [rng])[0]
 
@@ -389,7 +394,8 @@ def _error_row(intr, dist, ext, truth) -> np.ndarray:
 def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
     """One paired trial: one scene, every requested solver arm on it.
 
-    The one-trial chunk (`_run_chunk`).  Returns {arm: (error_row, seconds)};
+    The one-trial chunk (`_run_chunk`): every view of the scene keeps at
+    least TRIAL_IMAGE_POINTS points.  Returns {arm: (error_row, seconds)};
     a failed arm maps to (None, seconds).
     """
     return _run_chunk(config, range(trial_index, trial_index + 1), arms)[0]
@@ -398,27 +404,18 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
 def _run_chunk(config: SyntheticConfig, trials: range, arms):
     """The outcomes of the paired trials `trials` of one sweep point.
 
-    Each trial's scene is drawn from its own stream; a scene with an image
-    of fewer than 20 points is drawn again from that stream, up to
-    POSE_ATTEMPTS scenes.  The scenes of all trials, first and redrawn, are
-    made in lockstep (`_make_scenes`), so a trial's scene does not depend
-    on the chunk it runs in.
+    Each trial's scene is drawn from its own stream by the one scene rule
+    (`_make_scenes`), with TRIAL_IMAGE_POINTS in place of MIN_IMAGE_POINTS:
+    a view that keeps fewer is drawn again alone, so the trial's other
+    views stay paired across sweep points.  The scenes of all trials are
+    made in lockstep, so a trial's scene does not depend on the chunk it
+    runs in.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
             for t in trials]
-    observations = [None] * len(rngs)
-    pending = list(range(len(rngs)))
-    for _ in range(POSE_ATTEMPTS):
-        scenes = _make_scenes(config, [rngs[i] for i in pending])
-        for i, (_, obs) in zip(pending, scenes):
-            observations[i] = obs
-        pending = [i for i in pending if observations[i].counts.min() < 20]
-        if not pending:
-            break
-    else:
-        raise errors.PoseSamplingFailed("could not render 20 visible points per image")
     truth = config.truth_vector()
-    return [_run_arms(obs, truth, arms) for obs in observations]
+    return [_run_arms(obs, truth, arms)
+            for _, obs in _make_scenes(config, rngs, TRIAL_IMAGE_POINTS)]
 
 
 def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
@@ -494,13 +491,15 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     out in chunks of max(1, trial_count // (4 * workers)) trials of one
     point; a chunk draws its scenes in lockstep (`_run_chunk`).  With one
     worker, each trial runs as a one-trial chunk (`run_single_trial`).
-    Trials are seeded by their index, and a lockstep scene equals the one
-    drawn alone, so neither the worker count nor the chunks change a
-    result.  The pool has at most one worker per trial, and each worker
-    keeps its freed heap (`_keep_worker_heap`).  Per-trial failures are
-    recorded as NaN rows.  Once every point has run, the first point at
-    which more than half of the trials failed for some arm raises
-    CalibrationError.
+    Every view keeps at least TRIAL_IMAGE_POINTS points: a view that keeps
+    fewer is drawn again alone, and a view that cannot be drawn raises
+    PoseSamplingFailed naming its image.  Trials are seeded by their index,
+    and a lockstep scene equals the one drawn alone, so neither the worker
+    count nor the chunks change a result.  The pool has at most one worker
+    per trial, and each worker keeps its freed heap (`_keep_worker_heap`).
+    Per-trial failures are recorded as NaN rows.  Once every point has run,
+    the first point at which more than half of the trials failed for some
+    arm raises CalibrationError.
     """
     arms = tuple(arms)
     for arm in arms:

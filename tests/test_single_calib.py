@@ -4,7 +4,14 @@ from dataclasses import replace
 
 from collimcal import errors, synth
 from collimcal import single_calib as sc
-from collimcal.core_geom import CameraIntrinsics, Distortion, axis_angle_from_rotation_matrix
+from collimcal.core_geom import (
+    CameraIntrinsics,
+    Distortion,
+    axis_angle_from_rotation_matrix,
+    back_project,
+    estimate_homography,
+    project,
+)
 from collimcal.refine import LMState, single_image_problem
 from conftest import angular_distance, rotation_from_axis_angle
 
@@ -478,3 +485,42 @@ def test_single_image_entry_points_refuse_a_bad_image_size(entry, size, message)
         with pytest.raises(ValueError, match=message.format("image_height")):
             sc.calibrate_single_image(image.ids, image.uv, db, image_width=1080,
                                       image_height=size)
+
+
+def _rows(bad, columns=2, count=8):
+    """`count` distinct in-image rows of `columns` numbers, the first entry `bad`."""
+    rows = [[500.0 + 10.0 * k, 400.0 + 7.0 * k, 0.0][:columns] for k in range(count)]
+    rows[0][0] = bad
+    return rows
+
+
+def _calibrate_with(bad):
+    db, _ = reference_database()
+    image, _ = calibration_image()
+    pixels = image.uv.tolist()
+    pixels[0][0] = bad
+    sc.calibrate_single_image(image.ids, pixels, db, image_width=1080, image_height=960)
+
+
+PIXEL_ARGUMENTS = {
+    "back_project": ("pixels", lambda bad: back_project(CAL_K, Distortion(), _rows(bad))),
+    "project": ("points", lambda bad: project(CAL_K, Distortion(), np.eye(3),
+                                              np.array([0.0, 0.0, 700.0]), _rows(bad, 3))),
+    "estimate_homography-target": (
+        "target_xy", lambda bad: estimate_homography(_rows(bad), _rows(0.0))),
+    "estimate_homography-pixels": (
+        "pixels_uv", lambda bad: estimate_homography(_rows(0.0), _rows(bad))),
+    "build_ray_database": ("reference pixels", lambda bad: sc.build_ray_database(
+        np.arange(8), _rows(bad), REF_K, Distortion())),
+    "calibrate_single_image": ("calibration pixels", _calibrate_with),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "a"], ids=["bool", "string"])
+@pytest.mark.parametrize("entry", sorted(PIXEL_ARGUMENTS))
+def test_pixel_and_point_arguments_refuse_a_non_number_by_name(entry, bad):
+    # A bool used to be read as 0 or 1, and a string raised numpy's own
+    # conversion error without naming the argument.
+    name, call = PIXEL_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be real numbers"):
+        call(bad)

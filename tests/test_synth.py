@@ -140,7 +140,8 @@ def test_pose_sampling_failure_when_target_cannot_fit():
     # does, whether a pose cannot be drawn or an image never keeps 20 points.
     for cfg, message in ((synth.default_config(radius=260.0, trial_count=4), "image 0"),
                          (synth.default_config(target=synth.TargetGrid(rows=3, cols=3),
-                                               image_count=2, trial_count=4), "20 visible")):
+                                               image_count=2, trial_count=4),
+                          "image 0: .* kept 20 target points")):
         for workers in (1, 2):
             with pytest.raises(errors.PoseSamplingFailed, match=message):
                 synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours",), workers=workers)
@@ -313,6 +314,34 @@ def test_center_jitter_that_ruins_a_view_draws_it_again(sigma):
             assert np.all((points - center) @ rot.T[:, 2] > 0)
         results = synth.run_single_trial(cfg, trial, ("ours", "zhang"))
         assert set(results) == {"ours", "zhang"}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 30.0])
+def test_trial_threshold_keeps_the_scene_where_every_view_has_20_points(sigma):
+    # Where every view keeps 20 points, the trial's scene is make_scene's.
+    cfg = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=sigma)
+    trials = range(24)
+    rngs = [pose_rng(trial=t) for t in trials]
+    scenes = synth._make_scenes(cfg, rngs, synth.TRIAL_IMAGE_POINTS)
+    for t, rng, scene in zip(trials, rngs, scenes):
+        reference_rng = pose_rng(trial=t)
+        (R, centers), obs = scene
+        (ref_R, ref_centers), ref_obs = synth.make_scene(cfg, reference_rng)
+        assert same_bytes(R, ref_R) and same_bytes(centers, ref_centers)
+        assert same_bytes(obs.ids, ref_obs.ids) and same_bytes(obs.uv, ref_obs.uv)
+        assert same_bytes(obs.counts, ref_obs.counts)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_trial_redraws_a_thin_view_alone_and_keeps_the_others_paired():
+    # At 200 mm of jitter a view that keeps fewer than 20 points is drawn
+    # again alone; the trial's other views keep the 0 mm scene's rotations.
+    (R0, _), _ = synth._make_scenes(synth.default_config(pixel_noise_sigma=0.5),
+                                    [pose_rng()], synth.TRIAL_IMAGE_POINTS)[0]
+    cfg = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=200.0)
+    (R, _), obs = synth._make_scenes(cfg, [pose_rng()], synth.TRIAL_IMAGE_POINTS)[0]
+    assert sum(np.array_equal(a, b) for a, b in zip(R0, R)) >= 14
+    assert obs.counts.min() >= 20
 
 
 def test_view_that_cannot_be_drawn_names_the_image():

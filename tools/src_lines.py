@@ -6,19 +6,26 @@ module, class or function body).  Uses only the standard library.
 
     python3 tools/src_lines.py                 # every module of src/collimcal
     python3 tools/src_lines.py path [path ...] # the given files and directories
+    python3 tools/src_lines.py --against REV   # and the change since git revision REV
 
-Prints one row per module, `lines code_lines name`, and the total.
+Prints one row per module, `lines code_lines name`, and the total.  With
+`--against REV` each row reads the module at REV through `git show`, then
+gives its lines and code lines at REV, in the working tree, and their
+difference; a module missing on one side counts as empty there.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
 
-DEFAULT_ROOT = Path(__file__).resolve().parent.parent / "src" / "collimcal"
+REPO = Path(__file__).resolve().parent.parent
+DEFAULT_ROOT = REPO / "src" / "collimcal"
 NON_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -52,15 +59,59 @@ def python_files(paths) -> list:
     return files
 
 
+def git(*args) -> str:
+    return subprocess.run(["git", "-C", str(REPO), *args], check=True, capture_output=True,
+                          encoding="utf-8").stdout
+
+
+def sources_at(rev: str, paths) -> dict:
+    """{repo-relative name: text} of the Python files under `paths` at git revision `rev`."""
+    names = git("ls-tree", "-r", "--name-only", rev, "--",
+                *(Path(path).resolve().relative_to(REPO).as_posix() for path in paths))
+    return {name: git("show", f"{rev}:{name}") for name in names.splitlines()
+            if name.endswith(".py")}
+
+
+def label(path: Path, shown) -> str:
+    """A module's stem if it is in src/collimcal, else `shown`."""
+    return path.stem if path.resolve().parent == DEFAULT_ROOT else str(shown)
+
+
+def print_table(rows, columns: int, signed: int = 0) -> None:
+    """Print each (name, counts) row, then the column totals; the last `signed`
+    columns carry a sign."""
+    totals = [sum(counts[i] for _, counts in rows) for i in range(columns)]
+    for name, counts in [*rows, ("total", totals)]:
+        print(" ".join(f"{n:+7d}" if i >= columns - signed else f"{n:7d}"
+                       for i, n in enumerate(counts)) + f"  {name}")
+
+
 def main(argv=None) -> int:
-    paths = (sys.argv[1:] if argv is None else argv) or [DEFAULT_ROOT]
-    total_lines = total_code = 0
-    for path in python_files(paths):
-        lines, code = count(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_code += code
-        print(f"{lines:7d} {code:7d}  {path.stem if path.parent == DEFAULT_ROOT else path}")
-    print(f"{total_lines:7d} {total_code:7d}  total")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("paths", nargs="*", default=[DEFAULT_ROOT])
+    parser.add_argument("--against", metavar="REV",
+                        help="also count each module at git revision REV and print the change")
+    args = parser.parse_args(argv)
+    files = {path: count(path.read_text(encoding="utf-8")) for path in python_files(args.paths)}
+    if args.against is None:
+        print_table([(label(path, path), counts) for path, counts in files.items()], 2)
+        return 0
+
+    try:
+        before = {name: count(text) for name, text in sources_at(args.against, args.paths).items()}
+        after = {path.resolve().relative_to(REPO).as_posix(): counts
+                 for path, counts in files.items()}
+    except subprocess.CalledProcessError as exc:
+        parser.error(exc.stderr.strip())
+    except ValueError:
+        parser.error(f"--against counts files inside {REPO} only")
+    rows = []
+    for name in sorted(before.keys() | after.keys()):
+        old, new = before.get(name, (0, 0)), after.get(name, (0, 0))
+        rows.append((label(REPO / name, name), old + new + (new[0] - old[0], new[1] - old[1])))
+    print(f"{args.against[:15]:>15s} {'working tree':>15s} {'difference':>15s}")
+    print(f"{'lines':>7s} {'code':>7s} " * 3 + " module")
+    print_table(rows, 6, signed=2)
     return 0
 
 
