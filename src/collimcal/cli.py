@@ -109,8 +109,7 @@ def cmd_calibrate(args) -> int:
     if args.mode == "single":
         database = fileio.read_ray_database(args.reference)
         result = calibrate_single_image(
-            observations.ids, observations.uv, database,
-            image_width=data.image_size[0], image_height=data.image_size[1],
+            observations.ids, observations.uv, database, image_size=data.image_size,
             refine_distortion=not args.no_refine)
         intr, dist, fit = result.intrinsics, result.distortion, result.report
         report.update({

@@ -49,6 +49,9 @@ UNDISTORT_TOLERANCE = 1e-12
 ROTATION_TOLERANCE = 1e-12
 # Fewest points that fix a view's homography.
 MIN_IMAGE_POINTS = 4
+# Fewest points the single-image pipeline works from: the reference image,
+# the calibration points matched to it and its final refinement.
+MIN_SINGLE_IMAGE_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -462,7 +465,7 @@ def project(intr: CameraIntrinsics, dist: Distortion, R: np.ndarray, t: np.ndarr
     Raises PointBehindCamera if any point has non-positive camera-frame depth.
     """
     P = real_array(points, "points").reshape(-1, 3)
-    x, y, z = (P @ np.asarray(R, dtype=float).T + np.asarray(t, dtype=float)).T
+    x, y, z = (P @ real_array(R, "R").T + real_array(t, "t")).T
     if np.any(z <= 0):
         raise errors.PointBehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
     u, v = radial_pixels((intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma),
@@ -473,7 +476,7 @@ def project(intr: CameraIntrinsics, dist: Distortion, R: np.ndarray, t: np.ndarr
 
 def undistort_normalized(dist: Distortion, xy_distorted: np.ndarray) -> np.ndarray:
     """Invert the radial map by fixed-point iteration x <- x_d / factor(|x|^2)."""
-    xd = np.asarray(xy_distorted, dtype=float).reshape(-1, 2)
+    xd = real_array(xy_distorted, "xy_distorted").reshape(-1, 2)
     if dist.d1 == 0.0 and dist.d2 == 0.0:
         return xd.copy()
     x = xd.copy()

@@ -47,11 +47,13 @@ import numpy as np
 
 from . import errors
 from .core_geom import (
+    MIN_SINGLE_IMAGE_POINTS,
     CameraIntrinsics,
     Distortion,
     ObservationSet,
     checked_rotations,
     radial_pixels,
+    real_array,
     rotation_matrix_from_axis_angle,
 )
 from .multi_solver import SphericalExtrinsics
@@ -559,8 +561,6 @@ def spherical_problem(observations: ObservationSet, init):
     intr0, dist0, ext0 = init
     if len(ext0.rotations) != len(observations):
         raise ValueError("initial extrinsics must hold one rotation per image")
-    if not np.all(np.isfinite(ext0.t_cp)):
-        raise ValueError("initial optical center must be finite")
     return _reprojection_problem(_plane_points(observations), observations.uv,
                                  observations.counts, intr0, dist0, ext0.rotations,
                                  center=ext0.t_cp)
@@ -599,8 +599,8 @@ def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
 
     `init` is (CameraIntrinsics, Distortion, R (3, 3)).
     """
-    rays = np.asarray(rays, dtype=float).reshape(-1, 3)
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    rays = real_array(rays, "rays").reshape(-1, 3)
+    pixels = real_array(pixels, "pixels").reshape(-1, 2)
     if len(rays) != len(pixels):
         raise ValueError("rays and pixels differ in length")
     intr0, dist0, rot0 = init
@@ -611,12 +611,15 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
     """Refine (K, d, R) so that projected reference rays match observed pixels.
 
     `rays` are unit directions in the reference camera frame; the residual of
-    point i is pi(K, d, R q'_i) - p_i.  Needs at least 8 ray-pixel pairs.
+    point i is pi(K, d, R q'_i) - p_i.  Needs at least MIN_SINGLE_IMAGE_POINTS
+    ray-pixel pairs.
     """
-    rays = np.asarray(rays, dtype=float).reshape(-1, 3)
-    if len(rays) < 8:
-        raise ValueError(f"single-image refinement needs >= 8 ray-pixel pairs, got {len(rays)}")
-    intr, dist, (R,), _, _, report = _adjusted(single_image_problem(rays, pixels, init))
+    problem = single_image_problem(rays, pixels, init)
+    count = len(problem[-1])  # the image index of each ray-pixel pair
+    if count < MIN_SINGLE_IMAGE_POINTS:
+        raise ValueError(f"single-image refinement needs >= {MIN_SINGLE_IMAGE_POINTS} "
+                         f"ray-pixel pairs, got {count}")
+    intr, dist, (R,), _, _, report = _adjusted(problem)
     return (intr, dist, R), report
 
 

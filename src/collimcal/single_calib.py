@@ -18,14 +18,15 @@ import numpy as np
 
 from . import errors
 from .core_geom import (
+    MIN_SINGLE_IMAGE_POINTS,
     CameraIntrinsics,
     Distortion,
     back_project,
+    checked_image_size,
     checked_rotations,
     integer_array,
     nearest_rotation,
     real_array,
-    real_number,
 )
 from .refine import (
     BlockJacobian,
@@ -96,8 +97,9 @@ def build_ray_database(ids, pixels, ref_intrinsics: CameraIntrinsics,
     """Back-project reference observations into unit rays keyed by id."""
     ids = integer_array(ids, "reference point ids")
     pixels = real_array(pixels, "reference pixels").reshape(-1, 2)
-    if len(ids) < 8:
-        raise ValueError(f"reference image needs >= 8 points, got {len(ids)}")
+    if len(ids) < MIN_SINGLE_IMAGE_POINTS:
+        raise ValueError(f"reference image needs >= {MIN_SINGLE_IMAGE_POINTS} points, "
+                         f"got {len(ids)}")
     rays = back_project(ref_intrinsics, ref_distortion, pixels)
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     return RayDatabase(ids=ids, rays=rays,
@@ -110,7 +112,7 @@ def select_pairs(rays: np.ndarray):
     All pairs up to 120 points; beyond that each point is paired with 30
     random partners drawn with seed 0, which keeps the constraint count linear.
     """
-    rays = np.asarray(rays, dtype=float).reshape(-1, 3)
+    rays = real_array(rays, "rays").reshape(-1, 3)
     count = len(rays)
     if count <= MAX_EXHAUSTIVE_PAIR_POINTS:
         i, j = np.triu_indices(count, k=1)
@@ -137,27 +139,19 @@ def _pair_columns(points: np.ndarray, i: np.ndarray, j: np.ndarray):
     return columns.take(i, axis=1), columns.take(j, axis=1)
 
 
-def _image_center(image_width, image_height):
-    """The center of an image of the given size; ValueError unless both are positive numbers."""
-    size = (real_number(image_width, "image_width"), real_number(image_height, "image_height"))
-    if not (size[0] > 0 and size[1] > 0):
-        raise ValueError(f"image_width and image_height must be positive, got {size}")
-    return size[0] / 2.0, size[1] / 2.0
+def init_focal_quartic(pixels: np.ndarray, pairs, image_size) -> CameraIntrinsics:
+    """The start camera (f, f, w/2, h/2, 0) from the pair table (i, j, g) of `select_pairs`.
 
-
-def init_focal_quartic(pixels: np.ndarray, pairs, image_width: float,
-                       image_height: float) -> float:
-    """Closed-form focal length from the pair table (i, j, g) of `select_pairs`.
-
-    Assumes fx = fy = f, zero skew and the principal point at the image
-    center.  Summing the per-pair constraints cos^2 = g^2 over all pairs
-    gives a quadratic in (1/f)^2 which is solved exactly; with two
-    admissible roots the one with smaller squared cosine residual wins.
+    Assumes fx = fy = f, zero skew and the principal point at the center
+    of the image of `image_size` (width, height).  Summing the per-pair
+    constraints cos^2 = g^2 over all pairs gives a quadratic in (1/f)^2
+    which is solved exactly; with two admissible roots the one with smaller
+    squared cosine residual wins.
     """
-    center = _image_center(image_width, image_height)
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    center = np.array(checked_image_size(image_size)) / 2.0
+    pixels = real_array(pixels, "pixels").reshape(-1, 2)
     i, j, g = pairs
-    mi, mj = _pair_columns(pixels - np.array(center), i, j)
+    mi, mj = _pair_columns(pixels - center, i, j)
     alpha = mi[0] * mj[0] + mi[1] * mj[1]
     beta_i = mi[0] * mi[0] + mi[1] * mi[1]
     beta_j = mj[0] * mj[0] + mj[1] * mj[1]
@@ -182,11 +176,10 @@ def init_focal_quartic(pixels: np.ndarray, pairs, image_width: float,
     focals = [1.0 / np.sqrt(t) for t in roots if t > 0]
     if not focals:
         raise errors.NoRealRoot("no positive real focal length root")
-    if len(focals) == 1:
-        return float(focals[0])
-    residual = _cosine_model(pixels, pairs)[0]
-    return float(min(focals, key=lambda f: np.sum(
-        residual(LMState(np.array([f, f, *center, 0.0]))) ** 2)))
+    if len(focals) > 1:
+        residual = _cosine_model(pixels, pairs)[0]
+        focals.sort(key=lambda f: np.sum(residual(LMState(np.array([f, f, *center, 0.0]))) ** 2))
+    return CameraIntrinsics(fx=focals[0], fy=focals[0], cx=center[0], cy=center[1])
 
 
 def _cosine_model(pixels, pairs):
@@ -258,7 +251,7 @@ def refine_intrinsics_angle(pixels: np.ndarray, pairs,
     reprojection stage.  Each pair contributes one Cauchy-robustified
     residual (calibration cosine minus database cosine; see `_cosine_model`).
     """
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    pixels = real_array(pixels, "pixels").reshape(-1, 2)
     if len(pairs[2]) < 5:
         raise ValueError("intrinsic refinement needs at least 5 point pairs")
     residual, jacobian, plus = _cosine_model(pixels, pairs)
@@ -275,8 +268,8 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> np.
     is always a proper rotation.  The factor order is fixed by the alignment
     direction, verified by tests, not by symbol-pushing.
     """
-    q = np.asarray(calib_rays, dtype=float).reshape(-1, 3)
-    qp = np.asarray(db_rays, dtype=float).reshape(-1, 3)
+    q = real_array(calib_rays, "calib_rays").reshape(-1, 3)
+    qp = real_array(db_rays, "db_rays").reshape(-1, 3)
     if len(q) != len(qp):
         raise ValueError("ray lists differ in length")
     if len(q) < 3:
@@ -290,24 +283,26 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> np.
     return checked_rotations(nearest_rotation(B)[None])[0]
 
 
-def calibrate_single_image(ids, pixels, database: RayDatabase, *,
-                           image_width: float, image_height: float,
+def calibrate_single_image(ids, pixels, database: RayDatabase, *, image_size,
                            refine_distortion: bool = True) -> SingleImageResult:
     """Full single-image pipeline: focal init, angle refinement, rotation, BA.
 
-    `ids`/`pixels` are the calibration image's observations; matching against
-    the database is by id intersection, unmatched points are dropped and
-    counted.  Stage failures carry the stage name.
+    `ids`/`pixels` are the calibration image's observations and `image_size`
+    its (width, height); matching against the database is by id
+    intersection, unmatched points are dropped and counted.  A bad input
+    raises ValueError before any stage runs; stage failures carry the stage
+    name.
     """
-    center = _image_center(image_width, image_height)
+    image_size = checked_image_size(image_size)
     ids = integer_array(ids, "calibration point ids")
     pixels = real_array(pixels, "calibration pixels").reshape(-1, 2)
+    if len(ids) != len(pixels):
+        raise ValueError(f"calibration image has {len(ids)} point ids but {len(pixels)} pixels")
     db_idx, obs_idx = database.match(ids)
     n_matched = len(db_idx)
-    n_dropped = len(ids) - n_matched
-    if n_matched < 8:
-        raise ValueError(f"single-image calibration needs >= 8 matched ids, "
-                         f"got {n_matched}")
+    if n_matched < MIN_SINGLE_IMAGE_POINTS:
+        raise ValueError(f"single-image calibration needs >= {MIN_SINGLE_IMAGE_POINTS} "
+                         f"matched ids, got {n_matched}")
     rays = database.rays[db_idx]
     uv = pixels[obs_idx]
 
@@ -318,9 +313,7 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
             raise errors.PipelineStageError(name, exc) from exc
 
     pairs = select_pairs(rays)
-    focal = stage("init_focal_quartic",
-                  lambda: init_focal_quartic(uv, pairs, image_width, image_height))
-    initial = CameraIntrinsics(fx=focal, fy=focal, cx=center[0], cy=center[1], gamma=0.0)
+    initial = stage("init_focal_quartic", lambda: init_focal_quartic(uv, pairs, image_size))
     intr = stage("refine_intrinsics_angle",
                  lambda: refine_intrinsics_angle(uv, pairs, initial))
     calib_rays = back_project(intr, Distortion(), uv)
@@ -334,4 +327,4 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *,
     else:
         report = unrefined_report(single_image_problem(rays, uv, (intr, dist, rot)))
     return SingleImageResult(intrinsics=intr, distortion=dist, rotation=rot,
-                             report=report, n_matched=n_matched, n_dropped=n_dropped)
+                             report=report, n_matched=n_matched, n_dropped=len(ids) - n_matched)

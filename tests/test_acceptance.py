@@ -350,8 +350,7 @@ def test_criterion_8_single_image_pipeline():
     cal_cfg = synth.default_config(image_count=1)
     rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(0,)))
     (cal_R, _), cal_obs = synth.make_scene(cal_cfg, rng)
-    result = sc.calibrate_single_image(cal_obs.ids, cal_obs.uv, db,
-                                       image_width=1080, image_height=960)
+    result = sc.calibrate_single_image(cal_obs.ids, cal_obs.uv, db, image_size=(1080, 960))
     worst_rel = max(rel_err(result.intrinsics.fx, 1000.0),
                     rel_err(result.intrinsics.fy, 1000.0),
                     rel_err(result.intrinsics.cx, 542.0),
@@ -369,8 +368,7 @@ def test_criterion_8_single_image_pipeline():
                                          pixel_noise_sigma=0.5)
         rng = np.random.default_rng(np.random.SeedSequence(43, spawn_key=(trial,)))
         _, obs = synth.make_scene(cfg, rng)
-        res = sc.calibrate_single_image(obs.ids, obs.uv, db,
-                                        image_width=1080, image_height=960)
+        res = sc.calibrate_single_image(obs.ids, obs.uv, db, image_size=(1080, 960))
         focal_errors.append(0.5 * (rel_err(res.intrinsics.fx, 1000.0)
                                    + rel_err(res.intrinsics.fy, 1000.0)))
         rms_values.append(res.report.rms_reprojection)

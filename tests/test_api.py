@@ -197,6 +197,53 @@ def test_package_uses_no_numpy_newer_than_its_floor():
     assert not found
 
 
+def float_casts(source, functions=None):
+    """The parameters that the top-level functions of `source` take through
+    np.asarray(<parameter>, dtype=float), as "function.parameter".
+
+    Scans the functions named in `functions`, or every public one.
+    """
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or (
+                node.name not in functions if functions else node.name.startswith("_")):
+            continue
+        arguments = node.args
+        parameters = {a.arg for a in arguments.posonlyargs + arguments.args
+                      + arguments.kwonlyargs}
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and ast.unparse(call.func) == "np.asarray"
+                    and call.args and isinstance(call.args[0], ast.Name)
+                    and call.args[0].id in parameters
+                    and any(keyword.arg == "dtype" and ast.unparse(keyword.value) == "float"
+                            for keyword in call.keywords)):
+                found.append(f"{node.name}.{call.args[0].id}")
+    return sorted(found)
+
+
+def test_float_cast_scan_flags_a_parameter():
+    source = ("def f(a, *, b, c=None):\n"
+              "    x = np.asarray(a, dtype=float) + np.asarray(c) + np.asarray(d, dtype=float)\n"
+              "    return np.asarray(b, dtype=float)\n"
+              "def _g(a):\n"
+              "    return np.asarray(a, dtype=float)\n")
+    assert float_casts(source) == ["f.a", "f.b"]
+    assert float_casts(source, {"_g"}) == ["_g.a"]
+
+
+def test_single_image_and_projection_arguments_take_the_number_rule():
+    # Every argument array of these goes through core_geom.real_array, which
+    # refuses a bool or a string by name; np.asarray(dtype=float) takes a
+    # bool as 0 or 1.
+    package = ROOT / "src" / "collimcal"
+    found = (float_casts((package / "single_calib.py").read_text())
+             + float_casts((package / "core_geom.py").read_text(),
+                           {"project", "undistort_normalized"})
+             + float_casts((package / "refine.py").read_text(),
+                           {"single_image_problem", "single_image_ba"}))
+    assert not found
+
+
 SQUARE = [[0.0, 0.0], [30.0, 0.0], [0.0, 30.0], [30.0, 30.0]]
 
 

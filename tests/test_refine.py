@@ -417,9 +417,7 @@ def production_runs(kind, trial, noise):
     rays = np.column_stack([obs.xy, np.zeros(len(obs.xy))]) - config.t_cp
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     pairs = sc.select_pairs(rays)
-    w, h = config.image_size
-    focal = sc.init_focal_quartic(obs.uv, pairs, w, h)
-    start = CameraIntrinsics(focal, focal, w / 2.0, h / 2.0, 0.0)
+    start = sc.init_focal_quartic(obs.uv, pairs, config.image_size)
     if kind == "angle":
         residual, jacobian, _ = sc._cosine_model(obs.uv, pairs)
         return (lambda: sc.refine_intrinsics_angle(obs.uv, pairs, start),

@@ -11,8 +11,9 @@ from collimcal.core_geom import (
     back_project,
     estimate_homography,
     project,
+    undistort_normalized,
 )
-from collimcal.refine import LMState, single_image_problem
+from collimcal.refine import LMState, single_image_ba, single_image_problem
 from conftest import angular_distance, rotation_from_axis_angle
 
 REF_K = CameraIntrinsics(fx=1200.0, fy=1180.0, cx=700.0, cy=500.0, gamma=0.0)
@@ -110,8 +111,17 @@ def test_quartic_exact_recovery_centered_prior():
     cal = rays @ Q.T
     ph = cal / cal[:, 2:3]
     uv = ph[:, :2] * 1000.0 + np.array([540.0, 480.0])
-    f = sc.init_focal_quartic(uv, sc.select_pairs(rays), 1080, 960)
-    assert abs(f - 1000.0) / 1000.0 < 1e-6
+    start = sc.init_focal_quartic(uv, sc.select_pairs(rays), (1080, 960))
+    assert start == CameraIntrinsics(start.fx, start.fx, 540.0, 480.0, 0.0)
+    assert abs(start.fx - 1000.0) / 1000.0 < 1e-6
+
+
+def test_quartic_start_camera_sits_at_the_image_center():
+    # The start camera is (f, f, w/2, h/2, 0); an odd size puts the center
+    # on a half pixel.
+    rays, uv, _ = full_intrinsics_setup(np.random.default_rng(7))
+    start = sc.init_focal_quartic(uv, sc.select_pairs(rays), np.array([1081, 961]))
+    assert (start.fy, start.cx, start.cy, start.gamma) == (start.fx, 540.5, 480.5, 0.0)
 
 
 def test_quartic_polynomial_root_residual():
@@ -132,11 +142,37 @@ def test_quartic_polynomial_root_residual():
     assert abs(np.polyval(coeffs, 1.0 / 1000.0 ** 2)) < 1e-12
 
 
+def test_quartic_picks_the_root_with_the_smaller_cosine_residual():
+    # Pixels unrelated to the rays give the quadratic two positive roots;
+    # the start camera takes the one whose cosines fit the pair table better.
+    rng = np.random.default_rng(0)
+    rays = rng.normal(size=(10, 3))
+    rays[:, 2] = np.abs(rays[:, 2]) * rng.uniform(0.1, 3.0)
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    uv = rng.uniform(0.0, 1000.0, size=(10, 2))
+    pairs = sc.select_pairs(rays)
+    i, j, g = pairs
+    m = uv - 500.0
+    alpha = np.sum(m[i] * m[j], axis=1)
+    bi, bj = np.sum(m[i] ** 2, axis=1), np.sum(m[j] ** 2, axis=1)
+    roots = np.roots([np.sum(alpha ** 2 - g ** 2 * bi * bj),
+                      np.sum(2 * alpha - g ** 2 * (bi + bj)), np.sum(1 - g ** 2)])
+    assert np.isreal(roots).all() and (roots.real > 0).all()
+    residual = sc._cosine_model(uv, pairs)[0]
+    costs = {f: np.sum(residual(LMState(np.array([f, f, 500.0, 500.0, 0.0]))) ** 2)
+             for f in 1.0 / np.sqrt(roots.real)}
+    best, worst = sorted(costs, key=costs.get)
+    assert costs[best] < 0.8 * costs[worst]
+    start = sc.init_focal_quartic(uv, pairs, (1000, 1000))
+    assert start.fx == pytest.approx(best, rel=1e-9)
+    assert start == CameraIntrinsics(start.fx, start.fx, 500.0, 500.0, 0.0)
+
+
 def test_quartic_degenerate_rays_rejected():
     rays = np.tile([0.0, 0.0, 1.0], (10, 1))
     uv = np.tile([540.0, 480.0], (10, 1))
     with pytest.raises(errors.NoRealRoot):
-        sc.init_focal_quartic(uv, sc.select_pairs(rays), 1080, 960)
+        sc.init_focal_quartic(uv, sc.select_pairs(rays), (1080, 960))
 
 
 def test_quartic_tolerates_off_center_principal_point():
@@ -146,7 +182,7 @@ def test_quartic_tolerates_off_center_principal_point():
     cal = rays @ rotation_from_axis_angle([0.05, 0.04, -0.1]).T
     ph = cal / cal[:, 2:3]
     uv = ph[:, :2] * 1000.0 + np.array([542.0, 478.0])
-    f = sc.init_focal_quartic(uv, sc.select_pairs(rays), 1080, 960)
+    f = sc.init_focal_quartic(uv, sc.select_pairs(rays), (1080, 960)).fx
     assert abs(f - 1000.0) / 1000.0 < 0.01
 
 
@@ -173,8 +209,7 @@ def test_angle_refinement_fixed_point():
 def test_angle_refinement_from_quartic_prior():
     rays, uv, _ = full_intrinsics_setup(np.random.default_rng(6))
     pairs = sc.select_pairs(rays)
-    f0 = sc.init_focal_quartic(uv, pairs, 1080, 960)
-    start = CameraIntrinsics(f0, f0, 540.0, 480.0, 0.0)
+    start = sc.init_focal_quartic(uv, pairs, (1080, 960))
     out = sc.refine_intrinsics_angle(uv, pairs, start)
     assert abs(out.fx - 1000.0) / 1000.0 < 1e-3
     assert abs(out.fy - 1000.0) / 1000.0 < 1e-3
@@ -314,8 +349,7 @@ def test_kabsch_degenerate_collinear():
 def test_pipeline_noiseless_exact():
     db, ref_rot = reference_database()
     image, cal_rot = calibration_image()
-    res = sc.calibrate_single_image(image.ids, image.uv, db,
-                                    image_width=1080, image_height=960)
+    res = sc.calibrate_single_image(image.ids, image.uv, db, image_size=(1080, 960))
     assert abs(res.intrinsics.fx - CAL_K.fx) / CAL_K.fx < 1e-6
     assert abs(res.intrinsics.fy - CAL_K.fy) / CAL_K.fy < 1e-6
     assert abs(res.intrinsics.cx - CAL_K.cx) < 1e-3
@@ -330,7 +364,7 @@ def test_pipeline_rotation_matches_relative_pose_invariance():
     for trial in (0, 1, 2):
         image, _ = calibration_image(seed=60, trial=trial)
         results.append(sc.calibrate_single_image(image.ids, image.uv, db,
-                                                 image_width=1080, image_height=960))
+                                                 image_size=(1080, 960)))
     fx = [r.intrinsics.fx for r in results]
     assert max(fx) - min(fx) < 1e-6 * 1000.0
     angles = [axis_angle_from_rotation_matrix(r.rotation) for r in results]
@@ -342,10 +376,8 @@ def test_pipeline_database_reusable_across_cameras():
     other_K = CameraIntrinsics(800.0, 805.0, 530.0, 470.0, 0.0)
     image_a, _ = calibration_image(seed=61)
     image_b, _ = calibration_image(seed=62, intrinsics=other_K)
-    res_a = sc.calibrate_single_image(image_a.ids, image_a.uv, db,
-                                      image_width=1080, image_height=960)
-    res_b = sc.calibrate_single_image(image_b.ids, image_b.uv, db,
-                                      image_width=1080, image_height=960)
+    res_a = sc.calibrate_single_image(image_a.ids, image_a.uv, db, image_size=(1080, 960))
+    res_b = sc.calibrate_single_image(image_b.ids, image_b.uv, db, image_size=(1080, 960))
     assert abs(res_a.intrinsics.fx - 1000.0) / 1000.0 < 1e-6
     assert abs(res_b.intrinsics.fx - 800.0) / 800.0 < 1e-6
 
@@ -358,8 +390,7 @@ def test_pipeline_distorted_noisy_statistics():
     for trial in range(8):
         image, _ = calibration_image(seed=63, trial=trial,
                                      distortion=Distortion(0.1, -0.2), noise=0.5)
-        res = sc.calibrate_single_image(image.ids, image.uv, db,
-                                        image_width=1080, image_height=960)
+        res = sc.calibrate_single_image(image.ids, image.uv, db, image_size=(1080, 960))
         focal_errors.append(abs(res.intrinsics.fx - 1000.0) / 1000.0)
         rms.append(res.report.rms_reprojection)
     assert np.mean(focal_errors) < 0.01
@@ -374,15 +405,15 @@ def test_pipeline_selects_the_pairs_once(monkeypatch):
                         or select_pairs(*args))
     db, _ = reference_database()
     image, _ = calibration_image()
-    sc.calibrate_single_image(image.ids, image.uv, db, image_width=1080, image_height=960)
+    sc.calibrate_single_image(image.ids, image.uv, db, image_size=(1080, 960))
     assert len(calls) == 1
 
 
 def test_pipeline_without_refinement_reports_the_start_point():
     db, _ = reference_database()
     image, _ = calibration_image(distortion=Distortion(0.1, -0.2), noise=0.5)
-    res = sc.calibrate_single_image(image.ids, image.uv, db, image_width=1080,
-                                    image_height=960, refine_distortion=False)
+    res = sc.calibrate_single_image(image.ids, image.uv, db, image_size=(1080, 960),
+                                    refine_distortion=False)
     report = res.report
     assert report.termination == "not_run" and not report.converged
     assert report.iterations_used == 0 and report.cost_trajectory == ()
@@ -412,15 +443,14 @@ def test_single_image_entry_points_refuse_non_integer_ids(entry, kind):
         if entry == "build_ray_database":
             sc.build_ray_database(ids, image.uv, REF_K, Distortion())
         else:
-            sc.calibrate_single_image(ids, image.uv, db, image_width=1080, image_height=960)
+            sc.calibrate_single_image(ids, image.uv, db, image_size=(1080, 960))
 
 
 def test_pipeline_requires_eight_matches():
     db, _ = reference_database()
     image, _ = calibration_image()
     with pytest.raises(ValueError):
-        sc.calibrate_single_image(image.ids[:7], image.uv[:7], db,
-                                  image_width=1080, image_height=960)
+        sc.calibrate_single_image(image.ids[:7], image.uv[:7], db, image_size=(1080, 960))
 
 
 def reference_match(db_ids, ids):
@@ -456,35 +486,46 @@ def test_pipeline_drops_unmatched_ids():
     image, _ = calibration_image()
     ids = image.ids.copy()
     ids[:3] = [9001, 9002, 9003]  # ids absent from the database
-    res = sc.calibrate_single_image(ids, image.uv, db,
-                                    image_width=1080, image_height=960)
+    res = sc.calibrate_single_image(ids, image.uv, db, image_size=(1080, 960))
     assert res.n_dropped == 3
     assert res.n_matched == len(ids) - 3
 
 
 @pytest.mark.parametrize("size, message", [
-    ("1080", "{} must be a number"),
-    (True, "{} must be a number"),
-    (None, "{} must be a number"),
-    (float("nan"), "{} must be finite"),
-    (0, "image_width and image_height must be positive"),
-    (-1080.0, "image_width and image_height must be positive"),
-], ids=["string", "bool", "None", "nan", "zero", "negative"])
+    ("1080", "real numbers"),
+    (True, "real numbers"),
+    (None, "real numbers"),
+    (float("nan"), "positive integers"),
+    (0, "positive integers"),
+    (-1080.0, "positive integers"),
+    (1080.5, "positive integers"),
+], ids=["string", "bool", "None", "nan", "zero", "negative", "fraction"])
 @pytest.mark.parametrize("entry", ["init_focal_quartic", "calibrate_single_image"])
 def test_single_image_entry_points_refuse_a_bad_image_size(entry, size, message):
-    # Each is an input error, not a solver stage's failure.  The width goes
-    # bad in one entry point and the height in the other.
+    # Each is an input error, not a solver stage's failure, refused by the
+    # one image-size rule.  The width goes bad in one entry point and the
+    # height in the other.
     db, _ = reference_database()
     image, _ = calibration_image()
-    if entry == "init_focal_quartic":
-        db_idx, obs_idx = db.match(image.ids)
-        with pytest.raises(ValueError, match=message.format("image_width")):
+    with pytest.raises(ValueError, match=f"^image_size must be {message}"):
+        if entry == "init_focal_quartic":
+            db_idx, obs_idx = db.match(image.ids)
             sc.init_focal_quartic(image.uv[obs_idx], sc.select_pairs(db.rays[db_idx]),
-                                  size, 960)
-    else:
-        with pytest.raises(ValueError, match=message.format("image_height")):
-            sc.calibrate_single_image(image.ids, image.uv, db, image_width=1080,
-                                      image_height=size)
+                                  (size, 960))
+        else:
+            sc.calibrate_single_image(image.ids, image.uv, db, image_size=(1080, size))
+
+
+@pytest.mark.parametrize("count", [83, 93], ids=["fewer", "more"])
+def test_pipeline_refuses_ids_and_pixels_of_unequal_length(count):
+    # The pixel at each position belongs to the id at that position, so with
+    # unequal lengths some ids or pixels have no partner.
+    db, _ = reference_database()
+    image, _ = calibration_image()
+    assert len(image.ids) == 88
+    pixels = np.resize(image.uv, (count, 2))
+    with pytest.raises(ValueError, match=f"88 point ids but {count} pixels"):
+        sc.calibrate_single_image(image.ids, pixels, db, image_size=(1080, 960))
 
 
 def _rows(bad, columns=2, count=8):
@@ -494,12 +535,15 @@ def _rows(bad, columns=2, count=8):
     return rows
 
 
+_PAIRS = sc.select_pairs(random_unit_rays(np.random.default_rng(0), 8))
+
+
 def _calibrate_with(bad):
     db, _ = reference_database()
     image, _ = calibration_image()
     pixels = image.uv.tolist()
     pixels[0][0] = bad
-    sc.calibrate_single_image(image.ids, pixels, db, image_width=1080, image_height=960)
+    sc.calibrate_single_image(image.ids, pixels, db, image_size=(1080, 960))
 
 
 PIXEL_ARGUMENTS = {
@@ -513,6 +557,27 @@ PIXEL_ARGUMENTS = {
     "build_ray_database": ("reference pixels", lambda bad: sc.build_ray_database(
         np.arange(8), _rows(bad), REF_K, Distortion())),
     "calibrate_single_image": ("calibration pixels", _calibrate_with),
+    "project-R": ("R", lambda bad: project(CAL_K, Distortion(), _rows(bad, 3, 3),
+                                           [0.0, 0.0, 700.0], [[0.0, 0.0, 0.0]])),
+    "project-t": ("t", lambda bad: project(CAL_K, Distortion(), np.eye(3), [bad, 0.0, 700.0],
+                                           [[0.0, 0.0, 0.0]])),
+    "undistort_normalized": ("xy_distorted", lambda bad: undistort_normalized(
+        Distortion(0.1, 0.0), _rows(bad))),
+    "select_pairs": ("rays", lambda bad: sc.select_pairs(_rows(bad, 3))),
+    "init_focal_quartic": ("pixels", lambda bad: sc.init_focal_quartic(
+        _rows(bad), _PAIRS, (1080, 960))),
+    "refine_intrinsics_angle": ("pixels", lambda bad: sc.refine_intrinsics_angle(
+        _rows(bad), _PAIRS, CAL_K)),
+    "estimate_rotation_kabsch-calib": ("calib_rays", lambda bad: sc.estimate_rotation_kabsch(
+        _rows(bad, 3), _rows(0.0, 3))),
+    "estimate_rotation_kabsch-db": ("db_rays", lambda bad: sc.estimate_rotation_kabsch(
+        _rows(0.0, 3), _rows(bad, 3))),
+    "single_image_problem-rays": ("rays", lambda bad: single_image_problem(
+        _rows(bad, 3), _rows(0.0), (CAL_K, Distortion(), np.eye(3)))),
+    "single_image_problem-pixels": ("pixels", lambda bad: single_image_problem(
+        _rows(0.0, 3), _rows(bad), (CAL_K, Distortion(), np.eye(3)))),
+    "single_image_ba": ("rays", lambda bad: single_image_ba(
+        _rows(bad, 3), _rows(0.0), (CAL_K, Distortion(), np.eye(3)))),
 }
 
 
@@ -520,7 +585,9 @@ PIXEL_ARGUMENTS = {
 @pytest.mark.parametrize("entry", sorted(PIXEL_ARGUMENTS))
 def test_pixel_and_point_arguments_refuse_a_non_number_by_name(entry, bad):
     # A bool used to be read as 0 or 1, and a string raised numpy's own
-    # conversion error without naming the argument.
+    # conversion error without naming the argument.  `project`'s R and t,
+    # the rays and pixels of the single-image stages and of its BA problem,
+    # and `undistort_normalized`'s input follow the same rule.
     name, call = PIXEL_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be real numbers"):
         call(bad)
