@@ -17,8 +17,6 @@ from .core_geom import (
     PlanarTarget,
     back_project,
     decompose_homography,
-    estimate_homography,
-    project,
 )
 from .multi_solver import (
     DegeneracyReport,
@@ -56,7 +54,6 @@ from .synth import (
 __all__ = [
     "CameraIntrinsics", "Distortion", "ObservationSet", "PlanarTarget",
     "back_project", "decompose_homography",
-    "estimate_homography", "project",
     "DegeneracyReport", "SphericalExtrinsics",
     "build_linear_system", "decompose_iac", "detect_degeneracy",
     "solve_closed_form", "solve_minimal",

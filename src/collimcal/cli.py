@@ -42,8 +42,7 @@ def _fmt(value) -> str:
     return f"{float(value):.10g}"
 
 
-def _nan_guarded(reduction, values) -> float:
-    values = np.asarray(values, dtype=float)
+def _nan_guarded(reduction, values: np.ndarray) -> float:
     if np.all(np.isnan(values)):
         return float("nan")
     return float(reduction(values))
@@ -87,14 +86,10 @@ def cmd_simulate(args) -> int:
 def cmd_calibrate(args) -> int:
     data = fileio.read_observation_file(getattr(args, "in"))
     observations = data.observations
-    n = len(observations)
-    if args.mode == "nimg" and n < 3:
-        raise fileio.FileFormatError(f"nimg mode needs >= 3 images, got {n}")
-    if args.mode == "minimal" and n != 2:
-        raise fileio.FileFormatError(f"minimal mode needs exactly 2 images, got {n}")
     if args.mode == "single":
-        if n != 1:
-            raise fileio.FileFormatError(f"single mode needs exactly 1 image, got {n}")
+        if len(observations) != 1:
+            raise fileio.FileFormatError(
+                f"single mode needs exactly 1 image, got {len(observations)}")
         if not args.reference:
             raise fileio.FileFormatError("single mode needs --reference <database>")
         if data.image_size is None:
@@ -118,13 +113,14 @@ def cmd_calibrate(args) -> int:
             "n_dropped": result.n_dropped,
         })
     else:
-        report["degeneracy"] = dataclasses.asdict(detect_degeneracy(observations))
+        # The solvers own the image-count rule of their mode.
         if args.mode == "nimg":
             intr, ext = solve_closed_form(observations)
         else:
             candidates = solve_minimal(observations)
             report["candidate_count"] = len(candidates)
             intr, ext = candidates[0]
+        report["degeneracy"] = dataclasses.asdict(detect_degeneracy(observations))
         dist = Distortion(0.0, 0.0)
         if args.no_refine:
             fit = unrefined_report(spherical_problem(observations, (intr, dist, ext)))
@@ -229,7 +225,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (fileio.FileFormatError, ValueError) as exc:
+    except ValueError as exc:  # fileio.FileFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except errors.DegenerateConfiguration as exc:

@@ -88,7 +88,7 @@ class CameraIntrinsics:
 
     @classmethod
     def from_matrix(cls, K: np.ndarray) -> "CameraIntrinsics":
-        K = np.asarray(K, dtype=float)
+        K = real_array(K, "intrinsic matrix")
         if K.shape != (3, 3) or abs(K[2, 2]) < 1e-300:
             raise ValueError("intrinsic matrix must be 3x3 with K[2,2] != 0")
         K = K / K[2, 2]
@@ -126,12 +126,15 @@ class Distortion:
 def checked_rotations(R: np.ndarray) -> np.ndarray:
     """R (N, 3, 3) as a float stack, checked to hold proper rotations.
 
-    Raises ValueError naming the first matrix that is not orthonormal, or
-    whose determinant is not +1, within ROTATION_TOLERANCE.
+    Raises ValueError for an entry that is not a finite number, and names
+    the first matrix that is not orthonormal, or whose determinant is not
+    +1, within ROTATION_TOLERANCE.
     """
-    R = np.asarray(R, dtype=float)
+    R = real_array(R, "rotations")
     if R.ndim != 3 or R.shape[1:] != (3, 3):
         raise ValueError("rotations must be an (N, 3, 3) stack")
+    if not np.isfinite(R).all():
+        raise ValueError("rotations must be finite")
     skewed = np.max(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)), axis=(1, 2)) > ROTATION_TOLERANCE
     improper = np.abs(np.linalg.det(R) - 1.0) > ROTATION_TOLERANCE
     bad = np.flatnonzero(skewed | improper)
@@ -144,7 +147,7 @@ def checked_rotations(R: np.ndarray) -> np.ndarray:
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices [v]x of one vector (3,) or a stack (..., 3)."""
-    v = np.asarray(v, dtype=float)
+    v = real_array(v, "v")
     S = np.zeros(v.shape[:-1] + (3, 3))
     S[..., 0, 1] = -v[..., 2]
     S[..., 0, 2] = v[..., 1]
@@ -157,7 +160,7 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
     """Proper rotation(s) nearest to M (3, 3) or (..., 3, 3) in the Frobenius sense."""
-    U, _, Vt = np.linalg.svd(np.asarray(M, dtype=float))
+    U, _, Vt = np.linalg.svd(real_array(M, "M"))
     R = U @ Vt
     flip = np.linalg.det(R) < 0
     return np.where(flip[..., None, None], (U * [1.0, 1.0, -1.0]) @ Vt, R)
@@ -172,26 +175,21 @@ def rotation_matrix_from_axis_angle(v: np.ndarray) -> np.ndarray:
 
     Takes one vector (3,) or a stack (..., 3) and returns (..., 3, 3).
     """
-    v = np.asarray(v, dtype=float)
+    v = real_array(v, "v")
     # |v| as a dot product, which rounds like np.linalg.norm of one vector.
     theta = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    # Below 1e-12 rad the second-order expansion I + S + S^2/2 of S = [v]x
+    # keeps the map smooth through zero.
     small = theta < 1e-12
-    if small.any():
-        # Below 1e-12 rad the second-order expansion I + S + S^2/2 of S = [v]x
-        # keeps the map smooth through zero.
-        S = skew(v / np.where(small, 1.0, theta))
-        a = np.where(small, 1.0, np.sin(theta))[..., None]
-        b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
-    else:
-        S = skew(v / theta)
-        a = np.sin(theta)[..., None]
-        b = (1.0 - np.cos(theta))[..., None]
+    S = skew(v / np.where(small, 1.0, theta))
+    a = np.where(small, 1.0, np.sin(theta))[..., None]
+    b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
     return _IDENTITY + a * S + b * (S @ S)
 
 
 def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     """Axis-angle vector of one rotation (3, 3) or a stack (..., 3, 3)."""
-    R = np.asarray(R, dtype=float)
+    R = real_array(R, "R")
     shape = R.shape[:-2] + (3,)
     R = R.reshape(-1, 3, 3)
     cos_theta = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) * 0.5, -1.0, 1.0)
@@ -663,7 +661,7 @@ def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
     sign is chosen so the target origin lies in front of the camera
     (t[2] > 0) and the rotations are re-orthogonalized by SVD.
     """
-    H = np.asarray(H, dtype=float)
+    H = real_array(H, "homographies")
     if H.ndim != 3 or H.shape[1:] != (3, 3):
         raise ValueError("homographies must be an (N, 3, 3) stack")
     M = intr.inverse @ H

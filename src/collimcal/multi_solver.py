@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .core_geom import CameraIntrinsics, ObservationSet, decompose_homography, real_number
+from .core_geom import (
+    CameraIntrinsics,
+    ObservationSet,
+    checked_rotations,
+    decompose_homography,
+    real_array,
+    real_number,
+)
 
 # The entries of a symmetric 3x3 matrix in the order of its 6-vector form
 # (M11, M12, M13, M22, M23, M33), and their 0-based row and column indices.
@@ -43,7 +50,8 @@ _STRUCTURE_TOLERANCE = 1e-6
 class SphericalExtrinsics:
     """Spherical-motion extrinsics: fixed optical center plus per-image rotations.
 
-    `rotations` is the (N, 3, 3) stack of the images' R_i.
+    `rotations` is the (N, 3, 3) stack of the images' R_i, checked by
+    `checked_rotations`.
     """
 
     x: float
@@ -54,6 +62,7 @@ class SphericalExtrinsics:
     def __post_init__(self):
         for name in ("x", "y", "r"):
             object.__setattr__(self, name, real_number(getattr(self, name), f"center {name}"))
+        object.__setattr__(self, "rotations", checked_rotations(self.rotations))
         if not self.r > 0:
             raise ValueError(f"spherical radius must be positive, got {self.r}")
 
@@ -125,7 +134,7 @@ def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
     The sign is normalized so Q33 > 0; K is the inverse transpose of the
     Cholesky factor of Q, scaled to K[2,2] = 1.
     """
-    q = np.asarray(q, dtype=float).reshape(6)
+    q = real_array(q, "q").reshape(6)
     if q[5] == 0.0:
         raise errors.NotPositiveDefinite("Q33 is zero")
     if q[5] < 0:

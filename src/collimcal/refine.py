@@ -184,7 +184,7 @@ class BlockJacobian:
         without it), padding at weight zero.  With Bw the weighted
         copy of the block, one batched Bw Bᵀ and one Bw r give every group's
         Gram and gradient, which are scattered into JᵀWJ and JᵀWr through
-        reshaped views; one group's are JᵀWJ and JᵀWr themselves.
+        reshaped views, one group's too.
         """
         n, _, length = self.block.shape
         s, k = self.shared, self.stride
@@ -197,8 +197,6 @@ class BlockJacobian:
         Bw = np.multiply(self.block, w.reshape(n, 1, length), out=self.weighted)
         G = Bw @ self.block.transpose(0, 2, 1)
         v = (Bw @ rp.reshape(n, length, 1))[..., 0]
-        if n == 1:
-            return G[0], v[0]
         JtJ = np.zeros((self.shape[1],) * 2)
         JtJ[:s, :s] = G[:, :s, :s].sum(axis=0)
         JtJ[:s, s:] = G[:, :s, s:].transpose(1, 0, 2).reshape(s, n * k)
@@ -392,7 +390,7 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     unpack(state) gives (intrinsics (5,), distortion (2,), c (3,), rotation
     matrices (N, 3, 3), translations (N, 3) or None).
     """
-    R0 = checked_rotations(np.array(rotations, dtype=float))
+    R0 = checked_rotations(rotations).copy()
     n = len(R0)
     counts = np.asarray(counts)
     has_center = center is not None
@@ -406,7 +404,7 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     lanes = np.arange(length)
     kept = lanes < counts[:, None]
     source = np.concatenate([[0], np.cumsum(counts)[:-1]])[:, None] + np.where(kept, lanes, 0)
-    grid = np.ascontiguousarray(np.asarray(points, dtype=float)[source].transpose(0, 2, 1))
+    grid = np.ascontiguousarray(real_array(points, "points")[source].transpose(0, 2, 1))
     slot = np.flatnonzero(kept)   # each point's slot in the flattened grid
     real = None if kept.all() else slot
     # The Jacobian's buffer: B[i, col, row, l] is the derivative of row (u

@@ -1,5 +1,5 @@
 """The package's public names and source, the functions the traced benchmark
-wraps, and the numbers the package's types take."""
+wraps, and the numbers the package's types and functions take."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import collimcal
+from collimcal import core_geom, multi_solver, refine
 from collimcal import (
     CameraIntrinsics,
     Distortion,
@@ -82,10 +83,10 @@ KEPT_ON_PURPOSE = {"refine.BlockJacobian.toarray", "core_geom.CameraIntrinsics.m
 
 
 def definitions(node, prefix):
-    """(qualified name, name) of every function, method and class under an AST node."""
+    """(qualified name, node) of every function, method and class under an AST node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield f"{prefix}.{child.name}", child.name
+            yield f"{prefix}.{child.name}", child
             yield from definitions(child, f"{prefix}.{child.name}")
         else:
             yield from definitions(child, prefix)
@@ -108,9 +109,9 @@ def test_every_definition_is_used():
     used = set().union(*map(used_names, paths),
                        *map(named_names, (ROOT / "perfbench").glob("*.py")))
     dead = {qualified for path in paths
-            for qualified, name in definitions(ast.parse(path.read_text()), path.stem)
-            if not (name.startswith("__") and name.endswith("__"))
-            and not name.startswith("cmd_") and name not in used}
+            for qualified, node in definitions(ast.parse(path.read_text()), path.stem)
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and not node.name.startswith("cmd_") and node.name not in used}
     assert dead == KEPT_ON_PURPOSE
 
 
@@ -197,27 +198,25 @@ def test_package_uses_no_numpy_newer_than_its_floor():
     assert not found
 
 
-def float_casts(source, functions=None):
-    """The parameters that the top-level functions of `source` take through
-    np.asarray(<parameter>, dtype=float), as "function.parameter".
-
-    Scans the functions named in `functions`, or every public one.
-    """
+def float_casts(source, module):
+    """The parameters that the functions and methods of `source`, private and
+    nested ones too, take through np.asarray(<parameter>, dtype=float) or
+    np.array(<parameter>, dtype=float), as "module.qualified name.parameter"."""
     found = []
-    for node in ast.parse(source).body:
-        if not isinstance(node, ast.FunctionDef) or (
-                node.name not in functions if functions else node.name.startswith("_")):
+    for name, node in definitions(ast.parse(source), module):
+        if isinstance(node, ast.ClassDef):
             continue
         arguments = node.args
         parameters = {a.arg for a in arguments.posonlyargs + arguments.args
                       + arguments.kwonlyargs}
         for call in ast.walk(node):
-            if (isinstance(call, ast.Call) and ast.unparse(call.func) == "np.asarray"
+            if (isinstance(call, ast.Call)
+                    and ast.unparse(call.func) in ("np.asarray", "np.array")
                     and call.args and isinstance(call.args[0], ast.Name)
                     and call.args[0].id in parameters
                     and any(keyword.arg == "dtype" and ast.unparse(keyword.value) == "float"
                             for keyword in call.keywords)):
-                found.append(f"{node.name}.{call.args[0].id}")
+                found.append(f"{name}.{call.args[0].id}")
     return sorted(found)
 
 
@@ -226,21 +225,19 @@ def test_float_cast_scan_flags_a_parameter():
               "    x = np.asarray(a, dtype=float) + np.asarray(c) + np.asarray(d, dtype=float)\n"
               "    return np.asarray(b, dtype=float)\n"
               "def _g(a):\n"
-              "    return np.asarray(a, dtype=float)\n")
-    assert float_casts(source) == ["f.a", "f.b"]
-    assert float_casts(source, {"_g"}) == ["_g.a"]
+              "    return np.asarray(a, dtype=float)\n"
+              "class C:\n"
+              "    def method(self, a, b):\n"
+              "        return np.array(a, dtype=float) + np.array(b)\n")
+    assert float_casts(source, "m") == ["m.C.method.a", "m._g.a", "m.f.a", "m.f.b"]
 
 
-def test_single_image_and_projection_arguments_take_the_number_rule():
-    # Every argument array of these goes through core_geom.real_array, which
-    # refuses a bool or a string by name; np.asarray(dtype=float) takes a
-    # bool as 0 or 1.
-    package = ROOT / "src" / "collimcal"
-    found = (float_casts((package / "single_calib.py").read_text())
-             + float_casts((package / "core_geom.py").read_text(),
-                           {"project", "undistort_normalized"})
-             + float_casts((package / "refine.py").read_text(),
-                           {"single_image_problem", "single_image_ba"}))
+def test_every_array_argument_takes_the_number_rule():
+    # Every function and method of the package takes an array from its caller
+    # through core_geom.real_array, which refuses a bool or a string by name;
+    # a cast with dtype=float takes a bool as 0 or 1.
+    found = [cast for path in (ROOT / "src" / "collimcal").glob("*.py")
+             for cast in float_casts(path.read_text(), path.stem)]
     assert not found
 
 
@@ -272,6 +269,7 @@ NUMBER_FIELDS = [
                                                                     "gamma")),
     (Distortion, "d1", "distortion d1"), (Distortion, "d2", "distortion d2"),
     *((SphericalExtrinsics, name, f"center {name}") for name in ("x", "y", "r")),
+    (SphericalExtrinsics, "rotations", "rotations"),
     (PlanarTarget, "ids", "target point ids"), (PlanarTarget, "xy", "target coordinates"),
     (ObservationSet, "ids", "ids"), (ObservationSet, "uv", "pixel coordinates"),
     (ObservationSet, "counts", "counts"),
@@ -312,3 +310,39 @@ def test_every_number_field_refuses_a_non_number_by_name(kind, field, label, bad
                             else getattr(kind(), field), bad)
     with pytest.raises(ValueError, match=re.escape(label)):
         kind(**fields)
+
+
+K = CameraIntrinsics(**valid_fields(CameraIntrinsics))
+
+# The rotation and matrix arguments of the plain functions and a bundle
+# adjustment's start rotations, with the name their error gives.
+MATRIX_ARGUMENTS = {
+    "checked_rotations": ("rotations", lambda bad: core_geom.checked_rotations(
+        planted(np.eye(3)[None], bad))),
+    "skew": ("v", lambda bad: core_geom.skew(planted([0.1, 0.2, 0.3], bad))),
+    "nearest_rotation": ("M", lambda bad: core_geom.nearest_rotation(planted(np.eye(3), bad))),
+    "rotation_matrix_from_axis_angle": ("v", lambda bad: (
+        core_geom.rotation_matrix_from_axis_angle(planted([0.1, 0.2, 0.3], bad)))),
+    "axis_angle_from_rotation_matrix": ("R", lambda bad: (
+        core_geom.axis_angle_from_rotation_matrix(planted(np.eye(3), bad)))),
+    "decompose_homography": ("homographies", lambda bad: core_geom.decompose_homography(
+        planted(np.eye(3)[None], bad), K)),
+    "CameraIntrinsics.from_matrix": ("intrinsic matrix", lambda bad: (
+        CameraIntrinsics.from_matrix(planted(K.matrix, bad)))),
+    "decompose_iac": ("q", lambda bad: multi_solver.decompose_iac(
+        planted([1.0, 0.0, 0.0, 1.0, 0.0, 1.0], bad))),
+    "general_problem": ("rotations", lambda bad: refine.general_problem(
+        ObservationSet(**valid_fields(ObservationSet)),
+        (K, Distortion(), (planted(np.eye(3)[None], bad), [[0.0, 0.0, 700.0]])))),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "a"], ids=["bool", "string"])
+@pytest.mark.parametrize("entry", sorted(MATRIX_ARGUMENTS))
+def test_rotation_and_matrix_arguments_refuse_a_non_number_by_name(entry, bad):
+    # A bool used to be read as 1 (a start rotation of True entries was the
+    # identity, and CameraIntrinsics.from_matrix gave fx = 1), and a string
+    # raised numpy's own conversion error without naming the argument.
+    name, call = MATRIX_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be real numbers"):
+        call(bad)

@@ -123,12 +123,19 @@ def test_calibrate_minimal_mode(tmp_path):
     assert report["error_vs_truth"]["fx_err_rel"] < 1e-6
 
 
-def test_calibrate_wrong_arity_exit_2(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", image_count=2)
-    obs = tmp_path / "two.json"
-    main(["simulate", "--config", cfg, "--out", str(obs)])
-    assert main(["calibrate", "--in", str(obs), "--mode", "nimg",
+@pytest.mark.parametrize("images, mode, message", [
+    (2, "nimg", "closed-form solver needs at least 3 images, got 2"),
+    (3, "minimal", "minimal solver takes exactly 2 images, got 3"),
+    (2, "single", "single mode needs exactly 1 image, got 2"),
+], ids=["nimg", "minimal", "single"])
+def test_calibrate_names_the_wrong_image_count_exit_2(tmp_path, capsys, images, mode, message):
+    # The solvers own the image-count rule of the nimg and minimal modes.
+    cfg = write_config(tmp_path / "cfg.json", image_count=images)
+    obs = tmp_path / "obs.json"
+    assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
+    assert main(["calibrate", "--in", str(obs), "--mode", mode,
                  "--out", str(tmp_path / "r.json")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_calibrate_degenerate_exit_4(tmp_path):

@@ -87,8 +87,8 @@ def test_rotation_stack_matches_one_vector_at_a_time():
 @pytest.mark.parametrize("angles", [(0.0, 1e-13, 0.7, 2.9), (0.4, 1.3, 3.1)],
                          ids=["mixed", "no-small-angle"])
 def test_rotation_stack_with_and_without_small_angles_matches_one_vector_at_a_time(angles):
-    # A stack with an angle below 1e-12 rad takes the series branch for the
-    # whole stack, and one without takes the plain formula; either way each
+    # An angle below 1e-12 rad takes the series expansion and any other the
+    # plain formula, whether or not its stack mixes the two; either way each
     # matrix equals the vector's own, bit for bit.
     axes = np.random.default_rng(23).normal(size=(len(angles), 3))
     v = axes / np.linalg.norm(axes, axis=1, keepdims=True) * np.array(angles)[:, None]

@@ -11,11 +11,19 @@ solver, and 3.1e-13 elsewhere.
 import numpy as np
 import pytest
 
-from collimcal import errors
-from collimcal.core_geom import Distortion, ObservationSet
+from collimcal import errors, synth
+from collimcal.core_geom import (
+    CameraIntrinsics,
+    Distortion,
+    ObservationSet,
+    PlanarTarget,
+    decompose_homography,
+)
 from collimcal.multi_solver import solve_closed_form, solve_minimal
-from collimcal.refine import spherical_ba
-from conftest import first_images, pick_images, scene
+from collimcal.refine import general_ba, spherical_ba
+from collimcal.single_calib import RayDatabase, build_ray_database, calibrate_single_image
+from collimcal.synth import zhang_init
+from conftest import first_images, pick_images, rotation_from_axis_angle, scene
 
 BOUND = 1e-9
 SHIFT = np.array([37.25, -11.5])
@@ -32,19 +40,37 @@ def shifted(observations):
                           observations.counts)
 
 
+def in_metres(observations):
+    """The observation set with its target in metres instead of millimetres."""
+    target = observations.target
+    return ObservationSet(PlanarTarget(target.ids, target.xy / 1000.0), observations.ids,
+                          observations.uv, observations.counts)
+
+
+def shuffled(observations, seed):
+    """The observation set with the points of each image in a random order."""
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum(observations.counts) - observations.counts
+    order = np.concatenate([start + rng.permutation(count)
+                            for start, count in zip(starts, observations.counts)])
+    return ObservationSet(observations.target, observations.ids[order],
+                          observations.uv[order], observations.counts)
+
+
 def assert_close(got, expected, scale):
     """|got - expected| within BOUND of `scale`, entry by entry."""
     deviation = np.max(np.abs(np.asarray(got, dtype=float) - expected)) / scale
     assert deviation < BOUND, deviation
 
 
-def assert_same_camera(intr, ext, ref_intr, ref_ext, shift=(0.0, 0.0), order=None):
+def assert_same_camera(intr, ext, ref_intr, ref_ext, shift=(0.0, 0.0), order=None, unit=1.0):
     """intr and ext match the reference camera with its principal point
-    moved by `shift` and its rotations taken in `order`."""
+    moved by `shift`, its rotations taken in `order` and its center scaled
+    by `unit`."""
     f = ref_intr.fx
     assert_close([intr.fx, intr.fy, intr.gamma], [f, ref_intr.fy, ref_intr.gamma], f)
     assert_close([intr.cx, intr.cy], [ref_intr.cx + shift[0], ref_intr.cy + shift[1]], f)
-    assert_close(ext.t_cp, ref_ext.t_cp, ref_ext.r)
+    assert_close(ext.t_cp, ref_ext.t_cp * unit, ref_ext.r * unit)
     rotations = ref_ext.rotations if order is None else ref_ext.rotations[order]
     assert_close(ext.rotations, rotations, 1.0)
 
@@ -91,3 +117,93 @@ def test_minimal_solver_ignores_which_image_comes_first(seed, trial):
     assert len(swapped) == len(candidates)
     for (intr, ext), (ref_intr, ref_ext) in zip(swapped, candidates):
         assert_same_camera(intr, ext, ref_intr, ref_ext, order=[1, 0])
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_closed_form_scales_the_center_with_the_target_units(seed, trial):
+    observations = noisy_scene(seed, trial)
+    assert_same_camera(*solve_closed_form(in_metres(observations)),
+                       *solve_closed_form(observations), unit=1e-3)
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_spherical_ba_scales_the_center_with_the_target_units(seed, trial):
+    # LM damps each parameter by its own JᵀWJ diagonal, so a change of units
+    # leaves every step, and the iteration count, as it was.
+    observations = noisy_scene(seed, trial)
+    intr, ext = solve_closed_form(observations)
+    (ref_intr, ref_dist, ref_ext), ref_report = spherical_ba(
+        observations, (intr, Distortion(), ext))
+    intr, ext = solve_closed_form(in_metres(observations))
+    (intr, dist, ext), report = spherical_ba(in_metres(observations), (intr, Distortion(), ext))
+    assert_same_camera(intr, ext, ref_intr, ref_ext, unit=1e-3)
+    assert_close([dist.d1, dist.d2], [ref_dist.d1, ref_dist.d2], 1.0)
+    assert report.iterations_used == ref_report.iterations_used
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_closed_form_ignores_the_point_order(seed, trial):
+    observations = noisy_scene(seed, trial)
+    assert_same_camera(*solve_closed_form(shuffled(observations, trial)),
+                       *solve_closed_form(observations))
+
+
+def general_start(observations):
+    """The free-motion BA's start: `zhang_init` and the poses of its homographies."""
+    intr = zhang_init(observations)
+    fit = observations.homography_fit
+    R, t, _ = decompose_homography(fit.homographies_to_raw(fit.matrices), intr)
+    return intr, Distortion(), (R, t)
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_general_ba_moves_the_principal_point_with_a_pixel_shift(seed, trial):
+    observations = noisy_scene(seed, trial)
+    (ref_intr, ref_dist, (ref_R, ref_t)), ref_report = general_ba(
+        observations, general_start(observations))
+    (intr, dist, (R, t)), report = general_ba(shifted(observations),
+                                              general_start(shifted(observations)))
+    f = ref_intr.fx
+    assert_close([intr.fx, intr.fy, intr.gamma], [f, ref_intr.fy, ref_intr.gamma], f)
+    assert_close([intr.cx, intr.cy], [ref_intr.cx + SHIFT[0], ref_intr.cy + SHIFT[1]], f)
+    assert_close([dist.d1, dist.d2], [ref_dist.d1, ref_dist.d2], 1.0)
+    assert_close(R, ref_R, 1.0)
+    assert_close(t, ref_t, np.max(np.abs(ref_t)))
+    assert report.iterations_used == ref_report.iterations_used
+
+
+@pytest.fixture(scope="module")
+def single_image_database():
+    """Criterion-8's reference database and the same rays in a rotated frame Q."""
+    config = synth.default_config(intrinsics=CameraIntrinsics(1200.0, 1180.0, 700.0, 500.0),
+                                  image_size=(1400, 1000), image_count=1)
+    rng = np.random.default_rng(np.random.SeedSequence(41, spawn_key=(0,)))
+    _, reference = synth.make_scene(config, rng)
+    database = build_ray_database(reference.ids, reference.uv, config.intrinsics, Distortion())
+    Q = rotation_from_axis_angle([0.3, -0.5, 0.2])
+    return database, Q, RayDatabase(database.ids, database.rays @ Q.T,
+                                    database.ref_intrinsics, database.ref_distortion)
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_single_image_pipeline_follows_a_rotation_of_the_database_frame(
+        single_image_database, trial):
+    # With the database rays turned by Q, K stays and R becomes R Qᵀ.  The
+    # BA stage is left out: Marquardt damping scales each parameter by its
+    # own JᵀWJ diagonal, which a rotation of the rotation increments
+    # changes, so each damped path stops within its stop tolerance of the
+    # optimum, not at the same point (ROADMAP Direction 15).
+    database, Q, rotated = single_image_database
+    config = synth.default_config(image_count=1, distortion=Distortion(0.1, -0.2),
+                                  pixel_noise_sigma=0.5)
+    rng = np.random.default_rng(np.random.SeedSequence(43, spawn_key=(trial,)))
+    _, image = synth.make_scene(config, rng)
+    ref, got = (calibrate_single_image(image.ids, image.uv, db, image_size=config.image_size,
+                                       refine_distortion=False)
+                for db in (database, rotated))
+    f = ref.intrinsics.fx
+    assert_close([got.intrinsics.fx, got.intrinsics.fy, got.intrinsics.cx, got.intrinsics.cy,
+                  got.intrinsics.gamma],
+                 [f, ref.intrinsics.fy, ref.intrinsics.cx, ref.intrinsics.cy,
+                  ref.intrinsics.gamma], f)
+    assert_close(got.rotation @ Q, ref.rotation, 1.0)
