@@ -45,10 +45,27 @@ class FileFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GroundTruth:
+    """The true camera of a synthetic observation file.
+
+    `t_cp` (3,) and `rotations`, the per-image axis-angle vectors (N, 3) or
+    None if unknown, are taken as float arrays; ValueError names the field
+    of an entry that is not a finite number, or of a wrong shape.
+    """
     intrinsics: CameraIntrinsics
     distortion: Distortion
     t_cp: np.ndarray
-    rotations: np.ndarray | None  # per-image axis-angle vectors (N, 3), if known
+    rotations: np.ndarray | None
+
+    def __post_init__(self):
+        t_cp = real_array(self.t_cp, "ground truth t_cp")
+        if t_cp.shape != (3,) or not np.isfinite(t_cp).all():
+            raise ValueError(f"ground truth t_cp must be finite, of length 3, got {t_cp.tolist()}")
+        object.__setattr__(self, "t_cp", t_cp)
+        if self.rotations is not None:
+            rotations = real_array(self.rotations, "ground truth rotations")
+            if rotations.shape[1:] != (3,) or not np.isfinite(rotations).all():
+                raise ValueError("ground truth rotations must be finite, a 3-vector per image")
+            object.__setattr__(self, "rotations", rotations)
 
 
 @dataclass(frozen=True)
@@ -177,11 +194,10 @@ def write_observation_file(path, observations: ObservationSet, *,
         payload["ground_truth"] = {
             "intrinsics": intrinsics_payload(ground_truth.intrinsics),
             "distortion": [ground_truth.distortion.d1, ground_truth.distortion.d2],
-            "t_cp": [float(v) for v in ground_truth.t_cp],
+            "t_cp": ground_truth.t_cp.tolist(),
         }
         if ground_truth.rotations is not None:
-            payload["ground_truth"]["rotations_axis_angle"] = np.asarray(
-                ground_truth.rotations, dtype=float).tolist()
+            payload["ground_truth"]["rotations_axis_angle"] = ground_truth.rotations.tolist()
     _dump(path, payload)
 
 
@@ -212,20 +228,12 @@ def read_observation_file(payload, path) -> ObservationFile:
     ground_truth = None
     if "ground_truth" in payload:
         block = _require(payload, "ground_truth", path, dict)
-        t_cp = real_array(_require(block, "t_cp", path), "ground truth t_cp")
-        if t_cp.shape != (3,) or not np.all(np.isfinite(t_cp)):
-            raise FileFormatError(f"{path}: ground truth t_cp must be finite and hold "
-                                  f"3 numbers, got {t_cp.tolist()}")
-        rotations = block.get("rotations_axis_angle")
-        if rotations is not None:
-            rotations = real_array(rotations, "ground truth rotations_axis_angle")
-            if rotations.shape != (len(observations), 3) or not np.all(np.isfinite(rotations)):
-                raise FileFormatError(
-                    f"{path}: ground truth rotations_axis_angle must be finite and hold "
-                    f"one 3-vector per image ({len(observations)}), got shape {rotations.shape}")
         ground_truth = GroundTruth(
-            intrinsics=_intrinsics_from(block, path),
-            distortion=_distortion_from(block, path), t_cp=t_cp, rotations=rotations)
+            intrinsics=_intrinsics_from(block, path), distortion=_distortion_from(block, path),
+            t_cp=_require(block, "t_cp", path), rotations=block.get("rotations_axis_angle"))
+        if ground_truth.rotations is not None and len(ground_truth.rotations) != len(observations):
+            raise FileFormatError(f"{path}: ground truth rotations_axis_angle must hold one "
+                                  f"3-vector per image ({len(observations)})")
     return ObservationFile(observations=observations, image_size=image_size,
                            ground_truth=ground_truth)
 

@@ -6,14 +6,21 @@ of all images stacked together.  Point P of image i is seen at
     x_c = R_i (P - c) + t_i,    pixel = pi(K, d, x_c),
 
 with intrinsics K = (fx, fy, cx, cy, gamma) and radial distortion
-d = (d1, d2).  The three refinements differ only in which of c and t_i
-are free:
+d = (d1, d2).  Every problem has one full parameter vector p = [K, d, c |
+per image: rotation increment, t_i], and the three refinements differ
+only in the index set `free` of the groups that LM moves; a held group
+keeps its start, zero:
 
-    spherical motion:  one shared optical center c = t_cp, t_i = 0
+    spherical motion:  one shared optical center c = t_cp free, t_i held
                        (10 + 3N parameters);
-    free motion:       c = 0 and a translation t_i per image (7 + 6N),
-                       the refinement stage of the plane-based baseline;
-    single image:      one image, c = t = 0, and P the reference rays (10).
+    free motion:       c held and a translation t_i per image free
+                       (7 + 6N), the refinement stage of the plane-based
+                       baseline;
+    single image:      one image, c and t held, and P the reference
+                       rays (10).
+
+A start enters all three in one place, `_reprojection_problem`, which
+checks it against itself and names the field of the first fault.
 
 Rotations are updated right-multiplicatively, R <- R exp(delta^), on every
 trial step (every call of `plus`, damping retries included).  The product of
@@ -365,15 +372,19 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
 
     `points` (M, 3) and `pixels` (M, 2) list every observation, image after
     image, and `counts` (N,) how many each image has; `rotations` (N, 3, 3)
-    are the initial R_i.  They are copied and checked here, the one place
-    where a caller's rotations enter the three bundle adjustments:
-    ValueError names the first that is not a proper rotation.  The center c
-    is a parameter starting at `center` when that is given, and zero
-    otherwise; `translations` (N, 3), when given, are the initial per-image
-    t_i, which are otherwise zero.  The parameter vector of a state is (fx,
-    fy, cx, cy, gamma, d1, d2, [c], then per image the rotation increment
-    [and t_i]); the increments are zero at every state, whose rotations are
-    the matrices it holds.
+    are the initial R_i.  This is the one place where a start enters the
+    three bundle adjustments, and it is checked here against itself:
+    ValueError names the field whose shape does not match the counts or
+    that holds a bool, a string or None, or the first rotation that is not
+    proper.
+
+    Every problem has one full parameter vector p = (fx, fy, cx, cy, gamma,
+    d1, d2, c, then per image the rotation increment and t_i), and the index
+    array `free` picks the parameters that LM moves: K, d and the rotations
+    always, c when `center` (3,) is given and the t_i when `translations`
+    (N, 3) are.  A held group keeps its start, which is zero, so a state's
+    parameter vector x is p[free], in that order, and the increments in it
+    are zero at every state, whose rotations are the matrices it holds.
 
     The points are laid out image-major on one (N, L) grid, L the largest
     count, so that every image's x_c is one product R_i (P - c) over a
@@ -388,23 +399,42 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     Returns (residual, jacobian, plus, x0, unpack, image): x0 is the start
     `LMState`, image (M,) the image index of each observation, and
     unpack(state) gives (intrinsics (5,), distortion (2,), c (3,), rotation
-    matrices (N, 3, 3), translations (N, 3) or None).
+    matrices (N, 3, 3), translations (N, 3)).
     """
-    R0 = checked_rotations(rotations).copy()
-    n = len(R0)
+    def checked(values, name, shape):
+        array = real_array(values, name)
+        if array.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+        return array
+
     counts = np.asarray(counts)
-    has_center = center is not None
-    first = 10 if has_center else 7
-    stride = 3 if translations is None else 6
-    rot_cols = first + stride * np.arange(n)[:, None] + np.arange(3)
+    R0 = checked(checked_rotations(rotations), "rotations", (len(counts), 3, 3)).copy()
+    n = len(R0)
     image = np.repeat(np.arange(n), counts)
+    points = checked(points, "points", (len(image), 3))
+    pixels = checked(pixels, "pixels", (len(image), 2))
+
+    p0 = np.zeros(10 + 6 * n)
+    p0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
+    rotation = 10 + 6 * np.arange(n)[:, None] + np.arange(3)
+    free = np.ones(p0.size, dtype=bool)
+    for cols, start, name, shape in ((slice(7, 10), center, "center", (3,)),
+                                     (rotation + 3, translations, "translations", (n, 3))):
+        free[cols] = start is not None
+        p0[cols] = 0.0 if start is None else checked(start, name, shape)
+    free = np.flatnonzero(free)
+    # The columns of x: the `first` shared ones (K, d and a free c), then
+    # per image its rotation increment and a free t_i, `columns` in all with
+    # image 0's.
+    first, columns = np.searchsorted(free, [10, 16]).tolist()
+    rot_cols = np.searchsorted(free, rotation)
     polar = 1.5 * np.eye(3)
 
     length = int(counts.max())
     lanes = np.arange(length)
     kept = lanes < counts[:, None]
     source = np.concatenate([[0], np.cumsum(counts)[:-1]])[:, None] + np.where(kept, lanes, 0)
-    grid = np.ascontiguousarray(real_array(points, "points")[source].transpose(0, 2, 1))
+    grid = np.ascontiguousarray(points[source].transpose(0, 2, 1))
     slot = np.flatnonzero(kept)   # each point's slot in the flattened grid
     real = None if kept.all() else slot
     # The Jacobian's buffer: B[i, col, row, l] is the derivative of row (u
@@ -415,36 +445,28 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     # written here, once.
     u_rows = slot + length * (slot // length)
     rows = np.column_stack([u_rows, u_rows + length]).ravel()
-    B = np.zeros((n, first + stride, 2, length))
+    B = np.zeros((n, columns, 2, length))
     B[:, 2, 0] = B[:, 3, 1] = 1.0
-    blocks = B.reshape(n, first + stride, 2 * length)
+    blocks = B.reshape(n, columns, 2 * length)
     weighted = np.empty_like(blocks)
-    # d x_c / d t_i is the identity, so the translation columns are the
-    # projection's derivative by x_c; without them, the rotation columns hold
-    # it until the rotation entries are written over it.
-    J_xc = B[:, first + 3:] if translations is not None else B[:, first:first + 3]
+    # The last three columns of an image are the projection's derivative by
+    # x_c: d x_c / d t_i is the identity, so a free t_i's columns are it, and
+    # with t_i held the rotation columns hold it until the rotation entries
+    # are written over it.
+    J_xc = B[:, -3:]
     a = np.empty((n, 3, 2 * length))
 
-    x0 = np.zeros(first + stride * n)
-    x0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
-    if has_center:
-        x0[7:10] = center
-    if translations is not None:
-        x0[rot_cols + 3] = translations
-
     def unpack(state):
-        x = state.x
-        c = x[7:10] if has_center else np.zeros(3)
-        t = None if translations is None else x[rot_cols + 3]
-        return x[:5], x[5:7], c, state.rotations, t
+        p = p0.copy()
+        p[free] = state.x
+        return p[:5], p[5:7], p[7:10], state.rotations, p[10:].reshape(n, 6)[:, 3:]
 
     def evaluate(state):
         if state.evaluation is None:
             intr_p, dist_p, c, R, t = unpack(state)
-            q = grid - c[:, None] if has_center else grid
+            q = grid - c[:, None]
             xc = R @ q
-            if t is not None:
-                xc += t[:, :, None]
+            xc += t[:, :, None]
             z = xc[:, 2]
             if np.any(z <= 0):
                 behind = z <= 0
@@ -499,8 +521,8 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
         q4 = q[:, :, None]
         for j, (j1, j2) in enumerate(((1, 2), (2, 0), (0, 1))):
             np.subtract(q4[:, j1] * a4[:, j2], q4[:, j2] * a4[:, j1], out=B[:, first + j])
-        if has_center:
-            np.negative(a4, out=B[:, 7:10])
+        # The center's columns, none while c is held.
+        np.negative(a4[:, :first - 7], out=B[:, 7:first])
         return BlockJacobian(blocks, first, rows, weighted)
 
     def plus(state, delta):
@@ -512,7 +534,7 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
         x[rot_cols] = 0.0
         return LMState(x, R)
 
-    return residual, jacobian, plus, LMState(x0, R0), unpack, image
+    return residual, jacobian, plus, LMState(p0[free], R0), unpack, image
 
 
 def _plane_points(observations: ObservationSet) -> np.ndarray:
@@ -557,8 +579,6 @@ def spherical_problem(observations: ObservationSet, init):
     the same local parameterization.
     """
     intr0, dist0, ext0 = init
-    if len(ext0.rotations) != len(observations):
-        raise ValueError("initial extrinsics must hold one rotation per image")
     return _reprojection_problem(_plane_points(observations), observations.uv,
                                  observations.counts, intr0, dist0, ext0.rotations,
                                  center=ext0.t_cp)
@@ -597,10 +617,7 @@ def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
 
     `init` is (CameraIntrinsics, Distortion, R (3, 3)).
     """
-    rays = real_array(rays, "rays").reshape(-1, 3)
-    pixels = real_array(pixels, "pixels").reshape(-1, 2)
-    if len(rays) != len(pixels):
-        raise ValueError("rays and pixels differ in length")
+    rays = real_array(rays, "rays")
     intr0, dist0, rot0 = init
     return _reprojection_problem(rays, pixels, [len(rays)], intr0, dist0, [rot0])
 
@@ -631,8 +648,6 @@ def general_problem(observations: ObservationSet, init):
     `init` is (CameraIntrinsics, Distortion, (R (N, 3, 3), t (N, 3))).
     """
     intr0, dist0, (R0, t0) = init
-    if not len(R0) == len(t0) == len(observations):
-        raise ValueError("initial poses must match the image count")
     return _reprojection_problem(_plane_points(observations), observations.uv,
                                  observations.counts, intr0, dist0, R0, translations=t0)
 

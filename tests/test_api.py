@@ -21,6 +21,7 @@ from collimcal import (
     SyntheticConfig,
     TargetGrid,
 )
+from collimcal.fileio import GroundTruth
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -200,8 +201,9 @@ def test_package_uses_no_numpy_newer_than_its_floor():
 
 def float_casts(source, module):
     """The parameters that the functions and methods of `source`, private and
-    nested ones too, take through np.asarray(<parameter>, dtype=float) or
-    np.array(<parameter>, dtype=float), as "module.qualified name.parameter"."""
+    nested ones too, take through np.asarray or np.array with dtype=float, of
+    the parameter itself or of an attribute of it (<parameter>.<attribute>),
+    as "module.qualified name.parameter"."""
     found = []
     for name, node in definitions(ast.parse(source), module):
         if isinstance(node, ast.ClassDef):
@@ -210,13 +212,16 @@ def float_casts(source, module):
         parameters = {a.arg for a in arguments.posonlyargs + arguments.args
                       + arguments.kwonlyargs}
         for call in ast.walk(node):
-            if (isinstance(call, ast.Call)
-                    and ast.unparse(call.func) in ("np.asarray", "np.array")
-                    and call.args and isinstance(call.args[0], ast.Name)
-                    and call.args[0].id in parameters
+            if not (isinstance(call, ast.Call)
+                    and ast.unparse(call.func) in ("np.asarray", "np.array") and call.args
                     and any(keyword.arg == "dtype" and ast.unparse(keyword.value) == "float"
                             for keyword in call.keywords)):
-                found.append(f"{name}.{call.args[0].id}")
+                continue
+            cast = call.args[0]
+            if isinstance(cast, ast.Attribute):
+                cast = cast.value
+            if isinstance(cast, ast.Name) and cast.id in parameters:
+                found.append(f"{name}.{cast.id}")
     return sorted(found)
 
 
@@ -228,8 +233,12 @@ def test_float_cast_scan_flags_a_parameter():
               "    return np.asarray(a, dtype=float)\n"
               "class C:\n"
               "    def method(self, a, b):\n"
-              "        return np.array(a, dtype=float) + np.array(b)\n")
-    assert float_casts(source, "m") == ["m.C.method.a", "m._g.a", "m.f.a", "m.f.b"]
+              "        return np.array(a, dtype=float) + np.array(b)\n"
+              "def h(a, b, c):\n"
+              "    x = np.asarray(a.rotations, dtype=float) + np.asarray(c.t, dtype=int)\n"
+              "    return x + np.array(b.t_cp, dtype=float) + np.asarray(d.t, dtype=float)\n")
+    assert float_casts(source, "m") == ["m.C.method.a", "m._g.a", "m.f.a", "m.f.b",
+                                        "m.h.a", "m.h.b"]
 
 
 def test_every_array_argument_takes_the_number_rule():
@@ -259,6 +268,9 @@ def valid_fields(kind):
                           ref_distortion=Distortion()),
         TargetGrid: dict(rows=8, cols=11, spacing=30.0),
         SyntheticConfig: {},
+        GroundTruth: dict(intrinsics=CameraIntrinsics(1000.0, 1000.0, 500.0, 400.0),
+                          distortion=Distortion(), t_cp=[150.0, 105.0, -700.0],
+                          rotations=[[0.1, 0.2, 0.3], [0.0, -0.1, 0.2]]),
     }[kind]
 
 
@@ -278,6 +290,8 @@ NUMBER_FIELDS = [
     *((SyntheticConfig, name, name) for name in (
         "radius", "target_offset", "pixel_noise_sigma", "spherical_noise_sigma",
         "image_count", "trial_count", "rng_seed", "image_size")),
+    (GroundTruth, "t_cp", "ground truth t_cp"),
+    (GroundTruth, "rotations", "ground truth rotations"),
 ]
 
 
@@ -310,6 +324,25 @@ def test_every_number_field_refuses_a_non_number_by_name(kind, field, label, bad
                             else getattr(kind(), field), bad)
     with pytest.raises(ValueError, match=re.escape(label)):
         kind(**fields)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("t_cp", [150.0, 105.0]),
+    ("t_cp", [[150.0, 105.0, -700.0]]),
+    ("rotations", [[0.1, 0.2], [0.0, -0.1]]),
+    ("rotations", [0.1, 0.2, 0.3]),
+], ids=["t_cp-2", "t_cp-2d", "rotations-pairs", "rotations-flat"])
+def test_ground_truth_refuses_a_wrong_shape_by_name(field, value):
+    # The type checks its own shapes, so `simulate`, the file reader and a
+    # library caller all get the same error.
+    fields = valid_fields(GroundTruth)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"^ground truth {field} must be finite, "):
+        GroundTruth(**fields)
+
+
+def test_ground_truth_without_rotations_builds():
+    assert GroundTruth(**{**valid_fields(GroundTruth), "rotations": None}).rotations is None
 
 
 K = CameraIntrinsics(**valid_fields(CameraIntrinsics))

@@ -19,7 +19,7 @@ from collimcal.core_geom import (
     PlanarTarget,
     decompose_homography,
 )
-from collimcal.multi_solver import solve_closed_form, solve_minimal
+from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form, solve_minimal
 from collimcal.refine import general_ba, spherical_ba
 from collimcal.single_calib import RayDatabase, build_ray_database, calibrate_single_image
 from collimcal.synth import zhang_init
@@ -27,6 +27,7 @@ from conftest import first_images, pick_images, rotation_from_axis_angle, scene
 
 BOUND = 1e-9
 SHIFT = np.array([37.25, -11.5])
+TARGET_MOVE = np.array([123.25, -45.5])
 SCENES = [(5, trial) for trial in range(10)]
 
 
@@ -44,6 +45,13 @@ def in_metres(observations):
     """The observation set with its target in metres instead of millimetres."""
     target = observations.target
     return ObservationSet(PlanarTarget(target.ids, target.xy / 1000.0), observations.ids,
+                          observations.uv, observations.counts)
+
+
+def moved_target(observations):
+    """The observation set with its target moved by TARGET_MOVE in its plane."""
+    target = observations.target
+    return ObservationSet(PlanarTarget(target.ids, target.xy + TARGET_MOVE), observations.ids,
                           observations.uv, observations.counts)
 
 
@@ -137,6 +145,25 @@ def test_spherical_ba_scales_the_center_with_the_target_units(seed, trial):
     intr, ext = solve_closed_form(in_metres(observations))
     (intr, dist, ext), report = spherical_ba(in_metres(observations), (intr, Distortion(), ext))
     assert_same_camera(intr, ext, ref_intr, ref_ext, unit=1e-3)
+    assert_close([dist.d1, dist.d2], [ref_dist.d1, ref_dist.d2], 1.0)
+    assert report.iterations_used == ref_report.iterations_used
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_spherical_ba_moves_the_center_with_the_target(seed, trial):
+    # Moving the target by s in its plane, and the start's center with it,
+    # leaves every P - c, so every residual, Jacobian and step, as it was.
+    observations = noisy_scene(seed, trial)
+    intr, ext = solve_closed_form(observations)
+    (ref_intr, ref_dist, ref_ext), ref_report = spherical_ba(
+        observations, (intr, Distortion(), ext))
+    x, y = ext.x + TARGET_MOVE[0], ext.y + TARGET_MOVE[1]
+    start = SphericalExtrinsics(x=x, y=y, r=ext.r, rotations=ext.rotations)
+    (intr, dist, ext), report = spherical_ba(moved_target(observations),
+                                             (intr, Distortion(), start))
+    x, y = ref_ext.x + TARGET_MOVE[0], ref_ext.y + TARGET_MOVE[1]
+    moved = SphericalExtrinsics(x=x, y=y, r=ref_ext.r, rotations=ref_ext.rotations)
+    assert_same_camera(intr, ext, ref_intr, moved)
     assert_close([dist.d1, dist.d2], [ref_dist.d1, ref_dist.d2], 1.0)
     assert report.iterations_used == ref_report.iterations_used
 

@@ -230,13 +230,6 @@ def exact_init(poses, config):
     return config.intrinsics, config.distortion, ext
 
 
-def test_spherical_parameter_count(noiseless_scene):
-    config, poses, obs = noiseless_scene
-    init = exact_init(poses, config)
-    _, _, _, x0, *_ = refine.spherical_problem(obs, init)
-    assert x0.x.size == 10 + 3 * len(obs)
-
-
 def test_spherical_ba_fixed_point(noiseless_scene, monkeypatch):
     config, poses, obs = noiseless_scene
     # Rendered pixels carry ~1e-13 px float noise relative to the refinement's
@@ -578,6 +571,80 @@ def noisy_problems():
         np.random.default_rng(4), Distortion(0.1, -0.2), noise_sigma=1.0)
     single = refine.single_image_problem(rays, pixels, (intr, Distortion(0.0, 0.0), rot))
     return {"spherical": spherical, "general": general, "single": single}
+
+
+@pytest.mark.parametrize("name", ["spherical", "general", "single"])
+def test_spherical_parameter_count(name):
+    # The free groups of each layout: K and d, c when shared, and per image
+    # a rotation, with t_i in the free-motion one.
+    _, jacobian, _, x0, unpack, _ = noisy_problems()[name]
+    n = len(unpack(x0)[3])
+    size = {"spherical": 10 + 3 * n, "general": 7 + 6 * n, "single": 10}[name]
+    assert x0.x.size == jacobian(x0).shape[1] == size
+
+
+@pytest.mark.parametrize("name", ["spherical", "general", "single"])
+def test_held_groups_keep_their_zero_start(name):
+    # A held group is not a parameter: LM never moves it.
+    _, _, R, c, t, report = refine._adjusted(noisy_problems()[name])
+    assert report.iterations_used > 0
+    if name != "general":
+        assert np.array_equal(t, np.zeros((len(R), 3)))
+    if name != "spherical":
+        assert np.array_equal(c, np.zeros(3))
+
+
+def malformed_start(case):
+    """A problem builder's call with its start malformed as `case` names."""
+    _, _, obs = scene(seed=31, image_count=3)
+    intr, ext = solve_closed_form(obs)
+    dist = Distortion()
+    R = ext.rotations
+    t = (-(R @ ext.t_cp)).tolist()
+    rays = np.array([[0.1, 0.0, 1.0], [0.0, -0.1, 1.0], [0.05, 0.05, 1.0]] * 3)
+    points, pixels, counts = refine._plane_points(obs), obs.uv, obs.counts
+    return {
+        "bool-translation": lambda: refine.general_problem(
+            obs, (intr, dist, (R, [[True, 0.0, -700.0]] + t[1:]))),
+        "string-translation": lambda: refine.general_problem(
+            obs, (intr, dist, (R, [["a", 0.0, -700.0]] + t[1:]))),
+        "translation-pairs": lambda: refine.general_problem(
+            obs, (intr, dist, (R, np.array(t)[:, :2]))),
+        "translation-count": lambda: refine.general_problem(obs, (intr, dist, (R, t[1:]))),
+        "spherical-rotation-count": lambda: refine.spherical_problem(
+            obs, (intr, dist, replace(ext, rotations=R[1:]))),
+        "general-rotation-count": lambda: refine.general_problem(
+            obs, (intr, dist, (R[1:], t))),
+        "rays-and-pixels": lambda: refine.single_image_problem(
+            rays, np.zeros((8, 2)), (intr, dist, R[0])),
+        "center-pair": lambda: refine._reprojection_problem(
+            points, pixels, counts, intr, dist, R, center=[150.0, 105.0]),
+        "points-per-counts": lambda: refine._reprojection_problem(
+            points[1:], pixels, counts, intr, dist, R, center=ext.t_cp),
+    }[case]
+
+
+# The error each malformed start raises, by case.
+MALFORMED_STARTS = {
+    "bool-translation": r"translations must be real numbers",
+    "string-translation": r"translations must be real numbers",
+    "translation-pairs": r"translations must have shape \(3, 3\), got \(3, 2\)",
+    "translation-count": r"translations must have shape \(3, 3\), got \(2, 3\)",
+    "spherical-rotation-count": r"rotations must have shape \(3, 3, 3\), got \(2, 3, 3\)",
+    "general-rotation-count": r"rotations must have shape \(3, 3, 3\), got \(2, 3, 3\)",
+    "rays-and-pixels": r"pixels must have shape \(9, 2\), got \(8, 2\)",
+    "center-pair": r"center must have shape \(3,\), got \(2,\)",
+    "points-per-counts": r"points must have shape \(\d+, 3\), got \(\d+, 3\)",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_STARTS)
+def test_problem_builders_refuse_a_malformed_start_by_name(case):
+    # Every start enters the three bundle adjustments through one check;
+    # without it a bool translation is read as 1.0, and a wrong shape or a
+    # string raises numpy's own broadcast or conversion message.
+    with pytest.raises(ValueError, match=f"^{MALFORMED_STARTS[case]}"):
+        malformed_start(case)()
 
 
 def behind_camera(name, state, plus):
