@@ -243,8 +243,12 @@ def _holds_bool(values) -> bool:
 
 def _array_of(values, name: str, kinds: str, what: str) -> np.ndarray:
     """np.asarray(values); ValueError naming `name` unless its dtype kind is in `kinds`
-    and no list in it holds a bool.  An empty input passes whatever its dtype."""
-    array = np.asarray(values)
+    and no list in it holds a bool, or if its nested lists are ragged.  An
+    empty input passes whatever its dtype."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # numpy's message for a ragged list names no field
+        raise ValueError(f"{name} must be a rectangular array, not a ragged list") from exc
     if array.size and (array.dtype.kind not in kinds
                        or isinstance(values, (list, tuple)) and _holds_bool(values)):
         raise ValueError(f"{name} must be {what}")

@@ -34,7 +34,7 @@ from .core_geom import (
     real_number,
 )
 from .single_calib import RayDatabase
-from .synth import SyntheticConfig, TargetGrid
+from .synth import SWEEPS, SyntheticConfig, TargetGrid
 
 SCHEMA_VERSION = 1
 
@@ -311,12 +311,7 @@ def read_sweep_values(payload, path, sweep: str):
             raise FileFormatError(f"{path}: images sweep values must be integers of "
                                   f"at least 3, got {values}")
         return values
-    defaults = {
-        "noise": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
-        "images": [3, 5, 10, 15, 20, 25, 30],
-        "spherical": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
-    }
-    return defaults[sweep]
+    return list(SWEEPS[sweep][1])
 
 
 # ---------------------------------------------------------------------------

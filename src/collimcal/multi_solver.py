@@ -80,16 +80,19 @@ class DegeneracyReport:
     rank: int
 
 
-def _scale_ratios(H: np.ndarray, base_index: int) -> np.ndarray:
-    """Scale ratios lambda_i / lambda_base of the homographies H (N, 3, 3).
+def _scale_ratios(H: np.ndarray) -> np.ndarray:
+    """Scale ratios lambda_i / lambda_0 of the homographies H (N, 3, 3).
 
     The motion matrix has unit determinant ratio between images, so each
-    ratio is the signed real cube root of det(H_base^-1 H_i).
+    ratio is the signed real cube root of det(H_0^-1 H_i).  Any image would
+    serve as the reference: a common factor of the ratios only rescales A
+    in the linear system, and the center is decoded from ratios of A's
+    entries.
     """
     det = np.linalg.det(H)
-    if abs(det[base_index]) < 1e-300:
-        raise errors.DegenerateConfiguration("base homography is singular")
-    return np.cbrt(det / det[base_index])
+    if abs(det[0]) < 1e-300:
+        raise errors.DegenerateConfiguration("homography of image 0 is singular")
+    return np.cbrt(det / det[0])
 
 
 def conic_rows(H: np.ndarray) -> np.ndarray:
@@ -99,25 +102,27 @@ def conic_rows(H: np.ndarray) -> np.ndarray:
     _SYM_PAIRS: u_mn . q = h_m^T Q h_n for columns h_m, h_n of H and the
     symmetric Q of the 6-vector q.
     """
-    cols = np.swapaxes(H, -1, -2)
+    cols = np.swapaxes(real_array(H, "H"), -1, -2)
     hm = cols[..., _SYM_I, :]
     hn = cols[..., _SYM_J, :]
     return (hm[..., _SYM_I] * hn[..., _SYM_J]
             + np.where(_SYM_I != _SYM_J, hn[..., _SYM_I] * hm[..., _SYM_J], 0.0))
 
 
-def build_linear_system(H: np.ndarray, base_index: int):
+def build_linear_system(H: np.ndarray):
     """Stacked constraint system d [w; a] = b of the homographies H (N, 3, 3).
 
     Returns (d (6N, 11), b (6N,)).  Each image contributes six rows, one per
     independent entry of the symmetric constraint H^-1 W H^-T = mu^2 A with
-    mu = lambda_base/lambda_i.  The sixth (3,3) row is required: without it
-    the A33 column is empty and the optical center cannot be decoded from
-    the solution.
+    mu = lambda_0/lambda_i, the scale of image 0 relative to image i; the
+    system depends on the stack alone.  The sixth (3,3) row is required:
+    without it the A33 column is empty and the optical center cannot be
+    decoded from the solution.
     """
-    if not 0 <= base_index < len(H):
-        raise ValueError("base_index out of range")
-    ratios = _scale_ratios(H, base_index)
+    H = real_array(H, "H")
+    if H.ndim != 3 or H.shape[1:] != (3, 3) or not len(H):
+        raise ValueError(f"H must be an (N, 3, 3) stack with N >= 1, got shape {H.shape}")
+    ratios = _scale_ratios(H)
     # (H^-1 W H^-T)_mn on w = (W11, W12, W13, W22, W23); W33 = 1.
     Hinv_t = np.linalg.inv(H).transpose(0, 2, 1)
     u = conic_rows(Hinv_t)
@@ -150,10 +155,6 @@ def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
     return CameraIntrinsics.from_matrix(K / K[2, 2])
 
 
-def _default_base_index(observations: ObservationSet) -> int:
-    return int(np.argmax(observations.counts))  # argmax takes the lowest index on ties
-
-
 def _decode_intrinsics(w: np.ndarray) -> CameraIntrinsics:
     cx, cy = w[2], w[4]
     fy2 = w[3] - cy * cy
@@ -183,13 +184,13 @@ def _decode_center(a: np.ndarray):
 def solve_closed_form(observations: ObservationSet):
     """Closed-form calibration from three or more images.
 
-    Returns (CameraIntrinsics, SphericalExtrinsics).  The base image of the
-    linear system is the one with the most observed points.
+    Returns (CameraIntrinsics, SphericalExtrinsics), solved from the
+    observations' homography fit alone.
     """
     if len(observations) < 3:
         raise ValueError(f"closed-form solver needs at least 3 images, got {len(observations)}")
     fit = observations.homography_fit
-    d, b = build_linear_system(fit.matrices, _default_base_index(observations))
+    d, b = build_linear_system(fit.matrices)
     solution, _, _, sv = np.linalg.lstsq(d, b, rcond=None)
     if sv[-1] <= RANK_RATIO_CUTOFF * sv[0]:
         raise errors.DegenerateConfiguration(
@@ -338,7 +339,7 @@ def detect_degeneracy(observations: ObservationSet) -> DegeneracyReport:
     translation, z_rotation = _degenerate_pair_flags(np.linalg.inv(H)[i] @ H[j])
     pairs = list(zip(i.tolist(), j.tolist()))
 
-    d, _ = build_linear_system(H, _default_base_index(observations))
+    d, _ = build_linear_system(H)
     sv = np.linalg.svd(d, compute_uv=False)
     rank = int(np.sum(sv > RANK_RATIO_CUTOFF * sv[0]))
     return DegeneracyReport(

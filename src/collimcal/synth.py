@@ -52,10 +52,13 @@ SOLVER_ARMS = ("ours", "ours_ba", "zhang", "zhang_ba")
 _ARM_LABELS = {"ours": ("ours", "init"), "ours_ba": ("ours", "refined"),
                "zhang": ("zhang", "init"), "zhang_ba": ("zhang", "refined")}
 
-SWEEP_KINDS = ("noise", "images", "spherical")
-# The SyntheticConfig field each sweep kind sets.
-_SWEEP_FIELDS = dict(zip(SWEEP_KINDS, ("pixel_noise_sigma", "image_count",
-                                       "spherical_noise_sigma")))
+# The protocol's sweeps: each kind's SyntheticConfig field and default values.
+SWEEPS = {
+    "noise": ("pixel_noise_sigma", (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)),
+    "images": ("image_count", (3, 5, 10, 15, 20, 25, 30)),
+    "spherical": ("spherical_noise_sigma", (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
+}
+SWEEP_KINDS = tuple(SWEEPS)
 
 # A Monte Carlo pool worker's glibc heap settings (`_keep_worker_heap`): the
 # mallopt parameters of malloc.h and their values.  Freed memory up to the
@@ -371,7 +374,7 @@ def _config_for(config: SyntheticConfig, sweep_kind: str, value) -> SyntheticCon
     images = sweep_kind == "images"
     if images and not number.is_integer():
         raise ValueError(f"images sweep value must be an integer, got {value!r}")
-    return replace(config, **{_SWEEP_FIELDS[sweep_kind]: int(number) if images else number})
+    return replace(config, **{SWEEPS[sweep_kind][0]: int(number) if images else number})
 
 
 def _error_row(intr, dist, ext, truth) -> np.ndarray:

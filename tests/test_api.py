@@ -326,18 +326,19 @@ def test_every_number_field_refuses_a_non_number_by_name(kind, field, label, bad
         kind(**fields)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("t_cp", [150.0, 105.0]),
-    ("t_cp", [[150.0, 105.0, -700.0]]),
-    ("rotations", [[0.1, 0.2], [0.0, -0.1]]),
-    ("rotations", [0.1, 0.2, 0.3]),
-], ids=["t_cp-2", "t_cp-2d", "rotations-pairs", "rotations-flat"])
-def test_ground_truth_refuses_a_wrong_shape_by_name(field, value):
+@pytest.mark.parametrize("field, value, rule", [
+    ("t_cp", [150.0, 105.0], "finite, "),
+    ("t_cp", [[150.0, 105.0, -700.0]], "finite, "),
+    ("rotations", [[0.1, 0.2], [0.0, -0.1]], "finite, "),
+    ("rotations", [0.1, 0.2, 0.3], "finite, "),
+    ("rotations", [[0.1], [0.2, 0.3]], "a rectangular array"),
+], ids=["t_cp-2", "t_cp-2d", "rotations-pairs", "rotations-flat", "rotations-ragged"])
+def test_ground_truth_refuses_a_wrong_shape_by_name(field, value, rule):
     # The type checks its own shapes, so `simulate`, the file reader and a
     # library caller all get the same error.
     fields = valid_fields(GroundTruth)
     fields[field] = value
-    with pytest.raises(ValueError, match=f"^ground truth {field} must be finite, "):
+    with pytest.raises(ValueError, match=f"^ground truth {field} must be {rule}"):
         GroundTruth(**fields)
 
 
@@ -364,6 +365,9 @@ MATRIX_ARGUMENTS = {
         CameraIntrinsics.from_matrix(planted(K.matrix, bad)))),
     "decompose_iac": ("q", lambda bad: multi_solver.decompose_iac(
         planted([1.0, 0.0, 0.0, 1.0, 0.0, 1.0], bad))),
+    "build_linear_system": ("H", lambda bad: multi_solver.build_linear_system(
+        planted(np.eye(3)[None], bad))),
+    "conic_rows": ("H", lambda bad: multi_solver.conic_rows(planted(np.eye(3), bad))),
     "general_problem": ("rotations", lambda bad: refine.general_problem(
         ObservationSet(**valid_fields(ObservationSet)),
         (K, Distortion(), (planted(np.eye(3)[None], bad), [[0.0, 0.0, 700.0]])))),

@@ -300,6 +300,8 @@ def test_malformed_file_exit_2(sim_file, tmp_path, capsys, request, kind, keys, 
         assert f"{keys[0]} must be {'a list of' if keys[0] == 'images' else 'an'} object" in err
     if keys == ("images",) and isinstance(value, list):
         assert "bad image 0 (image_000)" in err
+    if keys == ("ground_truth", "rotations_axis_angle"):
+        assert f"{bad}: ground truth rotations" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -398,6 +400,29 @@ def test_bad_sweep_or_grid_value_exit_2(tmp_path, capsys, command, block, messag
     err = capsys.readouterr().err
     assert bad in err and message in err
     assert not os.path.exists(out)
+
+
+# The protocol's sweeps, which a benchmark config without sweep_values runs.
+DEFAULT_SWEEPS = {
+    "noise": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+    "images": [3, 5, 10, 15, 20, 25, 30],
+    "spherical": [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0],
+}
+
+
+@pytest.mark.parametrize("sweep", synth.SWEEP_KINDS)
+def test_sweep_values_default_to_the_protocol_table(tmp_path, sweep):
+    # One table in synth names each kind's config field and default values.
+    plain = write_config(tmp_path / "plain.json")
+    custom = write_config(tmp_path / "custom.json", sweep_values={sweep: [4, 6.0]})
+    defaults = fileio.read_sweep_values(plain, sweep)
+    assert list(map(repr, defaults)) == list(map(repr, DEFAULT_SWEEPS[sweep]))
+    assert fileio.read_sweep_values(custom, sweep) == [4.0, 6.0]
+    other = next(kind for kind in synth.SWEEP_KINDS if kind != sweep)
+    assert fileio.read_sweep_values(custom, other) == DEFAULT_SWEEPS[other]
+    field, values = synth.SWEEPS[sweep]
+    assert list(values) == defaults
+    assert getattr(synth._config_for(synth.default_config(), sweep, 4), field) == 4
 
 
 # ---------------------------------------------------------------------------

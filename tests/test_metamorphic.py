@@ -29,10 +29,14 @@ BOUND = 1e-9
 SHIFT = np.array([37.25, -11.5])
 TARGET_MOVE = np.array([123.25, -45.5])
 SCENES = [(5, trial) for trial in range(10)]
+# Scenes with 30 mm of center jitter in which image 0 does not have the most
+# points.
+JITTERED = [(5, trial, 30.0) for trial in (2, 38, 39)]
 
 
-def noisy_scene(seed, trial):
-    return scene(seed=seed, trial=trial, pixel_noise_sigma=1.0)[2]
+def noisy_scene(seed, trial, jitter=0.0):
+    return scene(seed=seed, trial=trial, pixel_noise_sigma=1.0,
+                 spherical_noise_sigma=jitter)[2]
 
 
 def shifted(observations):
@@ -103,9 +107,14 @@ def test_spherical_ba_moves_the_principal_point_with_a_pixel_shift(seed, trial):
     assert report.iterations_used == ref_report.iterations_used
 
 
-@pytest.mark.parametrize("seed, trial", SCENES)
-def test_closed_form_ignores_the_image_order(seed, trial):
-    observations = noisy_scene(seed, trial)
+@pytest.mark.parametrize("seed, trial, jitter", [(*s, 0.0) for s in SCENES] + JITTERED,
+                         ids=[f"{seed}-{trial}" for seed, trial in SCENES]
+                         + [f"{seed}-{trial}-{jitter:g}mm" for seed, trial, jitter in JITTERED])
+def test_closed_form_ignores_the_image_order(seed, trial, jitter):
+    # The linear system takes its scale ratios to image 0, so reversing the
+    # order changes the reference image.
+    observations = noisy_scene(seed, trial, jitter)
+    assert not jitter or observations.counts[0] < max(observations.counts)
     order = np.arange(len(observations))[::-1]
     assert_same_camera(*solve_closed_form(pick_images(observations, order)),
                        *solve_closed_form(observations), order=order)
@@ -125,6 +134,23 @@ def test_minimal_solver_ignores_which_image_comes_first(seed, trial):
     assert len(swapped) == len(candidates)
     for (intr, ext), (ref_intr, ref_ext) in zip(swapped, candidates):
         assert_same_camera(intr, ext, ref_intr, ref_ext, order=[1, 0])
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_minimal_solver_moves_the_principal_point_with_a_pixel_shift(seed, trial):
+    # A pair without a valid candidate has none after the shift either.
+    pair = first_images(noisy_scene(seed, trial), 2)
+    try:
+        candidates = solve_minimal(pair)
+    except errors.CalibrationError as exc:
+        with pytest.raises(errors.CalibrationError) as raised:
+            solve_minimal(shifted(pair))
+        assert type(raised.value) is type(exc)
+        return
+    moved = solve_minimal(shifted(pair))
+    assert len(moved) == len(candidates)
+    for (intr, ext), (ref_intr, ref_ext) in zip(moved, candidates):
+        assert_same_camera(intr, ext, ref_intr, ref_ext, shift=SHIFT)
 
 
 @pytest.mark.parametrize("seed, trial", SCENES)

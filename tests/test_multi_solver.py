@@ -65,8 +65,9 @@ def z_rotated_observation_set(base_rotations, extra_pairs):
 # ---------------------------------------------------------------------------
 
 def ratio_to_base(H_i, H_base):
-    """lambda_i / lambda_base of two homographies, from the solver's stacked ratios."""
-    return float(ms._scale_ratios(np.array([H_base, H_i]), 0)[1])
+    """lambda_i / lambda_base of two homographies, from the solver's stacked ratios
+    with H_base as image 0."""
+    return float(ms._scale_ratios(np.array([H_base, H_i]))[1])
 
 
 def test_scale_ratio_identity_and_doubling():
@@ -118,7 +119,7 @@ def ground_truth_solution(K, t_cp, H_base):
 def test_linear_system_shape_and_ground_truth_residual():
     rng = np.random.default_rng(4)
     K, t_cp, Hs = normalized_unit_homographies(rng, 3)
-    d, b = ms.build_linear_system(Hs, base_index=0)
+    d, b = ms.build_linear_system(Hs)
     assert d.shape == (18, 11)  # six rows per image, eleven unknowns
     assert b.shape == (18,)
     wa = ground_truth_solution(K, t_cp, Hs[0])
@@ -128,13 +129,13 @@ def test_linear_system_shape_and_ground_truth_residual():
 def test_linear_system_row_count_scales_with_images():
     rng = np.random.default_rng(5)
     _, _, Hs = normalized_unit_homographies(rng, 7)
-    d, _ = ms.build_linear_system(Hs, base_index=2)
+    d, _ = ms.build_linear_system(Hs)
     assert d.shape == (6 * 7, 11)
-    ratios = ms._scale_ratios(Hs, 2)
+    ratios = ms._scale_ratios(Hs)
     assert len(ratios) == 7
-    assert ratios[2] == pytest.approx(1.0, abs=1e-12)
-    # The base image's block carries -mu^2 = -1 on its A entries.
-    assert np.array_equal(d[12:18, 5:], -np.eye(6))
+    assert ratios[0] == 1.0
+    # Image 0's block carries -mu^2 = -1 on its A entries.
+    assert np.array_equal(d[:6, 5:], -np.eye(6))
 
 
 def test_conic_rows_are_the_column_products():
@@ -153,8 +154,17 @@ def test_conic_rows_are_the_column_products():
         np.testing.assert_allclose(table @ q, direct, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (0, 3, 3), (2, 3, 4), (2, 9)],
+                         ids=["one-matrix", "empty", "three-by-four", "flat"])
+def test_linear_system_refuses_a_wrong_shape_by_name(shape):
+    # A single (3, 3) matrix used to fail with numpy's IndexError.
+    with pytest.raises(ValueError, match=r"^H must be an \(N, 3, 3\) stack with N >= 1, "):
+        ms.build_linear_system(np.ones(shape))
+
+
 def reference_linear_system(homographies, base_index):
-    """build_linear_system one image at a time: six rows per homography."""
+    """build_linear_system one image at a time, with its scale ratios taken to
+    the image at `base_index`: six rows per homography."""
     det_base = np.linalg.det(homographies[base_index])
     rows, rhs, ratios = [], [], []
     for H in homographies:
@@ -173,10 +183,9 @@ def test_linear_system_matches_per_image_reference():
     for seed in range(20):
         _, _, obs = scene(seed=seed, pixel_noise_sigma=0.5)
         H = obs.homography_fit.matrices
-        base = seed % len(H)
-        d, b = ms.build_linear_system(H, base)
-        d_ref, b_ref, ratios = reference_linear_system(H, base)
-        assert ms._scale_ratios(H, base).tolist() == ratios
+        d, b = ms.build_linear_system(H)
+        d_ref, b_ref, ratios = reference_linear_system(H, 0)
+        assert ms._scale_ratios(H).tolist() == ratios
         assert np.array_equal(b, b_ref)
         # The mu^2 entries are squared by a multiply, which rounds correctly;
         # Python's ** may differ from it in the last bit.
@@ -184,36 +193,41 @@ def test_linear_system_matches_per_image_reference():
 
 
 def test_closed_form_base_invariance(noiseless_scene):
+    # The solver takes its scale ratios to image 0; the reference system with
+    # the ratios taken to another image must give the same camera.
     _, _, obs = noiseless_scene
     fit = obs.homography_fit
-    results = []
-    for base in (0, 4, 9):
-        d, b = ms.build_linear_system(fit.matrices, base)
+    ref_intr, ext = ms.solve_closed_form(obs)
+    for base in (4, 9):
+        d, b, _ = reference_linear_system(fit.matrices, base)
         solution, *_ = np.linalg.lstsq(d, b, rcond=None)
         intr = fit.intrinsics_to_raw(ms._decode_intrinsics(solution[:5]))
         center = np.array(fit.center_to_raw(*ms._decode_center(solution[5:])))
-        results.append((intr, center))  # center (x, y, r)
-    for intr, center in results[1:]:
-        assert abs(intr.fx - results[0][0].fx) / 1000.0 < 1e-8
-        assert abs(intr.fy - results[0][0].fy) / 1000.0 < 1e-8
-        assert abs(intr.cx - results[0][0].cx) < 1e-6
-        assert np.allclose(center, results[0][1], atol=1e-6)
+        assert abs(intr.fx - ref_intr.fx) / 1000.0 < 1e-8
+        assert abs(intr.fy - ref_intr.fy) / 1000.0 < 1e-8
+        assert abs(intr.cx - ref_intr.cx) < 1e-6
+        assert np.allclose(center, [ext.x, ext.y, ext.r], atol=1e-6)
 
 
 def test_linear_solution_scale_invariant():
     rng = np.random.default_rng(6)
     K, t_cp, Hs = normalized_unit_homographies(rng, 5)
 
-    def decode_fx(homographies):
-        d, b = ms.build_linear_system(homographies, base_index=0)
+    def decode(homographies):
+        d, b = ms.build_linear_system(homographies)
         sol, *_ = np.linalg.lstsq(d, b, rcond=None)
-        return ms._decode_intrinsics(sol[:5]).fx
+        return ms._decode_intrinsics(sol[:5]).fx, np.array(ms._decode_center(sol[5:]))
 
-    fx_a = decode_fx(Hs)
-    scaled = Hs.copy()
-    scaled[2] *= 3.7
-    fx_b = decode_fx(scaled)
-    assert abs(fx_a - fx_b) / fx_a < 1e-9
+    fx_a, center_a = decode(Hs)
+    # Scaling image 0 rescales every ratio; a negative scale takes the
+    # signed cube root.
+    for image in range(len(Hs)):
+        for factor in (3.7, -2.5):
+            scaled = Hs.copy()
+            scaled[image] *= factor
+            fx_b, center_b = decode(scaled)
+            assert abs(fx_a - fx_b) / fx_a < 1e-9
+            assert np.max(np.abs(center_b - center_a)) / center_a[2] < 1e-9
 
 
 # ---------------------------------------------------------------------------
