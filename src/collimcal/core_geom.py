@@ -12,8 +12,12 @@ Coordinate conventions used throughout the package:
 A rotation is a plain (3, 3) float array and the rotations of several
 images are one (N, 3, 3) stack, with the translations, where there are
 any, an (N, 3) array beside it.  `checked_rotations` is the one check
-that a stack holds proper rotations; the solvers apply it where a
-rotation is produced or handed in.
+that a stack holds proper rotations; the solvers apply it where a stack
+is handed in (`SphericalExtrinsics` and the bundle adjustments' one
+entry).  A stack the package makes needs no check: Rodrigues' formula,
+the SVD-nearest rotation with its determinant flip and the bundle
+adjustments' Newton-Schulz polar step each give proper rotations to
+rounding.
 
 A homography maps homogeneous target-plane points (X, Y, 1) to
 homogeneous pixels and factors as H = lam * K [r1 r2 t].  Estimated
@@ -668,6 +672,8 @@ def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
     H = real_array(H, "homographies")
     if H.ndim != 3 or H.shape[1:] != (3, 3):
         raise ValueError("homographies must be an (N, 3, 3) stack")
+    if not np.isfinite(H).all():
+        raise ValueError("homographies must be finite")
     M = intr.inverse @ H
     M2 = M * M
     n = np.sqrt(M2[:, 0, :2] + M2[:, 1, :2] + M2[:, 2, :2])  # norms of the columns r1, r2
@@ -678,4 +684,4 @@ def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
     # The third column becomes r1 x r2.
     a, b = G[:, :, 0], G[:, :, 1]
     G[:, :, 2] = a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
-    return checked_rotations(nearest_rotation(G)), t, lam
+    return nearest_rotation(G), t, lam

@@ -9,7 +9,9 @@ is deterministic (sorted keys, shortest-roundtrip floats), so identical
 data produces byte-identical files.  The readers check keys, list shapes
 and the schema version, and leave numbers to the checks of `core_geom`,
 which the types they build apply: a JSON boolean or string where a
-number belongs raises FileFormatError naming the file.
+number belongs raises FileFormatError naming the file.  The file is named
+in one place, `_reader`, which wraps every reader and prefixes the path
+to any error of the load or the parse.
 """
 
 from __future__ import annotations
@@ -89,36 +91,36 @@ def _load(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
+        raise FileFormatError(f"invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
 
 
-def _require(payload, key, path, kind=None):
+def _require(payload, key, kind=None):
     """payload[key]; FileFormatError if it is missing or, given `kind`, not one."""
     if key not in payload:
-        raise FileFormatError(f"{path}: missing required key '{key}'")
+        raise FileFormatError(f"missing required key '{key}'")
     if kind is not None and not isinstance(payload[key], kind):
-        raise FileFormatError(f"{path}: {key} must be "
+        raise FileFormatError(f"{key} must be "
                               f"{'an object' if kind is dict else 'a list of objects'}")
     return payload[key]
 
 
 def _reader(parse):
-    """Reader of the file at `path` from parse(payload, path, *args).
+    """Reader of the file at `path` from parse(payload, *args).
 
-    Checks the schema version first.  Invalid content, including entries
-    of the wrong type or shape, raises FileFormatError naming the path.
+    Checks the schema version first.  Invalid content, including text that
+    is not UTF-8 JSON and entries of the wrong type or shape, raises
+    FileFormatError whose message starts with the path; the parsers' own
+    messages leave the path to this wrapper.
     """
     @functools.wraps(parse)
     def read(path, *args):
-        payload = _load(path)
         try:
-            version = _require(payload, "schema_version", path)
+            payload = _load(path)
+            version = _require(payload, "schema_version")
             if real_number(version, "schema_version") != SCHEMA_VERSION:
-                raise FileFormatError(f"{path}: unsupported schema version {version!r}")
-            return parse(payload, path, *args)
-        except FileFormatError:
-            raise
+                raise FileFormatError(f"unsupported schema version {version!r}")
+            return parse(payload, *args)
         except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
                 ValueError) as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
@@ -154,18 +156,18 @@ def intrinsics_payload(intr: CameraIntrinsics) -> dict:
             "gamma": intr.gamma}
 
 
-def _intrinsics_from(parent, path) -> CameraIntrinsics:
+def _intrinsics_from(parent) -> CameraIntrinsics:
     """The camera of the parent block's "intrinsics" object; gamma defaults to 0."""
-    block = _require(parent, "intrinsics", path, dict)
-    return CameraIntrinsics(*(_require(block, key, path) for key in ("fx", "fy", "cx", "cy")),
+    block = _require(parent, "intrinsics", dict)
+    return CameraIntrinsics(*(_require(block, key) for key in ("fx", "fy", "cx", "cy")),
                             gamma=block.get("gamma", 0.0))
 
 
-def _distortion_from(block, path) -> Distortion:
+def _distortion_from(block) -> Distortion:
     """The block's "distortion" pair, (0, 0) when it has none."""
     pair = block.get("distortion", [0.0, 0.0])
     if not isinstance(pair, list) or len(pair) != 2:
-        raise FileFormatError(f"{path}: distortion must be a two-element list")
+        raise FileFormatError("distortion must be a two-element list")
     return Distortion(*pair)
 
 
@@ -202,20 +204,19 @@ def write_observation_file(path, observations: ObservationSet, *,
 
 
 @_reader
-def read_observation_file(payload, path) -> ObservationFile:
-    target_block = _require(payload, "target", path, dict)
-    ids, xy = _point_rows(_require(target_block, "points", path), ("x", "y"),
-                          f"{path}: bad target points")
+def read_observation_file(payload) -> ObservationFile:
+    target_block = _require(payload, "target", dict)
+    ids, xy = _point_rows(_require(target_block, "points"), ("x", "y"), "bad target points")
     target = PlanarTarget(ids=ids, xy=xy)
 
     ids, uv = [np.zeros(0, dtype=int)], [np.zeros((0, 2))]
-    for k, block in enumerate(_require(payload, "images", path, list)):
+    for k, block in enumerate(_require(payload, "images", list)):
         if not isinstance(block, dict):
-            raise FileFormatError(f"{path}: bad image {k} (image_{k:03d}): "
+            raise FileFormatError(f"bad image {k} (image_{k:03d}): "
                                   f"images must be a list of objects")
         name = str(block.get("name", f"image_{k:03d}"))
-        rows = _point_rows(_require(block, "points", path), ("u", "v"),
-                           f"{path}: bad points in image {k} ({name})")
+        rows = _point_rows(_require(block, "points"), ("u", "v"),
+                           f"bad points in image {k} ({name})")
         ids.append(rows[0])
         uv.append(rows[1])
     observations = ObservationSet(target, np.concatenate(ids), np.concatenate(uv),
@@ -227,12 +228,12 @@ def read_observation_file(payload, path) -> ObservationFile:
 
     ground_truth = None
     if "ground_truth" in payload:
-        block = _require(payload, "ground_truth", path, dict)
+        block = _require(payload, "ground_truth", dict)
         ground_truth = GroundTruth(
-            intrinsics=_intrinsics_from(block, path), distortion=_distortion_from(block, path),
-            t_cp=_require(block, "t_cp", path), rotations=block.get("rotations_axis_angle"))
+            intrinsics=_intrinsics_from(block), distortion=_distortion_from(block),
+            t_cp=_require(block, "t_cp"), rotations=block.get("rotations_axis_angle"))
         if ground_truth.rotations is not None and len(ground_truth.rotations) != len(observations):
-            raise FileFormatError(f"{path}: ground truth rotations_axis_angle must hold one "
+            raise FileFormatError("ground truth rotations_axis_angle must hold one "
                                   f"3-vector per image ({len(observations)})")
     return ObservationFile(observations=observations, image_size=image_size,
                            ground_truth=ground_truth)
@@ -249,9 +250,9 @@ def write_camera_file(path, intrinsics: CameraIntrinsics, distortion: Distortion
 
 
 @_reader
-def read_camera_file(payload, path):
-    intr = _intrinsics_from(payload, path)
-    return intr, _distortion_from(payload, path)
+def read_camera_file(payload):
+    intr = _intrinsics_from(payload)
+    return intr, _distortion_from(payload)
 
 
 def write_ray_database(path, database: RayDatabase) -> None:
@@ -267,12 +268,11 @@ def write_ray_database(path, database: RayDatabase) -> None:
 
 
 @_reader
-def read_ray_database(payload, path) -> RayDatabase:
-    provenance = _require(payload, "provenance", path, dict)
-    intr = _intrinsics_from(provenance, path)
-    dist = _distortion_from(provenance, path)
-    ids, rays = _point_rows(_require(payload, "rays", path), ("x", "y", "z"),
-                            f"{path}: bad rays")
+def read_ray_database(payload) -> RayDatabase:
+    provenance = _require(payload, "provenance", dict)
+    intr = _intrinsics_from(provenance)
+    dist = _distortion_from(provenance)
+    ids, rays = _point_rows(_require(payload, "rays"), ("x", "y", "z"), "bad rays")
     return RayDatabase(ids=ids, rays=rays, ref_intrinsics=intr, ref_distortion=dist)
 
 
@@ -281,34 +281,34 @@ def read_ray_database(payload, path) -> RayDatabase:
 # ---------------------------------------------------------------------------
 
 @_reader
-def read_synthetic_config(payload, path) -> SyntheticConfig:
+def read_synthetic_config(payload) -> SyntheticConfig:
     kwargs = {key: payload[key] for key in (
         "image_size", "target_offset", "radius", "pixel_noise_sigma", "spherical_noise_sigma",
         "image_count", "trial_count", "rng_seed") if key in payload}
     if "intrinsics" in payload:
-        kwargs["intrinsics"] = _intrinsics_from(payload, path)
+        kwargs["intrinsics"] = _intrinsics_from(payload)
     if "distortion" in payload:
-        kwargs["distortion"] = _distortion_from(payload, path)
+        kwargs["distortion"] = _distortion_from(payload)
     if "target" in payload:
-        t = _require(payload, "target", path, dict)
-        kwargs["target"] = TargetGrid(rows=t.get("rows", 8), cols=t.get("cols", 11),
-                                      spacing=t.get("spacing_mm", 30.0))
+        t = _require(payload, "target", dict)
+        kwargs["target"] = TargetGrid(**{name: t[key] for key, name in (
+            ("rows", "rows"), ("cols", "cols"), ("spacing_mm", "spacing")) if key in t})
     return SyntheticConfig(**kwargs)
 
 
 @_reader
-def read_sweep_values(payload, path, sweep: str):
-    custom = _require(payload, "sweep_values", path, dict) if "sweep_values" in payload else {}
+def read_sweep_values(payload, sweep: str):
+    custom = _require(payload, "sweep_values", dict) if "sweep_values" in payload else {}
     if sweep in custom:
         if not isinstance(custom[sweep], list) or not custom[sweep]:
-            raise FileFormatError(f"{path}: sweep_values {sweep} must be a non-empty list")
+            raise FileFormatError(f"sweep_values {sweep} must be a non-empty list")
         values = [real_number(v, f"{sweep} sweep values") for v in custom[sweep]]
         if not all(v >= 0 for v in values):
-            raise FileFormatError(f"{path}: {sweep} sweep values must be finite and "
+            raise FileFormatError(f"{sweep} sweep values must be finite and "
                                   f"non-negative, got {values}")
         # Every sweep runs the closed form, which needs three images.
         if sweep == "images" and not all(v.is_integer() and v >= 3 for v in values):
-            raise FileFormatError(f"{path}: images sweep values must be integers of "
+            raise FileFormatError("images sweep values must be integers of "
                                   f"at least 3, got {values}")
         return values
     return list(SWEEPS[sweep][1])

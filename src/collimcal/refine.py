@@ -564,7 +564,7 @@ def _adjusted(problem):
     dist = Distortion(*dist_p)
     report = replace(report, rms_reprojection=rms, per_image_rms=per)
     # A copy: the state's rotations are read-only, the caller's are not.
-    return intr, dist, checked_rotations(R.copy()), c, t, report
+    return intr, dist, R.copy(), c, t, report
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +618,8 @@ def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
     `init` is (CameraIntrinsics, Distortion, R (3, 3)).
     """
     rays = real_array(rays, "rays")
+    if rays.ndim != 2 or rays.shape[1] != 3:
+        raise ValueError(f"rays must have shape (M, 3), got {rays.shape}")
     intr0, dist0, rot0 = init
     return _reprojection_problem(rays, pixels, [len(rays)], intr0, dist0, [rot0])
 

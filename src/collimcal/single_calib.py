@@ -23,7 +23,6 @@ from .core_geom import (
     Distortion,
     back_project,
     checked_image_size,
-    checked_rotations,
     integer_array,
     nearest_rotation,
     real_array,
@@ -270,6 +269,9 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> np.
     """
     q = real_array(calib_rays, "calib_rays").reshape(-1, 3)
     qp = real_array(db_rays, "db_rays").reshape(-1, 3)
+    for name, rays in (("calib_rays", q), ("db_rays", qp)):
+        if not np.isfinite(rays).all():
+            raise ValueError(f"{name} must be finite")
     if len(q) != len(qp):
         raise ValueError("ray lists differ in length")
     if len(q) < 3:
@@ -280,7 +282,7 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> np.
     s = np.linalg.svd(B, compute_uv=False)
     if s[1] <= 1e-12 * max(s[0], 1e-300):
         raise errors.DegenerateConfiguration("ray bundles are collinear")
-    return checked_rotations(nearest_rotation(B)[None])[0]
+    return nearest_rotation(B)
 
 
 def calibrate_single_image(ids, pixels, database: RayDatabase, *, image_size,

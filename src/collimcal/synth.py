@@ -32,7 +32,6 @@ from .core_geom import (
     ObservationSet,
     PlanarTarget,
     checked_image_size,
-    checked_rotations,
     decompose_homography,
     radial_pixels,
     real_number,
@@ -48,9 +47,9 @@ TRIAL_IMAGE_POINTS = 20
 
 PARAM_NAMES = ("fx", "fy", "cx", "cy", "gamma", "d1", "d2", "x", "y", "r")
 
-SOLVER_ARMS = ("ours", "ours_ba", "zhang", "zhang_ba")
 _ARM_LABELS = {"ours": ("ours", "init"), "ours_ba": ("ours", "refined"),
                "zhang": ("zhang", "init"), "zhang_ba": ("zhang", "refined")}
+SOLVER_ARMS = tuple(_ARM_LABELS)
 
 # The protocol's sweeps: each kind's SyntheticConfig field and default values.
 SWEEPS = {
@@ -271,7 +270,7 @@ def _make_scenes(config: SyntheticConfig, rngs, min_points: int = MIN_IMAGE_POIN
                     f"target points in front of the camera and inside the image")
         observations = ObservationSet(target, target.ids[np.nonzero(keep)[1]], uv[keep],
                                       keep.sum(axis=1))
-        scenes.append(((checked_rotations(R), centers), observations))
+        scenes.append(((R, centers), observations))
     return scenes
 
 
@@ -412,8 +411,11 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
     a view that keeps fewer is drawn again alone, so the trial's other
     views stay paired across sweep points.  The scenes of all trials are
     made in lockstep, so a trial's scene does not depend on the chunk it
-    runs in.
+    runs in.  An unknown arm raises ValueError before any scene is drawn.
     """
+    for arm in arms:
+        if arm not in _ARM_LABELS:
+            raise ValueError(f"unknown solver arm {arm!r}")
     rngs = [np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
             for t in trials]
     truth = config.truth_vector()
@@ -430,8 +432,6 @@ def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
     """
     results, starts = {}, {}
     for arm in arms:
-        if arm not in _ARM_LABELS:
-            raise ValueError(f"unknown solver arm {arm!r}")
         solver, stage = _ARM_LABELS[arm]
         start = time.perf_counter()
         try:
@@ -502,14 +502,14 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     per trial, and each worker keeps its freed heap (`_keep_worker_heap`).
     Per-trial failures are recorded as NaN rows.  Once every point has run,
     the first point at which more than half of the trials failed for some
-    arm raises CalibrationError.
+    arm raises CalibrationError.  `workers` below 1 raises ValueError, and
+    so does an unknown arm, in the chunk (`_run_chunk`).
     """
     arms = tuple(arms)
-    for arm in arms:
-        if arm not in SOLVER_ARMS:
-            raise ValueError(f"unknown solver arm {arm!r}")
     workers = default_worker_count() if workers is None else real_number(
         workers, "workers", integer=True)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     points = [(value, _config_for(config, sweep_kind, value)) for value in sweep_values]
     n = config.trial_count

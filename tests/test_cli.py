@@ -11,6 +11,7 @@ from collimcal import cli, fileio, synth
 from collimcal.cli import build_parser, main
 from collimcal.core_geom import MIN_IMAGE_POINTS, CameraIntrinsics, Distortion, PlanarTarget
 from collimcal.multi_solver import detect_degeneracy
+from collimcal.single_calib import RayDatabase
 from conftest import pick_images, rotation_from_axis_angle, scene, stack_images
 
 
@@ -423,6 +424,70 @@ def test_sweep_values_default_to_the_protocol_table(tmp_path, sweep):
     field, values = synth.SWEEPS[sweep]
     assert list(values) == defaults
     assert getattr(synth._config_for(synth.default_config(), sweep, 4), field) == 4
+
+
+def test_config_target_takes_the_grid_defaults_for_missing_keys(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", target={"rows": 5})
+    assert fileio.read_synthetic_config(cfg).target == synth.TargetGrid(rows=5)
+    cfg = write_config(tmp_path / "cfg.json", target={"spacing_mm": 12.5})
+    assert fileio.read_synthetic_config(cfg).target == synth.TargetGrid(spacing=12.5)
+
+
+def reader_file(tmp_path, reader):
+    """(read, path) of a valid file for one of the five readers."""
+    path = tmp_path / f"{reader}.json"
+    intr = CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0)
+    if reader == "observations":
+        _, obs = synth.make_scene(synth.default_config(image_count=3), np.random.default_rng(1))
+        fileio.write_observation_file(path, obs)
+        return fileio.read_observation_file, path
+    if reader == "camera":
+        fileio.write_camera_file(path, intr, Distortion(0.0, 0.0))
+        return fileio.read_camera_file, path
+    if reader == "database":
+        rays = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])
+        fileio.write_ray_database(path, RayDatabase(np.arange(3), rays, intr, Distortion()))
+        return fileio.read_ray_database, path
+    write_config(path, sweep_values={"noise": [0.5]})
+    if reader == "config":
+        return fileio.read_synthetic_config, path
+    return (lambda p: fileio.read_sweep_values(p, "noise")), path
+
+
+# Per reader, its malformed files: the nested keys of an entry set to a
+# value, or (None, bytes) for the whole file.
+READER_FAULTS = {
+    "observations": [(("images", 0), {"name": "first"}), (("images",), {}),
+                     (("images", 0, "points", 0), [0, 1.0]),
+                     (("images", 0, "points", 1, 0), 0)],
+    "camera": [(("intrinsics",), {"fx": 1.0}), (("intrinsics",), []),
+               (("intrinsics", "fx"), -1.0)],
+    "database": [(("provenance",), {}), (("provenance",), []), (("rays", 1), [1, 0.6]),
+                 (("rays", 1, 0), 0)],
+    "config": [(("intrinsics",), {"fx": 1.0}), (("target",), 5), (("radius",), -1.0)],
+    "sweep": [(("sweep_values",), []), (("sweep_values", "noise"), [-1.0])],
+}
+for faults in READER_FAULTS.values():
+    faults += [(("schema_version",), 2), (None, b"{"), (None, b"\xff\xfe{")]
+
+
+@pytest.mark.parametrize("reader, keys, value", [
+    (reader, keys, value) for reader, faults in READER_FAULTS.items()
+    for keys, value in faults])
+def test_reader_errors_name_the_file_once(tmp_path, reader, keys, value):
+    # The path is prefixed in one place, `fileio._reader`, to every error of
+    # the load and the parse, the decoding error of a file that is not UTF-8
+    # among them.
+    read, path = reader_file(tmp_path, reader)
+    if keys is None:
+        path.write_bytes(value)
+    else:
+        edited_copy(path, path, keys, value)
+    with pytest.raises(fileio.FileFormatError) as info:
+        read(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ")
+    assert message.count(str(path)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,17 @@ def test_decompose_takes_only_a_stack():
         cg.decompose_homography(H, TRUE_K)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_decompose_refuses_a_non_finite_homography_by_name(bad):
+    # Refused before the product with K^-1 and the SVD, whose RuntimeWarning
+    # and LinAlgError name no argument.
+    H = homography_from_pose(TRUE_K, identity_rotation(), np.array([0.0, 0.0, 700.0]))
+    H = np.stack([H, H])
+    H[1, 0, 2] = bad
+    with pytest.raises(ValueError, match="^homographies must be finite$"):
+        cg.decompose_homography(H, TRUE_K)
+
+
 def test_decompose_reorthogonalizes_under_perturbation():
     rng = np.random.default_rng(3)
     Rt = random_rotation(rng, max_angle=0.3)

@@ -617,6 +617,12 @@ def malformed_start(case):
             obs, (intr, dist, (R[1:], t))),
         "rays-and-pixels": lambda: refine.single_image_problem(
             rays, np.zeros((8, 2)), (intr, dist, R[0])),
+        "rays-flat": lambda: refine.single_image_problem(
+            np.zeros(24), np.zeros((8, 2)), (intr, dist, R[0])),
+        "rays-pairs": lambda: refine.single_image_problem(
+            np.zeros((8, 2)), np.zeros((8, 2)), (intr, dist, R[0])),
+        "rays-column": lambda: refine.single_image_problem(
+            np.zeros((8, 3, 1)), np.zeros((8, 2)), (intr, dist, R[0])),
         "center-pair": lambda: refine._reprojection_problem(
             points, pixels, counts, intr, dist, R, center=[150.0, 105.0]),
         "points-per-counts": lambda: refine._reprojection_problem(
@@ -633,6 +639,9 @@ MALFORMED_STARTS = {
     "spherical-rotation-count": r"rotations must have shape \(3, 3, 3\), got \(2, 3, 3\)",
     "general-rotation-count": r"rotations must have shape \(3, 3, 3\), got \(2, 3, 3\)",
     "rays-and-pixels": r"pixels must have shape \(9, 2\), got \(8, 2\)",
+    "rays-flat": r"rays must have shape \(M, 3\), got \(24,\)",
+    "rays-pairs": r"rays must have shape \(M, 3\), got \(8, 2\)",
+    "rays-column": r"rays must have shape \(M, 3\), got \(8, 3, 1\)",
     "center-pair": r"center must have shape \(3,\), got \(2,\)",
     "points-per-counts": r"points must have shape \(\d+, 3\), got \(\d+, 3\)",
 }
@@ -847,6 +856,23 @@ def test_plus_keeps_rotations_proper_over_a_long_chain(name):
     # checked_rotations' 1e-12 holds; the defect also stays at rounding level,
     # where products without any re-orthogonalization drift past 1e-14.
     assert worst <= 4e-15
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_every_rotation_stack_the_package_makes_is_proper(seed):
+    # A stack is checked where it is handed in, not as it leaves the
+    # function that made it; the makers' postcondition is checked here.
+    _, (R_true, _), obs = scene(seed=seed, pixel_noise_sigma=1.0)
+    intr, ext = solve_closed_form(obs)
+    intr_z, dist, (R, t) = zhang_general_init(obs)
+    (_, _, ext_ba), _ = refine.spherical_ba(obs, (intr, dist, ext))
+    (_, _, (R_ba, _)), _ = refine.general_ba(obs, (intr_z, dist, (R, t)))
+    rays, pixels, intr_s, _, _ = single_image_setup(np.random.default_rng(seed), dist, 1.0)
+    calib_rays = back_project(intr_s, dist, pixels)
+    kabsch = sc.estimate_rotation_kabsch(calib_rays, rays)
+    (_, _, R_single), _ = refine.single_image_ba(rays, pixels, (intr_s, dist, kabsch))
+    for stack in (R_true, R, ext_ba.rotations, R_ba, kabsch[None], R_single[None]):
+        checked_rotations(stack)
 
 
 def test_lm_rejects_jacobian_of_wrong_shape():

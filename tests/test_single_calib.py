@@ -342,6 +342,17 @@ def test_kabsch_degenerate_collinear():
         sc.estimate_rotation_kabsch(rays, rays)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("argument", ["calib_rays", "db_rays"])
+def test_kabsch_refuses_non_finite_rays_by_name(argument, bad):
+    # Refused before the SVD, whose LinAlgError names no argument.
+    rays = {"calib_rays": random_unit_rays(np.random.default_rng(13), 10),
+            "db_rays": random_unit_rays(np.random.default_rng(14), 10)}
+    rays[argument][3, 1] = bad
+    with pytest.raises(ValueError, match=f"^{argument} must be finite$"):
+        sc.estimate_rotation_kabsch(**rays)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 # ---------------------------------------------------------------------------

@@ -530,6 +530,10 @@ def test_unknown_sweep_and_arm_rejected():
         synth.run_monte_carlo(cfg, "noise", [1.0], arms=("theirs",), workers=1)
     with pytest.raises(ValueError, match="theirs"):
         synth.run_single_trial(cfg, 0, ("theirs",))
+    # A pooled call checks its arms where a serial one does, in the chunk.
+    with pytest.raises(ValueError, match="unknown solver arm 'theirs'"):
+        synth.run_monte_carlo(synth.default_config(trial_count=2), "noise", [1.0],
+                              arms=("ours", "theirs"), workers=2)
 
 
 def one_trial_sweep(sweep="noise", values=(0.5,), workers=1):
@@ -552,12 +556,15 @@ def one_trial_sweep(sweep="noise", values=(0.5,), workers=1):
     (lambda: one_trial_sweep(workers=2.5), "workers"),
     (lambda: one_trial_sweep(workers="2"), "workers"),
     (lambda: one_trial_sweep(workers=True), "workers"),
+    (lambda: one_trial_sweep(workers=0), "workers"),
+    (lambda: one_trial_sweep(workers=-3), "workers"),
     (lambda: one_trial_sweep(values=(True,)), "noise sweep value"),
     (lambda: one_trial_sweep("spherical", values=("5",)), "spherical sweep value"),
     (lambda: one_trial_sweep("images", values=(3.5,)), "images sweep value"),
 ], ids=["radius-True", "pixel-sigma-True", "spherical-sigma-True", "radius-str",
         "pixel-sigma-None", "spherical-sigma-None", "offset-3", "offset-1", "offset-str",
         "spacing-True", "spacing-str", "workers-float", "workers-str", "workers-True",
+        "workers-0", "workers-negative",
         "noise-sweep-True", "spherical-sweep-str", "images-sweep-3.5"])
 def test_inputs_that_are_not_numbers_are_refused_by_name(make, field):
     with pytest.raises(ValueError, match=field):
