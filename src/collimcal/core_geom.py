@@ -163,8 +163,15 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
-    """Proper rotation(s) nearest to M (3, 3) or (..., 3, 3) in the Frobenius sense."""
-    U, _, Vt = np.linalg.svd(real_array(M, "M"))
+    """Proper rotation(s) nearest to M (3, 3) or (..., 3, 3) in the Frobenius sense.
+
+    Raises ValueError for an entry of M that is not finite, which the SVD
+    would turn into a LinAlgError or an all-NaN result.
+    """
+    M = real_array(M, "M")
+    if not np.isfinite(M).all():
+        raise ValueError("M must be finite")
+    U, _, Vt = np.linalg.svd(M)
     R = U @ Vt
     flip = np.linalg.det(R) < 0
     return np.where(flip[..., None, None], (U * [1.0, 1.0, -1.0]) @ Vt, R)

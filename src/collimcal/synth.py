@@ -396,9 +396,10 @@ def _error_row(intr, dist, ext, truth) -> np.ndarray:
 def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
     """One paired trial: one scene, every requested solver arm on it.
 
-    The one-trial chunk (`_run_chunk`): every view of the scene keeps at
-    least TRIAL_IMAGE_POINTS points.  Returns {arm: (error_row, seconds)};
-    a failed arm maps to (None, seconds).
+    The one-trial chunk (`_run_chunk`), for a caller that wants a single
+    trial; `run_monte_carlo` maps whole chunks instead.  Every view of the
+    scene keeps at least TRIAL_IMAGE_POINTS points.  Returns
+    {arm: (error_row, seconds)}; a failed arm maps to (None, seconds).
     """
     return _run_chunk(config, range(trial_index, trial_index + 1), arms)[0]
 
@@ -406,12 +407,14 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
 def _run_chunk(config: SyntheticConfig, trials: range, arms):
     """The outcomes of the paired trials `trials` of one sweep point.
 
-    Each trial's scene is drawn from its own stream by the one scene rule
-    (`_make_scenes`), with TRIAL_IMAGE_POINTS in place of MIN_IMAGE_POINTS:
-    a view that keeps fewer is drawn again alone, so the trial's other
-    views stay paired across sweep points.  The scenes of all trials are
-    made in lockstep, so a trial's scene does not depend on the chunk it
-    runs in.  An unknown arm raises ValueError before any scene is drawn.
+    The one unit of work of `run_monte_carlo`, on a pool worker or in the
+    calling process alike.  Each trial's scene is drawn from its own stream
+    by the one scene rule (`_make_scenes`), with TRIAL_IMAGE_POINTS in place
+    of MIN_IMAGE_POINTS: a view that keeps fewer is drawn again alone, so
+    the trial's other views stay paired across sweep points.  The scenes of
+    all trials are made in lockstep, so a trial's scene does not depend on
+    the chunk it runs in.  An unknown arm raises ValueError before any
+    scene is drawn.
     """
     for arm in arms:
         if arm not in _ARM_LABELS:
@@ -453,14 +456,23 @@ def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
     return results
 
 
+def _worker_count(value, name: str) -> int:
+    """`value` as a worker count; ValueError naming `name` unless an integer of at least 1."""
+    workers = real_number(value, name, integer=True)
+    if workers < 1:
+        raise ValueError(f"{name} must be at least 1, got {workers}")
+    return workers
+
+
 def default_worker_count() -> int:
     """COLLIMCAL_THREADS if set, else the number of CPUs this process may run on."""
     env = os.environ.get("COLLIMCAL_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
             raise ValueError(f"COLLIMCAL_THREADS must be an integer, got {env!r}") from None
+        return _worker_count(count, "COLLIMCAL_THREADS")
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -490,39 +502,39 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     """Monte Carlo sweep: trial_count paired trials per sweep value and arm.
 
     Returns a list of TrialStats, one per (sweep value, arm), in sweep-major
-    order.  Every point's trials run on one process pool per call, handed
-    out in chunks of max(1, trial_count // (4 * workers)) trials of one
-    point; a chunk draws its scenes in lockstep (`_run_chunk`).  With one
-    worker, each trial runs as a one-trial chunk (`run_single_trial`).
-    Every view keeps at least TRIAL_IMAGE_POINTS points: a view that keeps
-    fewer is drawn again alone, and a view that cannot be drawn raises
-    PoseSamplingFailed naming its image.  Trials are seeded by their index,
-    and a lockstep scene equals the one drawn alone, so neither the worker
-    count nor the chunks change a result.  The pool has at most one worker
-    per trial, and each worker keeps its freed heap (`_keep_worker_heap`).
-    Per-trial failures are recorded as NaN rows.  Once every point has run,
-    the first point at which more than half of the trials failed for some
-    arm raises CalibrationError.  `workers` below 1 raises ValueError, and
-    so does an unknown arm, in the chunk (`_run_chunk`).
+    order.  Every point's trials are cut into chunks of
+    max(1, trial_count // (4 * workers)) trials of that point, and
+    `_run_chunk`, which draws a chunk's scenes in lockstep, is mapped over
+    them: on one process pool per call when there is more than one worker,
+    in the calling process when there is one.  Every view keeps at least
+    TRIAL_IMAGE_POINTS points: a view that keeps fewer is drawn again alone,
+    and a view that cannot be drawn raises PoseSamplingFailed naming its
+    image.  Trials are seeded by their index, and a lockstep scene equals
+    the one drawn alone, so neither the worker count nor the chunks change
+    a result.  The pool has at most one worker per trial, and each worker
+    keeps its freed heap (`_keep_worker_heap`).  Per-trial failures are
+    recorded as NaN rows.  Once every point has run, the first point at
+    which more than half of the trials failed for some arm raises
+    CalibrationError.  `workers` below 1 and an empty `sweep_values` raise
+    ValueError, and so does an unknown arm, in the chunk (`_run_chunk`).
     """
     arms = tuple(arms)
-    workers = default_worker_count() if workers is None else real_number(
-        workers, "workers", integer=True)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-
+    workers = default_worker_count() if workers is None else _worker_count(workers, "workers")
     points = [(value, _config_for(config, sweep_kind, value)) for value in sweep_values]
+    if not points:
+        raise ValueError("sweep_values must hold at least one value")
+
     n = config.trial_count
     workers = min(workers, n * len(points))
+    size = max(1, n // (4 * workers))
+    chunks = [(point, range(start, min(start + size, n)))
+              for _, point in points for start in range(0, n, size)]
     if workers > 1:
-        size = max(1, n // (4 * workers))
-        chunks = [(point, range(start, min(start + size, n)))
-                  for _, point in points for start in range(0, n, size)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_keep_worker_heap) as pool:
-            outcomes = [outcome for chunk in pool.map(_run_chunk, *zip(*chunks), repeat(arms))
-                        for outcome in chunk]
+            chunked = list(pool.map(_run_chunk, *zip(*chunks), repeat(arms)))
     else:
-        outcomes = [run_single_trial(point, t, arms) for _, point in points for t in range(n)]
+        chunked = list(map(_run_chunk, *zip(*chunks), repeat(arms)))
+    outcomes = [outcome for chunk in chunked for outcome in chunk]
 
     all_stats, failures = [], []
     for p, (value, point_config) in enumerate(points):

@@ -732,13 +732,16 @@ def test_benchmark_csv_contract(tmp_path, monkeypatch):
     assert len(lines) == 1 + 2 * 4  # two sweep points, four solver arms
 
 
-def test_benchmark_names_a_bad_thread_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("COLLIMCAL_THREADS", "two")
+@pytest.mark.parametrize("threads, rule", [("two", "an integer"), ("0", "at least 1"),
+                                           ("-3", "at least 1")])
+def test_benchmark_names_a_bad_thread_count(tmp_path, monkeypatch, capsys, threads, rule):
+    # A count below 1 used to run one worker silently.
+    monkeypatch.setenv("COLLIMCAL_THREADS", threads)
     cfg = write_config(tmp_path / "cfg.json", trial_count=2,
                        sweep_values={"noise": [0.5]})
     assert main(["benchmark", "--config", cfg, "--sweep", "noise",
                  "--out", str(tmp_path / "bench.csv")]) == 2
-    assert "COLLIMCAL_THREADS" in capsys.readouterr().err
+    assert f"COLLIMCAL_THREADS must be {rule}" in capsys.readouterr().err
     assert not (tmp_path / "bench.csv").exists()
 
 

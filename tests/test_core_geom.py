@@ -111,6 +111,18 @@ def test_rotation_stack_validation_names_the_bad_matrix():
         cg.checked_rotations(improper)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)], ids=["matrix", "stack"])
+def test_nearest_rotation_refuses_a_non_finite_matrix_by_name(bad, shape):
+    # Refused before the SVD: a NaN entry made it raise a LinAlgError and an
+    # inf entry gave an all-NaN matrix after a RuntimeWarning, neither
+    # naming the argument.
+    M = np.broadcast_to(np.eye(3), shape).copy()
+    M[..., 1, 2] = bad
+    with pytest.raises(ValueError, match="^M must be finite$"):
+        cg.nearest_rotation(M)
+
+
 def test_axis_angle_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(200):

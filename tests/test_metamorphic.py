@@ -19,7 +19,12 @@ from collimcal.core_geom import (
     PlanarTarget,
     decompose_homography,
 )
-from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form, solve_minimal
+from collimcal.multi_solver import (
+    SphericalExtrinsics,
+    detect_degeneracy,
+    solve_closed_form,
+    solve_minimal,
+)
 from collimcal.refine import general_ba, spherical_ba
 from collimcal.single_calib import RayDatabase, build_ray_database, calibrate_single_image
 from collimcal.synth import zhang_init
@@ -29,6 +34,8 @@ BOUND = 1e-9
 SHIFT = np.array([37.25, -11.5])
 TARGET_MOVE = np.array([123.25, -45.5])
 SCENES = [(5, trial) for trial in range(10)]
+# A power of two, which scales every pixel exactly, and a factor that rounds.
+PIXEL_SCALES = [2.0, 0.7]
 # Scenes with 30 mm of center jitter in which image 0 does not have the most
 # points.
 JITTERED = [(5, trial, 30.0) for trial in (2, 38, 39)]
@@ -57,6 +64,23 @@ def moved_target(observations):
     target = observations.target
     return ObservationSet(PlanarTarget(target.ids, target.xy + TARGET_MOVE), observations.ids,
                           observations.uv, observations.counts)
+
+
+def scaled(observations, s):
+    """The observation set with every pixel scaled by s about the image origin."""
+    return ObservationSet(observations.target, observations.ids, observations.uv * s,
+                          observations.counts)
+
+
+def relabeled(observations):
+    """The observation set with every target id replaced by 5000 - 7 id.
+
+    The new ids run the other way, so a sort by id puts the points in the
+    reverse order.
+    """
+    target = observations.target
+    return ObservationSet(PlanarTarget(5000 - 7 * target.ids, target.xy),
+                          5000 - 7 * observations.ids, observations.uv, observations.counts)
 
 
 def shuffled(observations, seed):
@@ -199,6 +223,51 @@ def test_closed_form_ignores_the_point_order(seed, trial):
     observations = noisy_scene(seed, trial)
     assert_same_camera(*solve_closed_form(shuffled(observations, trial)),
                        *solve_closed_form(observations))
+
+
+@pytest.mark.parametrize("s", PIXEL_SCALES)
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_closed_form_scales_the_intrinsics_with_the_pixels(seed, trial, s):
+    # Scaling every pixel by s is K -> diag(s, s, 1) K: the intrinsics scale
+    # by s and the rotations and the center stay.
+    observations = noisy_scene(seed, trial)
+    ref_intr, ref_ext = solve_closed_form(observations)
+    intr, ext = solve_closed_form(scaled(observations, s))
+    f = s * ref_intr.fx
+    assert_close([intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma],
+                 [s * ref_intr.fx, s * ref_intr.fy, s * ref_intr.cx, s * ref_intr.cy,
+                  s * ref_intr.gamma], f)
+    assert_close(ext.t_cp, ref_ext.t_cp, ref_ext.r)
+    assert_close(ext.rotations, ref_ext.rotations, 1.0)
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_closed_form_ignores_the_id_labels(seed, trial):
+    observations = noisy_scene(seed, trial)
+    assert_same_camera(*solve_closed_form(relabeled(observations)),
+                       *solve_closed_form(observations))
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_spherical_ba_ignores_the_id_labels(seed, trial):
+    observations = noisy_scene(seed, trial)
+    intr, ext = solve_closed_form(observations)
+    (ref_intr, ref_dist, ref_ext), ref_report = spherical_ba(
+        observations, (intr, Distortion(), ext))
+    (intr, dist, ext), report = spherical_ba(relabeled(observations),
+                                             (intr, Distortion(), ext))
+    assert_same_camera(intr, ext, ref_intr, ref_ext)
+    assert_close([dist.d1, dist.d2], [ref_dist.d1, ref_dist.d2], 1.0)
+    assert report.iterations_used == ref_report.iterations_used
+
+
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_degeneracy_report_ignores_the_id_labels(seed, trial):
+    # Image 0 repeated last, so the report flags a pair to keep.
+    observations = pick_images(noisy_scene(seed, trial), [0, 1, 2, 3, 0])
+    report = detect_degeneracy(observations)
+    assert (0, 4) in report.pure_translation_pairs
+    assert detect_degeneracy(relabeled(observations)) == report
 
 
 def general_start(observations):

@@ -440,6 +440,41 @@ def test_default_worker_count_follows_cpu_affinity(monkeypatch):
     assert synth.default_worker_count() == (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("env", ["0", "-3"])
+def test_default_worker_count_refuses_a_count_below_one(monkeypatch, env):
+    # The rule run_monte_carlo applies to `workers`; a count below 1 used to
+    # run one worker silently.
+    monkeypatch.setenv("COLLIMCAL_THREADS", env)
+    with pytest.raises(ValueError, match=f"^COLLIMCAL_THREADS must be at least 1, got {env}$"):
+        synth.default_worker_count()
+
+
+def test_one_worker_runs_the_pools_chunks_in_the_calling_process(monkeypatch):
+    # 8 trials on one worker go out in chunks of 8 // 4 = 2 at each of the
+    # two points, each chunk's scenes drawn in one lockstep call.
+    streams = []
+    make_scenes_alone = synth._make_scenes
+
+    def make_scenes(config, rngs, min_points):
+        streams.append(len(rngs))
+        return make_scenes_alone(config, rngs, min_points)
+
+    monkeypatch.setattr(synth, "_make_scenes", make_scenes)
+    cfg = synth.default_config(pixel_noise_sigma=0.5, trial_count=8)
+    stats = synth.run_monte_carlo(cfg, "noise", [0.5, 1.0], arms=("ours",), workers=1)
+    assert streams == [2] * 8
+    assert [s.trials.shape for s in stats] == [(8, 10)] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("arms", [("ours",), ("theirs",)], ids=["ours", "unknown-arm"])
+def test_an_empty_sweep_is_refused(workers, arms):
+    # Refused before any chunk is built, so before the arms are checked.
+    cfg = synth.default_config(trial_count=2)
+    with pytest.raises(ValueError, match="^sweep_values must hold at least one value$"):
+        synth.run_monte_carlo(cfg, "noise", [], arms=arms, workers=workers)
+
+
 def test_pool_has_at_most_one_worker_per_trial(monkeypatch):
     sizes = []
 
