@@ -33,7 +33,12 @@ map.  Undistortion is done by fixed-point iteration.
 What counts as a number is decided here alone: `real_number`,
 `real_array` and `integer_array` refuse a bool, a string or None with a
 ValueError naming the field, and every type of the package applies them
-to its own fields when it is built.
+to its own fields when it is built.  So is an array's shape: every
+function and type of the package gives `real_array` the shape it takes,
+(None, 2) for N points, (len(ids), 3) for one row per id or (..., 3, 3)
+for one matrix or a stack, and a mismatch raises "<name> must have
+shape (N, 2), got (2, 88)"; `integer_array` takes only (N,).  An
+argument is checked for its shape, never reshaped into it.
 """
 
 from __future__ import annotations
@@ -92,9 +97,9 @@ class CameraIntrinsics:
 
     @classmethod
     def from_matrix(cls, K: np.ndarray) -> "CameraIntrinsics":
-        K = real_array(K, "intrinsic matrix")
-        if K.shape != (3, 3) or abs(K[2, 2]) < 1e-300:
-            raise ValueError("intrinsic matrix must be 3x3 with K[2,2] != 0")
+        K = real_array(K, "intrinsic matrix", (3, 3))
+        if abs(K[2, 2]) < 1e-300:
+            raise ValueError("intrinsic matrix must have K[2,2] != 0")
         K = K / K[2, 2]
         return cls(fx=K[0, 0], fy=K[1, 1], cx=K[0, 2], cy=K[1, 2], gamma=K[0, 1])
 
@@ -134,9 +139,7 @@ def checked_rotations(R: np.ndarray) -> np.ndarray:
     the first matrix that is not orthonormal, or whose determinant is not
     +1, within ROTATION_TOLERANCE.
     """
-    R = real_array(R, "rotations")
-    if R.ndim != 3 or R.shape[1:] != (3, 3):
-        raise ValueError("rotations must be an (N, 3, 3) stack")
+    R = real_array(R, "rotations", (None, 3, 3))
     if not np.isfinite(R).all():
         raise ValueError("rotations must be finite")
     skewed = np.max(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)), axis=(1, 2)) > ROTATION_TOLERANCE
@@ -151,7 +154,7 @@ def checked_rotations(R: np.ndarray) -> np.ndarray:
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices [v]x of one vector (3,) or a stack (..., 3)."""
-    v = real_array(v, "v")
+    v = real_array(v, "v", (..., 3))
     S = np.zeros(v.shape[:-1] + (3, 3))
     S[..., 0, 1] = -v[..., 2]
     S[..., 0, 2] = v[..., 1]
@@ -168,7 +171,7 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     Raises ValueError for an entry of M that is not finite, which the SVD
     would turn into a LinAlgError or an all-NaN result.
     """
-    M = real_array(M, "M")
+    M = real_array(M, "M", (..., 3, 3))
     if not np.isfinite(M).all():
         raise ValueError("M must be finite")
     U, _, Vt = np.linalg.svd(M)
@@ -186,7 +189,7 @@ def rotation_matrix_from_axis_angle(v: np.ndarray) -> np.ndarray:
 
     Takes one vector (3,) or a stack (..., 3) and returns (..., 3, 3).
     """
-    v = real_array(v, "v")
+    v = real_array(v, "v", (..., 3))
     # |v| as a dot product, which rounds like np.linalg.norm of one vector.
     theta = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
     # Below 1e-12 rad the second-order expansion I + S + S^2/2 of S = [v]x
@@ -200,7 +203,7 @@ def rotation_matrix_from_axis_angle(v: np.ndarray) -> np.ndarray:
 
 def axis_angle_from_rotation_matrix(R: np.ndarray) -> np.ndarray:
     """Axis-angle vector of one rotation (3, 3) or a stack (..., 3, 3)."""
-    R = real_array(R, "R")
+    R = real_array(R, "R", (..., 3, 3))
     shape = R.shape[:-2] + (3,)
     R = R.reshape(-1, 3, 3)
     cos_theta = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) * 0.5, -1.0, 1.0)
@@ -266,25 +269,43 @@ def _array_of(values, name: str, kinds: str, what: str) -> np.ndarray:
     return array
 
 
-def real_array(values, name: str) -> np.ndarray:
+def real_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
     """`values` as a float array, without a copy where it can.
 
     ValueError naming `name` if any entry, at any depth of a nested list,
-    is a bool, a string or None; an ndarray costs one dtype test.
+    is a bool, a string or None; an ndarray costs one dtype test.  The one
+    check of a shape: given `shape`, ValueError naming `name` unless the
+    array has it, where None matches any length and a leading `...` any
+    number of leading dimensions, so (None, 2) takes N points and
+    (..., 3, 3) one matrix or a stack of them.
     """
-    return _array_of(values, name, "iuf", "real numbers, not booleans, strings or None"
-                     ).astype(float, copy=False)
+    array = _array_of(values, name, "iuf", "real numbers, not booleans, strings or None"
+                      ).astype(float, copy=False)
+    return array if shape is None else _shaped(array, name, shape)
+
+
+def _shaped(array: np.ndarray, name: str, shape: tuple) -> np.ndarray:
+    """`array`, checked to have `shape` as `real_array` reads it."""
+    trailing = shape[:1] == (...,)
+    want = shape[1:] if trailing else shape
+    have = array.shape[-len(want):] if trailing else array.shape
+    if len(have) != len(want) or any(w is not None and w != h for w, h in zip(want, have)):
+        text = ", ".join("N" if w is None else "..." if w is ... else str(w) for w in shape)
+        raise ValueError(f"{name} must have shape ({text}{',' * (len(shape) == 1)}), "
+                         f"got {array.shape}")
+    return array
 
 
 def integer_array(values, name: str) -> np.ndarray:
-    """`values` flattened to an int array, without a copy where it can.
+    """`values` as a one-dimensional int array, without a copy where it can.
 
     ValueError naming `name` if any entry is a bool, a float or a string,
-    rather than truncate it; an empty input passes whatever its dtype,
-    since np.asarray([]) is float.
+    rather than truncate it, or if it is not one-dimensional (N,); an
+    empty input passes whatever its dtype, since np.asarray([]) is float.
     """
-    array = _array_of(values, name, "iu", "integers, not booleans, floats or strings")
-    ints = array.reshape(-1).astype(int, copy=False)
+    array = _shaped(_array_of(values, name, "iu", "integers, not booleans, floats or strings"),
+                    name, (None,))
+    ints = array.astype(int, copy=False)
     # np.asarray makes a list holding 2**63 or more uint64, which int would wrap.
     if array.dtype.kind == "u" and (ints < 0).any():
         raise ValueError(f"{name} must be integers below 2**63")
@@ -296,8 +317,8 @@ def checked_image_size(value) -> tuple:
 
     ValueError for anything else, a bool or a string among them too.
     """
-    size = real_array(value, "image_size")
-    if size.shape != (2,) or not all(v.is_integer() and v > 0 for v in size.tolist()):
+    size = real_array(value, "image_size", (2,))
+    if not all(v.is_integer() and v > 0 for v in size.tolist()):
         raise ValueError(f"image_size must be positive integers (width, height), "
                          f"got {value!r}")
     return int(size[0]), int(size[1])
@@ -312,9 +333,7 @@ class PlanarTarget:
 
     def __post_init__(self):
         ids = integer_array(self.ids, "target point ids")
-        xy = real_array(self.xy, "target coordinates").reshape(-1, 2)
-        if ids.shape[0] != xy.shape[0]:
-            raise ValueError("ids and xy must have the same length")
+        xy = real_array(self.xy, "target coordinates", (len(ids), 2))
         if not np.isfinite(xy).all():
             raise ValueError("target coordinates must be finite")
         sorted_ids = np.sort(ids)
@@ -377,11 +396,11 @@ class ObservationSet:
 
     def __post_init__(self):
         ids = np.array(integer_array(self.ids, "ids"))
-        uv = np.array(real_array(self.uv, "pixel coordinates")).reshape(-1, 2)
+        uv = np.array(real_array(self.uv, "pixel coordinates", (len(ids), 2)))
         counts = np.array(integer_array(self.counts, "counts"))
-        if not len(ids) == len(uv) == counts.sum():
+        if len(ids) != counts.sum():
             raise ValueError(f"counts add up to {counts.sum()} points, but there are "
-                             f"{len(ids)} ids and {len(uv)} pixels")
+                             f"{len(ids)} ids")
         short = np.flatnonzero(counts < MIN_IMAGE_POINTS)
         if len(short):
             raise ValueError(f"image {short[0]} has fewer than {MIN_IMAGE_POINTS} "
@@ -473,23 +492,22 @@ def radial_pixels(intr_p, dist_p, x, y, z):
 
 def project(intr: CameraIntrinsics, dist: Distortion, R: np.ndarray, t: np.ndarray,
             points: np.ndarray) -> np.ndarray:
-    """Project target-frame points (N, 3) mm to pixels (N, 2) from the pose (R, t).
+    """Project target-frame points (..., 3) mm to pixels (..., 2) from the pose (R, t).
 
     Raises PointBehindCamera if any point has non-positive camera-frame depth.
     """
-    P = real_array(points, "points").reshape(-1, 3)
-    x, y, z = (P @ real_array(R, "R").T + real_array(t, "t")).T
+    P = real_array(points, "points", (..., 3))
+    x, y, z = (P.reshape(-1, 3) @ real_array(R, "R", (3, 3)).T + real_array(t, "t", (3,))).T
     if np.any(z <= 0):
         raise errors.PointBehindCamera(f"{int(np.sum(z <= 0))} point(s) at non-positive depth")
     u, v = radial_pixels((intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma),
                          (dist.d1, dist.d2), x, y, z)[:2]
-    out = np.column_stack([u, v])
-    return out[0] if np.ndim(points) == 1 else out
+    return np.column_stack([u, v]).reshape(P.shape[:-1] + (2,))
 
 
 def undistort_normalized(dist: Distortion, xy_distorted: np.ndarray) -> np.ndarray:
     """Invert the radial map by fixed-point iteration x <- x_d / factor(|x|^2)."""
-    xd = real_array(xy_distorted, "xy_distorted").reshape(-1, 2)
+    xd = real_array(xy_distorted, "xy_distorted", (None, 2))
     if dist.d1 == 0.0 and dist.d2 == 0.0:
         return xd.copy()
     x = xd.copy()
@@ -506,14 +524,15 @@ def undistort_normalized(dist: Distortion, xy_distorted: np.ndarray) -> np.ndarr
 
 
 def back_project(intr: CameraIntrinsics, dist: Distortion, pixels: np.ndarray) -> np.ndarray:
-    """Unit direction(s) of the ray(s) whose projection is the given pixel(s)."""
-    p = real_array(pixels, "pixels").reshape(-1, 2)
-    ph = np.column_stack([p, np.ones(len(p))])
+    """Unit directions (..., 3) of the rays whose projections are the pixels (..., 2)."""
+    p = real_array(pixels, "pixels", (..., 2))
+    rows = p.reshape(-1, 2)
+    ph = np.column_stack([rows, np.ones(len(rows))])
     xyd = ph @ intr.inverse.T
     xy = undistort_normalized(dist, xyd[:, :2])
     rays = np.column_stack([xy, np.ones(len(xy))])
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    return rays[0] if np.ndim(pixels) == 1 else rays
+    return rays.reshape(p.shape[:-1] + (3,))
 
 
 def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -601,10 +620,8 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
     It is scaled and rank-checked as every fitted homography is.  Fewer
     than 4 point pairs or a non-finite coordinate raise ValueError.
     """
-    X = real_array(target_xy, "target_xy").reshape(-1, 2)
-    U = real_array(pixels_uv, "pixels_uv").reshape(-1, 2)
-    if len(X) != len(U):
-        raise ValueError("correspondence lists differ in length")
+    X = real_array(target_xy, "target_xy", (None, 2))
+    U = real_array(pixels_uv, "pixels_uv", (len(X), 2))
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 point pairs")
     if not (np.isfinite(X).all() and np.isfinite(U).all()):
@@ -676,9 +693,7 @@ def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
     sign is chosen so the target origin lies in front of the camera
     (t[2] > 0) and the rotations are re-orthogonalized by SVD.
     """
-    H = real_array(H, "homographies")
-    if H.ndim != 3 or H.shape[1:] != (3, 3):
-        raise ValueError("homographies must be an (N, 3, 3) stack")
+    H = real_array(H, "homographies", (None, 3, 3))
     if not np.isfinite(H).all():
         raise ValueError("homographies must be finite")
     M = intr.inverse @ H

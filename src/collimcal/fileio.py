@@ -59,15 +59,14 @@ class GroundTruth:
     rotations: np.ndarray | None
 
     def __post_init__(self):
-        t_cp = real_array(self.t_cp, "ground truth t_cp")
-        if t_cp.shape != (3,) or not np.isfinite(t_cp).all():
-            raise ValueError(f"ground truth t_cp must be finite, of length 3, got {t_cp.tolist()}")
-        object.__setattr__(self, "t_cp", t_cp)
+        object.__setattr__(self, "t_cp", real_array(self.t_cp, "ground truth t_cp", (3,)))
         if self.rotations is not None:
-            rotations = real_array(self.rotations, "ground truth rotations")
-            if rotations.shape[1:] != (3,) or not np.isfinite(rotations).all():
-                raise ValueError("ground truth rotations must be finite, a 3-vector per image")
-            object.__setattr__(self, "rotations", rotations)
+            object.__setattr__(self, "rotations", real_array(
+                self.rotations, "ground truth rotations", (None, 3)))
+        for name in ("t_cp", "rotations"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"ground truth {name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -232,9 +231,8 @@ def read_observation_file(payload) -> ObservationFile:
         ground_truth = GroundTruth(
             intrinsics=_intrinsics_from(block), distortion=_distortion_from(block),
             t_cp=_require(block, "t_cp"), rotations=block.get("rotations_axis_angle"))
-        if ground_truth.rotations is not None and len(ground_truth.rotations) != len(observations):
-            raise FileFormatError("ground truth rotations_axis_angle must hold one "
-                                  f"3-vector per image ({len(observations)})")
+        if ground_truth.rotations is not None:  # one axis-angle vector per image
+            real_array(ground_truth.rotations, "ground truth rotations", (len(observations), 3))
     return ObservationFile(observations=observations, image_size=image_size,
                            ground_truth=ground_truth)
 

@@ -102,7 +102,7 @@ def conic_rows(H: np.ndarray) -> np.ndarray:
     _SYM_PAIRS: u_mn . q = h_m^T Q h_n for columns h_m, h_n of H and the
     symmetric Q of the 6-vector q.
     """
-    cols = np.swapaxes(real_array(H, "H"), -1, -2)
+    cols = np.swapaxes(real_array(H, "H", (..., 3, 3)), -1, -2)
     hm = cols[..., _SYM_I, :]
     hn = cols[..., _SYM_J, :]
     return (hm[..., _SYM_I] * hn[..., _SYM_J]
@@ -119,9 +119,9 @@ def build_linear_system(H: np.ndarray):
     without it the A33 column is empty and the optical center cannot be
     decoded from the solution.
     """
-    H = real_array(H, "H")
-    if H.ndim != 3 or H.shape[1:] != (3, 3) or not len(H):
-        raise ValueError(f"H must be an (N, 3, 3) stack with N >= 1, got shape {H.shape}")
+    H = real_array(H, "H", (None, 3, 3))
+    if not len(H):
+        raise ValueError("H must hold at least one homography")
     ratios = _scale_ratios(H)
     # (H^-1 W H^-T)_mn on w = (W11, W12, W13, W22, W23); W33 = 1.
     Hinv_t = np.linalg.inv(H).transpose(0, 2, 1)
@@ -139,7 +139,7 @@ def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
     The sign is normalized so Q33 > 0; K is the inverse transpose of the
     Cholesky factor of Q, scaled to K[2,2] = 1.
     """
-    q = real_array(q, "q").reshape(6)
+    q = real_array(q, "q", (6,))
     if q[5] == 0.0:
         raise errors.NotPositiveDefinite("Q33 is zero")
     if q[5] < 0:
@@ -152,7 +152,7 @@ def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
     except np.linalg.LinAlgError as exc:
         raise errors.NotPositiveDefinite("IAC matrix is not positive definite") from exc
     K = np.linalg.inv(L).T
-    return CameraIntrinsics.from_matrix(K / K[2, 2])
+    return CameraIntrinsics.from_matrix(K)
 
 
 def _decode_intrinsics(w: np.ndarray) -> CameraIntrinsics:

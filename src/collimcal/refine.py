@@ -401,18 +401,12 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     unpack(state) gives (intrinsics (5,), distortion (2,), c (3,), rotation
     matrices (N, 3, 3), translations (N, 3)).
     """
-    def checked(values, name, shape):
-        array = real_array(values, name)
-        if array.shape != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-        return array
-
     counts = np.asarray(counts)
-    R0 = checked(checked_rotations(rotations), "rotations", (len(counts), 3, 3)).copy()
+    R0 = checked_rotations(real_array(rotations, "rotations", (len(counts), 3, 3))).copy()
     n = len(R0)
     image = np.repeat(np.arange(n), counts)
-    points = checked(points, "points", (len(image), 3))
-    pixels = checked(pixels, "pixels", (len(image), 2))
+    points = real_array(points, "points", (len(image), 3))
+    pixels = real_array(pixels, "pixels", (len(image), 2))
 
     p0 = np.zeros(10 + 6 * n)
     p0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
@@ -421,7 +415,7 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     for cols, start, name, shape in ((slice(7, 10), center, "center", (3,)),
                                      (rotation + 3, translations, "translations", (n, 3))):
         free[cols] = start is not None
-        p0[cols] = 0.0 if start is None else checked(start, name, shape)
+        p0[cols] = 0.0 if start is None else real_array(start, name, shape)
     free = np.flatnonzero(free)
     # The columns of x: the `first` shared ones (K, d and a free c), then
     # per image its rotation increment and a free t_i, `columns` in all with
@@ -617,9 +611,7 @@ def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
 
     `init` is (CameraIntrinsics, Distortion, R (3, 3)).
     """
-    rays = real_array(rays, "rays")
-    if rays.ndim != 2 or rays.shape[1] != 3:
-        raise ValueError(f"rays must have shape (M, 3), got {rays.shape}")
+    rays = real_array(rays, "rays", (None, 3))
     intr0, dist0, rot0 = init
     return _reprojection_problem(rays, pixels, [len(rays)], intr0, dist0, [rot0])
 

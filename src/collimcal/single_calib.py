@@ -53,9 +53,7 @@ class RayDatabase:
 
     def __post_init__(self):
         ids = integer_array(self.ids, "database point ids")
-        rays = real_array(self.rays, "database rays").reshape(-1, 3)
-        if len(ids) != len(rays):
-            raise ValueError("ids and rays must have the same length")
+        rays = real_array(self.rays, "database rays", (len(ids), 3))
         if len(np.unique(ids)) != len(ids):
             raise ValueError("database point ids must be unique")
         norms = np.linalg.norm(rays, axis=1)
@@ -95,7 +93,7 @@ def build_ray_database(ids, pixels, ref_intrinsics: CameraIntrinsics,
                        ref_distortion: Distortion) -> RayDatabase:
     """Back-project reference observations into unit rays keyed by id."""
     ids = integer_array(ids, "reference point ids")
-    pixels = real_array(pixels, "reference pixels").reshape(-1, 2)
+    pixels = real_array(pixels, "reference pixels", (len(ids), 2))
     if len(ids) < MIN_SINGLE_IMAGE_POINTS:
         raise ValueError(f"reference image needs >= {MIN_SINGLE_IMAGE_POINTS} points, "
                          f"got {len(ids)}")
@@ -111,7 +109,7 @@ def select_pairs(rays: np.ndarray):
     All pairs up to 120 points; beyond that each point is paired with 30
     random partners drawn with seed 0, which keeps the constraint count linear.
     """
-    rays = real_array(rays, "rays").reshape(-1, 3)
+    rays = real_array(rays, "rays", (None, 3))
     count = len(rays)
     if count <= MAX_EXHAUSTIVE_PAIR_POINTS:
         i, j = np.triu_indices(count, k=1)
@@ -138,6 +136,19 @@ def _pair_columns(points: np.ndarray, i: np.ndarray, j: np.ndarray):
     return columns.take(i, axis=1), columns.take(j, axis=1)
 
 
+def _checked_pixels(pixels, pairs) -> np.ndarray:
+    """`pixels` (M, 2) as floats, checked against the pair table (i, j, g).
+
+    ValueError names `pairs` if the table indexes a pixel outside the M.
+    """
+    pixels = real_array(pixels, "pixels", (None, 2))
+    ends = np.concatenate(pairs[:2])
+    if len(ends) and not (0 <= ends.min() and ends.max() < len(pixels)):
+        raise ValueError(f"pairs index pixels {ends.min()} to {ends.max()}, "
+                         f"but there are {len(pixels)} pixels")
+    return pixels
+
+
 def init_focal_quartic(pixels: np.ndarray, pairs, image_size) -> CameraIntrinsics:
     """The start camera (f, f, w/2, h/2, 0) from the pair table (i, j, g) of `select_pairs`.
 
@@ -148,7 +159,7 @@ def init_focal_quartic(pixels: np.ndarray, pairs, image_size) -> CameraIntrinsic
     squared cosine residual wins.
     """
     center = np.array(checked_image_size(image_size)) / 2.0
-    pixels = real_array(pixels, "pixels").reshape(-1, 2)
+    pixels = _checked_pixels(pixels, pairs)
     i, j, g = pairs
     mi, mj = _pair_columns(pixels - center, i, j)
     alpha = mi[0] * mj[0] + mi[1] * mj[1]
@@ -250,7 +261,7 @@ def refine_intrinsics_angle(pixels: np.ndarray, pairs,
     reprojection stage.  Each pair contributes one Cauchy-robustified
     residual (calibration cosine minus database cosine; see `_cosine_model`).
     """
-    pixels = real_array(pixels, "pixels").reshape(-1, 2)
+    pixels = _checked_pixels(pixels, pairs)
     if len(pairs[2]) < 5:
         raise ValueError("intrinsic refinement needs at least 5 point pairs")
     residual, jacobian, plus = _cosine_model(pixels, pairs)
@@ -267,13 +278,11 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> np.
     is always a proper rotation.  The factor order is fixed by the alignment
     direction, verified by tests, not by symbol-pushing.
     """
-    q = real_array(calib_rays, "calib_rays").reshape(-1, 3)
-    qp = real_array(db_rays, "db_rays").reshape(-1, 3)
+    q = real_array(calib_rays, "calib_rays", (None, 3))
+    qp = real_array(db_rays, "db_rays", (len(q), 3))
     for name, rays in (("calib_rays", q), ("db_rays", qp)):
         if not np.isfinite(rays).all():
             raise ValueError(f"{name} must be finite")
-    if len(q) != len(qp):
-        raise ValueError("ray lists differ in length")
     if len(q) < 3:
         raise errors.DegenerateConfiguration("rotation fit needs >= 3 ray pairs")
     qc = q - q.mean(axis=0)
@@ -297,9 +306,7 @@ def calibrate_single_image(ids, pixels, database: RayDatabase, *, image_size,
     """
     image_size = checked_image_size(image_size)
     ids = integer_array(ids, "calibration point ids")
-    pixels = real_array(pixels, "calibration pixels").reshape(-1, 2)
-    if len(ids) != len(pixels):
-        raise ValueError(f"calibration image has {len(ids)} point ids but {len(pixels)} pixels")
+    pixels = real_array(pixels, "calibration pixels", (len(ids), 2))
     db_idx, obs_idx = database.match(ids)
     n_matched = len(db_idx)
     if n_matched < MIN_SINGLE_IMAGE_POINTS:

@@ -34,6 +34,7 @@ from .core_geom import (
     checked_image_size,
     decompose_homography,
     radial_pixels,
+    real_array,
     real_number,
     rotation_matrix_from_axis_angle,
 )
@@ -120,9 +121,7 @@ class SyntheticConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        offset = tuple(self.target_offset) if np.ndim(self.target_offset) == 1 else ()
-        if len(offset) != 2:
-            raise ValueError(f"target_offset must be two numbers, got {self.target_offset!r}")
+        offset = real_array(self.target_offset, "target_offset", (2,)).tolist()
         checked = {"target_offset": tuple(real_number(v, "target_offset") for v in offset),
                    "image_size": checked_image_size(self.image_size)}
         for name in ("radius", "pixel_noise_sigma", "spherical_noise_sigma"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import collimcal
-from collimcal import core_geom, multi_solver, refine
+from collimcal import core_geom, multi_solver, refine, single_calib
 from collimcal import (
     CameraIntrinsics,
     Distortion,
@@ -327,18 +327,18 @@ def test_every_number_field_refuses_a_non_number_by_name(kind, field, label, bad
 
 
 @pytest.mark.parametrize("field, value, rule", [
-    ("t_cp", [150.0, 105.0], "finite, "),
-    ("t_cp", [[150.0, 105.0, -700.0]], "finite, "),
-    ("rotations", [[0.1, 0.2], [0.0, -0.1]], "finite, "),
-    ("rotations", [0.1, 0.2, 0.3], "finite, "),
-    ("rotations", [[0.1], [0.2, 0.3]], "a rectangular array"),
+    ("t_cp", [150.0, 105.0], r"have shape \(3,\), got \(2,\)$"),
+    ("t_cp", [[150.0, 105.0, -700.0]], r"have shape \(3,\), got \(1, 3\)$"),
+    ("rotations", [[0.1, 0.2], [0.0, -0.1]], r"have shape \(N, 3\), got \(2, 2\)$"),
+    ("rotations", [0.1, 0.2, 0.3], r"have shape \(N, 3\), got \(3,\)$"),
+    ("rotations", [[0.1], [0.2, 0.3]], "be a rectangular array"),
 ], ids=["t_cp-2", "t_cp-2d", "rotations-pairs", "rotations-flat", "rotations-ragged"])
 def test_ground_truth_refuses_a_wrong_shape_by_name(field, value, rule):
     # The type checks its own shapes, so `simulate`, the file reader and a
     # library caller all get the same error.
     fields = valid_fields(GroundTruth)
     fields[field] = value
-    with pytest.raises(ValueError, match=f"^ground truth {field} must be {rule}"):
+    with pytest.raises(ValueError, match=f"^ground truth {field} must {rule}"):
         GroundTruth(**fields)
 
 
@@ -383,3 +383,158 @@ def test_rotation_and_matrix_arguments_refuse_a_non_number_by_name(entry, bad):
     name, call = MATRIX_ARGUMENTS[entry]
     with pytest.raises(ValueError, match=f"^{name} must be real numbers"):
         call(bad)
+
+
+# Eight pixels in general position, their unit rays through K, and a
+# stack of four identities.
+PIXELS = np.column_stack([500.0 + 10.0 * np.arange(8), 400.0 + 3.0 * np.arange(8) ** 2])
+RAYS = np.column_stack([(PIXELS - [500.0, 400.0]) / 1000.0, np.ones(8)])
+RAYS /= np.linalg.norm(RAYS, axis=1, keepdims=True)
+STACK = np.repeat(np.eye(3)[None], 4, axis=0)
+
+
+def with_field(kind, name):
+    """A call that builds a valid `kind` with its field `name` set to the argument."""
+    return lambda value: kind(**{**valid_fields(kind), name: value})
+
+
+def assert_shape_taken(call, value):
+    """`call` takes `value`: it may fail on something else, but not on its shape."""
+    try:
+        call(value)
+    except Exception as exc:
+        assert "must have shape" not in str(exc)
+
+
+# Every array argument that the one shape rule checks: the name its error
+# gives, a value of the right shape, and a call that takes it.
+SHAPED_ARGUMENTS = {
+    "ObservationSet.uv": ("pixel coordinates", SQUARE, with_field(ObservationSet, "uv")),
+    "PlanarTarget.xy": ("target coordinates", SQUARE, with_field(PlanarTarget, "xy")),
+    "RayDatabase.rays": ("database rays", RAYS[:4], with_field(RayDatabase, "rays")),
+    "GroundTruth.t_cp": ("ground truth t_cp", [150.0, 105.0, -700.0],
+                         with_field(GroundTruth, "t_cp")),
+    "GroundTruth.rotations": ("ground truth rotations", [[0.1, 0.2, 0.3], [0.0, -0.1, 0.2]],
+                              with_field(GroundTruth, "rotations")),
+    "CameraIntrinsics.from_matrix": ("intrinsic matrix", K.matrix,
+                                     CameraIntrinsics.from_matrix),
+    "checked_rotations": ("rotations", STACK, core_geom.checked_rotations),
+    "skew": ("v", RAYS, core_geom.skew),
+    "nearest_rotation": ("M", STACK, core_geom.nearest_rotation),
+    "rotation_matrix_from_axis_angle": ("v", RAYS, core_geom.rotation_matrix_from_axis_angle),
+    "axis_angle_from_rotation_matrix": ("R", STACK, core_geom.axis_angle_from_rotation_matrix),
+    "project-points": ("points", RAYS * 700.0, lambda points: core_geom.project(
+        K, Distortion(), np.eye(3), np.zeros(3), points)),
+    "project-R": ("R", np.eye(3), lambda R: core_geom.project(
+        K, Distortion(), R, np.zeros(3), RAYS)),
+    "project-t": ("t", np.zeros(3), lambda t: core_geom.project(
+        K, Distortion(), np.eye(3), t, RAYS)),
+    "project-one-point": ("points", RAYS[0], lambda point: core_geom.project(
+        K, Distortion(), np.eye(3), np.zeros(3), point)),
+    "back_project": ("pixels", PIXELS, lambda pixels: core_geom.back_project(
+        K, Distortion(), pixels)),
+    "back_project-one-pixel": ("pixels", PIXELS[0], lambda pixel: core_geom.back_project(
+        K, Distortion(), pixel)),
+    "undistort_normalized": ("xy_distorted", PIXELS / 1000.0, lambda xy: (
+        core_geom.undistort_normalized(Distortion(0.1, 0.0), xy))),
+    "estimate_homography-target": ("target_xy", PIXELS, lambda xy: (
+        core_geom.estimate_homography(xy, PIXELS))),
+    "estimate_homography-pixels": ("pixels_uv", PIXELS, lambda uv: (
+        core_geom.estimate_homography(PIXELS, uv))),
+    "decompose_homography": ("homographies", STACK, lambda H: (
+        core_geom.decompose_homography(H, K))),
+    "conic_rows": ("H", STACK, multi_solver.conic_rows),
+    "build_linear_system": ("H", STACK, multi_solver.build_linear_system),
+    "decompose_iac": ("q", [1.0, 0.0, 0.0, 1.0, 0.0, 1.0], multi_solver.decompose_iac),
+    "general_problem": ("translations", [[0.0, 0.0, 700.0]], lambda t: (
+        refine.general_problem(ObservationSet(**valid_fields(ObservationSet)),
+                               (K, Distortion(), (np.eye(3)[None], t))))),
+    "single_image_problem": ("rays", RAYS, lambda rays: refine.single_image_problem(
+        rays, PIXELS, (K, Distortion(), np.eye(3)))),
+    "build_ray_database": ("reference pixels", PIXELS, lambda pixels: (
+        single_calib.build_ray_database(np.arange(8), pixels, K, Distortion()))),
+    "select_pairs": ("rays", RAYS, single_calib.select_pairs),
+    "init_focal_quartic": ("pixels", PIXELS, lambda pixels: single_calib.init_focal_quartic(
+        pixels, single_calib.select_pairs(RAYS), (1000, 800))),
+    "refine_intrinsics_angle": ("pixels", PIXELS, lambda pixels: (
+        single_calib.refine_intrinsics_angle(pixels, single_calib.select_pairs(RAYS), K))),
+    "estimate_rotation_kabsch-calib": ("calib_rays", RAYS, lambda rays: (
+        single_calib.estimate_rotation_kabsch(rays, RAYS))),
+    "estimate_rotation_kabsch-db": ("db_rays", RAYS, lambda rays: (
+        single_calib.estimate_rotation_kabsch(RAYS, rays))),
+    "calibrate_single_image": ("calibration pixels", PIXELS, lambda pixels: (
+        single_calib.calibrate_single_image(np.arange(8), pixels,
+                                            RayDatabase(**valid_fields(RayDatabase)),
+                                            image_size=(1000, 800)))),
+}
+
+# Each argument transposed, where that changes its shape, and one entry short
+# on its last axis, which a function of (..., 3) or (..., 3, 3) must refuse too.
+MISSHAPEN = [(entry, case) for entry, (_, value, _) in SHAPED_ARGUMENTS.items()
+             for case in ("transposed", "short")
+             if case == "short" or np.shape(value)[::-1] != np.shape(value)]
+
+
+@pytest.mark.parametrize("entry, case", MISSHAPEN,
+                         ids=[f"{entry}-{case}" for entry, case in MISSHAPEN])
+def test_every_array_argument_refuses_a_wrong_shape_by_name(entry, case):
+    # Each used to be reshaped to what the function wanted, which scrambles a
+    # transposed array's entries, or to fail in numpy without a name.
+    name, value, call = SHAPED_ARGUMENTS[entry]
+    assert_shape_taken(call, value)
+    value = np.asarray(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must have shape "):
+        call(value.T if case == "transposed" else value[..., :-1])
+
+
+# Every id and count argument, which must be one-dimensional (N,): the name
+# its error gives, a valid value and a call that takes it.
+INTEGER_ARGUMENTS = {
+    "PlanarTarget.ids": ("target point ids", [0, 1, 2, 3], with_field(PlanarTarget, "ids")),
+    "PlanarTarget.xy_for": ("point ids", [1, 3],
+                            PlanarTarget(**valid_fields(PlanarTarget)).xy_for),
+    "ObservationSet.ids": ("ids", [0, 1, 2, 3], with_field(ObservationSet, "ids")),
+    "ObservationSet.counts": ("counts", [4], with_field(ObservationSet, "counts")),
+    "RayDatabase.ids": ("database point ids", [0, 1, 2, 3], with_field(RayDatabase, "ids")),
+    "RayDatabase.match": ("matched point ids", [1, 3],
+                          RayDatabase(**valid_fields(RayDatabase)).match),
+    "build_ray_database": ("reference point ids", np.arange(8), lambda ids: (
+        single_calib.build_ray_database(ids, PIXELS, K, Distortion()))),
+    "calibrate_single_image": ("calibration point ids", np.arange(8), lambda ids: (
+        single_calib.calibrate_single_image(ids, PIXELS, RayDatabase(**valid_fields(RayDatabase)),
+                                            image_size=(1000, 800)))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+def test_every_id_and_count_argument_refuses_a_column_by_name(entry):
+    # A column of ids, or of counts, used to be flattened without a word.
+    name, value, call = INTEGER_ARGUMENTS[entry]
+    assert_shape_taken(call, value)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must have shape \(N,\), got "):
+        call(np.asarray(value)[:, None])
+
+
+# A message that states a shape or a length rule; only core_geom.real_array
+# may raise one.
+SHAPE_MESSAGE = re.compile(r"must have (shape|the same length)|differ in length"
+                           r"|\(N, 3, 3\) stack|of length \d|vector per image")
+
+
+def shape_messages(source):
+    """The string parts of the messages that `source` raises and that state a shape rule."""
+    return [node.value for raised in ast.walk(ast.parse(source))
+            if isinstance(raised, ast.Raise) and raised.exc is not None
+            for node in ast.walk(raised.exc)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and SHAPE_MESSAGE.search(node.value)]
+
+
+def test_only_core_geom_raises_a_shape_message():
+    assert shape_messages('raise ValueError(f"{name} must have shape {shape}")\n'
+                          'raise ValueError("H must be an (N, 3, 3) stack")\n'
+                          'message = "x must have shape (3,)"\n') == [
+        " must have shape ", "H must be an (N, 3, 3) stack"]
+    found = {path.name: messages for path in (ROOT / "src" / "collimcal").glob("*.py")
+             if path.stem != "core_geom" and (messages := shape_messages(path.read_text()))}
+    assert not found

@@ -66,7 +66,8 @@ def test_rotation_validation():
         cg.checked_rotations((np.eye(3) * 2.0)[None])
     with pytest.raises(ValueError, match="rotation 0: matrix determinant is not"):
         cg.checked_rotations(np.diag([1.0, 1.0, -1.0])[None])
-    with pytest.raises(ValueError, match=r"\(N, 3, 3\) stack"):
+    with pytest.raises(ValueError,
+                       match=r"^rotations must have shape \(N, 3, 3\), got \(3, 3\)$"):
         cg.checked_rotations(np.eye(3))
     R = rotation_from_axis_angle([0.1, -0.2, 0.3])
     assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
@@ -185,7 +186,7 @@ def test_observation_set_invariants():
         stack_images(target, [good, good, ([0, 1, 2, 3], [[0, 0], [0, 0], [np.nan, 0], [0, 0]])])
     with pytest.raises(ValueError, match=r"^image 1 has fewer than 4 observed points$"):
         stack_images(target, [good, ([0, 1, 2], zeros[:3]), good])
-    with pytest.raises(ValueError, match=r"^counts add up to 5 points, but there are 4 ids "):
+    with pytest.raises(ValueError, match=r"^counts add up to 5 points, but there are 4 ids$"):
         cg.ObservationSet(target, [0, 1, 2, 3], zeros, [5])
     # Truncated, each of these would have made a valid set.
     for ids, counts, name in (([0.7, 1.2, 2, 3], [4], "ids"), ([0, True, 2, 3], [4], "ids"),
@@ -552,7 +553,8 @@ def test_decompose_recovers_exact_pose():
 
 def test_decompose_takes_only_a_stack():
     H = homography_from_pose(TRUE_K, identity_rotation(), np.array([0.0, 0.0, 700.0]))
-    with pytest.raises(ValueError, match=r"\(N, 3, 3\) stack"):
+    with pytest.raises(ValueError,
+                       match=r"^homographies must have shape \(N, 3, 3\), got \(3, 3\)$"):
         cg.decompose_homography(H, TRUE_K)
 
 

@@ -225,20 +225,54 @@ def test_closed_form_ignores_the_point_order(seed, trial):
                        *solve_closed_form(observations))
 
 
+def assert_scaled_intrinsics(intr, ref_intr, s):
+    """Every intrinsic of intr is s times that of the reference."""
+    assert_close([intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma],
+                 [s * ref_intr.fx, s * ref_intr.fy, s * ref_intr.cx, s * ref_intr.cy,
+                  s * ref_intr.gamma], s * ref_intr.fx)
+
+
+def assert_scaled_camera(intr, ext, ref_intr, ref_ext, s):
+    """intr and ext match the reference camera with its pixels scaled by s:
+    the intrinsics scale by s, and the rotations and the center stay."""
+    assert_scaled_intrinsics(intr, ref_intr, s)
+    assert_close(ext.t_cp, ref_ext.t_cp, ref_ext.r)
+    assert_close(ext.rotations, ref_ext.rotations, 1.0)
+
+
 @pytest.mark.parametrize("s", PIXEL_SCALES)
 @pytest.mark.parametrize("seed, trial", SCENES)
 def test_closed_form_scales_the_intrinsics_with_the_pixels(seed, trial, s):
     # Scaling every pixel by s is K -> diag(s, s, 1) K: the intrinsics scale
     # by s and the rotations and the center stay.
     observations = noisy_scene(seed, trial)
-    ref_intr, ref_ext = solve_closed_form(observations)
-    intr, ext = solve_closed_form(scaled(observations, s))
-    f = s * ref_intr.fx
-    assert_close([intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma],
-                 [s * ref_intr.fx, s * ref_intr.fy, s * ref_intr.cx, s * ref_intr.cy,
-                  s * ref_intr.gamma], f)
-    assert_close(ext.t_cp, ref_ext.t_cp, ref_ext.r)
-    assert_close(ext.rotations, ref_ext.rotations, 1.0)
+    assert_scaled_camera(*solve_closed_form(scaled(observations, s)),
+                         *solve_closed_form(observations), s)
+
+
+@pytest.mark.parametrize("s", PIXEL_SCALES)
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_minimal_solver_scales_the_intrinsics_with_the_pixels(seed, trial, s):
+    # A pair without a valid candidate has none after the scaling either.
+    pair = first_images(noisy_scene(seed, trial), 2)
+    try:
+        candidates = solve_minimal(pair)
+    except errors.CalibrationError as exc:
+        with pytest.raises(errors.CalibrationError) as raised:
+            solve_minimal(scaled(pair, s))
+        assert type(raised.value) is type(exc)
+        return
+    scaled_candidates = solve_minimal(scaled(pair, s))
+    assert len(scaled_candidates) == len(candidates)
+    for (intr, ext), (ref_intr, ref_ext) in zip(scaled_candidates, candidates):
+        assert_scaled_camera(intr, ext, ref_intr, ref_ext, s)
+
+
+@pytest.mark.parametrize("s", PIXEL_SCALES)
+@pytest.mark.parametrize("seed, trial", SCENES)
+def test_zhang_init_scales_the_intrinsics_with_the_pixels(seed, trial, s):
+    observations = noisy_scene(seed, trial)
+    assert_scaled_intrinsics(zhang_init(scaled(observations, s)), zhang_init(observations), s)
 
 
 @pytest.mark.parametrize("seed, trial", SCENES)

@@ -639,9 +639,9 @@ MALFORMED_STARTS = {
     "spherical-rotation-count": r"rotations must have shape \(3, 3, 3\), got \(2, 3, 3\)",
     "general-rotation-count": r"rotations must have shape \(3, 3, 3\), got \(2, 3, 3\)",
     "rays-and-pixels": r"pixels must have shape \(9, 2\), got \(8, 2\)",
-    "rays-flat": r"rays must have shape \(M, 3\), got \(24,\)",
-    "rays-pairs": r"rays must have shape \(M, 3\), got \(8, 2\)",
-    "rays-column": r"rays must have shape \(M, 3\), got \(8, 3, 1\)",
+    "rays-flat": r"rays must have shape \(N, 3\), got \(24,\)",
+    "rays-pairs": r"rays must have shape \(N, 3\), got \(8, 2\)",
+    "rays-column": r"rays must have shape \(N, 3\), got \(8, 3, 1\)",
     "center-pair": r"center must have shape \(3,\), got \(2,\)",
     "points-per-counts": r"points must have shape \(\d+, 3\), got \(\d+, 3\)",
 }

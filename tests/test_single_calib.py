@@ -535,8 +535,31 @@ def test_pipeline_refuses_ids_and_pixels_of_unequal_length(count):
     image, _ = calibration_image()
     assert len(image.ids) == 88
     pixels = np.resize(image.uv, (count, 2))
-    with pytest.raises(ValueError, match=f"88 point ids but {count} pixels"):
+    with pytest.raises(ValueError, match=rf"^calibration pixels must have shape \(88, 2\), "
+                                         rf"got \({count}, 2\)$"):
         sc.calibrate_single_image(image.ids, pixels, db, image_size=(1080, 960))
+
+
+@pytest.mark.parametrize("table", ["past", "negative"])
+@pytest.mark.parametrize("entry", ["init_focal_quartic", "refine_intrinsics_angle"])
+def test_pair_stages_refuse_a_pair_table_outside_the_pixels(entry, table):
+    # The first 5 pixels with the pair table of all 88 rays used to raise
+    # numpy's IndexError, which names no argument; a negative index used to
+    # pick a pixel from the end.
+    db, _ = reference_database()
+    image, _ = calibration_image()
+    db_idx, obs_idx = db.match(image.ids)
+    i, j, g = sc.select_pairs(db.rays[db_idx])
+    pixels = image.uv[obs_idx]
+    if table == "past":
+        pixels, message = pixels[:5], r"^pairs index pixels 0 to 87, but there are 5 pixels$"
+    else:
+        i, message = np.where(i == 3, -1, i), r"^pairs index pixels -1 to 87, but there are 88 "
+    with pytest.raises(ValueError, match=message):
+        if entry == "init_focal_quartic":
+            sc.init_focal_quartic(pixels, (i, j, g), (1080, 960))
+        else:
+            sc.refine_intrinsics_angle(pixels, (i, j, g), CAL_K)
 
 
 def _rows(bad, columns=2, count=8):
