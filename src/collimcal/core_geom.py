@@ -324,6 +324,19 @@ def checked_image_size(value) -> tuple:
     return int(size[0]), int(size[1])
 
 
+def id_rows(table: np.ndarray, ids: np.ndarray):
+    """Row of each id (M,) in `table`, an array of unique ids, and whether it is there (M,).
+
+    One sorted-index lookup, shared by every id match of the package; the
+    row of an id not in `table` is arbitrary, and an empty table finds none.
+    """
+    if not len(table):
+        return np.zeros(len(ids), dtype=int), np.zeros(len(ids), dtype=bool)
+    order = np.argsort(table)
+    rows = order[np.minimum(np.searchsorted(table, ids, sorter=order), len(order) - 1)]
+    return rows, table[rows] == ids
+
+
 @dataclass(frozen=True)
 class PlanarTarget:
     """Known planar pattern: integer point ids and their (X, Y) mm positions, Z = 0."""
@@ -359,19 +372,10 @@ class PlanarTarget:
         d = self.xy - shift
         return shift, float(np.mean(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
 
-    def _rows(self, ids: np.ndarray):
-        """Row of each given point id (M,) and whether the id is on the target (M,).
-
-        The row of an id not on the target is arbitrary.
-        """
-        order = np.argsort(self.ids)
-        rows = order[np.minimum(np.searchsorted(self.ids, ids, sorter=order), len(order) - 1)]
-        return rows, self.ids[rows] == ids
-
     def xy_for(self, ids: np.ndarray) -> np.ndarray:
         """(X, Y) of each given point id, in order; KeyError names an id not on the target."""
         ids = integer_array(ids, "point ids")
-        rows, found = self._rows(ids)
+        rows, found = id_rows(self.ids, ids)
         if not np.all(found):
             raise KeyError(int(ids[~found][0]))
         return self.xy[rows]
@@ -409,7 +413,7 @@ class ObservationSet:
         bad = ~np.isfinite(uv).all(axis=1)
         if bad.any():
             raise ValueError(f"image {image[np.argmax(bad)]} has non-finite pixel coordinates")
-        rows, found = self.target._rows(ids)
+        rows, found = id_rows(self.target.ids, ids)
         if not np.all(found):
             k = image[np.argmin(found)]
             raise ValueError(f"image {k} observes ids not on the target: "
@@ -438,12 +442,6 @@ class ObservationSet:
         return _fit_observations(self)
 
 
-def _rank_deficient(H: np.ndarray) -> np.ndarray:
-    """Indices of the matrices of H (N, 3, 3) with s_min / s_max <= 1e-10."""
-    s = np.linalg.svd(H, compute_uv=False)
-    return np.flatnonzero(s[:, -1] / s[:, 0] <= 1e-10)
-
-
 def _with_scale_convention(H: np.ndarray) -> np.ndarray:
     """Scale each of H (N, 3, 3) to Frobenius norm sqrt(3) with H[2,2] > 0.
 
@@ -459,16 +457,6 @@ def _with_scale_convention(H: np.ndarray) -> np.ndarray:
         anchor = np.where(small, flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)],
                           anchor)
     return np.where((anchor > 0)[:, None, None], H, -H)
-
-
-def _checked_homographies(H: np.ndarray) -> np.ndarray:
-    """H (N, 3, 3) under the scale convention; DegenerateConfiguration names
-    the first image whose homography is rank deficient."""
-    H = _with_scale_convention(H)
-    bad = _rank_deficient(H)
-    if len(bad):
-        raise errors.DegenerateConfiguration(f"image {bad[0]}: homography is rank deficient")
-    return H
 
 
 def radial_pixels(intr_p, dist_p, x, y, z):
@@ -564,7 +552,13 @@ def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if len(ambiguous):
         raise errors.DegenerateConfiguration(
             f"image {ambiguous[0]}: homography design matrix is rank deficient")
-    return _checked_homographies(T_uv_inv @ Vt[:, -1].reshape(-1, 3, 3) @ T_xy)
+    H = _with_scale_convention(T_uv_inv @ Vt[:, -1].reshape(-1, 3, 3) @ T_xy)
+    s = np.linalg.svd(H, compute_uv=False)
+    rank_deficient = np.flatnonzero(s[:, -1] / s[:, 0] <= 1e-10)
+    if len(rank_deficient):
+        raise errors.DegenerateConfiguration(
+            f"image {rank_deficient[0]}: homography is rank deficient")
+    return H
 
 
 def _dlt_factor(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray):
@@ -634,7 +628,7 @@ class HomographyFit(NamedTuple):
 
     `matrices` (N, 3, 3) map normalized target points to normalized pixels.
     The similarity transforms that normalize pixels and target mm map
-    intrinsics, centers and homographies back to raw units: solving in raw
+    intrinsics, centers and translations back to raw units: solving in raw
     units mixes pixel and mm scales and loses half the float64 mantissa to
     cancellation in the constraint matrices.
     """
@@ -655,17 +649,9 @@ class HomographyFit(NamedTuple):
         s, m = self.target_scale, self.target_shift
         return x * s + m[0], y * s + m[1], r * s
 
-    def homographies_to_raw(self, H: np.ndarray) -> np.ndarray:
-        """Raw-unit homographies T_pix^-1 H T_tgt of normalized ones H (N, 3, 3).
-
-        They are scaled and checked as every fitted homography is.
-        """
-        s, m = self.pixel_scale, self.pixel_shift
-        pix_inv = np.array([[s, 0.0, m[0]], [0.0, s, m[1]], [0.0, 0.0, 1.0]])
-        s, m = self.target_scale, self.target_shift
-        tgt = np.array([[1.0 / s, 0.0, -m[0] / s], [0.0, 1.0 / s, -m[1] / s],
-                        [0.0, 0.0, 1.0]])
-        return _checked_homographies(pix_inv @ H @ tgt)
+    def translations_to_raw(self, R: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Raw-mm translations (N, 3) of the poses (R, t) that `matrices` decompose into."""
+        return self.target_scale * t - R[:, :, :2] @ self.target_shift
 
 
 def _fit_observations(observations: ObservationSet) -> HomographyFit:

@@ -164,10 +164,7 @@ def _intrinsics_from(parent) -> CameraIntrinsics:
 
 def _distortion_from(block) -> Distortion:
     """The block's "distortion" pair, (0, 0) when it has none."""
-    pair = block.get("distortion", [0.0, 0.0])
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise FileFormatError("distortion must be a two-element list")
-    return Distortion(*pair)
+    return Distortion(*real_array(block.get("distortion", [0.0, 0.0]), "distortion", (2,)))
 
 
 # ---------------------------------------------------------------------------

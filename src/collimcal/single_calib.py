@@ -23,6 +23,7 @@ from .core_geom import (
     Distortion,
     back_project,
     checked_image_size,
+    id_rows,
     integer_array,
     nearest_rotation,
     real_array,
@@ -73,10 +74,8 @@ class RayDatabase:
         ids = integer_array(ids, "matched point ids")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("matched point ids must be unique")
-        _, db_idx, other_idx = np.intersect1d(self.ids, ids, assume_unique=True,
-                                              return_indices=True)
-        order = np.argsort(other_idx)
-        return db_idx[order], other_idx[order]
+        rows, found = id_rows(self.ids, ids)
+        return rows[found], np.flatnonzero(found)
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ def build_ray_database(ids, pixels, ref_intrinsics: CameraIntrinsics,
         raise ValueError(f"reference image needs >= {MIN_SINGLE_IMAGE_POINTS} points, "
                          f"got {len(ids)}")
     rays = back_project(ref_intrinsics, ref_distortion, pixels)
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     return RayDatabase(ids=ids, rays=rays,
                        ref_intrinsics=ref_intrinsics, ref_distortion=ref_distortion)
 

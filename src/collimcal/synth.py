@@ -306,10 +306,15 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     singular vector.  Needs >= 3 images for the full five-parameter model;
     with exactly 2 a zero-skew row is added.
     """
+    intr = _zhang_iac(observations)
+    return observations.homography_fit.intrinsics_to_raw(intr)
+
+
+def _zhang_iac(observations: ObservationSet) -> CameraIntrinsics:
+    """The baseline's intrinsics (`zhang_init`) in the fit units of the homographies."""
     if len(observations) < 2:
         raise ValueError("baseline initialization needs at least 2 images")
-    fit = observations.homography_fit
-    u = conic_rows(fit.matrices)
+    u = conic_rows(observations.homography_fit.matrices)
     V = np.stack([u[:, 1], u[:, 0] - u[:, 3]], axis=1).reshape(-1, 6)  # u12, u11 - u22
     if len(observations) == 2:
         V = np.vstack([V, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])  # gamma = 0
@@ -317,14 +322,15 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     if s[-2] <= 1e-9 * s[0]:
         raise errors.DegenerateConfiguration(
             "absolute-conic constraint matrix is rank deficient")
-    return fit.intrinsics_to_raw(decompose_iac(Vt[-1]))
+    return decompose_iac(Vt[-1])
 
 
-def _zhang_poses(observations: ObservationSet, intr: CameraIntrinsics):
-    """Every image's pose (R (N, 3, 3), t (N, 3)) from its raw-unit homography."""
+def _zhang_poses(observations: ObservationSet):
+    """Every image's pose (R (N, 3, 3), t (N, 3) mm), from the fit's homographies
+    decomposed in fit units as the closed form's are, whatever the target's origin."""
     fit = observations.homography_fit
-    R, t, _ = decompose_homography(fit.homographies_to_raw(fit.matrices), intr)
-    return R, t
+    R, t, _ = decompose_homography(fit.matrices, _zhang_iac(observations))
+    return R, fit.translations_to_raw(R, t)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +452,7 @@ def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
                 (intr, dist, ext), _ = spherical_ba(
                     observations, (intr, Distortion(0.0, 0.0), ext))
             elif stage == "refined":
-                init = (intr, Distortion(0.0, 0.0), _zhang_poses(observations, intr))
+                init = (intr, Distortion(0.0, 0.0), _zhang_poses(observations))
                 (intr, dist, _), _ = general_ba(observations, init)
             row = _error_row(intr, dist, ext, truth)
         except errors.CalibrationError:

@@ -368,6 +368,20 @@ def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, valu
     assert not os.path.exists(out)
 
 
+def test_build_db_distortion_of_three_entries_exit_2(tmp_path, capsys):
+    ref_obs = tmp_path / "ref_obs.json"
+    cfg = write_config(tmp_path / "ref_cfg.json", image_count=1)
+    assert main(["simulate", "--config", cfg, "--out", str(ref_obs)]) == 0
+    cam = tmp_path / "cam.json"
+    fileio.write_camera_file(cam, CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0), Distortion())
+    bad = edited_copy(cam, tmp_path / "bad.json", ("distortion",), [0.1, 0.2, 0.3])
+    out = tmp_path / "db.json"
+    assert main(["build-db", "--ref-obs", str(ref_obs), "--ref-cam", str(bad),
+                 "--out", str(out)]) == 2
+    assert f"{bad}: distortion must have shape (2,), got (3,)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, block, message", [
     ("benchmark", {"sweep_values": {"noise": [0.5, NAN]}}, "noise sweep values must be finite"),
     ("benchmark", {"sweep_values": {"images": [NAN]}}, "images sweep values must be finite"),

@@ -627,23 +627,18 @@ def test_batched_homographies_match_per_image_fits():
     assert len(counts) > 50  # the stack pads images of many different sizes
 
 
-def test_raw_homographies_from_the_frame_match_raw_fits():
-    for seed in range(20):
-        obs = dropped_points_scene(seed)
-        fit = obs.homography_fit
-        raws = fit.homographies_to_raw(fit.matrices)
-        ends = np.cumsum(obs.counts)
-        for raw, lo, hi in zip(raws, ends - obs.counts, ends):
-            direct = cg.estimate_homography(obs.xy[lo:hi], obs.uv[lo:hi])
-            assert relative_difference(raw, direct) <= 1e-9
-
-
 def test_rank_deficient_homography_in_a_stack_names_the_image():
-    fit = dropped_points_scene(0).homography_fit
-    H = fit.matrices[:4].copy()
-    H[2] = np.outer([1.0, 2.0, 3.0], [1.0, 0.0, 1.0])
-    with pytest.raises(errors.DegenerateConfiguration, match="image 2: homography is rank deficient"):
-        fit.homographies_to_raw(H)
+    # Image 2's pixels lie on the line v = 2u + 5, an affine map of the
+    # target points: its homography is unique but of rank 2.
+    obs = dropped_points_scene(0)
+    images = split_images(obs)[:4]
+    ids = images[2][0]
+    xy = obs.target.xy_for(ids)
+    u = 0.5 * xy[:, 0] + 0.2 * xy[:, 1] + 100.0
+    images[2] = (ids, np.column_stack([u, 2.0 * u + 5.0]))
+    with pytest.raises(errors.DegenerateConfiguration,
+                       match="^image 2: homography is rank deficient$"):
+        stack_images(obs.target, images).homography_fit
 
 
 def reference_decomposition(H, intr):
@@ -660,8 +655,9 @@ def reference_decomposition(H, intr):
 def test_batched_decomposition_matches_per_image_decomposition():
     for seed in range(20):
         config, _, _ = scene(seed=seed)
-        fit = dropped_points_scene(seed).homography_fit
-        raw = fit.homographies_to_raw(fit.matrices)
+        obs = dropped_points_scene(seed)
+        raw = np.array([cg.estimate_homography(obs.target.xy_for(ids), uv)
+                        for ids, uv in split_images(obs)])
         rotations, t, lam = cg.decompose_homography(raw, config.intrinsics)
         for k, H in enumerate(raw):
             R_ref, t_ref, lam_ref = reference_decomposition(H, config.intrinsics)

@@ -17,7 +17,6 @@ from collimcal.core_geom import (
     Distortion,
     ObservationSet,
     PlanarTarget,
-    decompose_homography,
 )
 from collimcal.multi_solver import (
     SphericalExtrinsics,
@@ -306,10 +305,7 @@ def test_degeneracy_report_ignores_the_id_labels(seed, trial):
 
 def general_start(observations):
     """The free-motion BA's start: `zhang_init` and the poses of its homographies."""
-    intr = zhang_init(observations)
-    fit = observations.homography_fit
-    R, t, _ = decompose_homography(fit.homographies_to_raw(fit.matrices), intr)
-    return intr, Distortion(), (R, t)
+    return zhang_init(observations), Distortion(), synth._zhang_poses(observations)
 
 
 @pytest.mark.parametrize("seed, trial", SCENES)

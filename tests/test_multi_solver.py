@@ -432,8 +432,8 @@ def test_homographies_fitted_once_per_observation_set(monkeypatch):
     _, _, obs = scene(seed=2, pixel_noise_sigma=0.5)
     ms.detect_degeneracy(obs)
     ms.solve_closed_form(obs)
-    intr = synth.zhang_init(obs)
-    synth._zhang_poses(obs, intr)
+    synth.zhang_init(obs)
+    synth._zhang_poses(obs)
     assert fitted == [len(obs)]
 
 

@@ -490,6 +490,9 @@ def test_match_equals_a_dict_reference_in_the_observed_order():
         db.match([db_ids[0], 7, db_ids[0]])
     with pytest.raises(ValueError, match="^matched point ids must be integers"):
         db.match([db_ids[0] + 0.5, 7])
+    empty = sc.RayDatabase(ids=np.zeros(0, dtype=int), rays=np.zeros((0, 3)),
+                           ref_intrinsics=REF_K, ref_distortion=Distortion())
+    assert [len(idx) for idx in empty.match([3, 1, 2])] == [0, 0]
 
 
 def test_pipeline_drops_unmatched_ids():

@@ -11,9 +11,12 @@ from collimcal.core_geom import (
     MIN_IMAGE_POINTS,
     CameraIntrinsics,
     Distortion,
+    ObservationSet,
+    PlanarTarget,
     back_project,
     project,
 )
+from collimcal.refine import general_ba
 from conftest import (
     angular_distance,
     motion_matrix,
@@ -370,6 +373,25 @@ def test_zhang_degenerate_rotation_set_rejected():
         [rotation_from_axis_angle([0.1, -0.07, 0.02])], extra_pairs=(0.4, -0.6))
     with pytest.raises((errors.DegenerateConfiguration, errors.NotPositiveDefinite)):
         synth.zhang_init(obs)
+
+
+@pytest.mark.parametrize("move", [(3000.0, 0.0), (-8000.0, 3000.0)], ids=["3m", "8.5m"])
+def test_baseline_start_does_not_depend_on_the_target_origin(move):
+    # Moving the target's coordinates by d moves each pose's translation by
+    # exactly -R[:, :2] d and leaves R alone; a start decomposed in raw mm
+    # picks the mirrored pose far off the pattern, and the BA then fails.
+    d = np.array(move)
+    for trial in range(20):
+        _, _, obs = scene(seed=0, trial=trial, pixel_noise_sigma=1.0)
+        moved = ObservationSet(PlanarTarget(obs.target.ids, obs.target.xy + d), obs.ids,
+                               obs.uv, obs.counts)
+        R0, t0 = synth._zhang_poses(obs)
+        R, t = synth._zhang_poses(moved)
+        assert np.max(np.abs(R - R0)) <= 1e-12
+        expected = t0 - R0[:, :, :2] @ d
+        assert np.max(np.linalg.norm(t - expected, axis=1)
+                      / np.linalg.norm(expected, axis=1)) <= 1e-12
+        general_ba(moved, (synth.zhang_init(moved), Distortion(), (R, t)))
 
 
 def test_zhang_noisier_than_constrained_solver():
