@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import errors, fileio, synth
-from .core_geom import Distortion, axis_angle_from_rotation_matrix
-from .multi_solver import detect_degeneracy, solve_closed_form, solve_minimal
-from .refine import spherical_ba, spherical_problem, unrefined_report
+from .core_geom import axis_angle_from_rotation_matrix
+from .multi_solver import detect_degeneracy
+from .refine import spherical_problem, unrefined_report
 from .single_calib import build_ray_database, calibrate_single_image
 
 EXIT_OK = 0
@@ -113,19 +113,12 @@ def cmd_calibrate(args) -> int:
             "n_dropped": result.n_dropped,
         })
     else:
-        # The solvers own the image-count rule of their mode.
-        if args.mode == "nimg":
-            intr, ext = solve_closed_form(observations)
-        else:
-            candidates = solve_minimal(observations)
-            report["candidate_count"] = len(candidates)
-            intr, ext = candidates[0]
+        result = synth.calibrate(observations, args.mode, refine=not args.no_refine)
+        if args.mode == "minimal":
+            report["candidate_count"] = result.candidate_count
         report["degeneracy"] = dataclasses.asdict(detect_degeneracy(observations))
-        dist = Distortion(0.0, 0.0)
-        if args.no_refine:
-            fit = unrefined_report(spherical_problem(observations, (intr, dist, ext)))
-        else:
-            (intr, dist, ext), fit = spherical_ba(observations, (intr, dist, ext))
+        intr, dist, ext = result.intrinsics, result.distortion, result.extrinsics
+        fit = result.report or unrefined_report(spherical_problem(observations, (intr, dist, ext)))
         report.update({
             "t_cp_mm": [float(v) for v in ext.t_cp],
             "rotations_axis_angle": fileio.rotations_payload(ext.rotations),

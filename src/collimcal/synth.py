@@ -38,8 +38,9 @@ from .core_geom import (
     real_number,
     rotation_matrix_from_axis_angle,
 )
-from .multi_solver import conic_rows, decompose_iac, solve_closed_form
-from .refine import general_ba, spherical_ba
+from .multi_solver import (SphericalExtrinsics, conic_rows, decompose_iac,
+                           solve_closed_form, solve_minimal)
+from .refine import ResidualReport, general_ba, spherical_ba
 
 MAX_TILT_DEG = 30.0
 POSE_ATTEMPTS = 100
@@ -48,9 +49,11 @@ TRIAL_IMAGE_POINTS = 20
 
 PARAM_NAMES = ("fx", "fy", "cx", "cy", "gamma", "d1", "d2", "x", "y", "r")
 
-_ARM_LABELS = {"ours": ("ours", "init"), "ours_ba": ("ours", "refined"),
-               "zhang": ("zhang", "init"), "zhang_ba": ("zhang", "refined")}
-SOLVER_ARMS = tuple(_ARM_LABELS)
+# The one arm table: each solver arm's TrialStats labels (solver, stage), then
+# the mode and the refine flag of its one `calibrate` call.
+_ARMS = {"ours": ("ours", "init", "nimg", False), "ours_ba": ("ours", "refined", "nimg", True),
+         "zhang": ("zhang", "init", "zhang", False), "zhang_ba": ("zhang", "refined", "zhang", True)}
+SOLVER_ARMS = tuple(_ARMS)
 
 # The protocol's sweeps: each kind's SyntheticConfig field and default values.
 SWEEPS = {
@@ -306,8 +309,7 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     singular vector.  Needs >= 3 images for the full five-parameter model;
     with exactly 2 a zero-skew row is added.
     """
-    intr = _zhang_iac(observations)
-    return observations.homography_fit.intrinsics_to_raw(intr)
+    return observations.homography_fit.intrinsics_to_raw(_zhang_iac(observations))
 
 
 def _zhang_iac(observations: ObservationSet) -> CameraIntrinsics:
@@ -325,12 +327,59 @@ def _zhang_iac(observations: ObservationSet) -> CameraIntrinsics:
     return decompose_iac(Vt[-1])
 
 
-def _zhang_poses(observations: ObservationSet):
-    """Every image's pose (R (N, 3, 3), t (N, 3) mm), from the fit's homographies
-    decomposed in fit units as the closed form's are, whatever the target's origin."""
-    fit = observations.homography_fit
-    R, t, _ = decompose_homography(fit.matrices, _zhang_iac(observations))
-    return R, fit.translations_to_raw(R, t)
+# ---------------------------------------------------------------------------
+# the calibration pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Calibration:
+    """One `calibrate` result, in raw units.
+
+    `extrinsics` is the SphericalExtrinsics of the `nimg` and `minimal`
+    modes, the refined `zhang` mode's poses (R (N, 3, 3), t (N, 3) mm),
+    and None for the unrefined `zhang` mode.  Unrefined, `distortion` is
+    the start's zero distortion and `report` is None.  `start` holds the
+    mode's start candidates, best first, and `candidate_count` their number.
+    """
+
+    intrinsics: CameraIntrinsics
+    extrinsics: SphericalExtrinsics | tuple | None
+    distortion: Distortion
+    report: ResidualReport | None
+    candidate_count: int
+    start: list
+
+
+def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True,
+              start=None) -> Calibration:
+    """One calibration of `observations`: the mode's start, then its bundle adjustment.
+
+    The start of `nimg` is `solve_closed_form`, that of `minimal` the best
+    of `solve_minimal`'s candidates, and that of `zhang`, the plane-based
+    baseline, its absolute conic's intrinsics in the fit's units, solved
+    once.  With `refine` the bundle adjustment runs from zero distortion:
+    `spherical_ba` for `nimg` and `minimal`, and `general_ba` for `zhang`,
+    from the poses of the fit's homographies decomposed with those fit-unit
+    intrinsics.  `start` is the `start` of an earlier result of the same
+    mode on the same observations, used in place of solving the start
+    again.  The solvers own each mode's image-count rule.
+    """
+    if mode not in ("nimg", "minimal", "zhang"):
+        raise ValueError(f"unknown calibration mode {mode!r}")
+    if start is None:
+        start = ([_zhang_iac(observations)] if mode == "zhang"
+                 else [solve_closed_form(observations)] if mode == "nimg"
+                 else solve_minimal(observations))
+    fit, zero = observations.homography_fit, Distortion(0.0, 0.0)
+    intr, ext = (fit.intrinsics_to_raw(start[0]), None) if mode == "zhang" else start[0]
+    if not refine:
+        return Calibration(intr, ext, zero, None, len(start), start)
+    if mode == "zhang":
+        R, t, _ = decompose_homography(fit.matrices, start[0])
+        ext = (R, fit.translations_to_raw(R, t))
+    adjust = general_ba if mode == "zhang" else spherical_ba
+    (intr, dist, ext), report = adjust(observations, (intr, zero, ext))
+    return Calibration(intr, ext, dist, report, len(start), start)
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +430,17 @@ def _config_for(config: SyntheticConfig, sweep_kind: str, value) -> SyntheticCon
     return replace(config, **{SWEEPS[sweep_kind][0]: int(number) if images else number})
 
 
-def _error_row(intr, dist, ext, truth) -> np.ndarray:
-    row = np.full(10, np.nan)
-    row[0] = intr.fx - truth[0]
-    row[1] = intr.fy - truth[1]
-    row[2] = intr.cx - truth[2]
-    row[3] = intr.cy - truth[3]
-    row[4] = intr.gamma - truth[4]
-    if dist is not None:
-        row[5] = dist.d1 - truth[5]
-        row[6] = dist.d2 - truth[6]
-    if ext is not None:
-        row[7] = ext.x - truth[7]
-        row[8] = ext.y - truth[8]
-        row[9] = ext.r - truth[9]
-    return row
+def _error_row(result: Calibration, truth: np.ndarray) -> np.ndarray:
+    """The signed errors of a `calibrate` result, ordered as PARAM_NAMES.
+
+    Distortion is NaN unless refined, and the center NaN unless the result
+    has spherical extrinsics.
+    """
+    intr, dist, ext = result.intrinsics, result.distortion, result.extrinsics
+    values = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma]
+    values += [np.nan] * 2 if result.report is None else [dist.d1, dist.d2]
+    values += [ext.x, ext.y, ext.r] if isinstance(ext, SphericalExtrinsics) else [np.nan] * 3
+    return np.array(values) - truth
 
 
 def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
@@ -422,7 +467,7 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
     scene is drawn.
     """
     for arm in arms:
-        if arm not in _ARM_LABELS:
+        if arm not in _ARMS:
             raise ValueError(f"unknown solver arm {arm!r}")
     rngs = [np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
             for t in trials]
@@ -434,27 +479,19 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
 def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
     """Every requested solver arm on one scene: {arm: (error_row, seconds)}.
 
-    An initial arm computes its start, (intrinsics, extrinsics or None),
-    each time it runs; a refined arm reuses the start of its initial arm
-    when that arm ran before it, and its seconds then exclude the start.
+    Each arm is one `calibrate` call.  An initial arm solves its mode's
+    start each time it runs; a refined arm reuses the start of its initial
+    arm when that arm ran before it, and its seconds then exclude the start.
     """
     results, starts = {}, {}
     for arm in arms:
-        solver, stage = _ARM_LABELS[arm]
+        _, _, mode, refined = _ARMS[arm]
         start = time.perf_counter()
         try:
-            if stage == "init" or solver not in starts:
-                starts[solver] = (solve_closed_form(observations) if solver == "ours"
-                                  else (zhang_init(observations), None))
-            intr, ext = starts[solver]
-            dist = None
-            if stage == "refined" and solver == "ours":
-                (intr, dist, ext), _ = spherical_ba(
-                    observations, (intr, Distortion(0.0, 0.0), ext))
-            elif stage == "refined":
-                init = (intr, Distortion(0.0, 0.0), _zhang_poses(observations))
-                (intr, dist, _), _ = general_ba(observations, init)
-            row = _error_row(intr, dist, ext, truth)
+            result = calibrate(observations, mode, refine=refined,
+                               start=starts.get(mode) if refined else None)
+            starts[mode] = result.start
+            row = _error_row(result, truth)
         except errors.CalibrationError:
             row = None
         results[arm] = (row, time.perf_counter() - start)
@@ -549,7 +586,7 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
             fails = int(np.sum(np.all(np.isnan(trials), axis=1)))
             if fails > n // 2:
                 failures.append(f"sweep point {value} arm {arm}: {fails}/{n} trials failed")
-            all_stats.append(TrialStats(float(value), *_ARM_LABELS[arm],
+            all_stats.append(TrialStats(float(value), *_ARMS[arm][:2],
                                         truth=point_config.truth_vector(), trials=trials,
                                         seconds=np.array(seconds), fail_count=fails))
     if failures:

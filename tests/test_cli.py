@@ -112,6 +112,30 @@ def test_calibrate_no_refine_stage(sim_file, tmp_path):
     assert report["rms_reprojection_px"] < 1e-9
 
 
+@pytest.mark.parametrize("mode, images, extra", [
+    ("nimg", None, ()), ("nimg", None, ("--no-refine",)), ("minimal", [0, 1], ()),
+], ids=["nimg", "nimg-no-refine", "minimal"])
+def test_calibrate_reports_the_pipelines_result(sim_file, tmp_path, mode, images, extra):
+    # The report's numbers are those of `synth.calibrate` on the same
+    # observations, bit for bit (JSON floats round-trip exactly).
+    path = sim_file
+    if images is not None:
+        path = tmp_path / "cut.json"
+        observations = fileio.read_observation_file(sim_file).observations
+        fileio.write_observation_file(path, pick_images(observations, images))
+    out = tmp_path / "report.json"
+    assert main(["calibrate", "--in", str(path), "--mode", mode, "--out", str(out),
+                 *extra]) == 0
+    report = json.loads(out.read_text())
+    result = synth.calibrate(fileio.read_observation_file(path).observations, mode,
+                             refine=not extra)
+    assert report["intrinsics"] == dataclasses.asdict(result.intrinsics)
+    assert report["distortion"] == [result.distortion.d1, result.distortion.d2]
+    assert report["t_cp_mm"] == result.extrinsics.t_cp.tolist()
+    assert report.get("candidate_count") == (result.candidate_count
+                                             if mode == "minimal" else None)
+
+
 def test_calibrate_minimal_mode(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", image_count=2)
     obs = tmp_path / "two.json"

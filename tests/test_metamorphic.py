@@ -24,7 +24,7 @@ from collimcal.multi_solver import (
     solve_closed_form,
     solve_minimal,
 )
-from collimcal.refine import general_ba, spherical_ba
+from collimcal.refine import spherical_ba
 from collimcal.single_calib import RayDatabase, build_ray_database, calibrate_single_image
 from collimcal.synth import zhang_init
 from conftest import first_images, pick_images, rotation_from_axis_angle, scene
@@ -303,18 +303,18 @@ def test_degeneracy_report_ignores_the_id_labels(seed, trial):
     assert detect_degeneracy(relabeled(observations)) == report
 
 
-def general_start(observations):
-    """The free-motion BA's start: `zhang_init` and the poses of its homographies."""
-    return zhang_init(observations), Distortion(), synth._zhang_poses(observations)
+def baseline(observations):
+    """The free-motion BA's refined triple and report, as `calibrate` runs it in
+    the `zhang` mode: from the baseline's conic and the poses of its homographies."""
+    result = synth.calibrate(observations, "zhang")
+    return (result.intrinsics, result.distortion, result.extrinsics), result.report
 
 
 @pytest.mark.parametrize("seed, trial", SCENES)
 def test_general_ba_moves_the_principal_point_with_a_pixel_shift(seed, trial):
     observations = noisy_scene(seed, trial)
-    (ref_intr, ref_dist, (ref_R, ref_t)), ref_report = general_ba(
-        observations, general_start(observations))
-    (intr, dist, (R, t)), report = general_ba(shifted(observations),
-                                              general_start(shifted(observations)))
+    (ref_intr, ref_dist, (ref_R, ref_t)), ref_report = baseline(observations)
+    (intr, dist, (R, t)), report = baseline(shifted(observations))
     f = ref_intr.fx
     assert_close([intr.fx, intr.fy, intr.gamma], [f, ref_intr.fy, ref_intr.gamma], f)
     assert_close([intr.cx, intr.cy], [ref_intr.cx + SHIFT[0], ref_intr.cy + SHIFT[1]], f)

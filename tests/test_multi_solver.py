@@ -273,6 +273,19 @@ def test_closed_form_rank_deficient_system_rejected(noiseless_scene):
         ms.solve_closed_form(tripled)
 
 
+def test_closed_form_refuses_a_system_past_the_rank_cutoff(monkeypatch):
+    # Singular values 1e3 ... 1e-6: none is zero, but sigma_min/sigma_max =
+    # 1e-9 lies below RANK_RATIO_CUTOFF.
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.normal(size=(66, 11)))
+    V, _ = np.linalg.qr(rng.normal(size=(11, 11)))
+    d = U @ np.diag(np.logspace(3, -6, 11)) @ V.T
+    monkeypatch.setattr(ms, "build_linear_system", lambda H: (d, rng.normal(size=66)))
+    _, _, obs = scene(seed=0, pixel_noise_sigma=0.5)
+    with pytest.raises(errors.DegenerateConfiguration, match="rank deficient"):
+        ms.solve_closed_form(obs)
+
+
 def test_closed_form_degenerate_rotations_rejected():
     obs = z_rotated_observation_set(
         [rotation_from_axis_angle([0.12, -0.06, 0.03])], extra_pairs=(0.5, -0.8))
@@ -298,6 +311,16 @@ def test_minimal_solver_filters_spurious_root(noiseless_scene):
     _, _, obs = noiseless_scene
     candidates = ms.solve_minimal(first_images(obs, 2))
     assert len(candidates) == 1
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-3])
+def test_hidden_variable_roots_drop_a_complex_pair(s):
+    # B = E U puts U's rows in rows 2 and 5, so with A = I the eigenvalues
+    # are those of U's columns 2 and 5: s (1 +- i), complex at every scale.
+    U = np.zeros((2, 6))
+    U[:, [2, 5]] = s * np.array([[1.0, -1.0], [1.0, 1.0]])
+    with pytest.raises(errors.NoRealRoot, match="no real finite root"):
+        ms._hidden_variable_roots(np.eye(6), np.eye(6)[:, 2::3] @ U)
 
 
 def test_minimal_solver_arity():
@@ -374,6 +397,17 @@ def test_detect_z_rotation_pair():
     assert not report.pure_translation_pairs
 
 
+def test_pair_flags_divide_out_the_homography_scale():
+    # A relative homography is known up to scale: 2 I is a pure translation
+    # (and a rotation by 0 about z), 3 times a plane rotation a z-rotation.
+    c, s = np.cos(0.3), np.sin(0.3)
+    plane_rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    translation, z_rotation = ms._degenerate_pair_flags(
+        np.stack([2.0 * np.eye(3), 3.0 * plane_rotation]))
+    assert translation.tolist() == [True, False]
+    assert z_rotation.tolist() == [True, True]
+
+
 def test_degenerate_pairs_match_pairwise_reference():
     # Reference: each pair's relative homography built on its own and
     # checked entry by entry, as the batched flags must reproduce.
@@ -433,7 +467,7 @@ def test_homographies_fitted_once_per_observation_set(monkeypatch):
     ms.detect_degeneracy(obs)
     ms.solve_closed_form(obs)
     synth.zhang_init(obs)
-    synth._zhang_poses(obs)
+    synth.calibrate(obs, "zhang")
     assert fitted == [len(obs)]
 
 

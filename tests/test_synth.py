@@ -16,6 +16,7 @@ from collimcal.core_geom import (
     back_project,
     project,
 )
+from collimcal.multi_solver import conic_rows
 from collimcal.refine import general_ba
 from conftest import (
     angular_distance,
@@ -376,22 +377,88 @@ def test_zhang_degenerate_rotation_set_rejected():
 
 
 @pytest.mark.parametrize("move", [(3000.0, 0.0), (-8000.0, 3000.0)], ids=["3m", "8.5m"])
-def test_baseline_start_does_not_depend_on_the_target_origin(move):
+def test_baseline_start_does_not_depend_on_the_target_origin(move, monkeypatch):
     # Moving the target's coordinates by d moves each pose's translation by
     # exactly -R[:, :2] d and leaves R alone; a start decomposed in raw mm
     # picks the mirrored pose far off the pattern, and the BA then fails.
+    # The poses are those the `zhang` mode of `calibrate` hands `general_ba`.
+    poses = []
+
+    def recording_ba(observations, init):
+        poses.append(init[2])
+        return general_ba(observations, init)
+
+    monkeypatch.setattr(synth, "general_ba", recording_ba)
     d = np.array(move)
     for trial in range(20):
         _, _, obs = scene(seed=0, trial=trial, pixel_noise_sigma=1.0)
         moved = ObservationSet(PlanarTarget(obs.target.ids, obs.target.xy + d), obs.ids,
                                obs.uv, obs.counts)
-        R0, t0 = synth._zhang_poses(obs)
-        R, t = synth._zhang_poses(moved)
+        synth.calibrate(obs, "zhang")
+        synth.calibrate(moved, "zhang")
+        (R0, t0), (R, t) = poses[-2:]
         assert np.max(np.abs(R - R0)) <= 1e-12
         expected = t0 - R0[:, :, :2] @ d
         assert np.max(np.linalg.norm(t - expected, axis=1)
                       / np.linalg.norm(expected, axis=1)) <= 1e-12
-        general_ba(moved, (synth.zhang_init(moved), Distortion(), (R, t)))
+
+
+# ---------------------------------------------------------------------------
+# calibration pipeline
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("arms", [("zhang", "zhang_ba"), ("zhang_ba",)], ids=["both", "refined"])
+def test_baseline_conic_is_solved_once_per_scene(arms, monkeypatch):
+    # The refined arm takes its start and its poses from the one conic solve.
+    solves = []
+
+    def counting_rows(H):
+        solves.append(len(H))
+        return conic_rows(H)
+
+    monkeypatch.setattr(synth, "conic_rows", counting_rows)
+    config, _, obs = scene(seed=0, trial=0, pixel_noise_sigma=1.0)
+    results = synth._run_arms(obs, config.truth_vector(), arms)
+    assert all(row is not None for row, _ in results.values())
+    assert solves == [len(obs)]
+
+
+def test_every_arm_is_its_calibrate_call():
+    config, _, obs = scene(seed=0, trial=1, pixel_noise_sigma=1.0)
+    truth = config.truth_vector()
+    results = synth._run_arms(obs, truth, synth.SOLVER_ARMS)
+    calls = {"ours": ("nimg", False), "ours_ba": ("nimg", True),
+             "zhang": ("zhang", False), "zhang_ba": ("zhang", True)}
+    assert set(calls) == set(synth.SOLVER_ARMS)
+    for arm, (mode, refine) in calls.items():
+        expected = synth._error_row(synth.calibrate(obs, mode, refine=refine), truth)
+        assert results[arm][0].tobytes() == expected.tobytes(), arm
+    # An initial arm estimates no distortion, and only "ours" has a center.
+    assert np.isnan(results["zhang"][0][5:]).all() and np.isnan(results["ours"][0][5:7]).all()
+    assert np.isnan(results["zhang_ba"][0][7:]).all()
+    assert np.isfinite(results["ours_ba"][0]).all()
+
+
+def test_calibrate_refuses_an_unknown_mode():
+    _, _, obs = scene(seed=0, trial=0)
+    with pytest.raises(ValueError, match="unknown calibration mode 'single'"):
+        synth.calibrate(obs, "single")
+
+
+def test_a_refined_call_reuses_the_start_it_is_given(monkeypatch):
+    _, _, obs = scene(seed=0, trial=2, pixel_noise_sigma=1.0)
+    starts = {mode: synth.calibrate(obs, mode, refine=False).start for mode in ("nimg", "zhang")}
+    expected = {mode: synth.calibrate(obs, mode) for mode in starts}
+
+    def no_solve(*_):
+        raise AssertionError("the start was solved again")
+
+    for name in ("solve_closed_form", "solve_minimal", "conic_rows"):
+        monkeypatch.setattr(synth, name, no_solve)
+    for mode, start in starts.items():
+        result = synth.calibrate(obs, mode, start=start)
+        assert result.intrinsics == expected[mode].intrinsics
+        assert result.distortion == expected[mode].distortion
 
 
 def test_zhang_noisier_than_constrained_solver():
