@@ -147,7 +147,10 @@ def cmd_build_db(args) -> int:
         raise fileio.FileFormatError(
             f"reference file must hold exactly 1 image, got {len(data.observations)}")
     intr, dist = fileio.read_camera_file(args.ref_cam)
-    database = build_ray_database(data.observations.ids, data.observations.uv, intr, dist)
+    try:
+        database = build_ray_database(data.observations.ids, data.observations.uv, intr, dist)
+    except ValueError as exc:  # each file reads, but their rays do not
+        raise fileio.FileFormatError(f"{args.ref_obs} with {args.ref_cam}: {exc}") from exc
     fileio.write_ray_database(args.out, database)
     print(f"wrote {args.out}: {len(database)} rays")
     return EXIT_OK

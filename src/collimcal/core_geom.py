@@ -12,9 +12,10 @@ Coordinate conventions used throughout the package:
 A rotation is a plain (3, 3) float array and the rotations of several
 images are one (N, 3, 3) stack, with the translations, where there are
 any, an (N, 3) array beside it.  `checked_rotations` is the one check
-that a stack holds proper rotations; the solvers apply it where a stack
-is handed in (`SphericalExtrinsics` and the bundle adjustments' one
-entry).  A stack the package makes needs no check: Rodrigues' formula,
+that a stack holds proper rotations.  It runs where a stack is handed in
+(the bundle adjustments' one entry) and wherever a `SphericalExtrinsics`
+is built, so the closed-form, minimal and `spherical_ba` results pass it
+too.  The package checks no other stack it makes: Rodrigues' formula,
 the SVD-nearest rotation with its determinant flip and the bundle
 adjustments' Newton-Schulz polar step each give proper rotations to
 rounding.
@@ -38,7 +39,13 @@ function and type of the package gives `real_array` the shape it takes,
 (None, 2) for N points, (len(ids), 3) for one row per id or (..., 3, 3)
 for one matrix or a stack, and a mismatch raises "<name> must have
 shape (N, 2), got (2, 88)"; `integer_array` takes only (N,).  An
-argument is checked for its shape, never reshaped into it.
+argument is checked for its shape, never reshaped into it.  Finiteness
+has one rule too: an argument that must be finite (target coordinates,
+homographies, rotation stacks, reference rays) is taken by
+`finite_array`, which is `real_array` and then "<name> must be finite".
+`real_array` itself does not test it, since it also runs on every
+bundle-adjustment step, where a non-finite trial step is rejected, not
+raised.
 """
 
 from __future__ import annotations
@@ -139,9 +146,7 @@ def checked_rotations(R: np.ndarray) -> np.ndarray:
     the first matrix that is not orthonormal, or whose determinant is not
     +1, within ROTATION_TOLERANCE.
     """
-    R = real_array(R, "rotations", (None, 3, 3))
-    if not np.isfinite(R).all():
-        raise ValueError("rotations must be finite")
+    R = finite_array(R, "rotations", (None, 3, 3))
     skewed = np.max(np.abs(R.transpose(0, 2, 1) @ R - np.eye(3)), axis=(1, 2)) > ROTATION_TOLERANCE
     improper = np.abs(np.linalg.det(R) - 1.0) > ROTATION_TOLERANCE
     bad = np.flatnonzero(skewed | improper)
@@ -171,9 +176,7 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     Raises ValueError for an entry of M that is not finite, which the SVD
     would turn into a LinAlgError or an all-NaN result.
     """
-    M = real_array(M, "M", (..., 3, 3))
-    if not np.isfinite(M).all():
-        raise ValueError("M must be finite")
+    M = finite_array(M, "M", (..., 3, 3))
     U, _, Vt = np.linalg.svd(M)
     R = U @ Vt
     flip = np.linalg.det(R) < 0
@@ -284,6 +287,16 @@ def real_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
     return array if shape is None else _shaped(array, name, shape)
 
 
+def finite_array(values, name: str, shape: tuple | None = None) -> np.ndarray:
+    """`real_array(values, name, shape)`, and ValueError "<name> must be finite"
+    unless every entry is.  The one finiteness check of an array argument.
+    """
+    array = real_array(values, name, shape)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
 def _shaped(array: np.ndarray, name: str, shape: tuple) -> np.ndarray:
     """`array`, checked to have `shape` as `real_array` reads it."""
     trailing = shape[:1] == (...,)
@@ -346,9 +359,7 @@ class PlanarTarget:
 
     def __post_init__(self):
         ids = integer_array(self.ids, "target point ids")
-        xy = real_array(self.xy, "target coordinates", (len(ids), 2))
-        if not np.isfinite(xy).all():
-            raise ValueError("target coordinates must be finite")
+        xy = finite_array(self.xy, "target coordinates", (len(ids), 2))
         sorted_ids = np.sort(ids)
         if (sorted_ids[1:] == sorted_ids[:-1]).any():
             raise ValueError("target point ids must be unique")
@@ -502,7 +513,7 @@ def undistort_normalized(dist: Distortion, xy_distorted: np.ndarray) -> np.ndarr
     for _ in range(UNDISTORT_MAX_ITERATIONS):
         f = dist.factor(np.sum(x * x, axis=1))
         x_new = xd / f[:, None]
-        step = np.max(np.abs(x_new - x))
+        step = np.max(np.abs(x_new - x), initial=0.0)  # 0 for no points
         x = x_new
         if step < UNDISTORT_TOLERANCE:
             return x
@@ -614,12 +625,10 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
     It is scaled and rank-checked as every fitted homography is.  Fewer
     than 4 point pairs or a non-finite coordinate raise ValueError.
     """
-    X = real_array(target_xy, "target_xy", (None, 2))
-    U = real_array(pixels_uv, "pixels_uv", (len(X), 2))
+    X = finite_array(target_xy, "target_xy", (None, 2))
+    U = finite_array(pixels_uv, "pixels_uv", (len(X), 2))
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 point pairs")
-    if not (np.isfinite(X).all() and np.isfinite(U).all()):
-        raise ValueError("homography point coordinates must be finite")
     return _dlt(X, U, np.array([len(X)]))[0]
 
 
@@ -679,9 +688,7 @@ def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
     sign is chosen so the target origin lies in front of the camera
     (t[2] > 0) and the rotations are re-orthogonalized by SVD.
     """
-    H = real_array(H, "homographies", (None, 3, 3))
-    if not np.isfinite(H).all():
-        raise ValueError("homographies must be finite")
+    H = finite_array(H, "homographies", (None, 3, 3))
     M = intr.inverse @ H
     M2 = M * M
     n = np.sqrt(M2[:, 0, :2] + M2[:, 1, :2] + M2[:, 2, :2])  # norms of the columns r1, r2

@@ -31,6 +31,7 @@ from .core_geom import (
     PlanarTarget,
     axis_angle_from_rotation_matrix,
     checked_image_size,
+    finite_array,
     integer_array,
     real_array,
     real_number,
@@ -59,14 +60,10 @@ class GroundTruth:
     rotations: np.ndarray | None
 
     def __post_init__(self):
-        object.__setattr__(self, "t_cp", real_array(self.t_cp, "ground truth t_cp", (3,)))
+        object.__setattr__(self, "t_cp", finite_array(self.t_cp, "ground truth t_cp", (3,)))
         if self.rotations is not None:
-            object.__setattr__(self, "rotations", real_array(
+            object.__setattr__(self, "rotations", finite_array(
                 self.rotations, "ground truth rotations", (None, 3)))
-        for name in ("t_cp", "rotations"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value).all():
-                raise ValueError(f"ground truth {name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .core_geom import (
     Distortion,
     back_project,
     checked_image_size,
+    finite_array,
     id_rows,
     integer_array,
     nearest_rotation,
@@ -54,7 +55,7 @@ class RayDatabase:
 
     def __post_init__(self):
         ids = integer_array(self.ids, "database point ids")
-        rays = real_array(self.rays, "database rays", (len(ids), 3))
+        rays = finite_array(self.rays, "database rays", (len(ids), 3))
         if len(np.unique(ids)) != len(ids):
             raise ValueError("database point ids must be unique")
         norms = np.linalg.norm(rays, axis=1)
@@ -276,11 +277,8 @@ def estimate_rotation_kabsch(calib_rays: np.ndarray, db_rays: np.ndarray) -> np.
     is always a proper rotation.  The factor order is fixed by the alignment
     direction, verified by tests, not by symbol-pushing.
     """
-    q = real_array(calib_rays, "calib_rays", (None, 3))
-    qp = real_array(db_rays, "db_rays", (len(q), 3))
-    for name, rays in (("calib_rays", q), ("db_rays", qp)):
-        if not np.isfinite(rays).all():
-            raise ValueError(f"{name} must be finite")
+    q = finite_array(calib_rays, "calib_rays", (None, 3))
+    qp = finite_array(db_rays, "db_rays", (len(q), 3))
     if len(q) < 3:
         raise errors.DegenerateConfiguration("rotation fit needs >= 3 ray pairs")
     qc = q - q.mean(axis=0)

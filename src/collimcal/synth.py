@@ -33,8 +33,8 @@ from .core_geom import (
     PlanarTarget,
     checked_image_size,
     decompose_homography,
+    finite_array,
     radial_pixels,
-    real_array,
     real_number,
     rotation_matrix_from_axis_angle,
 )
@@ -124,8 +124,8 @@ class SyntheticConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        offset = real_array(self.target_offset, "target_offset", (2,)).tolist()
-        checked = {"target_offset": tuple(real_number(v, "target_offset") for v in offset),
+        checked = {"target_offset": tuple(finite_array(self.target_offset, "target_offset",
+                                                       (2,)).tolist()),
                    "image_size": checked_image_size(self.image_size)}
         for name in ("radius", "pixel_noise_sigma", "spherical_noise_sigma"):
             checked[name] = real_number(getattr(self, name), name)

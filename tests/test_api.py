@@ -487,6 +487,28 @@ def test_every_array_argument_refuses_a_wrong_shape_by_name(entry, case):
         call(value.T if case == "transposed" else value[..., :-1])
 
 
+# The fields and the rotation stack that core_geom.finite_array takes: the
+# name its error gives, a valid value and a call that takes it.  The solvers'
+# arguments it takes have tests of their own (nearest_rotation,
+# estimate_homography, decompose_homography, estimate_rotation_kabsch).
+FINITE_ARGUMENTS = {
+    **{entry: SHAPED_ARGUMENTS[entry] for entry in (
+        "PlanarTarget.xy", "RayDatabase.rays", "GroundTruth.t_cp", "GroundTruth.rotations",
+        "checked_rotations")},
+    "SyntheticConfig.target_offset": ("target_offset", (150.0, 105.0),
+                                      with_field(SyntheticConfig, "target_offset")),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", sorted(FINITE_ARGUMENTS))
+def test_every_finite_argument_refuses_a_non_finite_entry_by_name(entry, bad):
+    # A NaN database ray used to be refused only as not of unit norm.
+    name, value, call = FINITE_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite$"):
+        call(planted(value, bad))
+
+
 # Every id and count argument, which must be one-dimensional (N,): the name
 # its error gives, a valid value and a call that takes it.
 INTEGER_ARGUMENTS = {

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import json
 import os
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -406,6 +409,23 @@ def test_build_db_distortion_of_three_entries_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_db_overflowing_camera_names_both_files_exit_2(tmp_path, capsys):
+    # Each file reads, but cx = 1e308 overflows the back-projected rays; the
+    # refusal used to name neither file.
+    ref_obs = tmp_path / "ref_obs.json"
+    cfg = write_config(tmp_path / "ref_cfg.json", image_count=1)
+    assert main(["simulate", "--config", cfg, "--out", str(ref_obs)]) == 0
+    cam = tmp_path / "cam.json"
+    fileio.write_camera_file(cam, CameraIntrinsics(1000.0, 1000.0, 1e308, 478.0), Distortion())
+    out = tmp_path / "db.json"
+    with pytest.warns(RuntimeWarning):
+        assert main(["build-db", "--ref-obs", str(ref_obs), "--ref-cam", str(cam),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{ref_obs} with {cam}: database rays must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, block, message", [
     ("benchmark", {"sweep_values": {"noise": [0.5, NAN]}}, "noise sweep values must be finite"),
     ("benchmark", {"sweep_values": {"images": [NAN]}}, "images sweep values must be finite"),
@@ -526,6 +546,108 @@ def test_reader_errors_name_the_file_once(tmp_path, reader, keys, value):
     message = str(info.value)
     assert message.startswith(f"{path}: ")
     assert message.count(str(path)) == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input
+# ---------------------------------------------------------------------------
+
+# What a fuzzed leaf becomes: each kind of value a JSON reader hands a field,
+# and numbers at the edges of float64 and int64.
+FUZZ_LEAVES = [True, None, "1", [], {}, [[1.0, 2.0]], 0, -1, 1e308, -1e308, 2 ** 63, 2 ** 70,
+               float("nan"), float("inf")]
+
+
+def fuzz_mutate(payload, rng):
+    """Apply one seeded mutation to a JSON payload in place; returns its description.
+
+    The entry is found by descending from the root and stopping at each
+    level with probability 1/3, so that the top-level keys are not drowned
+    out by the point coordinates.
+    """
+    path, value = [], payload
+    while isinstance(value, (dict, list)) and value and (not path or rng.random() > 1 / 3):
+        path.append(rng.choice(list(value) if isinstance(value, dict) else range(len(value))))
+        value = value[path[-1]]
+    if not path:
+        return "none"
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    kinds = ["leaf", "delete"]
+    kinds += ["duplicate"] if isinstance(parent, list) else []
+    kinds += ["truncate"] if isinstance(value, list) and value else []
+    kinds += ["scale"] if type(value) in (int, float) else []
+    kind = rng.choice(kinds)
+    if kind == "leaf":
+        parent[path[-1]] = copy.deepcopy(rng.choice(FUZZ_LEAVES))
+    elif kind == "delete":
+        del parent[path[-1]]
+    elif kind == "duplicate":
+        parent.insert(path[-1], copy.deepcopy(value))
+    elif kind == "truncate":
+        del value[rng.randrange(len(value)):]
+    else:
+        parent[path[-1]] = value * rng.choice([0, -1, 1e6])
+    return f"{kind} {path}"
+
+
+def test_fuzzed_input_exits_with_a_code_and_no_traceback(tmp_path, capsys):
+    # Seeded mutations of valid inputs (a 4-image file, its 2- and 1-image
+    # cuts, a camera file and the database built from the 1-image cut) go
+    # through every command that reads them.  Each must end in exit 0, 2, 3
+    # or 4: a typed refusal or a result, never an exception.  A coordinate
+    # near 1e308 may overflow with a numpy RuntimeWarning on its way to its
+    # typed exit, so RuntimeWarnings are ignored here.
+    cfg = write_config(tmp_path / "cfg.json", image_count=4)
+    full = tmp_path / "obs4.json"
+    assert main(["simulate", "--config", cfg, "--out", str(full)]) == 0
+    payloads = {"nimg": json.loads(full.read_text())}
+    for mode, count in (("minimal", 2), ("single", 1)):
+        cut = json.loads(full.read_text())
+        cut["images"] = cut["images"][:count]
+        cut["ground_truth"]["rotations_axis_angle"] = (
+            cut["ground_truth"]["rotations_axis_angle"][:count])
+        payloads[mode] = cut
+    pristine = {name: tmp_path / f"{name}.json" for name in ("obs1", "cam", "db")}
+    pristine["obs1"].write_text(json.dumps(payloads["single"]))
+    truth = payloads["single"]["ground_truth"]["intrinsics"]
+    fileio.write_camera_file(pristine["cam"], CameraIntrinsics(**truth), Distortion())
+    assert main(["build-db", "--ref-obs", str(pristine["obs1"]), "--ref-cam",
+                 str(pristine["cam"]), "--out", str(pristine["db"])]) == 0
+    payloads["cam"] = json.loads(pristine["cam"].read_text())
+    payloads["db"] = json.loads(pristine["db"].read_text())
+
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out.json")
+    # Per case: the payload mutated, and the command that reads it as `bad`.
+    commands = [
+        ("nimg", ["calibrate", "--in", bad, "--mode", "nimg", "--out", out]),
+        ("minimal", ["calibrate", "--in", bad, "--mode", "minimal", "--out", out]),
+        ("single", ["calibrate", "--in", bad, "--mode", "single",
+                    "--reference", pristine["db"], "--out", out]),
+        ("db", ["calibrate", "--in", pristine["obs1"], "--mode", "single",
+                "--reference", bad, "--out", out]),
+        ("single", ["build-db", "--ref-obs", bad, "--ref-cam", pristine["cam"], "--out", out]),
+        ("cam", ["build-db", "--ref-obs", pristine["obs1"], "--ref-cam", bad, "--out", out]),
+    ]
+    rng = random.Random(0)
+    codes = []
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for case in range(300):
+            name, argv = rng.choice(commands)
+            payload = copy.deepcopy(payloads[name])
+            mutations = [fuzz_mutate(payload, rng) for _ in range(rng.randint(1, 3))]
+            bad.write_text(json.dumps(payload))
+            try:
+                codes.append(main([str(arg) for arg in argv]))
+            except Exception as exc:
+                pytest.fail(f"case {case}, {argv[:4]} with {mutations}: {exc!r}")
+            err = capsys.readouterr().err
+            assert codes[-1] in (0, 2, 3, 4) and "Traceback" not in err, (case, mutations, err)
+    # Most cases are refused, and some still calibrate.
+    assert codes.count(2) > 150 and codes.count(0) > 10
 
 
 # ---------------------------------------------------------------------------

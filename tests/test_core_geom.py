@@ -327,6 +327,15 @@ def test_project_back_project_round_trip_property(fx, fy, gamma, d1, d2, radius,
     assert np.max(np.abs(ray - point / np.linalg.norm(point))) <= 1e-10
 
 
+@pytest.mark.parametrize("dist", [cg.Distortion(), cg.Distortion(0.1, 0.0)],
+                         ids=["undistorted", "distorted"])
+def test_back_project_of_no_pixels_is_empty(dist):
+    # The fixed point's step test used to take the maximum of no entries.
+    rays = cg.back_project(cg.CameraIntrinsics(1000.0, 1000.0, 500.0, 500.0), dist,
+                           np.zeros((0, 2)))
+    assert rays.shape == (0, 3)
+
+
 def test_undistortion_divergence_reported():
     # Far outside the monotone window the fixed point cannot settle.
     bad = cg.Distortion(d1=-0.9, d2=0.0)
@@ -383,8 +392,31 @@ def test_homography_rejects_non_finite_coordinates(bad):
         uv[2, 1] = np.nan
     else:
         xy[4, 0] = np.inf
-    with pytest.raises(ValueError, match="coordinates must be finite"):
+    name = "pixels_uv" if bad == "nan pixel" else "target_xy"
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         cg.estimate_homography(xy, uv)
+
+
+def test_homography_tests_finiteness_before_the_point_count():
+    xy = np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(ValueError, match="^target_xy must be finite$"):
+        cg.estimate_homography(xy, xy)
+
+
+@pytest.mark.parametrize("values", [[1.0, np.nan], [[0.0, 2.0], [-np.inf, 1.0]]],
+                         ids=["nan", "inf"])
+def test_finite_array_names_a_non_finite_entry(values):
+    with pytest.raises(ValueError, match="^the values must be finite$"):
+        cg.finite_array(values, "the values")
+
+
+def test_finite_array_is_real_array_for_finite_input():
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert cg.finite_array(values, "v", (None, 2)) is values
+    with pytest.raises(ValueError, match="^v must be real numbers"):
+        cg.finite_array([True, 1.0], "v")
+    with pytest.raises(ValueError, match=r"^v must have shape \(N, 2\)"):
+        cg.finite_array([1.0, 2.0], "v", (None, 2))
 
 
 def test_homography_pass_of_no_images_is_a_value_error():

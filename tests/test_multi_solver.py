@@ -305,6 +305,16 @@ def test_minimal_solver_recovers_truth(noiseless_scene):
     assert np.allclose(ext.t_cp, TRUE_TCP, atol=1e-3)
 
 
+def test_minimal_solver_recovers_an_off_center_camera():
+    # The default optical center sits over the target's centroid, which puts
+    # it at x = y = 0 in fit units; here it is off the centroid.
+    for trial in range(10):
+        config, _, obs = scene(seed=5, trial=trial, target_offset=(60.0, 40.0))
+        intr, ext = ms.solve_minimal(first_images(obs, 2))[0]
+        assert_intrinsics_close(intr, config.intrinsics, 1e-6)
+        assert np.linalg.norm(ext.t_cp - config.t_cp) < 1e-6 * np.linalg.norm(config.t_cp)
+
+
 def test_minimal_solver_filters_spurious_root(noiseless_scene):
     # The determinant quadratic has two roots; on clean data only one
     # passes the positive-definite conic and positive-radius filters.
@@ -321,6 +331,20 @@ def test_hidden_variable_roots_drop_a_complex_pair(s):
     U[:, [2, 5]] = s * np.array([[1.0, -1.0], [1.0, 1.0]])
     with pytest.raises(errors.NoRealRoot, match="no real finite root"):
         ms._hidden_variable_roots(np.eye(6), np.eye(6)[:, 2::3] @ U)
+
+
+@pytest.mark.parametrize("error", [0.0, 1e-6])
+def test_hidden_variable_roots_newton_step_restores_the_eigenvalues(monkeypatch, error):
+    # det(A + c E U) = det(A) det(I + c U A^-1 E), and U A^-1 E = M, whose
+    # eigenvalues 2 and -0.5 put the roots at -1/lam = -0.5 and 2.  With the
+    # eigenvalues off by `error`, relative, one Newton step restores the roots.
+    A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    U = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 6))
+    U[:, [2, 5]] = np.array([[2.0, 1.0], [0.0, -0.5]]) * [3.0, 6.0]
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1.0 + error))
+    roots = ms._hidden_variable_roots(A, np.eye(6)[:, 2::3] @ U)
+    assert np.allclose(sorted(roots), [-0.5, 2.0], rtol=1e-10, atol=0.0)
 
 
 def test_minimal_solver_arity():

@@ -124,20 +124,23 @@ def test_quartic_start_camera_sits_at_the_image_center():
     assert (start.fy, start.cx, start.cy, start.gamma) == (start.fx, 540.5, 480.5, 0.0)
 
 
+def quartic_coefficients(uv, center, pairs):
+    """(a2, a1, a0) of the summed quadratic in t = 1/f^2 of `init_focal_quartic`."""
+    i, j, g = pairs
+    m = uv - center
+    alpha = np.sum(m[i] * m[j], axis=1)
+    bi, bj = np.sum(m[i] ** 2, axis=1), np.sum(m[j] ** 2, axis=1)
+    return np.array([np.sum(alpha ** 2 - g ** 2 * bi * bj),
+                     np.sum(2 * alpha - g ** 2 * (bi + bj)), np.sum(1 - g ** 2)])
+
+
 def test_quartic_polynomial_root_residual():
     # The assembled quadratic in (1/f)^2 vanishes at the true value.
     rng = np.random.default_rng(3)
     rays = random_unit_rays(rng, 30)
     cal = rays @ rotation_from_axis_angle([0.0, 0.1, -0.07]).T
     uv = (cal / cal[:, 2:3])[:, :2] * 1000.0 + np.array([540.0, 480.0])
-    m = uv - np.array([540.0, 480.0])
-    i, j, g = sc.select_pairs(rays)
-    alpha = np.sum(m[i] * m[j], axis=1)
-    bi = np.sum(m[i] ** 2, axis=1)
-    bj = np.sum(m[j] ** 2, axis=1)
-    coeffs = np.array([np.sum(alpha ** 2 - g ** 2 * bi * bj),
-                       np.sum(2 * alpha - g ** 2 * (bi + bj)),
-                       np.sum(1 - g ** 2)])
+    coeffs = quartic_coefficients(uv, np.array([540.0, 480.0]), sc.select_pairs(rays))
     coeffs /= np.abs(coeffs).max()
     assert abs(np.polyval(coeffs, 1.0 / 1000.0 ** 2)) < 1e-12
 
@@ -151,12 +154,7 @@ def test_quartic_picks_the_root_with_the_smaller_cosine_residual():
     rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     uv = rng.uniform(0.0, 1000.0, size=(10, 2))
     pairs = sc.select_pairs(rays)
-    i, j, g = pairs
-    m = uv - 500.0
-    alpha = np.sum(m[i] * m[j], axis=1)
-    bi, bj = np.sum(m[i] ** 2, axis=1), np.sum(m[j] ** 2, axis=1)
-    roots = np.roots([np.sum(alpha ** 2 - g ** 2 * bi * bj),
-                      np.sum(2 * alpha - g ** 2 * (bi + bj)), np.sum(1 - g ** 2)])
+    roots = np.roots(quartic_coefficients(uv, 500.0, pairs))
     assert np.isreal(roots).all() and (roots.real > 0).all()
     residual = sc._cosine_model(uv, pairs)[0]
     costs = {f: np.sum(residual(LMState(np.array([f, f, 500.0, 500.0, 0.0]))) ** 2)
@@ -166,6 +164,39 @@ def test_quartic_picks_the_root_with_the_smaller_cosine_residual():
     start = sc.init_focal_quartic(uv, pairs, (1000, 1000))
     assert start.fx == pytest.approx(best, rel=1e-9)
     assert start == CameraIntrinsics(start.fx, start.fx, 500.0, 500.0, 0.0)
+
+
+@pytest.mark.parametrize("unit", [1.0, 1e-3], ids=["pixels", "kilopixels"])
+@pytest.mark.parametrize("focal, other", [(250.0, 569.4), (600.0, 225.6)],
+                         ids=["second-root", "first-root"])
+def test_quartic_takes_the_one_of_two_positive_roots_that_fits(focal, other, unit):
+    # The four corner pixels of a wide-angle camera on a 1000 x 1000 image:
+    # the quadratic has a2 > 0, a1 < 0 and two positive roots.  The true t,
+    # whose cosines fit exactly, is the larger one, (-a1 + sqrt(disc)) /
+    # (2 a2), at f = 250 px and the smaller one at f = 600 px.  In units of
+    # 1000 px the largest coefficient, which scales the quadratic, is a0
+    # instead of a2; the roots must not change.
+    uv = unit * np.array([[100.0, 100.0], [900.0, 100.0], [100.0, 900.0], [900.0, 900.0]])
+    f, c = focal * unit, 500.0 * unit
+    pairs = sc.select_pairs(back_project(CameraIntrinsics(f, f, c, c), Distortion(), uv))
+    a2, a1, a0 = quartic_coefficients(uv, c, pairs)
+    assert a2 > 0 and a1 < 0
+    roots = np.roots([a2, a1, a0])
+    assert np.isreal(roots).all()
+    assert sorted(1.0 / np.sqrt(roots.real) / unit) == pytest.approx(sorted([focal, other]),
+                                                                     rel=1e-3)
+    start = sc.init_focal_quartic(uv, pairs, (round(1000 * unit),) * 2)
+    assert start == CameraIntrinsics(start.fx, start.fx, c, c, 0.0)
+    assert start.fx == pytest.approx(f, rel=1e-9)
+
+
+def test_quartic_parallel_rays_have_no_focal_length():
+    # Pairs of parallel rays (g = 1) make a0 = 0, so one root is t = 0,
+    # an infinite focal length, and the other is negative.
+    uv = np.array([[100.0, 100.0], [900.0, 200.0], [300.0, 800.0]])
+    pairs = (np.array([0, 0, 1]), np.array([1, 2, 2]), np.ones(3))
+    with pytest.raises(errors.NoRealRoot, match="no positive real focal length root"):
+        sc.init_focal_quartic(uv, pairs, (1000, 1000))
 
 
 def test_quartic_degenerate_rays_rejected():
