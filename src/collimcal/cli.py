@@ -84,45 +84,49 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    data = fileio.read_observation_file(getattr(args, "in"))
+    inputs = getattr(args, "in")
+    data = fileio.read_observation_file(inputs)
     observations = data.observations
-    if args.mode == "single":
-        if len(observations) != 1:
-            raise fileio.FileFormatError(
-                f"single mode needs exactly 1 image, got {len(observations)}")
-        if not args.reference:
-            raise fileio.FileFormatError("single mode needs --reference <database>")
-        if data.image_size is None:
-            raise fileio.FileFormatError("single mode needs image_size in the "
-                                         "observation file")
+    if args.mode == "single" and args.reference:
+        database = fileio.read_ray_database(args.reference)
+        inputs = f"{inputs} with {args.reference}"
 
     report = {"solver": args.mode, "input": getattr(args, "in"),
               "config_echo": {"mode": args.mode, "reference": args.reference,
                               "no_refine": bool(args.no_refine)}}
 
     ext = None
-    if args.mode == "single":
-        database = fileio.read_ray_database(args.reference)
-        result = calibrate_single_image(
-            observations.ids, observations.uv, database, image_size=data.image_size,
-            refine_distortion=not args.no_refine)
-        intr, dist, fit = result.intrinsics, result.distortion, result.report
-        report.update({
-            "rotation_axis_angle": fileio.rotations_payload(result.rotation),
-            "n_matched": result.n_matched,
-            "n_dropped": result.n_dropped,
-        })
-    else:
-        result = synth.calibrate(observations, args.mode, refine=not args.no_refine)
-        if args.mode == "minimal":
-            report["candidate_count"] = result.candidate_count
-        report["degeneracy"] = dataclasses.asdict(detect_degeneracy(observations))
-        intr, dist, ext = result.intrinsics, result.distortion, result.extrinsics
-        fit = result.report or unrefined_report(spherical_problem(observations, (intr, dist, ext)))
-        report.update({
-            "t_cp_mm": [float(v) for v in ext.t_cp],
-            "rotations_axis_angle": fileio.rotations_payload(ext.rotations),
-        })
+    try:  # each file reads, but what they hold may be refused
+        if args.mode == "single":
+            if len(observations) != 1:
+                raise ValueError(f"single mode needs exactly 1 image, got {len(observations)}")
+            if not args.reference:
+                raise ValueError("single mode needs --reference <database>")
+            if data.image_size is None:
+                raise ValueError("single mode needs image_size in the observation file")
+            result = calibrate_single_image(
+                observations.ids, observations.uv, database, image_size=data.image_size,
+                refine_distortion=not args.no_refine)
+            intr, dist, fit = result.intrinsics, result.distortion, result.report
+            report.update({
+                "rotation_axis_angle": fileio.rotations_payload(result.rotation),
+                "n_matched": result.n_matched,
+                "n_dropped": result.n_dropped,
+            })
+        else:
+            result = synth.calibrate(observations, args.mode, refine=not args.no_refine)
+            if args.mode == "minimal":
+                report["candidate_count"] = result.candidate_count
+            report["degeneracy"] = dataclasses.asdict(detect_degeneracy(observations))
+            intr, dist, ext = result.intrinsics, result.distortion, result.extrinsics
+            fit = result.report or unrefined_report(
+                spherical_problem(observations, (intr, dist, ext)))
+            report.update({
+                "t_cp_mm": [float(v) for v in ext.t_cp],
+                "rotations_axis_angle": fileio.rotations_payload(ext.rotations),
+            })
+    except ValueError as exc:
+        raise fileio.FileFormatError(f"{inputs}: {exc}") from exc
     # The refinement block: the same fields in every mode, refined or not.
     report.update({
         "stage": "init" if args.no_refine else "refined",
@@ -131,8 +135,7 @@ def cmd_calibrate(args) -> int:
         "rms_reprojection_px": fit.rms_reprojection,
         "per_image_rms_px": fit.per_image_rms,
     })
-    report["intrinsics"] = fileio.intrinsics_payload(intr)
-    report["distortion"] = [dist.d1, dist.d2]
+    report.update(fileio.camera_payload(intr, dist))  # so a report is a camera file
     if data.ground_truth is not None:
         report["error_vs_truth"] = _truth_errors(intr, dist, ext, data.ground_truth)
     fileio.write_report(args.out, report)
@@ -143,13 +146,13 @@ def cmd_calibrate(args) -> int:
 
 def cmd_build_db(args) -> int:
     data = fileio.read_observation_file(args.ref_obs)
-    if len(data.observations) != 1:
-        raise fileio.FileFormatError(
-            f"reference file must hold exactly 1 image, got {len(data.observations)}")
     intr, dist = fileio.read_camera_file(args.ref_cam)
-    try:
+    try:  # each file reads, but they make no database
+        if len(data.observations) != 1:
+            raise ValueError(f"reference file must hold exactly 1 image, "
+                             f"got {len(data.observations)}")
         database = build_ray_database(data.observations.ids, data.observations.uv, intr, dist)
-    except ValueError as exc:  # each file reads, but their rays do not
+    except ValueError as exc:
         raise fileio.FileFormatError(f"{args.ref_obs} with {args.ref_cam}: {exc}") from exc
     fileio.write_ray_database(args.out, database)
     print(f"wrote {args.out}: {len(database)} rays")

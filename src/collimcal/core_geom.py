@@ -326,12 +326,14 @@ def integer_array(values, name: str) -> np.ndarray:
 
 
 def checked_image_size(value) -> tuple:
-    """The (width, height) of an image size, two positive integers, as ints.
+    """The (width, height) of an image size, two positive integers below 2**63, as ints.
 
-    ValueError for anything else, a bool or a string among them too.
+    ValueError for anything else, a bool or a string among them too.  The
+    bound keeps the rule idempotent: the int of a float past int64's range
+    would be no number to `real_array`, so it could not be checked again.
     """
     size = real_array(value, "image_size", (2,))
-    if not all(v.is_integer() and v > 0 for v in size.tolist()):
+    if not all(v.is_integer() and 0 < v < 2.0 ** 63 for v in size.tolist()):
         raise ValueError(f"image_size must be positive integers (width, height), "
                          f"got {value!r}")
     return int(size[0]), int(size[1])
@@ -382,14 +384,6 @@ class PlanarTarget:
         shift.flags.writeable = False
         d = self.xy - shift
         return shift, float(np.mean(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
-
-    def xy_for(self, ids: np.ndarray) -> np.ndarray:
-        """(X, Y) of each given point id, in order; KeyError names an id not on the target."""
-        ids = integer_array(ids, "point ids")
-        rows, found = id_rows(self.ids, ids)
-        if not np.all(found):
-            raise KeyError(int(ids[~found][0]))
-        return self.xy[rows]
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,12 @@ which the types they build apply: a JSON boolean or string where a
 number belongs raises FileFormatError naming the file.  The file is named
 in one place, `_reader`, which wraps every reader and prefixes the path
 to any error of the load or the parse.
+
+A camera is written as one block, `camera_payload`: an "intrinsics"
+object and a "distortion" pair.  A camera file is any file of this
+schema with that block at its top level, so a `calibrate` report is one:
+the camera that a multi-image calibration finds is a reference camera
+that `build-db --ref-cam` takes.
 """
 
 from __future__ import annotations
@@ -146,10 +152,11 @@ def _point_rows(rows, fields, where):
     return ids, coordinates
 
 
-def intrinsics_payload(intr: CameraIntrinsics) -> dict:
-    """The JSON block of a camera's intrinsics."""
-    return {"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
-            "gamma": intr.gamma}
+def camera_payload(intr: CameraIntrinsics, dist: Distortion) -> dict:
+    """The JSON block of a camera, the one writer of every camera block."""
+    return {"intrinsics": {"fx": intr.fx, "fy": intr.fy, "cx": intr.cx, "cy": intr.cy,
+                           "gamma": intr.gamma},
+            "distortion": [dist.d1, dist.d2]}
 
 
 def _intrinsics_from(parent) -> CameraIntrinsics:
@@ -187,8 +194,7 @@ def write_observation_file(path, observations: ObservationSet, *,
         payload["image_size"] = [int(image_size[0]), int(image_size[1])]
     if ground_truth is not None:
         payload["ground_truth"] = {
-            "intrinsics": intrinsics_payload(ground_truth.intrinsics),
-            "distortion": [ground_truth.distortion.d1, ground_truth.distortion.d2],
+            **camera_payload(ground_truth.intrinsics, ground_truth.distortion),
             "t_cp": ground_truth.t_cp.tolist(),
         }
         if ground_truth.rotations is not None:
@@ -235,14 +241,13 @@ def read_observation_file(payload) -> ObservationFile:
 # camera and ray-database files
 # ---------------------------------------------------------------------------
 
-def write_camera_file(path, intrinsics: CameraIntrinsics, distortion: Distortion) -> None:
-    _dump(path, {"schema_version": SCHEMA_VERSION,
-                 "intrinsics": intrinsics_payload(intrinsics),
-                 "distortion": [distortion.d1, distortion.d2]})
-
-
 @_reader
 def read_camera_file(payload):
+    """The camera (intrinsics, distortion) of a file's top-level camera block.
+
+    Any file of this schema that holds one is a camera file: one written
+    as `write_report(path, camera_payload(K, d))`, and a `calibrate` report.
+    """
     intr = _intrinsics_from(payload)
     return intr, _distortion_from(payload)
 
@@ -250,10 +255,7 @@ def read_camera_file(payload):
 def write_ray_database(path, database: RayDatabase) -> None:
     _dump(path, {
         "schema_version": SCHEMA_VERSION,
-        "provenance": {
-            "intrinsics": intrinsics_payload(database.ref_intrinsics),
-            "distortion": [database.ref_distortion.d1, database.ref_distortion.d2],
-        },
+        "provenance": camera_payload(database.ref_intrinsics, database.ref_distortion),
         "rays": [[int(i), float(x), float(y), float(z)]
                  for i, (x, y, z) in zip(database.ids, database.rays)],
     })

@@ -37,6 +37,13 @@ def split_images(observations):
             for count, end in zip(observations.counts, ends)]
 
 
+def image_points(observations):
+    """Every image's (target points (n, 2), pixels (n, 2)) of an observation set, in order."""
+    ends = np.cumsum(observations.counts)
+    return [(observations.xy[end - count:end], observations.uv[end - count:end])
+            for count, end in zip(observations.counts, ends)]
+
+
 def stack_images(target, images):
     """The ObservationSet of the images given as (ids, pixels) pairs."""
     images = list(images)

@@ -76,11 +76,9 @@ def test_public_names_are_used():
 
 
 
-# Definitions that nothing in the package uses, kept on purpose: a dense
-# view of a Jacobian and the intrinsic matrix, for tests; the writer of the
-# camera file that the package reads; and the target's id-to-point lookup.
-KEPT_ON_PURPOSE = {"refine.BlockJacobian.toarray", "core_geom.CameraIntrinsics.matrix",
-                   "fileio.write_camera_file", "core_geom.PlanarTarget.xy_for"}
+# Definitions that nothing in the package uses, kept on purpose for tests:
+# a dense view of a Jacobian and the intrinsic matrix.
+KEPT_ON_PURPOSE = {"refine.BlockJacobian.toarray", "core_geom.CameraIntrinsics.matrix"}
 
 
 def definitions(node, prefix):
@@ -348,43 +346,6 @@ def test_ground_truth_without_rotations_builds():
 
 K = CameraIntrinsics(**valid_fields(CameraIntrinsics))
 
-# The rotation and matrix arguments of the plain functions and a bundle
-# adjustment's start rotations, with the name their error gives.
-MATRIX_ARGUMENTS = {
-    "checked_rotations": ("rotations", lambda bad: core_geom.checked_rotations(
-        planted(np.eye(3)[None], bad))),
-    "skew": ("v", lambda bad: core_geom.skew(planted([0.1, 0.2, 0.3], bad))),
-    "nearest_rotation": ("M", lambda bad: core_geom.nearest_rotation(planted(np.eye(3), bad))),
-    "rotation_matrix_from_axis_angle": ("v", lambda bad: (
-        core_geom.rotation_matrix_from_axis_angle(planted([0.1, 0.2, 0.3], bad)))),
-    "axis_angle_from_rotation_matrix": ("R", lambda bad: (
-        core_geom.axis_angle_from_rotation_matrix(planted(np.eye(3), bad)))),
-    "decompose_homography": ("homographies", lambda bad: core_geom.decompose_homography(
-        planted(np.eye(3)[None], bad), K)),
-    "CameraIntrinsics.from_matrix": ("intrinsic matrix", lambda bad: (
-        CameraIntrinsics.from_matrix(planted(K.matrix, bad)))),
-    "decompose_iac": ("q", lambda bad: multi_solver.decompose_iac(
-        planted([1.0, 0.0, 0.0, 1.0, 0.0, 1.0], bad))),
-    "build_linear_system": ("H", lambda bad: multi_solver.build_linear_system(
-        planted(np.eye(3)[None], bad))),
-    "conic_rows": ("H", lambda bad: multi_solver.conic_rows(planted(np.eye(3), bad))),
-    "general_problem": ("rotations", lambda bad: refine.general_problem(
-        ObservationSet(**valid_fields(ObservationSet)),
-        (K, Distortion(), (planted(np.eye(3)[None], bad), [[0.0, 0.0, 700.0]])))),
-}
-
-
-@pytest.mark.parametrize("bad", [True, "a"], ids=["bool", "string"])
-@pytest.mark.parametrize("entry", sorted(MATRIX_ARGUMENTS))
-def test_rotation_and_matrix_arguments_refuse_a_non_number_by_name(entry, bad):
-    # A bool used to be read as 1 (a start rotation of True entries was the
-    # identity, and CameraIntrinsics.from_matrix gave fx = 1), and a string
-    # raised numpy's own conversion error without naming the argument.
-    name, call = MATRIX_ARGUMENTS[entry]
-    with pytest.raises(ValueError, match=f"^{name} must be real numbers"):
-        call(bad)
-
-
 # Eight pixels in general position, their unit rays through K, and a
 # stack of four identities.
 PIXELS = np.column_stack([500.0 + 10.0 * np.arange(8), 400.0 + 3.0 * np.arange(8) ** 2])
@@ -406,8 +367,8 @@ def assert_shape_taken(call, value):
         assert "must have shape" not in str(exc)
 
 
-# Every array argument that the one shape rule checks: the name its error
-# gives, a value of the right shape, and a call that takes it.
+# Every array argument that the one shape and number rule checks: the name
+# its error gives, a value of the right shape, and a call that takes it.
 SHAPED_ARGUMENTS = {
     "ObservationSet.uv": ("pixel coordinates", SQUARE, with_field(ObservationSet, "uv")),
     "PlanarTarget.xy": ("target coordinates", SQUARE, with_field(PlanarTarget, "xy")),
@@ -449,7 +410,14 @@ SHAPED_ARGUMENTS = {
     "general_problem": ("translations", [[0.0, 0.0, 700.0]], lambda t: (
         refine.general_problem(ObservationSet(**valid_fields(ObservationSet)),
                                (K, Distortion(), (np.eye(3)[None], t))))),
+    "general_problem-rotations": ("rotations", STACK[:1], lambda R: (
+        refine.general_problem(ObservationSet(**valid_fields(ObservationSet)),
+                               (K, Distortion(), (R, [[0.0, 0.0, 700.0]]))))),
     "single_image_problem": ("rays", RAYS, lambda rays: refine.single_image_problem(
+        rays, PIXELS, (K, Distortion(), np.eye(3)))),
+    "single_image_problem-pixels": ("pixels", PIXELS, lambda pixels: (
+        refine.single_image_problem(RAYS, pixels, (K, Distortion(), np.eye(3))))),
+    "single_image_ba": ("rays", RAYS, lambda rays: refine.single_image_ba(
         rays, PIXELS, (K, Distortion(), np.eye(3)))),
     "build_ray_database": ("reference pixels", PIXELS, lambda pixels: (
         single_calib.build_ray_database(np.arange(8), pixels, K, Distortion()))),
@@ -487,6 +455,17 @@ def test_every_array_argument_refuses_a_wrong_shape_by_name(entry, case):
         call(value.T if case == "transposed" else value[..., :-1])
 
 
+@pytest.mark.parametrize("bad", [True, "a"], ids=["bool", "string"])
+@pytest.mark.parametrize("entry", sorted(SHAPED_ARGUMENTS))
+def test_every_array_argument_refuses_a_non_number_by_name(entry, bad):
+    # A bool used to be read as 0 or 1 (a start rotation of True entries was
+    # the identity, and CameraIntrinsics.from_matrix gave fx = 1), and a
+    # string raised numpy's own conversion error without naming the argument.
+    name, value, call = SHAPED_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be real numbers"):
+        call(planted(value, bad))
+
+
 # The fields and the rotation stack that core_geom.finite_array takes: the
 # name its error gives, a valid value and a call that takes it.  The solvers'
 # arguments it takes have tests of their own (nearest_rotation,
@@ -513,8 +492,6 @@ def test_every_finite_argument_refuses_a_non_finite_entry_by_name(entry, bad):
 # its error gives, a valid value and a call that takes it.
 INTEGER_ARGUMENTS = {
     "PlanarTarget.ids": ("target point ids", [0, 1, 2, 3], with_field(PlanarTarget, "ids")),
-    "PlanarTarget.xy_for": ("point ids", [1, 3],
-                            PlanarTarget(**valid_fields(PlanarTarget)).xy_for),
     "ObservationSet.ids": ("ids", [0, 1, 2, 3], with_field(ObservationSet, "ids")),
     "ObservationSet.counts": ("counts", [4], with_field(ObservationSet, "counts")),
     "RayDatabase.ids": ("database point ids", [0, 1, 2, 3], with_field(RayDatabase, "ids")),

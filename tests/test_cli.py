@@ -157,13 +157,14 @@ def test_calibrate_minimal_mode(tmp_path):
     (2, "single", "single mode needs exactly 1 image, got 2"),
 ], ids=["nimg", "minimal", "single"])
 def test_calibrate_names_the_wrong_image_count_exit_2(tmp_path, capsys, images, mode, message):
-    # The solvers own the image-count rule of the nimg and minimal modes.
+    # The solvers own the image-count rule of the nimg and minimal modes; the
+    # refusal names the file, which used to go unnamed.
     cfg = write_config(tmp_path / "cfg.json", image_count=images)
     obs = tmp_path / "obs.json"
     assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
     assert main(["calibrate", "--in", str(obs), "--mode", mode,
                  "--out", str(tmp_path / "r.json")]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {obs}: {message}" in capsys.readouterr().err
 
 
 def test_calibrate_degenerate_exit_4(tmp_path):
@@ -385,8 +386,8 @@ def test_non_finite_value_exit_2(sim_file, tmp_path, capsys, command, keys, valu
         cfg = write_config(tmp_path / "ref_cfg.json", image_count=1)
         assert main(["simulate", "--config", cfg, "--out", str(ref_obs)]) == 0
         cam = tmp_path / "cam.json"
-        fileio.write_camera_file(cam, CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0),
-                                 Distortion(0.0, 0.0))
+        fileio.write_report(cam, fileio.camera_payload(
+            CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0), Distortion(0.0, 0.0)))
         edited_copy(cam, bad, keys, value)
         argv = ["build-db", "--ref-obs", str(ref_obs), "--ref-cam", str(bad), "--out", out]
     assert main(argv) == 2
@@ -400,7 +401,8 @@ def test_build_db_distortion_of_three_entries_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "ref_cfg.json", image_count=1)
     assert main(["simulate", "--config", cfg, "--out", str(ref_obs)]) == 0
     cam = tmp_path / "cam.json"
-    fileio.write_camera_file(cam, CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0), Distortion())
+    fileio.write_report(cam, fileio.camera_payload(CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0),
+                                                   Distortion()))
     bad = edited_copy(cam, tmp_path / "bad.json", ("distortion",), [0.1, 0.2, 0.3])
     out = tmp_path / "db.json"
     assert main(["build-db", "--ref-obs", str(ref_obs), "--ref-cam", str(bad),
@@ -416,7 +418,8 @@ def test_build_db_overflowing_camera_names_both_files_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "ref_cfg.json", image_count=1)
     assert main(["simulate", "--config", cfg, "--out", str(ref_obs)]) == 0
     cam = tmp_path / "cam.json"
-    fileio.write_camera_file(cam, CameraIntrinsics(1000.0, 1000.0, 1e308, 478.0), Distortion())
+    fileio.write_report(cam, fileio.camera_payload(CameraIntrinsics(1000.0, 1000.0, 1e308, 478.0),
+                                                   Distortion()))
     out = tmp_path / "db.json"
     with pytest.warns(RuntimeWarning):
         assert main(["build-db", "--ref-obs", str(ref_obs), "--ref-cam", str(cam),
@@ -500,7 +503,7 @@ def reader_file(tmp_path, reader):
         fileio.write_observation_file(path, obs)
         return fileio.read_observation_file, path
     if reader == "camera":
-        fileio.write_camera_file(path, intr, Distortion(0.0, 0.0))
+        fileio.write_report(path, fileio.camera_payload(intr, Distortion(0.0, 0.0)))
         return fileio.read_camera_file, path
     if reader == "database":
         rays = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])
@@ -596,7 +599,8 @@ def test_fuzzed_input_exits_with_a_code_and_no_traceback(tmp_path, capsys):
     # Seeded mutations of valid inputs (a 4-image file, its 2- and 1-image
     # cuts, a camera file and the database built from the 1-image cut) go
     # through every command that reads them.  Each must end in exit 0, 2, 3
-    # or 4: a typed refusal or a result, never an exception.  A coordinate
+    # or 4: a typed refusal or a result, never an exception, and an exit 2
+    # names one of the command's input files.  A coordinate
     # near 1e308 may overflow with a numpy RuntimeWarning on its way to its
     # typed exit, so RuntimeWarnings are ignored here.
     cfg = write_config(tmp_path / "cfg.json", image_count=4)
@@ -612,7 +616,8 @@ def test_fuzzed_input_exits_with_a_code_and_no_traceback(tmp_path, capsys):
     pristine = {name: tmp_path / f"{name}.json" for name in ("obs1", "cam", "db")}
     pristine["obs1"].write_text(json.dumps(payloads["single"]))
     truth = payloads["single"]["ground_truth"]["intrinsics"]
-    fileio.write_camera_file(pristine["cam"], CameraIntrinsics(**truth), Distortion())
+    fileio.write_report(pristine["cam"],
+                        fileio.camera_payload(CameraIntrinsics(**truth), Distortion()))
     assert main(["build-db", "--ref-obs", str(pristine["obs1"]), "--ref-cam",
                  str(pristine["cam"]), "--out", str(pristine["db"])]) == 0
     payloads["cam"] = json.loads(pristine["cam"].read_text())
@@ -646,6 +651,9 @@ def test_fuzzed_input_exits_with_a_code_and_no_traceback(tmp_path, capsys):
                 pytest.fail(f"case {case}, {argv[:4]} with {mutations}: {exc!r}")
             err = capsys.readouterr().err
             assert codes[-1] in (0, 2, 3, 4) and "Traceback" not in err, (case, mutations, err)
+            inputs = [str(argv[k + 1]) for k, flag in enumerate(argv)
+                      if flag in ("--in", "--reference", "--ref-obs", "--ref-cam")]
+            assert codes[-1] != 2 or any(path in err for path in inputs), (case, mutations, err)
     # Most cases are refused, and some still calibrate.
     assert codes.count(2) > 150 and codes.count(0) > 10
 
@@ -664,11 +672,24 @@ def reference_db(tmp_path):
     ref_obs = tmp_path / "ref_obs.json"
     assert main(["simulate", "--config", cfg, "--out", str(ref_obs)]) == 0
     cam_file = tmp_path / "ref_cam.json"
-    fileio.write_camera_file(cam_file, ref_cam, Distortion(0.0, 0.0))
+    fileio.write_report(cam_file, fileio.camera_payload(ref_cam, Distortion(0.0, 0.0)))
     db_file = tmp_path / "rays.json"
     assert main(["build-db", "--ref-obs", str(ref_obs), "--ref-cam", str(cam_file),
                  "--out", str(db_file)]) == 0
     return db_file
+
+
+def test_single_mode_names_a_file_whose_image_size_is_past_int64(reference_db, tmp_path,
+                                                                 capsys):
+    # A width of 1e308 used to pass the reader as a 309-digit int, which the
+    # single-image pipeline refused as no number, naming no file.
+    cfg = write_config(tmp_path / "cal_cfg.json", image_count=1, rng_seed=12)
+    cal_obs = tmp_path / "cal_obs.json"
+    assert main(["simulate", "--config", cfg, "--out", str(cal_obs)]) == 0
+    bad = edited_copy(cal_obs, tmp_path / "bad.json", ("image_size",), [1e308, 960])
+    assert main(["calibrate", "--in", str(bad), "--mode", "single",
+                 "--reference", str(reference_db), "--out", str(tmp_path / "r.json")]) == 2
+    assert f"error: {bad}: image_size must be positive integers" in capsys.readouterr().err
 
 
 def test_build_db_and_single_calibration(reference_db, tmp_path):
@@ -681,6 +702,35 @@ def test_build_db_and_single_calibration(reference_db, tmp_path):
     report = json.loads(out.read_text())
     assert report["error_vs_truth"]["fx_err_rel"] < 1e-6
     assert report["n_matched"] == 88
+
+
+def test_a_calibrate_report_is_the_reference_camera_file(tmp_path):
+    # The reference workflow: calibrate the reference camera from 15 views,
+    # build the database from one more view with the report as the camera
+    # file, then calibrate a new camera against it.
+    camera = {"fx": 1200.0, "fy": 1180.0, "cx": 700.0, "cy": 500.0, "gamma": 0.0}
+    files = {name: tmp_path / f"{name}.json" for name in (
+        "views", "report", "ref_obs", "rays", "camera", "rays_from_camera", "cal_obs", "single")}
+    for name, count, seed in (("views", 15, 10), ("ref_obs", 1, 11)):
+        cfg = write_config(tmp_path / f"{name}_cfg.json", image_count=count, rng_seed=seed,
+                           intrinsics=camera, image_size=[1400, 1000])
+        assert main(["simulate", "--config", cfg, "--out", str(files[name])]) == 0
+    assert main(["calibrate", "--in", str(files["views"]), "--mode", "nimg",
+                 "--out", str(files["report"])]) == 0
+    assert main(["build-db", "--ref-obs", str(files["ref_obs"]), "--ref-cam",
+                 str(files["report"]), "--out", str(files["rays"])]) == 0
+    # The same database as from a camera file of the report's K and d alone.
+    report = json.loads(files["report"].read_text())
+    fileio.write_report(files["camera"], fileio.camera_payload(
+        CameraIntrinsics(**report["intrinsics"]), Distortion(*report["distortion"])))
+    assert main(["build-db", "--ref-obs", str(files["ref_obs"]), "--ref-cam",
+                 str(files["camera"]), "--out", str(files["rays_from_camera"])]) == 0
+    assert files["rays"].read_bytes() == files["rays_from_camera"].read_bytes()
+    cfg = write_config(tmp_path / "cal_cfg.json", image_count=1, rng_seed=12)
+    assert main(["simulate", "--config", cfg, "--out", str(files["cal_obs"])]) == 0
+    assert main(["calibrate", "--in", str(files["cal_obs"]), "--mode", "single",
+                 "--reference", str(files["rays"]), "--out", str(files["single"])]) == 0
+    assert json.loads(files["single"].read_text())["error_vs_truth"]["fx_err_rel"] < 1e-6
 
 
 def strict_json(path):
@@ -742,8 +792,8 @@ def test_every_mode_writes_the_same_refinement_block(sim_file, reference_db, tmp
 
 def test_every_writer_writes_one_compact_sorted_document(sim_file, reference_db, tmp_path):
     camera = tmp_path / "camera.json"
-    fileio.write_camera_file(camera, CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0),
-                             Distortion(0.1, -0.2))
+    fileio.write_report(camera, fileio.camera_payload(
+        CameraIntrinsics(1000.0, 1000.0, 542.0, 478.0), Distortion(0.1, -0.2)))
     first = calibrate_each_mode(sim_file, reference_db, tmp_path, "first")
     second = calibrate_each_mode(sim_file, reference_db, tmp_path, "second")
     for path in (sim_file, reference_db, camera, *first.values()):

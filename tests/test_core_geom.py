@@ -10,6 +10,7 @@ from conftest import (
     first_images,
     homography_from_pose,
     identity_rotation,
+    image_points,
     rotation_from_axis_angle,
     scene,
     split_images,
@@ -144,7 +145,6 @@ def test_planar_target_invariants():
     with pytest.raises(ValueError):
         cg.PlanarTarget(ids=[0, 1, 2, 3], xy=[[0, 0], [1, 0], [2, 0], [3, 0]])
     t = cg.PlanarTarget(ids=[3, 1, 0, 2], xy=[[0, 0], [1, 0], [0, 1], [1, 1]])
-    assert np.allclose(t.xy_for([1, 3]), [[1, 0], [0, 0]])
     # int() would have truncated these to the distinct ids 0..3.
     for ids in ([0.5, 1.5, 2.5, 3.5], [True, False, 2, 3], np.array([0.0, 1.0, 2.0, 3.0]),
                 [[True, 1], [2, 3]], [2 ** 63, 1, 2, 3]):
@@ -152,18 +152,36 @@ def test_planar_target_invariants():
             cg.PlanarTarget(ids=ids, xy=t.xy)
 
 
-def test_xy_for_looks_up_every_id_at_once():
+def test_id_rows_looks_up_every_id_at_once():
     rng = np.random.default_rng(23)
-    ids = rng.permutation(200)[:88] * 3
-    t = cg.PlanarTarget(ids=ids, xy=rng.normal(size=(88, 2)))
-    query = rng.choice(ids, size=300)
-    row = {pid: k for k, pid in enumerate(ids.tolist())}
-    assert np.array_equal(t.xy_for(query), t.xy[[row[q] for q in query.tolist()]])
-    for unknown in (ids.max() + 1, ids.min() - 1, 1):
-        with pytest.raises(KeyError):
-            t.xy_for(np.append(query, unknown))
-    with pytest.raises(ValueError, match=r"^point ids must be integers"):
-        t.xy_for(query + 0.5)
+    table = rng.permutation(200)[:88] * 3
+    query = rng.choice(table, size=300)
+    row = {pid: k for k, pid in enumerate(table.tolist())}
+    rows, found = cg.id_rows(table, query)
+    assert found.all() and rows.tolist() == [row[q] for q in query.tolist()]
+    unknown = np.array([table.max() + 1, table.min() - 1, 1])
+    rows, found = cg.id_rows(table, np.concatenate([query, unknown]))
+    assert found.tolist() == [True] * 300 + [False] * 3
+    assert rows[:300].tolist() == [row[q] for q in query.tolist()]
+    rows, found = cg.id_rows(table[:0], query)
+    assert not found.any() and rows.shape == (300,)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.integers(-2, 2 ** 65), st.floats(),
+                          st.integers(1, 2 ** 65).map(float)), min_size=2, max_size=2))
+@example([1e308, 960])
+@example([2.0 ** 63 - 1024, 1])
+@example([2 ** 63, 1])
+def test_image_size_rule_takes_its_own_result(size):
+    # [1e308, 960] used to give a 309-digit width, which the rule then
+    # refused as no number when it ran again.
+    try:
+        checked = cg.checked_image_size(size)
+    except ValueError as exc:
+        assert str(exc).startswith("image_size must be ")
+        return
+    assert cg.checked_image_size(checked) == checked
 
 
 def test_observation_set_invariants():
@@ -205,7 +223,8 @@ def test_observation_set_stacks_its_images_once():
                                          for p in [rng.permutation(len(ids))]])
     for subset in (shuffled, first_images(shuffled, 3), first_images(shuffled, 1)):
         assert subset.counts.tolist() == [len(ids) for ids, _ in split_images(subset)]
-        assert np.array_equal(subset.xy, subset.target.xy_for(subset.ids))
+        row = {pid: k for k, pid in enumerate(subset.target.ids.tolist())}
+        assert np.array_equal(subset.xy, subset.target.xy[[row[i] for i in subset.ids.tolist()]])
     assert np.array_equal(shuffled.counts, obs.counts)
     assert not np.array_equal(shuffled.ids, obs.ids)
     empty = stack_images(obs.target, [])
@@ -268,6 +287,10 @@ def test_project_rejects_point_behind_camera():
     with pytest.raises(errors.PointBehindCamera):
         cg.project(TRUE_K, TRUE_D, identity_rotation(),
                    np.array([150.0, 105.0, -700.0]), np.array([0.0, 0.0, 0.0]))
+    # A point at depth exactly zero is refused too, and counted alone.
+    with pytest.raises(errors.PointBehindCamera, match=r"^1 point\(s\) at non-positive depth$"):
+        cg.project(TRUE_K, TRUE_D, identity_rotation(), np.zeros(3),
+                   np.array([[0.0, 0.0, 700.0], [10.0, 0.0, 0.0], [0.0, 5.0, 700.0]]))
 
 
 def test_back_project_principal_point_is_optical_axis():
@@ -377,9 +400,9 @@ def test_homography_degenerate_inputs_rejected():
         cg.estimate_homography(xy, uv)
     # 11 collinear points of a noisy view: 22 design rows, which go through QR.
     _, _, obs = scene(seed=4, pixel_noise_sigma=1.0)
-    (ids, pixels), row = split_images(obs)[0], np.arange(11)  # the grid's first row
+    (points, pixels), row = image_points(obs)[0], np.arange(11)  # the grid's first row
     with pytest.raises(errors.DegenerateConfiguration):
-        cg.estimate_homography(obs.target.xy_for(ids)[row], pixels[row])
+        cg.estimate_homography(points[row], pixels[row])
     with pytest.raises(ValueError):
         cg.estimate_homography(xy[:3], uv[:3])
 
@@ -466,9 +489,8 @@ def test_homography_matches_the_design_matrix_null_vector(count):
     # The DLT takes the SVD of the design matrix's R factor; its null vector
     # is the one of the design matrix itself.
     _, _, obs = scene(seed=4, pixel_noise_sigma=1.0)
-    ids, uv = split_images(obs)[0]
-    assert len(ids) == 88
-    xy = obs.target.xy_for(ids)
+    xy, uv = image_points(obs)[0]
+    assert len(xy) == 88
     rows = {4: [0, 10, 77, 87], 5: [0, 10, 40, 77, 87]}.get(
         count, np.random.default_rng(count).choice(88, count, replace=False))
     H = cg.estimate_homography(xy[rows], uv[rows])
@@ -507,8 +529,8 @@ def random_observations(counts, seed, collinear_image=None):
 def frame_images(obs):
     """Every image's (target points, pixels) in the frame of its homography pass."""
     fit = obs.homography_fit
-    return [((obs.target.xy_for(ids) - fit.target_shift) / fit.target_scale,
-             (uv - fit.pixel_shift) / fit.pixel_scale) for ids, uv in split_images(obs)]
+    return [((xy - fit.target_shift) / fit.target_scale,
+             (uv - fit.pixel_shift) / fit.pixel_scale) for xy, uv in image_points(obs)]
 
 
 point_sets = st.tuples(st.lists(st.integers(4, 88), min_size=1, max_size=6),
@@ -563,9 +585,9 @@ def test_collinear_image_in_the_pass_is_named(drawn, collinear):
     collinear %= len(counts)
     obs = random_observations(counts, seed, collinear_image=collinear)
     flagged = []
-    for k, (ids, uv) in enumerate(split_images(obs)):
+    for k, (xy, uv) in enumerate(image_points(obs)):
         try:
-            reference_homography(obs.target.xy_for(ids), uv)
+            reference_homography(xy, uv)
         except errors.DegenerateConfiguration:
             flagged.append(k)
     assert flagged == [collinear]
@@ -650,8 +672,7 @@ def test_batched_homographies_match_per_image_fits():
     for seed in range(20):
         obs = dropped_points_scene(seed)
         fit = obs.homography_fit
-        for k, (ids, uv) in enumerate(split_images(obs)):
-            xy = obs.target.xy_for(ids)
+        for k, (xy, uv) in enumerate(image_points(obs)):
             counts.add(len(uv))
             alone = cg.estimate_homography((xy - fit.target_shift) / fit.target_scale,
                                            (uv - fit.pixel_shift) / fit.pixel_scale)
@@ -664,8 +685,7 @@ def test_rank_deficient_homography_in_a_stack_names_the_image():
     # target points: its homography is unique but of rank 2.
     obs = dropped_points_scene(0)
     images = split_images(obs)[:4]
-    ids = images[2][0]
-    xy = obs.target.xy_for(ids)
+    ids, xy = images[2][0], image_points(obs)[2][0]
     u = 0.5 * xy[:, 0] + 0.2 * xy[:, 1] + 100.0
     images[2] = (ids, np.column_stack([u, 2.0 * u + 5.0]))
     with pytest.raises(errors.DegenerateConfiguration,
@@ -688,8 +708,7 @@ def test_batched_decomposition_matches_per_image_decomposition():
     for seed in range(20):
         config, _, _ = scene(seed=seed)
         obs = dropped_points_scene(seed)
-        raw = np.array([cg.estimate_homography(obs.target.xy_for(ids), uv)
-                        for ids, uv in split_images(obs)])
+        raw = np.array([cg.estimate_homography(xy, uv) for xy, uv in image_points(obs)])
         rotations, t, lam = cg.decompose_homography(raw, config.intrinsics)
         for k, H in enumerate(raw):
             R_ref, t_ref, lam_ref = reference_decomposition(H, config.intrinsics)

@@ -22,6 +22,7 @@ from collimcal.multi_solver import SphericalExtrinsics, solve_closed_form, solve
 from conftest import (
     first_images,
     identity_rotation,
+    image_points,
     rotation_from_axis_angle,
     scene,
     split_images,
@@ -294,8 +295,7 @@ def zhang_general_init(obs):
     from collimcal.core_geom import estimate_homography, decompose_homography
     from collimcal.synth import zhang_init
     intr = zhang_init(obs)
-    H = np.array([estimate_homography(obs.target.xy_for(ids), uv)
-                  for ids, uv in split_images(obs)])
+    H = np.array([estimate_homography(xy, uv) for xy, uv in image_points(obs)])
     R, t, _ = decompose_homography(H, intr)
     return intr, Distortion(0.0, 0.0), (R, t)
 
@@ -534,6 +534,12 @@ def test_residuals_reject_points_behind_camera():
             residual(x0)
         with pytest.raises(errors.PointBehindCamera):
             jacobian(x0)
+    # A ray at depth exactly zero is refused too, and counted alone.
+    rays[1] = [1.0, 0.0, 0.0]
+    residual, _, _, x0, *_ = refine.single_image_problem(rays, np.zeros((3, 2)),
+                                                        (intr, dist, identity_rotation()))
+    with pytest.raises(errors.PointBehindCamera, match=r"^1 point\(s\) at non-positive depth$"):
+        residual(x0)
 
 
 @pytest.mark.parametrize("adjustment", ["spherical", "general", "single"])

@@ -20,6 +20,7 @@ from collimcal.multi_solver import conic_rows
 from collimcal.refine import general_ba
 from conftest import (
     angular_distance,
+    image_points,
     motion_matrix,
     rotation_from_axis_angle,
     scene,
@@ -164,9 +165,8 @@ def test_render_full_visibility_noiseless():
 def test_render_inverts_through_back_projection():
     cfg = synth.default_config(distortion=Distortion(0.1, -0.2), image_count=3)
     (R, centers), obs = synth.make_scene(cfg, pose_rng(seed=7))
-    target = cfg.target.planar_target()
-    for rot, t_cp, (ids, uv) in zip(R, centers, split_images(obs)):
-        points = np.column_stack([target.xy_for(ids), np.zeros(len(ids))])
+    for rot, t_cp, (xy, uv) in zip(R, centers, image_points(obs)):
+        points = np.column_stack([xy, np.zeros(len(xy))])
         cam = (points - t_cp) @ rot.T
         rays = back_project(cfg.intrinsics, cfg.distortion, uv)
         cam /= np.linalg.norm(cam, axis=1, keepdims=True)
@@ -320,6 +320,15 @@ def test_center_jitter_that_ruins_a_view_draws_it_again(sigma):
         assert set(results) == {"ours", "zhang"}
 
 
+def test_a_point_at_zero_depth_gets_nan_pixels():
+    # The bounds test reads a NaN pixel as out of the image; a point at
+    # depth exactly zero is as far from a pixel as one behind the camera.
+    points = np.array([[0.0, 0.0, 700.0], [10.0, 0.0, 0.0], [0.0, 0.0, -700.0]])
+    u, v = synth._pixels(synth.default_config(), points, np.eye(3)[None], np.zeros((1, 3)))
+    assert np.isfinite([u[0, 0], v[0, 0]]).all()
+    assert np.isnan([u[0, 1:], v[0, 1:]]).all()
+
+
 @pytest.mark.parametrize("sigma", [0.0, 30.0])
 def test_trial_threshold_keeps_the_scene_where_every_view_has_20_points(sigma):
     # Where every view keeps 20 points, the trial's scene is make_scene's.
@@ -366,6 +375,20 @@ def test_zhang_exact_on_noiseless_scene(noiseless_scene):
     assert abs(intr.fy - 1000.0) / 1000.0 < 1e-6
     assert abs(intr.cx - 542.0) < 1e-3
     assert abs(intr.gamma - 0.01) < 1e-4
+
+
+@pytest.mark.parametrize("trial", range(5))
+def test_zhang_on_two_noiseless_images_adds_the_zero_skew_row(trial):
+    # Two views fix only four of the conic's five unknowns; the baseline
+    # adds gamma = 0 as a sixth row, which recovers a zero-skew camera.
+    truth = CameraIntrinsics(1000.0, 990.0, 542.0, 478.0, 0.0)
+    cfg = synth.default_config(intrinsics=truth, image_count=2)
+    _, obs = synth.make_scene(cfg, pose_rng(seed=5, trial=trial))
+    intr = synth.zhang_init(obs)
+    for name in ("fx", "fy", "cx", "cy"):
+        assert abs(getattr(intr, name) / getattr(truth, name) - 1.0) < 1e-8, name
+    assert abs(intr.gamma) < 1e-9
+    assert synth.calibrate(obs, "zhang").report.converged
 
 
 def test_zhang_degenerate_rotation_set_rejected():
