@@ -49,18 +49,19 @@ def _nan_guarded(reduction, values: np.ndarray) -> float:
 
 
 def _truth_errors(intr, dist, ext, truth: fileio.GroundTruth):
-    block = {
-        "fx_err_rel": abs(intr.fx - truth.intrinsics.fx) / truth.intrinsics.fx,
-        "fy_err_rel": abs(intr.fy - truth.intrinsics.fy) / truth.intrinsics.fy,
-        "cx_err_px": abs(intr.cx - truth.intrinsics.cx),
-        "cy_err_px": abs(intr.cy - truth.intrinsics.cy),
-        "gamma_err": abs(intr.gamma - truth.intrinsics.gamma),
-        "d1_err": abs(dist.d1 - truth.distortion.d1),
-        "d2_err": abs(dist.d2 - truth.distortion.d2),
-    }
+    """The report's `error_vs_truth`: the Monte Carlo's `synth.error_row`, unsigned.
+
+    The focal errors are relative to the truth, and the center's is the
+    distance to the true center, written when there are extrinsics.
+    """
+    true = synth.truth_row(truth.intrinsics, truth.distortion, truth.t_cp)
+    err = np.abs(synth.error_row(intr, dist, ext, true))
+    block = {"fx_err_rel": err[0] / true[0], "fy_err_rel": err[1] / true[1],
+             "cx_err_px": err[2], "cy_err_px": err[3], "gamma_err": err[4],
+             "d1_err": err[5], "d2_err": err[6]}
     if ext is not None:
-        block["tcp_err_mm"] = float(np.linalg.norm(ext.t_cp - truth.t_cp))
-    return block
+        block["tcp_err_mm"] = np.linalg.norm(err[7:])
+    return {key: float(value) for key, value in block.items()}
 
 
 # ---------------------------------------------------------------------------

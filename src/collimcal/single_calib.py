@@ -105,22 +105,20 @@ def build_ray_database(ids, pixels, ref_intrinsics: CameraIntrinsics,
 def select_pairs(rays: np.ndarray):
     """The pair table of the cosine constraints: (i, j, g) with g = rays[i]·rays[j].
 
-    All pairs up to 120 points; beyond that each point is paired with 30
-    random partners drawn with seed 0, which keeps the constraint count linear.
+    All pairs up to 120 points; beyond that point a is paired with the
+    points a + o (mod count) at K = 30 fixed offsets o = k * count // (2K + 1),
+    k = 1..K, which keeps the constraint count linear.  From 2K + 1 points on
+    the offsets are distinct and below count / 2, so every pair appears once
+    and there are K * count of them.
     """
     rays = real_array(rays, "rays", (None, 3))
     count = len(rays)
     if count <= MAX_EXHAUSTIVE_PAIR_POINTS:
         i, j = np.triu_indices(count, k=1)
     else:
-        rng = np.random.default_rng(0)
-        partners = np.array([rng.choice(count - 1, size=SUBSAMPLED_PARTNERS, replace=False)
-                             for _ in range(count)])
-        partners += partners >= np.arange(count)[:, None]  # skip the point itself
-        rows, cols = np.repeat(np.arange(count), SUBSAMPLED_PARTNERS), partners.ravel()
-        # Each pair once, in (i, j) order: the unique keys i * count + j, i < j.
-        keys = np.minimum(rows, cols) * count + np.maximum(rows, cols)
-        i, j = np.divmod(np.unique(keys), count)
+        offsets = np.arange(1, SUBSAMPLED_PARTNERS + 1) * count // (2 * SUBSAMPLED_PARTNERS + 1)
+        i = np.repeat(np.arange(count), SUBSAMPLED_PARTNERS)
+        j = (i + np.tile(offsets, count)) % count
     ri, rj = _pair_columns(rays, i, j)
     return i, j, ri[0] * rj[0] + ri[1] * rj[1] + ri[2] * rj[2]
 

@@ -44,8 +44,6 @@ from .refine import ResidualReport, general_ba, spherical_ba
 
 MAX_TILT_DEG = 30.0
 POSE_ATTEMPTS = 100
-# The fewest points a Monte Carlo trial's view keeps (`_run_chunk`).
-TRIAL_IMAGE_POINTS = 20
 
 PARAM_NAMES = ("fx", "fy", "cx", "cy", "gamma", "d1", "d2", "x", "y", "r")
 
@@ -151,10 +149,7 @@ class SyntheticConfig:
         return np.array([self.target_offset[0], self.target_offset[1], -self.radius])
 
     def truth_vector(self) -> np.ndarray:
-        intr = self.intrinsics
-        return np.array([intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma,
-                         self.distortion.d1, self.distortion.d2,
-                         self.target_offset[0], self.target_offset[1], self.radius])
+        return truth_row(self.intrinsics, self.distortion, self.t_cp)
 
 
 def default_config(**overrides) -> SyntheticConfig:
@@ -246,12 +241,12 @@ def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
     return uv, _inside(uv[..., 0], uv[..., 1], config.image_size) & front[:, None]
 
 
-def _make_scenes(config: SyntheticConfig, rngs, min_points: int = MIN_IMAGE_POINTS):
+def _make_scenes(config: SyntheticConfig, rngs):
     """One scene per RNG stream, every stream drawn as `make_scene` draws it.
 
     The poses of all streams are drawn in lockstep (`_draw_poses`); then
     each stream, in order, renders its views and draws again, one view at
-    a time, those that keep fewer than `min_points` points.  A view is
+    a time, those that keep fewer than MIN_IMAGE_POINTS points.  A view is
     drawn at most POSE_ATTEMPTS times; then PoseSamplingFailed names it.
     """
     target = config.target.planar_target()
@@ -260,15 +255,15 @@ def _make_scenes(config: SyntheticConfig, rngs, min_points: int = MIN_IMAGE_POIN
     scenes = []
     for rng, R, centers in zip(rngs, *poses):
         uv, keep = _render(R, centers, config, points, rng)
-        for k in np.flatnonzero(keep.sum(axis=1) < min_points):
+        for k in np.flatnonzero(keep.sum(axis=1) < MIN_IMAGE_POINTS):
             for _ in range(POSE_ATTEMPTS - 1):
                 R[k], centers[k] = _draw_poses(config, [rng], points, range(k, k + 1))
                 uv[k], keep[k] = _render(R[k:k + 1], centers[k:k + 1], config, points, rng)
-                if keep[k].sum() >= min_points:
+                if keep[k].sum() >= MIN_IMAGE_POINTS:
                     break
             else:
                 raise errors.PoseSamplingFailed(
-                    f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {min_points} "
+                    f"image {k}: no pose in {POSE_ATTEMPTS} draws kept {MIN_IMAGE_POINTS} "
                     f"target points in front of the camera and inside the image")
         observations = ObservationSet(target, target.ids[np.nonzero(keep)[1]], uv[keep],
                                       keep.sum(axis=1))
@@ -289,10 +284,9 @@ def make_scene(config: SyntheticConfig, rng: np.random.Generator):
     leaves fewer than MIN_IMAGE_POINTS points in the image, is drawn again
     (pose, jitter and noise) after that, up to POSE_ATTEMPTS draws in all;
     then PoseSamplingFailed names the image.  A Monte Carlo trial draws its
-    scene by the same rule with TRIAL_IMAGE_POINTS in place of
-    MIN_IMAGE_POINTS (`_run_chunk`).  The observations' target is the
-    grid's cached, read-only PlanarTarget, shared by every scene of that
-    grid.
+    scene by the same rule (`_run_chunk`), and `collimcal simulate` writes
+    trial 0's scene.  The observations' target is the grid's cached,
+    read-only PlanarTarget, shared by every scene of that grid.
     """
     return _make_scenes(config, [rng])[0]
 
@@ -430,16 +424,25 @@ def _config_for(config: SyntheticConfig, sweep_kind: str, value) -> SyntheticCon
     return replace(config, **{SWEEPS[sweep_kind][0]: int(number) if images else number})
 
 
-def _error_row(result: Calibration, truth: np.ndarray) -> np.ndarray:
-    """The signed errors of a `calibrate` result, ordered as PARAM_NAMES.
+def truth_row(intrinsics: CameraIntrinsics, distortion: Distortion, t_cp) -> np.ndarray:
+    """A true camera and center t_cp (3,), ordered as PARAM_NAMES, with r = -t_cp[2]."""
+    return np.array([intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy,
+                     intrinsics.gamma, distortion.d1, distortion.d2, t_cp[0], t_cp[1], -t_cp[2]])
 
-    Distortion is NaN unless refined, and the center NaN unless the result
-    has spherical extrinsics.
+
+def error_row(intrinsics: CameraIntrinsics, distortion: Distortion | None, extrinsics,
+              truth: np.ndarray) -> np.ndarray:
+    """The signed errors of an estimate against `truth` (`truth_row`), ordered as PARAM_NAMES.
+
+    The one error formula of the Monte Carlo arms and of the `calibrate`
+    report's `error_vs_truth`.  The distortion errors are NaN when
+    `distortion` is None, and the center's unless `extrinsics` is a
+    SphericalExtrinsics.
     """
-    intr, dist, ext = result.intrinsics, result.distortion, result.extrinsics
-    values = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma]
-    values += [np.nan] * 2 if result.report is None else [dist.d1, dist.d2]
-    values += [ext.x, ext.y, ext.r] if isinstance(ext, SphericalExtrinsics) else [np.nan] * 3
+    values = [intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy, intrinsics.gamma]
+    values += [np.nan] * 2 if distortion is None else [distortion.d1, distortion.d2]
+    spherical = isinstance(extrinsics, SphericalExtrinsics)
+    values += [extrinsics.x, extrinsics.y, extrinsics.r] if spherical else [np.nan] * 3
     return np.array(values) - truth
 
 
@@ -447,9 +450,9 @@ def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
     """One paired trial: one scene, every requested solver arm on it.
 
     The one-trial chunk (`_run_chunk`), for a caller that wants a single
-    trial; `run_monte_carlo` maps whole chunks instead.  Every view of the
-    scene keeps at least TRIAL_IMAGE_POINTS points.  Returns
-    {arm: (error_row, seconds)}; a failed arm maps to (None, seconds).
+    trial; `run_monte_carlo` maps whole chunks instead.  The scene is
+    `make_scene`'s of the trial's stream.  Returns {arm: (error_row,
+    seconds)}; a failed arm maps to (None, seconds).
     """
     return _run_chunk(config, range(trial_index, trial_index + 1), arms)[0]
 
@@ -459,12 +462,12 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
 
     The one unit of work of `run_monte_carlo`, on a pool worker or in the
     calling process alike.  Each trial's scene is drawn from its own stream
-    by the one scene rule (`_make_scenes`), with TRIAL_IMAGE_POINTS in place
-    of MIN_IMAGE_POINTS: a view that keeps fewer is drawn again alone, so
-    the trial's other views stay paired across sweep points.  The scenes of
-    all trials are made in lockstep, so a trial's scene does not depend on
-    the chunk it runs in.  An unknown arm raises ValueError before any
-    scene is drawn.
+    SeedSequence(rng_seed, spawn_key=(trial,)) by `make_scene`'s rule
+    (`_make_scenes`): a view that keeps fewer than MIN_IMAGE_POINTS points
+    is drawn again alone, so the trial's other views stay paired across
+    sweep points.  The scenes of all trials are made in lockstep, so a
+    trial's scene does not depend on the chunk it runs in.  An unknown arm
+    raises ValueError before any scene is drawn.
     """
     for arm in arms:
         if arm not in _ARMS:
@@ -472,14 +475,14 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
     rngs = [np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
             for t in trials]
     truth = config.truth_vector()
-    return [_run_arms(obs, truth, arms)
-            for _, obs in _make_scenes(config, rngs, TRIAL_IMAGE_POINTS)]
+    return [_run_arms(obs, truth, arms) for _, obs in _make_scenes(config, rngs)]
 
 
 def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
     """Every requested solver arm on one scene: {arm: (error_row, seconds)}.
 
-    Each arm is one `calibrate` call.  An initial arm solves its mode's
+    Each arm is one `calibrate` call, scored by `error_row`, which is given
+    the distortion of a refined arm only.  An initial arm solves its mode's
     start each time it runs; a refined arm reuses the start of its initial
     arm when that arm ran before it, and its seconds then exclude the start.
     """
@@ -491,7 +494,8 @@ def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
             result = calibrate(observations, mode, refine=refined,
                                start=starts.get(mode) if refined else None)
             starts[mode] = result.start
-            row = _error_row(result, truth)
+            row = error_row(result.intrinsics, result.distortion if refined else None,
+                            result.extrinsics, truth)
         except errors.CalibrationError:
             row = None
         results[arm] = (row, time.perf_counter() - start)
@@ -549,13 +553,13 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     `_run_chunk`, which draws a chunk's scenes in lockstep, is mapped over
     them: on one process pool per call when there is more than one worker,
     in the calling process when there is one.  Every view keeps at least
-    TRIAL_IMAGE_POINTS points: a view that keeps fewer is drawn again alone,
-    and a view that cannot be drawn raises PoseSamplingFailed naming its
-    image.  Trials are seeded by their index, and a lockstep scene equals
-    the one drawn alone, so neither the worker count nor the chunks change
-    a result.  The pool has at most one worker per trial, and each worker
-    keeps its freed heap (`_keep_worker_heap`).  Per-trial failures are
-    recorded as NaN rows.  Once every point has run, the first point at
+    MIN_IMAGE_POINTS points, as in `make_scene`: a view that keeps fewer is
+    drawn again alone, and a view that cannot be drawn raises
+    PoseSamplingFailed naming its image.  Trials are seeded by their index,
+    and a lockstep scene equals the one drawn alone, so neither the worker
+    count nor the chunks change a result.  The pool has at most one worker
+    per trial, and each worker keeps its freed heap (`_keep_worker_heap`).
+    Per-trial failures are recorded as NaN rows.  Once every point has run, the first point at
     which more than half of the trials failed for some arm raises
     CalibrationError.  `workers` below 1 and an empty `sweep_values` raise
     ValueError, and so does an unknown arm, in the chunk (`_run_chunk`).

@@ -139,6 +139,36 @@ def test_calibrate_reports_the_pipelines_result(sim_file, tmp_path, mode, images
                                              if mode == "minimal" else None)
 
 
+@pytest.mark.parametrize("grid", [{}, {"target": {"rows": 4, "cols": 4}}],
+                         ids=["default-grid", "4x4-grid"])
+def test_report_errors_are_the_monte_carlo_trial_0_row(tmp_path, grid):
+    # One synthetic protocol: `simulate` writes Monte Carlo trial 0's scene,
+    # and `error_vs_truth` is that trial's error row of the same arm, bit for
+    # bit.  A 4x4 grid keeps 16 points a view, which both paths accept.
+    sigma = 0.5
+    cfg = write_config(tmp_path / "cfg.json", pixel_noise_sigma=sigma, trial_count=1,
+                       spherical_noise_sigma=10.0, distortion=[0.05, -0.1], **grid)
+    obs = tmp_path / "obs.json"
+    assert main(["simulate", "--config", cfg, "--out", str(obs)]) == 0
+    config = fileio.read_synthetic_config(cfg)
+    stats = synth.run_monte_carlo(config, "noise", [sigma], arms=("ours", "ours_ba"),
+                                  workers=1)
+    for stat, extra in zip(stats, (["--no-refine"], []), strict=True):
+        out = tmp_path / f"report-{stat.stage}.json"
+        assert main(["calibrate", "--in", str(obs), "--mode", "nimg", "--out", str(out),
+                     *extra]) == 0
+        block = json.loads(out.read_text())["error_vs_truth"]
+        truth, row = stat.truth, stat.trials[0]
+        assert block["fx_err_rel"] == abs(row[0]) / truth[0]
+        assert block["fy_err_rel"] == abs(row[1]) / truth[1]
+        assert [block[key] for key in ("cx_err_px", "cy_err_px", "gamma_err")] == \
+            np.abs(row[2:5]).tolist()
+        assert block["tcp_err_mm"] == np.linalg.norm(row[7:10])
+        # Unrefined, the report scores the start's zero distortion.
+        d_errors = np.abs(truth[5:7] if extra else row[5:7]).tolist()
+        assert [block["d1_err"], block["d2_err"]] == d_errors
+
+
 def test_calibrate_minimal_mode(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", image_count=2)
     obs = tmp_path / "two.json"
@@ -485,6 +515,20 @@ def test_sweep_values_default_to_the_protocol_table(tmp_path, sweep):
     field, values = synth.SWEEPS[sweep]
     assert list(values) == defaults
     assert getattr(synth._config_for(synth.default_config(), sweep, 4), field) == 4
+
+
+def test_custom_sweep_values_take_the_protocols_first_values(tmp_path):
+    # 0 is every noise sweep's first value and 3 the closed form's fewest
+    # images; just below each, a value is refused.
+    path = write_config(tmp_path / "edges.json",
+                        sweep_values={"noise": [0.0, 1.0], "images": [3, 5]})
+    assert fileio.read_sweep_values(path, "noise") == [0.0, 1.0]
+    assert fileio.read_sweep_values(path, "images") == [3.0, 5.0]
+    for sweep, value, message in (("noise", -0.5, "finite and non-negative"),
+                                  ("images", 2, "integers of at least 3")):
+        refused = write_config(tmp_path / f"{sweep}.json", sweep_values={sweep: [value]})
+        with pytest.raises(fileio.FileFormatError, match=message):
+            fileio.read_sweep_values(refused, sweep)
 
 
 def test_config_target_takes_the_grid_defaults_for_missing_keys(tmp_path):

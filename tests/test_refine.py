@@ -174,6 +174,24 @@ def test_lm_uncertainty_stop_needs_two_accepted_steps(monkeypatch):
     assert report.termination == "budget"
 
 
+def test_lm_distance_left_needs_shrinking_steps():
+    # rho = 0.5 leaves 0.25 * 0.5 / 0.5; steps of equal length (rho = 1)
+    # or growing ones give no finite sum.
+    assert refine._distance_left(0.25, 0.5) == 0.25
+    assert refine._distance_left(0.5, 0.5) == np.inf
+    assert refine._distance_left(0.5, 0.25) == np.inf
+
+
+def test_lm_accepts_a_step_that_leaves_the_cost_unchanged():
+    # On a plateau the step lowers the cost by 0, which is within the
+    # relative 1e-10 of the "cost" stop: the step is taken and the run ends.
+    x, report = vector_lm(lambda x: np.ones(2), lambda x: np.eye(2), np.zeros(2),
+                          robust_scale=BROAD)
+    assert report.termination == "cost" and report.converged
+    assert report.cost_trajectory[0] == report.cost_trajectory[1]
+    assert len(report.cost_trajectory) == 2 and np.all(x < -0.9)
+
+
 def test_lm_respects_iteration_budget(monkeypatch):
     monkeypatch.setattr(refine, "_MAX_ITERATIONS", 2)
 

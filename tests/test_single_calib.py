@@ -307,25 +307,23 @@ def test_cosine_jacobian_matches_central_differences(count):
 
 
 def reference_pairs(count):
-    """The subsampled pairs of select_pairs, deduplicated through a dict."""
-    rng = np.random.default_rng(0)
-    keep = {}
-    for i in range(count):
-        partners = rng.choice(count - 1, size=sc.SUBSAMPLED_PARTNERS, replace=False)
-        for j in (partners + (partners >= i)).tolist():
-            keep[(min(i, j), max(i, j))] = None
-    pairs = np.array(sorted(keep), dtype=int)
-    return pairs[:, 0], pairs[:, 1]
+    """The offset rule's pairs: (a, (a + o) mod count) for each point a and offset o."""
+    k = sc.SUBSAMPLED_PARTNERS
+    offsets = [m * count // (2 * k + 1) for m in range(1, k + 1)]
+    return [(a, (a + o) % count) for a in range(count) for o in offsets]
 
 
 @pytest.mark.parametrize("count", [121, 200, 500])
-def test_subsampled_pairs_match_a_dict_reference(count):
+def test_subsampled_pairs_match_the_offset_reference(count):
+    # 30 partners a point, no random draw, and every unordered pair once.
     rays = random_unit_rays(np.random.default_rng(count), count)
     i, j, g = sc.select_pairs(rays)
-    ref_i, ref_j = reference_pairs(count)
-    assert i.dtype == ref_i.dtype and j.dtype == ref_j.dtype
-    assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
-    assert np.allclose(g, [rays[a] @ rays[b] for a, b in zip(i, j)], rtol=0.0, atol=1e-15)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    assert i.dtype.kind == j.dtype.kind == "i"
+    assert pairs == reference_pairs(count)
+    assert len({frozenset(pair) for pair in pairs}) == sc.SUBSAMPLED_PARTNERS * count
+    assert (i != j).all()
+    assert np.allclose(g, [rays[a] @ rays[b] for a, b in pairs], rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

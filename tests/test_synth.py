@@ -141,15 +141,11 @@ def test_pose_sampling_failure_when_target_cannot_fit():
     cfg = synth.default_config(radius=260.0)  # target wider than the view
     with pytest.raises(errors.PoseSamplingFailed, match="image 0"):
         synth.make_scene(cfg, pose_rng(seed=5))
-    # A pooled chunk whose scenes cannot be made fails as the serial path
-    # does, whether a pose cannot be drawn or an image never keeps 20 points.
-    for cfg, message in ((synth.default_config(radius=260.0, trial_count=4), "image 0"),
-                         (synth.default_config(target=synth.TargetGrid(rows=3, cols=3),
-                                               image_count=2, trial_count=4),
-                          "image 0: .* kept 20 target points")):
-        for workers in (1, 2):
-            with pytest.raises(errors.PoseSamplingFailed, match=message):
-                synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours",), workers=workers)
+    # A pooled chunk whose scenes cannot be made fails as the serial path does.
+    cfg = synth.default_config(radius=260.0, trial_count=4)
+    for workers in (1, 2):
+        with pytest.raises(errors.PoseSamplingFailed, match="image 0"):
+            synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours",), workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -330,31 +326,30 @@ def test_a_point_at_zero_depth_gets_nan_pixels():
 
 
 @pytest.mark.parametrize("sigma", [0.0, 30.0])
-def test_trial_threshold_keeps_the_scene_where_every_view_has_20_points(sigma):
-    # Where every view keeps 20 points, the trial's scene is make_scene's.
+def test_trial_scene_is_make_scene_of_its_stream(sigma, monkeypatch):
+    # A Monte Carlo trial runs its arms on make_scene's scene of the trial's
+    # stream, whatever chunk it runs in.
+    seen = []
+    monkeypatch.setattr(synth, "_run_arms", lambda obs, truth, arms: seen.append(obs))
     cfg = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=sigma)
-    trials = range(24)
-    rngs = [pose_rng(trial=t) for t in trials]
-    scenes = synth._make_scenes(cfg, rngs, synth.TRIAL_IMAGE_POINTS)
-    for t, rng, scene in zip(trials, rngs, scenes):
-        reference_rng = pose_rng(trial=t)
-        (R, centers), obs = scene
-        (ref_R, ref_centers), ref_obs = synth.make_scene(cfg, reference_rng)
-        assert same_bytes(R, ref_R) and same_bytes(centers, ref_centers)
+    trials = range(3, 27)
+    synth._run_chunk(cfg, trials, ("ours",))
+    for t, obs in zip(trials, seen, strict=True):
+        _, ref_obs = synth.make_scene(cfg, pose_rng(trial=t))
         assert same_bytes(obs.ids, ref_obs.ids) and same_bytes(obs.uv, ref_obs.uv)
         assert same_bytes(obs.counts, ref_obs.counts)
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_trial_redraws_a_thin_view_alone_and_keeps_the_others_paired():
-    # At 200 mm of jitter a view that keeps fewer than 20 points is drawn
-    # again alone; the trial's other views keep the 0 mm scene's rotations.
-    (R0, _), _ = synth._make_scenes(synth.default_config(pixel_noise_sigma=0.5),
-                                    [pose_rng()], synth.TRIAL_IMAGE_POINTS)[0]
+    # At 200 mm of jitter one view of trial 1 keeps fewer than 4 points and
+    # is drawn again alone; the trial's other views keep the 0 mm scene's
+    # rotations.
+    (R0, _), _ = synth.make_scene(synth.default_config(pixel_noise_sigma=0.5),
+                                  pose_rng(trial=1))
     cfg = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=200.0)
-    (R, _), obs = synth._make_scenes(cfg, [pose_rng()], synth.TRIAL_IMAGE_POINTS)[0]
-    assert sum(np.array_equal(a, b) for a, b in zip(R0, R)) >= 14
-    assert obs.counts.min() >= 20
+    (R, _), obs = synth.make_scene(cfg, pose_rng(trial=1))
+    assert sum(np.array_equal(a, b) for a, b in zip(R0, R)) == 14
+    assert obs.counts.min() >= MIN_IMAGE_POINTS
 
 
 def test_view_that_cannot_be_drawn_names_the_image():
@@ -396,6 +391,21 @@ def test_zhang_degenerate_rotation_set_rejected():
     obs = z_rotated_observation_set(
         [rotation_from_axis_angle([0.1, -0.07, 0.02])], extra_pairs=(0.4, -0.6))
     with pytest.raises((errors.DegenerateConfiguration, errors.NotPositiveDefinite)):
+        synth.zhang_init(obs)
+
+
+def test_zhang_refuses_a_system_past_the_rank_cutoff(monkeypatch):
+    # Singular values 1e3 ... 5e-7: none is zero, but s[-2]/s[0] = 5e-10 lies
+    # just below the 1e-9 cutoff, which is relative to s[0] = 1e3.
+    rng = np.random.default_rng(0)
+    _, _, obs = scene(seed=0, pixel_noise_sigma=0.5)
+    U, _ = np.linalg.qr(rng.normal(size=(2 * len(obs), 6)))
+    W, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    V = U @ np.diag([1e3, 1e2, 1e1, 1.0, 5e-7, 1e-9]) @ W.T
+    rows = np.zeros((len(obs), 6, 6))
+    rows[:, 1], rows[:, 0] = V[0::2], V[1::2]  # the u12 and u11 - u22 rows
+    monkeypatch.setattr(synth, "conic_rows", lambda H: rows)
+    with pytest.raises(errors.DegenerateConfiguration, match="rank deficient"):
         synth.zhang_init(obs)
 
 
@@ -454,7 +464,9 @@ def test_every_arm_is_its_calibrate_call():
              "zhang": ("zhang", False), "zhang_ba": ("zhang", True)}
     assert set(calls) == set(synth.SOLVER_ARMS)
     for arm, (mode, refine) in calls.items():
-        expected = synth._error_row(synth.calibrate(obs, mode, refine=refine), truth)
+        result = synth.calibrate(obs, mode, refine=refine)
+        expected = synth.error_row(result.intrinsics, result.distortion if refine else None,
+                                   result.extrinsics, truth)
         assert results[arm][0].tobytes() == expected.tobytes(), arm
     # An initial arm estimates no distortion, and only "ours" has a center.
     assert np.isnan(results["zhang"][0][5:]).all() and np.isnan(results["ours"][0][5:7]).all()
@@ -567,9 +579,9 @@ def test_one_worker_runs_the_pools_chunks_in_the_calling_process(monkeypatch):
     streams = []
     make_scenes_alone = synth._make_scenes
 
-    def make_scenes(config, rngs, min_points):
+    def make_scenes(config, rngs):
         streams.append(len(rngs))
-        return make_scenes_alone(config, rngs, min_points)
+        return make_scenes_alone(config, rngs)
 
     monkeypatch.setattr(synth, "_make_scenes", make_scenes)
     cfg = synth.default_config(pixel_noise_sigma=0.5, trial_count=8)
