@@ -14,13 +14,17 @@ reproducible.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import functools
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from itertools import repeat
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -70,6 +74,9 @@ _WORKER_TRIM_THRESHOLD = 512 << 20
 _WORKER_MMAP_THRESHOLD = 256 << 20
 # mallopt's return values (1 on success) in a worker that made the setting.
 _worker_heap_setting = None
+# The Monte Carlo pool (`_pool_of`): the PID of the process that forked it,
+# its worker processes, and the caller's end of each worker's pipe.
+_pool = None
 
 
 @dataclass(frozen=True)
@@ -407,8 +414,8 @@ class TrialStats:
         return np.hypot(self._column("cx"), self._column("cy"))
 
     def center_errors(self) -> np.ndarray:
-        return np.sqrt(self._column("x") ** 2 + self._column("y") ** 2
-                       + self._column("r") ** 2)
+        """Each trial's distance to the true center, as the `calibrate` report's `tcp_err_mm`."""
+        return np.array([np.linalg.norm(row) for row in self.trials[:, 7:]])
 
     def ms_per_trial(self) -> float:
         return float(np.nanmean(self.seconds) * 1e3)
@@ -525,13 +532,13 @@ def default_worker_count() -> int:
 
 
 def _keep_worker_heap() -> None:
-    """Pool worker initializer: keep freed heap in the worker.
+    """Keep freed heap in a pool worker; each worker runs it once, before its first chunk.
 
     glibc otherwise hands freed memory back to the system between bundle
     adjustment iterations, and the next iteration faults it in again.  The
-    workers are short-lived processes that run trials only, so the caller's
-    allocator is never touched.  Records mallopt's return values; does
-    nothing where libc or mallopt cannot be loaded.
+    workers run trials only, so the caller's allocator is never touched.
+    Records mallopt's return values; does nothing where libc or mallopt
+    cannot be loaded.
     """
     global _worker_heap_setting
     try:
@@ -543,6 +550,117 @@ def _keep_worker_heap() -> None:
                             mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD))
 
 
+def _serve(conn, inherited) -> None:
+    """A pool worker: runs each chunk it receives on `conn` until the pipe closes.
+
+    It first closes `inherited`, the callers' pipe ends it holds, so that
+    closing them in the caller reaches the workers as end of file.  Each
+    (chunk index, config, trials, arms) it receives is answered with
+    (chunk index, True, outcomes) or (chunk index, False, (exception,
+    its formatted traceback)).
+    """
+    for other in inherited:
+        other.close()
+    _keep_worker_heap()
+    while True:
+        try:
+            index, config, trials, arms = conn.recv()
+        except EOFError:
+            return
+        try:
+            conn.send((index, True, _run_chunk(config, trials, arms)))
+        except Exception as exc:
+            conn.send((index, False, (exc, traceback.format_exc())))
+
+
+def _close_pool() -> None:
+    """Drop the pool: close its pipes and end its workers, if this process started it.
+
+    A pool inherited from the process that forked this one is dropped
+    untouched.  Runs at exit, so no worker outlives its caller.
+    """
+    global _pool
+    owner, procs, conns = _pool or (None, [], [])
+    _pool = None
+    if owner != os.getpid():
+        return
+    for conn in conns:
+        conn.close()
+    for proc in procs:
+        proc.terminate()
+        proc.join()
+
+
+atexit.register(_close_pool)
+
+
+def _pool_of(size: int):
+    """This process's pool of `size` live workers, started unless the last one fits.
+
+    The workers are daemon processes started by the platform's default
+    start method; each runs the code it was started with.
+    """
+    global _pool
+    if _pool is not None:
+        owner, procs, _ = _pool
+        if not (owner == os.getpid() and len(procs) == size
+                and all(proc.is_alive() for proc in procs)):
+            _close_pool()
+    if _pool is None:
+        # Kept before the first start, so that a start that fails can end the others.
+        procs, conns = [], []
+        _pool = (os.getpid(), procs, conns)
+        context = multiprocessing.get_context()
+        for _ in range(size):
+            conn, child = context.Pipe()
+            conns.append(conn)
+            proc = context.Process(target=_serve, args=(child, conns), daemon=True)
+            proc.start()
+            child.close()
+            procs.append(proc)
+    return _pool
+
+
+def _map_on_pool(chunks, arms, size: int) -> list:
+    """`_run_chunk` of every (config, trials) chunk on the pool of `size`, in chunk order.
+
+    Each worker holds one chunk at a time, and the next chunk goes to
+    whichever worker answers first.  Once a chunk raises, no further chunk
+    is handed out; the chunks in flight finish, and the exception of the
+    lowest-index failing chunk is raised, caused by the worker's traceback,
+    with the pool kept.  A worker that dies raises BrokenProcessPool; then,
+    and on any other exception that leaves the dispatch (KeyboardInterrupt
+    among them), the pool is ended, so no stale answer reaches a later
+    call.
+    """
+    try:
+        conns = _pool_of(size)[2]
+        outcomes, failures, busy = [None] * len(chunks), {}, set()
+        queue = list(enumerate(chunks))[::-1]
+        while True:
+            for conn in conns:
+                if conn not in busy and queue and not failures:
+                    index, (config, trials) = queue.pop()
+                    conn.send((index, config, trials, arms))
+                    busy.add(conn)
+            if not busy:
+                break
+            for conn in wait(busy):
+                index, ok, value = conn.recv()
+                busy.remove(conn)
+                (outcomes if ok else failures)[index] = value
+    except (EOFError, ConnectionError) as exc:
+        _close_pool()
+        raise BrokenProcessPool("a Monte Carlo pool worker died during the call") from exc
+    except BaseException:
+        _close_pool()
+        raise
+    if failures:
+        exc, trace = failures[min(failures)]
+        raise exc from RuntimeError(f"raised in a Monte Carlo pool worker:\n{trace}")
+    return outcomes
+
+
 def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
                     arms=SOLVER_ARMS, workers: int | None = None):
     """Monte Carlo sweep: trial_count paired trials per sweep value and arm.
@@ -551,7 +669,7 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     order.  Every point's trials are cut into chunks of
     max(1, trial_count // (4 * workers)) trials of that point, and
     `_run_chunk`, which draws a chunk's scenes in lockstep, is mapped over
-    them: on one process pool per call when there is more than one worker,
+    them: on the process's worker pool when there is more than one worker,
     in the calling process when there is one.  Every view keeps at least
     MIN_IMAGE_POINTS points, as in `make_scene`: a view that keeps fewer is
     drawn again alone, and a view that cannot be drawn raises
@@ -559,7 +677,12 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     and a lockstep scene equals the one drawn alone, so neither the worker
     count nor the chunks change a result.  The pool has at most one worker
     per trial, and each worker keeps its freed heap (`_keep_worker_heap`).
-    Per-trial failures are recorded as NaN rows.  Once every point has run, the first point at
+    It is started by the first pooled call and kept for the later calls of
+    the same size in the same process, until the process exits; its
+    workers run the code they were started with, so code patched after
+    that runs only with `workers=1`.  A worker that
+    dies during the call raises BrokenProcessPool.  Per-trial failures are
+    recorded as NaN rows.  Once every point has run, the first point at
     which more than half of the trials failed for some arm raises
     CalibrationError.  `workers` below 1 and an empty `sweep_values` raise
     ValueError, and so does an unknown arm, in the chunk (`_run_chunk`).
@@ -576,8 +699,7 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     chunks = [(point, range(start, min(start + size, n)))
               for _, point in points for start in range(0, n, size)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_worker_heap) as pool:
-            chunked = list(pool.map(_run_chunk, *zip(*chunks), repeat(arms)))
+        chunked = _map_on_pool(chunks, arms, workers)
     else:
         chunked = list(map(_run_chunk, *zip(*chunks), repeat(arms)))
     outcomes = [outcome for chunk in chunked for outcome in chunk]

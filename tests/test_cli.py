@@ -163,7 +163,7 @@ def test_report_errors_are_the_monte_carlo_trial_0_row(tmp_path, grid):
         assert block["fy_err_rel"] == abs(row[1]) / truth[1]
         assert [block[key] for key in ("cx_err_px", "cy_err_px", "gamma_err")] == \
             np.abs(row[2:5]).tolist()
-        assert block["tcp_err_mm"] == np.linalg.norm(row[7:10])
+        assert block["tcp_err_mm"] == np.linalg.norm(row[7:10]) == stat.center_errors()[0]
         # Unrefined, the report scores the start's zero distortion.
         d_errors = np.abs(truth[5:7] if extra else row[5:7]).tolist()
         assert [block["d1_err"], block["d2_err"]] == d_errors

@@ -1,7 +1,15 @@
-import concurrent.futures
 import ctypes
+import multiprocessing
 import os
 import platform
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -599,32 +607,172 @@ def test_an_empty_sweep_is_refused(workers, arms):
         synth.run_monte_carlo(cfg, "noise", [], arms=arms, workers=workers)
 
 
-def test_pool_has_at_most_one_worker_per_trial(monkeypatch):
-    sizes = []
+def pool_pids():
+    return [proc.pid for proc in synth._pool[1]]
 
-    class Pool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(synth, "ProcessPoolExecutor", Pool)
+def pooled_sweep(workers, **overrides):
+    cfg = synth.default_config(**{"pixel_noise_sigma": 0.5, "trial_count": 4, **overrides})
+    return synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours", "zhang"), workers=workers)
+
+
+@pytest.fixture
+def fresh_pool():
+    """A pool forked inside the test (it sees the test's patches) and ended after it."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("a patch reaches the workers only when they are forked")
+    synth._close_pool()
+    yield
+    synth._close_pool()
+
+
+def test_pool_has_at_most_one_worker_per_trial():
     cfg = synth.default_config(trial_count=2)
     synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours",), workers=8)
+    pool = synth._pool
+    assert len(pool[1]) == 2
+    # One trial runs in the calling process and leaves the pool alone.
     synth.run_monte_carlo(synth.default_config(trial_count=1), "noise", [0.5],
                           arms=("ours",), workers=8)
-    assert sizes == [2]
+    assert synth._pool is pool and len(pool[1]) == 2
 
 
-def worker_heap_setting():
-    return synth._worker_heap_setting
+def test_workers_keep_their_heap_and_the_caller_does_not(monkeypatch, fresh_pool):
+    def report_heap_setting(config, trials, arms):
+        raise RuntimeError(synth._worker_heap_setting)
 
-
-def test_workers_keep_their_heap_and_the_caller_does_not():
-    with concurrent.futures.ProcessPoolExecutor(1, initializer=synth._keep_worker_heap) as pool:
-        in_worker = pool.submit(worker_heap_setting).result()
+    monkeypatch.setattr(synth, "_run_chunk", report_heap_setting)
+    with pytest.raises(RuntimeError) as raised:
+        pooled_sweep(workers=2)
     assert synth._worker_heap_setting is None
     if platform.libc_ver()[0] == "glibc":
-        assert in_worker == (1, 1)
+        assert raised.value.args == ((1, 1),)
+
+
+def test_a_failing_chunk_keeps_the_pool():
+    serial = pooled_sweep(workers=1)
+    pooled_sweep(workers=2)
+    pids = pool_pids()
+    with pytest.raises(errors.PoseSamplingFailed, match="image 0") as raised:
+        pooled_sweep(workers=2, radius=260.0)
+    assert "_make_scenes" in str(raised.value.__cause__)  # the worker's traceback
+    assert all(map(same_trial_stats, serial, pooled_sweep(workers=2)))
+    assert pool_pids() == pids
+
+
+def test_the_lowest_failing_chunk_is_raised_once_the_chunks_in_flight_end(monkeypatch,
+                                                                          fresh_pool, tmp_path):
+    started = tmp_path / "started"
+
+    def fail(config, trials, arms):
+        with open(started, "a") as log:
+            log.write(f"{trials.start}\n")
+        if trials.start == 0:
+            time.sleep(0.2)  # the second chunk fails first
+        raise ValueError(f"chunk at trial {trials.start}")
+
+    monkeypatch.setattr(synth, "_run_chunk", fail)
+    with pytest.raises(ValueError, match="^chunk at trial 0$"):
+        pooled_sweep(workers=2, trial_count=16)  # 8 chunks of 2 trials
+    assert sorted(started.read_text().split()) == ["0", "2"]  # no chunk after a failure
+    assert len(pool_pids()) == 2
+
+
+def test_a_worker_killed_between_calls_is_replaced():
+    serial = pooled_sweep(workers=1)
+    pooled_sweep(workers=2)
+    victim = synth._pool[1][0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=60)
+    assert not victim.is_alive()
+    assert all(map(same_trial_stats, serial, pooled_sweep(workers=2)))
+    assert victim.pid not in pool_pids() and len(pool_pids()) == 2
+
+
+def test_a_worker_that_dies_during_a_call_raises_and_ends_the_pool(monkeypatch, fresh_pool):
+    monkeypatch.setattr(synth, "_run_chunk", lambda config, trials, arms: os._exit(3))
+    with pytest.raises(BrokenProcessPool):
+        pooled_sweep(workers=2)
+    assert synth._pool is None
+
+
+def test_an_interrupted_call_ends_the_pool(monkeypatch):
+    pooled_sweep(workers=2)
+    workers = list(synth._pool[1])
+
+    def interrupted(conns):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(synth, "wait", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        pooled_sweep(workers=2)
+    assert synth._pool is None and not any(proc.is_alive() for proc in workers)
+    monkeypatch.undo()
+    assert all(map(same_trial_stats, pooled_sweep(workers=1), pooled_sweep(workers=2)))
+
+
+def test_a_pooled_call_leaves_no_thread_running():
+    # The benchmark's speed probe forks only beside no other thread.
+    pooled_sweep(workers=2)
+    assert threading.active_count() == 1
+
+
+def test_a_forked_child_makes_its_own_pool_and_leaves_the_parents():
+    serial = pooled_sweep(workers=1)
+    pooled_sweep(workers=2)
+    pids = pool_pids()
+    read, write = os.pipe()
+    child = os.fork()
+    if child == 0:  # leaves by os._exit, so no exit hook of the parent's runs here
+        passed = False
+        try:
+            pooled = pooled_sweep(workers=2)
+            passed = (synth._pool[0] == os.getpid() and not set(pool_pids()) & set(pids)
+                      and all(map(same_trial_stats, serial, pooled)))
+            synth._close_pool()
+        finally:
+            os.write(write, b"1" if passed else b"0")
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as answer:
+        answered = select.select([answer], [], [], 120)[0]
+        if not answered:
+            os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+        assert answered and answer.read() == b"1"
+    assert synth._pool[0] == os.getpid() and pool_pids() == pids
+    assert all(map(same_trial_stats, serial, pooled_sweep(workers=2)))
+
+
+def running(pid):
+    """Whether `pid` is a live process, from /proc; a zombie has ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("leave", ["", "os._exit(0)"], ids=["exit", "os-exit"])
+def test_a_process_that_used_the_pool_leaves_no_worker_behind(leave):
+    # On a normal exit the exit hook ends the workers; os._exit runs no hook,
+    # and each worker reads end of file on its pipe and returns.
+    code = ("import os\n"
+            "from collimcal import synth\n"
+            "synth.run_monte_carlo(synth.default_config(trial_count=2), 'noise', [0.5],\n"
+            "                      arms=('ours',), workers=2)\n"
+            "print(*(proc.pid for proc in synth._pool[1]), flush=True)\n" + leave)
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    pids = [int(pid) for pid in run.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 30
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(running, pids))
 
 
 def test_worker_heap_setting_is_a_no_op_without_mallopt(monkeypatch):
@@ -679,6 +827,16 @@ def test_trial_stats_accessors():
     assert mean_abs_fx / abs(s.truth[fx]) == pytest.approx(mean_abs_fx / 1000.0)
     assert s.ms_per_trial() > 0
     assert s.solver == "ours" and s.stage == "init"
+
+
+def test_center_errors_are_the_reports_distance():
+    # The report's tcp_err_mm is np.linalg.norm of the center errors; the
+    # root of the summed squares differs from it in the last bit on some rows.
+    rows = np.random.default_rng(0).normal(size=(200, 10)) * 30.0
+    s = synth.TrialStats(0.0, "ours", "init", truth=np.zeros(10), trials=rows,
+                         seconds=np.zeros(200), fail_count=0)
+    assert s.center_errors().tolist() == [np.linalg.norm(row[7:10]) for row in rows]
+    assert s.center_errors().tolist() != np.sqrt(np.sum(rows[:, 7:] ** 2, axis=1)).tolist()
 
 
 def test_unknown_sweep_and_arm_rejected():
