@@ -157,17 +157,18 @@ def checked_rotations(R: np.ndarray) -> np.ndarray:
     return R
 
 
+# Where v and -v go in a flattened [v]x: [v]x[2, 1], [0, 2], [1, 0] are v,
+# and [1, 2], [2, 0], [0, 1] are -v.
+_SKEW_PLUS, _SKEW_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices [v]x of one vector (3,) or a stack (..., 3)."""
     v = real_array(v, "v", (..., 3))
-    S = np.zeros(v.shape[:-1] + (3, 3))
-    S[..., 0, 1] = -v[..., 2]
-    S[..., 0, 2] = v[..., 1]
-    S[..., 1, 0] = v[..., 2]
-    S[..., 1, 2] = -v[..., 0]
-    S[..., 2, 0] = -v[..., 1]
-    S[..., 2, 1] = v[..., 0]
-    return S
+    S = np.zeros(v.shape[:-1] + (9,))
+    S[..., _SKEW_PLUS] = v
+    S[..., _SKEW_MINUS] = -v
+    return S.reshape(v.shape[:-1] + (3, 3))
 
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
@@ -198,9 +199,14 @@ def rotation_matrix_from_axis_angle(v: np.ndarray) -> np.ndarray:
     # Below 1e-12 rad the second-order expansion I + S + S^2/2 of S = [v]x
     # keeps the map smooth through zero.
     small = theta < 1e-12
-    S = skew(v / np.where(small, 1.0, theta))
-    a = np.where(small, 1.0, np.sin(theta))[..., None]
-    b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
+    if small.any():  # else the same values, without the three selections
+        S = skew(v / np.where(small, 1.0, theta))
+        a = np.where(small, 1.0, np.sin(theta))[..., None]
+        b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
+    else:
+        S = skew(v / theta)
+        a = np.sin(theta)[..., None]
+        b = (1.0 - np.cos(theta))[..., None]
     return _IDENTITY + a * S + b * (S @ S)
 
 

@@ -19,8 +19,12 @@ keeps its start, zero:
     single image:      one image, c and t held, and P the reference
                        rays (10).
 
-A start enters all three in one place, `_reprojection_problem`, which
-checks it against itself and names the field of the first fault.
+A start enters all three in one place, `_Reprojection` (which
+`_reprojection_problem` wraps in closures), which checks it against itself
+and names the field of the first fault.  Problems of one layout can run
+side by side (`bundle_adjustments`): their LM runs advance in rounds
+(`_lockstep`) and share every kernel call (`_Stack`), and each result is
+the one it gets alone.
 
 Rotations are updated right-multiplicatively, R <- R exp(delta^), on every
 trial step (every call of `plus`, damping retries included).  The product of
@@ -48,6 +52,7 @@ cost decrease of 1e-10 stays as the backstop (see `lm_minimize`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,13 +112,16 @@ def _block_squares(r: np.ndarray, block_size: int) -> np.ndarray:
     """Sum of squares of each block of `block_size` consecutive entries of r."""
     # Strided columns, added in order: as np.sum over each block, without a
     # reduction over rows of length block_size.
-    return sum(r[j::block_size] ** 2 for j in range(block_size))
+    squares = r[::block_size] ** 2
+    for j in range(1, block_size):
+        squares += r[j::block_size] ** 2
+    return squares
 
 
 def _robust_cost(squares: np.ndarray, scale: float) -> float:
     """Robust cost of the residual blocks with the given sums of squares."""
     c2 = scale * scale
-    return float(c2 * np.sum(np.log1p(squares / c2)))
+    return float(c2 * np.log1p(squares / c2).sum())
 
 
 def _block_weights(squares: np.ndarray, block_size: int, scale: float) -> np.ndarray:
@@ -187,31 +195,61 @@ class BlockJacobian:
     def normal_equations(self, weights: np.ndarray, r: np.ndarray):
         """(JᵀWJ, JᵀWr) with W = diag(weights), every group's Gram in one product.
 
-        The weights and r are placed on the grid through `rows` (a reshape
-        without it), padding at weight zero.  With Bw the weighted
-        copy of the block, one batched Bw Bᵀ and one Bw r give every group's
-        Gram and gradient, which are scattered into JᵀWJ and JᵀWr through
-        reshaped views, one group's too.
+        The one-problem case of `_normal_equations`.
         """
-        n, _, length = self.block.shape
-        s, k = self.shared, self.stride
-        if self.rows is None:
-            w, rp = weights, r
-        else:
-            w, rp = np.zeros(n * length), np.zeros(n * length)
-            w[self.rows] = weights
-            rp[self.rows] = r
-        Bw = np.multiply(self.block, w.reshape(n, 1, length), out=self.weighted)
-        G = Bw @ self.block.transpose(0, 2, 1)
-        v = (Bw @ rp.reshape(n, length, 1))[..., 0]
-        JtJ = np.zeros((self.shape[1],) * 2)
-        JtJ[:s, :s] = G[:, :s, :s].sum(axis=0)
-        JtJ[:s, s:] = G[:, :s, s:].transpose(1, 0, 2).reshape(s, n * k)
-        JtJ[s:, :s] = G[:, s:, :s].reshape(n * k, s)
-        group = np.arange(n)
-        JtJ[s:, s:].reshape(n, k, n, k)[group, :, group, :] = G[:, s:, s:]
-        g = np.concatenate([v[:, :s].sum(axis=0), v[:, s:].reshape(-1)])
+        (JtJ,), (g,) = _normal_equations(self.block, self.shared, 1, self.rows,
+                                         weights, r, self.weighted)
         return JtJ, g
+
+
+@functools.lru_cache(maxsize=64)
+def _scatter(problems: int, groups: int, shared: int, stride: int):
+    """Where the groups' Grams and gradients land in the problems' normal equations.
+
+    For `problems` problems of `groups` groups each, stacked, returns the
+    flat indices (read-only) of every entry of the Grams (problems * groups,
+    columns, columns) in the stacked JᵀWJ (problems, P, P) and of every entry
+    of the gradients (problems * groups, columns) in the stacked JᵀWr
+    (problems, P), and P = shared + stride * groups.
+    """
+    size = shared + stride * groups
+    columns = np.arange(shared + stride)
+    # Column c of group g is parameter c when shared, else shared + g * stride + c - shared.
+    param = np.where(columns < shared, columns,
+                     columns + stride * np.arange(groups)[:, None])
+    start = np.arange(problems)[:, None, None]
+    gram = start[..., None] * size * size + param[:, :, None] * size + param[:, None, :]
+    grad = start * size + param
+    gram, grad = gram.reshape(-1), grad.reshape(-1)
+    gram.flags.writeable = grad.flags.writeable = False
+    return gram, grad, size
+
+
+def _normal_equations(block, shared, problems, rows, weights, r, weighted):
+    """(JᵀWJ (problems, P, P), JᵀWr (problems, P)) of stacked block Jacobians.
+
+    `block` holds the groups of `problems` problems of one layout, one
+    problem's after another, and `rows`, `weights` and r list every
+    problem's rows in the same order (see BlockJacobian, whose fields these
+    are).  The weights and r are placed on the grid through `rows` (a
+    reshape without it), padding at weight zero.  With Bw the weighted copy
+    of the block, one batched Bw Bᵀ and one Bw r give every group's Gram and
+    gradient, which one `np.bincount` through `_scatter`'s indices adds into
+    the normal equations: a shared entry sums its problem's groups in order.
+    """
+    count, columns, length = block.shape
+    if rows is None:
+        w, rp = weights, r
+    else:
+        w, rp = np.zeros(count * length), np.zeros(count * length)
+        w[rows] = weights
+        rp[rows] = r
+    Bw = np.multiply(block, w.reshape(count, 1, length), out=weighted)
+    G = Bw @ block.transpose(0, 2, 1)
+    v = Bw @ rp.reshape(count, length, 1)
+    gram, grad, size = _scatter(problems, count // problems, shared, columns - shared)
+    return (np.bincount(gram, G.reshape(-1), problems * size * size).reshape(problems, size, size),
+            np.bincount(grad, v.reshape(-1), problems * size).reshape(problems, size))
 
 
 def _step_spread(JtJ: np.ndarray, delta: np.ndarray, cost: float, m: int):
@@ -284,11 +322,44 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *, robust_scale: float, plus,
     normal equations that no damping level can solve, raise
     `errors.NormalEquationsFailed`.
 
-    Returns (the final x, ResidualReport).  The cost trajectory holds the
-    robust cost at the start and after every accepted step.
+    The one-problem case of `_lockstep`, which runs several problems side
+    by side.  Returns (the final x, ResidualReport).  The cost trajectory
+    holds the robust cost at the start and after every accepted step.
     """
-    x = x0
-    r = np.asarray(residual_fn(x), dtype=float)
+    def normal_equations(x, weights, r):
+        J = jacobian_fn(x)
+        if J.shape[0] != r.size:
+            raise ValueError(f"jacobian shape {J.shape} does not match "
+                             f"{r.size} residuals")
+        return J.normal_equations(weights, r)
+
+    (outcome,) = _lockstep((_one(normal_equations), _one(plus), _one(residual_fn)), [x0],
+                           robust_scale=robust_scale, block_size=block_size)
+    if isinstance(outcome, errors.CalibrationError):
+        raise outcome
+    return outcome
+
+
+def _one(fn):
+    """The kernel of one problem: `fn` of the one request's arguments, as a list."""
+    return lambda indices, requests: [fn(*requests[0])]
+
+
+# The kinds of kernel request of an LM run, in the order `_lockstep` serves
+# them in a round: the Jacobian's normal equations at the current state,
+# the step to a trial state, and the residual there.
+_NORMAL, _PLUS, _RESIDUAL = range(3)
+
+
+def _lm_run(x, *, robust_scale: float, block_size: int):
+    """One problem's LM run (see `lm_minimize`), as a generator of kernel requests.
+
+    It yields (_RESIDUAL, (x,)), (_NORMAL, (x, weights, r)) or (_PLUS, (x,
+    delta)) and is sent the residual, the pair (JᵀWJ, JᵀWr) or the new
+    state, or thrown the exception the kernel raised.  It returns (the
+    final x, ResidualReport).
+    """
+    r = np.asarray((yield _RESIDUAL, (x,)), dtype=float)
     if r.size % block_size:
         raise ValueError("residual length is not a multiple of the block size")
     squares = _block_squares(r, block_size)
@@ -300,14 +371,10 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *, robust_scale: float, plus,
     termination = None
 
     for _ in range(_MAX_ITERATIONS):
-        J = jacobian_fn(x)
-        if J.shape[0] != r.size:
-            raise ValueError(f"jacobian shape {J.shape} does not match "
-                             f"{r.size} residuals")
-        JtJ, g = J.normal_equations(_block_weights(squares, block_size, robust_scale), r)
-        if not np.all(np.isfinite(g)):
+        JtJ, g = yield _NORMAL, (x, _block_weights(squares, block_size, robust_scale), r)
+        if not np.isfinite(g).all():
             raise errors.NormalEquationsFailed("gradient is not finite")
-        if np.max(np.abs(g)) < _GRADIENT_TOLERANCE:
+        if np.abs(g).max() < _GRADIENT_TOLERANCE:
             termination = "gradient"
             break
         diag = np.maximum(JtJ.diagonal(), _MU_MIN)
@@ -322,9 +389,11 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *, robust_scale: float, plus,
                 mu *= 10.0
                 continue
             solved = True
-            x_new = plus(x, delta)
+            # |delta|, rounded as np.linalg.norm rounds it.
+            step = np.sqrt(delta @ delta)
+            x_new = yield _PLUS, (x, delta)
             try:
-                r_new = np.asarray(residual_fn(x_new), dtype=float)
+                r_new = np.asarray((yield _RESIDUAL, (x_new,)), dtype=float)
                 squares_new = _block_squares(r_new, block_size)
                 cost_new = _robust_cost(squares_new, robust_scale)
             except errors.CalibrationError:
@@ -333,7 +402,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *, robust_scale: float, plus,
                 last_spread, spread = spread, _step_spread(JtJ, delta, cost_new, r.size)
                 if cost - cost_new <= _COST_TOLERANCE * cost:
                     termination = "cost"
-                elif np.linalg.norm(delta) < _STEP_TOLERANCE:
+                elif step < _STEP_TOLERANCE:
                     termination = "step"
                 elif _distance_left(spread, last_spread) < _UNCERTAINTY_TOLERANCE:
                     termination = "uncertainty"
@@ -342,7 +411,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *, robust_scale: float, plus,
                 accepted += 1
                 mu = max(mu / 10.0, _MU_MIN)
                 break
-            if np.isfinite(cost_new) and np.linalg.norm(delta) < _STEP_TOLERANCE:
+            if np.isfinite(cost_new) and step < _STEP_TOLERANCE:
                 termination = "step"
                 break
             mu *= 10.0
@@ -360,6 +429,61 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *, robust_scale: float, plus,
                             termination=termination or "budget",
                             cost_trajectory=tuple(trajectory))
     return x, report
+
+
+def _lockstep(kernels, starts, *, robust_scale: float, block_size: int) -> list:
+    """LM runs (`_lm_run`) of several problems, advanced in rounds.
+
+    `kernels` holds, for each kind of request (_NORMAL, _PLUS, _RESIDUAL),
+    a function of the problems' indices and their requests' arguments that
+    returns one value per request.  Each round serves the kinds in that
+    order, with one kernel call for every problem that asks for that kind,
+    so a problem whose step was rejected joins the others again at the next
+    step.  Every run's damping, acceptance and stop tests are its own: a
+    problem's result is the same beside any others as alone, as long as its
+    kernels' values are.  Returns per problem (the final x, ResidualReport),
+    or the CalibrationError its run raised; any other exception is raised.
+    """
+    runs = [_lm_run(x0, robust_scale=robust_scale, block_size=block_size) for x0 in starts]
+    outcomes = [None] * len(runs)
+    asked = [[] for _ in kernels]   # per kind, the (problem, arguments) of its requests
+
+    def advance(k, value):
+        try:
+            kind, arguments = (runs[k].throw(value) if isinstance(value, Exception)
+                               else runs[k].send(value))
+        except StopIteration as stop:
+            outcomes[k] = stop.value
+        except errors.CalibrationError as exc:
+            outcomes[k] = exc
+        else:
+            asked[kind].append((k, arguments))
+
+    for k in range(len(runs)):
+        advance(k, None)
+    while any(asked):
+        for kind, kernel in enumerate(kernels):
+            if asked[kind]:
+                indices, arguments = zip(*asked[kind])
+                asked[kind] = []
+                for k, value in zip(indices, _served(kernel, indices, arguments)):
+                    advance(k, value)
+    return outcomes
+
+
+def _served(kernel, indices, arguments) -> list:
+    """The value of every request from one kernel call, or the exception it raised.
+
+    A call that raises is made again one problem at a time, so that each
+    problem gets its own value or exception.
+    """
+    try:
+        return kernel(indices, arguments)
+    except Exception as exc:
+        if len(indices) == 1:
+            return [exc]
+    return [value for k, args in zip(indices, arguments)
+            for value in _served(kernel, (k,), (args,))]
 
 
 # ---------------------------------------------------------------------------
@@ -396,88 +520,206 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     problem, and its weighted copy into another: a Jacobian is valid until
     the problem's next Jacobian.
 
-    Returns (residual, jacobian, plus, x0, unpack, image): x0 is the start
+    The closures are the one-problem case of `_Stack`'s kernels.  Returns
+    (residual, jacobian, plus, x0, unpack, image): x0 is the start
     `LMState`, image (M,) the image index of each observation, and
     unpack(state) gives (intrinsics (5,), distortion (2,), c (3,), rotation
     matrices (N, 3, 3), translations (N, 3)).
     """
-    counts = np.asarray(counts)
-    R0 = checked_rotations(real_array(rotations, "rotations", (len(counts), 3, 3))).copy()
-    n = len(R0)
-    image = np.repeat(np.arange(n), counts)
-    points = real_array(points, "points", (len(image), 3))
-    pixels = real_array(pixels, "pixels", (len(image), 2))
+    return _closures(_Reprojection(points, pixels, counts, intr, dist, rotations,
+                                   center=center, translations=translations))
 
-    p0 = np.zeros(10 + 6 * n)
-    p0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
-    rotation = 10 + 6 * np.arange(n)[:, None] + np.arange(3)
-    free = np.ones(p0.size, dtype=bool)
-    for cols, start, name, shape in ((slice(7, 10), center, "center", (3,)),
-                                     (rotation + 3, translations, "translations", (n, 3))):
-        free[cols] = start is not None
-        p0[cols] = 0.0 if start is None else real_array(start, name, shape)
-    free = np.flatnonzero(free)
-    # The columns of x: the `first` shared ones (K, d and a free c), then
-    # per image its rotation increment and a free t_i, `columns` in all with
-    # image 0's.
-    first, columns = np.searchsorted(free, [10, 16]).tolist()
-    rot_cols = np.searchsorted(free, rotation)
-    polar = 1.5 * np.eye(3)
 
-    length = int(counts.max())
-    lanes = np.arange(length)
-    kept = lanes < counts[:, None]
-    source = np.concatenate([[0], np.cumsum(counts)[:-1]])[:, None] + np.where(kept, lanes, 0)
-    grid = np.ascontiguousarray(points[source].transpose(0, 2, 1))
-    slot = np.flatnonzero(kept)   # each point's slot in the flattened grid
-    real = None if kept.all() else slot
-    # The Jacobian's buffer: B[i, col, row, l] is the derivative of row (u
-    # or v) of slot l of image i by the image's column col, so that every
-    # column is written in rows of unit stride and every image's block is
-    # the (columns, 2L) view.  `rows` places residual entry 2p + row of
-    # point p in that view.  The constant columns and structural zeros are
-    # written here, once.
-    u_rows = slot + length * (slot // length)
-    rows = np.column_stack([u_rows, u_rows + length]).ravel()
-    B = np.zeros((n, columns, 2, length))
-    B[:, 2, 0] = B[:, 3, 1] = 1.0
-    blocks = B.reshape(n, columns, 2 * length)
-    weighted = np.empty_like(blocks)
-    # The last three columns of an image are the projection's derivative by
-    # x_c: d x_c / d t_i is the identity, so a free t_i's columns are it, and
-    # with t_i held the rotation columns hold it until the rotation entries
-    # are written over it.
-    J_xc = B[:, -3:]
-    a = np.empty((n, 3, 2 * length))
-
-    def unpack(state):
-        p = p0.copy()
-        p[free] = state.x
-        return p[:5], p[5:7], p[7:10], state.rotations, p[10:].reshape(n, 6)[:, 3:]
-
-    def evaluate(state):
-        if state.evaluation is None:
-            intr_p, dist_p, c, R, t = unpack(state)
-            q = grid - c[:, None]
-            xc = R @ q
-            xc += t[:, :, None]
-            z = xc[:, 2]
-            if np.any(z <= 0):
-                behind = z <= 0
-                count = int(np.sum(behind if real is None else behind.ravel()[real]))
-                raise errors.PointBehindCamera(f"{count} point(s) at non-positive depth")
-            u, v, xn, yn, r2, f = radial_pixels(intr_p, dist_p, xc[:, 0], xc[:, 1], z)
-            uv = np.stack([u, v], axis=-1).reshape(-1, 2)
-            r = ((uv if real is None else uv[real]) - pixels).ravel()
-            r.flags.writeable = False
-            state.evaluation = (r, intr_p, dist_p, R, q, z, xn, yn, r2, f)
-        return state.evaluation
+def _closures(problem):
+    """(residual, jacobian, plus, x0, unpack, image) of a `_Reprojection`."""
+    stack = _Stack([problem])
 
     def residual(state):
-        return evaluate(state)[0]
+        return stack.residual((0,), ((state,),))[0]
 
     def jacobian(state):
-        _, (fx, fy, _, _, gamma), (d1, d2), R, q, z, xn, yn, r2, f = evaluate(state)
+        return BlockJacobian(*stack.jacobian((0,), (state,)))
+
+    def plus(state, delta):
+        return stack.plus((0,), ((state, delta),))[0]
+
+    return residual, jacobian, plus, problem.x0, problem.unpack, problem.image
+
+
+class _Reprojection:
+    """One stacked reprojection problem: its checked start and its grid (see
+    `_reprojection_problem`, whose arguments it takes).
+
+    `layout` is what the problems that share kernel calls (`_Stack`) have in
+    common: the columns of x before the first image's (`first`), the
+    columns of one image's Jacobian block (`columns`), N and L.
+    """
+
+    def __init__(self, points, pixels, counts, intr, dist, rotations, *,
+                 center=None, translations=None):
+        counts = np.asarray(counts)
+        R0 = checked_rotations(real_array(rotations, "rotations", (len(counts), 3, 3))).copy()
+        n = len(R0)
+        self.image = np.repeat(np.arange(n), counts)
+        points = real_array(points, "points", (len(self.image), 3))
+        self.pixels = real_array(pixels, "pixels", (len(self.image), 2))
+
+        self.p0 = p0 = np.zeros(10 + 6 * n)
+        p0[:7] = [intr.fx, intr.fy, intr.cx, intr.cy, intr.gamma, dist.d1, dist.d2]
+        rotation = 10 + 6 * np.arange(n)[:, None] + np.arange(3)
+        free = np.ones(p0.size, dtype=bool)
+        for cols, start, name, shape in ((slice(7, 10), center, "center", (3,)),
+                                         (rotation + 3, translations, "translations", (n, 3))):
+            free[cols] = start is not None
+            p0[cols] = 0.0 if start is None else real_array(start, name, shape)
+        self.free = free = np.flatnonzero(free)
+        # The columns of x: the `first` shared ones (K, d and a free c), then
+        # per image its rotation increment and a free t_i, `columns` in all with
+        # image 0's.
+        first, columns = np.searchsorted(free, [10, 16]).tolist()
+
+        length = int(counts.max())
+        lanes = np.arange(length)
+        kept = lanes < counts[:, None]
+        source = np.concatenate([[0], np.cumsum(counts)[:-1]])[:, None] + np.where(kept, lanes, 0)
+        self.grid = np.ascontiguousarray(points[source].transpose(0, 2, 1))
+        slot = np.flatnonzero(kept)   # each point's slot in the flattened grid
+        self.real = None if kept.all() else slot
+        # `rows` places residual entry 2p + row (u or v) of point p in the
+        # image's (columns, 2L) Jacobian block (see `_Stack`).
+        u_rows = slot + length * (slot // length)
+        self.rows = np.column_stack([u_rows, u_rows + length]).ravel()
+        self.layout = (first, columns, n, length)
+        self.x0 = LMState(p0[free], R0)
+
+    def unpacked(self, state) -> np.ndarray:
+        """The full parameter vector p of a state."""
+        p = self.p0.copy()
+        p[self.free] = state.x
+        return p
+
+    def unpack(self, state):
+        p = self.unpacked(state)
+        return p[:5], p[5:7], p[7:10], state.rotations, p[10:].reshape(-1, 6)[:, 3:]
+
+
+def _per_image(values, n: int):
+    """The columns of per-problem values (k, m) as factors of (k N, L) image stacks.
+
+    Numbers for one problem, which numpy multiplies fastest, and for several
+    a (k N, 1) column each, a problem's value repeated for its N images.
+    """
+    return values[0] if len(values) == 1 else np.repeat(values.T, n, axis=1)[:, :, None]
+
+
+def _rows(array, j: int, count: int):
+    """Problem j's rows of an array that stacks the rows of `count` problems alike."""
+    size = len(array) // count
+    return array[j * size:(j + 1) * size]
+
+
+def _joined(arrays):
+    """The arrays concatenated along their first axis; the one array itself, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class _Stack:
+    """Reprojection problems of one layout whose kernels run in stacked calls.
+
+    Each kernel takes the indices of some of the problems and one request's
+    arguments for each (as `_lockstep` hands them over) and makes one call
+    of every array operation for all k of them: their images follow one
+    another in one (k N, ...) stack, which a per-problem scalar multiplies
+    as a (k N, 1) column (`_per_image`).  Every operation acts on each
+    image, or each problem, alone, so a problem's values are the same in
+    any stack as alone.
+
+    The Jacobian buffer: B[i, col, row, l] is the derivative of row (u or v)
+    of slot l of stacked image i by the image's column col, so that every
+    column is written in rows of unit stride and every image's block is the
+    (columns, 2L) view.  The constant columns and structural zeros are
+    written here, once; a call on k problems uses the first k N images.
+    """
+
+    def __init__(self, problems):
+        self.problems = problems
+        self.layout = first, columns, n, length = problems[0].layout
+        B = np.zeros((len(problems) * n, columns, 2, length))
+        B[:, 2, 0] = B[:, 3, 1] = 1.0
+        self.B = B
+        self.weighted = np.empty((len(B), columns, 2 * length))
+        self.a = np.empty((len(B), 3, 2 * length))
+        self.joined = {}   # the stacked grid and `rows` of each tuple of problem indices
+        self.turns = {}    # the rotation increments' places in k joined x, per k
+
+    def _joined_data(self, indices):
+        """The stacked grid (k N, 3, L) and `rows` of the problems `indices`, made once."""
+        if indices not in self.joined:
+            size = 2 * self.layout[2] * self.layout[3]
+            self.joined[indices] = (
+                _joined([self.problems[i].grid for i in indices]),
+                _joined([self.problems[i].rows + j * size for j, i in enumerate(indices)]))
+        return self.joined[indices]
+
+    def _evaluate(self, indices, states):
+        """Stores the evaluation of every state (see `residual`) on it."""
+        problems = [self.problems[i] for i in indices]
+        _, _, n, length = self.layout
+        k = len(states)
+        p = _joined([problem.unpacked(state)[None] for problem, state in zip(problems, states)])
+        grid = self._joined_data(indices)[0].reshape(k, n, 3, length)
+        q = (grid - p[:, None, 7:10, None]).reshape(k * n, 3, length)
+        xc = _joined([state.rotations for state in states]) @ q
+        xc += p[:, 10:].reshape(-1, 6)[:, 3:, None]
+        z = xc[:, 2]
+        if (z <= 0).any():
+            behind = z <= 0
+            count = sum(int(np.sum(b if problem.real is None else b.ravel()[problem.real]))
+                        for problem, b in zip(problems, np.split(behind, k)))
+            raise errors.PointBehindCamera(f"{count} point(s) at non-positive depth")
+        u, v, xn, yn, r2, f = radial_pixels(_per_image(p[:, :5], n), _per_image(p[:, 5:7], n),
+                                            xc[:, 0], xc[:, 1], z)
+        uv = np.stack([u, v], axis=-1).reshape(k, n * length, 2)
+        arrays = (p, q, z, xn, yn, r2, f)
+        for j, (problem, state) in enumerate(zip(problems, states)):
+            r = ((uv[j] if problem.real is None else uv[j][problem.real]) - problem.pixels).ravel()
+            r.flags.writeable = False
+            state.evaluation = (r, j, arrays)
+
+    def residual(self, indices, requests):
+        """The residual at each state, from its stored evaluation or a new one.
+
+        An evaluation holds the residual, and the state's place j in the
+        arrays of the call that made it: the stacked parameter vectors, and
+        per image P - c and the depth z, and the radial map's xn, yn, r2 and
+        f.  A state with a point at non-positive depth raises
+        PointBehindCamera, which counts real points only.
+        """
+        fresh = [(k, state) for k, (state,) in zip(indices, requests) if state.evaluation is None]
+        if fresh:
+            self._evaluate(*zip(*fresh))
+        return [state.evaluation[0] for state, in requests]
+
+    def jacobian(self, indices, states):
+        """(block, shared, rows, weighted) of the Jacobians at the states, stacked.
+
+        The block and its weighted copy are buffers of the stack, valid
+        until its next Jacobian; `rows` lists every problem's rows in order.
+        """
+        first, columns, n, length = self.layout
+        self.residual(indices, [(state,) for state in states])
+        k, images = len(states), len(states) * n
+        evaluations = [state.evaluation for state in states]
+        arrays = evaluations[0][2]
+        if len(arrays[0]) != k or any(e[2] is not arrays or e[1] != j
+                                      for j, e in enumerate(evaluations)):
+            # not the states of one evaluation, in its order: each state's rows
+            arrays = [_joined([_rows(e[2][a], e[1], len(e[2][0])) for e in evaluations])
+                      for a in range(len(arrays))]
+        camera, q, z, xn, yn, r2, f = arrays
+        R = _joined([state.rotations for state in states])
+        fx, fy, _, _, gamma, d1, d2 = _per_image(camera[:, :7], n)
+        B, a = self.B[:images], self.a[:images]
         # pixel = A (xd, yd) + (cx, cy) with A = [[fx, gamma], [0, fy]] and
         # (xd, yd) = f (xn, yn): the intrinsic and distortion columns, with
         # (pu, pv) = A (xn, yn).
@@ -492,12 +734,15 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
         # d(xd, yd)/d x_c = [f I + k n nᵀ | -(f + k r2) n] / z with n = (xn, yn)
         # and k = 2 d1 + 4 d2 r2, so A times it, d pixel / d x_c, has the rows
         # u: (f (fx, gamma, -pu) + k pu m) / z and v: (f (0, fy, -pv) + k pv m) / z
-        # with m = (xn, yn, -r2).
+        # with m = (xn, yn, -r2).  The last three columns of an image are
+        # d pixel / d x_c: d x_c / d t_i is the identity, so a free t_i's
+        # columns are it, and with t_i held the rotation columns hold it
+        # until the rotation entries are written over it.
         fz = f / z
         kz = (2.0 * d1 + 4.0 * d2 * r2) / z
         h = -(fz + kz * r2)
         ku, kv = kz * pu, kz * pv
-        u, v = J_xc[:, :, 0], J_xc[:, :, 1]
+        u, v = B[:, -3:, 0], B[:, -3:, 1]
         np.multiply(ku, xn, out=u[:, 0])
         u[:, 0] += fx * fz
         np.multiply(ku, yn, out=u[:, 1])
@@ -510,25 +755,49 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
         # With a = Rᵀ J_xc, image by image: d x_c / d c = -R gives -a, and
         # d x_c / d delta = -R [q]x with q = P - c gives -a [q]x, the cross
         # product q x a.
-        np.matmul(R.transpose(0, 2, 1), J_xc.reshape(n, 3, 2 * length), out=a)
-        a4 = a.reshape(n, 3, 2, length)
+        np.matmul(R.transpose(0, 2, 1), B[:, -3:].reshape(images, 3, 2 * length), out=a)
+        a4 = a.reshape(images, 3, 2, length)
         q4 = q[:, :, None]
         for j, (j1, j2) in enumerate(((1, 2), (2, 0), (0, 1))):
             np.subtract(q4[:, j1] * a4[:, j2], q4[:, j2] * a4[:, j1], out=B[:, first + j])
         # The center's columns, none while c is held.
         np.negative(a4[:, :first - 7], out=B[:, 7:first])
-        return BlockJacobian(blocks, first, rows, weighted)
+        return (B.reshape(images, columns, 2 * length), first, self._joined_data(indices)[1],
+                self.weighted[:images])
 
-    def plus(state, delta):
-        R = state.rotations @ rotation_matrix_from_axis_angle(delta[rot_cols])
+    def normal_equations(self, indices, requests):
+        """(JᵀWJ, JᵀWr) at each state with its weights and residual, one product for all."""
+        states, weights, r = zip(*requests)
+        block, first, rows, weighted = self.jacobian(indices, states)
+        return list(zip(*_normal_equations(block, first, len(states), rows,
+                                           _joined(weights), _joined(r), weighted)))
+
+    def plus(self, indices, requests):
+        """The state one step delta from each state: R <- R exp(delta^), polar-corrected."""
+        states, deltas = zip(*requests)
+        k, n, size = len(states), self.layout[2], states[0].x.size
+        turns = self._turns(k)
+        delta = _joined(deltas)
+        R = _joined([state.rotations for state in states]) @ rotation_matrix_from_axis_angle(
+            delta[turns].reshape(-1, 3))
         # A product of two rotations is orthonormal to rounding; one
         # Newton-Schulz polar step R (3I - RᵀR) / 2 removes the rounding.
-        R = R @ (polar - 0.5 * (R.transpose(0, 2, 1) @ R))
-        x = state.x + delta
-        x[rot_cols] = 0.0
-        return LMState(x, R)
+        R = R @ (_POLAR - 0.5 * (R.transpose(0, 2, 1) @ R))
+        x = _joined([state.x for state in states]) + delta
+        x[turns] = 0.0
+        return [LMState(x[j * size:(j + 1) * size], R[j * n:(j + 1) * n]) for j in range(k)]
 
-    return residual, jacobian, plus, LMState(p0[free], R0), unpack, image
+    def _turns(self, k):
+        """Where the rotation increments sit in k parameter vectors x joined, made once."""
+        if k not in self.turns:
+            first, columns, n, _ = self.layout
+            size = first + (columns - first) * n
+            self.turns[k] = (size * np.arange(k)[:, None, None] + first
+                             + (columns - first) * np.arange(n)[:, None] + np.arange(3)).ravel()
+        return self.turns[k]
+
+
+_POLAR = 1.5 * np.eye(3)
 
 
 def _plane_points(observations: ObservationSet) -> np.ndarray:
@@ -547,23 +816,82 @@ def _per_image_rms(r: np.ndarray, image: np.ndarray):
             tuple(float(v) for v in np.sqrt(sums / sizes)))
 
 
+def _finished(r, unpacked, image, report):
+    """K, d, rotations, c, t and the report with RMS, from the final residual and unpack."""
+    intr_p, dist_p, c, R, t = unpacked
+    rms, per = _per_image_rms(r, image)
+    report = replace(report, rms_reprojection=rms, per_image_rms=per)
+    # A copy: the state's rotations are read-only, the caller's are not.
+    return CameraIntrinsics(*intr_p), Distortion(*dist_p), R.copy(), c, t, report
+
+
 def _adjusted(problem):
     """Run LM on a stacked problem; K, d, rotations, c, t and the report with RMS."""
     residual, jacobian, plus, x0, unpack, image = problem
     x, report = lm_minimize(residual, jacobian, x0,
                             block_size=2, robust_scale=_CAUCHY_SCALE_PX, plus=plus)
-    intr_p, dist_p, c, R, t = unpack(x)
-    rms, per = _per_image_rms(residual(x), image)
-    intr = CameraIntrinsics(*intr_p)
-    dist = Distortion(*dist_p)
-    report = replace(report, rms_reprojection=rms, per_image_rms=per)
-    # A copy: the state's rotations are read-only, the caller's are not.
-    return intr, dist, R.copy(), c, t, report
+    return _finished(residual(x), unpack(x), image, report)
+
+
+def _adjusted_together(problems) -> list:
+    """`_adjusted` of problems of one layout (`_Reprojection`s), run side by side.
+
+    One `_lockstep` over one `_Stack`: each result is the same as alone.
+    Returns per problem the result or the CalibrationError LM raised.
+    """
+    stack = _Stack(problems)
+    outcomes = _lockstep((stack.normal_equations, stack.plus, stack.residual),
+                         [problem.x0 for problem in problems],
+                         robust_scale=_CAUCHY_SCALE_PX, block_size=2)
+    return [outcome if isinstance(outcome, errors.CalibrationError) else
+            _finished(outcome[0].evaluation[0], problem.unpack(outcome[0]), problem.image,
+                      outcome[1])
+            for problem, outcome in zip(problems, outcomes)]
+
+
+# The most problems that share kernel calls (`bundle_adjustments`): a
+# chunk's two bundle adjustments take about 30% less time per scene in
+# stacks of 8 than alone, and 3-11% less again in stacks of 24 (default
+# scene, 1 px, one BLAS thread), while a stack's buffers grow with it.
+_STACK_SIZE = 8
+
+
+def bundle_adjustments(kind: str, observation_sets, inits) -> list:
+    """`spherical_ba` ("spherical") or `general_ba` ("general") of every
+    (observations, init) pair, those of one layout run side by side.
+
+    Pairs with the same image count and the same largest image (the padded
+    length L, on which the rounding of a stacked Gram depends) form groups
+    of at most _STACK_SIZE, in order, whose LM runs share every kernel call
+    (`_adjusted_together`), so every result is the same, to the bit, as that
+    of the public function.  Returns per pair its result, or the
+    CalibrationError it raised; a start that is not valid raises its
+    ValueError.
+    """
+    problem_of, result_of = ((_spherical, _spherical_result) if kind == "spherical"
+                             else (_general, _general_result))
+    layouts = {}
+    for k, observations in enumerate(observation_sets):
+        layouts.setdefault((len(observations), int(observations.counts.max())), []).append(k)
+    outcomes = [None] * len(observation_sets)
+    for members in layouts.values():
+        for group in (members[i:i + _STACK_SIZE] for i in range(0, len(members), _STACK_SIZE)):
+            problems = [problem_of(observation_sets[k], inits[k]) for k in group]
+            for k, outcome in zip(group, _adjusted_together(problems)):
+                outcomes[k] = (outcome if isinstance(outcome, errors.CalibrationError)
+                               else result_of(*outcome))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
 # spherical-motion bundle adjustment
 # ---------------------------------------------------------------------------
+
+def _spherical(observations: ObservationSet, init) -> _Reprojection:
+    intr0, dist0, ext0 = init
+    return _Reprojection(_plane_points(observations), observations.uv, observations.counts,
+                         intr0, dist0, ext0.rotations, center=ext0.t_cp)
+
 
 def spherical_problem(observations: ObservationSet, init):
     """The spherical BA's stacked problem (see `_reprojection_problem`).
@@ -572,10 +900,7 @@ def spherical_problem(observations: ObservationSet, init):
     so the analytic Jacobian can be checked against finite differences on
     the same local parameterization.
     """
-    intr0, dist0, ext0 = init
-    return _reprojection_problem(_plane_points(observations), observations.uv,
-                                 observations.counts, intr0, dist0, ext0.rotations,
-                                 center=ext0.t_cp)
+    return _closures(_spherical(observations, init))
 
 
 def unrefined_report(problem):
@@ -590,6 +915,11 @@ def unrefined_report(problem):
                           termination="not_run", cost_trajectory=())
 
 
+def _spherical_result(intr, dist, rotations, t_cp, _, report):
+    ext = SphericalExtrinsics(x=t_cp[0], y=t_cp[1], r=-t_cp[2], rotations=rotations)
+    return (intr, dist, ext), report
+
+
 def spherical_ba(observations: ObservationSet, init):
     """Jointly refine K, distortion, per-image rotations and the shared center.
 
@@ -597,9 +927,7 @@ def spherical_ba(observations: ObservationSet, init):
     image i is [R_i | -R_i t_cp], so the parameter vector has 10 + 3N entries.
     Returns the refined triple and a report.
     """
-    intr, dist, rotations, t_cp, _, report = _adjusted(spherical_problem(observations, init))
-    ext = SphericalExtrinsics(x=t_cp[0], y=t_cp[1], r=-t_cp[2], rotations=rotations)
-    return (intr, dist, ext), report
+    return _spherical_result(*_adjusted(spherical_problem(observations, init)))
 
 
 # ---------------------------------------------------------------------------
@@ -636,14 +964,22 @@ def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):
 # free-motion bundle adjustment (baseline refinement)
 # ---------------------------------------------------------------------------
 
+def _general(observations: ObservationSet, init) -> _Reprojection:
+    intr0, dist0, (R0, t0) = init
+    return _Reprojection(_plane_points(observations), observations.uv, observations.counts,
+                         intr0, dist0, R0, translations=t0)
+
+
 def general_problem(observations: ObservationSet, init):
     """The free-motion BA's stacked problem, with a translation per image.
 
     `init` is (CameraIntrinsics, Distortion, (R (N, 3, 3), t (N, 3))).
     """
-    intr0, dist0, (R0, t0) = init
-    return _reprojection_problem(_plane_points(observations), observations.uv,
-                                 observations.counts, intr0, dist0, R0, translations=t0)
+    return _closures(_general(observations, init))
+
+
+def _general_result(intr, dist, R, _, t, report):
+    return (intr, dist, (R, t)), report
 
 
 def general_ba(observations: ObservationSet, init):
@@ -653,5 +989,4 @@ def general_ba(observations: ObservationSet, init):
     refined triple has the same form; used as the refinement stage of the
     motion-unconstrained baseline.
     """
-    intr, dist, R, _, t, report = _adjusted(general_problem(observations, init))
-    return (intr, dist, (R, t)), report
+    return _general_result(*_adjusted(general_problem(observations, init)))

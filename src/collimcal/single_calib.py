@@ -208,12 +208,14 @@ def _cosine_model(pixels, pairs):
 
     Returns (residual, jacobian, plus) over `LMState`s whose x is the
     parameter vector; the residual stores its evaluation on the state and
-    the Jacobian, a one-group `BlockJacobian`, reuses it.  A state with a
-    non-positive focal length raises CalibrationError, which makes
-    lm_minimize reject the step.
+    the Jacobian, a one-group `BlockJacobian`, reuses it.  The Jacobian and
+    its weighted copy are written into two buffers of the problem, so a
+    Jacobian is valid until the next.  A state with a non-positive focal
+    length raises CalibrationError, which makes lm_minimize reject the step.
     """
     pair_i, pair_j, g = pairs
     ph = np.column_stack([pixels, np.ones(len(pixels))])
+    J, weighted = np.empty((2, 1, 5, len(g)))   # the Jacobian's buffer and its weighted copy's
 
     def evaluate(state):
         if state.evaluation is None:
@@ -239,10 +241,9 @@ def _cosine_model(pixels, pairs):
         # A = c v_i - v_j and B = c v_j - v_i.
         A = c * vi - vj
         B = c * vj - vi
-        J = np.empty((5, len(c)))
         for row, (a, b) in enumerate(((0, 0), (1, 1), (0, 2), (1, 2), (0, 1))):
-            J[row] = A[a] * qi[b] + B[a] * qj[b]
-        return BlockJacobian(J[None], 5)
+            J[0, row] = A[a] * qi[b] + B[a] * qj[b]
+        return BlockJacobian(J, 5, weighted=weighted)
 
     def plus(state, delta):
         return LMState(state.x + delta)

@@ -44,7 +44,7 @@ from .core_geom import (
 )
 from .multi_solver import (SphericalExtrinsics, conic_rows, decompose_iac,
                            solve_closed_form, solve_minimal)
-from .refine import ResidualReport, general_ba, spherical_ba
+from .refine import ResidualReport, bundle_adjustments, general_ba, spherical_ba
 
 MAX_TILT_DEG = 30.0
 POSE_ATTEMPTS = 100
@@ -363,24 +363,67 @@ def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True,
     from the poses of the fit's homographies decomposed with those fit-unit
     intrinsics.  `start` is the `start` of an earlier result of the same
     mode on the same observations, used in place of solving the start
-    again.  The solvers own each mode's image-count rule.
+    again.  The solvers own each mode's image-count rule.  The one-set case
+    of `_calibrations`.
+    """
+    ((outcome, _),) = _calibrations([observations], mode, refine=refine, starts=[start])
+    if isinstance(outcome, errors.CalibrationError):
+        raise outcome
+    return outcome
+
+
+def _calibrations(observation_sets, mode: str, *, refine: bool, starts) -> list:
+    """`calibrate` of every observation set with its start (None: solved).
+
+    The starts are solved set by set, and the bundle adjustments of the sets
+    whose start succeeded run side by side (`bundle_adjustments`), so each
+    result is the one `calibrate` gives alone.  Returns per set (its
+    Calibration or the CalibrationError it raised, seconds): the time of its
+    start and, refined, an equal share of the time of the bundle
+    adjustments.
     """
     if mode not in ("nimg", "minimal", "zhang"):
         raise ValueError(f"unknown calibration mode {mode!r}")
-    if start is None:
-        start = ([_zhang_iac(observations)] if mode == "zhang"
-                 else [solve_closed_form(observations)] if mode == "nimg"
-                 else solve_minimal(observations))
-    fit, zero = observations.homography_fit, Distortion(0.0, 0.0)
-    intr, ext = (fit.intrinsics_to_raw(start[0]), None) if mode == "zhang" else start[0]
-    if not refine:
-        return Calibration(intr, ext, zero, None, len(start), start)
-    if mode == "zhang":
-        R, t, _ = decompose_homography(fit.matrices, start[0])
-        ext = (R, fit.translations_to_raw(R, t))
-    adjust = general_ba if mode == "zhang" else spherical_ba
-    (intr, dist, ext), report = adjust(observations, (intr, zero, ext))
-    return Calibration(intr, ext, dist, report, len(start), start)
+    zero = Distortion(0.0, 0.0)
+    outcomes, seconds = [], []
+    for observations, start in zip(observation_sets, starts):
+        began = time.perf_counter()
+        try:
+            if start is None:
+                start = ([_zhang_iac(observations)] if mode == "zhang"
+                         else [solve_closed_form(observations)] if mode == "nimg"
+                         else solve_minimal(observations))
+            fit = observations.homography_fit
+            intr, ext = (fit.intrinsics_to_raw(start[0]), None) if mode == "zhang" else start[0]
+            if refine and mode == "zhang":
+                R, t, _ = decompose_homography(fit.matrices, start[0])
+                ext = (R, fit.translations_to_raw(R, t))
+            outcomes.append(Calibration(intr, ext, zero, None, len(start), start))
+        except errors.CalibrationError as exc:
+            outcomes.append(exc)
+        seconds.append(time.perf_counter() - began)
+    if refine:
+        started = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, Calibration)]
+        sets = [observation_sets[k] for k in started]
+        inits = [(outcomes[k].intrinsics, zero, outcomes[k].extrinsics) for k in started]
+        began = time.perf_counter()
+        if len(started) == 1:  # through the public function, which a tracer may wrap
+            try:
+                adjusted = [(general_ba if mode == "zhang" else spherical_ba)(sets[0], inits[0])]
+            except errors.CalibrationError as exc:
+                adjusted = [exc]
+        else:
+            adjusted = bundle_adjustments("general" if mode == "zhang" else "spherical",
+                                          sets, inits)
+        share = (time.perf_counter() - began) / max(len(started), 1)
+        for k, result in zip(started, adjusted):
+            seconds[k] += share
+            if not isinstance(result, errors.CalibrationError):
+                (intr, dist, ext), report = result
+                result = replace(outcomes[k], intrinsics=intr, extrinsics=ext,
+                                 distortion=dist, report=report)
+            outcomes[k] = result
+    return list(zip(outcomes, seconds))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +435,10 @@ class TrialStats:
     """Signed per-trial estimation errors for one solver arm at one sweep point.
 
     `trials` is (trial_count, 10) ordered as PARAM_NAMES; failed trials are
-    NaN rows.  `seconds` holds the wall-clock time of each trial's solve.
+    NaN rows.  `seconds` holds each trial's wall-clock time of the arm: the
+    time of its start and, for a refined arm, an equal share of the time of
+    the bundle adjustments that ran side by side over its chunk (see
+    `_run_arms`).
     """
 
     sweep_value: float
@@ -482,30 +528,36 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
     rngs = [np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
             for t in trials]
     truth = config.truth_vector()
-    return [_run_arms(obs, truth, arms) for _, obs in _make_scenes(config, rngs)]
+    return _run_arms([obs for _, obs in _make_scenes(config, rngs)], truth, arms)
 
 
-def _run_arms(observations: ObservationSet, truth: np.ndarray, arms):
-    """Every requested solver arm on one scene: {arm: (error_row, seconds)}.
+def _run_arms(observation_sets, truth: np.ndarray, arms) -> list:
+    """Every requested solver arm on every scene: per scene {arm: (error_row, seconds)}.
 
-    Each arm is one `calibrate` call, scored by `error_row`, which is given
-    the distortion of a refined arm only.  An initial arm solves its mode's
-    start each time it runs; a refined arm reuses the start of its initial
-    arm when that arm ran before it, and its seconds then exclude the start.
+    The arms run arm-major: each arm is one `_calibrations` call over all
+    the scenes, so a refined arm's bundle adjustments run side by side, and
+    each scene's result is that of its own `calibrate` call.  It is scored
+    by `error_row`, which is given the distortion of a refined arm only.  An
+    initial arm solves its mode's start each time it runs; a refined arm
+    reuses the start of its initial arm on a scene where that arm ran before
+    it.  An arm's seconds on a scene are its start's time there (none for a
+    reused start) and, refined, an equal share of the arm's bundle
+    adjustment time over the scenes.
     """
-    results, starts = {}, {}
+    results = [{} for _ in observation_sets]
+    starts = {}
     for arm in arms:
         _, _, mode, refined = _ARMS[arm]
-        start = time.perf_counter()
-        try:
-            result = calibrate(observations, mode, refine=refined,
-                               start=starts.get(mode) if refined else None)
-            starts[mode] = result.start
-            row = error_row(result.intrinsics, result.distortion if refined else None,
-                            result.extrinsics, truth)
-        except errors.CalibrationError:
+        known = starts.setdefault(mode, [None] * len(observation_sets))
+        calibrations = _calibrations(observation_sets, mode, refine=refined,
+                                     starts=known if refined else [None] * len(known))
+        for k, (result, seconds) in enumerate(calibrations):
             row = None
-        results[arm] = (row, time.perf_counter() - start)
+            if isinstance(result, Calibration):
+                known[k] = result.start
+                row = error_row(result.intrinsics, result.distortion if refined else None,
+                                result.extrinsics, truth)
+            results[k][arm] = (row, seconds)
     return results
 
 
@@ -594,6 +646,23 @@ def _close_pool() -> None:
 atexit.register(_close_pool)
 
 
+def _forget_pool() -> None:
+    """In a child just forked from this process: drop the inherited pool, untouched.
+
+    Its workers are taken off `multiprocessing`'s list of this process's
+    children too, as `multiprocessing`'s own start-up does in the children
+    it starts; otherwise a child that exits normally would have the exit
+    hook of `multiprocessing` end its parent's workers.
+    """
+    global _pool
+    for proc in (_pool or (None, [], []))[1]:
+        multiprocessing.process._children.discard(proc)
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _pool_of(size: int):
     """This process's pool of `size` live workers, started unless the last one fits.
 
@@ -670,7 +739,11 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     max(1, trial_count // (4 * workers)) trials of that point, and
     `_run_chunk`, which draws a chunk's scenes in lockstep, is mapped over
     them: on the process's worker pool when there is more than one worker,
-    in the calling process when there is one.  Every view keeps at least
+    in the calling process when there is one.  A chunk runs its arms
+    arm-major over its scenes, so each refined arm's bundle adjustments run
+    side by side (`_run_arms`); an arm's seconds on a trial are its start's
+    time and, refined, an equal share of the chunk's adjustment time.
+    Every view keeps at least
     MIN_IMAGE_POINTS points, as in `make_scene`: a view that keeps fewer is
     drawn again alone, and a view that cannot be drawn raises
     PoseSamplingFailed naming its image.  Trials are seeded by their index,

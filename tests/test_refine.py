@@ -976,3 +976,153 @@ def test_single_image_ba_needs_eight_points():
                                                        Distortion(), n=7)
     with pytest.raises(ValueError):
         refine.single_image_ba(rays, pixels, (intr, dist, rot))
+
+
+# ---------------------------------------------------------------------------
+# bundle adjustments side by side
+# ---------------------------------------------------------------------------
+
+def same_ba_result(a, b):
+    """Two (triple, report) results, or two exceptions, equal to the bit."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    (intr_a, dist_a, ext_a), report_a = a
+    (intr_b, dist_b, ext_b), report_b = b
+    arrays_a = [np.asarray(v) for v in (ext_a.rotations, (ext_a.x, ext_a.y, ext_a.r))] \
+        if isinstance(ext_a, SphericalExtrinsics) else list(ext_a)
+    arrays_b = [np.asarray(v) for v in (ext_b.rotations, (ext_b.x, ext_b.y, ext_b.r))] \
+        if isinstance(ext_b, SphericalExtrinsics) else list(ext_b)
+    return (intr_a == intr_b and dist_a == dist_b and report_a == report_b
+            and all(x.tobytes() == y.tobytes() for x, y in zip(arrays_a, arrays_b, strict=True)))
+
+
+def lockstep_pairs(kind, count, seed):
+    """`count` (observations, init) pairs of one layout: varied noise, jitter and thinning.
+
+    Every scene keeps one full image, so all share the padded length, while
+    the thinned images make the per-image counts differ between scenes.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for trial in range(count):
+        _, _, obs = scene(seed=seed, trial=trial, pixel_noise_sigma=float(rng.uniform(0.5, 3.0)),
+                          spherical_noise_sigma=float(rng.uniform(0.0, 30.0)))
+        init = ((*solve_closed_form(obs)[:1], Distortion(0.0, 0.0), solve_closed_form(obs)[1])
+                if kind == "spherical" else zhang_general_init(obs))
+        cut = {int(k): int(rng.integers(MIN_IMAGE_POINTS, 80)) for k in rng.choice(
+            np.arange(1, len(obs)), size=trial % 3, replace=False)}
+        if obs.counts[0] == obs.counts.max():
+            obs = thinned(obs, cut)
+        pairs.append((obs, init))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["spherical", "general"])
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_bundle_adjustments_side_by_side_equal_each_alone(kind, count, monkeypatch):
+    # Each result is the public function's alone, to the bit, and a group
+    # of one layout shares every kernel call: a stacked call never fails
+    # over to one problem at a time.
+    pairs = lockstep_pairs(kind, count, seed=60 + count)
+    adjust = refine.spherical_ba if kind == "spherical" else refine.general_ba
+    alone = [adjust(obs, init) for obs, init in pairs]
+    stacked = []
+    real_served = refine._served
+
+    def strict(kernel, indices, arguments):
+        stacked.append(len(indices))
+        if len(indices) == 1:
+            return real_served(kernel, indices, arguments)
+        return kernel(indices, arguments)
+
+    monkeypatch.setattr(refine, "_served", strict)
+    together = refine.bundle_adjustments(kind, *zip(*pairs))
+    assert len({(len(obs), int(obs.counts.max())) for obs, _ in pairs}) == 1
+    assert count == 1 or len({tuple(obs.counts) for obs, _ in pairs}) > 1
+    assert all(same_ba_result(a, b) for a, b in zip(alone, together, strict=True))
+    assert max(stacked) == count
+
+
+def same_outcome(a, b):
+    """Two `_adjusted` results, or two exceptions, equal to the bit."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return (a[0] == b[0] and a[1] == b[1] and a[5] == b[5]
+            and all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                    for x, y in zip(a[2:5], b[2:5])))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_failing_bundle_adjustment_fails_alone(position):
+    # One problem has a pixel that is not a number, so its gradient is not
+    # finite; another starts with the target behind the camera.  Each fails
+    # with the error it raises alone, at any place in the group, and the
+    # others' results keep every bit.
+    pairs = lockstep_pairs("spherical", 5, seed=70)
+    obs, (intr, dist, ext) = pairs[position + 2]
+    flip = np.diag([1.0, -1.0, -1.0])  # a half turn about the camera's x axis
+    pairs[position + 2] = (obs, (intr, dist, replace(ext, rotations=flip @ ext.rotations)))
+    problems = [refine._spherical(obs, init) for obs, init in pairs]
+    problems[position].pixels = problems[position].pixels.copy()
+    problems[position].pixels[3, 0] = np.nan
+    alone = []
+    for problem in problems:
+        try:
+            alone.append(refine._adjusted(refine._closures(problem)))
+        except errors.CalibrationError as exc:
+            alone.append(exc)
+    assert isinstance(alone[position], errors.NormalEquationsFailed)
+    assert isinstance(alone[position + 2], errors.PointBehindCamera)
+    together = refine._adjusted_together(problems)
+    assert all(same_outcome(a, b) for a, b in zip(alone, together, strict=True))
+
+
+def test_stacked_normal_equations_are_each_problems():
+    # The scatter index of several problems of several groups puts every
+    # problem's Gram and gradient where its own one-problem call does.
+    rng = np.random.default_rng(5)
+    blocks = rng.normal(size=(3, 4, 6, 10))  # 3 problems of 4 groups, 2 + 4 columns
+    weights, r = rng.uniform(0.1, 1.0, (3, 40)), rng.normal(size=(3, 40))
+    JtJ, g = refine._normal_equations(blocks.reshape(12, 6, 10), 2, 3, None,
+                                      weights.ravel(), r.ravel(), None)
+    for k in range(3):
+        JtJ_k, g_k = refine.BlockJacobian(blocks[k], 2).normal_equations(weights[k], r[k])
+        assert JtJ[k].tobytes() == JtJ_k.tobytes() and g[k].tobytes() == g_k.tobytes()
+
+
+def test_lockstep_serves_a_failing_request_alone():
+    # Rosenbrock runs whose trial steps can hit a wall, a residual that
+    # raises: a stacked call that raises is served again one problem at a
+    # time, the problem at the wall rejects its step, and every run ends
+    # as it does alone, to the bit.
+    def residual(x, wall):
+        if x[0] > wall:
+            raise errors.PointBehindCamera("past the wall")
+        return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+
+    def jacobian(x):
+        return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+    starts = [(-1.2, 1.0), (0.5, -0.3), (2.0, 2.0), (-0.4, 0.9)]
+    walls = [0.95, 3.0, 10.0, 0.6]
+    alone = [vector_lm(lambda x, wall=wall: residual(x, wall), jacobian, start,
+                       robust_scale=BROAD) for start, wall in zip(starts, walls)]
+    raised = []
+
+    def residuals(indices, requests):
+        try:
+            return [residual(state.x, walls[k]) for k, (state,) in zip(indices, requests)]
+        except errors.PointBehindCamera:
+            raised.append(len(indices))
+            raise
+
+    kernels = (lambda indices, requests: [one_group(jacobian(state.x)).normal_equations(w, r)
+                                          for state, w, r in requests],
+               lambda indices, requests: [refine.LMState(state.x + delta)
+                                          for state, delta in requests],
+               residuals)
+    together = refine._lockstep(kernels, [refine.LMState(np.array(s, dtype=float))
+                                          for s in starts], robust_scale=BROAD, block_size=1)
+    assert max(raised) > 1
+    for (x, report), (x_alone, report_alone) in zip(together, alone, strict=True):
+        assert x.x.tobytes() == x_alone.tobytes() and report == report_alone

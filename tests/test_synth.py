@@ -338,7 +338,7 @@ def test_trial_scene_is_make_scene_of_its_stream(sigma, monkeypatch):
     # A Monte Carlo trial runs its arms on make_scene's scene of the trial's
     # stream, whatever chunk it runs in.
     seen = []
-    monkeypatch.setattr(synth, "_run_arms", lambda obs, truth, arms: seen.append(obs))
+    monkeypatch.setattr(synth, "_run_arms", lambda sets, truth, arms: seen.extend(sets))
     cfg = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=sigma)
     trials = range(3, 27)
     synth._run_chunk(cfg, trials, ("ours",))
@@ -459,15 +459,47 @@ def test_baseline_conic_is_solved_once_per_scene(arms, monkeypatch):
 
     monkeypatch.setattr(synth, "conic_rows", counting_rows)
     config, _, obs = scene(seed=0, trial=0, pixel_noise_sigma=1.0)
-    results = synth._run_arms(obs, config.truth_vector(), arms)
+    (results,) = synth._run_arms([obs], config.truth_vector(), arms)
     assert all(row is not None for row, _ in results.values())
     assert solves == [len(obs)]
+
+
+def test_arms_over_a_chunk_score_each_scene_as_alone():
+    # Arm-major over six scenes: three of one layout, whose refined arms run
+    # their bundle adjustments side by side, and three of three images at
+    # 50 px, where some starts fail.  Every row is the scene's own, to the bit.
+    sets = ([scene(seed=3, trial=t, pixel_noise_sigma=1.0)[2] for t in range(3)]
+            + [scene(seed=3, trial=t, pixel_noise_sigma=50.0, image_count=3)[2]
+               for t in range(3)])
+    truth = synth.default_config().truth_vector()
+    together = synth._run_arms(sets, truth, synth.SOLVER_ARMS)
+    failed = 0
+    for obs, results in zip(sets, together, strict=True):
+        (alone,) = synth._run_arms([obs], truth, synth.SOLVER_ARMS)
+        for arm in synth.SOLVER_ARMS:
+            row, row_alone = results[arm][0], alone[arm][0]
+            assert (row is None) == (row_alone is None), arm
+            assert row is None or same_bytes(row, row_alone), arm
+            failed += row is None
+    assert failed > 0
+
+
+@pytest.mark.parametrize("arms", [synth.SOLVER_ARMS, ("ours_ba", "zhang_ba", "ours")],
+                         ids=["all", "refined-first"])
+def test_a_refined_arm_times_its_start_and_a_share_of_the_bundle_adjustments(arms):
+    # Seconds are positive for every arm, and a refined arm that reuses its
+    # initial arm's start still pays its share of the bundle adjustments.
+    sets = [scene(seed=4, trial=t, pixel_noise_sigma=1.0)[2] for t in range(2)]
+    results = synth._run_arms(sets, synth.default_config().truth_vector(), arms)
+    for per_scene in results:
+        assert set(per_scene) == set(arms)
+        assert all(row is not None and seconds > 0 for row, seconds in per_scene.values())
 
 
 def test_every_arm_is_its_calibrate_call():
     config, _, obs = scene(seed=0, trial=1, pixel_noise_sigma=1.0)
     truth = config.truth_vector()
-    results = synth._run_arms(obs, truth, synth.SOLVER_ARMS)
+    (results,) = synth._run_arms([obs], truth, synth.SOLVER_ARMS)
     calls = {"ours": ("nimg", False), "ours_ba": ("nimg", True),
              "zhang": ("zhang", False), "zhang_ba": ("zhang", True)}
     assert set(calls) == set(synth.SOLVER_ARMS)
@@ -742,6 +774,33 @@ def test_a_forked_child_makes_its_own_pool_and_leaves_the_parents():
         assert answered and answer.read() == b"1"
     assert synth._pool[0] == os.getpid() and pool_pids() == pids
     assert all(map(same_trial_stats, serial, pooled_sweep(workers=2)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks")
+def test_a_child_that_exits_normally_leaves_the_parents_pool():
+    # A bare fork whose child leaves through the interpreter's exit hooks:
+    # the parent's workers live on, and its next call reuses them.
+    code = ("import os, sys, time\n"
+            "from collimcal import synth\n"
+            "def sweep():\n"
+            "    synth.run_monte_carlo(synth.default_config(trial_count=2), 'noise', [0.5],\n"
+            "                          arms=('ours',), workers=2)\n"
+            "sweep()\n"
+            "procs = list(synth._pool[1])\n"
+            "child = os.fork()\n"
+            "if child == 0:\n"
+            "    sys.exit(0)\n"
+            "os.waitpid(child, 0)\n"
+            "time.sleep(0.2)\n"
+            "alive = all(proc.is_alive() for proc in procs)\n"
+            "sweep()\n"
+            "print(alive, [proc.pid for proc in synth._pool[1]] == [proc.pid for proc in procs])\n")
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert run.stdout.split() == ["True", "True"]
+    assert "Error" not in run.stderr
 
 
 def running(pid):
