@@ -199,14 +199,9 @@ def rotation_matrix_from_axis_angle(v: np.ndarray) -> np.ndarray:
     # Below 1e-12 rad the second-order expansion I + S + S^2/2 of S = [v]x
     # keeps the map smooth through zero.
     small = theta < 1e-12
-    if small.any():  # else the same values, without the three selections
-        S = skew(v / np.where(small, 1.0, theta))
-        a = np.where(small, 1.0, np.sin(theta))[..., None]
-        b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
-    else:
-        S = skew(v / theta)
-        a = np.sin(theta)[..., None]
-        b = (1.0 - np.cos(theta))[..., None]
+    S = skew(v / np.where(small, 1.0, theta))
+    a = np.where(small, 1.0, np.sin(theta))[..., None]
+    b = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None]
     return _IDENTITY + a * S + b * (S @ S)
 
 

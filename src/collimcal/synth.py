@@ -377,7 +377,8 @@ def _calibrations(observation_sets, mode: str, *, refine: bool, starts) -> list:
 
     The starts are solved set by set, and the bundle adjustments of the sets
     whose start succeeded run side by side (`bundle_adjustments`), so each
-    result is the one `calibrate` gives alone.  Returns per set (its
+    result is the one `calibrate` gives alone; one set alone is adjusted by
+    the public `spherical_ba` or `general_ba`.  Returns per set (its
     Calibration or the CalibrationError it raised, seconds): the time of its
     start and, refined, an equal share of the time of the bundle
     adjustments.
@@ -407,14 +408,17 @@ def _calibrations(observation_sets, mode: str, *, refine: bool, starts) -> list:
         sets = [observation_sets[k] for k in started]
         inits = [(outcomes[k].intrinsics, zero, outcomes[k].extrinsics) for k in started]
         began = time.perf_counter()
-        if len(started) == 1:  # through the public function, which a tracer may wrap
-            try:
-                adjusted = [(general_ba if mode == "zhang" else spherical_ba)(sets[0], inits[0])]
-            except errors.CalibrationError as exc:
-                adjusted = [exc]
-        else:
+        if len(observation_sets) > 1:
             adjusted = bundle_adjustments("general" if mode == "zhang" else "spherical",
                                           sets, inits)
+        else:  # `calibrate`: through the public function, which a tracer may wrap
+            adjusted = []
+            for observations, init in zip(sets, inits):
+                try:
+                    adjusted.append((general_ba if mode == "zhang" else spherical_ba)(
+                        observations, init))
+                except errors.CalibrationError as exc:
+                    adjusted.append(exc)
         share = (time.perf_counter() - began) / max(len(started), 1)
         for k, result in zip(started, adjusted):
             seconds[k] += share

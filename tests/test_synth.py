@@ -25,7 +25,7 @@ from collimcal.core_geom import (
     project,
 )
 from collimcal.multi_solver import conic_rows
-from collimcal.refine import general_ba
+from collimcal.refine import general_ba, spherical_ba
 from conftest import (
     angular_distance,
     image_points,
@@ -482,6 +482,37 @@ def test_arms_over_a_chunk_score_each_scene_as_alone():
             assert row is None or same_bytes(row, row_alone), arm
             failed += row is None
     assert failed > 0
+
+
+def test_the_adjustment_path_follows_the_set_count_not_the_failed_starts(monkeypatch):
+    # Two sets take the side-by-side path even when one start fails, and one
+    # set takes the public function, which a tracer may wrap.
+    sets = [scene(seed=0, trial=t, pixel_noise_sigma=1.0)[2] for t in range(2)]
+    solve = synth.solve_closed_form
+    stacked, public = [], []
+
+    def first_fails(observations):
+        if observations is sets[0]:
+            raise errors.DegenerateConfiguration("refused")
+        return solve(observations)
+
+    def recording_stack(kind, observation_sets, inits):
+        stacked.append(len(inits))
+        return [spherical_ba(*pair) for pair in zip(observation_sets, inits)]
+
+    def recording_ba(observations, init):
+        public.append(1)
+        return spherical_ba(observations, init)
+
+    monkeypatch.setattr(synth, "solve_closed_form", first_fails)
+    monkeypatch.setattr(synth, "bundle_adjustments", recording_stack)
+    monkeypatch.setattr(synth, "spherical_ba", recording_ba)
+    outcomes = synth._calibrations(sets, "nimg", refine=True, starts=[None, None])
+    assert isinstance(outcomes[0][0], errors.DegenerateConfiguration)
+    assert isinstance(outcomes[1][0], synth.Calibration)
+    assert (stacked, public) == ([1], [])
+    synth.calibrate(sets[1], "nimg")
+    assert (stacked, public) == ([1], [1])
 
 
 @pytest.mark.parametrize("arms", [synth.SOLVER_ARMS, ("ours_ba", "zhang_ba", "ours")],
