@@ -5,7 +5,8 @@ pattern points are pose invariant and the target-camera motion reduces to
 a pure rotation about a fixed center.  This package provides the solvers
 built on that constraint (closed-form multi-image, two-image minimal,
 single-image against a reference ray database), robust bundle adjustment,
-degeneracy detection, and a synthetic Monte Carlo benchmark harness.
+degeneracy detection, one `calibrate` entry point for every mode, and a
+synthetic Monte Carlo benchmark harness.
 """
 
 __version__ = "0.1.0"
@@ -33,6 +34,7 @@ from .refine import (
     single_image_ba,
     spherical_ba,
 )
+from .pipeline import calibrate, zhang_init
 from .single_calib import (
     RayDatabase,
     SingleImageResult,
@@ -48,7 +50,6 @@ from .synth import (
     TrialStats,
     default_config,
     run_monte_carlo,
-    zhang_init,
 )
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "RayDatabase", "SingleImageResult", "build_ray_database",
     "calibrate_single_image", "estimate_rotation_kabsch",
     "init_focal_quartic", "refine_intrinsics_angle",
+    "calibrate", "zhang_init",
     "SyntheticConfig", "TargetGrid", "TrialStats",
-    "default_config", "run_monte_carlo", "zhang_init",
+    "default_config", "run_monte_carlo",
 ]

@@ -16,11 +16,10 @@ import sys
 
 import numpy as np
 
-from . import errors, fileio, synth
+from . import errors, fileio, pipeline, synth
 from .core_geom import axis_angle_from_rotation_matrix
-from .multi_solver import detect_degeneracy
-from .refine import spherical_problem, unrefined_report
-from .single_calib import build_ray_database, calibrate_single_image
+from .multi_solver import SphericalExtrinsics, detect_degeneracy
+from .single_calib import build_ray_database
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -48,18 +47,19 @@ def _nan_guarded(reduction, values: np.ndarray) -> float:
     return float(reduction(values))
 
 
-def _truth_errors(intr, dist, ext, truth: fileio.GroundTruth):
-    """The report's `error_vs_truth`: the Monte Carlo's `synth.error_row`, unsigned.
+def _truth_errors(result: pipeline.Calibration, truth: fileio.GroundTruth):
+    """The report's `error_vs_truth`: the Monte Carlo's `pipeline.error_row`, unsigned.
 
     The focal errors are relative to the truth, and the center's is the
-    distance to the true center, written when there are extrinsics.
+    distance to the true center, written when there is a center.
     """
-    true = synth.truth_row(truth.intrinsics, truth.distortion, truth.t_cp)
-    err = np.abs(synth.error_row(intr, dist, ext, true))
+    true = pipeline.truth_row(truth.intrinsics, truth.distortion, truth.t_cp)
+    err = np.abs(pipeline.error_row(result.intrinsics, result.distortion, result.extrinsics,
+                                    true))
     block = {"fx_err_rel": err[0] / true[0], "fy_err_rel": err[1] / true[1],
              "cx_err_px": err[2], "cy_err_px": err[3], "gamma_err": err[4],
              "d1_err": err[5], "d2_err": err[6]}
-    if ext is not None:
+    if isinstance(result.extrinsics, SphericalExtrinsics):
         block["tcp_err_mm"] = np.linalg.norm(err[7:])
     return {key: float(value) for key, value in block.items()}
 
@@ -88,6 +88,7 @@ def cmd_calibrate(args) -> int:
     inputs = getattr(args, "in")
     data = fileio.read_observation_file(inputs)
     observations = data.observations
+    database = None
     if args.mode == "single" and args.reference:
         database = fileio.read_ray_database(args.reference)
         inputs = f"{inputs} with {args.reference}"
@@ -96,49 +97,33 @@ def cmd_calibrate(args) -> int:
               "config_echo": {"mode": args.mode, "reference": args.reference,
                               "no_refine": bool(args.no_refine)}}
 
-    ext = None
     try:  # each file reads, but what they hold may be refused
+        result = pipeline.calibrate(observations, args.mode, refine=not args.no_refine,
+                                    database=database, image_size=data.image_size)
+        ext = result.extrinsics
         if args.mode == "single":
-            if len(observations) != 1:
-                raise ValueError(f"single mode needs exactly 1 image, got {len(observations)}")
-            if not args.reference:
-                raise ValueError("single mode needs --reference <database>")
-            if data.image_size is None:
-                raise ValueError("single mode needs image_size in the observation file")
-            result = calibrate_single_image(
-                observations.ids, observations.uv, database, image_size=data.image_size,
-                refine_distortion=not args.no_refine)
-            intr, dist, fit = result.intrinsics, result.distortion, result.report
-            report.update({
-                "rotation_axis_angle": fileio.rotations_payload(result.rotation),
-                "n_matched": result.n_matched,
-                "n_dropped": result.n_dropped,
-            })
+            report.update({"rotation_axis_angle": fileio.rotations_payload(ext[0]),
+                           "n_matched": result.n_matched, "n_dropped": result.n_dropped})
         else:
-            result = synth.calibrate(observations, args.mode, refine=not args.no_refine)
             if args.mode == "minimal":
-                report["candidate_count"] = result.candidate_count
+                report["candidate_count"] = len(result.start)
             report["degeneracy"] = dataclasses.asdict(detect_degeneracy(observations))
-            intr, dist, ext = result.intrinsics, result.distortion, result.extrinsics
-            fit = result.report or unrefined_report(
-                spherical_problem(observations, (intr, dist, ext)))
-            report.update({
-                "t_cp_mm": [float(v) for v in ext.t_cp],
-                "rotations_axis_angle": fileio.rotations_payload(ext.rotations),
-            })
+            report.update({"t_cp_mm": [float(v) for v in ext.t_cp],
+                           "rotations_axis_angle": fileio.rotations_payload(ext.rotations)})
     except ValueError as exc:
         raise fileio.FileFormatError(f"{inputs}: {exc}") from exc
     # The refinement block: the same fields in every mode, refined or not.
     report.update({
         "stage": "init" if args.no_refine else "refined",
-        "converged": fit.converged,
-        "termination": fit.termination,
-        "rms_reprojection_px": fit.rms_reprojection,
-        "per_image_rms_px": fit.per_image_rms,
+        "converged": result.report.converged,
+        "termination": result.report.termination,
+        "rms_reprojection_px": result.report.rms_reprojection,
+        "per_image_rms_px": result.report.per_image_rms,
     })
-    report.update(fileio.camera_payload(intr, dist))  # so a report is a camera file
+    # The camera block, so that a report is a camera file.
+    report.update(fileio.camera_payload(result.intrinsics, result.distortion))
     if data.ground_truth is not None:
-        report["error_vs_truth"] = _truth_errors(intr, dist, ext, data.ground_truth)
+        report["error_vs_truth"] = _truth_errors(result, data.ground_truth)
     fileio.write_report(args.out, report)
     print(f"wrote {args.out}: fx={report['intrinsics']['fx']:.3f} "
           f"fy={report['intrinsics']['fy']:.3f}")

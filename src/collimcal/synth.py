@@ -1,4 +1,4 @@
-"""Synthetic scenes, the motion-unconstrained baseline, and the benchmark harness.
+"""Synthetic scenes and the Monte Carlo benchmark harness.
 
 Scene generation follows the experimental protocol: a planar grid target
 observed from a fixed optical center t_cp = (x, y, -r) with arbitrary
@@ -19,7 +19,6 @@ import ctypes
 import functools
 import multiprocessing
 import os
-import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -36,15 +35,15 @@ from .core_geom import (
     ObservationSet,
     PlanarTarget,
     checked_image_size,
-    decompose_homography,
     finite_array,
     radial_pixels,
     real_number,
     rotation_matrix_from_axis_angle,
 )
-from .multi_solver import (SphericalExtrinsics, conic_rows, decompose_iac,
-                           solve_closed_form, solve_minimal)
-from .refine import ResidualReport, bundle_adjustments, general_ba, spherical_ba
+# `zhang_init` is bound here, unused, because the benchmark's tracer looks
+# its traced functions up in the modules that bind them, and names this one
+# as `synth.zhang_init`.
+from .pipeline import Calibration, calibrate_all, error_row, truth_row, zhang_init
 
 MAX_TILT_DEG = 30.0
 POSE_ATTEMPTS = 100
@@ -299,138 +298,6 @@ def make_scene(config: SyntheticConfig, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# motion-unconstrained baseline initializer
-# ---------------------------------------------------------------------------
-
-def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
-    """Classical plane-based closed-form intrinsics, no motion constraint.
-
-    Stacks the orthogonality/equal-norm constraints on the image of the
-    absolute conic from every homography and decodes K from the smallest
-    singular vector.  Needs >= 3 images for the full five-parameter model;
-    with exactly 2 a zero-skew row is added.
-    """
-    return observations.homography_fit.intrinsics_to_raw(_zhang_iac(observations))
-
-
-def _zhang_iac(observations: ObservationSet) -> CameraIntrinsics:
-    """The baseline's intrinsics (`zhang_init`) in the fit units of the homographies."""
-    if len(observations) < 2:
-        raise ValueError("baseline initialization needs at least 2 images")
-    u = conic_rows(observations.homography_fit.matrices)
-    V = np.stack([u[:, 1], u[:, 0] - u[:, 3]], axis=1).reshape(-1, 6)  # u12, u11 - u22
-    if len(observations) == 2:
-        V = np.vstack([V, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])  # gamma = 0
-    _, s, Vt = np.linalg.svd(V)
-    if s[-2] <= 1e-9 * s[0]:
-        raise errors.DegenerateConfiguration(
-            "absolute-conic constraint matrix is rank deficient")
-    return decompose_iac(Vt[-1])
-
-
-# ---------------------------------------------------------------------------
-# the calibration pipeline
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Calibration:
-    """One `calibrate` result, in raw units.
-
-    `extrinsics` is the SphericalExtrinsics of the `nimg` and `minimal`
-    modes, the refined `zhang` mode's poses (R (N, 3, 3), t (N, 3) mm),
-    and None for the unrefined `zhang` mode.  Unrefined, `distortion` is
-    the start's zero distortion and `report` is None.  `start` holds the
-    mode's start candidates, best first, and `candidate_count` their number.
-    """
-
-    intrinsics: CameraIntrinsics
-    extrinsics: SphericalExtrinsics | tuple | None
-    distortion: Distortion
-    report: ResidualReport | None
-    candidate_count: int
-    start: list
-
-
-def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True,
-              start=None) -> Calibration:
-    """One calibration of `observations`: the mode's start, then its bundle adjustment.
-
-    The start of `nimg` is `solve_closed_form`, that of `minimal` the best
-    of `solve_minimal`'s candidates, and that of `zhang`, the plane-based
-    baseline, its absolute conic's intrinsics in the fit's units, solved
-    once.  With `refine` the bundle adjustment runs from zero distortion:
-    `spherical_ba` for `nimg` and `minimal`, and `general_ba` for `zhang`,
-    from the poses of the fit's homographies decomposed with those fit-unit
-    intrinsics.  `start` is the `start` of an earlier result of the same
-    mode on the same observations, used in place of solving the start
-    again.  The solvers own each mode's image-count rule.  The one-set case
-    of `_calibrations`.
-    """
-    ((outcome, _),) = _calibrations([observations], mode, refine=refine, starts=[start])
-    if isinstance(outcome, errors.CalibrationError):
-        raise outcome
-    return outcome
-
-
-def _calibrations(observation_sets, mode: str, *, refine: bool, starts) -> list:
-    """`calibrate` of every observation set with its start (None: solved).
-
-    The starts are solved set by set, and the bundle adjustments of the sets
-    whose start succeeded run side by side (`bundle_adjustments`), so each
-    result is the one `calibrate` gives alone; one set alone is adjusted by
-    the public `spherical_ba` or `general_ba`.  Returns per set (its
-    Calibration or the CalibrationError it raised, seconds): the time of its
-    start and, refined, an equal share of the time of the bundle
-    adjustments.
-    """
-    if mode not in ("nimg", "minimal", "zhang"):
-        raise ValueError(f"unknown calibration mode {mode!r}")
-    zero = Distortion(0.0, 0.0)
-    outcomes, seconds = [], []
-    for observations, start in zip(observation_sets, starts):
-        began = time.perf_counter()
-        try:
-            if start is None:
-                start = ([_zhang_iac(observations)] if mode == "zhang"
-                         else [solve_closed_form(observations)] if mode == "nimg"
-                         else solve_minimal(observations))
-            fit = observations.homography_fit
-            intr, ext = (fit.intrinsics_to_raw(start[0]), None) if mode == "zhang" else start[0]
-            if refine and mode == "zhang":
-                R, t, _ = decompose_homography(fit.matrices, start[0])
-                ext = (R, fit.translations_to_raw(R, t))
-            outcomes.append(Calibration(intr, ext, zero, None, len(start), start))
-        except errors.CalibrationError as exc:
-            outcomes.append(exc)
-        seconds.append(time.perf_counter() - began)
-    if refine:
-        started = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, Calibration)]
-        sets = [observation_sets[k] for k in started]
-        inits = [(outcomes[k].intrinsics, zero, outcomes[k].extrinsics) for k in started]
-        began = time.perf_counter()
-        if len(observation_sets) > 1:
-            adjusted = bundle_adjustments("general" if mode == "zhang" else "spherical",
-                                          sets, inits)
-        else:  # `calibrate`: through the public function, which a tracer may wrap
-            adjusted = []
-            for observations, init in zip(sets, inits):
-                try:
-                    adjusted.append((general_ba if mode == "zhang" else spherical_ba)(
-                        observations, init))
-                except errors.CalibrationError as exc:
-                    adjusted.append(exc)
-        share = (time.perf_counter() - began) / max(len(started), 1)
-        for k, result in zip(started, adjusted):
-            seconds[k] += share
-            if not isinstance(result, errors.CalibrationError):
-                (intr, dist, ext), report = result
-                result = replace(outcomes[k], intrinsics=intr, extrinsics=ext,
-                                 distortion=dist, report=report)
-            outcomes[k] = result
-    return list(zip(outcomes, seconds))
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo harness
 # ---------------------------------------------------------------------------
 
@@ -481,28 +348,6 @@ def _config_for(config: SyntheticConfig, sweep_kind: str, value) -> SyntheticCon
     return replace(config, **{SWEEPS[sweep_kind][0]: int(number) if images else number})
 
 
-def truth_row(intrinsics: CameraIntrinsics, distortion: Distortion, t_cp) -> np.ndarray:
-    """A true camera and center t_cp (3,), ordered as PARAM_NAMES, with r = -t_cp[2]."""
-    return np.array([intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy,
-                     intrinsics.gamma, distortion.d1, distortion.d2, t_cp[0], t_cp[1], -t_cp[2]])
-
-
-def error_row(intrinsics: CameraIntrinsics, distortion: Distortion | None, extrinsics,
-              truth: np.ndarray) -> np.ndarray:
-    """The signed errors of an estimate against `truth` (`truth_row`), ordered as PARAM_NAMES.
-
-    The one error formula of the Monte Carlo arms and of the `calibrate`
-    report's `error_vs_truth`.  The distortion errors are NaN when
-    `distortion` is None, and the center's unless `extrinsics` is a
-    SphericalExtrinsics.
-    """
-    values = [intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy, intrinsics.gamma]
-    values += [np.nan] * 2 if distortion is None else [distortion.d1, distortion.d2]
-    spherical = isinstance(extrinsics, SphericalExtrinsics)
-    values += [extrinsics.x, extrinsics.y, extrinsics.r] if spherical else [np.nan] * 3
-    return np.array(values) - truth
-
-
 def run_single_trial(config: SyntheticConfig, trial_index: int, arms):
     """One paired trial: one scene, every requested solver arm on it.
 
@@ -538,7 +383,7 @@ def _run_chunk(config: SyntheticConfig, trials: range, arms):
 def _run_arms(observation_sets, truth: np.ndarray, arms) -> list:
     """Every requested solver arm on every scene: per scene {arm: (error_row, seconds)}.
 
-    The arms run arm-major: each arm is one `_calibrations` call over all
+    The arms run arm-major: each arm is one `calibrate_all` call over all
     the scenes, so a refined arm's bundle adjustments run side by side, and
     each scene's result is that of its own `calibrate` call.  It is scored
     by `error_row`, which is given the distortion of a refined arm only.  An
@@ -553,7 +398,7 @@ def _run_arms(observation_sets, truth: np.ndarray, arms) -> list:
     for arm in arms:
         _, _, mode, refined = _ARMS[arm]
         known = starts.setdefault(mode, [None] * len(observation_sets))
-        calibrations = _calibrations(observation_sets, mode, refine=refined,
+        calibrations = calibrate_all(observation_sets, mode, refine=refined,
                                      starts=known if refined else [None] * len(known))
         for k, (result, seconds) in enumerate(calibrations):
             row = None

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from collimcal import cli, fileio, synth
+from collimcal import cli, fileio, pipeline, synth
 from collimcal.cli import build_parser, main
 from collimcal.core_geom import MIN_IMAGE_POINTS, CameraIntrinsics, Distortion, PlanarTarget
 from collimcal.multi_solver import detect_degeneracy
@@ -117,26 +117,40 @@ def test_calibrate_no_refine_stage(sim_file, tmp_path):
 
 @pytest.mark.parametrize("mode, images, extra", [
     ("nimg", None, ()), ("nimg", None, ("--no-refine",)), ("minimal", [0, 1], ()),
-], ids=["nimg", "nimg-no-refine", "minimal"])
-def test_calibrate_reports_the_pipelines_result(sim_file, tmp_path, mode, images, extra):
-    # The report's numbers are those of `synth.calibrate` on the same
+    ("single", [0], ()), ("single", [0], ("--no-refine",)),
+], ids=["nimg", "nimg-no-refine", "minimal", "single", "single-no-refine"])
+def test_calibrate_reports_the_pipelines_result(sim_file, reference_db, tmp_path, mode, images,
+                                                extra):
+    # The report's numbers are those of `pipeline.calibrate` on the same
     # observations, bit for bit (JSON floats round-trip exactly).
     path = sim_file
     if images is not None:
         path = tmp_path / "cut.json"
-        observations = fileio.read_observation_file(sim_file).observations
-        fileio.write_observation_file(path, pick_images(observations, images))
+        data = fileio.read_observation_file(sim_file)
+        fileio.write_observation_file(path, pick_images(data.observations, images),
+                                      image_size=data.image_size)
+    reference = ["--reference", str(reference_db)] if mode == "single" else []
     out = tmp_path / "report.json"
     assert main(["calibrate", "--in", str(path), "--mode", mode, "--out", str(out),
-                 *extra]) == 0
+                 *reference, *extra]) == 0
     report = json.loads(out.read_text())
-    result = synth.calibrate(fileio.read_observation_file(path).observations, mode,
-                             refine=not extra)
+    data = fileio.read_observation_file(path)
+    database = fileio.read_ray_database(reference_db) if reference else None
+    result = pipeline.calibrate(data.observations, mode, refine=not extra, database=database,
+                                image_size=data.image_size)
     assert report["intrinsics"] == dataclasses.asdict(result.intrinsics)
     assert report["distortion"] == [result.distortion.d1, result.distortion.d2]
-    assert report["t_cp_mm"] == result.extrinsics.t_cp.tolist()
-    assert report.get("candidate_count") == (result.candidate_count
-                                             if mode == "minimal" else None)
+    fit = result.report
+    assert [report[key] for key in ("converged", "termination", "rms_reprojection_px")] == \
+        [fit.converged, fit.termination, fit.rms_reprojection]
+    assert report["per_image_rms_px"] == list(fit.per_image_rms)
+    if mode == "single":
+        assert report["rotation_axis_angle"] == fileio.rotations_payload(result.extrinsics[0])
+        assert (report["n_matched"], report["n_dropped"]) == (result.n_matched,
+                                                              result.n_dropped)
+    else:
+        assert report["t_cp_mm"] == result.extrinsics.t_cp.tolist()
+    assert report.get("candidate_count") == (len(result.start) if mode == "minimal" else None)
 
 
 @pytest.mark.parametrize("grid", [{}, {"target": {"rows": 4, "cols": 4}}],

@@ -11,7 +11,7 @@ solver, and 3.1e-13 elsewhere.
 import numpy as np
 import pytest
 
-from collimcal import errors, synth
+from collimcal import errors, pipeline, synth
 from collimcal.core_geom import (
     CameraIntrinsics,
     Distortion,
@@ -24,9 +24,9 @@ from collimcal.multi_solver import (
     solve_closed_form,
     solve_minimal,
 )
+from collimcal.pipeline import zhang_init
 from collimcal.refine import spherical_ba
 from collimcal.single_calib import RayDatabase, build_ray_database, calibrate_single_image
-from collimcal.synth import zhang_init
 from conftest import first_images, pick_images, rotation_from_axis_angle, scene
 
 BOUND = 1e-9
@@ -306,7 +306,7 @@ def test_degeneracy_report_ignores_the_id_labels(seed, trial):
 def baseline(observations):
     """The free-motion BA's refined triple and report, as `calibrate` runs it in
     the `zhang` mode: from the baseline's conic and the poses of its homographies."""
-    result = synth.calibrate(observations, "zhang")
+    result = pipeline.calibrate(observations, "zhang")
     return (result.intrinsics, result.distortion, result.extrinsics), result.report
 
 

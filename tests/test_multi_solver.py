@@ -476,7 +476,7 @@ def test_z_rotated_append_leaves_rank_unchanged():
 def test_homographies_fitted_once_per_observation_set(monkeypatch):
     # Every DLT design matrix has nine columns; nothing else the solvers
     # decompose does.  Count the images whose design matrix is decomposed.
-    from collimcal import synth
+    from collimcal import pipeline
     svd = np.linalg.svd
     fitted = []
 
@@ -490,8 +490,8 @@ def test_homographies_fitted_once_per_observation_set(monkeypatch):
     _, _, obs = scene(seed=2, pixel_noise_sigma=0.5)
     ms.detect_degeneracy(obs)
     ms.solve_closed_form(obs)
-    synth.zhang_init(obs)
-    synth.calibrate(obs, "zhang")
+    pipeline.zhang_init(obs)
+    pipeline.calibrate(obs, "zhang")
     assert fitted == [len(obs)]
 
 

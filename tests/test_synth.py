@@ -14,18 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collimcal import errors, synth
+from collimcal import errors, pipeline, synth
 from collimcal.core_geom import (
     MIN_IMAGE_POINTS,
-    CameraIntrinsics,
     Distortion,
-    ObservationSet,
-    PlanarTarget,
     back_project,
     project,
 )
 from collimcal.multi_solver import conic_rows
-from collimcal.refine import general_ba, spherical_ba
 from conftest import (
     angular_distance,
     image_points,
@@ -368,84 +364,7 @@ def test_view_that_cannot_be_drawn_names_the_image():
 
 
 # ---------------------------------------------------------------------------
-# baseline initializer
-# ---------------------------------------------------------------------------
-
-def test_zhang_exact_on_noiseless_scene(noiseless_scene):
-    _, _, obs = noiseless_scene
-    intr = synth.zhang_init(obs)
-    assert abs(intr.fx - 1000.0) / 1000.0 < 1e-6
-    assert abs(intr.fy - 1000.0) / 1000.0 < 1e-6
-    assert abs(intr.cx - 542.0) < 1e-3
-    assert abs(intr.gamma - 0.01) < 1e-4
-
-
-@pytest.mark.parametrize("trial", range(5))
-def test_zhang_on_two_noiseless_images_adds_the_zero_skew_row(trial):
-    # Two views fix only four of the conic's five unknowns; the baseline
-    # adds gamma = 0 as a sixth row, which recovers a zero-skew camera.
-    truth = CameraIntrinsics(1000.0, 990.0, 542.0, 478.0, 0.0)
-    cfg = synth.default_config(intrinsics=truth, image_count=2)
-    _, obs = synth.make_scene(cfg, pose_rng(seed=5, trial=trial))
-    intr = synth.zhang_init(obs)
-    for name in ("fx", "fy", "cx", "cy"):
-        assert abs(getattr(intr, name) / getattr(truth, name) - 1.0) < 1e-8, name
-    assert abs(intr.gamma) < 1e-9
-    assert synth.calibrate(obs, "zhang").report.converged
-
-
-def test_zhang_degenerate_rotation_set_rejected():
-    from test_multi_solver import z_rotated_observation_set
-    obs = z_rotated_observation_set(
-        [rotation_from_axis_angle([0.1, -0.07, 0.02])], extra_pairs=(0.4, -0.6))
-    with pytest.raises((errors.DegenerateConfiguration, errors.NotPositiveDefinite)):
-        synth.zhang_init(obs)
-
-
-def test_zhang_refuses_a_system_past_the_rank_cutoff(monkeypatch):
-    # Singular values 1e3 ... 5e-7: none is zero, but s[-2]/s[0] = 5e-10 lies
-    # just below the 1e-9 cutoff, which is relative to s[0] = 1e3.
-    rng = np.random.default_rng(0)
-    _, _, obs = scene(seed=0, pixel_noise_sigma=0.5)
-    U, _ = np.linalg.qr(rng.normal(size=(2 * len(obs), 6)))
-    W, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    V = U @ np.diag([1e3, 1e2, 1e1, 1.0, 5e-7, 1e-9]) @ W.T
-    rows = np.zeros((len(obs), 6, 6))
-    rows[:, 1], rows[:, 0] = V[0::2], V[1::2]  # the u12 and u11 - u22 rows
-    monkeypatch.setattr(synth, "conic_rows", lambda H: rows)
-    with pytest.raises(errors.DegenerateConfiguration, match="rank deficient"):
-        synth.zhang_init(obs)
-
-
-@pytest.mark.parametrize("move", [(3000.0, 0.0), (-8000.0, 3000.0)], ids=["3m", "8.5m"])
-def test_baseline_start_does_not_depend_on_the_target_origin(move, monkeypatch):
-    # Moving the target's coordinates by d moves each pose's translation by
-    # exactly -R[:, :2] d and leaves R alone; a start decomposed in raw mm
-    # picks the mirrored pose far off the pattern, and the BA then fails.
-    # The poses are those the `zhang` mode of `calibrate` hands `general_ba`.
-    poses = []
-
-    def recording_ba(observations, init):
-        poses.append(init[2])
-        return general_ba(observations, init)
-
-    monkeypatch.setattr(synth, "general_ba", recording_ba)
-    d = np.array(move)
-    for trial in range(20):
-        _, _, obs = scene(seed=0, trial=trial, pixel_noise_sigma=1.0)
-        moved = ObservationSet(PlanarTarget(obs.target.ids, obs.target.xy + d), obs.ids,
-                               obs.uv, obs.counts)
-        synth.calibrate(obs, "zhang")
-        synth.calibrate(moved, "zhang")
-        (R0, t0), (R, t) = poses[-2:]
-        assert np.max(np.abs(R - R0)) <= 1e-12
-        expected = t0 - R0[:, :, :2] @ d
-        assert np.max(np.linalg.norm(t - expected, axis=1)
-                      / np.linalg.norm(expected, axis=1)) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# calibration pipeline
+# solver arms
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("arms", [("zhang", "zhang_ba"), ("zhang_ba",)], ids=["both", "refined"])
@@ -457,7 +376,7 @@ def test_baseline_conic_is_solved_once_per_scene(arms, monkeypatch):
         solves.append(len(H))
         return conic_rows(H)
 
-    monkeypatch.setattr(synth, "conic_rows", counting_rows)
+    monkeypatch.setattr(pipeline, "conic_rows", counting_rows)
     config, _, obs = scene(seed=0, trial=0, pixel_noise_sigma=1.0)
     (results,) = synth._run_arms([obs], config.truth_vector(), arms)
     assert all(row is not None for row, _ in results.values())
@@ -484,37 +403,6 @@ def test_arms_over_a_chunk_score_each_scene_as_alone():
     assert failed > 0
 
 
-def test_the_adjustment_path_follows_the_set_count_not_the_failed_starts(monkeypatch):
-    # Two sets take the side-by-side path even when one start fails, and one
-    # set takes the public function, which a tracer may wrap.
-    sets = [scene(seed=0, trial=t, pixel_noise_sigma=1.0)[2] for t in range(2)]
-    solve = synth.solve_closed_form
-    stacked, public = [], []
-
-    def first_fails(observations):
-        if observations is sets[0]:
-            raise errors.DegenerateConfiguration("refused")
-        return solve(observations)
-
-    def recording_stack(kind, observation_sets, inits):
-        stacked.append(len(inits))
-        return [spherical_ba(*pair) for pair in zip(observation_sets, inits)]
-
-    def recording_ba(observations, init):
-        public.append(1)
-        return spherical_ba(observations, init)
-
-    monkeypatch.setattr(synth, "solve_closed_form", first_fails)
-    monkeypatch.setattr(synth, "bundle_adjustments", recording_stack)
-    monkeypatch.setattr(synth, "spherical_ba", recording_ba)
-    outcomes = synth._calibrations(sets, "nimg", refine=True, starts=[None, None])
-    assert isinstance(outcomes[0][0], errors.DegenerateConfiguration)
-    assert isinstance(outcomes[1][0], synth.Calibration)
-    assert (stacked, public) == ([1], [])
-    synth.calibrate(sets[1], "nimg")
-    assert (stacked, public) == ([1], [1])
-
-
 @pytest.mark.parametrize("arms", [synth.SOLVER_ARMS, ("ours_ba", "zhang_ba", "ours")],
                          ids=["all", "refined-first"])
 def test_a_refined_arm_times_its_start_and_a_share_of_the_bundle_adjustments(arms):
@@ -535,36 +423,14 @@ def test_every_arm_is_its_calibrate_call():
              "zhang": ("zhang", False), "zhang_ba": ("zhang", True)}
     assert set(calls) == set(synth.SOLVER_ARMS)
     for arm, (mode, refine) in calls.items():
-        result = synth.calibrate(obs, mode, refine=refine)
-        expected = synth.error_row(result.intrinsics, result.distortion if refine else None,
-                                   result.extrinsics, truth)
+        result = pipeline.calibrate(obs, mode, refine=refine)
+        expected = pipeline.error_row(result.intrinsics, result.distortion if refine else None,
+                                      result.extrinsics, truth)
         assert results[arm][0].tobytes() == expected.tobytes(), arm
     # An initial arm estimates no distortion, and only "ours" has a center.
     assert np.isnan(results["zhang"][0][5:]).all() and np.isnan(results["ours"][0][5:7]).all()
     assert np.isnan(results["zhang_ba"][0][7:]).all()
     assert np.isfinite(results["ours_ba"][0]).all()
-
-
-def test_calibrate_refuses_an_unknown_mode():
-    _, _, obs = scene(seed=0, trial=0)
-    with pytest.raises(ValueError, match="unknown calibration mode 'single'"):
-        synth.calibrate(obs, "single")
-
-
-def test_a_refined_call_reuses_the_start_it_is_given(monkeypatch):
-    _, _, obs = scene(seed=0, trial=2, pixel_noise_sigma=1.0)
-    starts = {mode: synth.calibrate(obs, mode, refine=False).start for mode in ("nimg", "zhang")}
-    expected = {mode: synth.calibrate(obs, mode) for mode in starts}
-
-    def no_solve(*_):
-        raise AssertionError("the start was solved again")
-
-    for name in ("solve_closed_form", "solve_minimal", "conic_rows"):
-        monkeypatch.setattr(synth, name, no_solve)
-    for mode, start in starts.items():
-        result = synth.calibrate(obs, mode, start=start)
-        assert result.intrinsics == expected[mode].intrinsics
-        assert result.distortion == expected[mode].distortion
 
 
 def test_zhang_noisier_than_constrained_solver():

@@ -48,6 +48,7 @@ DEFAULT_TESTS = {
     "refine": ("tests/test_refine.py",),
     "single_calib": ("tests/test_single_calib.py",),
     "synth": ("tests/test_synth.py",),
+    "pipeline": ("tests/test_pipeline.py",),
     "fileio": ("tests/test_cli.py",),
     "cli": ("tests/test_cli.py",),
 }
