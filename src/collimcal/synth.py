@@ -584,11 +584,12 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     """Monte Carlo sweep: trial_count paired trials per sweep value and arm.
 
     Returns a list of TrialStats, one per (sweep value, arm), in sweep-major
-    order.  Every point's trials are cut into chunks of
-    max(1, trial_count // (4 * workers)) trials of that point, and
-    `_run_chunk`, which draws a chunk's scenes in lockstep, is mapped over
-    them: on the process's worker pool when there is more than one worker,
-    in the calling process when there is one.  A chunk runs its arms
+    order.  Every point's trials are cut into min(workers, trial_count)
+    contiguous chunks whose sizes differ by at most one, one per worker,
+    and `_run_chunk`, which draws a chunk's scenes in lockstep, is mapped
+    over them: on the process's worker pool when there is more than one
+    worker, each chunk going to the first free worker, and in the calling
+    process, a point to a chunk, when there is one.  A chunk runs its arms
     arm-major over its scenes, so each refined arm's bundle adjustments run
     side by side (`_run_arms`); an arm's seconds on a trial are its start's
     time and, refined, an equal share of the chunk's adjustment time.
@@ -617,9 +618,9 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
 
     n = config.trial_count
     workers = min(workers, n * len(points))
-    size = max(1, n // (4 * workers))
-    chunks = [(point, range(start, min(start + size, n)))
-              for _, point in points for start in range(0, n, size)]
+    parts = min(workers, n)
+    chunks = [(point, range(n * j // parts, n * (j + 1) // parts))
+              for _, point in points for j in range(parts)]
     if workers > 1:
         chunked = _map_on_pool(chunks, arms, workers)
     else:

@@ -459,9 +459,9 @@ def same_trial_stats(a, b):
 
 
 def test_monte_carlo_parallel_matches_serial():
-    # 6 trials on 3 workers go out one at a time, 16 on 2 in chunks of 2,
-    # and 25 on 2 in chunks of 3 with a chunk of 1 last at each point; a
-    # chunk never holds trials of two points.
+    # 6 trials on 3 workers go out as 3 chunks of 2, 16 on 2 as 2 chunks of
+    # 8, and 25 on 2 as 12 + 13 at each point; a chunk never holds trials of
+    # two points.
     for trial_count, workers, sweep, values in (
             (6, 3, "noise", [0.7]), (16, 2, "noise", [0.7]),
             (25, 2, "noise", [0.7, 1.5]), (25, 2, "spherical", [0.0, 20.0])):
@@ -511,8 +511,8 @@ def test_default_worker_count_refuses_a_count_below_one(monkeypatch, env):
 
 
 def test_one_worker_runs_the_pools_chunks_in_the_calling_process(monkeypatch):
-    # 8 trials on one worker go out in chunks of 8 // 4 = 2 at each of the
-    # two points, each chunk's scenes drawn in one lockstep call.
+    # 8 trials on one worker go out as one chunk of 8 at each of the two
+    # points, each chunk's scenes drawn in one lockstep call.
     streams = []
     make_scenes_alone = synth._make_scenes
 
@@ -523,7 +523,7 @@ def test_one_worker_runs_the_pools_chunks_in_the_calling_process(monkeypatch):
     monkeypatch.setattr(synth, "_make_scenes", make_scenes)
     cfg = synth.default_config(pixel_noise_sigma=0.5, trial_count=8)
     stats = synth.run_monte_carlo(cfg, "noise", [0.5, 1.0], arms=("ours",), workers=1)
-    assert streams == [2] * 8
+    assert streams == [8, 8]
     assert [s.trials.shape for s in stats] == [(8, 10)] * 2
 
 
@@ -594,17 +594,39 @@ def test_the_lowest_failing_chunk_is_raised_once_the_chunks_in_flight_end(monkey
     started = tmp_path / "started"
 
     def fail(config, trials, arms):
+        chunk = f"{config.pixel_noise_sigma}:{trials.start}"
         with open(started, "a") as log:
-            log.write(f"{trials.start}\n")
+            log.write(f"{chunk}\n")
         if trials.start == 0:
             time.sleep(0.2)  # the second chunk fails first
-        raise ValueError(f"chunk at trial {trials.start}")
+        raise ValueError(f"chunk at {chunk}")
 
     monkeypatch.setattr(synth, "_run_chunk", fail)
-    with pytest.raises(ValueError, match="^chunk at trial 0$"):
-        pooled_sweep(workers=2, trial_count=16)  # 8 chunks of 2 trials
-    assert sorted(started.read_text().split()) == ["0", "2"]  # no chunk after a failure
+    cfg = synth.default_config(trial_count=4)
+    with pytest.raises(ValueError, match="^chunk at 0.5:0$"):
+        # 2 chunks of 2 trials at each of 4 points: 8 chunks
+        synth.run_monte_carlo(cfg, "noise", [0.5, 1.0, 1.5, 2.0], arms=("ours",), workers=2)
+    assert sorted(started.read_text().split()) == ["0.5:0", "0.5:2"]  # no chunk after a failure
     assert len(pool_pids()) == 2
+
+
+def test_each_worker_runs_one_even_chunk_of_a_point(monkeypatch, fresh_pool, tmp_path):
+    # 25 trials on 2 workers go out as trials [0, 12) and [12, 25) at each
+    # point, so every worker runs one lockstep chunk per point.
+    chunks = tmp_path / "chunks"
+    run_chunk = synth._run_chunk
+
+    def logged(config, trials, arms):
+        with open(chunks, "a") as log:
+            log.write(f"{config.pixel_noise_sigma}:{trials.start}:{trials.stop}\n")
+        return run_chunk(config, trials, arms)
+
+    monkeypatch.setattr(synth, "_run_chunk", logged)
+    cfg = synth.default_config(trial_count=25)
+    stats = synth.run_monte_carlo(cfg, "noise", [0.5, 1.0], arms=("ours",), workers=2)
+    assert sorted(chunks.read_text().split()) == ["0.5:0:12", "0.5:12:25",
+                                                  "1.0:0:12", "1.0:12:25"]
+    assert [s.trials.shape for s in stats] == [(25, 10)] * 2
 
 
 def test_a_worker_killed_between_calls_is_replaced():

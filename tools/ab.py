@@ -3,11 +3,17 @@
 Exports `src/collimcal` of REV with `git archive` into a temporary
 directory and imports it as `collimcal_a`, and the working tree's as
 `collimcal_b`, in one process.  Each round runs every unit in ABBA order
-(A, B, B, A) and then AAAA, serially, on the same inputs:
+(A, B, B, A) and then AAAA, serially, on the same inputs.  The serial
+units share their rounds; each pooled unit then runs its rounds alone, on
+a fresh 2-worker pool of each side:
 
     mc_ba2   `_run_chunk` of 2 trials, all four arms, 1 px (the `mc_ba` point)
     mc_ba5   the same with 5 trials
     mc_init  `_run_chunk` of 12 trials, arms ours and zhang, 0.5 px, 15 mm
+    mc_ba_pool
+             `run_monte_carlo` of the `mc_ba` point, 20 trials, on 2 workers
+    mc_init_pool
+             `run_monte_carlo` of the `mc_init` point, 100 trials, on 2 workers
     nimg, minimal, single
              one in-process `collimcal calibrate` request of that mode
 
@@ -15,8 +21,13 @@ Per unit it prints the median over the rounds of B / A (the summed time of
 the two B runs over that of the two A runs), a bootstrap 95% interval of
 that median, the rounds B won, the same median and interval for the A/A
 control (the middle two A runs of AAAA over the outer two), the median
-times, and the median minor page faults of one run (`RUSAGE_SELF`).
-Times are process time.  Uses the standard library and numpy only.
+times, the median minor page faults of one run (`RUSAGE_SELF`), and, for
+the pooled units, the largest peak RSS (`VmHWM`) of a worker of each
+side's own pool, in MB ("-" where /proc cannot be read).  Times are
+process time, except for the pooled units, whose work runs in the workers:
+those are wall time (`perf_counter`).  Uses the standard library and numpy
+only; run it with OPENBLAS_NUM_THREADS=1, as the benchmark does, so that
+the pooled units' workers do not oversubscribe the cores.
 
     python3 tools/ab.py                          # HEAD against the working tree
     python3 tools/ab.py --against HEAD~1 --rounds 40 --units mc_ba2 mc_ba5
@@ -41,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-UNITS = ("mc_ba2", "mc_ba5", "mc_init", "nimg", "minimal", "single")
+UNITS = ("mc_ba2", "mc_ba5", "mc_init", "mc_ba_pool", "mc_init_pool",
+         "nimg", "minimal", "single")
 ARMS = ("ours", "ours_ba", "zhang", "zhang_ba")
 
 # The inputs of the calibrate requests, as the benchmark's CLI workload makes them.
@@ -102,6 +114,14 @@ def make_inputs(package, workdir: Path) -> dict:
 def unit_call(unit: str, package, inputs: dict, workdir: Path):
     """A function that runs `unit` once with `package`."""
     synth = package.synth
+    if unit == "mc_ba_pool":
+        config = synth.default_config(pixel_noise_sigma=1.0, trial_count=20)
+        return lambda: synth.run_monte_carlo(config, "noise", [1.0], arms=ARMS, workers=2)
+    if unit == "mc_init_pool":
+        config = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=15.0,
+                                      trial_count=100)
+        return lambda: synth.run_monte_carlo(config, "noise", [0.5], arms=("ours", "zhang"),
+                                             workers=2)
     if unit.startswith("mc_"):
         if unit == "mc_init":
             config = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=15.0)
@@ -116,13 +136,26 @@ def unit_call(unit: str, package, inputs: dict, workdir: Path):
     return lambda: cli_call(package, *argv)
 
 
-def timed(call):
-    """(process seconds, minor faults) of one call."""
+def timed(call, clock=time.process_time):
+    """(seconds on `clock`, minor faults) of one call."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    start = time.process_time()
+    start = clock()
     call()
-    seconds = time.process_time() - start
+    seconds = clock() - start
     return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
+def worker_peak_mb(package) -> str:
+    """The largest `VmHWM` of a worker of `package`'s pool, in MB, or "-" if unreadable."""
+    peaks = []
+    for proc in (package.synth._pool or (None, []))[1]:
+        try:
+            status = Path(f"/proc/{proc.pid}/status").read_text()
+        except OSError:
+            return "-"
+        peaks += [int(line.split()[1]) / 1024 for line in status.splitlines()
+                  if line.startswith("VmHWM:")]
+    return f"{max(peaks):.1f}" if peaks else "-"
 
 
 def bootstrap_median(ratios, rng, draws: int = 2000):
@@ -132,8 +165,8 @@ def bootstrap_median(ratios, rng, draws: int = 2000):
     return float(np.median(ratios)), *np.percentile(medians, [2.5, 97.5]).tolist()
 
 
-def run(units, rounds: int, a, b, inputs: dict, workdir: Path) -> dict:
-    """Every unit's per-round (B/A, A/A) ratios, times and faults."""
+def measured(units, rounds: int, a, b, inputs: dict, workdir: Path, clock) -> dict:
+    """Every unit's per-round (B/A, A/A) ratios, times and faults; the units alternate."""
     calls = {unit: (unit_call(unit, a, inputs, workdir), unit_call(unit, b, inputs, workdir))
              for unit in units}
     for call_a, call_b in calls.values():  # warm both sides once
@@ -142,8 +175,9 @@ def run(units, rounds: int, a, b, inputs: dict, workdir: Path) -> dict:
              for unit in units}
     for _ in range(rounds):
         for unit, (call_a, call_b) in calls.items():
-            (a1, fa), (b1, fb), (b2, _), (a2, _) = map(timed, (call_a, call_b, call_b, call_a))
-            c1, c2, c3, c4 = (timed(call_a)[0] for _ in range(4))
+            (a1, fa), (b1, fb), (b2, _), (a2, _) = (timed(call, clock) for call in
+                                                    (call_a, call_b, call_b, call_a))
+            c1, c2, c3, c4 = (timed(call_a, clock)[0] for _ in range(4))
             s = stats[unit]
             s["ab"].append((b1 + b2) / (a1 + a2))
             s["aa"].append((c2 + c3) / (c1 + c4))
@@ -152,6 +186,23 @@ def run(units, rounds: int, a, b, inputs: dict, workdir: Path) -> dict:
             s["faults_a"].append(fa)
             s["faults_b"].append(fb)
     return stats
+
+
+def run(units, rounds: int, a, b, inputs: dict, workdir: Path) -> dict:
+    """`measured` of the serial units together, then of each pooled unit alone.
+
+    A pooled unit runs on fresh pools of each side, so that the peak RSS of
+    a worker, kept in the unit's "peak_a" and "peak_b", is that unit's own.
+    """
+    serial = [unit for unit in units if not unit.endswith("_pool")]
+    stats = measured(serial, rounds, a, b, inputs, workdir, time.process_time)
+    for unit in units:
+        if unit.endswith("_pool"):
+            for package in (a, b):
+                package.synth._close_pool()
+            stats |= measured([unit], rounds, a, b, inputs, workdir, time.perf_counter)
+            stats[unit] |= {"peak_a": worker_peak_mb(a), "peak_b": worker_peak_mb(b)}
+    return {unit: stats[unit] for unit in units}
 
 
 def main(argv=None) -> int:
@@ -172,17 +223,20 @@ def main(argv=None) -> int:
         stats = run(args.units, args.rounds, a, b, inputs, tmp / "work")
 
     rng = np.random.default_rng(0)
-    print(f"A = {args.against}, B = working tree; {args.rounds} rounds, process time")
-    print(f"{'unit':8} {'B/A':>6} {'95% interval':>15} {'wins':>6} {'A/A':>6} "
-          f"{'95% interval':>15} {'A ms':>8} {'B ms':>8} {'faults A':>8} {'faults B':>8}")
+    print(f"A = {args.against}, B = working tree; {args.rounds} rounds, process time "
+          f"(pooled units: wall time, worker VmHWM in MB)")
+    print(f"{'unit':12} {'B/A':>6} {'95% interval':>15} {'wins':>6} {'A/A':>6} "
+          f"{'95% interval':>15} {'A ms':>8} {'B ms':>8} {'faults A':>8} {'faults B':>8} "
+          f"{'HWM A':>6} {'HWM B':>6}")
     for unit, s in stats.items():
         ab, ab_lo, ab_hi = bootstrap_median(s["ab"], rng)
         aa, aa_lo, aa_hi = bootstrap_median(s["aa"], rng)
         wins = sum(ratio < 1.0 for ratio in s["ab"])
-        print(f"{unit:8} {ab:6.3f} [{ab_lo:6.3f}, {ab_hi:6.3f}] {wins:>3}/{len(s['ab']):<2} "
+        print(f"{unit:12} {ab:6.3f} [{ab_lo:6.3f}, {ab_hi:6.3f}] {wins:>3}/{len(s['ab']):<2} "
               f"{aa:6.3f} [{aa_lo:6.3f}, {aa_hi:6.3f}] "
               f"{np.median(s['a']) * 500:8.2f} {np.median(s['b']) * 500:8.2f} "
-              f"{np.median(s['faults_a']):8.0f} {np.median(s['faults_b']):8.0f}")
+              f"{np.median(s['faults_a']):8.0f} {np.median(s['faults_b']):8.0f} "
+              f"{s.get('peak_a', '-'):>6} {s.get('peak_b', '-'):>6}")
     return 0
 
 
