@@ -456,12 +456,9 @@ def _with_scale_convention(H: np.ndarray) -> np.ndarray:
     flat = H.reshape(-1, 1, 9)
     # Norms as dot products, which round like np.linalg.norm of one matrix.
     H = H * (np.sqrt(3.0) / np.sqrt(flat @ flat.transpose(0, 2, 1)))
-    anchor = H[:, 2, 2]
-    small = np.abs(anchor) < 1e-12
-    if np.any(small):
-        flat = H.reshape(-1, 9)
-        anchor = np.where(small, flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)],
-                          anchor)
+    flat = H.reshape(-1, 9)
+    largest = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    anchor = np.where(np.abs(H[:, 2, 2]) < 1e-12, largest, H[:, 2, 2])
     return np.where((anchor > 0)[:, None, None], H, -H)
 
 

@@ -84,7 +84,7 @@ class Calibration:
     n_dropped: int | None = None
 
 
-def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True, start=None,
+def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True,
               database: RayDatabase | None = None, image_size=None) -> Calibration:
     """One calibration of `observations`: the mode's start, then its bundle adjustment.
 
@@ -94,29 +94,27 @@ def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True, s
     once.  With `refine` the bundle adjustment runs from zero distortion:
     `spherical_ba` for `nimg` and `minimal`, and `general_ba` for `zhang`,
     from the poses of the fit's homographies decomposed with those fit-unit
-    intrinsics.  `start` is the `start` of an earlier result of the same
-    mode on the same observations, used in place of solving the start
-    again.  The solvers own each mode's image-count rule.
+    intrinsics.  The solvers own each mode's image-count rule.
 
     The `single` mode calibrates one image against the ray `database`
     (`calibrate_single_image`, which refines distortion with `refine`);
     the image's (width, height) `image_size` fixes its start's principal
     point.  It refuses, with ValueError, any other image count, and a
-    missing database or image size.  `start` is not used in this mode, nor
-    are `database` and `image_size` in the others.
+    missing database or image size.  `database` and `image_size` are not
+    used in the other modes.
     """
     if mode == "single":
         if len(observations) != 1:
             raise ValueError(f"single mode needs exactly 1 image, got {len(observations)}")
         if database is None:
-            raise ValueError("single mode needs --reference <database>")
+            raise ValueError("single mode needs a reference ray database")
         if image_size is None:
-            raise ValueError("single mode needs image_size in the observation file")
+            raise ValueError("single mode needs the image size")
         result = calibrate_single_image(observations.ids, observations.uv, database,
                                         image_size=image_size, refine_distortion=refine)
         return Calibration(result.intrinsics, result.rotation[None], result.distortion,
                            result.report, None, result.n_matched, result.n_dropped)
-    started = _started(observations, mode, refine, start)
+    started = _started(observations, mode, refine, None)
     init = (started.intrinsics, started.distortion, started.extrinsics)
     if not refine:
         return started if mode == "zhang" else replace(

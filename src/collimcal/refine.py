@@ -19,12 +19,11 @@ keeps its start, zero:
     single image:      one image, c and t held, and P the reference
                        rays (10).
 
-A start enters all three in one place, `_Reprojection` (which
-`_reprojection_problem` wraps in closures), which checks it against itself
-and names the field of the first fault.  Problems of one layout can run
-side by side (`bundle_adjustments`): their LM runs advance in rounds
-(`_lockstep`) and share every kernel call (`_Stack`), and each result is
-the one it gets alone.
+A start enters all three in one place, `_Reprojection`, which checks it
+against itself and names the field of the first fault.  Problems of one
+layout can run side by side (`bundle_adjustments`): their LM runs advance
+in rounds (`_lockstep`) and share every kernel call (`_Stack`), and each
+result is the one it gets alone.
 
 Rotations are updated right-multiplicatively, R <- R exp(delta^), on every
 trial step (every call of `plus`, damping retries included).  The product of
@@ -490,9 +489,34 @@ def _served(kernel, indices, arguments) -> list:
 # the stacked reprojection problem
 # ---------------------------------------------------------------------------
 
-def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
-                          center=None, translations=None):
-    """Closures of the stacked problem x_c = R_i (P - c) + t_i, and its start.
+def _closures(problem):
+    """(residual, jacobian, plus, x0, unpack, image) of a `_Reprojection`.
+
+    The closures are the one-problem case of `_Stack`'s kernels.  x0 is the
+    start `LMState`, image (M,) the image index of each observation, and
+    unpack(state) gives (intrinsics (5,), distortion (2,), c (3,), rotation
+    matrices (N, 3, 3), translations (N, 3)).  The Jacobian is a
+    BlockJacobian with one group per image, written into one buffer of the
+    closures, and its weighted copy into another: a Jacobian is valid until
+    the next one.
+    """
+    stack = _Stack([problem])
+
+    def residual(state):
+        return stack.residual((0,), ((state,),))[0]
+
+    def jacobian(state):
+        return BlockJacobian(*stack.jacobian((0,), (state,)))
+
+    def plus(state, delta):
+        return stack.plus((0,), ((state, delta),))[0]
+
+    return residual, jacobian, plus, problem.x0, problem.unpack, problem.image
+
+
+class _Reprojection:
+    """One stacked reprojection problem x_c = R_i (P - c) + t_i: its checked
+    start and its grid.
 
     `points` (M, 3) and `pixels` (M, 2) list every observation, image after
     image, and `counts` (N,) how many each image has; `rotations` (N, 3, 3)
@@ -515,40 +539,9 @@ def _reprojection_problem(points, pixels, counts, intr, dist, rotations, *,
     (3, L) block.  An image's slots past its own count repeat its first
     point; they count in no residual, cost, RMS or depth check, and carry
     weight zero in the normal equations.  The residual is the 2M real
-    entries, point after point, (u, v) within a point.  The Jacobian is a
-    BlockJacobian with one group per image, written into one buffer of the
-    problem, and its weighted copy into another: a Jacobian is valid until
-    the problem's next Jacobian.
-
-    The closures are the one-problem case of `_Stack`'s kernels.  Returns
-    (residual, jacobian, plus, x0, unpack, image): x0 is the start
-    `LMState`, image (M,) the image index of each observation, and
-    unpack(state) gives (intrinsics (5,), distortion (2,), c (3,), rotation
-    matrices (N, 3, 3), translations (N, 3)).
-    """
-    return _closures(_Reprojection(points, pixels, counts, intr, dist, rotations,
-                                   center=center, translations=translations))
-
-
-def _closures(problem):
-    """(residual, jacobian, plus, x0, unpack, image) of a `_Reprojection`."""
-    stack = _Stack([problem])
-
-    def residual(state):
-        return stack.residual((0,), ((state,),))[0]
-
-    def jacobian(state):
-        return BlockJacobian(*stack.jacobian((0,), (state,)))
-
-    def plus(state, delta):
-        return stack.plus((0,), ((state, delta),))[0]
-
-    return residual, jacobian, plus, problem.x0, problem.unpack, problem.image
-
-
-class _Reprojection:
-    """One stacked reprojection problem: its checked start and its grid (see
-    `_reprojection_problem`, whose arguments it takes).
+    entries, point after point, (u, v) within a point.  `_closures` makes
+    the problem's residual, Jacobian and update, and `_Stack` those of
+    several problems at once.
 
     `layout` is what the problems that share kernel calls (`_Stack`) have in
     common: the columns of x before the first image's (`first`), the
@@ -650,7 +643,6 @@ class _Stack:
         self.weighted = np.empty((len(B), columns, 2 * length))
         self.a = np.empty((len(B), 3, 2 * length))
         self.joined = {}   # the stacked grid and `rows` of each tuple of problem indices
-        self.turns = {}    # the rotation increments' places in k joined x, per k
 
     def _joined_data(self, indices):
         """The stacked grid (k N, 3, L) and `rows` of the problems `indices`, made once."""
@@ -775,26 +767,22 @@ class _Stack:
     def plus(self, indices, requests):
         """The state one step delta from each state: R <- R exp(delta^), polar-corrected."""
         states, deltas = zip(*requests)
-        k, n, size = len(states), self.layout[2], states[0].x.size
-        turns = self._turns(k)
+        first, _, n, _ = self.layout
+        k, size = len(states), states[0].x.size
+
+        def turns(joined):
+            """The (k, N, 3) view of the rotation increments in k joined vectors x."""
+            return joined.reshape(k, -1)[:, first:].reshape(k, n, -1)[:, :, :3]
+
         delta = _joined(deltas)
         R = _joined([state.rotations for state in states]) @ rotation_matrix_from_axis_angle(
-            delta[turns].reshape(-1, 3))
+            turns(delta).reshape(-1, 3))
         # A product of two rotations is orthonormal to rounding; one
         # Newton-Schulz polar step R (3I - RᵀR) / 2 removes the rounding.
         R = R @ (_POLAR - 0.5 * (R.transpose(0, 2, 1) @ R))
         x = _joined([state.x for state in states]) + delta
-        x[turns] = 0.0
+        turns(x)[...] = 0.0
         return [LMState(x[j * size:(j + 1) * size], R[j * n:(j + 1) * n]) for j in range(k)]
-
-    def _turns(self, k):
-        """Where the rotation increments sit in k parameter vectors x joined, made once."""
-        if k not in self.turns:
-            first, columns, n, _ = self.layout
-            size = first + (columns - first) * n
-            self.turns[k] = (size * np.arange(k)[:, None, None] + first
-                             + (columns - first) * np.arange(n)[:, None] + np.arange(3)).ravel()
-        return self.turns[k]
 
 
 _POLAR = 1.5 * np.eye(3)
@@ -901,7 +889,7 @@ def _spherical(observations: ObservationSet, init) -> _Reprojection:
 
 
 def spherical_problem(observations: ObservationSet, init):
-    """The spherical BA's stacked problem (see `_reprojection_problem`).
+    """The spherical BA's stacked problem (see `_Reprojection` and `_closures`).
 
     `init` is (CameraIntrinsics, Distortion, SphericalExtrinsics).  Exposed
     so the analytic Jacobian can be checked against finite differences on
@@ -948,7 +936,7 @@ def single_image_problem(rays: np.ndarray, pixels: np.ndarray, init):
     """
     rays = real_array(rays, "rays", (None, 3))
     intr0, dist0, rot0 = init
-    return _reprojection_problem(rays, pixels, [len(rays)], intr0, dist0, [rot0])
+    return _closures(_Reprojection(rays, pixels, [len(rays)], intr0, dist0, [rot0]))
 
 
 def single_image_ba(rays: np.ndarray, pixels: np.ndarray, init):

@@ -73,6 +73,11 @@ _WORKER_TRIM_THRESHOLD = 512 << 20
 _WORKER_MMAP_THRESHOLD = 256 << 20
 # mallopt's return values (1 on success) in a worker that made the setting.
 _worker_heap_setting = None
+# The most trials in one Monte Carlo chunk (`run_monte_carlo`).  A chunk
+# holds all its scenes and arm results at once, about 0.06 MB per trial of
+# `ours` and `zhang` at 0.5 px, so this bounds a worker's peak memory; no
+# benchmark point has more than 100 trials.
+_CHUNK_TRIALS = 128
 # The Monte Carlo pool (`_pool_of`): the PID of the process that forked it,
 # its worker processes, and the caller's end of each worker's pipe.
 _pool = None
@@ -584,16 +589,17 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     """Monte Carlo sweep: trial_count paired trials per sweep value and arm.
 
     Returns a list of TrialStats, one per (sweep value, arm), in sweep-major
-    order.  Every point's trials are cut into min(workers, trial_count)
-    contiguous chunks whose sizes differ by at most one, one per worker,
-    and `_run_chunk`, which draws a chunk's scenes in lockstep, is mapped
-    over them: on the process's worker pool when there is more than one
-    worker, each chunk going to the first free worker, and in the calling
-    process, a point to a chunk, when there is one.  A chunk runs its arms
-    arm-major over its scenes, so each refined arm's bundle adjustments run
-    side by side (`_run_arms`); an arm's seconds on a trial are its start's
-    time and, refined, an equal share of the chunk's adjustment time.
-    Every view keeps at least
+    order.  Every point's trials are cut into contiguous chunks whose sizes
+    differ by at most one: min(workers, trial_count) chunks, one per
+    worker, or the fewest multiple of that count whose chunks hold at most
+    _CHUNK_TRIALS trials, which bounds a chunk's memory.  `_run_chunk`,
+    which draws a chunk's scenes in lockstep, is mapped over them: on the
+    process's worker pool when there is more than one worker, each chunk
+    going to the first free worker, and in the calling process when there
+    is one.  A chunk runs its arms arm-major over its scenes, so each
+    refined arm's bundle adjustments run side by side (`_run_arms`); an
+    arm's seconds on a trial are its start's time and, refined, an equal
+    share of the chunk's adjustment time.  Every view keeps at least
     MIN_IMAGE_POINTS points, as in `make_scene`: a view that keeps fewer is
     drawn again alone, and a view that cannot be drawn raises
     PoseSamplingFailed naming its image.  Trials are seeded by their index,
@@ -618,7 +624,8 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
 
     n = config.trial_count
     workers = min(workers, n * len(points))
-    parts = min(workers, n)
+    per = min(workers, n)
+    parts = per * -(-n // (per * _CHUNK_TRIALS))
     chunks = [(point, range(n * j // parts, n * (j + 1) // parts))
               for _, point in points for j in range(parts)]
     if workers > 1:

@@ -114,6 +114,90 @@ def test_every_definition_is_used():
     assert dead == KEPT_ON_PURPOSE
 
 
+def defaulted_parameters(source, module):
+    """(qualified name, parameter, position) of every parameter with a default
+    of the functions and methods of `source`; position is the parameter's
+    index among a call's positional arguments, None for a keyword-only one.
+
+    A method's call passes no `self`, and a class is called for its
+    `__init__`, so those are named by the class.
+    """
+    found = []
+    defined = list(definitions(ast.parse(source), module))
+    classes = {name for name, node in defined if isinstance(node, ast.ClassDef)}
+    for name, node in defined:
+        if isinstance(node, ast.ClassDef):
+            continue
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        method = name.rsplit(".", 1)[0] in classes and not any(
+            ast.unparse(decorator) == "staticmethod" for decorator in node.decorator_list)
+        if method and node.name == "__init__":
+            name = name.rsplit(".", 1)[0]
+        skip = 1 if method else 0
+        defaulted = positional[len(positional) - len(arguments.defaults):]
+        found += [(name, a.arg, positional.index(a) - skip) for a in defaulted]
+        found += [(name, a.arg, None) for a, default in zip(arguments.kwonlyargs,
+                                                             arguments.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def passed_arguments(source):
+    """Per called name (a function or an attribute), the calls of `source`:
+    (positional count, keyword names), with None for both when a call
+    unpacks *args or **kwargs, which may pass every parameter."""
+    calls = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            callee = getattr(node.func, "id", None) or node.func.attr
+            unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+            calls.setdefault(callee, []).append(
+                (None, None) if unpacked else (len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def unpassed_options(sources, callers):
+    """The defaulted parameters of the `sources` (module stem: text) that no
+    call in `callers` (texts) passes, by keyword or by position."""
+    calls = {}
+    for source in callers:
+        for callee, found in passed_arguments(source).items():
+            calls.setdefault(callee, []).extend(found)
+    return sorted(f"{name}({parameter}=)"
+                  for module, source in sources.items()
+                  for name, parameter, position in defaulted_parameters(source, module)
+                  if not any(count is None or parameter in keywords
+                             or position is not None and position < count
+                             for count, keywords in calls.get(name.rsplit(".", 1)[1], [])))
+
+
+def test_unpassed_option_scan_flags_an_option_only_tests_set():
+    source = ("def f(a, b=1, *, c=None, d=2):\n    pass\n"
+              "class C:\n"
+              "    def __init__(self, x=0):\n        pass\n"
+              "    def method(self, y=0, z=1):\n        pass\n"
+              "    @staticmethod\n"
+              "    def helper(w=0):\n        pass\n"
+              "def g():\n"
+              "    def inner(u, v=0):\n        pass\n")
+    callers = ["f(1, 2, c=3)\nC()\nobj.method(5)\nC.helper(**options)\ninner(1)\n"]
+    assert unpassed_options({"m": source}, callers) == [
+        "m.C(x=)", "m.C.method(z=)", "m.f(d=)", "m.g.inner(v=)"]
+
+
+def test_every_option_is_passed_outside_the_tests():
+    # A parameter with a default earns its place by a call in the package,
+    # the benchmark or the tools that passes it; one that only tests set is
+    # a path that nothing runs.
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "collimcal").glob("*.py")}
+    callers = [path.read_text() for directory in ("src", "perfbench", "tools")
+               for path in (ROOT / directory).rglob("*.py")
+               if not path.name.startswith("test_")]
+    assert unpassed_options(sources, callers) == []
+
+
 def is_private(name):
     return name.startswith("_") and not name.endswith("__")
 

@@ -497,6 +497,21 @@ def test_homography_matches_the_design_matrix_null_vector(count):
     assert relative_difference(H, reference_homography(xy[rows], uv[rows])) <= 1e-12
 
 
+def test_scale_convention_takes_the_sign_of_the_largest_entry_when_h22_vanishes():
+    # A homography that sends the target origin to infinity has H[2,2] = 0,
+    # so its sign comes from its largest entry instead; the others keep
+    # H[2,2] > 0.  Every one is scaled to Frobenius norm sqrt(3).
+    H = np.array([[[1.0, -4.0, 2.0], [0.5, 1.0, -1.0], [0.2, 0.1, 0.0]],
+                  [[1.0, 4.0, 2.0], [0.5, 1.0, -1.0], [0.2, 0.1, 0.0]],
+                  [[1.0, -4.0, 2.0], [0.5, 1.0, -1.0], [0.2, 0.1, -0.5]]])
+    scaled = cg._with_scale_convention(H)
+    flipped = [True, False, True]
+    expected = [(-h if flip else h) * np.sqrt(3.0) / np.linalg.norm(h)
+                for h, flip in zip(H, flipped)]
+    np.testing.assert_allclose(scaled, expected, rtol=1e-15, atol=0.0)
+    assert [float(np.abs(h).max()) for h in scaled] == [float(h[0, 1]) for h in scaled]
+
+
 def random_observations(counts, seed, collinear_image=None):
     """Images of `counts` points of a jittered 11 x 8 grid under random homographies.
 

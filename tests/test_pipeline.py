@@ -181,7 +181,7 @@ def test_a_refined_call_reuses_the_start_it_is_given(monkeypatch):
     for name in ("solve_closed_form", "solve_minimal", "conic_rows"):
         monkeypatch.setattr(pipeline, name, no_solve)
     for mode, start in starts.items():
-        result = pipeline.calibrate(obs, mode, start=start)
+        ((result, _),) = pipeline.calibrate_all([obs], mode, refine=True, starts=[start])
         assert result.intrinsics == expected[mode].intrinsics
         assert result.distortion == expected[mode].distortion
 
@@ -217,9 +217,9 @@ def test_single_mode_is_the_single_image_pipeline(single_inputs, refine):
 
 @pytest.mark.parametrize("case, message", [
     ("two-images", "single mode needs exactly 1 image, got 2"),
-    ("no-database", "single mode needs --reference <database>"),
-    ("no-image-size", "single mode needs image_size in the observation file"),
-])
+    ("no-database", "single mode needs a reference ray database"),
+    ("no-image-size", "single mode needs the image size"),
+], ids=["two-images", "no-database", "no-image-size"])
 def test_single_mode_refusals(single_inputs, case, message):
     database, obs, image_size = single_inputs
     if case == "two-images":

@@ -647,9 +647,9 @@ def malformed_start(case):
             np.zeros((8, 2)), np.zeros((8, 2)), (intr, dist, R[0])),
         "rays-column": lambda: refine.single_image_problem(
             np.zeros((8, 3, 1)), np.zeros((8, 2)), (intr, dist, R[0])),
-        "center-pair": lambda: refine._reprojection_problem(
+        "center-pair": lambda: refine._Reprojection(
             points, pixels, counts, intr, dist, R, center=[150.0, 105.0]),
-        "points-per-counts": lambda: refine._reprojection_problem(
+        "points-per-counts": lambda: refine._Reprojection(
             points[1:], pixels, counts, intr, dist, R, center=ext.t_cp),
     }[case]
 
@@ -793,11 +793,10 @@ def padded_problem(counts, translations, seed):
     R = np.array([rotation_from_axis_angle(v) for v in rng.normal(size=(n, 3)) * 0.1])
     pixels = rng.uniform(0.0, 1000.0, (m, 2))
     intr = CameraIntrinsics(1000.0, 1010.0, 540.0, 480.0, 0.8)
-    if translations:
-        return refine._reprojection_problem(points, pixels, counts, intr, Distortion(0.1, -0.2),
-                                            R, translations=rng.normal(size=(n, 3)))
-    return refine._reprojection_problem(points, pixels, counts, intr, Distortion(0.1, -0.2),
-                                        R, center=rng.normal(size=3) * 10.0)
+    start = ({"translations": rng.normal(size=(n, 3))} if translations
+             else {"center": rng.normal(size=3) * 10.0})
+    return refine._closures(refine._Reprojection(points, pixels, counts, intr,
+                                                 Distortion(0.1, -0.2), R, **start))
 
 
 @settings(max_examples=40, deadline=None)
@@ -916,6 +915,17 @@ def test_lm_rejects_jacobian_of_wrong_shape():
         refine.lm_minimize(residual, lambda s: one_group(np.column_stack(
             [jacobian(s).toarray(), np.zeros(residual(s).size)])), x0,
             robust_scale=scale, plus=plus, block_size=2)
+
+
+def test_lm_refuses_a_residual_that_is_not_whole_blocks():
+    # Each block of block_size residuals is robustified as one; three
+    # residuals make no blocks of two.
+    with pytest.raises(ValueError,
+                       match="^residual length is not a multiple of the block size$"):
+        refine.lm_minimize(lambda state: state.x - 1.0, lambda state: one_group(np.eye(3)),
+                           refine.LMState(np.zeros(3)), robust_scale=BROAD,
+                           plus=lambda state, delta: refine.LMState(state.x + delta),
+                           block_size=2)
 
 
 # ---------------------------------------------------------------------------

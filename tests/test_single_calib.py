@@ -186,6 +186,22 @@ def test_quartic_takes_the_one_of_two_positive_roots_that_fits(focal, other, uni
     assert start.fx == pytest.approx(f, rel=1e-9)
 
 
+def test_quartic_without_a_square_term_takes_the_linear_root():
+    # One pair whose g is the cosine of its two pixels' directions from the
+    # image center, (3, 4) and (100, 0): alpha^2 = g^2 beta_i beta_j, so a2
+    # vanishes and the quadratic is the line a1 t + a0 with a1 = 600 - 0.36 *
+    # 10025 and a0 = 0.64.  Its root gives rays whose cosine is g.
+    uv = np.array([[503.0, 504.0], [600.0, 500.0]])
+    pairs = (np.array([0]), np.array([1]), np.array([0.6]))
+    a2, a1, a0 = quartic_coefficients(uv, 500.0, pairs)
+    assert abs(a2) < 1e-14 * max(abs(a1), abs(a0))
+    start = sc.init_focal_quartic(uv, pairs, (1000, 1000))
+    assert start == CameraIntrinsics(start.fx, start.fx, 500.0, 500.0, 0.0)
+    assert start.fx == pytest.approx(np.sqrt(3009.0 / 0.64), rel=1e-12)
+    rays = back_project(start, Distortion(), uv)
+    assert rays[0] @ rays[1] == pytest.approx(0.6, rel=1e-12)
+
+
 def test_quartic_parallel_rays_have_no_focal_length():
     # Pairs of parallel rays (g = 1) make a0 = 0, so one root is t = 0,
     # an infinite focal length, and the other is negative.

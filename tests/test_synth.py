@@ -629,6 +629,27 @@ def test_each_worker_runs_one_even_chunk_of_a_point(monkeypatch, fresh_pool, tmp
     assert [s.trials.shape for s in stats] == [(25, 10)] * 2
 
 
+def test_a_point_of_many_trials_goes_out_in_bounded_even_chunks(monkeypatch, fresh_pool,
+                                                                 tmp_path):
+    # 300 trials on 2 workers would be one chunk of 150 per worker; chunks
+    # hold at most _CHUNK_TRIALS = 128, so the point goes out as 4 chunks of
+    # 75, two per worker.
+    chunks = tmp_path / "chunks"
+    run_chunk = synth._run_chunk
+
+    def logged(config, trials, arms):
+        with open(chunks, "a") as log:
+            log.write(f"{trials.start}:{trials.stop}\n")
+        return run_chunk(config, trials, arms)
+
+    monkeypatch.setattr(synth, "_run_chunk", logged)
+    cfg = synth.default_config(trial_count=300)
+    stats = synth.run_monte_carlo(cfg, "noise", [0.5], arms=("ours",), workers=2)
+    assert sorted(chunks.read_text().split(), key=lambda c: int(c.split(":")[0])) == [
+        "0:75", "75:150", "150:225", "225:300"]
+    assert stats[0].trials.shape == (300, 10)
+
+
 def test_a_worker_killed_between_calls_is_replaced():
     serial = pooled_sweep(workers=1)
     pooled_sweep(workers=2)
