@@ -26,6 +26,9 @@ homographies are scaled to Frobenius norm sqrt(3) with H[2,2] > 0,
 which pins the otherwise arbitrary sign/scale of lam.  An ObservationSet
 fits every image's homography once, in one batched DLT
 (`ObservationSet.homography_fit`), and every solver reads that result.
+`fit_homographies` fits many sets in one pass: the images of the sets
+that share a padded length run through one DLT, a group of sets at a
+time (`stack_groups`), and each set gets the fit it gets alone.
 
 Radial distortion uses the forward (projection-side) model: normalized
 coordinates are scaled by (1 + d1 r^2 + d2 r^4) before the intrinsic
@@ -50,6 +53,7 @@ raised.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -441,11 +445,15 @@ class ObservationSet:
 
     @cached_property
     def homography_fit(self) -> "HomographyFit":
-        """Every image's homography from one batched DLT, fitted on first use.
+        """Every image's homography from one batched DLT, fitted on first use
+        unless `fit_homographies` fitted it with other sets.
 
         The solvers and the baseline all read this one result.
         """
-        return _fit_observations(self)
+        (fit,) = _fits([self])
+        if isinstance(fit, Exception):
+            raise fit
+        return fit
 
 
 def _with_scale_convention(H: np.ndarray) -> np.ndarray:
@@ -526,7 +534,7 @@ def back_project(intr: CameraIntrinsics, dist: Distortion, pixels: np.ndarray) -
     return rays.reshape(p.shape[:-1] + (3,))
 
 
-def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray):
     """Normalized DLT (Hartley and Zisserman, section 4.4) of every image at once.
 
     `xy` and `uv` (M, 2) hold the images' target points and pixels one
@@ -543,44 +551,56 @@ def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray) -> np.ndarray:
     of the N factors gives every null vector.  Each step is an orthogonal
     transform, so the backward error stays O(eps ||A||), as with a QR of
     A itself.  Images are zero-padded to the largest count: zero rows of X
-    leave every product, and so A^T A, unchanged.  Returns the
-    homographies (N, 3, 3) and raises DegenerateConfiguration naming the
-    first image whose homography is ambiguous or rank deficient.
+    leave every product, and so A^T A, unchanged.  Each image's result
+    depends on that padded length and on nothing else of the other images.
+
+    Returns the homographies (N, 3, 3) and two flags (N,) per image: its
+    homography is ambiguous, and it is rank deficient (tested only where
+    it is not ambiguous).  `_dlt_error` names a set's first flagged image.
     """
     R, T_xy, T_uv_inv = _dlt_factor(xy, uv, counts)
     _, s, Vt = np.linalg.svd(R)
     # With >= 4 generic point pairs only one singular value is ~0; a
     # second vanishing one means the solution is ambiguous.
-    ambiguous = np.flatnonzero(s[:, -2] <= 1e-10 * s[:, 0])
-    if len(ambiguous):
-        raise errors.DegenerateConfiguration(
-            f"image {ambiguous[0]}: homography design matrix is rank deficient")
+    ambiguous = s[:, -2] <= 1e-10 * s[:, 0]
     H = _with_scale_convention(T_uv_inv @ Vt[:, -1].reshape(-1, 3, 3) @ T_xy)
-    s = np.linalg.svd(H, compute_uv=False)
-    rank_deficient = np.flatnonzero(s[:, -1] / s[:, 0] <= 1e-10)
-    if len(rank_deficient):
-        raise errors.DegenerateConfiguration(
-            f"image {rank_deficient[0]}: homography is rank deficient")
-    return H
+    s = np.linalg.svd(np.where(ambiguous[:, None, None], _IDENTITY, H), compute_uv=False)
+    return H, ambiguous, s[:, -1] / s[:, 0] <= 1e-10
+
+
+def _dlt_error(ambiguous: np.ndarray, rank_deficient: np.ndarray):
+    """The DegenerateConfiguration that names one set's first image `_dlt` flagged,
+    an ambiguous one before a rank-deficient one, or None if none is."""
+    for flags, what in ((ambiguous, "homography design matrix"),
+                        (rank_deficient, "homography")):
+        if flags.any():
+            return errors.DegenerateConfiguration(
+                f"image {np.argmax(flags)}: {what} is rank deficient")
+    return None
 
 
 def _dlt_factor(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray):
     """Every image's 9 x 9 factor R (N, 9, 9), whose Gram is its A^T A (see `_dlt`).
 
     Also returns the normalizations T_xy and the inverses of T_uv (N, 3, 3).
+    The stacks of a group of sets are large, so each is made in place where
+    it can be and freed once used.
     """
     N, n = len(counts), int(counts.max())
     mask = np.arange(n) < counts[:, None]
-    # Target points and pixels side by side, (N, n, 4), zero in the padding.
-    # Sums over the points run as products with a ones vector, which take
-    # a fraction of the time of numpy's reductions over a middle axis.
-    P = np.zeros((N, n, 4))
-    P[mask] = np.concatenate([xy, uv], axis=1)
+    # Target points and pixels side by side, (N, n, 4), zero in the padding,
+    # then centered in place.  Sums over the points run as products with a
+    # ones vector, which take a fraction of the time of numpy's reductions
+    # over a middle axis.
+    D = np.zeros((N, n, 4))
+    D[mask, :2] = xy
+    D[mask, 2:] = uv
     ones = np.ones(n)
-    centroid = (ones @ P) / counts[:, None]
-    D = np.where(mask[..., None], P - centroid[:, None], 0.0)
-    D2 = D * D
-    mean_dist = (ones @ np.sqrt(D2[..., 0::2] + D2[..., 1::2])) / counts[:, None]
+    centroid = (ones @ D) / counts[:, None]
+    D -= centroid[:, None]
+    D[~mask] = 0.0
+    mean_dist = (ones @ np.sqrt(np.square(D[..., 0::2]) + np.square(D[..., 1::2]))
+                 ) / counts[:, None]
     # Coincident points keep unit scale; the ambiguity test rejects them.
     s = np.sqrt(2.0) / np.where(mean_dist > 1e-12, mean_dist, np.sqrt(2.0))  # (N, 2)
     X = np.empty((N, n, 3))
@@ -588,11 +608,15 @@ def _dlt_factor(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray):
     X[..., 2] = mask
     # The columns -u*X and -v*X of every point, (N, n, 6).
     B = (X[..., None, :] * (D[..., 2:] * -s[:, None, 1:])[..., None]).reshape(N, n, 6)
+    del D
 
     Q1, R1 = np.linalg.qr(X)
+    del X
     EF = Q1.transpose(0, 2, 1) @ B
     # Row pairs (-u*X - Q1 E, -v*X - Q1 F) of point k are rows 2k, 2k+1.
-    R3 = np.linalg.qr((B - Q1 @ EF).reshape(N, 2 * n, 3), mode="r")
+    B -= Q1 @ EF
+    del Q1
+    R3 = np.linalg.qr(B.reshape(N, 2 * n, 3), mode="r")
     R = np.zeros((N, 9, 9))
     R[:, 0:3, 0:3] = R[:, 3:6, 3:6] = R1
     R[:, 0:3, 6:9] = EF[..., :3]
@@ -621,7 +645,11 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
     U = finite_array(pixels_uv, "pixels_uv", (len(X), 2))
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 point pairs")
-    return _dlt(X, U, np.array([len(X)]))[0]
+    H, *flags = _dlt(X, U, np.array([len(X)]))
+    error = _dlt_error(*flags)
+    if error is not None:
+        raise error
+    return H[0]
 
 
 class HomographyFit(NamedTuple):
@@ -655,7 +683,94 @@ class HomographyFit(NamedTuple):
         return self.target_scale * t - R[:, :, :2] @ self.target_shift
 
 
-def _fit_observations(observations: ObservationSet) -> HomographyFit:
+# The most observation sets, or problems, whose kernels share stacked calls
+# (`stack_groups`): the homography fits, closed forms and baseline conics of
+# a Monte Carlo chunk, and its bundle adjustments.  Both bundle adjustments
+# of the default scene at 1 px (one BLAS thread) take 8.6 ms per scene
+# alone, 6.2 in stacks of 8, 6.0 in stacks of 16 and 24 and 6.9 in stacks
+# of 48, while the peak RSS grows by about 1.6 MB per problem in a stack:
+# past 8, the time saved is within the spread and the memory still doubles.
+# On 2 workers, a worker that runs its 10 `mc_ba` scenes in one chunk,
+# stacked 5 + 5, peaks at 42.9 MB (`VmHWM`), against 37.5 MB for chunks of
+# 2.  A serial 50-scene `mc_init` chunk takes 0.83 of the time of its fits
+# and starts one set at a time with a cap of 4, 0.80 with 8 and 0.84 with
+# 16 or 25.
+_STACK_SIZE = 8
+
+
+def stack_groups(keys) -> list:
+    """The positions of `keys` cut into the groups whose kernels share stacked calls.
+
+    A key is a layout, what the rounding of a stacked call depends on.  The
+    positions of one key are cut, in order, into the fewest groups of at
+    most _STACK_SIZE, whose sizes differ by at most one (10 run as 5 + 5).
+    """
+    layouts = {}
+    for k, key in enumerate(keys):
+        layouts.setdefault(key, []).append(k)
+    groups = []
+    for members in layouts.values():
+        parts = -(-len(members) // _STACK_SIZE)
+        groups += [members[len(members) * j // parts:len(members) * (j + 1) // parts]
+                   for j in range(parts)]
+    return groups
+
+
+def fit_homographies(observation_sets) -> None:
+    """Fit the homographies of every observation set not yet fitted, in stacked DLTs.
+
+    Each fit is cached as the set's `homography_fit`, the same, to the bit,
+    as the one the set gets alone (`_fits`).  A set that cannot be fitted
+    is left unfitted, and its own `homography_fit` raises the error.
+    """
+    pending = [obs for obs in observation_sets if "homography_fit" not in vars(obs)]
+    for observations, fit in zip(pending, _fits(pending)):
+        if isinstance(fit, HomographyFit):
+            vars(observations)["homography_fit"] = fit  # the cached property's slot
+
+
+def _fits(observation_sets) -> list:
+    """Per observation set its HomographyFit, or the exception its fit raises.
+
+    The sets that share a padded length (their largest count) are cut into
+    groups (`stack_groups`), and the images of a group's sets run through
+    one `_dlt` call, each set in its own units (`_fit_units`).
+    """
+    outcomes = [None] * len(observation_sets)
+    for group in stack_groups([int(obs.counts.max()) if len(obs) else None
+                               for obs in observation_sets]):
+        units = {}
+        for k in group:
+            try:
+                units[k] = _fit_units(observation_sets[k])
+            except (ValueError, errors.DegenerateConfiguration) as exc:
+                outcomes[k] = exc
+        if not units:
+            continue
+        sets = [observation_sets[k] for k in units]
+        # Normalized as the group is stacked, so that no set's copy outlives it.
+        H, ambiguous, rank_deficient = _dlt(
+            np.concatenate([(obs.xy - unit.target_shift) / unit.target_scale
+                            for obs, unit in zip(sets, units.values())]),
+            np.concatenate([(obs.uv - unit.pixel_shift) / unit.pixel_scale
+                            for obs, unit in zip(sets, units.values())]),
+            np.concatenate([obs.counts for obs in sets]))
+        flagged = ambiguous | rank_deficient
+        last = 0
+        for k, unit in units.items():
+            images = slice(last, last + len(observation_sets[k]))
+            last = images.stop
+            if flagged[images].any():
+                outcomes[k] = _dlt_error(ambiguous[images], rank_deficient[images])
+            else:
+                matrices = H[images]
+                matrices.flags.writeable = False  # cached on the set and shared by every solver
+                outcomes[k] = HomographyFit(matrices, *unit[1:])
+    return outcomes
+
+
+def _fit_units(observations: ObservationSet) -> HomographyFit:
+    """A set's fit without its matrices: the shifts and scales of its units."""
     if not len(observations):
         raise ValueError("the observation set has no images to fit homographies to")
     uv = observations.uv
@@ -667,21 +782,28 @@ def _fit_observations(observations: ObservationSet) -> HomographyFit:
         raise errors.DegenerateConfiguration(
             "image 0: every observed pixel of every image is the same point")
     tgt_shift, tgt_scale = observations.target._frame
-    H = _dlt((observations.xy - tgt_shift) / tgt_scale, d / pix_scale, observations.counts)
-    H.flags.writeable = False  # cached on the observation set and shared by every solver
-    return HomographyFit(H, pixel_scale=pix_scale, pixel_shift=pix_shift,
+    return HomographyFit(None, pixel_scale=pix_scale, pixel_shift=pix_shift,
                          target_scale=tgt_scale, target_shift=tgt_shift)
 
 
-def decompose_homography(H: np.ndarray, intr: CameraIntrinsics):
-    """Recover every pose of a stack H (N, 3, 3) with H_i = lam_i * K [r1 r2 t_i].
+def decompose_homography(H: np.ndarray, intr):
+    """Recover every pose of a stack H (N, 3, 3) with H_i = lam_i * K_i [r1 r2 t_i].
 
-    Returns (R (N, 3, 3), t (N, 3), lam (N,)), recovered in one pass.  The
-    sign is chosen so the target origin lies in front of the camera
-    (t[2] > 0) and the rotations are re-orthogonalized by SVD.
+    `intr` is one CameraIntrinsics K for the whole stack, or a sequence of
+    N, one per homography, whose inverse is formed once per run of one
+    camera.  Returns (R (N, 3, 3), t (N, 3), lam (N,)), recovered in one
+    pass.  The sign is chosen so the target origin lies in front of the
+    camera (t[2] > 0) and the rotations are re-orthogonalized by SVD.
     """
     H = finite_array(H, "homographies", (None, 3, 3))
-    M = intr.inverse @ H
+    if isinstance(intr, CameraIntrinsics):
+        M = intr.inverse @ H
+    elif len(intr) == len(H):
+        runs = [list(run) for _, run in itertools.groupby(intr, key=id)]
+        M = np.repeat([run[0].inverse for run in runs], [len(run) for run in runs], axis=0) @ H
+    else:
+        raise ValueError(f"intrinsics must be one camera or one per homography, "
+                         f"got {len(intr)} for {len(H)} homographies")
     M2 = M * M
     n = np.sqrt(M2[:, 0, :2] + M2[:, 1, :2] + M2[:, 2, :2])  # norms of the columns r1, r2
     lam = 0.5 * (n[:, 0] + n[:, 1])

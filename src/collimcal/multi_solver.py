@@ -29,6 +29,7 @@ from .core_geom import (
     decompose_homography,
     real_array,
     real_number,
+    stack_groups,
 )
 
 # The entries of a symmetric 3x3 matrix in the order of its 6-vector form
@@ -80,8 +81,11 @@ class DegeneracyReport:
     rank: int
 
 
-def _scale_ratios(H: np.ndarray) -> np.ndarray:
-    """Scale ratios lambda_i / lambda_0 of the homographies H (N, 3, 3).
+def _scale_ratios(H: np.ndarray, n: int):
+    """Scale ratios lambda_i / lambda_0 of the homographies H (M, 3, 3) of
+    sets of n images, one set after the other, each relative to its set's
+    image 0, and per set whether that image's homography is singular (its
+    ratios are then not valid).
 
     The motion matrix has unit determinant ratio between images, so each
     ratio is the signed real cube root of det(H_0^-1 H_i).  Any image would
@@ -89,10 +93,9 @@ def _scale_ratios(H: np.ndarray) -> np.ndarray:
     in the linear system, and the center is decoded from ratios of A's
     entries.
     """
-    det = np.linalg.det(H)
-    if abs(det[0]) < 1e-300:
-        raise errors.DegenerateConfiguration("homography of image 0 is singular")
-    return np.cbrt(det / det[0])
+    det = np.linalg.det(H).reshape(-1, n)
+    singular = np.abs(det[:, 0]) < 1e-300
+    return np.cbrt(det / np.where(singular, 1.0, det[:, 0])[:, None]).reshape(-1), singular
 
 
 def conic_rows(H: np.ndarray) -> np.ndarray:
@@ -122,7 +125,17 @@ def build_linear_system(H: np.ndarray):
     H = real_array(H, "H", (None, 3, 3))
     if not len(H):
         raise ValueError("H must hold at least one homography")
-    ratios = _scale_ratios(H)
+    ratios, singular = _scale_ratios(H, len(H))
+    if singular[0]:
+        raise errors.DegenerateConfiguration("homography of image 0 is singular")
+    d, b = _constraint_rows(H, ratios)
+    return d.reshape(-1, 11), b.reshape(-1)
+
+
+def _constraint_rows(H: np.ndarray, ratios: np.ndarray):
+    """The six rows d (M, 6, 11) and right sides b (M, 6) that each of the
+    homographies H (M, 3, 3) with scale ratios `ratios` (M,) adds to
+    `build_linear_system`."""
     # (H^-1 W H^-T)_mn on w = (W11, W12, W13, W22, W23); W33 = 1.
     Hinv_t = np.linalg.inv(H).transpose(0, 2, 1)
     u = conic_rows(Hinv_t)
@@ -130,7 +143,7 @@ def build_linear_system(H: np.ndarray):
     d[..., :5] = u[..., :5]
     diagonal = np.arange(6)
     d[:, diagonal, 5 + diagonal] = -((1.0 / ratios) ** 2)[:, None]
-    return d.reshape(-1, 11), -u[..., 5].reshape(-1)
+    return d, -u[..., 5]
 
 
 def decompose_iac(q: np.ndarray) -> CameraIntrinsics:
@@ -181,31 +194,85 @@ def _decode_center(a: np.ndarray):
     return x, y, float(np.sqrt(r2))
 
 
-def solve_closed_form(observations: ObservationSet):
+def solve_closed_form(observations):
     """Closed-form calibration from three or more images.
 
     Returns (CameraIntrinsics, SphericalExtrinsics), solved from the
-    observations' homography fit alone.
+    observations' homography fit alone.  Given a list of ObservationSets,
+    returns per set that pair or the CalibrationError it raised; the sets
+    of one image count are solved a group at a time (`stack_groups`,
+    `_closed_forms`), and each result is the same, to the bit, as alone.
+    A set of fewer than three images raises ValueError for the call.
     """
-    if len(observations) < 3:
-        raise ValueError(f"closed-form solver needs at least 3 images, got {len(observations)}")
-    fit = observations.homography_fit
-    d, b = build_linear_system(fit.matrices)
-    solution, _, _, sv = np.linalg.lstsq(d, b, rcond=None)
-    if sv[-1] <= RANK_RATIO_CUTOFF * sv[0]:
-        raise errors.DegenerateConfiguration(
-            f"stacked linear system is rank deficient "
-            f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})")
-    return _raw_solution(fit, _decode_intrinsics(solution[:5]), *_decode_center(solution[5:]))
+    many = not isinstance(observations, ObservationSet)
+    observation_sets = list(observations) if many else [observations]
+    for observations in observation_sets:
+        if len(observations) < 3:
+            raise ValueError(f"closed-form solver needs at least 3 images, "
+                             f"got {len(observations)}")
+    outcomes = [None] * len(observation_sets)
+    for group in stack_groups([len(observations) for observations in observation_sets]):
+        for k, outcome in zip(group, _closed_forms([observation_sets[k] for k in group])):
+            outcomes[k] = outcome
+    if many:
+        return outcomes
+    if isinstance(outcomes[0], errors.CalibrationError):
+        raise outcomes[0]
+    return outcomes[0]
 
 
-def _raw_solution(fit, intr_n, x_n, y_n, r_n):
+def _closed_forms(observation_sets) -> list:
+    """`solve_closed_form` of sets of one image count: per set its result or
+    the CalibrationError it raised.
+
+    The determinants, inverses and conic rows of all the sets' homographies
+    are one call each, and so is the decomposition of the poses of the
+    sets solved; only the least-squares solve runs set by set, since numpy
+    has no batched lstsq.  Every call acts on each matrix alone.
+    """
+    outcomes = [None] * len(observation_sets)
+    fits = {}
+    for k, observations in enumerate(observation_sets):
+        try:
+            fits[k] = observations.homography_fit
+        except errors.CalibrationError as exc:
+            outcomes[k] = exc
+    if not fits:
+        return outcomes
+    H = np.concatenate([fit.matrices for fit in fits.values()])
+    ratios, singular = _scale_ratios(H, len(H) // len(fits))
+    d, b = _constraint_rows(H, ratios)
+    solved = {}
+    for k, d_k, b_k, degenerate in zip(fits, np.split(d, len(fits)), np.split(b, len(fits)),
+                                       singular):
+        try:
+            if degenerate:
+                raise errors.DegenerateConfiguration("homography of image 0 is singular")
+            solution, _, _, sv = np.linalg.lstsq(d_k.reshape(-1, 11), b_k.reshape(-1),
+                                                 rcond=None)
+            if sv[-1] <= RANK_RATIO_CUTOFF * sv[0]:
+                raise errors.DegenerateConfiguration(
+                    f"stacked linear system is rank deficient "
+                    f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})")
+            solved[k] = _decode_intrinsics(solution[:5]), _decode_center(solution[5:])
+        except errors.CalibrationError as exc:
+            outcomes[k] = exc
+    if solved:
+        rotations, _, _ = decompose_homography(
+            np.concatenate([fits[k].matrices for k in solved]),
+            [intr_n for k, (intr_n, _) in solved.items() for _ in fits[k].matrices])
+        for (k, (intr_n, center_n)), R in zip(solved.items(), np.split(rotations, len(solved))):
+            outcomes[k] = _raw_solution(fits[k], intr_n, center_n, R)
+    return outcomes
+
+
+def _raw_solution(fit, intr_n, center_n, rotations):
     """(CameraIntrinsics, SphericalExtrinsics) in raw units from a solution in fit units.
 
-    The rotations come from decomposing the fit's homographies with intr_n.
+    `center_n` is (x, y, r) and `rotations` the poses of the fit's
+    homographies decomposed with intr_n.
     """
-    rotations, _, _ = decompose_homography(fit.matrices, intr_n)
-    x, y, r = fit.center_to_raw(x_n, y_n, r_n)
+    x, y, r = fit.center_to_raw(*center_n)
     return fit.intrinsics_to_raw(intr_n), SphericalExtrinsics(x=x, y=y, r=r,
                                                                rotations=rotations)
 
@@ -292,8 +359,9 @@ def solve_minimal(observations: ObservationSet):
         rows = np.stack([u12, u11 - u22, u13 + x_n * u11, u23 + y_n * u11, u33 - t2_n * u11])
         q_unit = q / np.linalg.norm(q)
         residual = np.sum((rows @ q_unit) ** 2 / np.sum(rows * rows, axis=-1))
-        candidates.append((residual, _raw_solution(fit, intr_n, x_n, y_n,
-                                                   float(np.sqrt(r2)))))
+        candidates.append((residual, _raw_solution(
+            fit, intr_n, (x_n, y_n, float(np.sqrt(r2))),
+            decompose_homography(fit.matrices, intr_n)[0])))
     if not candidates:
         raise errors.NoValidCandidate(
             "no root produced a positive-definite conic with positive radius")

@@ -5,8 +5,9 @@ closed form over N images (`nimg`), the two-image minimal solver
 (`minimal`) and single-image calibration against a reference ray database
 (`single`), and the plane-based baseline without the motion constraint
 (`zhang`).  `calibrate` runs one observation set in any mode, and
-`calibrate_all` runs many sets in one mode with their bundle adjustments
-side by side, as the Monte Carlo arms do.  `error_row` scores a result
+`calibrate_all` runs many sets in one mode, as the Monte Carlo arms do:
+their homography fits, closed forms and baseline conics in stacked calls
+and their bundle adjustments side by side.  `error_row` scores a result
 against the truth, for the arms and the `calibrate` report alike.
 """
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors
-from .core_geom import CameraIntrinsics, Distortion, ObservationSet, decompose_homography
+from .core_geom import (CameraIntrinsics, Distortion, ObservationSet, decompose_homography,
+                        fit_homographies, stack_groups)
 from .multi_solver import (SphericalExtrinsics, conic_rows, decompose_iac,
                            solve_closed_form, solve_minimal)
 from .refine import (ResidualReport, bundle_adjustments, general_ba, spherical_ba,
@@ -37,22 +39,58 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     singular vector.  Needs >= 3 images for the full five-parameter model;
     with exactly 2 a zero-skew row is added.
     """
-    return observations.homography_fit.intrinsics_to_raw(_zhang_iac(observations))
+    return observations.homography_fit.intrinsics_to_raw(_alone(_zhang_iacs([observations])[0]))
 
 
-def _zhang_iac(observations: ObservationSet) -> CameraIntrinsics:
-    """The baseline's intrinsics (`zhang_init`) in the fit units of the homographies."""
-    if len(observations) < 2:
-        raise ValueError("baseline initialization needs at least 2 images")
-    u = conic_rows(observations.homography_fit.matrices)
-    V = np.stack([u[:, 1], u[:, 0] - u[:, 3]], axis=1).reshape(-1, 6)  # u12, u11 - u22
-    if len(observations) == 2:
-        V = np.vstack([V, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])  # gamma = 0
-    _, s, Vt = np.linalg.svd(V)
-    if s[-2] <= 1e-9 * s[0]:
-        raise errors.DegenerateConfiguration(
-            "absolute-conic constraint matrix is rank deficient")
-    return decompose_iac(Vt[-1])
+def _zhang_iacs(observation_sets) -> list:
+    """The baseline's intrinsics (`zhang_init`) of each set in the fit units of
+    its homographies, or the CalibrationError it raised.
+
+    One `conic_rows` call takes the homographies of every set, and the
+    (k, 2N, 6) constraint systems of each group of k sets of N images
+    (`stack_groups`) are one batched SVD, so each result is the one the
+    set gets alone.  A set of fewer than 2 images raises ValueError for
+    the call.
+    """
+    for observations in observation_sets:
+        if len(observations) < 2:
+            raise ValueError("baseline initialization needs at least 2 images")
+    outcomes = [None] * len(observation_sets)
+    fitted = {}
+    for k, observations in enumerate(observation_sets):
+        try:
+            fitted[k] = observations.homography_fit.matrices
+        except errors.CalibrationError as exc:
+            outcomes[k] = exc
+    if not fitted:
+        return outcomes
+    u = conic_rows(np.concatenate(list(fitted.values())))
+    rows = np.stack([u[:, 1], u[:, 0] - u[:, 3]], axis=1)  # u12, u11 - u22
+    systems = dict(zip(fitted, np.split(rows, np.cumsum([len(H) for H in fitted.values()])[:-1])))
+    members = list(fitted)
+    for group in stack_groups([len(fitted[k]) for k in members]):
+        group = [members[j] for j in group]
+        V = np.stack([systems[k].reshape(-1, 6) for k in group])
+        if len(fitted[group[0]]) == 2:
+            V = np.pad(V, ((0, 0), (0, 1), (0, 0)))
+            V[:, -1, 1] = 1.0  # gamma = 0
+        _, s, Vt = np.linalg.svd(V)
+        for k, s_k, Vt_k in zip(group, s, Vt):
+            try:
+                if s_k[-2] <= 1e-9 * s_k[0]:
+                    raise errors.DegenerateConfiguration(
+                        "absolute-conic constraint matrix is rank deficient")
+                outcomes[k] = decompose_iac(Vt_k[-1])
+            except errors.CalibrationError as exc:
+                outcomes[k] = exc
+    return outcomes
+
+
+def _alone(outcome):
+    """The result of a set solved in a stacked call, or the error it raised, raised."""
+    if isinstance(outcome, errors.CalibrationError):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +129,18 @@ def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True,
     The start of `nimg` is `solve_closed_form`, that of `minimal` the best
     of `solve_minimal`'s candidates, and that of `zhang`, the plane-based
     baseline, its absolute conic's intrinsics in the fit's units, solved
-    once.  With `refine` the bundle adjustment runs from zero distortion:
-    `spherical_ba` for `nimg` and `minimal`, and `general_ba` for `zhang`,
-    from the poses of the fit's homographies decomposed with those fit-unit
-    intrinsics.  The solvers own each mode's image-count rule.
+    once; they are solved as `calibrate_all` solves them.  With `refine`
+    the bundle adjustment runs from zero distortion: `spherical_ba` for
+    `nimg` and `minimal`, and `general_ba` for `zhang`, from the poses of
+    the fit's homographies decomposed with those fit-unit intrinsics.  The
+    solvers own each mode's image-count rule.
 
     The `single` mode calibrates one image against the ray `database`
     (`calibrate_single_image`, which refines distortion with `refine`);
     the image's (width, height) `image_size` fixes its start's principal
     point.  It refuses, with ValueError, any other image count, and a
-    missing database or image size.  `database` and `image_size` are not
-    used in the other modes.
+    missing database or image size.  The other modes refuse a database,
+    with ValueError, and take `image_size` as the file's metadata, unused.
     """
     if mode == "single":
         if len(observations) != 1:
@@ -114,7 +153,10 @@ def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True,
                                         image_size=image_size, refine_distortion=refine)
         return Calibration(result.intrinsics, result.rotation[None], result.distortion,
                            result.report, None, result.n_matched, result.n_dropped)
-    started = _started(observations, mode, refine, None)
+    if database is not None:
+        raise ValueError(f"the ray database is used by the single mode only, not {mode!r}")
+    (start,) = _solved_starts([observations], mode)
+    started = _started(observations, mode, refine, _alone(start))
     init = (started.intrinsics, started.distortion, started.extrinsics)
     if not refine:
         return started if mode == "zhang" else replace(
@@ -122,18 +164,39 @@ def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True,
     return _refined(started, (general_ba if mode == "zhang" else spherical_ba)(observations, init))
 
 
-def _started(observations: ObservationSet, mode: str, refine: bool, start) -> Calibration:
-    """The unrefined Calibration of `observations` in `mode`, with no report.
+def _solved_starts(observation_sets, mode: str) -> list:
+    """Each set's start candidates in `mode`, best first, or the CalibrationError
+    its start raised.
 
-    `start` is the mode's start candidates, solved when None.  Refined, the
-    `zhang` mode also gets the poses its bundle adjustment starts from.
+    The closed forms (`solve_closed_form`) and the baseline's conics
+    (`_zhang_iacs`) of all the sets are solved in stacked calls; the
+    minimal solver runs set by set.
     """
     if mode not in ("nimg", "minimal", "zhang"):
         raise ValueError(f"unknown calibration mode {mode!r}")
-    if start is None:
-        start = ([_zhang_iac(observations)] if mode == "zhang"
-                 else [solve_closed_form(observations)] if mode == "nimg"
-                 else solve_minimal(observations))
+    if mode == "minimal":
+        outcomes = []
+        for observations in observation_sets:
+            try:
+                outcomes.append(solve_minimal(observations))
+            except errors.CalibrationError as exc:
+                outcomes.append(exc)
+        return outcomes
+    if not observation_sets:
+        return []
+    solved = (solve_closed_form(observation_sets) if mode == "nimg"
+              else _zhang_iacs(observation_sets))
+    return [outcome if isinstance(outcome, errors.CalibrationError) else [outcome]
+            for outcome in solved]
+
+
+def _started(observations: ObservationSet, mode: str, refine: bool, start) -> Calibration:
+    """The unrefined Calibration of `observations` in `mode` from its start
+    candidates `start`, with no report.
+
+    Refined, the `zhang` mode also gets the poses its bundle adjustment
+    starts from.
+    """
     fit = observations.homography_fit
     intr, ext = (fit.intrinsics_to_raw(start[0]), None) if mode == "zhang" else start[0]
     if refine and mode == "zhang":
@@ -145,22 +208,28 @@ def _started(observations: ObservationSet, mode: str, refine: bool, start) -> Ca
 def calibrate_all(observation_sets, mode: str, *, refine: bool, starts) -> list:
     """`calibrate` of every observation set in `mode` with its start (None: solved).
 
-    The `single` mode is not taken.  The starts are solved set by set, and
-    the bundle adjustments of the sets whose start succeeded run side by
-    side (`bundle_adjustments`), so each refined result is the one
-    `calibrate` gives alone; an unrefined result has no report.  Returns
-    per set (its Calibration or the CalibrationError it raised, seconds):
-    the time of its start and, refined, an equal share of the time of the
-    bundle adjustments.
+    The `single` mode is not taken.  The homographies of all the sets are
+    fitted in stacked calls (`fit_homographies`), and so are the starts
+    that are not given (`_solved_starts`); the bundle adjustments of the
+    sets whose start succeeded then run side by side
+    (`bundle_adjustments`).  Each refined result is the one `calibrate`
+    gives alone; an unrefined result has no report.  Returns per set (its
+    Calibration or the CalibrationError it raised, seconds): an equal share
+    of the time of the fits and starts and, refined, an equal share of the
+    time of the bundle adjustments.
     """
-    outcomes, seconds = [], []
+    began = time.perf_counter()
+    fit_homographies(observation_sets)
+    solved = iter(_solved_starts([observations for observations, start
+                                  in zip(observation_sets, starts) if start is None], mode))
+    outcomes = []
     for observations, start in zip(observation_sets, starts):
-        began = time.perf_counter()
         try:
-            outcomes.append(_started(observations, mode, refine, start))
+            outcomes.append(_started(observations, mode, refine,
+                                     _alone(next(solved) if start is None else start)))
         except errors.CalibrationError as exc:
             outcomes.append(exc)
-        seconds.append(time.perf_counter() - began)
+    seconds = [(time.perf_counter() - began) / max(len(outcomes), 1)] * len(outcomes)
     if refine:
         started = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, Calibration)]
         began = time.perf_counter()

@@ -66,6 +66,7 @@ from .core_geom import (
     radial_pixels,
     real_array,
     rotation_matrix_from_axis_angle,
+    stack_groups,
 )
 from .multi_solver import SphericalExtrinsics
 
@@ -837,25 +838,13 @@ def _adjusted_together(problems) -> list:
             for problem, outcome in zip(problems, outcomes)]
 
 
-# The most problems that share kernel calls (`bundle_adjustments`).  Both
-# bundle adjustments of the default scene at 1 px (one BLAS thread) take
-# 8.6 ms per scene alone, 6.2 in stacks of 8, 6.0 in stacks of 16 and 24
-# and 6.9 in stacks of 48, while the peak RSS grows by about 1.6 MB per
-# problem in a stack: past 8, the time saved is within the spread and the
-# memory still doubles.  On 2 workers, a worker that runs its 10 `mc_ba`
-# scenes in one chunk, stacked 5 + 5, peaks at 42.9 MB (`VmHWM`), against
-# 37.5 MB for chunks of 2.
-_STACK_SIZE = 8
-
-
 def bundle_adjustments(kind: str, observation_sets, inits) -> list:
     """`spherical_ba` ("spherical") or `general_ba` ("general") of every
     (observations, init) pair, those of one layout run side by side.
 
     Pairs with the same image count and the same largest image (the padded
-    length L, on which the rounding of a stacked Gram depends) are cut, in
-    order, into the fewest groups of at most _STACK_SIZE, whose sizes
-    differ by at most one (10 pairs run as 5 + 5).  The LM runs of a group
+    length L, on which the rounding of a stacked Gram depends) run in the
+    groups of `stack_groups` (10 pairs as 5 + 5).  The LM runs of a group
     share every kernel call (`_adjusted_together`), so every result is the
     same, to the bit, as that of the public function.  Returns per pair its
     result, or the CalibrationError it raised; a start that is not valid
@@ -863,18 +852,13 @@ def bundle_adjustments(kind: str, observation_sets, inits) -> list:
     """
     problem_of, result_of = ((_spherical, _spherical_result) if kind == "spherical"
                              else (_general, _general_result))
-    layouts = {}
-    for k, observations in enumerate(observation_sets):
-        layouts.setdefault((len(observations), int(observations.counts.max())), []).append(k)
     outcomes = [None] * len(observation_sets)
-    for members in layouts.values():
-        parts = -(-len(members) // _STACK_SIZE)
-        for j in range(parts):
-            group = members[len(members) * j // parts:len(members) * (j + 1) // parts]
-            problems = [problem_of(observation_sets[k], inits[k]) for k in group]
-            for k, outcome in zip(group, _adjusted_together(problems)):
-                outcomes[k] = (outcome if isinstance(outcome, errors.CalibrationError)
-                               else result_of(*outcome))
+    for group in stack_groups([(len(observations), int(observations.counts.max()))
+                               for observations in observation_sets]):
+        problems = [problem_of(observation_sets[k], inits[k]) for k in group]
+        for k, outcome in zip(group, _adjusted_together(problems)):
+            outcomes[k] = (outcome if isinstance(outcome, errors.CalibrationError)
+                           else result_of(*outcome))
     return outcomes
 
 

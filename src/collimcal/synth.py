@@ -311,9 +311,10 @@ class TrialStats:
     """Signed per-trial estimation errors for one solver arm at one sweep point.
 
     `trials` is (trial_count, 10) ordered as PARAM_NAMES; failed trials are
-    NaN rows.  `seconds` holds each trial's wall-clock time of the arm: the
-    time of its start and, for a refined arm, an equal share of the time of
-    the bundle adjustments that ran side by side over its chunk (see
+    NaN rows.  `seconds` holds each trial's wall-clock time of the arm: an
+    equal share of the time of the homography fits and starts that ran in
+    stacked calls over its chunk and, for a refined arm, an equal share of
+    the time of the bundle adjustments that ran side by side over it (see
     `_run_arms`).
     """
 
@@ -389,14 +390,16 @@ def _run_arms(observation_sets, truth: np.ndarray, arms) -> list:
     """Every requested solver arm on every scene: per scene {arm: (error_row, seconds)}.
 
     The arms run arm-major: each arm is one `calibrate_all` call over all
-    the scenes, so a refined arm's bundle adjustments run side by side, and
-    each scene's result is that of its own `calibrate` call.  It is scored
-    by `error_row`, which is given the distortion of a refined arm only.  An
+    the scenes, so the scenes' homography fits and starts run in stacked
+    calls and a refined arm's bundle adjustments side by side, and each
+    scene's result is that of its own `calibrate` call.  It is scored by
+    `error_row`, which is given the distortion of a refined arm only.  An
     initial arm solves its mode's start each time it runs; a refined arm
     reuses the start of its initial arm on a scene where that arm ran before
-    it.  An arm's seconds on a scene are its start's time there (none for a
-    reused start) and, refined, an equal share of the arm's bundle
-    adjustment time over the scenes.
+    it.  An arm's seconds on a scene are an equal share of the arm's time
+    of fits and starts over the scenes (the first arm fits the homographies,
+    and a reused start costs only its poses) and, refined, an equal share of
+    the arm's bundle adjustment time over them.
     """
     results = [{} for _ in observation_sets]
     starts = {}

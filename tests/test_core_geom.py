@@ -708,6 +708,66 @@ def test_rank_deficient_homography_in_a_stack_names_the_image():
         stack_images(obs.target, images).homography_fit
 
 
+def fit_outcome(observations):
+    """A set's homography fit as the bytes of its fields, or the type and
+    message of the error it raises."""
+    try:
+        fit = observations.homography_fit
+    except (ValueError, errors.DegenerateConfiguration) as exc:
+        return type(exc), str(exc)
+    return tuple(np.asarray(value).tobytes() for value in fit)
+
+
+def unfitted(observations):
+    """A copy of an observation set that has not fitted its homographies."""
+    return cg.ObservationSet(observations.target, observations.ids, observations.uv,
+                             observations.counts)
+
+
+def test_fit_homographies_gives_each_set_the_fit_or_error_it_gets_alone():
+    # Two padded lengths, the longer in two groups of one length; sets of 3
+    # and of 15 images; and sets that cannot be fitted: a collinear image,
+    # every pixel on one point, no images.  A set that cannot be fitted is
+    # left unfitted, and its own fit raises what it raises alone.
+    _, _, obs = scene(seed=6)
+    one_point = stack_images(obs.target, [(ids, np.full((len(ids), 2), 5.0))
+                                          for ids, _ in split_images(obs)[:3]])
+    sets = ([scene(seed=6, trial=t)[2] for t in range(10)]
+            + [first_images(obs, 3), dropped_points_scene(1), dropped_points_scene(2),
+               random_observations([30, 4, 88], 2, collinear_image=1), one_point,
+               stack_images(obs.target, [])])
+    assert {len(o) for o in sets} >= {0, 3, 15}
+    assert len({int(o.counts.max()) for o in sets if len(o)}) >= 2
+    alone = [fit_outcome(unfitted(o)) for o in sets]
+    failed = [type(outcome[0]) is type for outcome in alone]
+    assert failed == [False] * 13 + [True] * 3
+    together = [unfitted(o) for o in sets]
+    cg.fit_homographies(together)
+    assert [("homography_fit" not in vars(o)) for o in together] == failed
+    assert [fit_outcome(o) for o in together] == alone
+    fitted = together[0].homography_fit
+    cg.fit_homographies(together)  # a fitted set keeps its fit
+    assert together[0].homography_fit is fitted
+
+
+def test_decomposition_takes_one_camera_per_homography():
+    # Each homography decomposed with its own camera is, to the bit, the
+    # stack decomposed with that one camera; a count that is neither one
+    # nor one per homography is refused.
+    cameras = [scene(seed=0)[0].intrinsics, TRUE_K]
+    stacks = [np.array([cg.estimate_homography(xy, uv)
+                        for xy, uv in image_points(dropped_points_scene(seed))])
+              for seed in (3, 4)]
+    together = cg.decompose_homography(
+        np.concatenate(stacks), [k for k, H in zip(cameras, stacks) for _ in H])
+    parts = [cg.decompose_homography(H, k) for H, k in zip(stacks, cameras)]
+    for mine, theirs in zip(together, zip(*parts)):
+        assert mine.tobytes() == np.concatenate(theirs).tobytes()
+    with pytest.raises(ValueError, match="^intrinsics must be one camera or one per "
+                                         "homography, got 2 for 15 homographies$"):
+        cg.decompose_homography(stacks[0], cameras)
+
+
 def reference_decomposition(H, intr):
     """decompose_homography computed for one image on its own."""
     M = intr.inverse @ H

@@ -14,6 +14,7 @@ from conftest import (
     pick_images,
     rotation_from_axis_angle,
     scene,
+    split_images,
     stack_images,
 )
 
@@ -67,7 +68,7 @@ def z_rotated_observation_set(base_rotations, extra_pairs):
 def ratio_to_base(H_i, H_base):
     """lambda_i / lambda_base of two homographies, from the solver's stacked ratios
     with H_base as image 0."""
-    return float(ms._scale_ratios(np.array([H_base, H_i]))[1])
+    return float(ms._scale_ratios(np.array([H_base, H_i]), 2)[0][1])
 
 
 def test_scale_ratio_identity_and_doubling():
@@ -131,7 +132,7 @@ def test_linear_system_row_count_scales_with_images():
     _, _, Hs = normalized_unit_homographies(rng, 7)
     d, _ = ms.build_linear_system(Hs)
     assert d.shape == (6 * 7, 11)
-    ratios = ms._scale_ratios(Hs)
+    ratios, _ = ms._scale_ratios(Hs, 7)
     assert len(ratios) == 7
     assert ratios[0] == 1.0
     # Image 0's block carries -mu^2 = -1 on its A entries.
@@ -189,7 +190,7 @@ def test_linear_system_matches_per_image_reference():
         H = obs.homography_fit.matrices
         d, b = ms.build_linear_system(H)
         d_ref, b_ref, ratios = reference_linear_system(H, 0)
-        assert ms._scale_ratios(H).tolist() == ratios
+        assert ms._scale_ratios(H, len(H))[0].tolist() == ratios
         assert np.array_equal(b, b_ref)
         # The mu^2 entries are squared by a multiply, which rounds correctly;
         # Python's ** may differ from it in the last bit.
@@ -280,7 +281,8 @@ def test_closed_form_refuses_a_system_past_the_rank_cutoff(monkeypatch):
     U, _ = np.linalg.qr(rng.normal(size=(66, 11)))
     V, _ = np.linalg.qr(rng.normal(size=(11, 11)))
     d = U @ np.diag(np.logspace(3, -6, 11)) @ V.T
-    monkeypatch.setattr(ms, "build_linear_system", lambda H: (d, rng.normal(size=66)))
+    monkeypatch.setattr(ms, "_constraint_rows", lambda H, ratios: (
+        d.reshape(11, 6, 11), rng.normal(size=(11, 6))))
     _, _, obs = scene(seed=0, pixel_noise_sigma=0.5)
     with pytest.raises(errors.DegenerateConfiguration, match="rank deficient"):
         ms.solve_closed_form(obs)
@@ -291,6 +293,39 @@ def test_closed_form_degenerate_rotations_rejected():
         [rotation_from_axis_angle([0.12, -0.06, 0.03])], extra_pairs=(0.5, -0.8))
     with pytest.raises((errors.DegenerateConfiguration, errors.NegativeRadicand)):
         ms.solve_closed_form(obs)
+
+
+def closed_form_outcome(solve, obs):
+    """`solve(obs)` as its camera, center and rotation bytes, or as the type
+    and message of the CalibrationError it raised."""
+    try:
+        result = solve(obs)
+    except errors.CalibrationError as exc:
+        result = exc
+    if isinstance(result, errors.CalibrationError):
+        return type(result), str(result)
+    intr, ext = result
+    return intr, (ext.x, ext.y, ext.r), ext.rotations.tobytes()
+
+
+def test_closed_form_of_a_list_gives_each_set_its_own_result_or_error():
+    # Scenes of 15 and of 3 images at 0.5 and 50 px, where some starts fail,
+    # three copies of one view, whose system is rank deficient, and a set
+    # whose fit fails: each outcome is, to the bit, the one the set gets
+    # alone.  A set of two images refuses the whole call.
+    _, _, obs = scene(seed=0)
+    sets = [scene(seed=8, trial=t, pixel_noise_sigma=sigma, image_count=count)[2]
+            for t in range(6) for sigma, count in ((0.5, 15), (50.0, 3), (50.0, 15))]
+    sets += [pick_images(obs, [0, 0, 0]),
+             stack_images(obs.target, [(ids, np.full((len(ids), 2), 5.0))
+                                       for ids, _ in split_images(obs)[:3]])]
+    alone = [closed_form_outcome(ms.solve_closed_form, o) for o in sets]
+    together = ms.solve_closed_form(sets)
+    assert [closed_form_outcome(lambda o: together[k], o) for k, o in enumerate(sets)] == alone
+    failed = sum(type(outcome[0]) is type for outcome in alone)
+    assert 2 < failed < len(sets)
+    with pytest.raises(ValueError, match="^closed-form solver needs at least 3 images, got 2$"):
+        ms.solve_closed_form(sets + [first_images(obs, 2)])
 
 
 # ---------------------------------------------------------------------------

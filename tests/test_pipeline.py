@@ -58,6 +58,31 @@ def test_zhang_refuses_a_system_past_the_rank_cutoff(monkeypatch):
         pipeline.zhang_init(obs)
 
 
+def test_stacked_baseline_gives_each_set_its_own_intrinsics_or_error():
+    # Sets of 15, 3 and 2 images at 1 and 50 px, where some conics fail,
+    # and a set whose fit fails: each outcome of the stacked conic solve is,
+    # to the bit, the one `zhang_init` gets alone.  A one-image set refuses
+    # the whole call.
+    def outcome(obs):
+        try:
+            return pipeline.zhang_init(obs)
+        except errors.CalibrationError as exc:
+            return type(exc), str(exc)
+
+    sets = [scene(seed=9, trial=t, pixel_noise_sigma=sigma, image_count=count)[2]
+            for t in range(6) for sigma, count in ((1.0, 15), (50.0, 15), (50.0, 3), (1.0, 2))]
+    obs = sets[0]
+    sets.append(ObservationSet(obs.target, obs.ids, np.full(obs.uv.shape, 5.0), obs.counts))
+    alone = [outcome(o) for o in sets]
+    together = [result if isinstance(result, errors.CalibrationError)
+                else o.homography_fit.intrinsics_to_raw(result)
+                for o, result in zip(sets, pipeline._zhang_iacs(sets), strict=True)]
+    assert [(type(r), str(r)) if isinstance(r, Exception) else r for r in together] == alone
+    assert 1 < sum(isinstance(r, Exception) for r in together) < len(sets)
+    with pytest.raises(ValueError, match="^baseline initialization needs at least 2 images$"):
+        pipeline._zhang_iacs(sets + [scene(seed=9, image_count=1)[2]])
+
+
 @pytest.mark.parametrize("move", [(3000.0, 0.0), (-8000.0, 3000.0)], ids=["3m", "8.5m"])
 def test_baseline_start_does_not_depend_on_the_target_origin(move, monkeypatch):
     # Moving the target's coordinates by d moves each pose's translation by
@@ -91,16 +116,18 @@ def test_baseline_start_does_not_depend_on_the_target_origin(move, monkeypatch):
 
 def test_calibrate_takes_the_public_path_and_the_many_set_form_always_stacks(monkeypatch):
     # `calibrate` adjusts through the public function, which a tracer may
-    # wrap; `calibrate_all` stacks, for one set as for two, and leaves out
-    # a set whose start failed.
+    # wrap; `calibrate_all` solves its starts in one list call of the
+    # closed form and stacks its adjustments, for one set as for two, and
+    # leaves out a set whose start failed.  `calibrate` solves its start
+    # through the same list form, with one set.
     sets = [scene(seed=0, trial=t, pixel_noise_sigma=1.0)[2] for t in range(2)]
     solve = pipeline.solve_closed_form
-    stacked, public = [], []
+    solved, stacked, public = [], [], []
 
-    def first_fails(observations):
-        if observations is sets[0]:
-            raise errors.DegenerateConfiguration("refused")
-        return solve(observations)
+    def first_fails(observation_sets):
+        solved.append(len(observation_sets))
+        return [errors.DegenerateConfiguration("refused") if obs is sets[0] else outcome
+                for obs, outcome in zip(observation_sets, solve(observation_sets), strict=True)]
 
     def recording_stack(kind, observation_sets, inits):
         stacked.append(len(inits))
@@ -117,9 +144,9 @@ def test_calibrate_takes_the_public_path_and_the_many_set_form_always_stacks(mon
     assert isinstance(outcomes[0][0], errors.DegenerateConfiguration)
     assert isinstance(outcomes[1][0], pipeline.Calibration)
     ((alone, _),) = pipeline.calibrate_all(sets[1:], "nimg", refine=True, starts=[None])
-    assert (stacked, public) == ([1, 1], [])
+    assert (solved, stacked, public) == ([2, 1], [1, 1], [])
     result = pipeline.calibrate(sets[1], "nimg")
-    assert (stacked, public) == ([1, 1], [1])
+    assert (solved, stacked, public) == ([2, 1, 1], [1, 1], [1])
     for other in (alone, outcomes[1][0]):
         assert (other.intrinsics, other.distortion, other.report) == \
             (result.intrinsics, result.distortion, result.report)
@@ -213,6 +240,18 @@ def test_single_mode_is_the_single_image_pipeline(single_inputs, refine):
     assert (result.n_matched, result.n_dropped) == (direct.n_matched, direct.n_dropped)
     assert result.start is None
     assert (result.report.termination == "not_run") == (not refine)
+
+
+@pytest.mark.parametrize("mode", ["nimg", "minimal", "zhang"])
+def test_only_the_single_mode_takes_a_database(single_inputs, mode):
+    # The other modes used to run and ignore it; the image size stays
+    # accepted in every mode, as the observation file's metadata.
+    database, _, image_size = single_inputs
+    _, _, obs = scene(seed=2, image_count=2 if mode == "minimal" else 4)
+    with pytest.raises(ValueError) as refusal:
+        pipeline.calibrate(obs, mode, database=database, image_size=image_size)
+    assert str(refusal.value) == f"the ray database is used by the single mode only, not {mode!r}"
+    assert pipeline.calibrate(obs, mode, refine=False, image_size=image_size).start
 
 
 @pytest.mark.parametrize("case, message", [

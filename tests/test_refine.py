@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collimcal import errors, refine
+from collimcal import core_geom, errors, refine
 from collimcal import single_calib as sc
 from collimcal.core_geom import (
     MIN_IMAGE_POINTS,
@@ -1050,7 +1050,7 @@ def test_bundle_adjustments_side_by_side_equal_each_alone(kind, count, monkeypat
     assert len({(len(obs), int(obs.counts.max())) for obs, _ in pairs}) == 1
     assert count == 1 or len({tuple(obs.counts) for obs, _ in pairs}) > 1
     assert all(same_ba_result(a, b) for a, b in zip(alone, together, strict=True))
-    assert max(stacked) == (count if count <= refine._STACK_SIZE else 5)
+    assert max(stacked) == (count if count <= core_geom._STACK_SIZE else 5)
 
 
 def same_outcome(a, b):

@@ -369,7 +369,8 @@ def test_view_that_cannot_be_drawn_names_the_image():
 
 @pytest.mark.parametrize("arms", [("zhang", "zhang_ba"), ("zhang_ba",)], ids=["both", "refined"])
 def test_baseline_conic_is_solved_once_per_scene(arms, monkeypatch):
-    # The refined arm takes its start and its poses from the one conic solve.
+    # The refined arm takes its start and its poses from the one conic solve,
+    # and the conics of a chunk's scenes share one stacked call.
     solves = []
 
     def counting_rows(H):
@@ -377,10 +378,11 @@ def test_baseline_conic_is_solved_once_per_scene(arms, monkeypatch):
         return conic_rows(H)
 
     monkeypatch.setattr(pipeline, "conic_rows", counting_rows)
-    config, _, obs = scene(seed=0, trial=0, pixel_noise_sigma=1.0)
-    (results,) = synth._run_arms([obs], config.truth_vector(), arms)
-    assert all(row is not None for row, _ in results.values())
-    assert solves == [len(obs)]
+    config = synth.default_config(pixel_noise_sigma=1.0)
+    sets = [scene(seed=0, trial=t, pixel_noise_sigma=1.0)[2] for t in range(3)]
+    results = synth._run_arms(sets, config.truth_vector(), arms)
+    assert all(row is not None for per_scene in results for row, _ in per_scene.values())
+    assert solves == [sum(map(len, sets))]
 
 
 def test_arms_over_a_chunk_score_each_scene_as_alone():
