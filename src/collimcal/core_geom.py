@@ -534,31 +534,34 @@ def back_project(intr: CameraIntrinsics, dist: Distortion, pixels: np.ndarray) -
     return rays.reshape(p.shape[:-1] + (3,))
 
 
-def _dlt(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray):
+def _dlt(points, counts: np.ndarray):
     """Normalized DLT (Hartley and Zisserman, section 4.4) of every image at once.
 
-    `xy` and `uv` (M, 2) hold the images' target points and pixels one
-    image after the other, `counts` (N,) how many each image has.  Each
-    image keeps its own isotropic normalization (centroid to the origin,
-    mean distance sqrt(2)).  With X (n, 3) the image's normalized target
-    rows (x, y, 1) and u, v its normalized pixels, the design matrix is,
-    up to row order, A = [[X, 0, -u*X], [0, X, -v*X]]; it is never formed.
-    A block QR reduces it instead: X = Q1 R1 (thin), E = Q1^T (-u*X),
-    F = Q1^T (-v*X), and R3 is the R factor of the 2n x 3 block that
-    stacks (-u*X) - Q1 E and (-v*X) - Q1 F.  The 9 x 9 matrix
-    R = [[R1, 0, E], [0, R1, F], [0, 0, R3]] has R^T R = A^T A, so it has
-    A's singular values and right singular vectors, and one batched SVD
-    of the N factors gives every null vector.  Each step is an orthogonal
-    transform, so the backward error stays O(eps ||A||), as with a QR of
-    A itself.  Images are zero-padded to the largest count: zero rows of X
-    leave every product, and so A^T A, unchanged.  Each image's result
-    depends on that padded length and on nothing else of the other images.
+    `points` is a function that returns the images' target points and
+    pixels (4, M), one component a row (x, y, u, v), one image after the
+    other; it is called once, so that the array is freed as soon as it is
+    stacked, before the factorizations.  `counts` (N,) holds how many
+    points each image has.  Each image keeps its own isotropic
+    normalization (centroid to the origin, mean distance sqrt(2)).  With
+    X (n, 3) the image's normalized target rows (x, y, 1) and u, v its
+    normalized pixels, the design matrix is, up to row order,
+    A = [[X, 0, -u*X], [0, X, -v*X]]; it is never formed.  A block QR
+    reduces it instead: X = Q1 R1 (thin), E = Q1^T (-u*X), F = Q1^T (-v*X),
+    and R3 is the R factor of the 2n x 3 block that stacks (-u*X) - Q1 E
+    and (-v*X) - Q1 F.  The 9 x 9 matrix R = [[R1, 0, E], [0, R1, F],
+    [0, 0, R3]] has R^T R = A^T A, so it has A's singular values and right
+    singular vectors, and one batched SVD of the N factors gives every
+    null vector.  Each step is an orthogonal transform, so the backward
+    error stays O(eps ||A||), as with a QR of A itself.  Images are
+    zero-padded to the largest count: zero rows of X leave every product,
+    and so A^T A, unchanged.  Each image's result depends on that padded
+    length and on nothing else of the other images.
 
     Returns the homographies (N, 3, 3) and two flags (N,) per image: its
     homography is ambiguous, and it is rank deficient (tested only where
     it is not ambiguous).  `_dlt_error` names a set's first flagged image.
     """
-    R, T_xy, T_uv_inv = _dlt_factor(xy, uv, counts)
+    R, T_xy, T_uv_inv = _dlt_factor(points, counts)
     _, s, Vt = np.linalg.svd(R)
     # With >= 4 generic point pairs only one singular value is ~0; a
     # second vanishing one means the solution is ambiguous.
@@ -579,35 +582,48 @@ def _dlt_error(ambiguous: np.ndarray, rank_deficient: np.ndarray):
     return None
 
 
-def _dlt_factor(xy: np.ndarray, uv: np.ndarray, counts: np.ndarray):
+def _dlt_factor(points, counts: np.ndarray):
     """Every image's 9 x 9 factor R (N, 9, 9), whose Gram is its A^T A (see `_dlt`).
 
     Also returns the normalizations T_xy and the inverses of T_uv (N, 3, 3).
-    The stacks of a group of sets are large, so each is made in place where
-    it can be and freed once used.
+    Every elementwise step runs over one component's (N, n) view of a
+    padded stack, so that its inner loop is an image's points rather than
+    a 2- to 6-wide row, and writes into a stack rather than a chain of
+    temporaries.  The stacks of a group of sets are large, so each is
+    freed once used.
     """
     N, n = len(counts), int(counts.max())
     mask = np.arange(n) < counts[:, None]
     # Target points and pixels side by side, (N, n, 4), zero in the padding,
-    # then centered in place.  Sums over the points run as products with a
-    # ones vector, which take a fraction of the time of numpy's reductions
-    # over a middle axis.
+    # then centered.  Sums over the points run as products with a ones
+    # vector, which take a fraction of the time of numpy's reductions over
+    # a middle axis.
     D = np.zeros((N, n, 4))
-    D[mask, :2] = xy
-    D[mask, 2:] = uv
+    rows = points()
+    for c in range(4):
+        D[..., c][mask] = rows[c]
+    del rows
     ones = np.ones(n)
     centroid = (ones @ D) / counts[:, None]
-    D -= centroid[:, None]
-    D[~mask] = 0.0
-    mean_dist = (ones @ np.sqrt(np.square(D[..., 0::2]) + np.square(D[..., 1::2]))
-                 ) / counts[:, None]
+    for c in range(4):
+        np.subtract(D[..., c], centroid[:, c, None], out=D[..., c], where=mask)
+    dist = np.square(D[..., 0::2])
+    dist += np.square(D[..., 1::2])
+    mean_dist = (ones @ np.sqrt(dist, out=dist)) / counts[:, None]
+    del dist
     # Coincident points keep unit scale; the ambiguity test rejects them.
     s = np.sqrt(2.0) / np.where(mean_dist > 1e-12, mean_dist, np.sqrt(2.0))  # (N, 2)
     X = np.empty((N, n, 3))
-    X[..., :2] = D[..., :2] * s[:, None, :1]
+    np.multiply(D[..., 0], s[:, :1], out=X[..., 0])
+    np.multiply(D[..., 1], s[:, :1], out=X[..., 1])
     X[..., 2] = mask
-    # The columns -u*X and -v*X of every point, (N, n, 6).
-    B = (X[..., None, :] * (D[..., 2:] * -s[:, None, 1:])[..., None]).reshape(N, n, 6)
+    # The columns -u*X and -v*X of every point, (N, n, 6); the third of
+    # each, -u * 1 or -v * 1, is -u or -v itself.
+    B = np.empty((N, n, 6))
+    for j in (0, 1):
+        w = np.multiply(D[..., 2 + j], -s[:, 1:], out=B[..., 3 * j + 2])
+        np.multiply(X[..., 0], w, out=B[..., 3 * j])
+        np.multiply(X[..., 1], w, out=B[..., 3 * j + 1])
     del D
 
     Q1, R1 = np.linalg.qr(X)
@@ -645,7 +661,7 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
     U = finite_array(pixels_uv, "pixels_uv", (len(X), 2))
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 point pairs")
-    H, *flags = _dlt(X, U, np.array([len(X)]))
+    H, *flags = _dlt(lambda: np.concatenate((X, U), axis=1).T, np.array([len(X)]))
     error = _dlt_error(*flags)
     if error is not None:
         raise error
@@ -748,13 +764,8 @@ def _fits(observation_sets) -> list:
         if not units:
             continue
         sets = [observation_sets[k] for k in units]
-        # Normalized as the group is stacked, so that no set's copy outlives it.
-        H, ambiguous, rank_deficient = _dlt(
-            np.concatenate([(obs.xy - unit.target_shift) / unit.target_scale
-                            for obs, unit in zip(sets, units.values())]),
-            np.concatenate([(obs.uv - unit.pixel_shift) / unit.pixel_scale
-                            for obs, unit in zip(sets, units.values())]),
-            np.concatenate([obs.counts for obs in sets]))
+        H, ambiguous, rank_deficient = _dlt(lambda: _unit_points(sets, units.values()),
+                                            np.concatenate([obs.counts for obs in sets]))
         flagged = ambiguous | rank_deficient
         last = 0
         for k, unit in units.items():
@@ -776,14 +787,29 @@ def _fit_units(observations: ObservationSet) -> HomographyFit:
     uv = observations.uv
     ones = np.ones(len(uv))
     pix_shift = (ones @ uv) / len(uv)
-    d = uv - pix_shift
-    pix_scale = (ones @ np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])) / len(uv)
+    d = uv.T - pix_shift[:, None]
+    pix_scale = (ones @ np.sqrt(d[0] * d[0] + d[1] * d[1])) / len(uv)
     if not pix_scale > 0:
         raise errors.DegenerateConfiguration(
             "image 0: every observed pixel of every image is the same point")
     tgt_shift, tgt_scale = observations.target._frame
     return HomographyFit(None, pixel_scale=pix_scale, pixel_shift=pix_shift,
                          target_scale=tgt_scale, target_shift=tgt_shift)
+
+
+def _unit_points(observation_sets, units) -> np.ndarray:
+    """The target points and pixels of the sets, each in its `units`, (4, M):
+    one component a row (x, y, u, v), set after set."""
+    points = np.empty((4, sum(len(obs.ids) for obs in observation_sets)))
+    last = 0
+    for obs, unit in zip(observation_sets, units):
+        columns = slice(last, last + len(obs.ids))
+        last = columns.stop
+        np.subtract(obs.xy.T, unit.target_shift[:, None], out=points[:2, columns])
+        points[:2, columns] /= unit.target_scale
+        np.subtract(obs.uv.T, unit.pixel_shift[:, None], out=points[2:, columns])
+        points[2:, columns] /= unit.pixel_scale
+    return points
 
 
 def decompose_homography(H: np.ndarray, intr):

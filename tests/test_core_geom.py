@@ -557,6 +557,7 @@ pass_settings = settings(derandomize=True, database=None, deadline=None, max_exa
 @given(point_sets)
 @example(([4], 1))
 @example(([88], 2))
+@example(([88, 88, 88], 4))
 @example(([4, 88, 4, 17], 3))
 def test_homography_pass_matches_the_explicit_design_matrix(drawn):
     obs = random_observations(*drawn)
@@ -567,12 +568,14 @@ def test_homography_pass_matches_the_explicit_design_matrix(drawn):
 @pass_settings
 @given(point_sets)
 @example(([4], 1))
+@example(([88, 88, 88], 4))
 @example(([4, 88, 4, 17], 3))
 def test_homography_factor_has_the_design_matrix_gram(drawn):
+    # Unpadded (every image of one count) and padded stacks alike.
     obs = random_observations(*drawn)
     images = frame_images(obs)
-    R, _, _ = cg._dlt_factor(np.concatenate([xy for xy, _ in images]),
-                             np.concatenate([uv for _, uv in images]), obs.counts)
+    points = np.concatenate([np.column_stack([xy, uv]) for xy, uv in images]).T
+    R, _, _ = cg._dlt_factor(lambda: points, obs.counts)
     for factor, (xy, uv) in zip(R, images):
         _, _, A = reference_design_matrix(xy, uv)
         assert np.linalg.norm(factor.T @ factor - A.T @ A) <= 1e-13 * np.linalg.norm(A) ** 2
@@ -748,6 +751,22 @@ def test_fit_homographies_gives_each_set_the_fit_or_error_it_gets_alone():
     fitted = together[0].homography_fit
     cg.fit_homographies(together)  # a fitted set keeps its fit
     assert together[0].homography_fit is fitted
+
+
+def test_padding_in_a_group_cannot_reach_a_full_images_fit():
+    # A set of full (88-point) images is fitted alone, in a group where no
+    # image is padded, and with a set that has a shorter image, in one group
+    # of the same padded length; its fit has the same bytes in both.
+    _, _, obs = scene(seed=3)
+    full = first_images(obs, 3)
+    assert full.counts.tolist() == [88, 88, 88]
+    (ids, uv), (short_ids, short_uv) = split_images(obs)[3:5]
+    padded = stack_images(obs.target, [(ids, uv), (short_ids[:50], short_uv[:50])])
+    assert padded.counts.tolist() == [88, 50]
+    together = [unfitted(full), unfitted(padded)]
+    assert cg.stack_groups([88, int(padded.counts.max())]) == [[0, 1]]
+    cg.fit_homographies(together)
+    assert fit_outcome(together[0]) == fit_outcome(unfitted(full))
 
 
 def test_decomposition_takes_one_camera_per_homography():

@@ -16,18 +16,19 @@ def in_git_checkout() -> bool:
 
 @pytest.mark.skipif(not in_git_checkout(), reason="needs git and a checkout with a HEAD")
 def test_ab_tool_compares_the_working_tree_with_head():
-    # One round of three units: the tool exports HEAD, imports both sides and
-    # prints a row of figures per unit; the pooled unit runs on each side's
-    # pool and adds its workers' peak RSS (a number on Linux, "-" elsewhere).
+    # One round of four units: the tool exports HEAD, imports both sides and
+    # prints a row of figures per unit; `mc_starts` runs in a forked child per
+    # side, and the pooled unit runs on each side's pool and adds its workers'
+    # peak RSS (a number on Linux, "-" elsewhere).
     run = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), "--rounds", "1",
-                          "--units", "single", "mc_ba2", "mc_ba_pool"],
+                          "--units", "single", "mc_ba2", "mc_starts", "mc_ba_pool"],
                          capture_output=True, text=True, timeout=120, check=True)
     rows = {line.split()[0]: line.split()[1:] for line in run.stdout.splitlines()[2:]}
-    assert set(rows) == {"single", "mc_ba2", "mc_ba_pool"}
+    assert set(rows) == {"single", "mc_ba2", "mc_starts", "mc_ba_pool"}
     for figures in rows.values():
         ratio = float(figures[0])
         assert 0.2 < ratio < 5.0
-    assert rows["single"][-2:] == ["-", "-"]
+    assert rows["single"][-2:] == rows["mc_starts"][-2:] == ["-", "-"]
     for peak in rows["mc_ba_pool"][-2:]:
         assert peak == "-" if sys.platform != "linux" else float(peak) > 0
 

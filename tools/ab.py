@@ -10,6 +10,13 @@ a fresh 2-worker pool of each side:
     mc_ba2   `_run_chunk` of 2 trials, all four arms, 1 px (the `mc_ba` point)
     mc_ba5   the same with 5 trials
     mc_init  `_run_chunk` of 12 trials, arms ours and zhang, 0.5 px, 15 mm
+    mc_starts
+             the fits and starts of a 50-scene `mc_init` chunk alone: the
+             two arms' `calibrate_all` calls as `_run_arms` makes them
+             (`nimg`, then `zhang`, unrefined) on scenes drawn once, whose
+             homography fits are cleared before each run; it runs in a
+             child process forked per side that keeps the pool workers'
+             heap setting, and is timed there
     mc_ba_pool
              `run_monte_carlo` of the `mc_ba` point, 20 trials, on 2 workers
     mc_init_pool
@@ -25,9 +32,15 @@ times, the median minor page faults of one run (`RUSAGE_SELF`), and, for
 the pooled units, the largest peak RSS (`VmHWM`) of a worker of each
 side's own pool, in MB ("-" where /proc cannot be read).  Times are
 process time, except for the pooled units, whose work runs in the workers:
-those are wall time (`perf_counter`).  Uses the standard library and numpy
-only; run it with OPENBLAS_NUM_THREADS=1, as the benchmark does, so that
-the pooled units' workers do not oversubscribe the cores.
+those are wall time (`perf_counter`).  The other serial units run in this
+process under glibc's default heap, which hands freed memory back to the
+system and faults it in again, where the pool workers keep theirs
+(`synth._keep_worker_heap`); they can mislead about the pool: a change
+that adds large temporaries can read slower in `mc_init` than on the
+pool, and one that removes them faster.  `mc_starts` times its layer as
+a worker runs it.  Uses the standard library and numpy only; run it with
+OPENBLAS_NUM_THREADS=1, as the benchmark does, so that the pooled units'
+workers do not oversubscribe the cores.
 
     python3 tools/ab.py                          # HEAD against the working tree
     python3 tools/ab.py --against HEAD~1 --rounds 40 --units mc_ba2 mc_ba5
@@ -37,22 +50,26 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import importlib.util
 import io
 import json
+import multiprocessing
+import os
 import resource
 import subprocess
 import sys
 import tarfile
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-UNITS = ("mc_ba2", "mc_ba5", "mc_init", "mc_ba_pool", "mc_init_pool",
+UNITS = ("mc_ba2", "mc_ba5", "mc_init", "mc_starts", "mc_ba_pool", "mc_init_pool",
          "nimg", "minimal", "single")
 ARMS = ("ours", "ours_ba", "zhang", "zhang_ba")
 
@@ -114,6 +131,19 @@ def make_inputs(package, workdir: Path) -> dict:
 def unit_call(unit: str, package, inputs: dict, workdir: Path):
     """A function that runs `unit` once with `package`."""
     synth = package.synth
+    if unit == "mc_starts":
+        config = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=15.0)
+        rngs = [np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(t,)))
+                for t in range(50)]
+        sets = [obs for _, obs in synth._make_scenes(config, rngs)]
+
+        def fits_and_starts():
+            for obs in sets:
+                vars(obs).pop("homography_fit", None)
+            for mode in ("nimg", "zhang"):
+                package.pipeline.calibrate_all(sets, mode, refine=False,
+                                               starts=[None] * len(sets))
+        return fits_and_starts
     if unit == "mc_ba_pool":
         config = synth.default_config(pixel_noise_sigma=1.0, trial_count=20)
         return lambda: synth.run_monte_carlo(config, "noise", [1.0], arms=ARMS, workers=2)
@@ -145,6 +175,40 @@ def timed(call, clock=time.process_time):
     return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
+def forked_timer(package, call, stack: contextlib.ExitStack):
+    """A function that returns `timed(call)` of one run in a child forked now.
+
+    The child keeps the pool workers' heap setting (`synth._keep_worker_heap`)
+    and serves until `stack` closes its pipe; `stack` then waits for it.  A
+    call that raises ends the child with its traceback on stderr, and the
+    timer with EOFError.
+    """
+    conn, child = multiprocessing.Pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the caller's code
+        code = 1
+        try:
+            conn.close()
+            package.synth._keep_worker_heap()
+            while True:
+                child.recv()
+                child.send(timed(call))
+        except EOFError:
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    child.close()
+    stack.callback(os.waitpid, pid, 0)
+    stack.callback(conn.close)
+
+    def timer():
+        conn.send(None)
+        return conn.recv()
+    return timer
+
+
 def worker_peak_mb(package) -> str:
     """The largest `VmHWM` of a worker of `package`'s pool, in MB, or "-" if unreadable."""
     peaks = []
@@ -166,18 +230,32 @@ def bootstrap_median(ratios, rng, draws: int = 2000):
 
 
 def measured(units, rounds: int, a, b, inputs: dict, workdir: Path, clock) -> dict:
-    """Every unit's per-round (B/A, A/A) ratios, times and faults; the units alternate."""
-    calls = {unit: (unit_call(unit, a, inputs, workdir), unit_call(unit, b, inputs, workdir))
-             for unit in units}
-    for call_a, call_b in calls.values():  # warm both sides once
-        call_a(), call_b()
+    """Every unit's per-round (B/A, A/A) ratios, times and faults; the units alternate.
+
+    `mc_starts` is timed in a forked child per side (`forked_timer`), the
+    other units here, on `clock`.
+    """
+    with contextlib.ExitStack() as stack:
+        timers = {}
+        for unit in units:
+            calls = [unit_call(unit, package, inputs, workdir) for package in (a, b)]
+            timers[unit] = ([forked_timer(package, call, stack)
+                             for package, call in zip((a, b), calls)] if unit == "mc_starts"
+                            else [functools.partial(timed, call, clock) for call in calls])
+        return alternated(timers, rounds)
+
+
+def alternated(timers: dict, rounds: int) -> dict:
+    """`measured` from each unit's (A, B) timers, which return (seconds, faults) of a run."""
+    for timer_a, timer_b in timers.values():  # warm both sides once
+        timer_a(), timer_b()
     stats = {unit: {"ab": [], "aa": [], "a": [], "b": [], "faults_a": [], "faults_b": []}
-             for unit in units}
+             for unit in timers}
     for _ in range(rounds):
-        for unit, (call_a, call_b) in calls.items():
-            (a1, fa), (b1, fb), (b2, _), (a2, _) = (timed(call, clock) for call in
-                                                    (call_a, call_b, call_b, call_a))
-            c1, c2, c3, c4 = (timed(call_a, clock)[0] for _ in range(4))
+        for unit, (timer_a, timer_b) in timers.items():
+            (a1, fa), (b1, fb), (b2, _), (a2, _) = (timer() for timer in
+                                                    (timer_a, timer_b, timer_b, timer_a))
+            c1, c2, c3, c4 = (timer_a()[0] for _ in range(4))
             s = stats[unit]
             s["ab"].append((b1 + b2) / (a1 + a2))
             s["aa"].append((c2 + c3) / (c1 + c4))
