@@ -28,7 +28,9 @@ fits every image's homography once, in one batched DLT
 (`ObservationSet.homography_fit`), and every solver reads that result.
 `fit_homographies` fits many sets in one pass: the images of the sets
 that share a padded length run through one DLT, a group of sets at a
-time (`stack_groups`), and each set gets the fit it gets alone.
+time, and each set gets the fit it gets alone.  `stacked` is the one rule
+of every such call (fits, closed forms, baseline conics, bundle
+adjustments): each item gets its own value or CalibrationError back.
 
 Radial distortion uses the forward (projection-side) model: normalized
 coordinates are scaled by (1 + d1 r^2 + d2 r^4) before the intrinsic
@@ -450,10 +452,7 @@ class ObservationSet:
 
         The solvers and the baseline all read this one result.
         """
-        (fit,) = _fits([self])
-        if isinstance(fit, Exception):
-            raise fit
-        return fit
+        return errors.raised(_fits([self])[0])
 
 
 def _with_scale_convention(H: np.ndarray) -> np.ndarray:
@@ -662,10 +661,7 @@ def estimate_homography(target_xy: np.ndarray, pixels_uv: np.ndarray) -> np.ndar
     if len(X) < 4:
         raise ValueError("homography estimation needs at least 4 point pairs")
     H, *flags = _dlt(lambda: np.concatenate((X, U), axis=1).T, np.array([len(X)]))
-    error = _dlt_error(*flags)
-    if error is not None:
-        raise error
-    return H[0]
+    return errors.raised(_dlt_error(*flags) or H[0])
 
 
 class HomographyFit(NamedTuple):
@@ -700,8 +696,8 @@ class HomographyFit(NamedTuple):
 
 
 # The most observation sets, or problems, whose kernels share stacked calls
-# (`stack_groups`): the homography fits, closed forms and baseline conics of
-# a Monte Carlo chunk, and its bundle adjustments.  Both bundle adjustments
+# (`stacked`): the homography fits, closed forms and baseline conics of a
+# Monte Carlo chunk, and its bundle adjustments.  Both bundle adjustments
 # of the default scene at 1 px (one BLAS thread) take 8.6 ms per scene
 # alone, 6.2 in stacks of 8, 6.0 in stacks of 16 and 24 and 6.9 in stacks
 # of 48, while the peak RSS grows by about 1.6 MB per problem in a stack:
@@ -714,74 +710,60 @@ class HomographyFit(NamedTuple):
 _STACK_SIZE = 8
 
 
-def stack_groups(keys) -> list:
-    """The positions of `keys` cut into the groups whose kernels share stacked calls.
+def stacked(items, key, solve) -> list:
+    """Per item its outcome from stacked calls: a value or an exception.
 
-    A key is a layout, what the rounding of a stacked call depends on.  The
-    positions of one key are cut, in order, into the fewest groups of at
-    most _STACK_SIZE, whose sizes differ by at most one (10 run as 5 + 5).
+    An item that is already an exception is its own outcome and never
+    reaches `solve`.  The other items of one `key(item)`, a layout, what
+    the rounding of a stacked call depends on, are cut, in order, into the
+    fewest groups of at most _STACK_SIZE, whose sizes differ by at most one,
+    the larger first (10 run as 5 + 5, 17 as 6 + 6 + 5).  `solve(group)`
+    returns one outcome per item of the group, each item's value or the
+    CalibrationError it raised.
     """
+    outcomes = list(items)
     layouts = {}
-    for k, key in enumerate(keys):
-        layouts.setdefault(key, []).append(k)
-    groups = []
+    for k, item in enumerate(outcomes):
+        if not isinstance(item, Exception):
+            layouts.setdefault(key(item), []).append(k)
     for members in layouts.values():
         parts = -(-len(members) // _STACK_SIZE)
-        groups += [members[len(members) * j // parts:len(members) * (j + 1) // parts]
-                   for j in range(parts)]
-    return groups
+        ends = [-(-len(members) * j // parts) for j in range(parts + 1)]  # ceilings
+        for first, last in zip(ends, ends[1:]):
+            group = members[first:last]
+            for k, outcome in zip(group, solve([outcomes[k] for k in group])):
+                outcomes[k] = outcome
+    return outcomes
 
 
 def fit_homographies(observation_sets) -> None:
     """Fit the homographies of every observation set not yet fitted, in stacked DLTs.
 
     Each fit is cached as the set's `homography_fit`, the same, to the bit,
-    as the one the set gets alone (`_fits`).  A set that cannot be fitted
-    is left unfitted, and its own `homography_fit` raises the error.
+    as the one the set gets alone (`_fits`).  A set that cannot be fitted,
+    or has no images, is left unfitted, and its own `homography_fit` raises
+    the error.
     """
-    pending = [obs for obs in observation_sets if "homography_fit" not in vars(obs)]
+    pending = [obs for obs in observation_sets if len(obs) and "homography_fit" not in vars(obs)]
     for observations, fit in zip(pending, _fits(pending)):
         if isinstance(fit, HomographyFit):
             vars(observations)["homography_fit"] = fit  # the cached property's slot
 
 
 def _fits(observation_sets) -> list:
-    """Per observation set its HomographyFit, or the exception its fit raises.
+    """Per observation set its HomographyFit, or the CalibrationError its fit
+    raises; a set with no images raises ValueError for the call.
 
-    The sets that share a padded length (their largest count) are cut into
-    groups (`stack_groups`), and the images of a group's sets run through
-    one `_dlt` call, each set in its own units (`_fit_units`).
+    Each set is taken to its own units (`_fit_units`), and the images of the
+    sets that share a padded length (their largest count) run through one
+    `_dlt` call a group at a time (`stacked`).
     """
-    outcomes = [None] * len(observation_sets)
-    for group in stack_groups([int(obs.counts.max()) if len(obs) else None
-                               for obs in observation_sets]):
-        units = {}
-        for k in group:
-            try:
-                units[k] = _fit_units(observation_sets[k])
-            except (ValueError, errors.DegenerateConfiguration) as exc:
-                outcomes[k] = exc
-        if not units:
-            continue
-        sets = [observation_sets[k] for k in units]
-        H, ambiguous, rank_deficient = _dlt(lambda: _unit_points(sets, units.values()),
-                                            np.concatenate([obs.counts for obs in sets]))
-        flagged = ambiguous | rank_deficient
-        last = 0
-        for k, unit in units.items():
-            images = slice(last, last + len(observation_sets[k]))
-            last = images.stop
-            if flagged[images].any():
-                outcomes[k] = _dlt_error(ambiguous[images], rank_deficient[images])
-            else:
-                matrices = H[images]
-                matrices.flags.writeable = False  # cached on the set and shared by every solver
-                outcomes[k] = HomographyFit(matrices, *unit[1:])
-    return outcomes
+    return stacked([errors.attempt(_fit_units, obs) for obs in observation_sets],
+                   lambda item: int(item[0].counts.max()), _fitted)
 
 
-def _fit_units(observations: ObservationSet) -> HomographyFit:
-    """A set's fit without its matrices: the shifts and scales of its units."""
+def _fit_units(observations: ObservationSet):
+    """(the set, its fit without matrices): the shifts and scales of its units."""
     if not len(observations):
         raise ValueError("the observation set has no images to fit homographies to")
     uv = observations.uv
@@ -793,16 +775,31 @@ def _fit_units(observations: ObservationSet) -> HomographyFit:
         raise errors.DegenerateConfiguration(
             "image 0: every observed pixel of every image is the same point")
     tgt_shift, tgt_scale = observations.target._frame
-    return HomographyFit(None, pixel_scale=pix_scale, pixel_shift=pix_shift,
-                         target_scale=tgt_scale, target_shift=tgt_shift)
+    return observations, HomographyFit(None, pixel_scale=pix_scale, pixel_shift=pix_shift,
+                                       target_scale=tgt_scale, target_shift=tgt_shift)
 
 
-def _unit_points(observation_sets, units) -> np.ndarray:
-    """The target points and pixels of the sets, each in its `units`, (4, M):
-    one component a row (x, y, u, v), set after set."""
-    points = np.empty((4, sum(len(obs.ids) for obs in observation_sets)))
+def _fitted(units) -> list:
+    """The fits of sets of one padded length, each with its `_fit_units`, from one `_dlt`."""
+    H, ambiguous, rank_deficient = _dlt(lambda: _unit_points(units),
+                                        np.concatenate([obs.counts for obs, _ in units]))
+    outcomes, last = [], 0
+    for obs, unit in units:
+        images = slice(last, last + len(obs))
+        last = images.stop
+        matrices = H[images]
+        matrices.flags.writeable = False  # cached on the set and shared by every solver
+        outcomes.append(_dlt_error(ambiguous[images], rank_deficient[images])
+                        or HomographyFit(matrices, *unit[1:]))
+    return outcomes
+
+
+def _unit_points(units) -> np.ndarray:
+    """The target points and pixels of the sets of `_fit_units` pairs, each in
+    its units, (4, M): one component a row (x, y, u, v), set after set."""
+    points = np.empty((4, sum(len(obs.ids) for obs, _ in units)))
     last = 0
-    for obs, unit in zip(observation_sets, units):
+    for obs, unit in units:
         columns = slice(last, last + len(obs.ids))
         last = columns.stop
         np.subtract(obs.xy.T, unit.target_shift[:, None], out=points[:2, columns])
@@ -826,7 +823,8 @@ def decompose_homography(H: np.ndarray, intr):
         M = intr.inverse @ H
     elif len(intr) == len(H):
         runs = [list(run) for _, run in itertools.groupby(intr, key=id)]
-        M = np.repeat([run[0].inverse for run in runs], [len(run) for run in runs], axis=0) @ H
+        inverses = np.reshape([run[0].inverse for run in runs], (-1, 3, 3))
+        M = np.repeat(inverses, [len(run) for run in runs], axis=0) @ H
     else:
         raise ValueError(f"intrinsics must be one camera or one per homography, "
                          f"got {len(intr)} for {len(H)} homographies")

@@ -52,3 +52,19 @@ class PipelineStageError(CalibrationError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def attempt(fn, *args):
+    """`fn(*args)`, or the CalibrationError it raised: the outcome of one item
+    of a stacked call.  Any other exception is raised."""
+    try:
+        return fn(*args)
+    except CalibrationError as exc:
+        return exc
+
+
+def raised(outcome):
+    """An outcome's value, or, if it is an exception, that exception raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -29,7 +29,7 @@ from .core_geom import (
     decompose_homography,
     real_array,
     real_number,
-    stack_groups,
+    stacked,
 )
 
 # The entries of a symmetric 3x3 matrix in the order of its 6-vector form
@@ -199,8 +199,8 @@ def solve_closed_form(observations):
 
     Returns (CameraIntrinsics, SphericalExtrinsics), solved from the
     observations' homography fit alone.  Given a list of ObservationSets,
-    returns per set that pair or the CalibrationError it raised; the sets
-    of one image count are solved a group at a time (`stack_groups`,
+    returns per set that pair or the CalibrationError it raised; the fits
+    of one image count are solved a group at a time (`stacked`,
     `_closed_forms`), and each result is the same, to the bit, as alone.
     A set of fewer than three images raises ValueError for the call.
     """
@@ -210,60 +210,49 @@ def solve_closed_form(observations):
         if len(observations) < 3:
             raise ValueError(f"closed-form solver needs at least 3 images, "
                              f"got {len(observations)}")
-    outcomes = [None] * len(observation_sets)
-    for group in stack_groups([len(observations) for observations in observation_sets]):
-        for k, outcome in zip(group, _closed_forms([observation_sets[k] for k in group])):
-            outcomes[k] = outcome
-    if many:
-        return outcomes
-    if isinstance(outcomes[0], errors.CalibrationError):
-        raise outcomes[0]
-    return outcomes[0]
+    fits = [errors.attempt(getattr, obs, "homography_fit") for obs in observation_sets]
+    outcomes = stacked(fits, lambda fit: len(fit.matrices), _closed_forms)
+    return outcomes if many else errors.raised(outcomes[0])
 
 
-def _closed_forms(observation_sets) -> list:
-    """`solve_closed_form` of sets of one image count: per set its result or
-    the CalibrationError it raised.
+def _closed_forms(fits) -> list:
+    """`solve_closed_form` of the fits of one image count: per fit its result
+    or the CalibrationError it raised.
 
-    The determinants, inverses and conic rows of all the sets' homographies
+    The determinants, inverses and conic rows of all the fits' homographies
     are one call each, and so is the decomposition of the poses of the
-    sets solved; only the least-squares solve runs set by set, since numpy
-    has no batched lstsq.  Every call acts on each matrix alone.
+    sets solved (`_posed`); only the least-squares solve runs set by set
+    (`_linear_solution`), since numpy has no batched lstsq.  Every call
+    acts on each matrix alone.
     """
-    outcomes = [None] * len(observation_sets)
-    fits = {}
-    for k, observations in enumerate(observation_sets):
-        try:
-            fits[k] = observations.homography_fit
-        except errors.CalibrationError as exc:
-            outcomes[k] = exc
-    if not fits:
-        return outcomes
-    H = np.concatenate([fit.matrices for fit in fits.values()])
+    H = np.concatenate([fit.matrices for fit in fits])
     ratios, singular = _scale_ratios(H, len(H) // len(fits))
     d, b = _constraint_rows(H, ratios)
-    solved = {}
-    for k, d_k, b_k, degenerate in zip(fits, np.split(d, len(fits)), np.split(b, len(fits)),
-                                       singular):
-        try:
-            if degenerate:
-                raise errors.DegenerateConfiguration("homography of image 0 is singular")
-            solution, _, _, sv = np.linalg.lstsq(d_k.reshape(-1, 11), b_k.reshape(-1),
-                                                 rcond=None)
-            if sv[-1] <= RANK_RATIO_CUTOFF * sv[0]:
-                raise errors.DegenerateConfiguration(
-                    f"stacked linear system is rank deficient "
-                    f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})")
-            solved[k] = _decode_intrinsics(solution[:5]), _decode_center(solution[5:])
-        except errors.CalibrationError as exc:
-            outcomes[k] = exc
-    if solved:
-        rotations, _, _ = decompose_homography(
-            np.concatenate([fits[k].matrices for k in solved]),
-            [intr_n for k, (intr_n, _) in solved.items() for _ in fits[k].matrices])
-        for (k, (intr_n, center_n)), R in zip(solved.items(), np.split(rotations, len(solved))):
-            outcomes[k] = _raw_solution(fits[k], intr_n, center_n, R)
-    return outcomes
+    return stacked([errors.attempt(_linear_solution, *system) for system in
+                    zip(fits, np.split(d, len(fits)), np.split(b, len(fits)), singular)],
+                   lambda solution: len(solution[0].matrices), _posed)
+
+
+def _linear_solution(fit, d, b, singular: bool):
+    """(fit, intrinsics, center (x, y, r)) in fit units from one set's rows d
+    (N, 6, 11) and right sides b (N, 6)."""
+    if singular:
+        raise errors.DegenerateConfiguration("homography of image 0 is singular")
+    solution, _, _, sv = np.linalg.lstsq(d.reshape(-1, 11), b.reshape(-1), rcond=None)
+    if sv[-1] <= RANK_RATIO_CUTOFF * sv[0]:
+        raise errors.DegenerateConfiguration(
+            f"stacked linear system is rank deficient "
+            f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})")
+    return fit, _decode_intrinsics(solution[:5]), _decode_center(solution[5:])
+
+
+def _posed(solutions) -> list:
+    """The raw results of `_linear_solution`s, their poses decomposed in one call."""
+    rotations, _, _ = decompose_homography(
+        np.concatenate([fit.matrices for fit, _, _ in solutions]),
+        [intr_n for fit, intr_n, _ in solutions for _ in fit.matrices])
+    return [_raw_solution(fit, intr_n, center_n, R) for (fit, intr_n, center_n), R
+            in zip(solutions, np.split(rotations, len(solutions)))]
 
 
 def _raw_solution(fit, intr_n, center_n, rotations):

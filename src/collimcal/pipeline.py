@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors
 from .core_geom import (CameraIntrinsics, Distortion, ObservationSet, decompose_homography,
-                        fit_homographies, stack_groups)
+                        fit_homographies, stacked)
 from .multi_solver import (SphericalExtrinsics, conic_rows, decompose_iac,
                            solve_closed_form, solve_minimal)
 from .refine import (ResidualReport, bundle_adjustments, general_ba, spherical_ba,
@@ -39,58 +39,44 @@ def zhang_init(observations: ObservationSet) -> CameraIntrinsics:
     singular vector.  Needs >= 3 images for the full five-parameter model;
     with exactly 2 a zero-skew row is added.
     """
-    return observations.homography_fit.intrinsics_to_raw(_alone(_zhang_iacs([observations])[0]))
+    intr_n = errors.raised(_zhang_iacs([observations])[0])
+    return observations.homography_fit.intrinsics_to_raw(intr_n)
 
 
 def _zhang_iacs(observation_sets) -> list:
     """The baseline's intrinsics (`zhang_init`) of each set in the fit units of
     its homographies, or the CalibrationError it raised.
 
-    One `conic_rows` call takes the homographies of every set, and the
-    (k, 2N, 6) constraint systems of each group of k sets of N images
-    (`stack_groups`) are one batched SVD, so each result is the one the
-    set gets alone.  A set of fewer than 2 images raises ValueError for
-    the call.
+    The fits of one image count are solved a group at a time (`stacked`,
+    `_iacs`), and each result is the one the set gets alone.  A set of
+    fewer than 2 images raises ValueError for the call.
     """
     for observations in observation_sets:
         if len(observations) < 2:
             raise ValueError("baseline initialization needs at least 2 images")
-    outcomes = [None] * len(observation_sets)
-    fitted = {}
-    for k, observations in enumerate(observation_sets):
-        try:
-            fitted[k] = observations.homography_fit.matrices
-        except errors.CalibrationError as exc:
-            outcomes[k] = exc
-    if not fitted:
-        return outcomes
-    u = conic_rows(np.concatenate(list(fitted.values())))
-    rows = np.stack([u[:, 1], u[:, 0] - u[:, 3]], axis=1)  # u12, u11 - u22
-    systems = dict(zip(fitted, np.split(rows, np.cumsum([len(H) for H in fitted.values()])[:-1])))
-    members = list(fitted)
-    for group in stack_groups([len(fitted[k]) for k in members]):
-        group = [members[j] for j in group]
-        V = np.stack([systems[k].reshape(-1, 6) for k in group])
-        if len(fitted[group[0]]) == 2:
-            V = np.pad(V, ((0, 0), (0, 1), (0, 0)))
-            V[:, -1, 1] = 1.0  # gamma = 0
-        _, s, Vt = np.linalg.svd(V)
-        for k, s_k, Vt_k in zip(group, s, Vt):
-            try:
-                if s_k[-2] <= 1e-9 * s_k[0]:
-                    raise errors.DegenerateConfiguration(
-                        "absolute-conic constraint matrix is rank deficient")
-                outcomes[k] = decompose_iac(Vt_k[-1])
-            except errors.CalibrationError as exc:
-                outcomes[k] = exc
-    return outcomes
+    fits = [errors.attempt(getattr, obs, "homography_fit") for obs in observation_sets]
+    return stacked(fits, lambda fit: len(fit.matrices), _iacs)
 
 
-def _alone(outcome):
-    """The result of a set solved in a stacked call, or the error it raised, raised."""
-    if isinstance(outcome, errors.CalibrationError):
-        raise outcome
-    return outcome
+def _iacs(fits) -> list:
+    """`_zhang_iacs` of the fits of one image count: one `conic_rows` call
+    takes all their homographies, and their (k, 2N, 6) constraint systems
+    are one batched SVD, each decoded alone (`_iac`)."""
+    u = conic_rows(np.concatenate([fit.matrices for fit in fits]))
+    V = np.stack([u[:, 1], u[:, 0] - u[:, 3]], axis=1).reshape(len(fits), -1, 6)  # u12, u11 - u22
+    if len(fits[0].matrices) == 2:
+        V = np.pad(V, ((0, 0), (0, 1), (0, 0)))
+        V[:, -1, 1] = 1.0  # gamma = 0
+    _, s, Vt = np.linalg.svd(V)
+    return [errors.attempt(_iac, s_k, Vt_k) for s_k, Vt_k in zip(s, Vt)]
+
+
+def _iac(s, Vt) -> CameraIntrinsics:
+    """The intrinsics of one constraint system's singular values s and right
+    singular vectors Vt."""
+    if s[-2] <= 1e-9 * s[0]:
+        raise errors.DegenerateConfiguration("absolute-conic constraint matrix is rank deficient")
+    return decompose_iac(Vt[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +142,7 @@ def calibrate(observations: ObservationSet, mode: str, *, refine: bool = True,
     if database is not None:
         raise ValueError(f"the ray database is used by the single mode only, not {mode!r}")
     (start,) = _solved_starts([observations], mode)
-    started = _started(observations, mode, refine, _alone(start))
+    started = _started(observations, mode, refine, start)
     init = (started.intrinsics, started.distortion, started.extrinsics)
     if not refine:
         return started if mode == "zhang" else replace(
@@ -175,13 +161,7 @@ def _solved_starts(observation_sets, mode: str) -> list:
     if mode not in ("nimg", "minimal", "zhang"):
         raise ValueError(f"unknown calibration mode {mode!r}")
     if mode == "minimal":
-        outcomes = []
-        for observations in observation_sets:
-            try:
-                outcomes.append(solve_minimal(observations))
-            except errors.CalibrationError as exc:
-                outcomes.append(exc)
-        return outcomes
+        return [errors.attempt(solve_minimal, observations) for observations in observation_sets]
     if not observation_sets:
         return []
     solved = (solve_closed_form(observation_sets) if mode == "nimg"
@@ -192,11 +172,12 @@ def _solved_starts(observation_sets, mode: str) -> list:
 
 def _started(observations: ObservationSet, mode: str, refine: bool, start) -> Calibration:
     """The unrefined Calibration of `observations` in `mode` from its start
-    candidates `start`, with no report.
+    candidates `start`, with no report; a start that is an exception is raised.
 
     Refined, the `zhang` mode also gets the poses its bundle adjustment
     starts from.
     """
+    start = errors.raised(start)
     fit = observations.homography_fit
     intr, ext = (fit.intrinsics_to_raw(start[0]), None) if mode == "zhang" else start[0]
     if refine and mode == "zhang":
@@ -222,13 +203,9 @@ def calibrate_all(observation_sets, mode: str, *, refine: bool, starts) -> list:
     fit_homographies(observation_sets)
     solved = iter(_solved_starts([observations for observations, start
                                   in zip(observation_sets, starts) if start is None], mode))
-    outcomes = []
-    for observations, start in zip(observation_sets, starts):
-        try:
-            outcomes.append(_started(observations, mode, refine,
-                                     _alone(next(solved) if start is None else start)))
-        except errors.CalibrationError as exc:
-            outcomes.append(exc)
+    outcomes = [errors.attempt(_started, observations, mode, refine,
+                               next(solved) if start is None else start)
+                for observations, start in zip(observation_sets, starts)]
     seconds = [(time.perf_counter() - began) / max(len(outcomes), 1)] * len(outcomes)
     if refine:
         started = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, Calibration)]
@@ -241,14 +218,14 @@ def calibrate_all(observation_sets, mode: str, *, refine: bool, starts) -> list:
         share = (time.perf_counter() - began) / max(len(started), 1)
         for k, result in zip(started, adjusted):
             seconds[k] += share
-            outcomes[k] = (result if isinstance(result, errors.CalibrationError)
-                           else _refined(outcomes[k], result))
+            outcomes[k] = errors.attempt(_refined, outcomes[k], result)
     return list(zip(outcomes, seconds))
 
 
 def _refined(started: Calibration, adjusted) -> Calibration:
-    """`started` with the camera, poses and report of its bundle adjustment's result."""
-    (intr, dist, ext), report = adjusted
+    """`started` with the camera, poses and report of its bundle adjustment's
+    result; a result that is an exception is raised."""
+    (intr, dist, ext), report = errors.raised(adjusted)
     return replace(started, intrinsics=intr, extrinsics=ext, distortion=dist, report=report)
 
 

@@ -66,7 +66,7 @@ from .core_geom import (
     radial_pixels,
     real_array,
     rotation_matrix_from_axis_angle,
-    stack_groups,
+    stacked,
 )
 from .multi_solver import SphericalExtrinsics
 
@@ -335,9 +335,7 @@ def lm_minimize(residual_fn, jacobian_fn, x0, *, robust_scale: float, plus,
 
     (outcome,) = _lockstep((_one(normal_equations), _one(plus), _one(residual_fn)), [x0],
                            robust_scale=robust_scale, block_size=block_size)
-    if isinstance(outcome, errors.CalibrationError):
-        raise outcome
-    return outcome
+    return errors.raised(outcome)
 
 
 def _one(fn):
@@ -822,8 +820,9 @@ def _adjusted(problem):
     return _finished(residual(x), unpack(x), image, report)
 
 
-def _adjusted_together(problems) -> list:
-    """`_adjusted` of problems of one layout (`_Reprojection`s), run side by side.
+def _adjusted_together(problems, result_of) -> list:
+    """`result_of(*_adjusted(...))` of problems of one layout (`_Reprojection`s),
+    run side by side.
 
     One `_lockstep` over one `_Stack`: each result is the same as alone.
     Returns per problem the result or the CalibrationError LM raised.
@@ -833,8 +832,8 @@ def _adjusted_together(problems) -> list:
                          [problem.x0 for problem in problems],
                          robust_scale=_CAUCHY_SCALE_PX, block_size=2)
     return [outcome if isinstance(outcome, errors.CalibrationError) else
-            _finished(outcome[0].evaluation[0], problem.unpack(outcome[0]), problem.image,
-                      outcome[1])
+            result_of(*_finished(outcome[0].evaluation[0], problem.unpack(outcome[0]),
+                                 problem.image, outcome[1]))
             for problem, outcome in zip(problems, outcomes)]
 
 
@@ -842,24 +841,19 @@ def bundle_adjustments(kind: str, observation_sets, inits) -> list:
     """`spherical_ba` ("spherical") or `general_ba` ("general") of every
     (observations, init) pair, those of one layout run side by side.
 
-    Pairs with the same image count and the same largest image (the padded
-    length L, on which the rounding of a stacked Gram depends) run in the
-    groups of `stack_groups` (10 pairs as 5 + 5).  The LM runs of a group
-    share every kernel call (`_adjusted_together`), so every result is the
-    same, to the bit, as that of the public function.  Returns per pair its
-    result, or the CalibrationError it raised; a start that is not valid
-    raises its ValueError.
+    The problems of one layout (`_Reprojection.layout`: the image count and
+    the padded length, on which the rounding of a stacked Gram depends) run
+    a group at a time (`stacked`, 10 pairs as 5 + 5).  The LM runs of a
+    group share every kernel call (`_adjusted_together`), so every result
+    is the same, to the bit, as that of the public function.  Returns per
+    pair its result, or the CalibrationError it raised; a start that is not
+    valid raises its ValueError.
     """
     problem_of, result_of = ((_spherical, _spherical_result) if kind == "spherical"
                              else (_general, _general_result))
-    outcomes = [None] * len(observation_sets)
-    for group in stack_groups([(len(observations), int(observations.counts.max()))
-                               for observations in observation_sets]):
-        problems = [problem_of(observation_sets[k], inits[k]) for k in group]
-        for k, outcome in zip(group, _adjusted_together(problems)):
-            outcomes[k] = (outcome if isinstance(outcome, errors.CalibrationError)
-                           else result_of(*outcome))
-    return outcomes
+    return stacked([problem_of(obs, init) for obs, init in zip(observation_sets, inits)],
+                   lambda problem: problem.layout,
+                   lambda problems: _adjusted_together(problems, result_of))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import collimcal
-from collimcal import core_geom, multi_solver, refine, single_calib
+from collimcal import core_geom, errors, multi_solver, refine, single_calib
 from collimcal import (
     CameraIntrinsics,
     Distortion,
@@ -277,6 +277,99 @@ def test_no_module_imports_another_modules_private_names():
                            "e._hidden()\n") == ["core_geom._dlt", "e._hidden"]
     found = {path.name: names for path in (ROOT / "src" / "collimcal").glob("*.py")
              if (names := private_imports(path.read_text()))}
+    assert not found
+
+
+# The one outcome rule of stacked calls: `errors.attempt` stores a caught
+# CalibrationError, `refine._lockstep` stores a run's, and `core_geom.stacked`
+# alone reads the group size.
+OUTCOME_RULE = {"handler": ("errors.attempt", "refine._lockstep"),
+                "_STACK_SIZE": ("core_geom.stacked",)}
+
+
+def catches_calibration_error(handler):
+    """Whether an except handler names CalibrationError or one of its subclasses."""
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    kinds = [getattr(errors, ast.unparse(kind).split(".")[-1], None)
+             for kind in caught if kind is not None]
+    return any(isinstance(kind, type) and issubclass(kind, errors.CalibrationError)
+               for kind in kinds)
+
+
+def only_stores(handler):
+    """Whether an except handler's body only assigns, appends or returns the caught name."""
+    def stored(statement):
+        value = getattr(statement, "value", None)
+        if (isinstance(statement, ast.Expr) and isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute) and value.func.attr == "append"):
+            value = value.args[0] if len(value.args) == 1 else None
+        elif not isinstance(statement, (ast.Assign, ast.Return)):
+            return False
+        return isinstance(value, ast.Name) and value.id == handler.name
+    return handler.name is not None and all(map(stored, handler.body))
+
+
+def outcome_rule_copies(source, module):
+    """Copies in `source` of the outcome rule, as "<function>: <what>": an
+    `except ... CalibrationError as exc` handler (or one of a subclass)
+    whose body only stores exc, and a read of _STACK_SIZE, each outside the
+    functions OUTCOME_RULE names (a nested function counts as the one that
+    encloses it)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = (f"{owner}.{child.name}" if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else owner)
+            if isinstance(child, ast.ExceptHandler) and catches_calibration_error(child) \
+                    and only_stores(child):
+                what = "handler"
+            elif (isinstance(child, ast.Name) and child.id == "_STACK_SIZE"
+                  or isinstance(child, ast.Attribute) and child.attr == "_STACK_SIZE") \
+                    and isinstance(child.ctx, ast.Load):
+                what = "_STACK_SIZE"
+            else:
+                what = None
+            if what and not any(inner == kept or inner.startswith(kept + ".")
+                                for kept in OUTCOME_RULE[what]):
+                found.append(f"{inner}: {what}")
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_outcome_rule_scan_flags_a_copy():
+    source = ("def attempt(fn):\n"
+              "    try:\n        return fn()\n"
+              "    except CalibrationError as exc:\n        return exc\n"
+              "def stacked(items):\n    return items[:_STACK_SIZE]\n"
+              "def solve_all(items, out):\n"
+              "    for k, item in enumerate(items):\n"
+              "        try:\n            out[k] = solve(item)\n"
+              "        except errors.CalibrationError as exc:\n            out[k] = exc\n"
+              "        try:\n            out.append(solve(item))\n"
+              "        except (ValueError, errors.DegenerateConfiguration) as exc:\n"
+              "            out.append(exc)\n"
+              "        except errors.CalibrationError as exc:\n"
+              "            raise Failed(exc) from exc\n"
+              "        except errors.CalibrationError:\n            cost = inf\n"
+              "        except ValueError as exc:\n            out[k] = exc\n"
+              "    return core_geom._STACK_SIZE\n"
+              "_STACK_SIZE = 8\n")
+    assert outcome_rule_copies(source, "errors") == [
+        "errors.solve_all: _STACK_SIZE", "errors.solve_all: handler",
+        "errors.solve_all: handler", "errors.stacked: _STACK_SIZE"]
+    assert outcome_rule_copies(source, "core_geom") == [
+        "core_geom.attempt: handler", "core_geom.solve_all: _STACK_SIZE",
+        "core_geom.solve_all: handler", "core_geom.solve_all: handler"]
+
+
+def test_stacked_calls_keep_one_outcome_rule():
+    # Every stacked call groups through core_geom.stacked and stores an
+    # error through errors.attempt, rather than a loop of its own.
+    found = {path.name: copies for path in (ROOT / "src" / "collimcal").glob("*.py")
+             if (copies := outcome_rule_copies(path.read_text(), path.stem))}
     assert not found
 
 

@@ -753,10 +753,10 @@ def test_fit_homographies_gives_each_set_the_fit_or_error_it_gets_alone():
     assert together[0].homography_fit is fitted
 
 
-def test_padding_in_a_group_cannot_reach_a_full_images_fit():
+def test_padding_in_a_group_cannot_reach_a_full_images_fit(monkeypatch):
     # A set of full (88-point) images is fitted alone, in a group where no
-    # image is padded, and with a set that has a shorter image, in one group
-    # of the same padded length; its fit has the same bytes in both.
+    # image is padded, and with a set that has a shorter image, in one `_dlt`
+    # call of the same padded length; its fit has the same bytes in both.
     _, _, obs = scene(seed=3)
     full = first_images(obs, 3)
     assert full.counts.tolist() == [88, 88, 88]
@@ -764,27 +764,78 @@ def test_padding_in_a_group_cannot_reach_a_full_images_fit():
     padded = stack_images(obs.target, [(ids, uv), (short_ids[:50], short_uv[:50])])
     assert padded.counts.tolist() == [88, 50]
     together = [unfitted(full), unfitted(padded)]
-    assert cg.stack_groups([88, int(padded.counts.max())]) == [[0, 1]]
+    calls = []
+    real_dlt = cg._dlt
+
+    def spy(points, counts):
+        calls.append(counts.tolist())
+        return real_dlt(points, counts)
+
+    monkeypatch.setattr(cg, "_dlt", spy)
     cg.fit_homographies(together)
+    assert calls == [[88, 88, 88, 88, 50]]
+    monkeypatch.undo()
     assert fit_outcome(together[0]) == fit_outcome(unfitted(full))
 
 
 def test_decomposition_takes_one_camera_per_homography():
     # Each homography decomposed with its own camera is, to the bit, the
-    # stack decomposed with that one camera; a count that is neither one
-    # nor one per homography is refused.
+    # stack decomposed with that one camera, also for empty stacks; a
+    # count that is neither one nor one per homography is refused.
     cameras = [scene(seed=0)[0].intrinsics, TRUE_K]
     stacks = [np.array([cg.estimate_homography(xy, uv)
                         for xy, uv in image_points(dropped_points_scene(seed))])
               for seed in (3, 4)]
-    together = cg.decompose_homography(
-        np.concatenate(stacks), [k for k, H in zip(cameras, stacks) for _ in H])
-    parts = [cg.decompose_homography(H, k) for H, k in zip(stacks, cameras)]
-    for mine, theirs in zip(together, zip(*parts)):
-        assert mine.tobytes() == np.concatenate(theirs).tobytes()
+    for case in (stacks, [np.zeros((0, 3, 3))] * 2):
+        together = cg.decompose_homography(
+            np.concatenate(case), [k for k, H in zip(cameras, case) for _ in H])
+        parts = [cg.decompose_homography(H, k) for H, k in zip(case, cameras)]
+        for mine, theirs in zip(together, zip(*parts)):
+            assert mine.shape == np.concatenate(theirs).shape
+            assert mine.tobytes() == np.concatenate(theirs).tobytes()
+    assert [part.shape for part in together] == [(0, 3, 3), (0, 3), (0,)]
     with pytest.raises(ValueError, match="^intrinsics must be one camera or one per "
                                          "homography, got 2 for 15 homographies$"):
         cg.decompose_homography(stacks[0], cameras)
+
+
+def test_stacked_runs_the_live_items_of_a_key_in_even_groups():
+    # Items that already failed are their own outcomes and never reach the
+    # solve; the live items of one key run in order in the fewest even
+    # groups of at most 8, and every outcome goes back to its item's place.
+    def run(items):
+        groups = []
+
+        def solve(group):
+            groups.append(group)
+            return [("solved", item) for item in group]
+        return cg.stacked(items, lambda item: item[0], solve), groups
+
+    for count, sizes in ((10, [5, 5]), (17, [6, 6, 5])):
+        live = [("a", k) for k in range(count)]
+        failed = [errors.NoRealRoot(f"failed {k}") for k in range(3)]
+        items = failed[:1] + live[:4] + failed[1:] + live[4:]
+        outcomes, groups = run(items)
+        assert [len(group) for group in groups] == sizes
+        assert [item for group in groups for item in group] == live
+        assert all(outcome is item for outcome, item in zip(outcomes, items)
+                   if isinstance(item, Exception))
+        assert outcomes == [item if isinstance(item, Exception) else ("solved", item)
+                            for item in items]
+    interleaved = [(key, k) for k in range(6) for key in "ab"]
+    outcomes, groups = run(interleaved)
+    assert groups == [interleaved[0::2], interleaved[1::2]]
+    assert outcomes == [("solved", item) for item in interleaved]
+    # The outcome of one call: its value or the CalibrationError it raised,
+    # which `raised` raises again; any other exception goes out.
+    assert errors.attempt(divmod, 7, 2) == (3, 1) == errors.raised((3, 1))
+    failure = errors.attempt(errors.raised, errors.NoRealRoot("no root"))
+    assert isinstance(failure, errors.NoRealRoot)
+    with pytest.raises(ValueError, match="invalid literal"):
+        errors.attempt(int, "seven")
+    for outcome in (failure, ValueError("bad"), KeyError("key")):
+        with pytest.raises(type(outcome)):
+            errors.raised(outcome)
 
 
 def reference_decomposition(H, intr):

@@ -81,6 +81,12 @@ def test_stacked_baseline_gives_each_set_its_own_intrinsics_or_error():
     assert 1 < sum(isinstance(r, Exception) for r in together) < len(sets)
     with pytest.raises(ValueError, match="^baseline initialization needs at least 2 images$"):
         pipeline._zhang_iacs(sets + [scene(seed=9, image_count=1)[2]])
+    # A set with no images is refused by its image count, not by its fit.
+    empty = ObservationSet(obs.target, [], np.zeros((0, 2)), [])
+    for refuse in (pipeline.zhang_init, lambda o: pipeline.calibrate(o, "zhang")):
+        with pytest.raises(ValueError,
+                           match="^baseline initialization needs at least 2 images$"):
+            refuse(empty)
 
 
 @pytest.mark.parametrize("move", [(3000.0, 0.0), (-8000.0, 3000.0)], ids=["3m", "8.5m"])

@@ -17,9 +17,10 @@ def in_git_checkout() -> bool:
 @pytest.mark.skipif(not in_git_checkout(), reason="needs git and a checkout with a HEAD")
 def test_ab_tool_compares_the_working_tree_with_head():
     # One round of four units: the tool exports HEAD, imports both sides and
-    # prints a row of figures per unit; `mc_starts` runs in a forked child per
-    # side, and the pooled unit runs on each side's pool and adds its workers'
-    # peak RSS (a number on Linux, "-" elsewhere).
+    # prints a row of figures per unit; the serial units run in a forked
+    # child per side, and the pooled unit runs on each side's pool and adds
+    # its workers' peak RSS (a number on Linux, "-" elsewhere).  Every row
+    # counts the faults of a run of each side.
     run = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), "--rounds", "1",
                           "--units", "single", "mc_ba2", "mc_starts", "mc_ba_pool"],
                          capture_output=True, text=True, timeout=120, check=True)
@@ -28,6 +29,7 @@ def test_ab_tool_compares_the_working_tree_with_head():
     for figures in rows.values():
         ratio = float(figures[0])
         assert 0.2 < ratio < 5.0
+        assert all(float(faults) >= 0 for faults in figures[-4:-2])
     assert rows["single"][-2:] == rows["mc_starts"][-2:] == ["-", "-"]
     for peak in rows["mc_ba_pool"][-2:]:
         assert peak == "-" if sys.platform != "linux" else float(peak) > 0

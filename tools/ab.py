@@ -1,11 +1,13 @@
-"""In-process A/B timing of the working tree against a git revision.
+"""A/B timing of the working tree against a git revision.
 
 Exports `src/collimcal` of REV with `git archive` into a temporary
 directory and imports it as `collimcal_a`, and the working tree's as
 `collimcal_b`, in one process.  Each round runs every unit in ABBA order
-(A, B, B, A) and then AAAA, serially, on the same inputs.  The serial
-units share their rounds; each pooled unit then runs its rounds alone, on
-a fresh 2-worker pool of each side:
+(A, B, B, A) and then AAAA, serially, on the same inputs.  Each serial
+unit runs in two children forked from that process, one per side, so
+that one side's heap and page faults do not depend on the other side's
+code; the serial units share their rounds.  Each pooled unit then runs
+its rounds alone, in this process, on a fresh 2-worker pool of each side:
 
     mc_ba2   `_run_chunk` of 2 trials, all four arms, 1 px (the `mc_ba` point)
     mc_ba5   the same with 5 trials
@@ -14,9 +16,7 @@ a fresh 2-worker pool of each side:
              the fits and starts of a 50-scene `mc_init` chunk alone: the
              two arms' `calibrate_all` calls as `_run_arms` makes them
              (`nimg`, then `zhang`, unrefined) on scenes drawn once, whose
-             homography fits are cleared before each run; it runs in a
-             child process forked per side that keeps the pool workers'
-             heap setting, and is timed there
+             homography fits are cleared before each run
     mc_ba_pool
              `run_monte_carlo` of the `mc_ba` point, 20 trials, on 2 workers
     mc_init_pool
@@ -28,19 +28,17 @@ Per unit it prints the median over the rounds of B / A (the summed time of
 the two B runs over that of the two A runs), a bootstrap 95% interval of
 that median, the rounds B won, the same median and interval for the A/A
 control (the middle two A runs of AAAA over the outer two), the median
-times, the median minor page faults of one run (`RUSAGE_SELF`), and, for
-the pooled units, the largest peak RSS (`VmHWM`) of a worker of each
-side's own pool, in MB ("-" where /proc cannot be read).  Times are
-process time, except for the pooled units, whose work runs in the workers:
-those are wall time (`perf_counter`).  The other serial units run in this
-process under glibc's default heap, which hands freed memory back to the
-system and faults it in again, where the pool workers keep theirs
-(`synth._keep_worker_heap`); they can mislead about the pool: a change
-that adds large temporaries can read slower in `mc_init` than on the
-pool, and one that removes them faster.  `mc_starts` times its layer as
-a worker runs it.  Uses the standard library and numpy only; run it with
-OPENBLAS_NUM_THREADS=1, as the benchmark does, so that the pooled units'
-workers do not oversubscribe the cores.
+times, the median minor page faults of one run (`RUSAGE_SELF` of the
+process that ran it), and, for the pooled units, the largest peak RSS
+(`VmHWM`) of a worker of each side's own pool, in MB ("-" where /proc
+cannot be read).  Times are process time, except for the pooled units,
+whose work runs in the workers: those are wall time (`perf_counter`).
+The forked children of the `mc_*` units keep the heap setting of the
+pool workers that run them (`synth._keep_worker_heap`), and those of
+`nimg`, `minimal` and `single` glibc's default heap, as a `collimcal
+calibrate` process does.  Uses the standard library and numpy only; run
+it with OPENBLAS_NUM_THREADS=1, as the benchmark does, so that the pooled
+units' workers do not oversubscribe the cores.
 
     python3 tools/ab.py                          # HEAD against the working tree
     python3 tools/ab.py --against HEAD~1 --rounds 40 --units mc_ba2 mc_ba5
@@ -175,13 +173,13 @@ def timed(call, clock=time.process_time):
     return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
-def forked_timer(package, call, stack: contextlib.ExitStack):
+def forked_timer(package, call, stack: contextlib.ExitStack, worker_heap: bool):
     """A function that returns `timed(call)` of one run in a child forked now.
 
-    The child keeps the pool workers' heap setting (`synth._keep_worker_heap`)
-    and serves until `stack` closes its pipe; `stack` then waits for it.  A
-    call that raises ends the child with its traceback on stderr, and the
-    timer with EOFError.
+    With `worker_heap` the child takes the pool workers' heap setting
+    (`synth._keep_worker_heap`); it serves until `stack` closes its pipe,
+    and `stack` then waits for it.  A call that raises ends the child with
+    its traceback on stderr, and the timer with EOFError.
     """
     conn, child = multiprocessing.Pipe()
     pid = os.fork()
@@ -189,7 +187,8 @@ def forked_timer(package, call, stack: contextlib.ExitStack):
         code = 1
         try:
             conn.close()
-            package.synth._keep_worker_heap()
+            if worker_heap:
+                package.synth._keep_worker_heap()
             while True:
                 child.recv()
                 child.send(timed(call))
@@ -229,24 +228,21 @@ def bootstrap_median(ratios, rng, draws: int = 2000):
     return float(np.median(ratios)), *np.percentile(medians, [2.5, 97.5]).tolist()
 
 
-def measured(units, rounds: int, a, b, inputs: dict, workdir: Path, clock) -> dict:
-    """Every unit's per-round (B/A, A/A) ratios, times and faults; the units alternate.
-
-    `mc_starts` is timed in a forked child per side (`forked_timer`), the
-    other units here, on `clock`.
-    """
+def measured(units, rounds: int, a, b, inputs: dict, workdir: Path) -> dict:
+    """Every serial unit's per-round (B/A, A/A) ratios, times and faults, each
+    side's runs timed in a child forked per side (`forked_timer`); the units
+    alternate."""
     with contextlib.ExitStack() as stack:
-        timers = {}
-        for unit in units:
-            calls = [unit_call(unit, package, inputs, workdir) for package in (a, b)]
-            timers[unit] = ([forked_timer(package, call, stack)
-                             for package, call in zip((a, b), calls)] if unit == "mc_starts"
-                            else [functools.partial(timed, call, clock) for call in calls])
+        timers = {unit: [forked_timer(package, unit_call(unit, package, inputs, workdir), stack,
+                                      unit.startswith("mc_"))
+                         for package in (a, b)]
+                  for unit in units}
         return alternated(timers, rounds)
 
 
 def alternated(timers: dict, rounds: int) -> dict:
-    """`measured` from each unit's (A, B) timers, which return (seconds, faults) of a run."""
+    """The per-round statistics of `measured` from each unit's (A, B) timers,
+    which return (seconds, faults) of a run."""
     for timer_a, timer_b in timers.values():  # warm both sides once
         timer_a(), timer_b()
     stats = {unit: {"ab": [], "aa": [], "a": [], "b": [], "faults_a": [], "faults_b": []}
@@ -267,18 +263,21 @@ def alternated(timers: dict, rounds: int) -> dict:
 
 
 def run(units, rounds: int, a, b, inputs: dict, workdir: Path) -> dict:
-    """`measured` of the serial units together, then of each pooled unit alone.
+    """`measured` of the serial units together, then each pooled unit alone.
 
-    A pooled unit runs on fresh pools of each side, so that the peak RSS of
-    a worker, kept in the unit's "peak_a" and "peak_b", is that unit's own.
+    A pooled unit runs in this process on fresh pools of each side, timed
+    in wall time, so that the peak RSS of a worker, kept in the unit's
+    "peak_a" and "peak_b", is that unit's own.
     """
     serial = [unit for unit in units if not unit.endswith("_pool")]
-    stats = measured(serial, rounds, a, b, inputs, workdir, time.process_time)
+    stats = measured(serial, rounds, a, b, inputs, workdir)
     for unit in units:
         if unit.endswith("_pool"):
             for package in (a, b):
                 package.synth._close_pool()
-            stats |= measured([unit], rounds, a, b, inputs, workdir, time.perf_counter)
+            calls = [unit_call(unit, package, inputs, workdir) for package in (a, b)]
+            stats |= alternated({unit: [functools.partial(timed, call, time.perf_counter)
+                                        for call in calls]}, rounds)
             stats[unit] |= {"peak_a": worker_peak_mb(a), "peak_b": worker_peak_mb(b)}
     return {unit: stats[unit] for unit in units}
 
