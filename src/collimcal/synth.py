@@ -9,7 +9,10 @@ Per-trial RNG streams derive from SeedSequence(rng_seed, spawn_key=(trial,)),
 so a trial sees identical poses and noise draws at every sweep point; the
 swept parameter only scales its own (always-drawn) perturbations.  This
 keeps solver comparisons and sweeps paired, and makes every run bit
-reproducible.
+reproducible.  Since a sweep point draws the same poses as the last one,
+each process keeps the last few pose draws (`_lockstep_poses`), keyed on
+their exact inputs; a draw found there leaves every result and every
+stream's state as a fresh draw does.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ import ctypes
 import functools
 import multiprocessing
 import os
+import pickle
+import threading
 import traceback
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from multiprocessing.connection import wait
 
@@ -78,6 +83,21 @@ _worker_heap_setting = None
 # `ours` and `zhang` at 0.5 px, so this bounds a worker's peak memory; no
 # benchmark point has more than 100 trials.
 _CHUNK_TRIALS = 128
+# The most pose draws a process keeps (`_lockstep_poses`), the least recently
+# used dropped first.  An entry holds 96 bytes per view, so at most 0.74 MB
+# for chunks of _CHUNK_TRIALS trials of 15 images; it covers up to this many
+# chunks of one point on a worker.
+_POSE_MEMO_ENTRIES = 4
+# The kept pose draws: (the config's fields but _UNDRAWN, which the draw does
+# not read, and every stream's starting state) -> (R, unscaled jitter, every
+# stream's end state).
+_UNDRAWN = ("pixel_noise_sigma", "spherical_noise_sigma", "trial_count")
+_pose_memo = {}
+# Guards the memo's lookups and updates; held across a fork, so that no child
+# starts with it taken.
+_pose_memo_lock = threading.Lock()
+os.register_at_fork(before=_pose_memo_lock.acquire, after_in_parent=_pose_memo_lock.release,
+                    after_in_child=_pose_memo_lock.release)
 # The Monte Carlo pool (`_pool_of`): the PID of the process that forked it,
 # its worker processes, and the caller's end of each worker's pipe.
 _pool = None
@@ -198,9 +218,9 @@ def _draw_poses(config: SyntheticConfig, rngs, points: np.ndarray, images: range
     center.  A stream whose attempt is kept draws the jitter (3 normals),
     which models the imperfect collimator, and goes on to its next image.
     So each stream sees the same draws, in the same order, as when it is
-    drawn alone.  Returns R (S, n, 3, 3) and centers (S, n, 3) for S
-    streams and n images; PoseSamplingFailed names the first image that
-    takes POSE_ATTEMPTS attempts.
+    drawn alone.  Returns R (S, n, 3, 3) and the unscaled jitter (S, n, 3)
+    for S streams and n images; PoseSamplingFailed names the first image
+    that takes POSE_ATTEMPTS attempts.
     """
     nominal = config.t_cp
     max_angle = np.deg2rad(MAX_TILT_DEG)
@@ -214,7 +234,8 @@ def _draw_poses(config: SyntheticConfig, rngs, points: np.ndarray, images: range
         angles = np.empty(len(active))
         for i, s in enumerate(active):
             axes[i] = rngs[s].normal(size=3)
-            angles[i] = rngs[s].uniform(0.0, max_angle)
+            # uniform(0, max_angle)'s bits, from a cheaper call.
+            angles[i] = rngs[s].random() * max_angle
         # |axis| as a dot product, which rounds like np.linalg.norm of one vector.
         axes /= np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
         attempts = rotation_matrix_from_axis_angle(axes * angles[:, None])
@@ -234,7 +255,35 @@ def _draw_poses(config: SyntheticConfig, rngs, points: np.ndarray, images: range
                         f"{POSE_ATTEMPTS} attempts; the view cone is too wide "
                         f"for this target/image geometry")
         active = [s for s in active if drawn[s] < len(images)]
-    return R, nominal + jitter * config.spherical_noise_sigma
+    return R, jitter
+
+
+def _lockstep_poses(config: SyntheticConfig, rngs, points: np.ndarray):
+    """`_draw_poses` of every image, from the memo when these streams drew them before.
+
+    The key is every field of the config but the two noise sigmas and the
+    trial count, which the draw does not read, and every stream's starting
+    state, pickled, which is exact for every numpy bit generator.  A hit
+    moves every stream to the state the draw left it in, so the draws
+    after it are those after a fresh draw.  Returns the memo's R and
+    unscaled jitter, read-only; a draw that raises stores nothing.
+    """
+    key = (tuple(getattr(config, f.name) for f in fields(config) if f.name not in _UNDRAWN),
+           tuple(pickle.dumps(rng.bit_generator.state) for rng in rngs))
+    with _pose_memo_lock:
+        entry = _pose_memo.pop(key, None)
+    if entry is None:
+        R, jitter = _draw_poses(config, rngs, points, range(config.image_count))
+        R.flags.writeable = jitter.flags.writeable = False
+        entry = R, jitter, [rng.bit_generator.state for rng in rngs]
+    else:
+        for rng, state in zip(rngs, entry[2]):
+            rng.bit_generator.state = state
+    with _pose_memo_lock:
+        _pose_memo[key] = entry
+        if len(_pose_memo) > _POSE_MEMO_ENTRIES:
+            del _pose_memo[next(iter(_pose_memo))]
+    return entry[:2]
 
 
 def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
@@ -255,20 +304,30 @@ def _render(R: np.ndarray, centers: np.ndarray, config: SyntheticConfig,
 def _make_scenes(config: SyntheticConfig, rngs):
     """One scene per RNG stream, every stream drawn as `make_scene` draws it.
 
-    The poses of all streams are drawn in lockstep (`_draw_poses`); then
+    The poses of all streams are drawn in lockstep (`_draw_poses`), or
+    taken from the memo of the last few such draws (`_lockstep_poses`),
+    which gives the same bits and leaves the streams in the same states.
+    Each center is t_cp plus its jitter times spherical_noise_sigma.  Then
     each stream, in order, renders its views and draws again, one view at
-    a time, those that keep fewer than MIN_IMAGE_POINTS points.  A view is
-    drawn at most POSE_ATTEMPTS times; then PoseSamplingFailed names it.
+    a time, those that keep fewer than MIN_IMAGE_POINTS points, into its
+    own copy of its rotations.  A view is drawn at most POSE_ATTEMPTS
+    times; then PoseSamplingFailed names it.  A stream's R is read-only
+    unless a view was drawn again.
     """
     target = config.target.planar_target()
     points = np.column_stack([target.xy, np.zeros(len(target.ids))])
-    poses = _draw_poses(config, rngs, points, range(config.image_count))
+    rotations, jitter = _lockstep_poses(config, rngs, points)
+    sigma = config.spherical_noise_sigma
     scenes = []
-    for rng, R, centers in zip(rngs, *poses):
+    for rng, R, centers in zip(rngs, rotations, config.t_cp + jitter * sigma):
         uv, keep = _render(R, centers, config, points, rng)
-        for k in np.flatnonzero(keep.sum(axis=1) < MIN_IMAGE_POINTS):
+        thin = np.flatnonzero(keep.sum(axis=1) < MIN_IMAGE_POINTS)
+        if thin.size:
+            R = R.copy()
+        for k in thin:
             for _ in range(POSE_ATTEMPTS - 1):
-                R[k], centers[k] = _draw_poses(config, [rng], points, range(k, k + 1))
+                R[k], jitter_k = _draw_poses(config, [rng], points, range(k, k + 1))
+                centers[k] = config.t_cp + jitter_k * sigma
                 uv[k], keep[k] = _render(R[k:k + 1], centers[k:k + 1], config, points, rng)
                 if keep[k].sum() >= MIN_IMAGE_POINTS:
                     break
@@ -297,7 +356,9 @@ def make_scene(config: SyntheticConfig, rng: np.random.Generator):
     then PoseSamplingFailed names the image.  A Monte Carlo trial draws its
     scene by the same rule (`_run_chunk`), and `collimcal simulate` writes
     trial 0's scene.  The observations' target is the grid's cached,
-    read-only PlanarTarget, shared by every scene of that grid.
+    read-only PlanarTarget, shared by every scene of that grid, and R is
+    read-only unless a view was drawn again, since a later scene of the
+    same config and stream state may share it (`_lockstep_poses`).
     """
     return _make_scenes(config, [rng])[0]
 
@@ -607,7 +668,13 @@ def run_monte_carlo(config: SyntheticConfig, sweep_kind: str, sweep_values,
     drawn again alone, and a view that cannot be drawn raises
     PoseSamplingFailed naming its image.  Trials are seeded by their index,
     and a lockstep scene equals the one drawn alone, so neither the worker
-    count nor the chunks change a result.  The pool has at most one worker
+    count nor the chunks change a result.  Each process keeps its last
+    _POSE_MEMO_ENTRIES chunks' pose draws (`_lockstep_poses`), and the
+    points of a sweep draw the same poses, so a chunk whose trials the
+    process drew at an earlier point of the same seed reuses them, with
+    the same results: a one-point call sends chunk j to worker j, so in a
+    sweep of one-point calls each worker draws only the first point's
+    poses.  The pool has at most one worker
     per trial, and each worker keeps its freed heap (`_keep_worker_heap`).
     It is started by the first pooled call and kept for the later calls of
     the same size in the same process, until the process exits; its

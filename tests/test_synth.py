@@ -1,6 +1,7 @@
 import ctypes
 import multiprocessing
 import os
+import pickle
 import platform
 import select
 import signal
@@ -17,6 +18,7 @@ import pytest
 from collimcal import errors, pipeline, synth
 from collimcal.core_geom import (
     MIN_IMAGE_POINTS,
+    CameraIntrinsics,
     Distortion,
     back_project,
     project,
@@ -361,6 +363,206 @@ def test_view_that_cannot_be_drawn_names_the_image():
     cfg = synth.default_config(pixel_noise_sigma=1e7, image_count=2)
     with pytest.raises(errors.PoseSamplingFailed, match="image 0"):
         synth.make_scene(cfg, pose_rng())
+
+
+# ---------------------------------------------------------------------------
+# pose memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def draws(monkeypatch):
+    """An empty pose memo, and a list that logs each lockstep draw's stream count."""
+    monkeypatch.setattr(synth, "_pose_memo", {})
+    logged, draw = [], synth._draw_poses
+
+    def logging_draw(config, rngs, points, images):
+        if len(images) == config.image_count:
+            logged.append(len(rngs))
+        return draw(config, rngs, points, images)
+
+    monkeypatch.setattr(synth, "_draw_poses", logging_draw)
+    return logged
+
+
+def grid_points(config):
+    target = config.target.planar_target()
+    return np.column_stack([target.xy, np.zeros(len(target.ids))])
+
+
+@pytest.mark.parametrize("sweep, values, arms", [
+    ("spherical", [0.0, 30.0, 200.0], ("zhang",)),
+    ("noise", [0.5, 2.0, 1.0], ("ours", "zhang"))])
+def test_a_sweep_is_the_same_with_a_cold_and_a_warm_pose_memo(sweep, values, arms,
+                                                              monkeypatch):
+    # The reference draws every pose afresh: a memo that keeps nothing, in
+    # this process.  Then the memo and the pool start cold, and the sweep
+    # runs as one call and as one call per point, on 1 and 2 workers, each
+    # run on a memo the runs before it warmed.  At 200 mm some views are
+    # drawn again, and the `ours` arm fails on most trials.
+    cfg = synth.default_config(pixel_noise_sigma=0.5, trial_count=6)
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_pose_memo", {})
+        patch.setattr(synth, "_POSE_MEMO_ENTRIES", 0)
+        reference = [s for v in values
+                     for s in synth.run_monte_carlo(cfg, sweep, [v], arms=arms, workers=1)]
+        assert synth._pose_memo == {}
+    synth._pose_memo.clear()
+    synth._close_pool()
+    for workers in (1, 2):
+        for stats in (synth.run_monte_carlo(cfg, sweep, values, arms=arms, workers=workers),
+                      [s for v in values for s in synth.run_monte_carlo(
+                          cfg, sweep, [v], arms=arms, workers=workers)]):
+            assert len(stats) == len(reference)
+            assert all(map(same_trial_stats, stats, reference))
+
+
+FIELDS_THE_DRAW_READS = {
+    "intrinsics": CameraIntrinsics(fx=1010.0, fy=1000.0, cx=542.0, cy=478.0, gamma=0.01),
+    "distortion": Distortion(0.01, 0.0),
+    "image_size": (1100, 960),
+    "target": synth.TargetGrid(spacing=29.0),
+    "radius": 710.0,
+    "target_offset": (150.0, 100.0),
+    "image_count": 14,
+    "rng_seed": 1,
+}
+
+
+def test_a_pose_draw_is_reused_only_on_the_same_inputs(draws):
+    # The noise sigmas and the trial count are not read by the draw; every
+    # other field is, and so is every stream's starting state.
+    base = synth.default_config(pixel_noise_sigma=0.5)
+
+    def make(config, advanced=None):
+        rngs = [pose_rng(trial=t) for t in range(3)]
+        if advanced is not None:
+            rngs[advanced].random()
+        before = len(draws)
+        synth._make_scenes(config, rngs)
+        return len(draws) - before
+
+    assert make(base) == 1
+    assert make(synth.default_config(pixel_noise_sigma=2.0, spherical_noise_sigma=30.0,
+                                     trial_count=7)) == 0
+    for name, value in FIELDS_THE_DRAW_READS.items():
+        assert make(synth.default_config(pixel_noise_sigma=0.5, **{name: value})) == 1, name
+        assert make(base) == 0, name
+    for advanced in range(3):
+        assert make(base, advanced) == 1, advanced
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+def test_a_reused_pose_draw_leaves_each_stream_where_a_fresh_one_does(bit_generator, draws):
+    cfg = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=15.0)
+    points = grid_points(cfg)
+
+    def streams():
+        return [np.random.Generator(bit_generator(seed)) for seed in range(4)]
+
+    fresh = streams()
+    R, jitter = synth._draw_poses(cfg, fresh, points, range(cfg.image_count))
+    for _ in range(2):  # a miss, then a hit
+        rngs = streams()
+        R_memo, jitter_memo = synth._lockstep_poses(cfg, rngs, points)
+        assert same_bytes(R_memo, R) and same_bytes(jitter_memo, jitter)
+        for rng, rng_fresh in zip(rngs, fresh):
+            assert (pickle.dumps(rng.bit_generator.state)
+                    == pickle.dumps(rng_fresh.bit_generator.state))
+            assert rng.random() == rng_fresh.random()
+        fresh = streams()
+        synth._draw_poses(cfg, fresh, points, range(cfg.image_count))
+    assert draws == [4] * 4  # the three fresh draws and the memo's one miss
+
+
+def test_a_thin_view_is_drawn_again_the_same_with_a_warm_memo(draws):
+    # Trial 1 at 200 mm draws one view again, into its own copy of the
+    # rotations; the 0 mm scene that warmed the memo keeps its own.
+    thin = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=200.0)
+    (R_cold, centers_cold), cold = synth.make_scene(thin, pose_rng(trial=1))
+    synth._pose_memo.clear()
+    (R0, _), _ = synth.make_scene(synth.default_config(pixel_noise_sigma=0.5),
+                                  pose_rng(trial=1))
+    R0_before = R0.copy()
+    (R, centers), warm = synth.make_scene(thin, pose_rng(trial=1))
+    assert draws == [1, 1]
+    assert same_bytes(R, R_cold) and same_bytes(centers, centers_cold)
+    assert sum(np.array_equal(a, b) for a, b in zip(R0, R)) == 14
+    assert same_bytes(R0, R0_before) and not R0.flags.writeable and R.flags.writeable
+    for name in ("ids", "uv", "counts"):
+        assert same_bytes(getattr(warm, name), getattr(cold, name))
+
+
+def test_a_kept_pose_draw_is_read_only(draws):
+    cfg = synth.default_config(spherical_noise_sigma=15.0)
+    (R, centers), _ = synth.make_scene(cfg, pose_rng())
+    ((R_memo, jitter, _),) = synth._pose_memo.values()
+    for array in (R, R_memo, jitter):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    centers[0] = 0.0  # each scene's centers are its own
+
+
+def test_a_pose_draw_that_fails_is_not_kept(draws):
+    cfg = synth.default_config(radius=260.0)  # target wider than the view
+    for _ in range(2):
+        with pytest.raises(errors.PoseSamplingFailed, match="image 0"):
+            synth.make_scene(cfg, pose_rng(seed=5))
+        assert synth._pose_memo == {}
+    assert draws == [1, 1]
+
+
+def test_threads_that_share_the_pose_memo_get_their_own_draws(monkeypatch):
+    # Four threads draw the poses of six one-image streams over and over,
+    # switching as often as the interpreter allows, so the memo keeps
+    # dropping entries: every draw is its stream's, every call returns, and
+    # the memo never holds more than its bound.
+    monkeypatch.setattr(synth, "_pose_memo", {})
+    cfg = synth.default_config(image_count=1)
+    points = grid_points(cfg)
+    references = {seed: synth._draw_poses(cfg, [pose_rng(seed=seed)], points, range(1))[0]
+                  for seed in range(6)}
+    wrong, sizes, raised = [], [], []
+
+    def work(offset):
+        try:
+            for k in range(300):
+                seed = (offset + k) % 6
+                R, _ = synth._lockstep_poses(cfg, [pose_rng(seed=seed)], points)
+                if not same_bytes(R, references[seed]):
+                    wrong.append(seed)
+                with synth._pose_memo_lock:
+                    sizes.append(len(synth._pose_memo))
+        except Exception as exc:
+            raised.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert raised == [] and wrong == [] and len(sizes) == 4 * 300
+    assert max(sizes) <= synth._POSE_MEMO_ENTRIES
+
+
+def test_the_pose_memo_keeps_its_most_recent_draws(draws):
+    cfg = synth.default_config()
+    seeds = range(synth._POSE_MEMO_ENTRIES + 1)
+    for seed in seeds:
+        synth.make_scene(cfg, pose_rng(seed=seed))
+    synth.make_scene(cfg, pose_rng(seed=1))  # a hit, now the most recent
+    synth.make_scene(cfg, pose_rng(seed=0))  # dropped, drawn again
+    assert len(synth._pose_memo) == synth._POSE_MEMO_ENTRIES
+    assert draws == [1] * (len(seeds) + 1)
+    synth.make_scene(cfg, pose_rng(seed=1))
+    synth.make_scene(cfg, pose_rng(seed=2))  # dropped by seed 0's draw
+    assert draws == [1] * (len(seeds) + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,50 @@ def load_tool(name):
     return module
 
 
+def test_ab_tool_gives_each_run_of_a_side_a_new_seed_and_both_sides_the_same_pairs():
+    ab = load_tool("ab")
+    seeds = {"a": [], "b": []}
+
+    def timer(side):
+        def run(seed):
+            seeds[side].append(seed)
+            return 1.0 + seed % 3, 0
+        return run
+
+    stats = ab.alternated({"unit": [timer("a"), timer("b")]}, rounds=3)
+    assert len(stats["unit"]["ab"]) == 3
+    for side_seeds in seeds.values():
+        assert len(set(side_seeds)) == len(side_seeds)
+    # After the warm-up, A runs s, s + 1 (ABBA) and s + 2 to s + 5 (AAAA) and
+    # B runs s and s + 1, so each round's B/A compares the same two seeds.
+    assert seeds["a"] == list(range(19))
+    assert seeds["b"] == [0, 1, 2, 7, 8, 13, 14]
+    assert stats["unit"]["a"] == stats["unit"]["b"]
+
+
+def test_ab_tool_seeds_its_monte_carlo_units(monkeypatch, tmp_path):
+    # The seeded units put their seed into their config; mc_sweep runs the
+    # mc_init sweep as one pooled run_monte_carlo call per point.
+    import collimcal
+    from collimcal import synth
+
+    ab = load_tool("ab")
+    calls = []
+    monkeypatch.setattr(synth, "run_monte_carlo", lambda config, kind, values, arms, workers:
+                        calls.append((config, kind, list(values), arms, workers)))
+    monkeypatch.setattr(synth, "_run_chunk", lambda config, trials, arms:
+                        calls.append((config, trials, arms)))
+    for unit in ("mc_ba2", "mc_ba5", "mc_init", "mc_ba_pool", "mc_init_pool", "mc_sweep"):
+        calls.clear()
+        ab.unit_call(unit, collimcal, {}, tmp_path)(17)
+        assert calls and all(call[0].rng_seed == 17 for call in calls), unit
+    values = synth.SWEEPS["spherical"][1]
+    assert [call[1:] for call in calls] == [("spherical", [v], ("ours", "zhang"), 2)
+                                            for v in values]
+    assert {(c.pixel_noise_sigma, c.trial_count) for c, *_ in calls} == {(0.5, 100)}
+    assert "mc_sweep" in ab.UNITS and "mc_sweep" in ab.POOLED
+
+
 # A module docstring, a comment, a function docstring, a blank line and 4 code lines.
 COUNTED_SOURCE = '''"""A module docstring
 over two lines."""

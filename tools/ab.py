@@ -3,10 +3,10 @@
 Exports `src/collimcal` of REV with `git archive` into a temporary
 directory and imports it as `collimcal_a`, and the working tree's as
 `collimcal_b`, in one process.  Each round runs every unit in ABBA order
-(A, B, B, A) and then AAAA, serially, on the same inputs.  Each serial
-unit runs in two children forked from that process, one per side, so
-that one side's heap and page faults do not depend on the other side's
-code; the serial units share their rounds.  Each pooled unit then runs
+(A, B, B, A) and then AAAA, serially, each run on its own seed (below).
+Each serial unit runs in two children forked from that process, one per
+side, so that one side's heap and page faults do not depend on the other
+side's code; the serial units share their rounds.  Each pooled unit then runs
 its rounds alone, in this process, on a fresh 2-worker pool of each side:
 
     mc_ba2   `_run_chunk` of 2 trials, all four arms, 1 px (the `mc_ba` point)
@@ -21,8 +21,20 @@ its rounds alone, in this process, on a fresh 2-worker pool of each side:
              `run_monte_carlo` of the `mc_ba` point, 20 trials, on 2 workers
     mc_init_pool
              `run_monte_carlo` of the `mc_init` point, 100 trials, on 2 workers
+    mc_sweep the 7 points of the `mc_init` sweep (0-30 mm), 100 trials each, as
+             one `run_monte_carlo` call per point on 2 workers, as the
+             benchmark runs them
     nimg, minimal, single
              one in-process `collimcal calibrate` request of that mode
+
+Every Monte Carlo unit but `mc_starts` takes its run's seed as its
+config's `rng_seed`, and no run takes a seed that an earlier run of its
+side took, since `synth` keeps the pose draws of the streams it has seen:
+a unit that repeated one seeded call would time the kept draws only.  Both sides take
+one sequence: the warm-up run seed 0, then in round r (from 0) the ABBA
+runs s, s, s + 1 and s + 1 and the AAAA runs s + 2 to s + 5, where
+s = 1 + 6r.  So B/A compares the two sides on the same seeds, while the
+A/A control compares different seeds and also carries their spread.
 
 Per unit it prints the median over the rounds of B / A (the summed time of
 the two B runs over that of the two A runs), a bootstrap 95% interval of
@@ -68,7 +80,8 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 UNITS = ("mc_ba2", "mc_ba5", "mc_init", "mc_starts", "mc_ba_pool", "mc_init_pool",
-         "nimg", "minimal", "single")
+         "mc_sweep", "nimg", "minimal", "single")
+POOLED = ("mc_ba_pool", "mc_init_pool", "mc_sweep")
 ARMS = ("ours", "ours_ba", "zhang", "zhang_ba")
 
 # The inputs of the calibrate requests, as the benchmark's CLI workload makes them.
@@ -127,7 +140,7 @@ def make_inputs(package, workdir: Path) -> dict:
 
 
 def unit_call(unit: str, package, inputs: dict, workdir: Path):
-    """A function that runs `unit` once with `package`."""
+    """A function that runs `unit` once with `package`, given the run's seed."""
     synth = package.synth
     if unit == "mc_starts":
         config = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=15.0)
@@ -135,46 +148,54 @@ def unit_call(unit: str, package, inputs: dict, workdir: Path):
                 for t in range(50)]
         sets = [obs for _, obs in synth._make_scenes(config, rngs)]
 
-        def fits_and_starts():
+        def fits_and_starts(seed):
             for obs in sets:
                 vars(obs).pop("homography_fit", None)
             for mode in ("nimg", "zhang"):
                 package.pipeline.calibrate_all(sets, mode, refine=False,
                                                starts=[None] * len(sets))
         return fits_and_starts
+    init = {"pixel_noise_sigma": 0.5, "spherical_noise_sigma": 15.0}
     if unit == "mc_ba_pool":
-        config = synth.default_config(pixel_noise_sigma=1.0, trial_count=20)
-        return lambda: synth.run_monte_carlo(config, "noise", [1.0], arms=ARMS, workers=2)
+        return lambda seed: synth.run_monte_carlo(
+            synth.default_config(pixel_noise_sigma=1.0, trial_count=20, rng_seed=seed),
+            "noise", [1.0], arms=ARMS, workers=2)
     if unit == "mc_init_pool":
-        config = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=15.0,
-                                      trial_count=100)
-        return lambda: synth.run_monte_carlo(config, "noise", [0.5], arms=("ours", "zhang"),
-                                             workers=2)
+        return lambda seed: synth.run_monte_carlo(
+            synth.default_config(**init, trial_count=100, rng_seed=seed),
+            "noise", [0.5], arms=("ours", "zhang"), workers=2)
+    if unit == "mc_sweep":
+        def sweep(seed):
+            config = synth.default_config(pixel_noise_sigma=0.5, trial_count=100, rng_seed=seed)
+            for value in synth.SWEEPS["spherical"][1]:
+                synth.run_monte_carlo(config, "spherical", [value], arms=("ours", "zhang"),
+                                      workers=2)
+        return sweep
     if unit.startswith("mc_"):
         if unit == "mc_init":
-            config = synth.default_config(pixel_noise_sigma=0.5, spherical_noise_sigma=15.0)
-            trials, arms = range(12), ("ours", "zhang")
+            overrides, trials, arms = init, range(12), ("ours", "zhang")
         else:
-            config = synth.default_config(pixel_noise_sigma=1.0)
+            overrides = {"pixel_noise_sigma": 1.0}
             trials, arms = range(int(unit[len("mc_ba"):])), ARMS
-        return lambda: synth._run_chunk(config, trials, arms)
+        return lambda seed: synth._run_chunk(synth.default_config(**overrides, rng_seed=seed),
+                                             trials, arms)
     argv = ["calibrate", "--in", inputs[unit], "--mode", unit, "--out", workdir / "report.json"]
     if unit == "single":
         argv += ["--reference", inputs["database"]]
-    return lambda: cli_call(package, *argv)
+    return lambda seed: cli_call(package, *argv)
 
 
-def timed(call, clock=time.process_time):
-    """(seconds on `clock`, minor faults) of one call."""
+def timed(call, seed: int, clock=time.process_time):
+    """(seconds on `clock`, minor faults) of one `call(seed)`."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = clock()
-    call()
+    call(seed)
     seconds = clock() - start
     return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def forked_timer(package, call, stack: contextlib.ExitStack, worker_heap: bool):
-    """A function that returns `timed(call)` of one run in a child forked now.
+    """A function of a seed that returns `timed(call, seed)` of one run in a child forked now.
 
     With `worker_heap` the child takes the pool workers' heap setting
     (`synth._keep_worker_heap`); it serves until `stack` closes its pipe,
@@ -190,8 +211,7 @@ def forked_timer(package, call, stack: contextlib.ExitStack, worker_heap: bool):
             if worker_heap:
                 package.synth._keep_worker_heap()
             while True:
-                child.recv()
-                child.send(timed(call))
+                child.send(timed(call, child.recv()))
         except EOFError:
             code = 0
         except Exception:
@@ -202,8 +222,8 @@ def forked_timer(package, call, stack: contextlib.ExitStack, worker_heap: bool):
     stack.callback(os.waitpid, pid, 0)
     stack.callback(conn.close)
 
-    def timer():
-        conn.send(None)
+    def timer(seed):
+        conn.send(seed)
         return conn.recv()
     return timer
 
@@ -242,16 +262,18 @@ def measured(units, rounds: int, a, b, inputs: dict, workdir: Path) -> dict:
 
 def alternated(timers: dict, rounds: int) -> dict:
     """The per-round statistics of `measured` from each unit's (A, B) timers,
-    which return (seconds, faults) of a run."""
+    which return (seconds, faults) of a run of the seed they are given; the
+    seeds follow the one sequence of the module docstring."""
     for timer_a, timer_b in timers.values():  # warm both sides once
-        timer_a(), timer_b()
+        timer_a(0), timer_b(0)
     stats = {unit: {"ab": [], "aa": [], "a": [], "b": [], "faults_a": [], "faults_b": []}
              for unit in timers}
-    for _ in range(rounds):
+    for r in range(rounds):
+        seed = 1 + 6 * r
         for unit, (timer_a, timer_b) in timers.items():
-            (a1, fa), (b1, fb), (b2, _), (a2, _) = (timer() for timer in
-                                                    (timer_a, timer_b, timer_b, timer_a))
-            c1, c2, c3, c4 = (timer_a()[0] for _ in range(4))
+            (a1, fa), (b1, fb), (b2, _), (a2, _) = (
+                timer_a(seed), timer_b(seed), timer_b(seed + 1), timer_a(seed + 1))
+            c1, c2, c3, c4 = (timer_a(seed + k)[0] for k in range(2, 6))
             s = stats[unit]
             s["ab"].append((b1 + b2) / (a1 + a2))
             s["aa"].append((c2 + c3) / (c1 + c4))
@@ -269,14 +291,14 @@ def run(units, rounds: int, a, b, inputs: dict, workdir: Path) -> dict:
     in wall time, so that the peak RSS of a worker, kept in the unit's
     "peak_a" and "peak_b", is that unit's own.
     """
-    serial = [unit for unit in units if not unit.endswith("_pool")]
+    serial = [unit for unit in units if unit not in POOLED]
     stats = measured(serial, rounds, a, b, inputs, workdir)
     for unit in units:
-        if unit.endswith("_pool"):
+        if unit in POOLED:
             for package in (a, b):
                 package.synth._close_pool()
             calls = [unit_call(unit, package, inputs, workdir) for package in (a, b)]
-            stats |= alternated({unit: [functools.partial(timed, call, time.perf_counter)
+            stats |= alternated({unit: [functools.partial(timed, call, clock=time.perf_counter)
                                         for call in calls]}, rounds)
             stats[unit] |= {"peak_a": worker_peak_mb(a), "peak_b": worker_peak_mb(b)}
     return {unit: stats[unit] for unit in units}
